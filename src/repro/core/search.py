@@ -28,7 +28,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..storage import SearchStats
 from ..text import intersect_sorted, union_sorted
@@ -77,12 +77,18 @@ class PruningMode(Enum):
 
 
 class _TopK:
-    """Bounded max-heap collecting the k nearest verified answers."""
+    """Bounded max-heap collecting the k nearest verified answers.
+
+    Answers are ordered by ``(distance, poi_id)`` — the exhaustive scan's
+    order — so a tie at the k-th distance goes to the lower id whichever
+    scanner met it first.  A tie swap leaves ``kth_distance`` unchanged,
+    hence every pruning decision too.
+    """
 
     def __init__(self, k: int,
                  seed: Optional[Iterable[ResultEntry]] = None) -> None:
         self.k = k
-        self._heap: List[Tuple[float, int]] = []  # (-distance, poi_id)
+        self._heap: List[Tuple[float, int]] = []  # (-distance, -poi_id)
         self._best: Dict[int, float] = {}
         if seed is not None:
             for entry in seed:
@@ -96,16 +102,17 @@ class _TopK:
         return -self._heap[0][0]
 
     def add(self, poi_id: int, distance: float) -> None:
-        known = self._best.get(poi_id)
-        if known is not None:
+        if poi_id in self._best:
             return  # complex-query pieces can rediscover boundary POIs
+        item = (-distance, -poi_id)
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-distance, poi_id))
-            self._best[poi_id] = distance
-        elif distance < -self._heap[0][0]:
-            _, evicted = heapq.heappushpop(self._heap, (-distance, poi_id))
-            del self._best[evicted]
-            self._best[poi_id] = distance
+            heapq.heappush(self._heap, item)
+        elif item > self._heap[0]:
+            evicted = heapq.heappushpop(self._heap, item)
+            del self._best[-evicted[1]]
+        else:
+            return
+        self._best[poi_id] = distance
 
     def entries(self) -> List[ResultEntry]:
         return sorted(ResultEntry(pid, dist)
@@ -117,12 +124,14 @@ class _Subquery:
     """Per-anchor state of one basic sub-query."""
 
     quadrant: int
-    anchor: AnchorIndex
+    #: The anchor's index image; the driver reads only ``.regions`` and
+    #: ``.frame``, the rest belongs to the scanner that supplied it.
+    anchor: object
     geometry: BasicQueryGeometry
     #: Sub-region gids containing *all* query keywords (sorted).
     candidate_gids: List[int]
-    #: Per-keyword postings views for this anchor.
-    postings: List[object]
+    #: The scanner's keyword postings for this anchor.
+    postings: object
     #: Direction bounds per band are cached (Eqs. 5-6 are pure in the band).
     _bounds_cache: Dict[int, Tuple[float, float]] = field(
         default_factory=dict)
@@ -136,7 +145,15 @@ class _Subquery:
 
 
 class DesksSearcher:
-    """Answers direction-aware spatial keyword queries over a DesksIndex."""
+    """Answers direction-aware spatial keyword queries over a DesksIndex.
+
+    The best-first driver (Algorithm 2's region queue, Lemma 1,
+    FINDCANDREGIONS) is the only one in the repository.  What a subclass
+    may replace is the scanner seam — ``_resolve_terms``, ``_anchor``,
+    ``_postings`` and ``_scan_wedge`` (FINDCANDPOIS): here posting lists
+    read through the page store, in :mod:`repro.kernel.search` slices of
+    the columnar snapshot.
+    """
 
     def __init__(self, index: DesksIndex) -> None:
         self.index = index
@@ -151,6 +168,9 @@ class DesksSearcher:
                trace: Optional[QueryTrace] = None,
                deadline: Optional["SupportsExpired"] = None) -> QueryResult:
         """The k nearest POIs satisfying keyword and direction constraints.
+
+        Answers are ordered by ``(distance, poi_id)``, ties at the k-th
+        distance included.
 
         ``seed_entries`` pre-populates the top-k collector — the incremental
         algorithms of Section V pass cached answers here so ``d_k`` starts
@@ -190,8 +210,7 @@ class DesksSearcher:
         """The untraced search body (``search`` wraps it in a span)."""
         collector = _TopK(query.k, seed=seed_entries)
         conjunctive = query.match_mode is MatchMode.ALL
-        term_ids = self._collection.query_term_ids(
-            query.keywords, require_all=conjunctive)
+        term_ids = self._resolve_terms(query.keywords, conjunctive)
         if term_ids is None:
             if trace is not None:
                 trace.num_results = len(collector.entries())
@@ -229,25 +248,11 @@ class DesksSearcher:
         conjunctive = query.match_mode is MatchMode.ALL
         subqueries: List[_Subquery] = []
         for quadrant, piece in query.basic_subqueries():
-            anchor = self.index.anchor_index(quadrant)
-            postings = []
-            for term_id in term_ids:
-                view = anchor.store.term_postings(term_id)
-                if view is None:
-                    if conjunctive:
-                        postings = None
-                        break
-                    continue  # ANY: a missing keyword just contributes nothing
-                postings.append(view)
-            if not postings:
+            anchor = self._anchor(quadrant)
+            found = self._postings(anchor, term_ids, conjunctive)
+            if found is None:
                 continue
-            # The paper's L^R_K: sub-regions containing every keyword
-            # (ALL), or at least one keyword (ANY extension).
-            region_lists = [list(v.region_gids) for v in postings]
-            gids = (intersect_sorted(region_lists) if conjunctive
-                    else union_sorted(region_lists))
-            if not gids:
-                continue
+            gids, postings = found
             geometry = basic_geometry(
                 anchor.frame, query.location,
                 anchor.frame.basic_interval(piece))
@@ -334,7 +339,7 @@ class DesksSearcher:
                                 band.outer_radius)
         return float(band.index)
 
-    # -- FindCandRegions + FindCandPOIs ------------------------------------------
+    # -- FindCandRegions ----------------------------------------------------------
 
     def _scan_band(self, query: DirectionalQuery, sub: _Subquery, band: Band,
                    collector: _TopK, mode: PruningMode,
@@ -364,8 +369,8 @@ class DesksSearcher:
                 verified = band_trace.pois_verified
                 pages = io.logical_reads
                 tick = time.perf_counter()
-            self._scan_subregion(query, sub, subregion_gid, collector,
-                                 stats, band_trace)
+            self._scan_wedge(query, sub, band, subregion_gid, collector,
+                             stats, band_trace)
             if band_trace is not None:
                 band_trace.wedges.append(WedgeTrace(
                     subregion_gid, mindist,
@@ -424,10 +429,44 @@ class DesksSearcher:
         out.sort()
         return out
 
-    def _scan_subregion(self, query: DirectionalQuery, sub: _Subquery,
-                        gid: int, collector: _TopK,
-                        stats: Optional[SearchStats],
-                        band_trace: Optional[BandTrace] = None) -> None:
+    # -- the scanner seam: keyword postings + FindCandPOIs ------------------------
+
+    def _resolve_terms(self, keywords: FrozenSet[str],
+                       conjunctive: bool) -> Optional[Iterable[int]]:
+        """Term ids of the query keywords; ``None`` when nothing can match."""
+        return self._collection.query_term_ids(keywords,
+                                               require_all=conjunctive)
+
+    def _anchor(self, quadrant: int) -> AnchorIndex:
+        return self.index.anchor_index(quadrant)
+
+    def _postings(self, anchor: AnchorIndex, term_ids: Iterable[int],
+                  conjunctive: bool) -> Optional[Tuple[List[int], object]]:
+        """``(candidate gids, postings)`` of ``term_ids`` under ``anchor``.
+
+        ``None`` when no sub-region of the anchor can hold an answer.
+        """
+        postings = []
+        for term_id in term_ids:
+            view = anchor.store.term_postings(term_id)
+            if view is None:
+                if conjunctive:
+                    return None
+                continue  # ANY: a missing keyword just contributes nothing
+            postings.append(view)
+        if not postings:
+            return None
+        # The paper's L^R_K: sub-regions containing every keyword
+        # (ALL), or at least one keyword (ANY extension).
+        region_lists = [list(v.region_gids) for v in postings]
+        gids = (intersect_sorted(region_lists) if conjunctive
+                else union_sorted(region_lists))
+        return (gids, postings) if gids else None
+
+    def _scan_wedge(self, query: DirectionalQuery, sub: _Subquery,
+                    band: Band, gid: int, collector: _TopK,
+                    stats: Optional[SearchStats],
+                    band_trace: Optional[BandTrace] = None) -> None:
         """FINDCANDPOIS: combine POI lists, verify direction + distance."""
         lists = [view.pois_in(gid) for view in sub.postings]
         if query.match_mode is MatchMode.ALL:
@@ -462,7 +501,7 @@ class DesksSearcher:
             if band_trace is not None:
                 band_trace.pois_verified += 1
             distance = location.distance_to(poi_location)
-            if distance < collector.kth_distance:
+            if distance <= collector.kth_distance:
                 collector.add(poi_id, distance)
 
 

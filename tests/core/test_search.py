@@ -60,7 +60,7 @@ class TestTopK:
                            max_size=40),
            st.integers(1, 8))
     def test_matches_sorted_take_k(self, distances, k):
-        """Distances must match sorted-take-k; tie order is unspecified.
+        """The collector keeps ``sorted((distance, poi_id))[:k]``, ties too.
 
         In a search each POI has exactly one distance, hence the dict
         strategy; re-adds with conflicting distances cannot occur.
@@ -68,10 +68,8 @@ class TestTopK:
         top = _TopK(k)
         for pid, d in distances.items():
             top.add(pid, d)
-        expect = sorted(distances.values())[:k]
-        got = [e.distance for e in top.entries()]
-        assert got == expect
-        assert all(distances[e.poi_id] == e.distance for e in top.entries())
+        expect = sorted((d, pid) for pid, d in distances.items())[:k]
+        assert [(e.distance, e.poi_id) for e in top.entries()] == expect
 
 
 class TestSearchBasics:

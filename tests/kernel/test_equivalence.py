@@ -10,10 +10,22 @@ algorithm, not a rephrasing that happens to agree on answers.
 """
 
 import math
+import random
 
 import pytest
 
-from repro.core import DirectionalQuery, MatchMode, PruningMode
+from repro.core import (
+    DesksIndex,
+    DesksSearcher,
+    DirectionalQuery,
+    MatchMode,
+    MutableDesksIndex,
+    PruningMode,
+    brute_force_search,
+)
+from repro.datasets import POI, POICollection
+from repro.geometry import TWO_PI
+from repro.kernel import ColumnarSearcher
 from repro.service import Deadline
 from repro.storage import SearchStats
 from repro.trace import explain
@@ -110,6 +122,75 @@ def test_expired_deadline_is_partial(columnar_searcher, corpus):
         pass
     result = columnar_searcher.search(corpus[0], deadline=deadline)
     assert result.partial
+
+
+class _ExpiresOnCall:
+    """A deadline whose ``expired()`` turns true on the n-th call."""
+
+    def __init__(self, n):
+        self.remaining = n
+
+    def expired(self):
+        self.remaining -= 1
+        return self.remaining <= 0
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
+def test_mid_search_deadline_cuts_both_paths_alike(object_searcher,
+                                                   columnar_searcher, corpus,
+                                                   mode):
+    # Two queries per family (full circle / wraparound / narrow), cut at
+    # every deadline check the search makes: both scanners must stop at
+    # the same wedge with the same answers and the same work done.
+    for query in corpus[::40]:
+        n = 0
+        while True:
+            n += 1
+            expected_stats = SearchStats()
+            actual_stats = SearchStats()
+            expected = object_searcher.search(
+                query, mode, expected_stats, deadline=_ExpiresOnCall(n))
+            actual = columnar_searcher.search(
+                query, mode, actual_stats, deadline=_ExpiresOnCall(n))
+            assert actual.partial == expected.partial
+            assert entries_of(actual) == entries_of(expected)
+            assert actual_stats == expected_stats
+            if not expected.partial:
+                break
+        assert n > 2  # the cut really landed mid-search, more than once
+
+
+def test_ties_at_kth_distance_go_to_lower_id():
+    # 100 of 300 POIs sit exactly on another POI with the same keywords,
+    # so most top-k cuts fall inside a run of equal distances.  Every
+    # path must cut it where the exhaustive scan does: by (distance, id).
+    rng = random.Random(5)
+    keywords = ["cafe", "food", "gas"]
+    spots = [(rng.uniform(0, 100), rng.uniform(0, 100),
+              rng.sample(keywords, rng.randint(1, 2))) for _ in range(200)]
+    spots += [spots[rng.randrange(200)] for _ in range(100)]
+    rng.shuffle(spots)
+    collection = POICollection(
+        [POI.make(i, x, y, kws) for i, (x, y, kws) in enumerate(spots)])
+    index = DesksIndex(collection, num_bands=4, num_wedges=6)
+    mutable = MutableDesksIndex(POICollection(list(collection)[:250]),
+                                num_bands=4, num_wedges=6)
+    for poi in list(collection)[250:]:
+        mutable.insert(poi.location.x, poi.location.y, poi.keywords)
+    assert mutable.compact()
+    paths = [
+        (DesksSearcher(index).search, collection),
+        (ColumnarSearcher(index).search, collection),
+        (mutable.search, mutable.collection),
+    ]
+    for _ in range(100):
+        lower = rng.uniform(0.0, TWO_PI)
+        query = DirectionalQuery.make(
+            rng.uniform(0, 100), rng.uniform(0, 100), lower, lower + TWO_PI,
+            [rng.choice(keywords)], rng.choice([1, 3, 5, 10]))
+        for search, pois in paths:
+            assert entries_of(search(query)) == \
+                entries_of(brute_force_search(pois, query))
 
 
 def test_distances_are_bitwise_not_approximately(object_searcher,
