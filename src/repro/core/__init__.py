@@ -37,6 +37,8 @@ from .stores import (
     CompressedDiskKeywordStore,
     DiskKeywordStore,
     MemoryKeywordStore,
+    TermLayout,
+    TermPairs,
     build_term_layout,
 )
 
@@ -67,6 +69,8 @@ __all__ = [
     "ResultEntry",
     "Subregion",
     "SupportsExpired",
+    "TermLayout",
+    "TermPairs",
     "annulus_mindist",
     "band_mindist",
     "basic_geometry",

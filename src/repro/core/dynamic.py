@@ -190,15 +190,11 @@ class MutableDesksIndex:
     def _rebuild(self) -> None:
         """Merge delta and tombstones into a fresh static index."""
         # Caller holds self._lock.
-        survivors = [
-            POI.make(new_id, poi.location.x, poi.location.y, poi.keywords)
-            for new_id, poi in enumerate(
-                p for p in list(self.collection) + self._delta
-                if p.poi_id not in self._deleted)
-        ]
-        # Rebuilding re-densifies ids: previously returned ids become
-        # invalid after a rebuild, which callers can detect via
-        # ``rebuild_count`` (documented contract of the delta design).
+        survivors = self.live_pois()
+        # Rebuilding re-densifies ids (POICollection renumbers by
+        # position): previously returned ids become invalid after a
+        # rebuild, which callers can detect via ``rebuild_count``
+        # (documented contract of the delta design).
         self._delta = []
         self._deleted = set()
         self.rebuild_count += 1

@@ -27,6 +27,7 @@ from .stores import (
     CompressedDiskKeywordStore,
     DiskKeywordStore,
     MemoryKeywordStore,
+    TermPairs,
 )
 
 #: Paper guidance (Section VI-A): each band is best at ~10,000 POIs and each
@@ -111,7 +112,8 @@ class DesksIndex:
         self.anchors: List[Optional[AnchorIndex]] = [None] * 4
 
         locations = [p.location for p in collection]
-        term_ids = [collection.term_ids(i) for i in range(n)]
+        term_pairs = TermPairs(
+            [collection.term_ids(i) for i in range(n)])
         build_anchors = (list(anchors) if anchors is not None
                          else list(Anchor))
 
@@ -132,10 +134,10 @@ class DesksIndex:
                     page_store = ChecksummedPageStore(page_store)
                 store_cls = (DiskKeywordStore if disk_format == "sliced"
                              else CompressedDiskKeywordStore)
-                store = store_cls(regions, term_ids, page_store,
+                store = store_cls(regions, term_pairs, page_store,
                                   buffer_capacity=buffer_capacity)
             else:
-                store = MemoryKeywordStore(regions, term_ids)
+                store = MemoryKeywordStore(regions, term_pairs)
             self.anchors[anchor.value] = AnchorIndex(frame, regions, store)
         self.build_seconds = time.perf_counter() - started
 

@@ -10,8 +10,8 @@ self-contained:
     <dir>/checksums.json   CRC32C + length per file (scrub manifest)
 
 Keyword stores are *not* serialized: their layout is derived from
-``poi_order`` by a linear pass at load time (`build_term_layout` works on
-already-ordered positions), which measures faster than parsing an
+``poi_order`` at load time (one `TermPairs` flattening per index, one
+`TermLayout` sort per anchor), which measures faster than parsing an
 equivalent amount of posting bytes in Python and keeps the format simple.
 
 A *sharded deployment* (``repro.cluster``) is saved as one such index
@@ -49,7 +49,7 @@ from ..geometry import Anchor, CanonicalFrame
 from ..storage import crc32c
 from .index import AnchorIndex, DesksIndex
 from .regions import AnchorRegions
-from .stores import MemoryKeywordStore
+from .stores import MemoryKeywordStore, TermPairs
 
 FORMAT_VERSION = 1
 CLUSTER_FORMAT_VERSION = 1
@@ -309,7 +309,9 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
             f"holds {len(collection)}")
 
     index = _skeleton_index(meta, collection)
-    term_ids = [collection.term_ids(i) for i in range(len(collection))]
+    locations = [p.location for p in collection]
+    term_pairs = TermPairs(
+        [collection.term_ids(i) for i in range(len(collection))])
     for quadrant in meta["anchors"]:
         path = os.path.join(directory, f"anchor{quadrant}.bin")
         try:
@@ -319,9 +321,8 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
                 f"{directory} lacks anchor{quadrant}.bin promised by "
                 "meta.json") from None
         frame = CanonicalFrame(Anchor(quadrant), collection.mbr)
-        regions = AnchorRegions.from_blob(
-            frame, [p.location for p in collection], blob)
-        store = MemoryKeywordStore(regions, term_ids)
+        regions = AnchorRegions.from_blob(frame, locations, blob)
+        store = MemoryKeywordStore(regions, term_pairs)
         index.anchors[quadrant] = AnchorIndex(frame, regions, store)
     return index
 

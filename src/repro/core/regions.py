@@ -18,7 +18,7 @@ pointer-sliced inverted lists possible.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -92,46 +92,61 @@ class AnchorRegions:
         self.num_bands_requested = num_bands
         self.num_wedges_requested = num_wedges
 
-        n = len(locations)
         self.distances, self.thetas = _polar_coordinates(frame, locations)
-        by_distance = [int(i) for i in np.argsort(self.distances,
-                                                  kind="stable")]
-        band_chunks = _partition_with_ties(
-            by_distance, num_bands, key=lambda i: self.distances[i])
+        by_distance = np.argsort(self.distances, kind="stable")
+        sorted_distances = self.distances[by_distance]
+        band_cuts = _cuts_with_ties(sorted_distances, num_bands)
 
-        self.poi_order: List[int] = []
+        order = np.empty(len(locations), dtype=np.int64)
         self.bands: List[Band] = []
         self.subregions: List[Subregion] = []
-        for band_index, chunk in enumerate(band_chunks):
-            inner = self.distances[chunk[0]]
+        for band_index, (lo, hi) in enumerate(zip(band_cuts, band_cuts[1:])):
+            inner = float(sorted_distances[lo])
             band = Band(band_index, inner, math.inf)
             if self.bands:
                 self.bands[-1].outer_radius = inner
-            by_theta = sorted(chunk, key=lambda i: self.thetas[i])
-            wedge_chunks = _partition_with_ties(
-                by_theta, num_wedges, key=lambda i: self.thetas[i])
-            for wedge in wedge_chunks:
-                start = len(self.poi_order)
-                self.poi_order.extend(wedge)
+            chunk = by_distance[lo:hi]
+            # Stable, like the distance sort: equal directions keep their
+            # distance order, so the layout is a function of the data alone.
+            by_theta = chunk[np.argsort(self.thetas[chunk], kind="stable")]
+            order[lo:hi] = by_theta
+            sorted_thetas = self.thetas[by_theta]
+            wedge_cuts = _cuts_with_ties(sorted_thetas, num_wedges)
+            for start, end in zip(wedge_cuts, wedge_cuts[1:]):
                 sub = Subregion(
                     gid=len(self.subregions),
                     band_index=band_index,
-                    theta_lo=self.thetas[wedge[0]],
+                    theta_lo=float(sorted_thetas[start]),
                     theta_hi=HALF_PI,
-                    start=start,
-                    end=len(self.poi_order),
+                    start=lo + start,
+                    end=lo + end,
                 )
                 if band.subregions:
                     band.subregions[-1].theta_hi = sub.theta_lo
                 band.subregions.append(sub)
                 self.subregions.append(sub)
             self.bands.append(band)
-
         # The first band's inner arc is the paper's r_0 (= nearest POI); the
         # last band is unbounded outward (outer_radius stays +inf).
-        self.position_of: List[int] = [0] * n
-        for position, poi_id in enumerate(self.poi_order):
-            self.position_of[poi_id] = position
+        self._index_positions(order)
+
+    def _index_positions(self, order: "np.ndarray") -> None:
+        """Derive every positional lookup from the final ``poi_order``.
+
+        The arrays are what the keyword layout and the columnar snapshot
+        gather through; the lists serve scalar indexing, where they beat
+        numpy scalars.
+        """
+        count = order.size
+        self.order_array = order
+        self.position_array = np.empty(count, dtype=np.int64)
+        self.position_array[order] = np.arange(count, dtype=np.int64)
+        #: ``num_subregions + 1`` slice bounds: sub-region ``gid`` owns
+        #: positions ``[sub_starts[gid], sub_starts[gid + 1])``.
+        self.sub_starts = np.zeros(len(self.subregions) + 1, dtype=np.int64)
+        self.sub_starts[1:] = [sub.end for sub in self.subregions]
+        self.poi_order: List[int] = order.tolist()
+        self.position_of: List[int] = self.position_array.tolist()
         self._inner_radii = [b.inner_radius for b in self.bands]
 
     # -- lookups -----------------------------------------------------------
@@ -248,7 +263,7 @@ class AnchorRegions:
         obj.frame = frame
         obj.num_bands_requested, obj.num_wedges_requested = requested
         obj.distances, obj.thetas = _polar_coordinates(frame, locations)
-        obj.poi_order = list(poi_order)
+        order = np.asarray(poi_order, dtype=np.int64)
         obj.bands = []
         obj.subregions = []
         cursor = 0
@@ -274,20 +289,16 @@ class AnchorRegions:
                 cursor = sub.end
                 sub_idx += 1
             obj.bands.append(band)
-        obj.position_of = [0] * len(poi_order)
-        for position, poi_id in enumerate(obj.poi_order):
-            obj.position_of[poi_id] = position
-        obj._inner_radii = [b.inner_radius for b in obj.bands]
+        obj._index_positions(order)
         return obj
 
 
 def _polar_coordinates(frame: CanonicalFrame, locations: Sequence[Point],
-                       ) -> Tuple[List[float], List[float]]:
+                       ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Per-POI (distance, direction) to the anchor, vectorised.
 
     A POI exactly on the anchor has no direction; it gets 0, the bottom of
-    the quadrant.  Results come back as plain Python lists — downstream
-    code does scalar indexing, where lists beat numpy scalars.
+    the quadrant.
     """
     xs = np.fromiter((p.x for p in locations), dtype=float,
                      count=len(locations))
@@ -296,28 +307,26 @@ def _polar_coordinates(frame: CanonicalFrame, locations: Sequence[Point],
     cx, cy = frame.to_canonical_xy(xs, ys)
     distances = np.hypot(cx, cy)
     thetas = np.where(distances > 0.0, np.arctan2(cy, cx), 0.0)
-    return distances.tolist(), thetas.tolist()
+    return distances, thetas
 
 
-def _partition_with_ties(ordered: List[int], buckets: int,
-                         key) -> List[List[int]]:
-    """Cut ``ordered`` into ~``buckets`` chunks; equal keys stay together.
+def _cuts_with_ties(sorted_keys: "np.ndarray", buckets: int) -> List[int]:
+    """Cut points of ~``buckets`` chunks of ``sorted_keys``; equal keys
+    stay together.
 
     The paper's partitioning rule: fill each bucket to the target size, then
     keep absorbing items whose key equals the bucket's last key, so a band
     boundary never falls between equal distances (or a wedge boundary
-    between equal directions).
+    between equal directions).  Chunk ``c`` is ``[cuts[c], cuts[c + 1])``.
     """
-    n = len(ordered)
-    if n == 0:
-        return []
+    n = len(sorted_keys)
+    cuts = [0]
     target = max(1, round(n / buckets))
-    chunks: List[List[int]] = []
-    i = 0
-    while i < n:
-        j = min(i + target, n)
-        while j < n and key(ordered[j]) == key(ordered[j - 1]):
-            j += 1
-        chunks.append(ordered[i:j])
-        i = j
-    return chunks
+    # A cut may only fall where the key changes: absorbing ties moves it to
+    # the first such place at or after the target fill.
+    run_starts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])
+                  + 1).tolist()
+    while cuts[-1] < n:
+        at = bisect_left(run_starts, cuts[-1] + target)
+        cuts.append(run_starts[at] if at < len(run_starts) else n)
+    return cuts

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..storage import (
     InMemoryPageStore,
@@ -50,8 +53,107 @@ class TermPostings:
         raise NotImplementedError
 
 
-def build_term_layout(regions: AnchorRegions,
-                      poi_term_ids: Sequence[Iterable[int]],
+#: Per-POI term-id sets (``poi_term_ids[poi_id]``), raw or already flattened.
+PoiTermIds = Union["TermPairs", Sequence[Collection[int]]]
+
+
+class TermPairs:
+    """Every (POI, term) pair of a collection, flattened once, term-major.
+
+    The four anchors of an index lay out the same pairs, so the walk over
+    the per-POI term sets happens once, here; an anchor's
+    :class:`TermLayout` only re-sorts each term's run by that anchor's
+    ``poi_order``.  ``slot`` is a term's rank among the terms present.
+    """
+
+    __slots__ = ("term", "poi", "bounds", "slot_of")
+
+    def __init__(self, poi_term_ids: Sequence[Collection[int]]) -> None:
+        num_pois = len(poi_term_ids)
+        counts = np.fromiter((len(terms) for terms in poi_term_ids),
+                             dtype=np.int64, count=num_pois)
+        term = np.fromiter(chain.from_iterable(poi_term_ids),
+                           dtype=np.int64, count=int(counts.sum()))
+        poi = np.repeat(np.arange(num_pois, dtype=np.int64), counts)
+        # One sort of the fused key (term, poi) orders the pairs; ids are
+        # dense and far below 2**31, so the key stays inside int64.
+        key = term * num_pois + poi
+        key.sort()
+        #: Term id of each pair, ascending; and the pair's POI id.
+        self.term, self.poi = np.divmod(key, num_pois)
+        terms, starts = np.unique(self.term, return_index=True)
+        #: Term ``slot`` owns pairs ``[bounds[slot], bounds[slot + 1])``.
+        self.bounds = np.append(starts, self.term.size)
+        self.slot_of: Dict[int, int] = {
+            term_id: slot for slot, term_id in enumerate(terms.tolist())}
+
+    @classmethod
+    def of(cls, poi_term_ids: PoiTermIds) -> "TermPairs":
+        """``poi_term_ids`` flattened, or itself when it already is."""
+        if isinstance(poi_term_ids, cls):
+            return poi_term_ids
+        return cls(poi_term_ids)
+
+
+class TermLayout:
+    """One anchor's region and POI lists for every term, as flat arrays.
+
+    The paper's ``LP_k`` of all terms lie end to end in :attr:`positions`
+    (as positions into the anchor's ``poi_order``, which realises the
+    sub-region-major, direction-minor ordering; the POI id at a position
+    is ``regions.order_array[position]``), term ``slot`` owning the range
+    ``pairs.bounds[slot:slot + 2]``.  The ``LR_k`` lie end to end in
+    :attr:`region_gids` with their :attr:`pointers` (relative to the
+    start of the term's own POI list), term ``slot`` owning the range
+    ``region_bounds[slot:slot + 2]``.
+    """
+
+    __slots__ = ("pairs", "order", "positions", "region_gids", "pointers",
+                 "region_bounds")
+
+    def __init__(self, regions: AnchorRegions,
+                 poi_term_ids: PoiTermIds) -> None:
+        pairs = self.pairs = TermPairs.of(poi_term_ids)
+        self.order = regions.order_array
+        # Sorting the fused key (term, position) sorts each term's run by
+        # position; the terms stay where ``pairs.term`` has them.
+        term_base = pairs.term * regions.order_array.size
+        key = term_base + regions.position_array[pairs.poi]
+        key.sort()
+        self.positions = key - term_base
+        gid_by_position = np.repeat(
+            np.arange(regions.num_subregions, dtype=np.int64),
+            np.diff(regions.sub_starts))
+        gids = gid_by_position[self.positions]
+        # A term's region list gets an entry wherever the sub-region
+        # changes along its POI list, and at the list's first POI.
+        opens_region = np.ones(gids.size, dtype=bool)
+        opens_region[1:] = gids[1:] != gids[:-1]
+        opens_region[pairs.bounds[:-1]] = True
+        region_starts = np.flatnonzero(opens_region)
+        self.region_gids = gids[region_starts]
+        self.region_bounds = np.searchsorted(region_starts, pairs.bounds)
+        self.pointers = region_starts - np.repeat(
+            pairs.bounds[:-1], np.diff(self.region_bounds))
+
+    def term_arrays(self, slot: int,
+                    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """``(region_gids, pointers, positions)`` of one term: slices of
+        the flat arrays, not copies."""
+        lo, hi = self.pairs.bounds[slot:slot + 2]
+        region_lo, region_hi = self.region_bounds[slot:slot + 2]
+        return (self.region_gids[region_lo:region_hi],
+                self.pointers[region_lo:region_hi],
+                self.positions[lo:hi])
+
+    def term_lists(self, slot: int) -> Tuple[List[int], List[int], List[int]]:
+        """``(region_gids, pointers, poi_list)`` of one term."""
+        region_gids, pointers, positions = self.term_arrays(slot)
+        return (region_gids.tolist(), pointers.tolist(),
+                self.order[positions].tolist())
+
+
+def build_term_layout(regions: AnchorRegions, poi_term_ids: PoiTermIds,
                       ) -> Dict[int, Tuple[List[int], List[int], List[int]]]:
     """Compute, per term, ``(region_gids, pointers, poi_list)``.
 
@@ -59,31 +161,9 @@ def build_term_layout(regions: AnchorRegions,
     sorted by the anchor's ``poi_order`` position, which realises the
     paper's sub-region-major, direction-minor ordering.
     """
-    per_term_positions: Dict[int, List[int]] = {}
-    for position, poi_id in enumerate(regions.poi_order):
-        for term_id in poi_term_ids[poi_id]:
-            per_term_positions.setdefault(term_id, []).append(position)
-    # Positions were appended in increasing order, so each list is sorted.
-    # Resolving a position's sub-region through a precomputed array keeps
-    # the hot loop to plain list indexing.
-    gid_by_position: List[int] = [0] * len(regions.poi_order)
-    for sub in regions.subregions:
-        gid_by_position[sub.start:sub.end] = [sub.gid] * sub.size
-    poi_order = regions.poi_order
-    layout: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
-    for term_id, positions in per_term_positions.items():
-        region_gids: List[int] = []
-        pointers: List[int] = []
-        poi_list = [poi_order[p] for p in positions]
-        last_gid = -1
-        for list_pos, position in enumerate(positions):
-            gid = gid_by_position[position]
-            if gid != last_gid:
-                region_gids.append(gid)
-                pointers.append(list_pos)
-                last_gid = gid
-        layout[term_id] = (region_gids, pointers, poi_list)
-    return layout
+    layout = TermLayout(regions, poi_term_ids)
+    return {term_id: layout.term_lists(slot)
+            for term_id, slot in layout.pairs.slot_of.items()}
 
 
 # -- in-memory store ------------------------------------------------------------
@@ -121,28 +201,35 @@ class _MemoryTermPostings(TermPostings):
 
 
 class MemoryKeywordStore:
-    """All region/POI lists resident in Python memory."""
+    """All region/POI lists resident in memory, as one :class:`TermLayout`.
+
+    A term's postings view — plain Python lists, what the searcher's hot
+    loop iterates fastest — is cut from the flat arrays on first use and
+    kept, so a build allocates per index, not per term.
+    """
 
     def __init__(self, regions: AnchorRegions,
-                 poi_term_ids: Sequence[Iterable[int]]) -> None:
-        layout = build_term_layout(regions, poi_term_ids)
-        self._terms: Dict[int, _MemoryTermPostings] = {
-            term_id: _MemoryTermPostings(*parts)
-            for term_id, parts in layout.items()
-        }
+                 poi_term_ids: PoiTermIds) -> None:
+        self.layout = TermLayout(regions, poi_term_ids)
+        self._views: Dict[int, _MemoryTermPostings] = {}
 
     def term_postings(self, term_id: int) -> Optional[TermPostings]:
         """The postings view for ``term_id``, or ``None`` when absent."""
-        return self._terms.get(term_id)
+        view = self._views.get(term_id)
+        if view is None:
+            slot = self.layout.pairs.slot_of.get(term_id)
+            if slot is None:
+                return None
+            # Racing first uses both build a view; setdefault keeps one.
+            view = self._views.setdefault(
+                term_id, _MemoryTermPostings(*self.layout.term_lists(slot)))
+        return view
 
     @property
     def size_bytes(self) -> int:
         """Approximate footprint: 4 bytes per stored integer."""
-        total = 0
-        for postings in self._terms.values():
-            total += 4 * (2 * len(postings.region_gids)
-                          + len(postings._poi_list))
-        return total
+        layout = self.layout
+        return 4 * (2 * layout.region_gids.size + layout.positions.size)
 
 
 # -- disk-backed store -------------------------------------------------------------
@@ -206,7 +293,7 @@ class DiskKeywordStore:
     """
 
     def __init__(self, regions: AnchorRegions,
-                 poi_term_ids: Sequence[Iterable[int]],
+                 poi_term_ids: PoiTermIds,
                  store: Optional[PageStore] = None,
                  buffer_capacity: int = 256) -> None:
         if store is None:
@@ -314,7 +401,7 @@ class CompressedDiskKeywordStore:
     """
 
     def __init__(self, regions: AnchorRegions,
-                 poi_term_ids: Sequence[Iterable[int]],
+                 poi_term_ids: PoiTermIds,
                  store: Optional[PageStore] = None,
                  buffer_capacity: int = 256) -> None:
         if store is None:
@@ -322,14 +409,13 @@ class CompressedDiskKeywordStore:
         self._file = RecordFile(store, buffer_capacity=buffer_capacity)
         self._poi_order = regions.poi_order
         self._directory: Dict[int, RecordPointer] = {}
-        position_of = regions.position_of
-        layout = build_term_layout(regions, poi_term_ids)
-        for term_id in sorted(layout):
-            region_gids, pointers, poi_list = layout[term_id]
-            positions = [position_of[poi_id] for poi_id in poi_list]
-            blob = (encode_uint_list(region_gids)
-                    + encode_uint_list(pointers)
-                    + encode_sorted_ids(positions))
+        layout = TermLayout(regions, poi_term_ids)
+        # slot_of is in ascending term order, like the sliced store's walk.
+        for term_id, slot in layout.pairs.slot_of.items():
+            region_gids, pointers, positions = layout.term_arrays(slot)
+            blob = (encode_uint_list(region_gids.tolist())
+                    + encode_uint_list(pointers.tolist())
+                    + encode_sorted_ids(positions.tolist()))
             self._directory[term_id] = self._file.append(blob)
         self._file.flush()
 

@@ -24,10 +24,16 @@ array                     dtype    invariant
 Coordinates are **world** coordinates, not canonical-frame ones, so the
 kernel's ``xs[pos] - q.x`` is the same IEEE subtraction the object path
 performs in ``Point.distance_to`` / ``direction_to`` — the root of the
-bit-exactness guarantee.  Geometry that is already cheap and shared
+bit-exactness guarantee.
+
+Only ``xs`` and ``ys`` are made here (one gather each per anchor).
+``poi_ids`` and ``sub_starts`` are the anchor's own
+:class:`~repro.core.regions.AnchorRegions` arrays, both ``TermColumns``
+fields are slices of the memory store's
+:class:`~repro.core.stores.TermLayout` (the one vectorised pass that
+also feeds the object path's posting lists), and the cheap geometry
 (``bands``, ``subregions``, ``candidate_wedge_range``) is referenced
-from the existing :class:`~repro.core.regions.AnchorRegions`, not
-copied.
+from ``AnchorRegions`` as before — shared, not copied.
 
 The snapshot is frozen: it images the index at compile time and never
 observes later mutations, which is why the service layer refuses to
@@ -38,12 +44,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
 from ..core.index import DesksIndex
 from ..core.regions import AnchorRegions
+from ..core.stores import TermLayout, TermPairs
 from ..geometry import CanonicalFrame
 
 
@@ -57,6 +64,42 @@ class TermColumns:
     region_gids: "np.ndarray"
 
 
+class _TermColumnsView(Mapping):
+    """``term id -> TermColumns``, cut from a :class:`TermLayout` on demand.
+
+    Both columns of a term are slices of the layout's flat arrays (no
+    copy); the small ``TermColumns`` holding them is made on first use
+    and kept.
+    """
+
+    __slots__ = ("_layout", "_columns")
+
+    def __init__(self, layout: TermLayout) -> None:
+        self._layout = layout
+        self._columns: Dict[int, TermColumns] = {}
+
+    def __getitem__(self, term_id: int) -> TermColumns:
+        columns = self._columns.get(term_id)
+        if columns is None:
+            layout = self._layout
+            region_gids, _, positions = layout.term_arrays(
+                layout.pairs.slot_of[term_id])
+            columns = self._columns.setdefault(
+                term_id, TermColumns(positions, region_gids))
+        return columns
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._layout.pairs.slot_of)
+
+    def __len__(self) -> int:
+        return len(self._layout.pairs.slot_of)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every term's two columns."""
+        return self._layout.positions.nbytes + self._layout.region_gids.nbytes
+
+
 class AnchorColumns:
     """Struct-of-arrays image of one anchor corner (see module docstring)."""
 
@@ -66,7 +109,7 @@ class AnchorColumns:
     def __init__(self, quadrant: int, frame: CanonicalFrame,
                  regions: AnchorRegions, xs: "np.ndarray", ys: "np.ndarray",
                  poi_ids: "np.ndarray", sub_starts: "np.ndarray",
-                 terms: Dict[int, TermColumns]) -> None:
+                 terms: _TermColumnsView) -> None:
         self.quadrant = quadrant
         self.frame = frame
         self.regions = regions
@@ -79,41 +122,8 @@ class AnchorColumns:
     @property
     def nbytes(self) -> int:
         """Bytes held by this anchor's arrays (term columns included)."""
-        total = (self.xs.nbytes + self.ys.nbytes + self.poi_ids.nbytes
-                 + self.sub_starts.nbytes)
-        for columns in self.terms.values():
-            total += columns.positions.nbytes + columns.region_gids.nbytes
-        return total
-
-
-def _compile_anchor(quadrant: int, frame: CanonicalFrame,
-                    regions: AnchorRegions, world_x: "np.ndarray",
-                    world_y: "np.ndarray",
-                    terms_by_poi: List[List[int]]) -> AnchorColumns:
-    """Lay one anchor's POIs and keyword runs out positionally."""
-    order = np.asarray(regions.poi_order, dtype=np.int64)
-    count = order.size
-    sizes = np.fromiter((sub.size for sub in regions.subregions),
-                        dtype=np.int64, count=regions.num_subregions)
-    sub_starts = np.zeros(regions.num_subregions + 1, dtype=np.int64)
-    np.cumsum(sizes, out=sub_starts[1:])
-    gid_by_position = np.repeat(
-        np.arange(regions.num_subregions, dtype=np.int64), sizes)
-    position_of = np.empty(count, dtype=np.int64)
-    position_of[order] = np.arange(count, dtype=np.int64)
-    runs: Dict[int, List[int]] = {}
-    for poi_id in range(count):
-        position = int(position_of[poi_id])
-        for term_id in terms_by_poi[poi_id]:
-            runs.setdefault(term_id, []).append(position)
-    terms = {}
-    for term_id, positions in runs.items():
-        sorted_positions = np.sort(np.asarray(positions, dtype=np.int64))
-        terms[term_id] = TermColumns(
-            sorted_positions,
-            np.unique(gid_by_position[sorted_positions]))
-    return AnchorColumns(quadrant, frame, regions, world_x[order],
-                         world_y[order], order, sub_starts, terms)
+        return (self.xs.nbytes + self.ys.nbytes + self.poi_ids.nbytes
+                + self.sub_starts.nbytes + self.terms.nbytes)
 
 
 class ColumnarSnapshot:
@@ -124,21 +134,29 @@ class ColumnarSnapshot:
         self.index = index
         self.collection = index.collection
         count = len(self.collection)
-        world_x = np.empty(count, dtype=np.float64)
-        world_y = np.empty(count, dtype=np.float64)
-        terms_by_poi: List[List[int]] = []
-        for poi_id in range(count):
-            location = self.collection.location(poi_id)
-            world_x[poi_id] = location.x
-            world_y[poi_id] = location.y
-            terms_by_poi.append(sorted(self.collection.term_ids(poi_id)))
+        world_x = np.fromiter((poi.location.x for poi in self.collection),
+                              dtype=np.float64, count=count)
+        world_y = np.fromiter((poi.location.y for poi in self.collection),
+                              dtype=np.float64, count=count)
+        term_pairs: Optional[TermPairs] = None
         self.anchors: List[Optional[AnchorColumns]] = [None] * 4
         for quadrant, anchor in enumerate(index.anchors):
             if anchor is None:
                 continue
-            self.anchors[quadrant] = _compile_anchor(
-                quadrant, anchor.frame, anchor.regions, world_x, world_y,
-                terms_by_poi)
+            regions = anchor.regions
+            # A memory store's layout is shared as it is; a disk-backed
+            # store keeps none, so the same pass lays one out here.
+            layout = getattr(anchor.store, "layout", None)
+            if layout is None:
+                if term_pairs is None:
+                    term_pairs = TermPairs([self.collection.term_ids(poi_id)
+                                            for poi_id in range(count)])
+                layout = TermLayout(regions, term_pairs)
+            order = regions.order_array
+            self.anchors[quadrant] = AnchorColumns(
+                quadrant, anchor.frame, regions, world_x[order],
+                world_y[order], order, regions.sub_starts,
+                _TermColumnsView(layout))
         self.build_seconds = time.perf_counter() - tick
 
     @classmethod

@@ -118,8 +118,10 @@ class QueryEngine:
             # Eager purge on every insert/delete/rebuild.  Correctness does
             # not depend on this (lookups re-check the generation), it just
             # frees memory promptly and keeps the hit-rate metric honest.
-            index.subscribe(
-                lambda gen: self.cache.invalidate_older_than(gen))
+            # The listener is the cache's own method, not a closure over
+            # this engine: index -> listener -> engine -> index would be a
+            # cycle only the cyclic collector could free.
+            index.subscribe(self.cache.invalidate_older_than)
             self._searchers = None
             self.snapshot: Optional[ColumnarSnapshot] = None
         else:

@@ -271,17 +271,36 @@ class TestEscapeFacet:
 # -- the real tree ------------------------------------------------------------
 
 
+def enclosing_function(path, line):
+    """Dotted name (``Class.method``) of the innermost def holding ``line``."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = []
+    scope = tree
+    while True:
+        inner = next((node for node in ast.iter_child_nodes(scope)
+                      if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.lineno <= line <= node.end_lineno), None)
+        if inner is None:
+            return ".".join(names)
+        names.append(inner.name)
+        scope = inner
+
+
 class TestRealTree:
     def test_src_is_clean_and_waivers_are_exactly_the_audited_set(self):
         engine = LintEngine()
         report = engine.check(["src"])
         assert report.clean, "\n" + report.render()
-        waivers = sorted((f.path, f.line) for f in report.suppressed
-                         if f.code == "DAL011")
+        # Pinned by function, not line: the audited set stays exact while
+        # edits above a waiver are free.
+        waivers = sorted((f.path, enclosing_function(f.path, f.line))
+                         for f in report.suppressed if f.code == "DAL011")
         assert waivers == [
-            ("src/repro/cluster/replica.py", 260),
-            ("src/repro/net/frontend.py", 90),
-            ("src/repro/net/loadgen.py", 158),
-            ("src/repro/service/engine.py", 326),
-            ("src/repro/service/workload.py", 126),
+            ("src/repro/cluster/replica.py", "ReplicaSet.execute"),
+            ("src/repro/net/frontend.py", "ClusterFrontend._run_loop"),
+            ("src/repro/net/loadgen.py", "run_network_closed_loop.client"),
+            ("src/repro/service/engine.py", "QueryEngine._run_batch_chunk"),
+            ("src/repro/service/workload.py", "run_closed_loop.client"),
         ]

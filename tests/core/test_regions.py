@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.regions import AnchorRegions, _partition_with_ties
+from repro.core.regions import AnchorRegions, _cuts_with_ties
 from repro.geometry import HALF_PI, Anchor, CanonicalFrame, MBR, Point
+
+from .reference_layout import partition_with_ties
 
 RECT = MBR(0.0, 0.0, 100.0, 80.0)
 FRAME = CanonicalFrame(Anchor.BOTTOM_LEFT, RECT)
@@ -21,6 +24,16 @@ def make_regions(points, n=3, m=4, anchor=Anchor.BOTTOM_LEFT):
 def grid(side=10, step=10.0):
     return [Point(i * step + 1.0, j * step + 1.0)
             for i in range(side) for j in range(side)]
+
+
+def _partition_with_ties(ordered, buckets, key):
+    """The shipped cut (``_cuts_with_ties`` over the sorted key array) as
+    chunks of ``ordered``, checked against the reference loop."""
+    keys = np.array([key(item) for item in ordered], dtype=float)
+    cuts = _cuts_with_ties(keys, buckets)
+    chunks = [ordered[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    assert chunks == partition_with_ties(ordered, buckets, key)
+    return chunks
 
 
 class TestPartitionWithTies:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import DesksIndex
+from repro.datasets import china_like, generate
 from repro.kernel import ColumnarSnapshot
 
 
@@ -88,6 +89,44 @@ def test_nbytes_counts_every_array(snapshot):
                                   for columns in built_anchors(snapshot))
     assert snapshot.nbytes > 0
     assert snapshot.build_seconds >= 0.0
+
+
+def test_term_columns_are_views_of_the_stores_arrays(index, snapshot):
+    """Shared, not copied: the keyword columns, ``poi_ids`` and
+    ``sub_starts`` are the index's own arrays; only ``xs``/``ys`` are
+    gathered per snapshot."""
+    for columns in built_anchors(snapshot):
+        anchor = index.anchors[columns.quadrant]
+        layout = anchor.store.layout
+        assert columns.poi_ids is anchor.regions.order_array
+        assert columns.sub_starts is anchor.regions.sub_starts
+        assert len(columns.terms) == len(layout.pairs.slot_of)
+        for term_id, term in columns.terms.items():
+            assert np.shares_memory(term.positions, layout.positions)
+            assert np.shares_memory(term.region_gids, layout.region_gids)
+            assert columns.terms.get(term_id) is term   # made once, kept
+        assert columns.terms.get(len(columns.terms) + 7) is None
+
+
+def test_disk_backed_index_compiles_to_the_same_columns(collection, snapshot):
+    """A disk store keeps no layout; the snapshot lays one out itself."""
+    on_disk = ColumnarSnapshot(DesksIndex(collection, num_bands=4,
+                                          num_wedges=6, disk_based=True))
+    assert on_disk.nbytes == snapshot.nbytes
+    for ours, theirs in zip(built_anchors(on_disk), built_anchors(snapshot)):
+        assert np.array_equal(ours.xs, theirs.xs)
+        assert list(ours.terms) == list(theirs.terms)
+        for term_id, term in theirs.terms.items():
+            assert np.array_equal(ours.terms[term_id].positions,
+                                  term.positions)
+            assert np.array_equal(ours.terms[term_id].region_gids,
+                                  term.region_gids)
+
+
+def test_nbytes_on_the_benchmark_dataset_is_unchanged():
+    """``kernel.snapshot.nbytes`` of the end-to-end benchmark (CN/800)."""
+    cn800 = generate(china_like(scale=800))
+    assert ColumnarSnapshot(DesksIndex(cn800)).nbytes == 5_917_152
 
 
 def test_missing_anchor_raises(collection):

@@ -1,10 +1,12 @@
 """QueryEngine: concurrency, caching, invalidation, deadlines, metrics."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
-from repro.core import brute_force_search
+from repro.core import MutableDesksIndex, brute_force_search
 from repro.service import QueryEngine, ResultCache
 
 from .conftest import make_queries
@@ -139,6 +141,27 @@ class TestMutableServing:
             # The subscription purged everything tagged with the old
             # generation without waiting for lookups.
             assert len(engine.cache) == 0
+
+    def test_replaced_engine_and_index_are_freed_by_refcount_alone(
+            self, collection):
+        """The index's listener is the cache's bound method, so no cycle
+        runs through the engine: dropping the last references frees the
+        pair at once (tens of MB at benchmark scale), not at whichever
+        later moment the cyclic collector next runs."""
+        index = MutableDesksIndex(collection, num_bands=4, num_wedges=6)
+        engine = QueryEngine(index, num_workers=2)
+        query = make_queries(1, seed=23)[0]
+        engine.submit(query).result(timeout=30)
+        index.insert(1.0, 1.0, ["cafe"])
+        engine.close()
+        index_ref, engine_ref = weakref.ref(index), weakref.ref(engine)
+        gc.disable()    # a collection in between must not do the work
+        try:
+            del index, engine
+            assert engine_ref() is None
+            assert index_ref() is None
+        finally:
+            gc.enable()
 
     def test_unaffected_queries_still_correct_after_many_updates(
             self, mutable_index):
