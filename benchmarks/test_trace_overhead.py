@@ -1,7 +1,7 @@
 """Tracing must be free when nobody is looking.
 
-The instrumentation in the searcher and the engine is guarded by one
-``current_tracer()`` check per operation.  This benchmark measures what
+The instrumentation in the searcher, the mutable index's delta scan and
+the engine is guarded by one ``current_tracer()`` check per operation.  This benchmark measures what
 that guard costs on the serving workload from
 ``test_service_throughput.py``: the *shipped* build (instrumented, no
 tracer active) is run against a *stripped* build where the guard is
@@ -28,6 +28,7 @@ from repro.bench import (
     write_result,
 )
 from repro.core import DesksIndex, DesksSearcher, MutableDesksIndex
+import repro.core.dynamic as dynamic_mod
 import repro.core.search as search_mod
 from repro.service import QueryEngine, run_closed_loop
 import repro.service.engine as engine_mod
@@ -61,6 +62,7 @@ def _search_seconds(searcher, queries):
 def _strip(patcher):
     """Replace the disabled-path guard with a constant, per module."""
     patcher.setattr(search_mod, "current_tracer", lambda: None)
+    patcher.setattr(dynamic_mod, "current_tracer", lambda: None)
     patcher.setattr(engine_mod, "current_tracer", lambda: None)
     patcher.setattr(engine_mod, "traced", lambda name, fn, **kw: fn)
 

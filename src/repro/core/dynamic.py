@@ -31,11 +31,13 @@ exact) state.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Iterable, List, Optional, Set
 
 from ..analysis import make_lock
 from ..datasets import POI, POICollection
 from ..storage import SearchStats
+from ..trace.spans import current_tracer
 from .index import DesksIndex
 from .query import DirectionalQuery, QueryResult, ResultEntry
 from .search import DesksSearcher, PruningMode, SupportsExpired
@@ -213,6 +215,8 @@ class MutableDesksIndex:
         against those immutable references.  ``deadline`` is forwarded to
         the indexed search; an expired deadline yields ``partial=True``
         (the delta scan is a cheap linear pass and always completes).
+        Under an active :class:`repro.trace.Tracer` the delta scan records
+        a ``desks.delta`` span next to the indexed ``desks.search`` tree.
         """
         with self._lock:
             searcher = self._searcher
@@ -230,17 +234,29 @@ class MutableDesksIndex:
         else:
             indexed = searcher.search(query, mode, stats, deadline=deadline)
         merged = [e for e in indexed.entries if e.poi_id not in deleted]
+        tracer = current_tracer()
+        if tracer is not None:
+            tick = time.perf_counter()
         # len(delta) is captured once: concurrent inserts appending to the
         # same list are simply not part of this query's snapshot.
-        for poi in delta[:len(delta)]:
+        pending = delta[:len(delta)]
+        examined = 0
+        for poi in pending:
             if poi.poi_id in deleted:
                 continue
-            if stats is not None:
-                stats.pois_examined += 1
+            examined += 1
             if not query.matches(poi.location, poi.keywords):
                 continue
             merged.append(ResultEntry(
                 poi.poi_id, query.location.distance_to(poi.location)))
+        if stats is not None:
+            stats.pois_examined += examined
+        if tracer is not None:
+            # The delta scan's share of SearchStats, so span totals still
+            # reconcile while inserts are pending.
+            tracer.record("desks.delta", seconds=time.perf_counter() - tick,
+                          pois_fetched=examined,
+                          tombstones_skipped=len(pending) - examined)
         merged.sort()
         return QueryResult(merged[:query.k], partial=indexed.partial)
 

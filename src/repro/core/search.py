@@ -41,10 +41,18 @@ from .mindist import (
     subregion_mindist,
 )
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
-from .trace import BandTrace, QueryTrace, WedgeTrace
 from .regions import Band
 
 INF = math.inf
+
+#: Counters every scanned ``desks.band`` span carries (zero until recorded).
+_BAND_COUNTERS = ("subregions_kept", "subregions_window_pruned",
+                  "subregions_mindist_pruned", "subregions_examined",
+                  "mindist_evaluations", "pois_fetched", "pois_verified",
+                  "pages_read")
+#: The band counters that roll up, same-named, into the ``desks.search`` root.
+_ROOT_SUMS = ("pages_read", "pois_fetched", "pois_verified",
+              "subregions_examined", "mindist_evaluations")
 
 
 class SupportsExpired:
@@ -135,6 +143,8 @@ class _Subquery:
     #: Direction bounds per band are cached (Eqs. 5-6 are pure in the band).
     _bounds_cache: Dict[int, Tuple[float, float]] = field(
         default_factory=dict)
+    #: This sub-query's ``desks.subquery`` span while a tracer is active.
+    span: Optional[Span] = None
 
     def band_bounds(self, band: Band) -> Tuple[float, float]:
         cached = self._bounds_cache.get(band.index)
@@ -165,7 +175,6 @@ class DesksSearcher:
                mode: PruningMode = PruningMode.RD,
                stats: Optional[SearchStats] = None,
                seed_entries: Optional[Iterable[ResultEntry]] = None,
-               trace: Optional[QueryTrace] = None,
                deadline: Optional["SupportsExpired"] = None) -> QueryResult:
         """The k nearest POIs satisfying keyword and direction constraints.
 
@@ -174,8 +183,7 @@ class DesksSearcher:
 
         ``seed_entries`` pre-populates the top-k collector — the incremental
         algorithms of Section V pass cached answers here so ``d_k`` starts
-        tight.  ``trace`` (a :class:`~repro.core.trace.QueryTrace`) records
-        the search's decisions for inspection.
+        tight.
 
         ``deadline`` is any object with an ``expired() -> bool`` method
         (e.g. :class:`repro.service.Deadline`).  The best-first scan checks
@@ -185,50 +193,55 @@ class DesksSearcher:
         serving layer.  Every returned entry is still a verified answer.
 
         When a :class:`repro.trace.Tracer` is active in the calling context
-        the search additionally emits a ``desks.search`` span tree
+        the search records a ``desks.search`` span tree as it goes
         (prepare / sub-query / band / wedge stages with page-read and
-        pruning attribution); with no active tracer the only cost is one
+        pruning attribution; the root totals reconcile with
+        :class:`~repro.storage.SearchStats` / ``IOStats``, partial results
+        included); with no active tracer the only cost is one
         ``ContextVar`` lookup.
         """
         tracer = current_tracer()
         if tracer is None:
             return self._search_impl(query, mode, stats, seed_entries,
-                                     trace, deadline)
-        qtrace = trace if trace is not None else QueryTrace()
-        with tracer.span("desks.search", mode=mode.name, k=query.k) as span:
+                                     deadline)
+        with tracer.span("desks.search", mode=mode.name, k=query.k,
+                         results=0, partial=False, terminated_early=False,
+                         bands_scanned=0, bands_skipped_lemma1=0,
+                         pages_read=0, pois_fetched=0, pois_verified=0,
+                         subregions_examined=0, subregions_pruned=0,
+                         mindist_evaluations=0) as root:
             result = self._search_impl(query, mode, stats, seed_entries,
-                                       qtrace, deadline)
-            _emit_query_spans(tracer, span, qtrace, result)
+                                       deadline, tracer, root)
+            root.annotate(results=len(result), partial=result.partial)
         return result
 
     def _search_impl(self, query: DirectionalQuery,
                      mode: PruningMode,
                      stats: Optional[SearchStats],
                      seed_entries: Optional[Iterable[ResultEntry]],
-                     trace: Optional[QueryTrace],
-                     deadline: Optional["SupportsExpired"]) -> QueryResult:
-        """The untraced search body (``search`` wraps it in a span)."""
+                     deadline: Optional["SupportsExpired"],
+                     tracer: Optional[Tracer] = None,
+                     root: Optional[Span] = None) -> QueryResult:
+        """The search body; ``root`` is the open ``desks.search`` span."""
         collector = _TopK(query.k, seed=seed_entries)
         conjunctive = query.match_mode is MatchMode.ALL
-        term_ids = self._resolve_terms(query.keywords, conjunctive)
-        if term_ids is None:
-            if trace is not None:
-                trace.num_results = len(collector.entries())
-            return QueryResult(collector.entries())
-        if trace is not None:
+        if tracer is not None:
             io = self.index.io_stats
             pages_before = io.logical_reads
-            tick = time.perf_counter()
+            prepare = tracer.record("desks.prepare", parent=root,
+                                    pages_read=0, subqueries=0)
+        term_ids = self._resolve_terms(query.keywords, conjunctive)
+        if term_ids is None:
+            return QueryResult(collector.entries())
         subqueries = self._prepare_subqueries(query, term_ids)
-        if trace is not None:
-            trace.prepare_seconds = time.perf_counter() - tick
-            trace.prepare_pages = io.logical_reads - pages_before
+        if tracer is not None:
+            prepare.ended = time.perf_counter()
+            pages = io.logical_reads - pages_before
+            prepare.annotate(pages_read=pages, subqueries=len(subqueries))
+            root.add("pages_read", pages)
         completed = self._run(query, subqueries, collector, mode, stats,
-                              trace, deadline)
-        result = QueryResult(collector.entries(), partial=not completed)
-        if trace is not None:
-            trace.num_results = len(result)
-        return result
+                              deadline, tracer, root)
+        return QueryResult(collector.entries(), partial=not completed)
 
     def search_basic(self, query: DirectionalQuery,
                      mode: PruningMode = PruningMode.RD,
@@ -263,9 +276,15 @@ class DesksSearcher:
     def _run(self, query: DirectionalQuery, subqueries: List[_Subquery],
              collector: _TopK, mode: PruningMode,
              stats: Optional[SearchStats],
-             trace: Optional[QueryTrace] = None,
-             deadline: Optional["SupportsExpired"] = None) -> bool:
-        """Drive the band queue to exhaustion; False when a deadline cut in."""
+             deadline: Optional["SupportsExpired"] = None,
+             tracer: Optional[Tracer] = None,
+             root: Optional[Span] = None) -> bool:
+        """Drive the band queue to exhaustion; False when a deadline cut in.
+
+        Bands of different sub-queries interleave in the queue, so spans
+        are attached with an explicit parent: sub-queries under ``root``,
+        bands under their sub-query.
+        """
         heap: List[Tuple[float, int, int, _Subquery]] = []
         seq = 0
 
@@ -282,10 +301,13 @@ class DesksSearcher:
 
         for sub in subqueries:
             start = self._initial_band(sub, mode)
-            if trace is not None:
-                trace.record_subquery(
-                    sub.quadrant, sub.geometry.alpha, sub.geometry.beta,
-                    start, len(sub.candidate_gids))
+            if tracer is not None:
+                sub.span = tracer.record(
+                    "desks.subquery", parent=root, quadrant=sub.quadrant,
+                    interval_lower=sub.geometry.alpha,
+                    interval_upper=sub.geometry.beta, start_band=start,
+                    candidate_subregions=len(sub.candidate_gids))
+                root.add("bands_skipped_lemma1", start)
             push_band(sub, start)
 
         while heap:
@@ -297,24 +319,35 @@ class DesksSearcher:
             if mode.region and priority >= collector.kth_distance:
                 # Lemma 1 / Eq. 4 termination: every remaining band is at
                 # least this far; no answer can improve the top-k.
-                if trace is not None:
-                    trace.record_termination(sub.quadrant, band_idx,
-                                             priority)
+                if tracer is not None:
+                    tracer.record("desks.band", parent=sub.span,
+                                  quadrant=sub.quadrant, band_index=band_idx,
+                                  priority=priority, action="terminated")
+                    root.annotate(terminated_early=True)
                 break
             if stats is not None:
                 stats.regions_examined += 1
             band = sub.anchor.regions.bands[band_idx]
-            band_trace = (trace.begin_band(sub.quadrant, band_idx, priority)
-                          if trace is not None else None)
-            if band_trace is not None:
+            span = None
+            if tracer is not None:
                 io = self.index.io_stats
                 pages_before = io.logical_reads
-                tick = time.perf_counter()
+                span = tracer.record(
+                    "desks.band", parent=sub.span, quadrant=sub.quadrant,
+                    band_index=band_idx, priority=priority, action="scanned",
+                    **dict.fromkeys(_BAND_COUNTERS, 0))
             completed = self._scan_band(query, sub, band, collector, mode,
-                                        stats, band_trace, deadline)
-            if band_trace is not None:
-                band_trace.seconds = time.perf_counter() - tick
-                band_trace.pages_read = io.logical_reads - pages_before
+                                        stats, deadline, tracer, span)
+            if span is not None:
+                span.ended = time.perf_counter()
+                span.annotate(pages_read=io.logical_reads - pages_before)
+                sub.span.ended += span.seconds
+                root.add("bands_scanned")
+                for key in _ROOT_SUMS:
+                    root.add(key, span.attrs[key])
+                root.add("subregions_pruned",
+                         span.attrs["subregions_window_pruned"]
+                         + span.attrs["subregions_mindist_pruned"])
             if not completed:
                 return False
             push_band(sub, band_idx + 1)
@@ -344,48 +377,47 @@ class DesksSearcher:
     def _scan_band(self, query: DirectionalQuery, sub: _Subquery, band: Band,
                    collector: _TopK, mode: PruningMode,
                    stats: Optional[SearchStats],
-                   band_trace: Optional[BandTrace] = None,
-                   deadline: Optional["SupportsExpired"] = None) -> bool:
-        """Scan one band's sub-regions; False when the deadline cut in."""
+                   deadline: Optional["SupportsExpired"] = None,
+                   tracer: Optional[Tracer] = None,
+                   span: Optional[Span] = None) -> bool:
+        """Scan one band's sub-regions; False when the deadline cut in.
+
+        ``span`` is the band's open ``desks.band`` span (``None`` untraced).
+        """
         candidates = self._candidate_subregions(sub, band, collector, mode,
-                                                stats, band_trace)
-        scanned = 0
-        completed = True
+                                                stats, span)
         for position, (mindist, subregion_gid) in enumerate(candidates):
             if mode.direction and mindist >= collector.kth_distance:
                 # Candidates are MINDIST-sorted (Alg. 1 line 9): the whole
                 # tail is cut by the tightened d_k bound, i.e. MINDIST-pruned.
-                if band_trace is not None:
-                    band_trace.subregions_mindist_pruned += \
-                        len(candidates) - position
+                if span is not None:
+                    span.add("subregions_mindist_pruned",
+                             len(candidates) - position)
                 break
             if deadline is not None and deadline.expired():
-                completed = False
-                break
-            scanned += 1
-            if band_trace is not None:
-                io = self.index.io_stats
-                fetched = band_trace.pois_fetched
-                verified = band_trace.pois_verified
-                pages = io.logical_reads
-                tick = time.perf_counter()
+                return False
+            if span is None:
+                self._scan_wedge(query, sub, band, subregion_gid, collector,
+                                 stats)
+                continue
+            io = self.index.io_stats
+            pages_before = io.logical_reads
+            wedge = tracer.record("desks.wedge", parent=span,
+                                  gid=subregion_gid, mindist=mindist,
+                                  pois_fetched=0, pois_verified=0)
             self._scan_wedge(query, sub, band, subregion_gid, collector,
-                             stats, band_trace)
-            if band_trace is not None:
-                band_trace.wedges.append(WedgeTrace(
-                    subregion_gid, mindist,
-                    time.perf_counter() - tick,
-                    band_trace.pois_fetched - fetched,
-                    band_trace.pois_verified - verified,
-                    io.logical_reads - pages))
-        if band_trace is not None:
-            band_trace.subregions_kept = scanned
-        return completed
+                             stats, wedge)
+            wedge.ended = time.perf_counter()
+            wedge.annotate(pages_read=io.logical_reads - pages_before)
+            span.add("subregions_kept")
+            span.add("pois_fetched", wedge.attrs["pois_fetched"])
+            span.add("pois_verified", wedge.attrs["pois_verified"])
+        return True
 
     def _candidate_subregions(self, sub: _Subquery, band: Band,
                               collector: _TopK, mode: PruningMode,
                               stats: Optional[SearchStats],
-                              band_trace: Optional[BandTrace] = None,
+                              span: Optional[Span] = None,
                               ) -> List[Tuple[float, int]]:
         """FINDCANDREGIONS: keyword-bearing sub-regions surviving pruning."""
         regions = sub.anchor.regions
@@ -397,17 +429,20 @@ class DesksSearcher:
             lo_idx, hi_idx = regions.candidate_wedge_range(band, tau_lo,
                                                            tau_hi)
             gid_lo, gid_hi = first_gid + lo_idx, first_gid + hi_idx
-            if band_trace is not None:
-                band_trace.tau_bounds = (tau_lo, tau_hi)
-                band_trace.wedge_window = (lo_idx, hi_idx)
         else:
             gid_lo, gid_hi = first_gid, end_gid
         selected = _slice_sorted(sub.candidate_gids, gid_lo, gid_hi)
-        if band_trace is not None and mode.direction:
-            in_band = len(_slice_sorted(sub.candidate_gids, first_gid,
-                                        end_gid))
-            band_trace.subregions_window_pruned = in_band - len(selected)
-            band_trace.mindist_evaluations = len(selected)
+        if span is not None:
+            # What SearchStats counts below, deadline cuts included.
+            span.annotate(subregions_examined=len(selected))
+            if mode.direction:
+                in_band = len(_slice_sorted(sub.candidate_gids, first_gid,
+                                            end_gid))
+                span.annotate(
+                    subregions_window_pruned=in_band - len(selected),
+                    mindist_evaluations=len(selected),
+                    tau_lower=tau_lo, tau_upper=tau_hi,
+                    wedge_window=[lo_idx, hi_idx])
         out: List[Tuple[float, int]] = []
         pruned = 0
         for gid in selected:
@@ -424,8 +459,8 @@ class DesksSearcher:
             else:
                 mindist = 0.0  # +R treats the band as one opaque region
             out.append((mindist, gid))
-        if band_trace is not None:
-            band_trace.subregions_mindist_pruned = pruned
+        if span is not None:
+            span.annotate(subregions_mindist_pruned=pruned)
         out.sort()
         return out
 
@@ -466,8 +501,13 @@ class DesksSearcher:
     def _scan_wedge(self, query: DirectionalQuery, sub: _Subquery,
                     band: Band, gid: int, collector: _TopK,
                     stats: Optional[SearchStats],
-                    band_trace: Optional[BandTrace] = None) -> None:
-        """FINDCANDPOIS: combine POI lists, verify direction + distance."""
+                    span: Optional[Span] = None) -> None:
+        """FINDCANDPOIS: combine POI lists, verify direction + distance.
+
+        ``span`` is the wedge's open ``desks.wedge`` span (``None``
+        untraced); the scanner counts ``pois_fetched`` / ``pois_verified``
+        on it.
+        """
         lists = [view.pois_in(gid) for view in sub.postings]
         if query.match_mode is MatchMode.ALL:
             lists.sort(key=len)
@@ -485,8 +525,8 @@ class DesksSearcher:
             if not survivors:
                 return
         location = query.location
-        if band_trace is not None:
-            band_trace.pois_fetched += len(survivors)
+        if span is not None:
+            span.add("pois_fetched", len(survivors))
         for poi_id in survivors:
             if stats is not None:
                 stats.pois_examined += 1
@@ -498,8 +538,8 @@ class DesksSearcher:
                     continue
             if stats is not None:
                 stats.candidates_verified += 1
-            if band_trace is not None:
-                band_trace.pois_verified += 1
+            if span is not None:
+                span.add("pois_verified")
             distance = location.distance_to(poi_location)
             if distance <= collector.kth_distance:
                 collector.add(poi_id, distance)
@@ -510,81 +550,3 @@ def _slice_sorted(values: Sequence[int], lo: int, hi: int) -> Sequence[int]:
     start = bisect_left(values, lo)
     end = bisect_left(values, hi, start)
     return values[start:end]
-
-
-def _emit_query_spans(tracer: Tracer, parent: Span, qtrace: QueryTrace,
-                      result: QueryResult) -> None:
-    """Convert a filled :class:`QueryTrace` into spans under ``parent``.
-
-    The searcher measures its stages through the (cheap, allocation-light)
-    ``QueryTrace`` hooks while running, then converts the measurements into
-    a span tree here — one ``desks.prepare`` span, one ``desks.subquery``
-    per basic sub-query, one ``desks.band`` per band popped from the
-    region queue, one ``desks.wedge`` per sub-region scanned.  Root attrs
-    carry the totals that reconcile with
-    :class:`~repro.storage.SearchStats` / :class:`~repro.storage.IOStats`.
-    """
-    parent.annotate(
-        results=len(result),
-        partial=result.partial,
-        terminated_early=qtrace.terminated_early,
-        bands_scanned=qtrace.bands_scanned,
-        bands_skipped_lemma1=qtrace.bands_skipped_lemma1,
-        pages_read=qtrace.total_pages_read,
-        pois_fetched=qtrace.total_pois_fetched,
-        pois_verified=qtrace.total_pois_verified,
-        subregions_examined=qtrace.total_subregions_examined,
-        subregions_pruned=(qtrace.total_subregions_window_pruned
-                           + qtrace.total_subregions_mindist_pruned),
-        mindist_evaluations=qtrace.total_mindist_evaluations,
-    )
-    tracer.record(
-        "desks.prepare", seconds=qtrace.prepare_seconds, parent=parent,
-        pages_read=qtrace.prepare_pages, subqueries=len(qtrace.subqueries))
-    by_quadrant: Dict[int, Span] = {}
-    for sub in qtrace.subqueries:
-        quadrant_bands = [b for b in qtrace.bands
-                          if b.quadrant == sub.quadrant]
-        span = tracer.record(
-            "desks.subquery",
-            seconds=sum(b.seconds for b in quadrant_bands),
-            parent=parent,
-            quadrant=sub.quadrant,
-            interval_lower=sub.interval_lower,
-            interval_upper=sub.interval_upper,
-            start_band=sub.start_band,
-            candidate_subregions=sub.candidate_subregions,
-        )
-        by_quadrant[sub.quadrant] = span
-    for band in qtrace.bands:
-        attrs: Dict[str, object] = {
-            "quadrant": band.quadrant,
-            "band_index": band.band_index,
-            "priority": band.priority,
-            "action": band.action,
-        }
-        if band.action == "scanned":
-            attrs.update(
-                subregions_kept=band.subregions_kept,
-                subregions_window_pruned=band.subregions_window_pruned,
-                subregions_mindist_pruned=band.subregions_mindist_pruned,
-                subregions_examined=band.subregions_examined,
-                mindist_evaluations=band.mindist_evaluations,
-                pois_fetched=band.pois_fetched,
-                pois_verified=band.pois_verified,
-                pages_read=band.pages_read,
-            )
-            if band.tau_bounds is not None:
-                attrs["tau_lower"], attrs["tau_upper"] = band.tau_bounds
-            if band.wedge_window is not None:
-                attrs["wedge_window"] = list(band.wedge_window)
-        band_span = tracer.record(
-            "desks.band", seconds=band.seconds,
-            parent=by_quadrant.get(band.quadrant, parent), **attrs)
-        for wedge in band.wedges:
-            tracer.record(
-                "desks.wedge", seconds=wedge.seconds, parent=band_span,
-                gid=wedge.gid, mindist=wedge.mindist,
-                pois_fetched=wedge.pois_fetched,
-                pois_verified=wedge.pois_verified,
-                pages_read=wedge.pages_read)

@@ -49,9 +49,9 @@ from ..core.search import (
     _Subquery,
     _TopK,
 )
-from ..core.trace import BandTrace
 from ..geometry import ANGLE_EPS, TWO_PI, angle_of, arc_contains_vectors
 from ..storage import SearchStats
+from ..trace.spans import Span
 from .snapshot import AnchorColumns, ColumnarSnapshot
 
 #: Angular distance (radians) from a containment boundary under which a
@@ -240,7 +240,7 @@ class ColumnarSearcher(DesksSearcher):
     def _scan_wedge(self, query: DirectionalQuery, sub: _Subquery,
                     band: Band, gid: int, collector: _TopK,
                     stats: Optional[SearchStats],
-                    band_trace: Optional[BandTrace] = None) -> None:
+                    span: Optional[Span] = None) -> None:
         """FINDCANDPOIS over one wedge's contiguous array slice."""
         columns = sub.anchor
         # Cached per band in the plan: the first wedge scanned pays for
@@ -257,8 +257,8 @@ class ColumnarSearcher(DesksSearcher):
         if stats is not None:
             stats.pois_examined += count
             stats.distance_computations += count
-        if band_trace is not None:
-            band_trace.pois_fetched += count
+        if span is not None:
+            span.add("pois_fetched", count)
         location = query.location
         dxs = columns.xs[survivors] - location.x
         dys = columns.ys[survivors] - location.y
@@ -279,8 +279,8 @@ class ColumnarSearcher(DesksSearcher):
         verified_count = int(np.count_nonzero(verified))
         if stats is not None:
             stats.candidates_verified += verified_count
-        if band_trace is not None:
-            band_trace.pois_verified += verified_count
+        if span is not None:
+            span.add("pois_verified", verified_count)
         if verified_count == 0:
             return
         kth = collector.kth_distance

@@ -11,8 +11,10 @@ and packages three views of it into an :class:`ExplainReport`:
   and verified, logical page reads, the full span tree;
 * **reconciliation** — the span totals checked *exactly* against the
   :class:`~repro.storage.SearchStats` / :class:`~repro.storage.IOStats`
-  counters of the very same search.  A mismatch means the tracer is lying
-  about where cost went, so tests assert ``report.reconciled``.
+  counters of the very same search, summed over ``desks.search`` and — on
+  a mutable index with pending inserts — ``desks.delta``.  A mismatch
+  means the tracer is lying about where cost went, so tests assert
+  ``report.reconciled``; it holds for deadline-cut (partial) results too.
 
 Imports of :mod:`repro.core` are deferred into the function bodies:
 ``repro.core.search`` imports :mod:`repro.trace.spans`, so a module-level
@@ -148,29 +150,34 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
 
     root = tracer.find("desks.search")
     attrs = root.attrs if root is not None else {}
+    # A mutable index scans its delta buffer outside the indexed search;
+    # the counters the search saw are the sum over both spans.
+    spans = tracer.find_all("desks.search") + tracer.find_all("desks.delta")
+
+    def total(key: str) -> int:
+        return sum(span.attrs.get(key, 0) for span in spans)
 
     reconciliation = [
-        _row(quantity, attrs.get(span_key, 0), getattr(stats, stats_key))
+        _row(span_key, total(span_key), getattr(stats, stats_key))
         for span_key, stats_key in RECONCILED_COUNTERS
-        for quantity in (span_key,)
     ]
     if io_delta is not None:
         reconciliation.append(_row(
-            "pages_read", attrs.get("pages_read", 0), io_delta.logical_reads))
+            "pages_read", total("pages_read"), io_delta.logical_reads))
 
     actuals = {
         "seconds": root.seconds if root is not None else 0.0,
         "results": len(result),
         "partial": result.partial,
         "terminated_early": attrs.get("terminated_early", False),
-        "bands_scanned": attrs.get("bands_scanned", 0),
-        "bands_skipped_lemma1": attrs.get("bands_skipped_lemma1", 0),
-        "subregions_examined": attrs.get("subregions_examined", 0),
-        "subregions_pruned": attrs.get("subregions_pruned", 0),
-        "mindist_evaluations": attrs.get("mindist_evaluations", 0),
-        "pois_fetched": attrs.get("pois_fetched", 0),
-        "pois_verified": attrs.get("pois_verified", 0),
-        "pages_read": attrs.get("pages_read", 0),
+        "bands_scanned": total("bands_scanned"),
+        "bands_skipped_lemma1": total("bands_skipped_lemma1"),
+        "subregions_examined": total("subregions_examined"),
+        "subregions_pruned": total("subregions_pruned"),
+        "mindist_evaluations": total("mindist_evaluations"),
+        "pois_fetched": total("pois_fetched"),
+        "pois_verified": total("pois_verified"),
+        "pages_read": total("pages_read"),
         "distance_computations": stats.distance_computations,
     }
     if io_delta is not None:

@@ -16,7 +16,7 @@ cycles.
 
 Cost model: when no tracer is active, an instrumented call site pays one
 ``ContextVar.get`` (tens of nanoseconds) and allocates nothing — the
-overhead gate in ``benchmarks/test_service_throughput.py`` holds the
+overhead gate in ``benchmarks/test_trace_overhead.py`` holds the
 serving layer to <= 2% QPS loss with tracing compiled in but disabled.
 When a tracer *is* active, spans cost one small object each; tracing is
 per-request opt-in, never ambient.
@@ -209,12 +209,14 @@ class Tracer:
 
     def record(self, name: str, seconds: float = 0.0,
                parent: Optional[Span] = None, **attrs: Any) -> Span:
-        """Attach an already-finished span (explicit duration).
+        """Attach a span under an explicit parent, outside any ``with``.
 
-        Used when the instrumented code measured a stage itself (e.g. the
-        per-band timings inside :class:`~repro.core.QueryTrace`) and
-        converts its measurements into spans after the fact.  ``parent``
-        defaults to the context's current span, else a new root.
+        Used when stages do not nest lexically — the searcher's bands
+        interleave across sub-queries, so each ``desks.band`` names its
+        ``desks.subquery`` as ``parent`` and has ``ended`` stamped once
+        its scan returns — or when the code measured a stage itself and
+        passes ``seconds``.  ``parent`` defaults to the context's current
+        span, else a new root.
         """
         span = Span(name, attrs)
         span.ended = span.started + max(0.0, seconds)

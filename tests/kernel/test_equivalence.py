@@ -28,7 +28,7 @@ from repro.geometry import TWO_PI
 from repro.kernel import ColumnarSearcher
 from repro.service import Deadline
 from repro.storage import SearchStats
-from repro.trace import explain
+from repro.trace import Tracer, explain
 
 MODES = [PruningMode.RD, PruningMode.R, PruningMode.D]
 
@@ -72,6 +72,32 @@ def test_explain_reconciles_on_columnar_path(columnar_searcher, corpus):
     for query in corpus[::24]:  # 10 queries across all three families
         report = explain(columnar_searcher, query)
         assert report.reconciled, report.reconciliation
+
+
+def _span_tree(searcher, query, mode):
+    """The search's span tree as plain data, wall-clock durations dropped."""
+    tracer = Tracer()
+    with tracer.activate():
+        searcher.search(query, mode)
+
+    def strip(node):
+        del node["seconds"]
+        for child in node["children"]:
+            strip(child)
+        return node
+
+    return [strip(root) for root in tracer.to_dict()["spans"]]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
+def test_span_trees_equal_on_both_paths(object_searcher, columnar_searcher,
+                                        corpus, mode):
+    # One driver records the spans, so the two scanners must tell the
+    # same story wedge by wedge — not merely reconcile in total.
+    for query in corpus[::24]:
+        expected = _span_tree(object_searcher, query, mode)
+        assert expected[0]["name"] == "desks.search"
+        assert _span_tree(columnar_searcher, query, mode) == expected
 
 
 def test_any_mode_with_unknown_keyword(object_searcher, columnar_searcher):

@@ -9,9 +9,15 @@ import math
 
 import pytest
 
-from repro.core import DesksIndex, DesksSearcher, PruningMode
+from repro.core import (
+    DesksIndex,
+    DesksSearcher,
+    MutableDesksIndex,
+    PruningMode,
+)
 from repro.storage import SearchStats
 from repro.trace import ExplainReport, Tracer, explain
+from repro.trace.explain import RECONCILED_COUNTERS
 
 from .conftest import make_collection, make_query
 
@@ -128,16 +134,85 @@ class TestReportShape:
         assert report.actuals["pages_read"] == 0
 
 
-class TestExplicitQueryTrace:
-    def test_trace_kwarg_still_fills_while_traced(self, disk_index):
-        """The legacy trace= object and the span tree coexist."""
-        from repro.core import QueryTrace
+class _ExpiresOnCall:
+    """A deadline whose ``expired()`` turns true on the n-th call."""
 
-        qtrace = QueryTrace()
-        tracer = Tracer()
-        with tracer.activate():
-            DesksSearcher(disk_index).search(make_query(), trace=qtrace)
-        root = tracer.find("desks.search")
-        assert qtrace.bands_scanned == root.attrs["bands_scanned"]
-        assert qtrace.total_pages_read == root.attrs["pages_read"]
-        assert qtrace.total_pois_fetched == root.attrs["pois_fetched"]
+    def __init__(self, n):
+        self.remaining = n
+
+    def expired(self):
+        self.remaining -= 1
+        return self.remaining <= 0
+
+
+class TestPartialResultsReconcile:
+    """A deadline cut must not make the span tree lie.
+
+    Sub-regions ``SearchStats`` counted but the cut left unscanned are
+    neither kept nor MINDIST-pruned; the band span must still carry them.
+    """
+
+    @pytest.mark.parametrize("mode", [PruningMode.RD, PruningMode.R,
+                                      PruningMode.D])
+    def test_every_cut_point_reconciles(self, disk_index, mode):
+        searcher = DesksSearcher(disk_index)
+        query = make_query(alpha=0.3, width=2 * math.pi, k=10)
+        partial_searches = unscanned = 0
+        for n in range(1, 200):
+            stats = SearchStats()
+            tracer = Tracer()
+            with tracer.activate():
+                result = searcher.search(query, mode, stats,
+                                         deadline=_ExpiresOnCall(n))
+            root = tracer.find("desks.search")
+            assert root.attrs["partial"] == result.partial
+            for span_key, stats_key in RECONCILED_COUNTERS:
+                assert root.attrs[span_key] == getattr(stats, stats_key), \
+                    (n, span_key)
+            if not result.partial:
+                break
+            partial_searches += 1
+            for band in root.find_all("desks.band"):
+                if band.attrs["action"] == "scanned":
+                    unscanned += band.attrs["subregions_examined"] - (
+                        band.attrs["subregions_kept"]
+                        + band.attrs["subregions_mindist_pruned"])
+        assert partial_searches > 2
+        # The regression's trigger really occurred: some cut landed
+        # mid-band, leaving examined sub-regions unscanned.
+        assert unscanned > 0
+
+
+class TestMutableIndexReconciles:
+    """EXPLAIN over a delta buffer: ``desks.search`` + ``desks.delta``."""
+
+    @pytest.fixture()
+    def mutable(self):
+        return MutableDesksIndex(make_collection(n=300, seed=11),
+                                 num_bands=4, num_wedges=6)
+
+    def test_pending_inserts_and_deletes(self, mutable):
+        query = make_query(width=math.pi)
+        for poi_id in explain(mutable, query).results[:2]:
+            mutable.delete(poi_id["poi_id"])
+        near = [mutable.insert(41.0 + i, 56.0 + i, ["cafe"])
+                for i in range(3)]
+        mutable.insert(10.0, 10.0, ["bank"])   # scanned, not matched
+        mutable.delete(near[0])                # a tombstone in the delta
+        report = explain(mutable, query)
+        assert report.reconciled, report.render()
+        assert "reconciliation (OK)" in report.render()
+        delta = report.trace.find("desks.delta")
+        assert delta.attrs["pois_fetched"] == 3
+        assert delta.attrs["tombstones_skipped"] == 1
+        search = report.trace.find("desks.search")
+        assert report.actuals["pois_fetched"] == \
+            search.attrs["pois_fetched"] + 3
+        assert {near[1], near[2]} <= {r["poi_id"] for r in report.results}
+
+    def test_after_compaction_the_delta_span_is_empty(self, mutable):
+        mutable.insert(41.0, 56.0, ["cafe"])
+        assert mutable.compact()
+        report = explain(mutable, make_query(width=math.pi))
+        assert report.reconciled, report.render()
+        assert report.trace.find("desks.delta").attrs["pois_fetched"] == 0
