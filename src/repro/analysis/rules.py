@@ -337,171 +337,10 @@ class NondeterminismRule(RuleVisitor):
         self.generic_visit(node)
 
 
-class TransportRule(RuleVisitor):
-    """DAL007: raw socket/asyncio transport outside :mod:`repro.net`."""
-
-    code = "DAL007"
-    summary = "socket/asyncio imported outside repro.net"
-    rationale = (
-        "repro.net is the network boundary: framing, CRCs, deadline "
-        "budgets, admission control, and reconnect live there and "
-        "nowhere else.  A socket opened (or an event loop spun up) in "
-        "another layer bypasses the wire format's corruption checks and "
-        "the overload shedding, and makes that layer untestable without "
-        "a network.  Depend on RemoteShardClient / ShardTransport "
-        "instead; if a new transport primitive is genuinely needed, it "
-        "belongs in repro/net.")
-
-    #: Modules whose import marks code as doing raw network transport.
-    TRANSPORT_MODULES = {"socket", "asyncio", "socketserver", "selectors",
-                         "ssl"}
-
-    def _check(self, node: ast.AST, module: Optional[str]) -> None:
-        root = (module or "").split(".")[0]
-        if root in self.TRANSPORT_MODULES:
-            self.emit(node, f"`{root}` imported outside repro.net; use "
-                            "repro.net's clients/transports instead")
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if not self.ctx.in_package("net"):
-            for alias in node.names:
-                self._check(node, alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if not self.ctx.in_package("net") and node.level == 0:
-            self._check(node, node.module)
-        self.generic_visit(node)
-
-
-class LanguagePurityRule(RuleVisitor):
-    """DAL008: :mod:`repro.lang` importing beyond its dependency set."""
-
-    code = "DAL008"
-    summary = ("repro.lang importing repro packages other than "
-               "geometry/text/core/trace")
-    rationale = (
-        "The query language is a pure layer: statements parse to plans "
-        "and plans bind to *caller-supplied* backends, so repro.lang may "
-        "depend only on the vocabulary it describes — repro.geometry "
-        "(angles), repro.text (keyword canonicalisation), repro.core "
-        "(queries, modes, search), and repro.trace (EXPLAIN).  An import "
-        "of service/cluster/net from repro.lang would invert the "
-        "dependency arrow (those layers import the language to speak "
-        "DQL), drag sockets and thread pools into every parser test, and "
-        "re-couple the executor seam this package exists to keep open.")
-
-    #: ``repro.*`` sub-packages the language layer may import (itself
-    #: included, for intra-package relative imports).
-    ALLOWED = {"geometry", "text", "core", "trace", "lang"}
-
-    def _resolved_root(self, node: ast.ImportFrom) -> List[str]:
-        """The absolute ``repro/...`` parts a relative import targets."""
-        package = self.ctx.module_path.split("/")[:-1]
-        if node.level > 1:
-            package = package[:len(package) - (node.level - 1)]
-        return package + ((node.module or "").split(".")
-                          if node.module else [])
-
-    def _check(self, node: ast.AST, package: str) -> None:
-        if package not in self.ALLOWED:
-            self.emit(node, f"repro.lang imports repro.{package}; the "
-                            "language layer may depend only on "
-                            "geometry/text/core/trace — pass backends in "
-                            "from the caller instead")
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if self.ctx.in_package("lang"):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "repro" and len(parts) > 1:
-                    self._check(node, parts[1])
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self.ctx.in_package("lang"):
-            if node.level == 0:
-                parts = (node.module or "").split(".")
-                if parts[0] == "repro":
-                    if len(parts) > 1:
-                        self._check(node, parts[1])
-                    else:  # from repro import X -- names are packages
-                        for alias in node.names:
-                            self._check(node, alias.name)
-            else:
-                parts = self._resolved_root(node)
-                if parts[:1] == ["repro"]:
-                    if len(parts) > 1:
-                        self._check(node, parts[1])
-                    else:  # from .. import X -- names are packages
-                        for alias in node.names:
-                            self._check(node, alias.name)
-        self.generic_visit(node)
-
-
-class ChaosContainmentRule(RuleVisitor):
-    """DAL009: :mod:`repro.net.chaos` imported from production code."""
-
-    code = "DAL009"
-    summary = "repro.net.chaos imported outside the chaos module itself"
-    rationale = (
-        "repro.net.chaos is the fault injector: a TCP proxy that "
-        "corrupts, delays, resets, and blackholes traffic on purpose.  "
-        "It exists so tests and benchmarks can prove the client "
-        "resilience layer correct — and it must stay there.  An import "
-        "from any production module (server, client, frontend, router, "
-        "CLI) would put deliberate fault injection one config flag away "
-        "from live traffic; DAL007's socket allowance for repro.net "
-        "makes the proxy possible, this rule keeps it contained.  "
-        "Drive it from tests/ or benchmarks/ only.")
-
-    #: The module whose import is confined.
-    CHAOS = ("repro", "net", "chaos")
-
-    def _exempt(self) -> bool:
-        return self.ctx.module_path == "repro/net/chaos.py"
-
-    def _resolved(self, node: ast.ImportFrom) -> List[str]:
-        """The absolute ``repro/...`` parts a relative import targets."""
-        package = self.ctx.module_path.split("/")[:-1]
-        if node.level > 1:
-            package = package[:len(package) - (node.level - 1)]
-        return package + ((node.module or "").split(".")
-                          if node.module else [])
-
-    def _flag(self, node: ast.AST) -> None:
-        self.emit(node, "repro.net.chaos (the fault-injecting proxy) "
-                        "imported from production code; chaos tooling "
-                        "may only be driven from tests and benchmarks")
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if not self._exempt():
-            for alias in node.names:
-                if tuple(alias.name.split(".")[:3]) == self.CHAOS:
-                    self._flag(node)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if not self._exempt():
-            if node.level == 0:
-                parts = (node.module or "").split(".")
-            else:
-                parts = self._resolved(node)
-            if tuple(parts[:3]) == self.CHAOS:
-                self._flag(node)
-            elif tuple(parts) == ("repro", "net"):
-                for alias in node.names:
-                    if alias.name == "chaos":
-                        self._flag(node)
-        self.generic_visit(node)
-
-
 #: Every per-file rule, in code order — the engine default.  DAL010
 #: (the architecture contract) subsumes the v1 layering rules DAL007/
 #: 008/009: their checks live on as contract entries whose violations
-#: keep the legacy codes via aliases.  The legacy rule classes above
-#: stay importable (fixtures and downstream tooling may run them
-#: directly) but are no longer part of the default set.
+#: keep the legacy codes via aliases.
 ALL_RULES: Sequence[Type[RuleVisitor]] = (
     AngleArithmeticRule,
     FloatEqualityRule,

@@ -67,6 +67,8 @@ import math
 import random
 import sys
 import time
+from contextlib import ExitStack
+from functools import partial
 from typing import List, Optional
 
 from .baselines import FilterThenVerify, IRTree, MIR2Tree
@@ -678,25 +680,48 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         index = DesksIndex(collection)
     else:
         index = MutableDesksIndex(collection)
-    if args.transport == "socket":
-        return _serve_bench_socket(args, index, stream, timeout,
-                                   len(collection), len(base))
+    if args.transport == "socket" and args.inserts:
+        print("error: --inserts requires --transport inproc (mutations "
+              "are not part of the wire protocol yet)", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     mbr = collection.mbr
-    with QueryEngine(index, num_workers=args.workers,
-                     cache_capacity=args.cache,
-                     default_timeout=timeout,
-                     kernel=args.kernel) as engine:
-        print(f"{len(collection)} POIs, {len(base)} distinct queries x "
-              f"{args.repeats} repeats, {args.requests} req/client, "
-              f"think={args.think_ms:.1f} ms, kernel={args.kernel}, "
-              f"batch={args.batch}")
+    print(f"{len(collection)} POIs, {len(base)} distinct queries x "
+          f"{args.repeats} repeats, {args.requests} req/client, "
+          f"think={args.think_ms:.1f} ms, kernel={args.kernel}, "
+          f"batch={args.batch}, transport={args.transport}")
+    with ExitStack() as stack:
+        if args.transport == "socket":
+            # Same index, same worker count, on a background thread of
+            # this process: every request crosses a real loopback socket
+            # through repro.net.protocol, so the delta against inproc is
+            # the framing + socket cost.
+            from .net import (
+                OverloadError,
+                RemoteShardClient,
+                ShardServer,
+                TransportError,
+            )
+
+            server = stack.enter_context(ShardServer(
+                index, num_workers=args.workers,
+                cache_capacity=args.cache).start())
+            client = stack.enter_context(RemoteShardClient(server.address))
+            target = partial(client.search, budget=timeout)
+            metrics = server.metrics
+            shed_on = (OverloadError, TransportError)
+        else:
+            target = stack.enter_context(QueryEngine(
+                index, num_workers=args.workers, cache_capacity=args.cache,
+                default_timeout=timeout, kernel=args.kernel))
+            metrics = target.metrics
+            shed_on = ()
         for num_clients in args.clients:
             report = run_closed_loop(
-                engine, stream, num_clients,
+                target, stream, num_clients,
                 requests_per_client=args.requests,
                 think_time=args.think_ms / 1000.0,
-                batch_size=args.batch)
+                batch_size=args.batch, shed_on=shed_on)
             print(report.summary())
             if report.first_error:
                 print(f"  first error: {report.first_error}",
@@ -708,52 +733,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                              ["serve", "bench"])
         if args.metrics:
             print()
-            print(engine.metrics.render())
+            print(metrics.render())
         if args.metrics_json:
-            _write_metrics_json(engine.metrics.to_dict(), args.metrics_json)
-    return 0
-
-
-def _serve_bench_socket(args: argparse.Namespace, index, stream,
-                        timeout: Optional[float], num_pois: int,
-                        num_queries: int) -> int:
-    """The serve-bench sweep over the wire protocol.
-
-    The server runs on a background thread of this process (same index,
-    same worker count) and every request crosses a real loopback socket
-    through :mod:`repro.net.protocol` — the measured delta against
-    ``--transport inproc`` is the framing + socket cost.
-    """
-    from .net import RemoteShardClient, ShardServer, run_network_closed_loop
-
-    if args.inserts:
-        print("error: --inserts requires --transport inproc (mutations "
-              "are not part of the wire protocol yet)", file=sys.stderr)
-        return 2
-    with ShardServer(index, num_workers=args.workers,
-                     cache_capacity=args.cache).start() as server, \
-            RemoteShardClient(server.address) as client:
-        print(f"{num_pois} POIs, {num_queries} distinct queries x "
-              f"{args.repeats} repeats, {args.requests} req/client, "
-              f"think={args.think_ms:.1f} ms, transport=socket "
-              f"via {server.address[0]}:{server.address[1]}")
-        for num_clients in args.clients:
-            report = run_network_closed_loop(
-                lambda query: client.search(query, budget=timeout),
-                stream, num_clients,
-                requests_per_client=args.requests,
-                think_time=args.think_ms / 1000.0)
-            print(report.summary())
-            if report.first_error:
-                print(f"  first error: {report.first_error}",
-                      file=sys.stderr)
-                return 1
-        if args.metrics:
-            print()
-            print(server.metrics.render())
-        if args.metrics_json:
-            _write_metrics_json(server.metrics.to_dict(),
-                                args.metrics_json)
+            _write_metrics_json(metrics.to_dict(), args.metrics_json)
     return 0
 
 
@@ -864,12 +846,11 @@ def _cluster_bench_router(args: argparse.Namespace, collection,
                            fault_injector=injector,
                            kernel=args.kernel)
 
-    import contextlib
     import tempfile
 
     from .net import ClusterLauncher, connect_router
 
-    cleanup = contextlib.ExitStack()
+    cleanup = ExitStack()
     try:
         deploy = cleanup.enter_context(tempfile.TemporaryDirectory())
         with ShardRouter(collection, num_shards=num_shards,

@@ -381,7 +381,11 @@ class DqlExecutor:
         self._plans: Dict[str, Plan] = {}
         self._plans_lock = threading.Lock()
 
-    def _plan_of(self, statement: str) -> Plan:
+    def prepare(self, statement: str) -> Plan:
+        """The frozen plan of ``statement``, parsed at most once.
+
+        Raises :class:`~repro.lang.DqlSyntaxError` for unparseable text.
+        """
         plan = self._plans.get(statement)
         if plan is None:
             plan = parse(statement)
@@ -399,7 +403,7 @@ class DqlExecutor:
         and :class:`~repro.lang.DqlExecutionError` when the backend
         fails; nothing else escapes.
         """
-        plan = self._plan_of(statement) if isinstance(statement, str) \
+        plan = self.prepare(statement) if isinstance(statement, str) \
             else statement
         try:
             if isinstance(plan, SelectPlan):

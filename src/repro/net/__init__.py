@@ -22,8 +22,6 @@ ships traffic through:
   front door with bounded in-flight admission and deadline enforcement;
 * :mod:`~repro.net.launcher` — :class:`ClusterLauncher` (spawn/probe/
   kill/stop server processes) and :func:`connect_router`;
-* :mod:`~repro.net.loadgen` — the closed-loop generator the network
-  benchmarks drive both transports with;
 * :mod:`~repro.net.resilience` — the client-side resilience layer:
   per-replica circuit breakers, the process-wide retry token budget,
   and hedged-request policy that :class:`RemoteReplicaSet` executes;
@@ -35,7 +33,9 @@ ships traffic through:
 
 This package is the only place in the tree allowed to touch raw
 ``socket``/``asyncio`` transport (lint rule DAL007) — every other layer
-stays deterministic, testable, and transport-agnostic.
+stays deterministic, testable, and transport-agnostic.  Load comes from
+:func:`repro.service.run_closed_loop`, which drives ``client.search``
+like any target and counts the error types its caller names as shed.
 
 See ``docs/NETWORK.md`` for the wire format, the life of a remote
 query, and the failure-mode matrix.
@@ -50,7 +50,6 @@ from .client import (
 )
 from .frontend import ClusterFrontend
 from .launcher import ClusterLauncher, LaunchError, ServerProcess, connect_router
-from .loadgen import NetworkLoadReport, run_network_closed_loop
 from .resilience import (
     BreakerOpenError,
     BreakerState,
@@ -100,7 +99,6 @@ __all__ = [
     "MAGIC",
     "MAX_PAYLOAD",
     "MessageType",
-    "NetworkLoadReport",
     "OverloadError",
     "ProtocolError",
     "RemoteReplica",
@@ -117,6 +115,5 @@ __all__ = [
     "WIRE_VERSION",
     "connect_router",
     "load_shard",
-    "run_network_closed_loop",
     "run_shard_server",
 ]

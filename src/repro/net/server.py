@@ -45,7 +45,6 @@ from ..lang import (
     DqlSyntaxError,
     EngineBackend,
     ShowPlan,
-    parse,
 )
 from ..service import MetricsRegistry, QueryEngine
 from . import protocol
@@ -314,7 +313,7 @@ class ShardServer:
         statement, budget = protocol.decode_statement_request(payload)
         self.metrics.counter("net_statements_total").increment()
         try:
-            plan = parse(statement)
+            plan = self._statements.prepare(statement)
         except DqlSyntaxError as exc:
             self.metrics.counter("net_statement_errors_total").increment()
             return protocol.encode_frame(

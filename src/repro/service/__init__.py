@@ -13,8 +13,8 @@ touching the algorithms' answers:
   degradation to partial results (``deadline.py``);
 * :class:`MetricsRegistry` — counters and latency/page-I/O histograms
   (``metrics.py``);
-* :func:`run_closed_loop` — an N-client closed-loop load generator
-  (``workload.py``), driving the ``serve-bench`` CLI command.
+* :func:`run_closed_loop` — the N-client closed-loop load generator
+  (``workload.py``) for an engine or any ``issue(query)`` callable.
 
 See ``docs/SERVICE.md`` for the architecture and the cache-invalidation
 and deadline contracts.

@@ -300,7 +300,6 @@ class TestRealTree:
         assert waivers == [
             ("src/repro/cluster/replica.py", "ReplicaSet.execute"),
             ("src/repro/net/frontend.py", "ClusterFrontend._run_loop"),
-            ("src/repro/net/loadgen.py", "run_network_closed_loop.client"),
             ("src/repro/service/engine.py", "QueryEngine._run_batch_chunk"),
             ("src/repro/service/workload.py", "run_closed_loop.client"),
         ]

@@ -10,12 +10,9 @@ from repro.analysis.rules import (
     AngleArithmeticRule,
     BareAcquireRule,
     BufferBypassRule,
-    ChaosContainmentRule,
     FloatEqualityRule,
-    LanguagePurityRule,
     NondeterminismRule,
     StrayFileWriteRule,
-    TransportRule,
 )
 
 CORE = "src/repro/core/example.py"
@@ -241,21 +238,32 @@ class TestNondeterminism:
                     rules=self.RULE) == []
 
 
+# -- DAL007/008/009: aliases of the architecture contract (DAL010) ------------
+
+
+class AliasCase:
+    """Lint with the default engine, keep one alias code's findings."""
+
+    CODE = ""
+
+    def lint(self, source, path=CORE):
+        return [f for f in lint(source, path) if f.code == self.CODE]
+
+
 # -- DAL007: raw transport outside repro.net ---------------------------------
 
 
-class TestTransport:
-    RULE = [TransportRule]
+class TestTransport(AliasCase):
+    CODE = "DAL007"
     NET = "src/repro/net/example.py"
 
     def test_import_socket_fires(self):
-        found = lint("import socket\n", rules=self.RULE)
+        found = self.lint("import socket\n")
         assert codes(found) == ["DAL007"]
         assert found[0].line == 1
 
     def test_import_asyncio_fires(self):
-        assert codes(lint("import asyncio\n",
-                          rules=self.RULE)) == ["DAL007"]
+        assert codes(self.lint("import asyncio\n")) == ["DAL007"]
 
     def test_from_import_fires(self):
         for stmt in ("from socket import create_connection",
@@ -264,37 +272,33 @@ class TestTransport:
                      "import socketserver",
                      "import selectors",
                      "import ssl"):
-            assert codes(lint(stmt + "\n",
-                              rules=self.RULE)) == ["DAL007"], stmt
+            assert codes(self.lint(stmt + "\n")) == ["DAL007"], stmt
 
     def test_lazy_function_local_import_still_fires(self):
         src = ("def probe(address):\n"
                "    import socket\n"
                "    return socket.create_connection(address)\n")
-        found = lint(src, rules=self.RULE)
+        found = self.lint(src)
         assert codes(found) == ["DAL007"]
         assert found[0].line == 2
 
     def test_aliased_import_fires(self):
-        assert codes(lint("import socket as sk\n",
-                          rules=self.RULE)) == ["DAL007"]
+        assert codes(self.lint("import socket as sk\n")) == ["DAL007"]
 
     def test_silent_inside_repro_net(self):
         src = "import socket\nimport asyncio\n"
-        assert lint(src, path=self.NET, rules=self.RULE) == []
-        assert lint(src, path="src/repro/net/sub/deep.py",
-                    rules=self.RULE) == []
+        assert self.lint(src, path=self.NET) == []
+        assert self.lint(src, path="src/repro/net/sub/deep.py") == []
 
     def test_relative_and_unrelated_imports_ok(self):
         src = ("import threading\n"
                "from . import protocol\n"
                "from ..service import MetricsRegistry\n"
                "import socketish_helper\n")
-        assert lint(src, rules=self.RULE) == []
+        assert self.lint(src) == []
 
     def test_noqa_suppresses(self):
-        found = lint("import socket  # desks: noqa-DAL007\n",
-                     rules=self.RULE)
+        found = self.lint("import socket  # desks: noqa-DAL007\n")
         assert active(found) == []
         assert [f.code for f in found if f.suppressed] == ["DAL007"]
 
@@ -302,30 +306,29 @@ class TestTransport:
 # -- DAL008: repro.lang dependency purity -------------------------------------
 
 
-class TestLanguagePurity:
-    RULE = [LanguagePurityRule]
+class TestLanguagePurity(AliasCase):
+    CODE = "DAL008"
     LANG = "src/repro/lang/executor.py"
 
     def test_absolute_import_of_service_fires(self):
-        found = lint("from repro.service import QueryEngine\n",
-                     path=self.LANG, rules=self.RULE)
+        found = self.lint("from repro.service import QueryEngine\n",
+                          path=self.LANG)
         assert codes(found) == ["DAL008"]
         assert "repro.service" in found[0].message
 
     def test_relative_import_of_cluster_fires(self):
-        found = lint("from ..cluster import ShardRouter\n",
-                     path=self.LANG, rules=self.RULE)
+        found = self.lint("from ..cluster import ShardRouter\n",
+                          path=self.LANG)
         assert codes(found) == ["DAL008"]
 
     def test_plain_import_of_net_fires(self):
-        found = lint("import repro.net.client\n",
-                     path=self.LANG, rules=self.RULE)
+        found = self.lint("import repro.net.client\n",
+                          path=self.LANG)
         assert codes(found) == ["DAL008"]
 
     def test_from_repro_import_package_fires(self):
         for stmt in ("from repro import net\n", "from .. import service\n"):
-            assert codes(lint(stmt, path=self.LANG,
-                              rules=self.RULE)) == ["DAL008"], stmt
+            assert codes(self.lint(stmt, path=self.LANG)) == ["DAL008"], stmt
 
     def test_allowed_dependencies_ok(self):
         src = ("import math\n"
@@ -336,25 +339,24 @@ class TestLanguagePurity:
                "from ..text import keyword_set\n"
                "from ..trace import explain\n"
                "from repro.core import ResultEntry\n")
-        assert lint(src, path=self.LANG, rules=self.RULE) == []
+        assert self.lint(src, path=self.LANG) == []
 
     def test_silent_outside_repro_lang(self):
         src = "from ..cluster import ShardRouter\n"
-        assert lint(src, path="src/repro/net/frontend.py",
-                    rules=self.RULE) == []
+        assert self.lint(src, path="src/repro/net/frontend.py") == []
 
     def test_lazy_function_local_import_still_fires(self):
         src = ("def run():\n"
                "    from ..net import RemoteShardClient\n"
                "    return RemoteShardClient\n")
-        found = lint(src, path=self.LANG, rules=self.RULE)
+        found = self.lint(src, path=self.LANG)
         assert codes(found) == ["DAL008"]
         assert found[0].line == 2
 
     def test_noqa_suppresses(self):
-        found = lint("from ..service import QueryEngine"
-                     "  # desks: noqa-DAL008\n",
-                     path=self.LANG, rules=self.RULE)
+        found = self.lint("from ..service import QueryEngine"
+                          "  # desks: noqa-DAL008\n",
+                          path=self.LANG)
         assert active(found) == []
         assert [f.code for f in found if f.suppressed] == ["DAL008"]
 
@@ -362,44 +364,41 @@ class TestLanguagePurity:
 # -- DAL009: chaos injector stays out of production paths ---------------------
 
 
-class TestChaosContainment:
-    RULE = [ChaosContainmentRule]
+class TestChaosContainment(AliasCase):
+    CODE = "DAL009"
     NET = "src/repro/net/client.py"
 
     def test_absolute_import_fires(self):
-        found = lint("import repro.net.chaos\n", rules=self.RULE)
+        found = self.lint("import repro.net.chaos\n")
         assert codes(found) == ["DAL009"]
 
     def test_from_import_fires(self):
-        found = lint("from repro.net.chaos import ChaosProxy\n",
-                     path="src/repro/cluster/router.py", rules=self.RULE)
+        found = self.lint("from repro.net.chaos import ChaosProxy\n",
+                          path="src/repro/cluster/router.py")
         assert codes(found) == ["DAL009"]
 
     def test_from_package_import_chaos_fires(self):
-        found = lint("from repro.net import chaos\n", rules=self.RULE)
+        found = self.lint("from repro.net import chaos\n")
         assert codes(found) == ["DAL009"]
 
     def test_relative_import_within_net_fires(self):
         for stmt in ("from .chaos import ChaosProxy\n",
                      "from . import chaos\n"):
-            assert codes(lint(stmt, path=self.NET,
-                              rules=self.RULE)) == ["DAL009"], stmt
+            assert codes(self.lint(stmt, path=self.NET)) == ["DAL009"], stmt
 
     def test_chaos_module_itself_is_exempt(self):
         src = ("import socket\n"
                "from .protocol import HEADER_FORMAT\n")
-        assert lint(src, path="src/repro/net/chaos.py",
-                    rules=self.RULE) == []
+        assert self.lint(src, path="src/repro/net/chaos.py") == []
 
     def test_other_net_imports_ok(self):
         src = ("from .protocol import HEADER_FORMAT\n"
                "from .resilience import CircuitBreaker\n"
                "from repro.net import RemoteShardClient\n")
-        assert lint(src, path=self.NET, rules=self.RULE) == []
+        assert self.lint(src, path=self.NET) == []
 
     def test_noqa_suppresses(self):
-        found = lint("from repro.net import chaos  # desks: noqa-DAL009\n",
-                     rules=self.RULE)
+        found = self.lint("from repro.net import chaos  # desks: noqa-DAL009\n")
         assert active(found) == []
         assert [f.code for f in found if f.suppressed] == ["DAL009"]
 

@@ -145,6 +145,22 @@ class TestServeBench:
         assert snapshot["counters"]["queries_total"] > 0
         assert "histograms" in snapshot
 
+    def test_socket_transport_sweep(self, csv_path, capsys):
+        code = main(["serve-bench", str(csv_path), "--transport", "socket",
+                     "--clients", "1", "2", "--requests", "5",
+                     "--queries", "5", "--think-ms", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "transport=socket" in out
+        rows = [line for line in out.splitlines()
+                if line.startswith("clients=")]
+        assert [row.split()[0] for row in rows] == ["clients=1",
+                                                    "clients=2"]
+        for row in rows:
+            # Same row as the inproc sweep, plus the shed column.
+            assert "qps=" in row and "hit_rate=" in row and "p95=" in row
+            assert "errors=0" in row and row.endswith("shed=0")
+
 
 class TestClusterBench:
     def test_sweep_verifies_and_writes_metrics(self, csv_path, tmp_path,

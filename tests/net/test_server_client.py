@@ -345,3 +345,26 @@ def test_statement_counts_in_server_metrics(server, client):
     before = server.metrics.counter("net_statements_total").value
     client.execute_statement("SHOW METRICS")
     assert server.metrics.counter("net_statements_total").value > before
+
+
+def test_repeated_statement_is_parsed_once(server, client, monkeypatch):
+    """STATEMENT frames resolve plans through the executor's prepared-plan
+    cache, like the front door — not a fresh parse per frame."""
+    import repro.lang.executor as executor_mod
+    import repro.net.server as server_mod
+
+    real_parse = executor_mod.parse
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(executor_mod, "parse", counting_parse)
+    monkeypatch.setattr(server_mod, "parse", counting_parse, raising=False)
+    statement = "SELECT 2 NEAR (50.0, 50.0) MATCHING 'cafe'"
+    first = client.execute_statement(statement)
+    second = client.execute_statement(statement)
+    assert parsed == [statement]
+    assert entries_of(second.search.result) == \
+        entries_of(first.search.result)
