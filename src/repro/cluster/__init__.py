@@ -13,14 +13,15 @@ sub-regions inside one index.
 * :mod:`~repro.cluster.router` — :class:`ShardRouter`: sector pruning,
   MINDIST + cardinality ordering, wave dispatch on a shared pool, merge
   with early termination;
-* :mod:`~repro.cluster.replica` — R-way replication, health state,
-  failover, and the :class:`FaultInjector` that makes degraded modes
-  testable;
+* :mod:`~repro.cluster.replica` — R-way replication: the one replica
+  health model and the one failover loop (:class:`FailoverSet`), plus the
+  :class:`FaultInjector` that makes degraded modes testable;
 * :mod:`~repro.cluster.stats` — routing counters and a whole-deployment
   metrics snapshot on the PR-1 :class:`~repro.service.MetricsRegistry`;
-* :mod:`~repro.cluster.transport` — the :class:`ShardTransport` protocol
-  that lets :class:`~repro.net.RemoteReplicaSet` substitute server
-  processes for in-process replicas without the router noticing.
+* :mod:`~repro.cluster.transport` — the :class:`ReplicaEndpoint`
+  protocol (answer one query on one replica) that lets
+  :class:`~repro.net.RemoteReplicaSet` put server processes under the
+  same failover loop as in-process engines.
 
 See ``docs/CLUSTER.md`` for the architecture, the pruning rule, and the
 replication/failover semantics.
@@ -34,6 +35,8 @@ from .partition import (
     shard_collection,
 )
 from .replica import (
+    EngineEndpoint,
+    FailoverSet,
     FaultInjector,
     FaultRule,
     InjectedFault,
@@ -43,7 +46,7 @@ from .replica import (
 )
 from .router import ClusterResponse, Shard, ShardRouter, spec_from_collection
 from .stats import SHARD_BUCKETS, ClusterStats
-from .transport import ReplicaState, ShardTransport
+from .transport import ReplicaEndpoint, RequestRejected
 
 __all__ = [
     "PARTITIONERS",
@@ -51,16 +54,18 @@ __all__ = [
     "ClusterLayout",
     "ClusterResponse",
     "ClusterStats",
+    "EngineEndpoint",
+    "FailoverSet",
     "FaultInjector",
     "FaultRule",
     "InjectedFault",
     "Replica",
     "ReplicaSet",
-    "ReplicaState",
+    "ReplicaEndpoint",
+    "RequestRejected",
     "Shard",
     "ShardRouter",
     "ShardSpec",
-    "ShardTransport",
     "ShardUnavailableError",
     "build_layout",
     "shard_collection",

@@ -55,36 +55,35 @@ from ..geometry import sector_intersects_mbr
 from ..service import Deadline, MetricsRegistry
 from ..trace import current_tracer, traced
 from .partition import ClusterLayout, ShardSpec, build_layout, shard_collection
-from .replica import FaultInjector, ReplicaSet, ShardUnavailableError
+from .replica import (
+    FailoverSet,
+    FaultInjector,
+    ReplicaSet,
+    ShardUnavailableError,
+)
 from .stats import ClusterStats
-from .transport import ShardTransport
 
 
 class Shard:
     """One shard: spec, data, estimator, and its serving transport.
 
-    ``transport`` is anything satisfying
-    :class:`~repro.cluster.transport.ShardTransport` — the in-process
-    :class:`~repro.cluster.replica.ReplicaSet`, or
-    :class:`~repro.net.RemoteReplicaSet` speaking to shard server
-    processes.  ``index`` is the local index when the shard's data lives
-    in this process, and ``None`` for remote shards (the router then
-    routes on the spec alone and cannot :meth:`ShardRouter.save`).
+    ``transport`` is the shard's
+    :class:`~repro.cluster.replica.FailoverSet` — a
+    :class:`~repro.cluster.replica.ReplicaSet` of in-process engines, or a
+    :class:`~repro.net.RemoteReplicaSet` of shard server processes.
+    ``index`` is the local index when the shard's data lives in this
+    process, and ``None`` for remote shards (the router then routes on
+    the spec alone and cannot :meth:`ShardRouter.save`).
     """
 
     def __init__(self, spec: ShardSpec, collection: POICollection,
                  index: Optional[DesksIndex],
-                 transport: "ShardTransport") -> None:
+                 transport: FailoverSet) -> None:
         self.spec = spec
         self.collection = collection
         self.index = index
         self.transport = transport
         self.estimator = CardinalityEstimator(collection)
-
-    @property
-    def replicas(self) -> "ShardTransport":
-        """Backward-compatible alias for :attr:`transport`."""
-        return self.transport
 
     def globalize(self, result: QueryResult) -> List[ResultEntry]:
         """Map a shard-local result's POI ids back to global ids."""
@@ -159,6 +158,45 @@ class ShardRouter:
                  _prebuilt: Optional[Sequence[Tuple[ShardSpec,
                                                     DesksIndex]]] = None,
                  ) -> None:
+        def local_shards() -> List[Shard]:
+            if _prebuilt is not None:
+                pairs = [(spec, index.collection, index)
+                         for spec, index in _prebuilt]
+            else:
+                chosen = (layout if layout is not None
+                          else build_layout(collection, num_shards,
+                                            partitioner))
+                pairs = []
+                for spec in chosen.shards:
+                    sub = shard_collection(collection, spec)
+                    pairs.append((spec, sub,
+                                  DesksIndex(sub, num_bands, num_wedges)))
+            return [
+                Shard(spec, sub, index, ReplicaSet(
+                    spec.shard_id, index, replication, mode=mode,
+                    cache_capacity=cache_capacity,
+                    executor=self._executor,
+                    fault_injector=fault_injector,
+                    health_threshold=health_threshold,
+                    metrics=self.stats.registry,
+                    kernel=kernel))
+                for spec, sub, index in pairs]
+
+        self._init(local_shards,
+                   layout.partitioner if layout is not None else partitioner,
+                   num_workers, max_fanout, mode, kernel, fault_injector,
+                   metrics)
+
+    def _init(self, build_shards, partitioner: str, num_workers: int,
+              max_fanout: int, mode: PruningMode, kernel: str,
+              fault_injector: Optional[FaultInjector],
+              metrics: Optional[MetricsRegistry]) -> None:
+        """The one initialiser behind both constructors.
+
+        ``build_shards()`` is called once the shared pool and the metrics
+        registry exist (in-process replica sets need both); everything
+        derived from the shard list is computed here, once.
+        """
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1: {num_workers}")
         if max_fanout < 1:
@@ -170,43 +208,21 @@ class ShardRouter:
         self.stats = ClusterStats(metrics)
         self._executor = ThreadPoolExecutor(
             max_workers=num_workers, thread_name_prefix="desks-shard")
-        self.shards: List[Shard] = []
         try:
-            if _prebuilt is not None:
-                pairs = [(spec, index.collection, index)
-                         for spec, index in _prebuilt]
-                self.layout = ClusterLayout(
-                    partitioner, sum(len(spec) for spec, _ in _prebuilt),
-                    tuple(spec for spec, _ in _prebuilt))
-            else:
-                self.layout = (layout if layout is not None
-                               else build_layout(collection, num_shards,
-                                                 partitioner))
-                pairs = []
-                for spec in self.layout.shards:
-                    sub = shard_collection(collection, spec)
-                    pairs.append((spec, sub,
-                                  DesksIndex(sub, num_bands, num_wedges)))
-            for spec, sub, index in pairs:
-                replicas = ReplicaSet(
-                    spec.shard_id, index, replication, mode=mode,
-                    cache_capacity=cache_capacity,
-                    executor=self._executor,
-                    fault_injector=fault_injector,
-                    health_threshold=health_threshold,
-                    metrics=self.stats.registry,
-                    kernel=kernel)
-                self.shards.append(Shard(spec, sub, index, replicas))
+            self.shards: List[Shard] = build_shards()
         except Exception:
             self._executor.shutdown(wait=False)
             raise
+        specs = tuple(shard.spec for shard in self.shards)
+        self.layout = ClusterLayout(
+            partitioner, sum(len(spec) for spec in specs), specs)
         self.num_shards = len(self.shards)
-        self.replication = replication
+        self.replication = max(len(shard.transport) for shard in self.shards)
 
     @classmethod
     def from_transports(cls,
                         shards: Sequence[Tuple[ShardSpec, POICollection,
-                                               "ShardTransport"]],
+                                               FailoverSet]],
                         partitioner: str = "remote",
                         num_workers: int = 8,
                         max_fanout: int = 4,
@@ -225,27 +241,12 @@ class ShardRouter:
         """
         if not shards:
             raise ValueError("from_transports needs >= 1 shard")
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1: {num_workers}")
-        if max_fanout < 1:
-            raise ValueError(f"max_fanout must be >= 1: {max_fanout}")
         router = cls.__new__(cls)
-        router.mode = mode
-        router.kernel = "object"
-        router.max_fanout = max_fanout
-        router.fault_injector = None
-        router.stats = ClusterStats(metrics)
-        router._executor = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="desks-shard")
-        router.shards = [Shard(spec, collection, None, transport)
-                         for spec, collection, transport in shards]
-        router.layout = ClusterLayout(
-            partitioner,
-            sum(len(spec) for spec, _, _ in shards),
-            tuple(spec for spec, _, _ in shards))
-        router.num_shards = len(router.shards)
-        router.replication = max(len(shard.transport)
-                                 for shard in router.shards)
+        router._init(
+            lambda: [Shard(spec, collection, None, transport)
+                     for spec, collection, transport in shards],
+            partitioner, num_workers, max_fanout, mode, "object", None,
+            metrics)
         return router
 
     # -- routing ------------------------------------------------------------

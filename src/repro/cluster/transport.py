@@ -1,75 +1,54 @@
-"""The transport seam: what the router requires of a shard's serving side.
+"""The endpoint seam: one query answered by one replica, wherever it runs.
 
-:class:`~repro.cluster.router.ShardRouter` does not care *where* a
-shard's queries execute — in-process on a shared thread pool
-(:class:`~repro.cluster.replica.ReplicaSet`) or across a socket in
-another OS process (:class:`~repro.net.RemoteReplicaSet`).  It cares
-about one contract, written down here as a :class:`typing.Protocol` so
-both implementations are checked against the same surface and a future
-transport (shared memory, RDMA, a different serialization) only has to
-satisfy this file.
+Failover — rotation, health, quarantine, deadline, retry budget — is one
+loop, :class:`~repro.cluster.replica.FailoverSet`, and what it drives is a
+:class:`ReplicaEndpoint`: :class:`~repro.cluster.replica.EngineEndpoint`
+over an in-process :class:`~repro.service.QueryEngine`, or
+:class:`~repro.net.SocketEndpoint` over a connection pool to a shard
+server.  A future transport (shared memory, RDMA, another serialization)
+implements these four methods and inherits the loop.
 
-The contract is exactly what failover needs:
+``call`` reports one attempt as one of three outcomes, and each endpoint
+maps its own error types onto them so the loop never inspects those:
 
-* ``execute(query, timeout)`` returns ``(response, retries)`` — the
-  served answer plus how many replica attempts failed first — or raises
-  :class:`~repro.cluster.replica.ShardUnavailableError` when every
-  replica of the shard is gone (the router then degrades the answer to
-  ``partial=True`` instead of erroring the whole query);
-* ``replicas`` exposes per-replica health objects (``healthy``,
-  ``replica_id``) for :meth:`~repro.cluster.router.ShardRouter.describe`
-  and stats aggregation;
-* ``quarantined_replicas()`` lists replicas parked for data corruption
-  (sticky — retrying cannot heal damaged pages);
-* ``close()`` releases whatever the transport holds open (engines or
-  connection pools).
+* **answered** — it returns a :class:`~repro.service.ServiceResponse` (a
+  ``degraded`` one makes the loop quarantine the replica);
+* **fatal** — it raises :class:`RequestRejected`: the request itself is at
+  fault, so the wrapped error surfaces to the caller at once and no
+  replica's health is touched;
+* **failed** — it raises anything else: the replica is charged a failure
+  and the next one is tried.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 from ..core import DirectionalQuery
 from ..service import ServiceResponse
 
 
+class RequestRejected(Exception):
+    """An endpoint's *fatal* outcome, wrapping the error to surface."""
+
+    def __init__(self, error: BaseException) -> None:
+        self.error = error
+        super().__init__(str(error))
+
+
 @runtime_checkable
-class ReplicaState(Protocol):
-    """Per-replica health as the router and stats layers read it."""
+class ReplicaEndpoint(Protocol):
+    """Answers one query on one replica."""
 
-    replica_id: int
-    healthy: bool
-    quarantined: bool
+    def call(self, query: DirectionalQuery,
+             budget: Optional[float]) -> ServiceResponse:
+        """Execute ``query`` within ``budget`` seconds (``None``: no limit)."""
 
+    def probe(self, timeout: float) -> bool:
+        """Out-of-band reachability check; never raises."""
 
-@runtime_checkable
-class ShardTransport(Protocol):
-    """Executes one shard's queries, wherever that shard lives."""
-
-    replicas: Sequence[ReplicaState]
-
-    def execute(self, query: DirectionalQuery,
-                timeout: Optional[float] = None,
-                ) -> Tuple[ServiceResponse, int]:
-        """Serve ``query`` with failover; ``(response, failed_attempts)``.
-
-        Raises :class:`~repro.cluster.replica.ShardUnavailableError`
-        when no replica can answer.
-        """
-        ...  # pragma: no cover - protocol definition
-
-    def __len__(self) -> int:
-        """Number of replicas behind this transport."""
-        ...  # pragma: no cover - protocol definition
-
-    def quarantined_replicas(self) -> List[int]:
-        """Replica ids excluded for corruption until operator action."""
-        ...  # pragma: no cover - protocol definition
-
-    def health_summary(self) -> List[dict]:
-        """Per-replica health dicts for stats/CLI output."""
-        ...  # pragma: no cover - protocol definition
+    def describe(self) -> Dict[str, object]:
+        """This endpoint's own keys for its ``health_summary`` row."""
 
     def close(self) -> None:
-        """Release engines, sockets, or whatever the transport holds."""
-        ...  # pragma: no cover - protocol definition
+        """Release the engine, sockets, or whatever the endpoint holds."""

@@ -14,10 +14,11 @@ ships traffic through:
   behind a blocking accept loop, engine worker pool, and admission
   control that sheds with typed ``OVERLOAD`` instead of queueing;
 * :mod:`~repro.net.client` — :class:`RemoteShardClient` (persistent
-  connections, reconnect/backoff, deadline-derived timeouts) and
-  :class:`RemoteReplicaSet`, the drop-in
-  :class:`~repro.cluster.ShardTransport` that gives the router failover
-  across server processes;
+  connections, reconnect/backoff, deadline-derived timeouts),
+  :class:`SocketEndpoint` (that client as a
+  :class:`~repro.cluster.ReplicaEndpoint`) and :class:`RemoteReplicaSet`,
+  the :class:`~repro.cluster.FailoverSet` over server processes — the
+  cluster's failover loop plus hedging and recovery probes;
 * :mod:`~repro.net.frontend` — :class:`ClusterFrontend`: the asyncio
   front door with bounded in-flight admission and deadline enforcement;
 * :mod:`~repro.net.launcher` — :class:`ClusterLauncher` (spawn/probe/
@@ -43,9 +44,9 @@ query, and the failure-mode matrix.
 
 from .client import (
     Address,
-    RemoteReplica,
     RemoteReplicaSet,
     RemoteShardClient,
+    SocketEndpoint,
     TransportError,
 )
 from .frontend import ClusterFrontend
@@ -101,7 +102,6 @@ __all__ = [
     "MessageType",
     "OverloadError",
     "ProtocolError",
-    "RemoteReplica",
     "RemoteReplicaSet",
     "RemoteSearchResult",
     "RemoteShardClient",
@@ -109,6 +109,7 @@ __all__ = [
     "RpcError",
     "ServerProcess",
     "ShardServer",
+    "SocketEndpoint",
     "TransportError",
     "TruncatedFrame",
     "VersionMismatch",

@@ -9,21 +9,15 @@ counted by kind (stale retry, truncation, reset, timeout, CRC) so the
 chaos suite can reconcile client-observed faults exactly against the
 :mod:`repro.net.chaos` proxy's injected-fault log.
 
-:class:`RemoteReplicaSet` stacks R clients (one per replica server) behind
-the *exact* surface :class:`~repro.cluster.ReplicaSet` exposes to
-:class:`~repro.cluster.ShardRouter` — ``execute(query, timeout) ->
-(response, retries)``, rotation over healthy replicas, sticky quarantine
-on degraded answers, :class:`~repro.cluster.ShardUnavailableError` when
-every replica fails — plus the resilience layer from
-:mod:`repro.net.resilience`: a per-replica circuit breaker (open circuits
-leave the attempt order entirely and are rediscovered by half-open trials
-or background health probes), a retry token budget charged for every
-failover or hedge attempt, and optional hedged requests (after a
-configurable delay the straggler's query is fired at the next available
-replica and the first answer wins).  ``execute`` is deadline-aware end to
-end: attempts carry the *remaining* budget and failover stops once the
-deadline expires, so no request ever outlives its budget plus one socket
-grace period.
+:class:`SocketEndpoint` presents one such client as a
+:class:`~repro.cluster.ReplicaEndpoint` — it turns the wire's answer into
+a :class:`~repro.service.ServiceResponse` and classifies its errors
+(``BAD_REQUEST`` is fatal, everything else retryable).
+:class:`RemoteReplicaSet` is the :class:`~repro.cluster.FailoverSet` over
+R of them: failover itself is inherited; this module only builds the
+clients, breakers and retry budget from a
+:class:`~repro.net.resilience.ResilienceConfig` and adds what a network
+needs — hedged requests and out-of-band recovery probes.
 """
 
 from __future__ import annotations
@@ -34,13 +28,13 @@ import threading
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..analysis import make_lock
+from ..analysis import make_lock, register_shared
+from ..cluster import FailoverSet, RequestRejected, ShardUnavailableError
 from ..core import DirectionalQuery
 from ..service import Deadline, MetricsRegistry, ServiceResponse
 from . import protocol
 from .protocol import HealthReport, MessageType, RemoteSearchResult
 from .resilience import (
-    BreakerState,
     CircuitBreaker,
     HedgePolicy,
     ResilienceConfig,
@@ -276,71 +270,59 @@ def _close_quietly(conn: socket.socket) -> None:
         pass
 
 
-class RemoteReplica:
-    """One replica server address plus its client-side health state."""
+class SocketEndpoint:
+    """A replica in a shard server process, behind one client.
 
-    def __init__(self, shard_id: int, replica_id: int,
-                 client: RemoteShardClient, health_threshold: int,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
-        self.shard_id = shard_id
-        self.replica_id = replica_id
+    ``BAD_REQUEST`` is the request's fault (fatal); transport failures,
+    protocol violations, ``OVERLOAD`` and other typed server errors
+    propagate and are retried on another replica.
+    """
+
+    def __init__(self, client: RemoteShardClient) -> None:
         self.client = client
-        self.health_threshold = health_threshold
-        self.breaker = breaker
-        self.healthy = True
-        self.consecutive_failures = 0
-        self.total_failures = 0
-        self.quarantined = False
-        self.quarantine_cause: Optional[str] = None
-        self._lock = make_lock("net.remote_replica")
 
-    def mark_success(self) -> None:
-        """A request succeeded; an unhealthy replica recovers."""
-        with self._lock:
-            self.consecutive_failures = 0
-            self.healthy = True
-        if self.breaker is not None:
-            self.breaker.record_success()
+    def call(self, query: DirectionalQuery,
+             budget: Optional[float]) -> ServiceResponse:
+        started = time.monotonic()
+        try:
+            remote = self.client.search(query, budget=budget)
+        except protocol.RpcError as exc:
+            if (exc.code is protocol.ErrorCode.BAD_REQUEST
+                    and not isinstance(exc, protocol.OverloadError)):
+                raise RequestRejected(exc) from None
+            raise
+        return ServiceResponse(
+            query=query,
+            result=remote.result,
+            cached=remote.cached,
+            generation=remote.generation,
+            latency_seconds=time.monotonic() - started,
+            stats=remote.stats,
+            degraded=remote.degraded,
+            failure_cause=remote.failure_cause)
 
-    def mark_failure(self) -> None:
-        """A request failed; ``health_threshold`` in a row → unhealthy."""
-        with self._lock:
-            self.consecutive_failures += 1
-            self.total_failures += 1
-            if self.consecutive_failures >= self.health_threshold:
-                self.healthy = False
-        if self.breaker is not None:
-            self.breaker.record_failure()
+    def probe(self, timeout: float) -> bool:
+        try:
+            return self.client.health(timeout=timeout).ok
+        except (TransportError, protocol.ProtocolError, protocol.RpcError):
+            return False
 
-    def quarantine(self, cause: str) -> None:
-        """Sticky exclusion after a degraded (corruption) answer."""
-        with self._lock:
-            self.quarantined = True
-            self.quarantine_cause = cause
-            self.healthy = False
+    def describe(self) -> dict:
+        host, port = self.client.address
+        return {"address": f"{host}:{port}"}
 
-    @property
-    def breaker_open(self) -> bool:
-        """True while the circuit refuses attempts (OPEN, not yet due)."""
-        return (self.breaker is not None
-                and self.breaker.state is BreakerState.OPEN)
-
-    def try_acquire(self) -> bool:
-        """Gate one attempt through the breaker (always true without)."""
-        return self.breaker is None or self.breaker.try_acquire()
+    def close(self) -> None:
+        self.client.close()
 
 
-class RemoteReplicaSet:
-    """R remote replicas of one shard, behind the ReplicaSet surface.
+class RemoteReplicaSet(FailoverSet):
+    """R shard server processes behind the one failover loop.
 
-    Drop-in for :class:`~repro.cluster.ReplicaSet` from the router's
-    point of view: same ``execute`` contract, same rotation and
-    healthy-first failover order, same sticky quarantine on degraded
-    answers, same :class:`~repro.cluster.ShardUnavailableError` when the
-    whole shard is gone — except attempts cross process (and eventually
-    machine) boundaries, and the failover loop is governed by the
-    resilience layer (circuit breakers, retry tokens, hedging; see
-    :class:`~repro.net.resilience.ResilienceConfig`).
+    Rotation, health, quarantine and the deadline- and budget-bounded
+    attempt plan are inherited.  This class builds the socket deployment
+    from a :class:`~repro.net.resilience.ResilienceConfig` (a client and
+    a circuit breaker per address, the shared retry budget) and adds what
+    only a network needs: hedged requests and recovery probes.
     """
 
     def __init__(self, shard_id: int, addresses: Sequence[Address],
@@ -353,264 +335,125 @@ class RemoteReplicaSet:
                  retry_budget: Optional[RetryBudget] = None,
                  deadline_grace: float = 2.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if not addresses:
-            raise ValueError(f"shard {shard_id} needs >= 1 server address")
-        if health_threshold < 1:
-            raise ValueError(
-                f"health_threshold must be >= 1: {health_threshold}")
         if client_factory is None:
             def client_factory(address: Address) -> RemoteShardClient:
                 return RemoteShardClient(address,
                                          request_timeout=request_timeout,
                                          deadline_grace=deadline_grace,
                                          metrics=metrics)
-        self.shard_id = shard_id
-        self.metrics = metrics
-        self.config = resilience if resilience is not None \
-            else ResilienceConfig()
+        self.config = resilience or ResilienceConfig()
         self._clock = clock
         threshold = (self.config.breaker_failure_threshold
                      if self.config.breaker_failure_threshold is not None
                      else health_threshold)
 
-        def _breaker() -> Optional[CircuitBreaker]:
+        def breaker() -> Optional[CircuitBreaker]:
             if not self.config.breaker_enabled:
                 return None
             return CircuitBreaker(
                 failure_threshold=threshold,
                 reset_timeout=self.config.breaker_reset_timeout,
                 clock=clock,
-                on_transition=self._note_breaker_transition)
+                on_transition=lambda _, to: self._count(
+                    f"net_breaker_{to.value}_total"))
 
-        self.replicas: List[RemoteReplica] = [
-            RemoteReplica(shard_id, replica_id, client_factory(address),
-                          health_threshold, breaker=_breaker())
-            for replica_id, address in enumerate(addresses)
-        ]
         if retry_budget is None:
             retry_budget = RetryBudget(
                 max_tokens=self.config.retry_max_tokens,
                 earn_per_success=self.config.retry_earn_per_success)
-        self.retry_budget = retry_budget
-        self._rotation = 0
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
+        # The hedge pool is sized for straggler pile-up, not steady state:
+        # every abandoned hedge loser against a silent (blackholed) replica
+        # holds a worker until its socket timeout lands, and a saturated
+        # pool would starve *new* primary attempts.  Workers are created
+        # lazily, so the high cap costs nothing under healthy traffic.
+        self._pool = (concurrent.futures.ThreadPoolExecutor(
+            max_workers=max(32, 4 * len(addresses)),
+            thread_name_prefix=f"hedge-shard{shard_id}")
+            if self.config.hedge is not None and len(addresses) > 1
+            else None)
         self._probe_inflight = False
         self._last_probe = clock()
-        self._lock = make_lock("net.remote_replica_set")
-
-    def __len__(self) -> int:
-        return len(self.replicas)
-
-    # -- metrics helpers -----------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).increment()
-
-    def _note_breaker_transition(self, came_from: BreakerState,
-                                 to: BreakerState) -> None:
-        self._count(f"net_breaker_{to.value}_total")
-
-    def _note_tokens(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("net_retry_tokens").set(
-                self.retry_budget.tokens)
-
-    # -- attempt planning ----------------------------------------------------
-
-    def _attempt_plan(self) -> List[Tuple[RemoteReplica, bool]]:
-        """Failover order as ``(replica, last_resort)`` pairs.
-
-        Healthy first from a rotating start, breaker-open circuits
-        excluded, quarantined excluded always.  When *every* circuit is
-        open the whole rotation comes back flagged ``last_resort=True``
-        (attempted past the breaker): a shard must degrade to
-        :class:`~repro.cluster.ShardUnavailableError` through real
-        attempts, never wedge behind its own breakers.
-        """
-        with self._lock:
-            start = self._rotation
-            self._rotation = (self._rotation + 1) % len(self.replicas)
-        rotated = [r for r in (self.replicas[start:] + self.replicas[:start])
-                   if not r.quarantined]
-        admitted = [r for r in rotated if not r.breaker_open]
-        ordered = ([r for r in admitted if r.healthy]
-                   + [r for r in admitted if not r.healthy])
-        if ordered:
-            return [(r, False) for r in ordered]
-        return [(r, True) for r in rotated]
-
-    def _spend_retry_token(self) -> bool:
-        """Charge one retry token; ``False`` means stop retrying."""
-        allowed = self.retry_budget.try_spend()
-        self._count("net_retry_tokens_spent_total" if allowed
-                    else "net_retries_denied_total")
-        self._note_tokens()
-        return allowed
-
-    # -- one attempt ---------------------------------------------------------
-
-    def _attempt(self, replica: RemoteReplica, query: DirectionalQuery,
-                 budget: Optional[float],
-                 ) -> Tuple[str, object]:
-        """One replica attempt with full health/metrics bookkeeping.
-
-        Returns ``("ok", ServiceResponse)``, ``("error", exception)``,
-        or ``("fatal", exception)`` — fatal means a deterministic
-        client-fault error (``BAD_REQUEST``) that must surface to the
-        caller immediately and never counts against replica health.
-        """
-        started = time.monotonic()
-        try:
-            remote = replica.client.search(query, budget=budget)
-        except protocol.RpcError as exc:
-            if (exc.code is protocol.ErrorCode.BAD_REQUEST
-                    and not isinstance(exc, protocol.OverloadError)):
-                # The request is malformed, not the replica: retrying it
-                # anywhere would fail identically, and marking health
-                # would let one bad query poison every replica.
-                return "fatal", exc
-            replica.mark_failure()
-            self._count("cluster_replica_failures_total")
-            return "error", exc
-        except (TransportError, protocol.ProtocolError) as exc:
-            replica.mark_failure()
-            self._count("cluster_replica_failures_total")
-            return "error", exc
-        if remote.degraded:
-            # The remote engine hit corruption and refused to answer:
-            # park this replica exactly as the in-process set would.
-            cause = remote.failure_cause or "degraded response"
-            replica.quarantine(cause)
-            self._count("cluster_replicas_quarantined_total")
-            return "error", RuntimeError(
-                f"replica {replica.replica_id} degraded: {cause}")
-        replica.mark_success()
-        self.retry_budget.record_success()
-        self._note_tokens()
-        response = ServiceResponse(
-            query=query,
-            result=remote.result,
-            cached=remote.cached,
-            generation=remote.generation,
-            latency_seconds=time.monotonic() - started,
-            stats=remote.stats)
-        return "ok", response
+        super().__init__(
+            shard_id,
+            [(SocketEndpoint(client_factory(address)), breaker())
+             for address in addresses],
+            health_threshold, metrics, retry_budget)
+        # A runtime no-op (the base registered); makes DAL012 check this
+        # class's own writes too.
+        register_shared(self, "cluster.replica_set")
 
     # -- the execute contract ------------------------------------------------
 
     def execute(self, query: DirectionalQuery,
                 timeout: Optional[float] = None,
                 ) -> Tuple[ServiceResponse, int]:
-        """Serve ``query`` remotely, failing over across replica servers.
+        """The inherited contract, across replica servers.
 
-        Returns ``(response, retries)``; raises
-        :class:`~repro.cluster.ShardUnavailableError` when every replica
-        fails (dead process, shed under overload, protocol violation),
-        when the retry budget refuses further attempts, or when the
-        deadline expires mid-failover.  With a hedge policy configured,
-        a straggling attempt is raced against the next available replica
-        and the first answer wins.
+        With a hedge policy configured, a straggling attempt is raced
+        against the next available replica and the first answer wins.
         """
         self._maybe_kick_probe()
-        deadline = Deadline.from_timeout(timeout)
-        plan = self._attempt_plan()
-        if self.config.hedge is not None and len(self.replicas) > 1:
-            return self._execute_hedged(query, deadline, plan,
-                                        self.config.hedge)
-        return self._execute_sequential(query, deadline, plan)
-
-    def _execute_sequential(self, query: DirectionalQuery,
-                            deadline: Deadline,
-                            plan: List[Tuple[RemoteReplica, bool]],
-                            ) -> Tuple[ServiceResponse, int]:
-        from ..cluster import ShardUnavailableError
-
-        last_error: Optional[BaseException] = None
-        attempts = 0
-        for replica, last_resort in plan:
-            if deadline.expired():
-                break
-            if not last_resort and not replica.try_acquire():
-                continue
-            if attempts >= 1 and not self._spend_retry_token():
-                break
-            attempts += 1
-            kind, value = self._attempt(replica, query, deadline.budget())
-            if kind == "ok":
-                return value, attempts - 1  # type: ignore[return-value]
-            if kind == "fatal":
-                raise value  # type: ignore[misc]
-            last_error = value  # type: ignore[assignment]
-        raise ShardUnavailableError(self.shard_id, attempts, last_error)
+        if self._pool is None:
+            return super().execute(query, timeout)
+        return self._execute_hedged(query, Deadline.from_timeout(timeout),
+                                    self.config.hedge)
 
     def _execute_hedged(self, query: DirectionalQuery, deadline: Deadline,
-                        plan: List[Tuple[RemoteReplica, bool]],
                         hedge: HedgePolicy,
                         ) -> Tuple[ServiceResponse, int]:
-        from ..cluster import ShardUnavailableError
-
-        pool = self._executor()
-        queue = list(plan)
+        """Race the inherited plan: same admission, same ``_attempt``
+        bookkeeping, but a straggler does not block the next replica."""
+        admitted = self._attempts(deadline)
+        more = True
         pending: dict = {}
         attempts = 0
         hedges_fired = 0
+        last_launch = 0.0
         last_error: Optional[BaseException] = None
 
-        def launch(is_hedge: bool) -> bool:
-            nonlocal attempts, hedges_fired
-            while queue:
-                replica, last_resort = queue.pop(0)
-                if not last_resort and not replica.try_acquire():
-                    continue
-                if attempts >= 1 and not self._spend_retry_token():
-                    queue.clear()
-                    return False
+        def launch() -> None:
+            """Start the next admitted replica — a hedge when it joins an
+            attempt still in flight, the next primary otherwise."""
+            nonlocal attempts, hedges_fired, more, last_launch
+            is_hedge = bool(pending)
+            for replica in admitted:
+                try:
+                    future = self._pool.submit(self._attempt, replica, query,
+                                               deadline.budget())
+                except RuntimeError:  # close() shut the pool down under us
+                    break
                 attempts += 1
-                future = pool.submit(self._attempt, replica, query,
-                                     deadline.budget())
                 pending[future] = is_hedge
+                last_launch = time.monotonic()
                 if is_hedge:
                     hedges_fired += 1
                     self._count("net_hedges_fired_total")
-                return True
-            return False
+                return
+            more = False
 
-        launch(False)
-        last_launch = time.monotonic()
+        launch()
         try:
-            while pending:
-                if deadline.expired():
-                    break
+            while pending and not deadline.expired():
+                can_hedge = hedges_fired < hedge.max_hedges and more
                 waits = []
-                can_hedge = hedges_fired < hedge.max_hedges and bool(queue)
                 if can_hedge:
                     waits.append(max(
-                        0.0,
-                        hedge.delay - (time.monotonic() - last_launch)))
+                        0.0, last_launch + hedge.delay - time.monotonic()))
                 if not deadline.is_unbounded:
                     waits.append(deadline.remaining() + 0.05)
                 done, _ = concurrent.futures.wait(
-                    pending, timeout=min(waits) if waits else None,
+                    pending, timeout=min(waits, default=None),
                     return_when=concurrent.futures.FIRST_COMPLETED)
-                if not done:
-                    if (can_hedge and
-                            time.monotonic() - last_launch >= hedge.delay):
-                        if launch(True):
-                            last_launch = time.monotonic()
-                    continue
                 for future in done:
                     was_hedge = pending.pop(future)
-                    kind, value = future.result()
-                    if kind == "ok":
+                    response, last_error = future.result()
+                    if response is not None:
                         if was_hedge:
                             self._count("net_hedges_won_total")
-                        return value, attempts - 1
-                    if kind == "fatal":
-                        raise value
-                    last_error = value
-                if not pending and launch(False):
-                    last_launch = time.monotonic()
+                        return response, attempts - 1
+                if not pending or (can_hedge and time.monotonic()
+                                   >= last_launch + hedge.delay):
+                    launch()
         finally:
             # First answer won (or the request failed): abandon the
             # stragglers.  Queued attempts are cancelled outright; ones
@@ -620,45 +463,24 @@ class RemoteReplicaSet:
                 future.cancel()
         raise ShardUnavailableError(self.shard_id, attempts, last_error)
 
-    def _executor(self) -> concurrent.futures.ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                # Sized for straggler pile-up, not steady state: every
-                # abandoned hedge loser against a silent (blackholed)
-                # replica holds a worker until its socket timeout lands,
-                # and a saturated pool would starve *new* primary
-                # attempts.  Workers are created lazily, so the high cap
-                # costs nothing under healthy traffic.
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=max(32, 4 * len(self.replicas)),
-                    thread_name_prefix=f"hedge-shard{self.shard_id}")
-            return self._pool
-
     # -- probe-based recovery ------------------------------------------------
 
     def probe_unavailable(self, timeout: Optional[float] = None) -> List[int]:
         """Health-probe every excluded replica; returns recovered ids.
 
-        A replica that answers its :meth:`RemoteShardClient.health` RPC
-        is marked successful — closing its breaker and restoring it to
+        A replica whose endpoint answers the probe (the ``HEALTH`` RPC) is
+        marked successful — closing its breaker and restoring it to
         healthy-first rotation — without waiting for an in-band request
         to be risked against it.  Quarantined replicas stay parked.
         """
         timeout = self.config.probe_timeout if timeout is None else timeout
         recovered: List[int] = []
         for replica in self.replicas:
-            if replica.quarantined:
+            if replica.quarantined or (
+                    replica.healthy
+                    and replica.breaker_state in ("closed", "disabled")):
                 continue
-            state = (replica.breaker.state if replica.breaker is not None
-                     else BreakerState.CLOSED)
-            if replica.healthy and state is BreakerState.CLOSED:
-                continue
-            try:
-                ok = replica.client.health(timeout=timeout).ok
-            except (TransportError, protocol.ProtocolError,
-                    protocol.RpcError):
-                ok = False
-            if ok:
+            if replica.endpoint.probe(timeout):
                 replica.mark_success()
                 self._count("net_probe_recoveries_total")
                 recovered.append(replica.replica_id)
@@ -691,32 +513,8 @@ class RemoteReplicaSet:
             with self._lock:
                 self._probe_inflight = False
 
-    # -- inspection / shutdown -----------------------------------------------
-
-    def quarantined_replicas(self) -> List[int]:
-        """Replica ids parked for corruption (sticky)."""
-        return [r.replica_id for r in self.replicas if r.quarantined]
-
-    def health_summary(self) -> List[dict]:
-        """Per-replica health for stats/CLI output."""
-        return [
-            {
-                "replica_id": r.replica_id,
-                "healthy": r.healthy,
-                "consecutive_failures": r.consecutive_failures,
-                "total_failures": r.total_failures,
-                "breaker": (r.breaker.state.value if r.breaker is not None
-                            else "disabled"),
-                "address": f"{r.client.address[0]}:{r.client.address[1]}",
-            }
-            for r in self.replicas
-        ]
-
     def close(self) -> None:
         """Close every replica's connection pool and the hedge pool."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        for replica in self.replicas:
-            replica.client.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+        super().close()

@@ -298,7 +298,7 @@ class TestRealTree:
         waivers = sorted((f.path, enclosing_function(f.path, f.line))
                          for f in report.suppressed if f.code == "DAL011")
         assert waivers == [
-            ("src/repro/cluster/replica.py", "ReplicaSet.execute"),
+            ("src/repro/cluster/replica.py", "FailoverSet._attempt"),
             ("src/repro/net/frontend.py", "ClusterFrontend._run_loop"),
             ("src/repro/service/engine.py", "QueryEngine._run_batch_chunk"),
             ("src/repro/service/workload.py", "run_closed_loop.client"),

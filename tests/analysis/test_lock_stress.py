@@ -142,6 +142,48 @@ def test_write_sanitizer_stress_on_the_real_stack(write_tracker, tmp_path):
     assert report.clean, "\n" + report.render()
 
 
+def test_write_sanitizer_stress_on_a_remote_replica_set(write_tracker):
+    """Failover, breaker trips, quarantine + release and background probes
+    racing on one remote set: replica and set state is only ever written
+    under a lock role."""
+    from repro.net import ResilienceConfig, TransportError
+
+    from ..net.test_resilience import QUERY, make_set, ok_result
+
+    def flapping(index):
+        return (TransportError(("10.0.0.0", 9000), "down") if index % 3
+                else ok_result(0))
+
+    replica_set, _ = make_set(
+        [flapping, lambda index: ok_result(1), lambda index: ok_result(2)],
+        health_threshold=2,
+        resilience=ResilienceConfig(breaker_reset_timeout=0.0,
+                                    probe_interval=0.0))
+    errors = []
+
+    def client():
+        try:
+            for i in range(60):
+                replica_set.execute(QUERY, timeout=5.0)
+                if i % 20 == 0:
+                    replica_set.replicas[2].quarantine("scrub")
+                    replica_set.replicas[2].release()
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    replica_set.close()
+
+    assert errors == []
+    report = write_tracker.report()
+    assert report.writes > 0, "nothing was tracked: registration broke"
+    assert report.clean, "\n" + report.render()
+
+
 def test_write_sanitizer_catches_a_deliberate_unguarded_write(write_tracker):
     """Proof the harness can fail: an attribute poked from outside any
     lock on a registered engine is reported with role, attr, and stack."""

@@ -125,7 +125,7 @@ class TestRouterQuarantine:
         with ShardRouter(collection, num_shards=4,
                          replication=2) as router:
             shard = router.shards[1]
-            poison_engine(shard.replicas.replicas[0])
+            poison_engine(shard.transport.replicas[0])
             response = router.execute(make_query(k=10))
             assert response.result.entries
             assert response.quarantined_shards == [shard.spec.shard_id]

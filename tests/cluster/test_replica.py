@@ -160,3 +160,42 @@ def test_injected_latency_slows_but_answers():
         r = router.execute(make_query())
         assert not r.degraded
         assert r.latency_seconds >= 0.02
+
+
+def test_failover_stops_at_the_deadline():
+    """Every replica is slow *and* failing: the first attempt eats the
+    whole budget, so failover must not walk the other two."""
+    coll = make_collection(n=100, seed=9)
+    inj = FaultInjector()
+    inj.set_fault(error_rate=1.0, extra_latency=0.2)
+    rs = ReplicaSet(0, DesksIndex(coll), replication=3, fault_injector=inj)
+    try:
+        with pytest.raises(ShardUnavailableError) as err:
+            rs.execute(make_query(), timeout=0.1)
+        assert err.value.attempts == 1
+        assert inj.injected_faults == 1
+    finally:
+        rs.close()
+
+
+def test_surviving_replica_gets_the_remaining_budget():
+    coll = make_collection(n=100, seed=10)
+    inj = FaultInjector()
+    inj.set_fault(replica_id=0, error_rate=1.0, extra_latency=0.05)
+    rs = ReplicaSet(0, DesksIndex(coll), replication=2, fault_injector=inj)
+    try:
+        survivor = rs.replicas[1].engine
+        real_execute, budgets = survivor.execute, []
+
+        def recording_execute(query, timeout=None):
+            budgets.append(timeout)
+            return real_execute(query, timeout)
+
+        survivor.execute = recording_execute
+        rs._rotation = 0               # attempt the failing replica first
+        response, retries = rs.execute(make_query(), timeout=5.0)
+        assert retries == 1 and response.result.entries
+        # What replica 0 burned is gone from what replica 1 is offered.
+        assert len(budgets) == 1 and 0.0 < budgets[0] <= 5.0 - 0.05
+    finally:
+        rs.close()
