@@ -3,9 +3,10 @@
 The wire protocol's promise is that a peer only ever sees one of the
 typed error codes (OVERLOAD / BAD_REQUEST / INTERNAL / SHUTTING_DOWN).
 That holds exactly when every exception that can reach an RPC entry
-point — the contract's ``[[boundary]]`` functions: ``ShardServer.
-_dispatch``, ``ClusterFrontend._dispatch``, ``DqlExecutor.execute`` —
-is either converted there or belongs to a family the boundary's callers
+point — the contract's ``[[boundary]]`` functions: ``FrameServer.
+_dispatch`` (inherited by ``ShardServer`` and ``ClusterFrontend``, whose
+hooks are followed as overrides), ``DqlExecutor.execute`` — is either
+converted there or belongs to a family the boundary's callers
 convert (its ``allowed`` list, subclasses included).
 
 :class:`ExceptionFlowRule` checks both halves:
@@ -264,8 +265,7 @@ class _EscapeAnalysis:
         out: _Escapes = {}
         for node in _expr_nodes(stmt):
             if isinstance(node, ast.Call):
-                target = self.graph.resolve(self.qualname, node)
-                if target is not None:
+                for target in self.graph.resolve(self.qualname, node):
                     for name, origin in self.estimates.get(
                             target, {}).items():
                         out.setdefault(name, origin)
@@ -312,8 +312,9 @@ class ExceptionFlowRule(ProgramRule):
         "A peer of the wire protocol must only ever observe the typed "
         "error codes (OVERLOAD / BAD_REQUEST / INTERNAL / SHUTTING_DOWN) "
         "— the resilience layer's breakers, retries, and hedging all "
-        "classify on them.  An exception that escapes ShardServer."
-        "_dispatch, ClusterFrontend._dispatch, or DqlExecutor.execute "
+        "classify on them.  An exception that escapes FrameServer."
+        "_dispatch (the one dispatcher ShardServer and ClusterFrontend "
+        "inherit) or DqlExecutor.execute "
         "outside the contract's allow-list tears the connection with no "
         "typed frame, and a broad `except Exception` that swallows the "
         "cause produces INTERNAL errors that cannot be diagnosed.  The "

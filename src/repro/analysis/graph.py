@@ -354,16 +354,20 @@ class CallGraph:
 
     Resolution covers the forms that matter in this codebase: direct
     calls to module-level functions, ``self.method()`` within a class
-    (bases included when resolvable by simple name), calls through
-    ``from . import module`` / ``import pkg.mod`` module objects, and
-    classmethod/constructor calls on imported classes.  Anything else
-    is left unresolved and contributes no edge.
+    (bases included when resolvable by simple name, and every override
+    in a subclass — ``self`` may be any of them, which is how a template
+    method's hooks are followed), calls through ``from . import module``
+    / ``import pkg.mod`` module objects, and classmethod/constructor
+    calls on imported classes.  Anything else is left unresolved and
+    contributes no edge.
     """
 
     def __init__(self, program: ProgramIndex) -> None:
         self.program = program
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
+        #: class name -> names of the classes that list it as a base.
+        self._subclasses: Dict[str, List[str]] = {}
         #: module_path -> local name -> ("module", path) | ("symbol",
         #: path, name) import bindings.
         self._env: Dict[str, Dict[str, Tuple[str, ...]]] = {}
@@ -415,8 +419,12 @@ class CallGraph:
                 bases = tuple(b for b in (_terminal(base)
                                           for base in stmt.bases)
                               if b is not None)
-                self.classes.setdefault(stmt.name, ClassInfo(
-                    mod.module_path, stmt.name, bases, methods))
+                if stmt.name not in self.classes:
+                    self.classes[stmt.name] = ClassInfo(
+                        mod.module_path, stmt.name, bases, methods)
+                    for base in bases:
+                        self._subclasses.setdefault(base, []).append(
+                            stmt.name)
 
     def _add_function(self, module_path: str, name: str,
                       class_name: Optional[str], node: ast.AST) -> None:
@@ -427,11 +435,15 @@ class CallGraph:
 
     # -- resolution ----------------------------------------------------------
 
-    def resolve(self, qualname: str, call: ast.Call) -> Optional[str]:
-        """Callee qualname for one call site inside ``qualname``, if any."""
+    def resolve(self, qualname: str, call: ast.Call) -> Tuple[str, ...]:
+        """Callee qualnames for one call site inside ``qualname``.
+
+        Empty when unresolved; more than one only for ``self.method()``
+        on a class whose subclasses override ``method``.
+        """
         info = self.functions.get(qualname)
         if info is None:
-            return None
+            return ()
         return self._resolve_call(info, call)
 
     def _module_symbol(self, module_path: str,
@@ -469,8 +481,36 @@ class CallGraph:
                 return found
         return None
 
+    def _overrides(self, class_name: str, method: str) -> List[str]:
+        """``method`` as redefined by (transitive) subclasses."""
+        found: List[str] = []
+        seen: Set[str] = set()
+        stack = [class_name]
+        while stack:
+            for sub in self._subclasses.get(stack.pop(), ()):
+                if sub not in seen:
+                    seen.add(sub)
+                    stack.append(sub)
+                    if method in self.classes[sub].methods:
+                        found.append(self.classes[sub].methods[method])
+        return found
+
     def _resolve_call(self, info: FunctionInfo,
-                      call: ast.Call) -> Optional[str]:
+                      call: ast.Call) -> Tuple[str, ...]:
+        func = call.func
+        if isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) and \
+                func.value.id == "self" and info.class_name is not None:
+            bound = self._method_on(info.class_name, func.attr)
+            targets = self._overrides(info.class_name, func.attr)
+            if bound is not None:
+                targets.append(bound)
+            return tuple(sorted(targets))
+        target = self._resolve_static(info, call)
+        return () if target is None else (target,)
+
+    def _resolve_static(self, info: FunctionInfo,
+                        call: ast.Call) -> Optional[str]:
         env = self._env.get(info.module_path, {})
         func = call.func
         if isinstance(func, ast.Name):
@@ -478,8 +518,6 @@ class CallGraph:
         if isinstance(func, ast.Attribute) and \
                 isinstance(func.value, ast.Name):
             owner = func.value.id
-            if owner == "self" and info.class_name is not None:
-                return self._method_on(info.class_name, func.attr)
             binding = env.get(owner)
             if binding and binding[0] == "module":
                 return self._module_symbol(binding[1], func.attr)
@@ -499,9 +537,8 @@ class CallGraph:
         out: Set[str] = set()
         for node in ast.walk(info.node):
             if isinstance(node, ast.Call):
-                target = self._resolve_call(info, node)
-                if target is not None and target != info.qualname:
-                    out.add(target)
+                out.update(self._resolve_call(info, node))
+        out.discard(info.qualname)
         return sorted(out)
 
 

@@ -49,7 +49,7 @@ Commands
     Bring a whole saved deployment online: launch one ``shard-server``
     process per (shard, replica), connect a remote
     :class:`~repro.cluster.ShardRouter` over them, and serve clients
-    through the asyncio front door until interrupted.
+    through the front door until interrupted.
 ``scrub``
     Verify a saved index, sharded deployment, or durable-index directory
     against its checksum manifests (and WAL, when present); exit 1 on
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net_serve = sub.add_parser(
         "serve",
         help="launch shard servers for a saved deployment and serve "
-             "clients through the asyncio front door")
+             "clients through the front door")
     p_net_serve.add_argument("deployment",
                              help="sharded deployment directory "
                                   "(ShardRouter.save output)")
@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="front-door port (0: ephemeral)")
     p_net_serve.add_argument("--replicas", type=int, default=1,
                              help="server processes per shard")
-    p_net_serve.add_argument("--workers", type=int, default=8,
-                             help="front-door worker threads")
     p_net_serve.add_argument("--shard-workers", type=int, default=4,
                              help="worker threads per shard server")
     p_net_serve.add_argument("--max-inflight", type=int, default=64,
@@ -917,7 +915,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             resilience=resilience) as router, \
                 ClusterFrontend(router, host=args.host, port=args.port,
                                 max_inflight=args.max_inflight,
-                                num_workers=args.workers,
                                 default_timeout=timeout).start() as front:
             host, port = front.address
             print(f"FRONTEND READY {host} {port}", flush=True)

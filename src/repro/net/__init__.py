@@ -10,17 +10,20 @@ ships traffic through:
   payloads (bit-exact floats, no pickle), typed errors, and the
   remaining-deadline budget that carries per-request deadlines across
   hosts;
-* :mod:`~repro.net.server` — :class:`ShardServer`: one shard's index
-  behind a blocking accept loop, engine worker pool, and admission
-  control that sheds with typed ``OVERLOAD`` instead of queueing;
+* :mod:`~repro.net.server` — the one frame server: a blocking accept
+  loop, a thread per connection, and the only request dispatcher
+  (deadline short-circuit, admission control that sheds searches with
+  typed ``OVERLOAD`` instead of queueing, parse-before-admit, the
+  typed-error mapping).  :class:`ShardServer` is that server on one
+  shard's index behind an engine worker pool; :class:`ClusterFrontend`
+  is the same server on a :class:`~repro.cluster.ShardRouter` — the
+  front door of a deployment;
 * :mod:`~repro.net.client` — :class:`RemoteShardClient` (persistent
   connections, reconnect/backoff, deadline-derived timeouts),
   :class:`SocketEndpoint` (that client as a
   :class:`~repro.cluster.ReplicaEndpoint`) and :class:`RemoteReplicaSet`,
   the :class:`~repro.cluster.FailoverSet` over server processes — the
   cluster's failover loop plus hedging and recovery probes;
-* :mod:`~repro.net.frontend` — :class:`ClusterFrontend`: the asyncio
-  front door with bounded in-flight admission and deadline enforcement;
 * :mod:`~repro.net.launcher` — :class:`ClusterLauncher` (spawn/probe/
   kill/stop server processes) and :func:`connect_router`;
 * :mod:`~repro.net.resilience` — the client-side resilience layer:
@@ -32,9 +35,9 @@ ships traffic through:
   benchmarks, and tooling so fault injection can never reach a
   production import path.
 
-This package is the only place in the tree allowed to touch raw
-``socket``/``asyncio`` transport (lint rule DAL007) — every other layer
-stays deterministic, testable, and transport-agnostic.  Load comes from
+This package is the only place in the tree allowed to touch a raw
+``socket`` (lint rule DAL007) — every other layer stays deterministic,
+testable, and transport-agnostic.  Load comes from
 :func:`repro.service.run_closed_loop`, which drives ``client.search``
 like any target and counts the error types its caller names as shed.
 
@@ -49,7 +52,6 @@ from .client import (
     SocketEndpoint,
     TransportError,
 )
-from .frontend import ClusterFrontend
 from .launcher import ClusterLauncher, LaunchError, ServerProcess, connect_router
 from .resilience import (
     BreakerOpenError,
@@ -78,7 +80,7 @@ from .protocol import (
     TruncatedFrame,
     VersionMismatch,
 )
-from .server import ShardServer, load_shard, run_shard_server
+from .server import ClusterFrontend, ShardServer, load_shard, run_shard_server
 
 __all__ = [
     "Address",

@@ -48,8 +48,12 @@ class TestParsing:
 
     def test_boundaries_cover_the_rpc_entry_points(self):
         contract = default_contract()
+        # One dispatcher, declared once: both concrete servers inherit it.
         assert contract.is_boundary("repro/net/server.py",
-                                    "ShardServer._dispatch")
+                                    "FrameServer._dispatch")
+        assert [b.function for b in contract.boundaries
+                if b.module.startswith("repro/net/")] == \
+            ["FrameServer._dispatch"]
         boundary = contract.boundary("repro/lang/executor.py",
                                      "DqlExecutor.execute")
         assert boundary is not None and boundary.allowed == ("DqlError",)

@@ -268,6 +268,55 @@ class TestEscapeFacet:
         assert "`OSError`" in found[0].message
 
 
+    def test_escape_through_a_subclass_hook_fires_at_the_inherited_boundary(
+            self):
+        """A template-method boundary is declared once, on the base:
+        ``self.answer()`` may run any subclass's override."""
+        found = run_rule({
+            "src/repro/net/server.py": """
+                class Server:
+                    def dispatch(self):
+                        return self.answer()
+
+                    def answer(self):
+                        raise NotImplementedError
+
+                class Shard(Server):
+                    def answer(self):
+                        return 1
+
+                class Front(Server):
+                    def answer(self):
+                        raise KeyError("lost shard")
+            """,
+        }, contract=BOUNDARY_CONTRACT)
+        assert sorted(f.message.split("`")[3] for f in found) == \
+            ["KeyError", "NotImplementedError"]
+        assert all("Server.dispatch" in f.message for f in found)
+
+    def test_subclass_hook_escape_converted_by_the_base_is_silent(self):
+        assert run_rule({
+            "src/repro/net/server.py": """
+                class ProtocolError(RuntimeError):
+                    pass
+
+                class Server:
+                    def dispatch(self):
+                        try:
+                            return self.answer()
+                        except Exception as exc:
+                            raise ProtocolError(str(exc)) from exc
+
+                    def answer(self):
+                        raise NotImplementedError
+
+                class Front(Server):
+                    def answer(self):
+                        raise KeyError("lost shard")
+            """,
+        }, contract=BOUNDARY_CONTRACT) == []
+
+
 # -- the real tree ------------------------------------------------------------
 
 
@@ -299,7 +348,23 @@ class TestRealTree:
                          for f in report.suppressed if f.code == "DAL011")
         assert waivers == [
             ("src/repro/cluster/replica.py", "FailoverSet._attempt"),
-            ("src/repro/net/frontend.py", "ClusterFrontend._run_loop"),
             ("src/repro/service/engine.py", "QueryEngine._run_batch_chunk"),
             ("src/repro/service/workload.py", "run_closed_loop.client"),
         ]
+
+    def test_the_one_dispatcher_reaches_both_servers_hooks(self):
+        """The boundary is ``FrameServer._dispatch``; the pass must walk
+        from it into what ``ShardServer`` and ``ClusterFrontend`` supply."""
+        from repro.analysis.graph import CallGraph
+
+        graph = CallGraph(ProgramIndex.from_paths(["src"]))
+        server = "repro/net/server.py::"
+        reached, frontier = set(), [server + "FrameServer._dispatch"]
+        while frontier:
+            qualname = frontier.pop()
+            if qualname not in reached:
+                reached.add(qualname)
+                frontier.extend(graph.calls.get(qualname, ()))
+        for hook in ("_search", "_identity", "_stats_extras"):
+            assert server + f"ShardServer.{hook}" in reached
+            assert server + f"ClusterFrontend.{hook}" in reached

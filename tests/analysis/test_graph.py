@@ -179,6 +179,28 @@ class TestCallGraph:
         assert "repro/core/svc.py::Base.ping" in \
             graph.calls["repro/core/svc.py::Impl.run"]
 
+    def test_resolves_self_calls_to_subclass_overrides(self):
+        index = program(
+            src__repro__core__svc="""
+                class Base:
+                    def run(self):
+                        self.hook()
+
+                    def hook(self):
+                        raise NotImplementedError
+
+                class Mid(Base):
+                    pass
+
+                class Leaf(Mid):
+                    def hook(self):
+                        pass
+            """,
+        )
+        graph = CallGraph(index)
+        assert graph.calls["repro/core/svc.py::Base.run"] == (
+            "repro/core/svc.py::Base.hook", "repro/core/svc.py::Leaf.hook")
+
     def test_indexes_the_real_tree_broadly(self):
         graph = CallGraph(ProgramIndex.from_paths(["src"]))
         assert len(graph.functions) > 500

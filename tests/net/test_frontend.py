@@ -1,4 +1,4 @@
-"""ClusterFrontend: the asyncio front door over an in-process router."""
+"""ClusterFrontend: the front door over an in-process router."""
 
 import random
 import threading
@@ -23,7 +23,7 @@ def router(collection):
 
 @pytest.fixture(scope="module")
 def frontend(router):
-    front = ClusterFrontend(router, num_workers=4).start()
+    front = ClusterFrontend(router).start()
     yield front
     front.stop()
 
@@ -81,7 +81,7 @@ def test_frontend_forwards_typed_brownout(collection):
     injector.set_fault(replica_id=0, error_rate=1.0)
     with ShardRouter(collection, num_shards=2, partitioner="grid",
                      fault_injector=injector) as router:
-        frontend = ClusterFrontend(router, num_workers=2).start()
+        frontend = ClusterFrontend(router).start()
         try:
             query = random_queries(random.Random(35), 1)[0]
             with RemoteShardClient(frontend.address) as cli:
@@ -111,8 +111,7 @@ def test_frontend_sheds_typed_overload(collection):
             return real_execute(query, timeout)
 
         router.execute = stalled_execute
-        frontend = ClusterFrontend(router, max_inflight=1,
-                                   num_workers=2).start()
+        frontend = ClusterFrontend(router, max_inflight=1).start()
         try:
             query = random_queries(random.Random(34), 1)[0]
             first_result = []
