@@ -18,7 +18,8 @@ one was handed in.  Only when no replica answers does the set raise
 
 :class:`ReplicaSet` is the in-process deployment: one
 :class:`EngineEndpoint` per replica, each a private
-:class:`~repro.service.QueryEngine` on the cluster's shared thread pool.
+:class:`~repro.service.QueryEngine` whose ``execute`` runs on the thread
+that called the set — one of the router's ``desks-shard`` pool threads.
 :class:`~repro.net.RemoteReplicaSet` is the same loop over socket
 endpoints, with breakers, a retry budget, hedging and background probes.
 
@@ -421,14 +422,13 @@ class ReplicaSet(FailoverSet):
                  replication: int,
                  mode: PruningMode = PruningMode.RD,
                  cache_capacity: int = 128,
-                 executor=None,
                  fault_injector: Optional[FaultInjector] = None,
                  health_threshold: int = 3,
                  metrics: Optional[MetricsRegistry] = None,
                  kernel: str = "object") -> None:
-        # Replicas share the shard's (read-only) index and the cluster's
-        # thread pool; each gets a private engine so caches and per-replica
-        # metrics stay independent, as they would be on separate machines.
+        # Replicas share the shard's (read-only) index; each gets a private
+        # engine so caches and per-replica metrics stay independent, as
+        # they would be on separate machines.
         # Under the columnar kernel the shard is compiled ONCE and the
         # frozen snapshot shared — replicating arrays buys nothing.
         snapshot = (ColumnarSnapshot(index) if kernel == "columnar"
@@ -436,8 +436,7 @@ class ReplicaSet(FailoverSet):
         super().__init__(shard_id, [
             (EngineEndpoint(
                 QueryEngine(index, num_workers=1, mode=mode,
-                            cache_capacity=cache_capacity,
-                            executor=executor, kernel=kernel,
+                            cache_capacity=cache_capacity, kernel=kernel,
                             snapshot=snapshot),
                 partial(fault_injector.before_call, shard_id, replica_id)
                 if fault_injector is not None else None), None)

@@ -15,8 +15,9 @@ collection into ``S`` independent :class:`~repro.core.DesksIndex` shards
    shards bound the k-th distance sooner, and denser shards tighten it
    faster.
 3. **Scatter** — dispatch survivors to their replica sets in waves of
-   ``max_fanout`` on one shared thread pool; each shard answers with its
-   local top-k (replication and failover live in
+   ``max_fanout`` on the router's thread pool (a pool thread runs the
+   shard's replica engine itself); each shard answers with its local
+   top-k (replication and failover live in
    :mod:`repro.cluster.replica`).
 4. **Gather** — merge local top-k streams into the global top-k, mapping
    local ids back to global ids.  Between waves, any remaining shard whose
@@ -143,7 +144,6 @@ class ShardRouter:
     def __init__(self, collection: POICollection,
                  num_shards: int = 4,
                  partitioner: str = "grid",
-                 layout: Optional[ClusterLayout] = None,
                  replication: int = 1,
                  num_workers: int = 8,
                  max_fanout: int = 4,
@@ -163,11 +163,9 @@ class ShardRouter:
                 pairs = [(spec, index.collection, index)
                          for spec, index in _prebuilt]
             else:
-                chosen = (layout if layout is not None
-                          else build_layout(collection, num_shards,
-                                            partitioner))
                 pairs = []
-                for spec in chosen.shards:
+                for spec in build_layout(collection, num_shards,
+                                         partitioner).shards:
                     sub = shard_collection(collection, spec)
                     pairs.append((spec, sub,
                                   DesksIndex(sub, num_bands, num_wedges)))
@@ -175,17 +173,14 @@ class ShardRouter:
                 Shard(spec, sub, index, ReplicaSet(
                     spec.shard_id, index, replication, mode=mode,
                     cache_capacity=cache_capacity,
-                    executor=self._executor,
                     fault_injector=fault_injector,
                     health_threshold=health_threshold,
                     metrics=self.stats.registry,
                     kernel=kernel))
                 for spec, sub, index in pairs]
 
-        self._init(local_shards,
-                   layout.partitioner if layout is not None else partitioner,
-                   num_workers, max_fanout, mode, kernel, fault_injector,
-                   metrics)
+        self._init(local_shards, partitioner, num_workers, max_fanout, mode,
+                   kernel, fault_injector, metrics)
 
     def _init(self, build_shards, partitioner: str, num_workers: int,
               max_fanout: int, mode: PruningMode, kernel: str,
@@ -193,9 +188,9 @@ class ShardRouter:
               metrics: Optional[MetricsRegistry]) -> None:
         """The one initialiser behind both constructors.
 
-        ``build_shards()`` is called once the shared pool and the metrics
-        registry exist (in-process replica sets need both); everything
-        derived from the shard list is computed here, once.
+        ``build_shards()`` is called once the metrics registry exists
+        (in-process replica sets record into it); everything derived from
+        the shard list is computed here, once.
         """
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1: {num_workers}")
@@ -206,13 +201,9 @@ class ShardRouter:
         self.max_fanout = max_fanout
         self.fault_injector = fault_injector
         self.stats = ClusterStats(metrics)
+        self.shards: List[Shard] = build_shards()
         self._executor = ThreadPoolExecutor(
             max_workers=num_workers, thread_name_prefix="desks-shard")
-        try:
-            self.shards: List[Shard] = build_shards()
-        except Exception:
-            self._executor.shutdown(wait=False)
-            raise
         specs = tuple(shard.spec for shard in self.shards)
         self.layout = ClusterLayout(
             partitioner, sum(len(spec) for spec in specs), specs)

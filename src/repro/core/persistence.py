@@ -46,7 +46,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..datasets import load_csv, save_csv
 from ..geometry import Anchor, CanonicalFrame
-from ..storage import crc32c
+from ..storage import crc32c, fsync_dir
 from .index import AnchorIndex, DesksIndex
 from .regions import AnchorRegions
 from .stores import MemoryKeywordStore, TermPairs
@@ -199,7 +199,7 @@ def repair_interrupted_swap(directory: str) -> bool:
             shutil.rmtree(displaced)
         else:
             os.rename(displaced, directory)  # roll back to the old save
-        _fsync_dir(os.path.dirname(os.path.abspath(directory)))
+        fsync_dir(os.path.dirname(os.path.abspath(directory)))
         return True
     return False
 
@@ -233,26 +233,13 @@ def _atomic_directory_swap(directory: str, write,
         if failpoint is not None:
             failpoint("swap.displaced")
         os.rename(staging, directory)
-        _fsync_dir(parent)
+        fsync_dir(parent)
         if failpoint is not None:
             failpoint("swap.complete")
         shutil.rmtree(displaced)
     else:
         os.rename(staging, directory)
-        _fsync_dir(parent)
-
-
-def _fsync_dir(path: str) -> None:
-    """Make renames/unlinks under ``path`` durable (no-op where
-    directories cannot be opened, e.g. Windows)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+        fsync_dir(parent)
 
 
 def _write_file(path: str, blob: bytes) -> None:
@@ -308,7 +295,10 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
             f"meta.json promises {meta['num_pois']} POIs but pois.csv "
             f"holds {len(collection)}")
 
-    index = _skeleton_index(meta, collection)
+    # The constructor with no anchors to build: every field a built index
+    # has, none copied by hand; the saved anchors are installed below.
+    index = DesksIndex(collection, meta["num_bands"], meta["num_wedges"],
+                       anchors=())
     locations = [p.location for p in collection]
     term_pairs = TermPairs(
         [collection.term_ids(i) for i in range(len(collection))])
@@ -496,18 +486,3 @@ def _require_clean(report: SavedScrubReport) -> None:
         raise PersistenceError(
             f"saved files failed verification ({len(report.corrupt)} "
             f"problem(s); first: {path}: {reason})")
-
-
-def _skeleton_index(meta: dict, collection) -> DesksIndex:
-    """A DesksIndex shell with no anchors built (they are loaded)."""
-    index = DesksIndex.__new__(DesksIndex)
-    index.collection = collection
-    index.num_bands = meta["num_bands"]
-    index.num_wedges = meta["num_wedges"]
-    index.disk_based = False
-    index.build_seconds = 0.0
-    index.anchors = [None] * 4
-    from ..storage import IOStats
-
-    index.io_stats = IOStats()
-    return index

@@ -96,7 +96,7 @@ class DirectionalQuery:
             return True
         return self.accepts_direction(self.location.direction_to(location))
 
-    def canonical_key(self, location_quantum: float = 0.0) -> Tuple:
+    def canonical_key(self) -> Tuple:
         """A stable, hashable identity for result caching and batch dedupe.
 
         Two queries with the same answer set map to the same key even when
@@ -104,19 +104,9 @@ class DirectionalQuery:
         interval is normalized to a ``(lower in [0, 2*pi), width)`` pair
         rounded to collapse float noise, and every full-circle interval
         collapses to the same representation regardless of where its bounds
-        sit.  ``location_quantum > 0`` snaps the location onto a grid of
-        that cell size, letting a cache trade exactness for hit rate
-        (nearby queries share an answer); the default ``0.0`` keys on the
-        exact coordinates.
+        sit.  The location is keyed on its exact coordinates.
         """
-        if location_quantum < 0.0:
-            raise ValueError(
-                f"location_quantum must be non-negative: {location_quantum}")
-        if location_quantum > 0.0:
-            loc = (round(self.location.x / location_quantum),
-                   round(self.location.y / location_quantum))
-        else:
-            loc = (self.location.x, self.location.y)
+        loc = (self.location.x, self.location.y)
         if self.interval.is_full:
             arc = (0.0, round(TWO_PI, _ANGLE_DECIMALS))
         else:

@@ -39,18 +39,31 @@ from .regions import AnchorRegions
 
 
 class TermPostings:
-    """Access protocol for one keyword's region and POI lists."""
+    """One keyword's region list, and its POI list read by pointer slice.
 
-    #: Sorted sub-region gids containing the keyword.
-    region_gids: Sequence[int]
+    A store's view supplies the lists and :meth:`_read` — how entries
+    ``[start, end)`` of the POI list are fetched.
+    """
+
+    def __init__(self, region_gids: Sequence[int], pointers: Sequence[int],
+                 num_pois: int) -> None:
+        #: Sorted sub-region gids containing the keyword.
+        self.region_gids = region_gids
+        self._pointers = pointers
+        self._num_pois = num_pois
+
+    def _read(self, start: int, end: int) -> Sequence[int]:
+        raise NotImplementedError
 
     def pois_in(self, gid: int) -> Sequence[int]:
         """POI ids with this keyword inside sub-region ``gid``."""
-        raise NotImplementedError
-
-    def pois_in_gid_range(self, lo_gid: int, hi_gid: int) -> Sequence[int]:
-        """POI ids in all owned sub-regions with ``lo_gid <= gid < hi_gid``."""
-        raise NotImplementedError
+        idx = bisect_left(self.region_gids, gid)
+        if idx == len(self.region_gids) or self.region_gids[idx] != gid:
+            return []
+        pointers = self._pointers
+        end = (pointers[idx + 1] if idx + 1 < len(pointers)
+               else self._num_pois)
+        return self._read(pointers[idx], end)
 
 
 #: Per-POI term-id sets (``poi_term_ids[poi_id]``), raw or already flattened.
@@ -172,31 +185,10 @@ def build_term_layout(regions: AnchorRegions, poi_term_ids: PoiTermIds,
 class _MemoryTermPostings(TermPostings):
     def __init__(self, region_gids: List[int], pointers: List[int],
                  poi_list: List[int]) -> None:
-        self.region_gids = region_gids
-        self._pointers = pointers
+        super().__init__(region_gids, pointers, len(poi_list))
         self._poi_list = poi_list
 
-    def _slice_bounds(self, idx: int) -> Tuple[int, int]:
-        start = self._pointers[idx]
-        end = (self._pointers[idx + 1] if idx + 1 < len(self._pointers)
-               else len(self._poi_list))
-        return start, end
-
-    def pois_in(self, gid: int) -> Sequence[int]:
-        idx = bisect_left(self.region_gids, gid)
-        if idx == len(self.region_gids) or self.region_gids[idx] != gid:
-            return []
-        start, end = self._slice_bounds(idx)
-        return self._poi_list[start:end]
-
-    def pois_in_gid_range(self, lo_gid: int, hi_gid: int) -> Sequence[int]:
-        lo = bisect_left(self.region_gids, lo_gid)
-        hi = bisect_left(self.region_gids, hi_gid)
-        if lo >= hi:
-            return []
-        start = self._pointers[lo]
-        end = (self._pointers[hi] if hi < len(self._pointers)
-               else len(self._poi_list))
+    def _read(self, start: int, end: int) -> Sequence[int]:
         return self._poi_list[start:end]
 
 
@@ -250,73 +242,23 @@ class _DiskTermPostings(TermPostings):
         blob = record_file.read(region_record)
         gids, offset = decode_uint_list(blob)
         pointers, _ = decode_uint_list(blob, offset)
-        self.region_gids = gids
-        self._pointers = pointers
-        self._num_pois = poi_record.length // 4
+        super().__init__(gids, pointers, poi_record.length // 4)
 
-    def _read_slice(self, start: int, end: int) -> Sequence[int]:
-        if start >= end:
-            return []
+    def _read(self, start: int, end: int) -> Sequence[int]:
         ptr = RecordPointer(self._poi_record.offset + 4 * start,
                             4 * (end - start))
         blob = self._file.read(ptr)
         return list(struct.unpack(f"<{end - start}I", blob))
 
-    def _slice_bounds(self, idx: int) -> Tuple[int, int]:
-        start = self._pointers[idx]
-        end = (self._pointers[idx + 1] if idx + 1 < len(self._pointers)
-               else self._num_pois)
-        return start, end
 
-    def pois_in(self, gid: int) -> Sequence[int]:
-        idx = bisect_left(self.region_gids, gid)
-        if idx == len(self.region_gids) or self.region_gids[idx] != gid:
-            return []
-        return self._read_slice(*self._slice_bounds(idx))
+class _RecordFileStore:
+    """What the disk stores share: the paged record file they append to."""
 
-    def pois_in_gid_range(self, lo_gid: int, hi_gid: int) -> Sequence[int]:
-        lo = bisect_left(self.region_gids, lo_gid)
-        hi = bisect_left(self.region_gids, hi_gid)
-        if lo >= hi:
-            return []
-        start = self._pointers[lo]
-        end = (self._pointers[hi] if hi < len(self._pointers)
-               else self._num_pois)
-        return self._read_slice(start, end)
-
-
-class DiskKeywordStore:
-    """Region/POI lists in a paged record file behind a buffer pool.
-
-    The term directory (term id -> two record pointers) stays in memory,
-    mirroring the paper's in-memory vocabulary over disk-resident lists.
-    """
-
-    def __init__(self, regions: AnchorRegions,
-                 poi_term_ids: PoiTermIds,
-                 store: Optional[PageStore] = None,
-                 buffer_capacity: int = 256) -> None:
+    def __init__(self, store: Optional[PageStore],
+                 buffer_capacity: int) -> None:
         if store is None:
             store = InMemoryPageStore()
         self._file = RecordFile(store, buffer_capacity=buffer_capacity)
-        self._directory: Dict[int, Tuple[RecordPointer, RecordPointer]] = {}
-        layout = build_term_layout(regions, poi_term_ids)
-        for term_id in sorted(layout):
-            region_gids, pointers, poi_list = layout[term_id]
-            region_blob = (encode_uint_list(region_gids)
-                           + encode_uint_list(pointers))
-            poi_blob = struct.pack(f"<{len(poi_list)}I", *poi_list)
-            region_ptr = self._file.append(region_blob)
-            poi_ptr = self._file.append(poi_blob)
-            self._directory[term_id] = (region_ptr, poi_ptr)
-        self._file.flush()
-
-    def term_postings(self, term_id: int) -> Optional[TermPostings]:
-        """The postings view for ``term_id``, or ``None`` when absent."""
-        pointers = self._directory.get(term_id)
-        if pointers is None:
-            return None
-        return _DiskTermPostings(self._file, *pointers)
 
     @property
     def io_stats(self):
@@ -343,6 +285,38 @@ class DiskKeywordStore:
 
     def close(self) -> None:
         self._file.close()
+
+
+class DiskKeywordStore(_RecordFileStore):
+    """Region/POI lists in a paged record file behind a buffer pool.
+
+    The term directory (term id -> two record pointers) stays in memory,
+    mirroring the paper's in-memory vocabulary over disk-resident lists.
+    """
+
+    def __init__(self, regions: AnchorRegions,
+                 poi_term_ids: PoiTermIds,
+                 store: Optional[PageStore] = None,
+                 buffer_capacity: int = 256) -> None:
+        super().__init__(store, buffer_capacity)
+        self._directory: Dict[int, Tuple[RecordPointer, RecordPointer]] = {}
+        layout = build_term_layout(regions, poi_term_ids)
+        for term_id in sorted(layout):
+            region_gids, pointers, poi_list = layout[term_id]
+            region_blob = (encode_uint_list(region_gids)
+                           + encode_uint_list(pointers))
+            poi_blob = struct.pack(f"<{len(poi_list)}I", *poi_list)
+            region_ptr = self._file.append(region_blob)
+            poi_ptr = self._file.append(poi_blob)
+            self._directory[term_id] = (region_ptr, poi_ptr)
+        self._file.flush()
+
+    def term_postings(self, term_id: int) -> Optional[TermPostings]:
+        """The postings view for ``term_id``, or ``None`` when absent."""
+        pointers = self._directory.get(term_id)
+        if pointers is None:
+            return None
+        return _DiskTermPostings(self._file, *pointers)
 
 
 # -- compressed disk store (ablation) ---------------------------------------------
@@ -364,35 +338,15 @@ class _CompressedTermPostings(TermPostings):
         gids, offset = decode_uint_list(blob)
         pointers, offset = decode_uint_list(blob, offset)
         positions, _ = decode_sorted_ids(blob, offset)
-        self.region_gids = gids
-        self._pointers = pointers
+        super().__init__(gids, pointers, len(positions))
         self._positions = positions
         self._poi_order = poi_order
 
-    def _slice(self, start: int, end: int) -> Sequence[int]:
+    def _read(self, start: int, end: int) -> Sequence[int]:
         return [self._poi_order[p] for p in self._positions[start:end]]
 
-    def pois_in(self, gid: int) -> Sequence[int]:
-        idx = bisect_left(self.region_gids, gid)
-        if idx == len(self.region_gids) or self.region_gids[idx] != gid:
-            return []
-        start = self._pointers[idx]
-        end = (self._pointers[idx + 1] if idx + 1 < len(self._pointers)
-               else len(self._positions))
-        return self._slice(start, end)
 
-    def pois_in_gid_range(self, lo_gid: int, hi_gid: int) -> Sequence[int]:
-        lo = bisect_left(self.region_gids, lo_gid)
-        hi = bisect_left(self.region_gids, hi_gid)
-        if lo >= hi:
-            return []
-        start = self._pointers[lo]
-        end = (self._pointers[hi] if hi < len(self._pointers)
-               else len(self._positions))
-        return self._slice(start, end)
-
-
-class CompressedDiskKeywordStore:
+class CompressedDiskKeywordStore(_RecordFileStore):
     """Delta-varint POI lists: smallest on disk, no sliced reads.
 
     The ablation counterpart of :class:`DiskKeywordStore` (DESIGN.md §4,
@@ -404,9 +358,7 @@ class CompressedDiskKeywordStore:
                  poi_term_ids: PoiTermIds,
                  store: Optional[PageStore] = None,
                  buffer_capacity: int = 256) -> None:
-        if store is None:
-            store = InMemoryPageStore()
-        self._file = RecordFile(store, buffer_capacity=buffer_capacity)
+        super().__init__(store, buffer_capacity)
         self._poi_order = regions.poi_order
         self._directory: Dict[int, RecordPointer] = {}
         layout = TermLayout(regions, poi_term_ids)
@@ -425,29 +377,3 @@ class CompressedDiskKeywordStore:
         if record is None:
             return None
         return _CompressedTermPostings(self._file, record, self._poi_order)
-
-    @property
-    def io_stats(self):
-        """Page-level I/O counters of the backing record file."""
-        return self._file.stats
-
-    @property
-    def size_bytes(self) -> int:
-        """Bytes appended to the record file."""
-        return self._file.size_in_bytes
-
-    @property
-    def page_store(self):
-        """The page store beneath the record file (scrub/injection)."""
-        return self._file.page_store
-
-    def flush(self) -> None:
-        """Write back dirty buffered pages."""
-        self._file.flush()
-
-    def drop_cache(self) -> None:
-        """Evict the buffer pool (cold-cache measurements)."""
-        self._file.drop_cache()
-
-    def close(self) -> None:
-        self._file.close()

@@ -39,7 +39,6 @@ from ..core.dynamic import MutableDesksIndex
 from ..core.index import DesksIndex
 from ..core.persistence import (
     PersistenceError,
-    _fsync_dir,
     load_index,
     save_index,
     scrub_saved,
@@ -60,6 +59,7 @@ from ..storage.wal import (
     FailpointFn,
     WalScrubReport,
     WriteAheadLog,
+    fsync_dir,
     wal_scrub,
 )
 
@@ -135,7 +135,7 @@ class DurableMutableIndex(MutableDesksIndex):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, meta_path)
-        _fsync_dir(directory)
+        fsync_dir(directory)
         instance._wal = instance._open_wal()
         return instance
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import make_lock
-from .protocol import HEADER_FORMAT, HEADER_SIZE, MAX_PAYLOAD
+from .protocol import HEADER_FORMAT, HEADER_SIZE, MAX_PAYLOAD, recv_exactly
 
 Address = Tuple[str, int]
 
@@ -319,8 +319,16 @@ class ChaosProxy:
                      downstream: socket.socket,
                      rng: random.Random) -> None:
         """server → client: whole frames, with per-frame fault draws."""
+        def recv(limit: int) -> bytes:
+            # An error reads as EOF: what arrived before the connection
+            # broke is forwarded, as it is for a clean close.
+            try:
+                return upstream.recv(limit)
+            except OSError:
+                return b""
+
         while True:
-            header = _recv_exactly(upstream, HEADER_SIZE)
+            header = recv_exactly(recv, HEADER_SIZE)
             if len(header) < HEADER_SIZE:
                 # Upstream EOF (possibly mid-header): forward the
                 # remnant verbatim so the client sees the same
@@ -337,7 +345,7 @@ class ChaosProxy:
                 _send_quietly(downstream, header)
                 self._relay_downstream(upstream, downstream)
                 return
-            payload = _recv_exactly(upstream, length)
+            payload = recv_exactly(recv, length)
             frame = bytearray(header + payload)
             truncated = len(payload) < length
             plan = self.plan
@@ -393,22 +401,6 @@ class ChaosProxy:
         except OSError:
             return False
         return True
-
-
-def _recv_exactly(conn: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes; short return on EOF or error."""
-    chunks = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = conn.recv(remaining)
-        except OSError:
-            break
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def _shutdown_quietly(conn: socket.socket) -> None:

@@ -154,8 +154,7 @@ class RemoteShardClient:
             conn.settimeout(timeout)
             try:
                 conn.sendall(frame)
-                msg_type, payload = protocol.read_frame(
-                    lambda count: _recv_exactly(conn, count))
+                msg_type, payload = protocol.read_frame(conn.recv)
             except protocol.TruncatedFrame as exc:
                 _close_quietly(conn)
                 if reused:
@@ -249,18 +248,6 @@ class RemoteShardClient:
         frame = protocol.encode_frame(MessageType.STATS_REQUEST)
         payload = self._expect(frame, MessageType.STATS_RESPONSE, timeout)
         return protocol.decode_stats_response(payload)
-
-
-def _recv_exactly(conn: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = conn.recv(remaining)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def _close_quietly(conn: socket.socket) -> None:

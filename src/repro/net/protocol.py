@@ -221,20 +221,34 @@ def check_payload(payload: bytes, crc: int,
     return payload
 
 
-def read_frame(recv_exactly: Callable[[int], bytes],
-               ) -> Tuple[MessageType, bytes]:
-    """Read and validate one frame via ``recv_exactly(n) -> n bytes``.
+def recv_exactly(recv: Callable[[int], bytes], count: int) -> bytes:
+    """``count`` bytes from ``recv(n) -> at most n bytes`` (a socket's
+    ``recv``); a short return means ``recv`` reported EOF first."""
+    chunks = []
+    remaining = count
+    while remaining:
+        chunk = recv(remaining)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
-    ``recv_exactly`` must raise :class:`TruncatedFrame` (or return short)
-    on EOF; both surface as typed protocol errors here, never as a hang
+
+def read_frame(recv: Callable[[int], bytes]) -> Tuple[MessageType, bytes]:
+    """Read and validate one frame via ``recv(n) -> at most n bytes``.
+
+    ``recv`` is a socket's ``recv``: it returns short only when more is
+    still to come and empty at EOF.  A stream that ends inside a frame
+    surfaces as the typed :class:`TruncatedFrame` here, never as a hang
     or a misparse.
     """
-    header = recv_exactly(HEADER_SIZE)
+    header = recv_exactly(recv, HEADER_SIZE)
     if len(header) != HEADER_SIZE:
         raise TruncatedFrame(
             f"connection closed after {len(header)} header byte(s)")
     msg_type, length, crc = parse_header(header)
-    payload = recv_exactly(length) if length else b""
+    payload = recv_exactly(recv, length) if length else b""
     if len(payload) != length:
         raise TruncatedFrame(
             f"connection closed {length - len(payload)} byte(s) short of "
@@ -698,6 +712,7 @@ __all__ = [
     "ProtocolError", "BadMagic", "VersionMismatch", "FrameTooLarge",
     "ChecksumMismatch", "TruncatedFrame", "RpcError", "OverloadError",
     "encode_frame", "parse_header", "check_payload", "read_frame",
+    "recv_exactly",
     "encode_search_request", "decode_search_request",
     "encode_search_response", "decode_search_response",
     "RemoteSearchResult", "HealthReport",

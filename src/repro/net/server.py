@@ -255,22 +255,10 @@ class FrameServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         """Serve frames on one connection until EOF or a protocol error."""
         conn.settimeout(None)
-
-        def recv_exactly(count: int) -> bytes:
-            chunks = []
-            remaining = count
-            while remaining:
-                chunk = conn.recv(remaining)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                remaining -= len(chunk)
-            return b"".join(chunks)
-
         try:
             while True:
                 try:
-                    msg_type, payload = protocol.read_frame(recv_exactly)
+                    msg_type, payload = protocol.read_frame(conn.recv)
                 except protocol.TruncatedFrame:
                     return  # clean EOF or a peer that died mid-frame
                 except OSError:

@@ -3,9 +3,8 @@
 Keys are :meth:`repro.core.DirectionalQuery.canonical_key` values, so two
 queries that differ only in representation (keyword order, an interval
 written ``[0, 2*pi)`` vs ``[θ, θ+2*pi)``, float noise in the bounds) share
-one entry.  An optional ``location_quantum`` snaps query locations onto a
-grid before keying, trading exactness for hit rate on "nearby" queries —
-off by default so the cache is answer-preserving.
+one entry.  The key holds the exact query location, so the cache is
+answer-preserving: a hit is the answer a search would have produced.
 
 **Invalidation contract.**  Every entry is tagged with the data
 *generation* it was computed under (see
@@ -55,17 +54,14 @@ class CacheStats:
 class ResultCache:
     """Thread-safe LRU cache of :class:`QueryResult`\\ s.
 
-    ``capacity`` bounds the number of resident entries;
-    ``location_quantum`` is forwarded to ``canonical_key`` (see module
-    docstring).  All operations are O(1) and serialised by one lock.
+    ``capacity`` bounds the number of resident entries.  All operations
+    are O(1) and serialised by one lock.
     """
 
-    def __init__(self, capacity: int = 1024,
-                 location_quantum: float = 0.0) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.location_quantum = location_quantum
         # canonical key -> (generation, result); recency order, MRU last.
         self._entries: "OrderedDict[Hashable, Tuple[int, QueryResult]]" = \
             OrderedDict()
@@ -77,7 +73,7 @@ class ResultCache:
 
     def key_for(self, query: DirectionalQuery) -> Hashable:
         """The cache key this cache derives from ``query``."""
-        return query.canonical_key(self.location_quantum)
+        return query.canonical_key()
 
     # -- lookup / admission -------------------------------------------------
 

@@ -1,15 +1,19 @@
-"""The concurrent query engine: thread pool + cache + deadlines + metrics.
+"""The concurrent query engine: cache + deadlines + metrics + a batch pool.
 
 :class:`QueryEngine` is the serving layer's front door.  It wraps either a
-static :class:`~repro.core.DesksIndex` (behind a pool of
-:class:`~repro.core.DesksSearcher`\\ s) or a
-:class:`~repro.core.MutableDesksIndex` (which manages its own searcher and
-mutation lock), and executes queries on a fixed-size thread pool:
+static :class:`~repro.core.DesksIndex` (behind a queue of ``num_workers``
+:class:`~repro.core.DesksSearcher`\\ s, which bounds concurrent index
+scans) or a :class:`~repro.core.MutableDesksIndex` (which manages its own
+searcher and mutation lock).  Each entry point has exactly one route:
 
-* ``execute(query)`` — synchronous, runs on the calling thread;
-* ``submit(query)`` — returns a :class:`concurrent.futures.Future`;
+* ``execute(query)`` — synchronous, runs on the calling thread; this is
+  what the cluster's replica endpoints and a shard server's statement
+  frames call;
+* ``submit(query)`` — one task on the engine's thread pool, returns a
+  :class:`concurrent.futures.Future` (a shard server's SEARCH frames);
 * ``submit_batch(queries)`` — one future per query, with duplicate
-  queries (same canonical key) collapsed onto a single execution.
+  queries (same canonical key) collapsed onto a single execution and the
+  unique ones spread over at most ``num_workers`` chunk tasks.
 
 Every execution consults the :class:`~repro.service.cache.ResultCache`
 first, keyed on the query's canonical form and the index *generation* (see
@@ -20,9 +24,9 @@ latency/page-I/O histograms into a
 
 Pure-Python searches hold the GIL, so the pool does not speed up a single
 CPU-bound query stream; what it buys is (a) overlap of many *clients'*
-think time (see ``workload.py``), (b) bounded concurrency as admission
-control, and (c) the architecture seam where a C/GIL-releasing or
-multi-process searcher drops in later.
+think time (see ``workload.py``), (b) one hand-off per chunk of a batch,
+and (c) the architecture seam where a C/GIL-releasing or multi-process
+searcher drops in later.
 """
 
 from __future__ import annotations
@@ -79,12 +83,9 @@ class QueryEngine:
     def __init__(self, index: Union[DesksIndex, MutableDesksIndex],
                  num_workers: int = 4,
                  mode: PruningMode = PruningMode.RD,
-                 cache: Optional[ResultCache] = None,
                  cache_capacity: int = 1024,
-                 location_quantum: float = 0.0,
                  default_timeout: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 executor: Optional[ThreadPoolExecutor] = None,
                  tracing: bool = False,
                  kernel: str = "object",
                  snapshot: Optional[ColumnarSnapshot] = None) -> None:
@@ -105,8 +106,7 @@ class QueryEngine:
         self.mode = mode
         self.kernel = kernel
         self.default_timeout = default_timeout
-        self.cache = cache if cache is not None else ResultCache(
-            cache_capacity, location_quantum)
+        self.cache = ResultCache(cache_capacity)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # ``tracing=True`` traces every request the caller didn't already
         # trace and folds the span aggregates into ``metrics`` via a
@@ -144,14 +144,10 @@ class QueryEngine:
                 else:
                     pool.put(DesksSearcher(index))
             self._searchers = pool
-        # An externally supplied executor lets many engines (e.g. the
-        # cluster's per-shard replicas) share one thread pool instead of
-        # spawning num_workers threads each; the engine then never shuts
-        # it down — its lifecycle belongs to the caller.
-        self._owns_executor = executor is None
-        self._executor = executor if executor is not None else \
-            ThreadPoolExecutor(max_workers=num_workers,
-                               thread_name_prefix="desks-worker")
+        # Only submit() and submit_batch() use the pool; it spawns no
+        # thread until the first of them is called.
+        self._executor = ThreadPoolExecutor(
+            max_workers=num_workers, thread_name_prefix="desks-worker")
         # Serialises admission against close(): without it a submit that
         # passes the _closed check can race close() and die inside the
         # executor with a less actionable RuntimeError.
@@ -267,53 +263,44 @@ class QueryEngine:
         canonical key repeats an earlier entry receive the *same* future
         object, so a batch of 100 copies of one query costs one search.
 
-        On a columnar engine the unique queries are chunked into at most
-        ``num_workers`` contiguous groups and each group runs as ONE pool
-        task instead of one task per query: the batch pays executor
-        hand-off once per chunk, and the pool's
-        :class:`~repro.kernel.ColumnarSearcher`\\ s — all views over one
-        shared snapshot — keep their term-plan caches warm across the
-        whole batch.
+        The unique queries are chunked into at most ``num_workers``
+        contiguous groups and each group runs as ONE pool task instead of
+        one task per query: the batch pays the executor hand-off once per
+        chunk, and a chunk's searcher keeps its term-plan cache warm from
+        one query of the batch to the next.  Under an active tracer each
+        chunk is an ``engine.worker`` span (with ``queue_wait_seconds``)
+        parenting one ``engine.execute`` span per query.
         """
         futures: List["Future[ServiceResponse]"] = []
-        first_seen: Dict[Hashable, "Future[ServiceResponse]"] = {}
-        unique: List[Tuple[DirectionalQuery, "Future[ServiceResponse]"]] = []
+        unique: Dict[Hashable,
+                     Tuple[DirectionalQuery, "Future[ServiceResponse]"]] = {}
         for query in queries:
             key = self.cache.key_for(query)
-            future = first_seen.get(key)
-            if future is None:
-                if self.kernel == "columnar":
-                    future = Future()
-                    unique.append((query, future))
-                else:
-                    future = self.submit(query, timeout)
-                first_seen[key] = future
+            pair = unique.get(key)
+            if pair is None:
+                pair = unique[key] = (query, Future())
                 self.metrics.counter("batch_unique_total").increment()
             else:
                 self.metrics.counter("batch_deduped_total").increment()
-            futures.append(future)
-        if unique:
-            self._submit_chunks(unique, timeout)
-        return futures
-
-    def _submit_chunks(
-            self,
-            pairs: List[Tuple[DirectionalQuery, "Future[ServiceResponse]"]],
-            timeout: Optional[float]) -> None:
-        """Spread ``pairs`` over the pool as contiguous chunk tasks."""
+            futures.append(pair[1])
+        if not unique:
+            return futures
+        pairs = list(unique.values())
         chunk_count = min(self.num_workers, len(pairs))
         size, extra = divmod(len(pairs), chunk_count)
-        chunks = []
-        start = 0
-        for i in range(chunk_count):
-            end = start + size + (1 if i < extra else 0)
-            chunks.append(pairs[start:end])
-            start = end
         with self._lifecycle_lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
-            for chunk in chunks:
-                self._executor.submit(self._run_batch_chunk, chunk, timeout)
+            start = 0
+            for i in range(chunk_count):
+                end = start + size + (1 if i < extra else 0)
+                # One wrapper per task: each carries its own copy of the
+                # submitter's context, which only one thread may enter.
+                call = traced("engine.worker", self._run_batch_chunk,
+                              record_queue_wait=True)
+                self._executor.submit(call, pairs[start:end], timeout)
+                start = end
+        return futures
 
     def _run_batch_chunk(
             self,
@@ -331,13 +318,12 @@ class QueryEngine:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop accepting work; waits for in-flight queries (owned pool)."""
+        """Stop accepting work; waits for in-flight pool tasks."""
         with self._lifecycle_lock:
             self._closed = True
         # Shutdown happens outside the lock: with wait=True it blocks on
         # in-flight queries, and nothing they take may be held across that.
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "QueryEngine":
         return self

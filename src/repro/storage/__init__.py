@@ -37,6 +37,7 @@ from .wal import (
     WalCorruptionError,
     WalScrubReport,
     WriteAheadLog,
+    fsync_dir,
     wal_scrub,
 )
 
@@ -76,5 +77,6 @@ __all__ = [
     "encode_text",
     "encode_uint_list",
     "encode_varint",
+    "fsync_dir",
     "wal_scrub",
 ]

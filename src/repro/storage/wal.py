@@ -122,7 +122,7 @@ class WriteAheadLog:
         if creating:
             # The file's very existence must survive power loss, or a
             # checkpoint could leave the log with no open-for-append tail.
-            _fsync_dir(self.directory)
+            fsync_dir(self.directory)
         return handle
 
     # -- appending -----------------------------------------------------------
@@ -203,7 +203,7 @@ class WriteAheadLog:
         # Unlinks must be durable before new appends: a power loss that
         # resurrected a pre-checkpoint segment would replay absorbed ops
         # ahead of newer ones.
-        _fsync_dir(self.directory)
+        fsync_dir(self.directory)
         self._segment_no += 1
         self._file = self._open_segment(self._segment_no)
         self._fire("checkpoint.after")
@@ -306,7 +306,7 @@ def _segment_paths(directory: str) -> List[str]:
     return [os.path.join(directory, n) for n in names]
 
 
-def _fsync_dir(path: str) -> None:
+def fsync_dir(path: str) -> None:
     """Make renames/unlinks under ``path`` durable (no-op where
     directories cannot be opened, e.g. Windows)."""
     try:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.cluster import PARTITIONERS, ShardRouter
+from repro.cluster import PARTITIONERS, ShardRouter, build_layout
 from repro.core import DirectionalQuery
 
 from .conftest import entries_of, random_queries
@@ -117,3 +117,5 @@ def test_router_rejects_bad_arguments(collection):
         ShardRouter(collection, num_shards=4, max_fanout=0)
     with pytest.raises(ValueError):
         ShardRouter(collection, num_shards=4, partitioner="voronoi")
+    with pytest.raises(TypeError):
+        ShardRouter(collection, layout=build_layout(collection, 4, "grid"))

@@ -109,6 +109,14 @@ class TestLoadIndex:
             assert (loaded.anchor_index(quadrant).regions.poi_order
                     == index.anchor_index(quadrant).regions.poi_order)
 
+    def test_loaded_index_has_every_field_of_a_built_one(self, saved):
+        _, index, directory = saved
+        loaded = load_index(str(directory))
+        assert vars(loaded).keys() == vars(index).keys()
+        for probe in (index, loaded):
+            with pytest.raises(ValueError, match="checksums=True"):
+                probe.scrub()
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_index(str(tmp_path / "missing"))

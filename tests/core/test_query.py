@@ -116,13 +116,12 @@ class TestCanonicalKey:
             0, 0, 0.5, 1.5, ["a"], k=5,
             match_mode=MatchMode.ANY).canonical_key()
 
-    def test_location_quantum_buckets_nearby_queries(self):
-        a = DirectionalQuery.make(10.01, 20.02, 0.5, 1.5, ["a"])
-        b = DirectionalQuery.make(10.04, 19.98, 0.5, 1.5, ["a"])
-        assert a.canonical_key() != b.canonical_key()
-        assert a.canonical_key(0.5) == b.canonical_key(0.5)
-
     def test_negative_quantum_rejected(self):
+        # The key takes no quantum at all: it always holds the exact
+        # location, so nearby queries never share a cache entry.
         q = DirectionalQuery.make(0, 0, 0.5, 1.5, ["a"])
-        with pytest.raises(ValueError):
-            q.canonical_key(-1.0)
+        for quantum in (-1.0, 0.5):
+            with pytest.raises(TypeError):
+                q.canonical_key(quantum)
+        nearby = DirectionalQuery.make(0.04, -0.02, 0.5, 1.5, ["a"])
+        assert q.canonical_key() != nearby.canonical_key()

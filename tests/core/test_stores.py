@@ -99,23 +99,6 @@ class TestKeywordStores:
         missing = [g for g in range(20) if g not in view.region_gids]
         assert list(view.pois_in(missing[0])) == []
 
-    def test_pois_in_gid_range(self, store):
-        regions, s = store
-        view = s.term_postings(0)
-        all_pois = list(view.pois_in_gid_range(0, regions.num_subregions))
-        assert all_pois == regions.poi_order
-        empty = list(view.pois_in_gid_range(5, 5))
-        assert empty == []
-
-    def test_gid_range_equals_union_of_slices(self, store):
-        regions, s = store
-        view = s.term_postings(1)
-        lo, hi = 2, 7
-        by_range = list(view.pois_in_gid_range(lo, hi))
-        by_slices = [p for g in view.region_gids
-                     if lo <= g < hi for p in view.pois_in(g)]
-        assert by_range == by_slices
-
     def test_size_bytes_positive(self, store):
         _, s = store
         assert s.size_bytes > 0
@@ -140,10 +123,12 @@ class TestDiskStoreIO:
                              InMemoryPageStore(page_size=64),
                              buffer_capacity=64)
         view = s.term_postings(0)
-        view.pois_in_gid_range(0, regions.num_subregions)
+        for gid in view.region_gids:
+            view.pois_in(gid)
         s.io_stats.reset()
         view2 = s.term_postings(0)
-        view2.pois_in_gid_range(0, regions.num_subregions)
+        for gid in view2.region_gids:
+            view2.pois_in(gid)
         assert s.io_stats.physical_reads == 0  # all hits, pool is warm
         assert s.io_stats.cache_hits > 0
 
@@ -176,19 +161,19 @@ class TestCompressedStore:
             sv = sliced.term_postings(term)
             cv = compressed.term_postings(term)
             assert list(sv.region_gids) == list(cv.region_gids)
-            for gid in sv.region_gids:
+            for gid in range(regions.num_subregions):
                 assert list(sv.pois_in(gid)) == list(cv.pois_in(gid))
-            assert list(sv.pois_in_gid_range(0, regions.num_subregions)) == \
-                list(cv.pois_in_gid_range(0, regions.num_subregions))
 
     def test_unknown_term(self):
         _, _, compressed = self.make_stores()
         assert compressed.term_postings(42) is None
 
     def test_empty_range(self):
-        _, _, compressed = self.make_stores()
-        view = compressed.term_postings(0)
-        assert list(view.pois_in_gid_range(3, 3)) == []
+        regions, _, compressed = self.make_stores()
+        view = compressed.term_postings(2)
+        absent = set(range(regions.num_subregions)) - set(view.region_gids)
+        assert absent
+        assert all(list(view.pois_in(gid)) == [] for gid in absent)
 
     def test_smaller_on_disk(self):
         _, sliced, compressed = self.make_stores()

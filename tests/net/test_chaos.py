@@ -102,7 +102,7 @@ def test_corruption_is_caught_by_the_crc(server, query):
 @pytest.mark.parametrize("cut_at", [5, 14],
                          ids=["mid-header", "mid-payload"])
 def test_reset_mid_frame_truncates_a_fresh_connection(server, query, cut_at):
-    """_recv_exactly's short-read path, cut inside header and payload."""
+    """recv_exactly's short-read path, cut inside header and payload."""
     plan = FaultPlan("reset", reset_probability=1.0,
                      reset_after_bytes=cut_at)
     with ChaosProxy(server.address, plan) as proxy:

@@ -50,15 +50,15 @@ from repro.storage import SearchStats
 
 
 def frame_reader(blob):
-    """A ``recv_exactly`` over a byte string: short reads at the end."""
+    """A ``recv`` over a byte string: short, then empty, at the end."""
     state = {"pos": 0}
 
-    def recv_exactly(count):
+    def recv(count):
         start = state["pos"]
         state["pos"] = min(len(blob), start + count)
         return blob[start:state["pos"]]
 
-    return recv_exactly
+    return recv
 
 
 def read_blob(blob):
@@ -121,12 +121,12 @@ def test_oversized_length_prefix_is_rejected_before_allocation():
                          MAX_PAYLOAD + 1, 0)
     reads = []
 
-    def recv_exactly(count):
+    def recv(count):
         reads.append(count)
         return (header if count == HEADER_SIZE else b"x" * count)
 
     with pytest.raises(FrameTooLarge):
-        read_frame(recv_exactly)
+        read_frame(recv)
     assert reads == [HEADER_SIZE]  # payload was never requested
 
 

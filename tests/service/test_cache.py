@@ -113,12 +113,3 @@ class TestPartialResults:
         partial = QueryResult([ResultEntry(1, 0.0)], partial=True)
         assert not cache.put(q(), partial)
         assert cache.get(q()) is None
-
-
-class TestQuantization:
-    def test_quantum_merges_nearby_locations(self):
-        cache = ResultCache(capacity=4, location_quantum=0.5)
-        cache.put(q(x=10.01, y=20.02), result(1))
-        assert cache.get(q(x=10.04, y=19.98)) is not None
-        # A query a whole cell away still misses.
-        assert cache.get(q(x=11.0, y=20.0)) is None

@@ -205,7 +205,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             QueryEngine(static_index, num_workers=0)
 
-    def test_custom_cache_object_used(self, static_index):
-        cache = ResultCache(capacity=2)
-        with QueryEngine(static_index, cache=cache) as engine:
-            assert engine.cache is cache
+    @pytest.mark.parametrize("option",
+                             ["cache", "location_quantum", "executor"])
+    def test_removed_engine_options_rejected(self, static_index, option):
+        with pytest.raises(TypeError):
+            QueryEngine(static_index, **{option: None})
+
+    def test_removed_cache_quantum_rejected(self):
+        with pytest.raises(TypeError):
+            ResultCache(4, location_quantum=0.5)

@@ -42,6 +42,30 @@ class TestEnginePropagation:
         # Three futures, one execution: exactly one worker span.
         assert len(tracer.find_all("engine.worker")) == 1
 
+    @pytest.mark.parametrize("kernel", ["object", "columnar"])
+    def test_batch_chunks_carry_the_submitters_trace(self, collection,
+                                                     kernel):
+        index = DesksIndex(collection, num_bands=4, num_wedges=6)
+        queries = [make_query(x=x) for x in (20.0, 40.0, 60.0)]
+        tracer, duplicates = Tracer(), Tracer()
+        with QueryEngine(index, num_workers=2, kernel=kernel) as engine:
+            with tracer.activate():
+                for future in engine.submit_batch(queries):
+                    future.result(timeout=30)
+            with duplicates.activate():
+                for future in engine.submit_batch([make_query(x=80.0)] * 3):
+                    future.result(timeout=30)
+        assert len(duplicates.find_all("engine.worker")) == 1
+        assert len(duplicates.find_all("engine.execute")) == 1
+        # Three unique queries on two workers: two chunk tasks.
+        workers = tracer.find_all("engine.worker")
+        assert len(workers) == 2
+        assert all(w.attrs["queue_wait_seconds"] >= 0.0 for w in workers)
+        executes = [child for w in workers for child in w.children]
+        assert [e.name for e in executes] == ["engine.execute"] * 3
+        assert all(e.children[0].name == "desks.search" for e in executes)
+        assert len(tracer.find_all("desks.search")) == 3
+
     def test_cache_hit_annotated_without_search_child(self, collection):
         index = DesksIndex(collection, num_bands=4, num_wedges=6)
         query = make_query()
