@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "of every shard (needs --replicas >= 2 "
                                 "for exact answers)")
     p_cluster.add_argument("--fanout", type=int, default=4,
-                           help="max shards dispatched per wave")
+                           help="max shards asked per wave (the first wave "
+                                "is the nearest shard(s) alone)")
     p_cluster.add_argument("--workers", type=int, default=8,
                            help="shared pool worker threads")
     p_cluster.add_argument("--queries", type=int, default=100,
@@ -296,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="front-door admission limit before "
                                   "OVERLOAD")
     p_net_serve.add_argument("--fanout", type=int, default=4,
-                             help="max shards dispatched per wave")
+                             help="max shards asked per wave (the first "
+                                  "wave is the nearest shard(s) alone)")
     p_net_serve.add_argument("--timeout-ms", type=float, default=None,
                              help="default per-query deadline")
     p_net_serve.add_argument("--hedge-ms", type=float, default=None,

@@ -11,7 +11,8 @@ sub-regions inside one index.
   ``angular``, ``hash``) producing shard MBRs and keyword document
   frequencies;
 * :mod:`~repro.cluster.router` — :class:`ShardRouter`: sector pruning,
-  MINDIST + cardinality ordering, wave dispatch on a shared pool, merge
+  MINDIST + cardinality ordering, bound-first wave dispatch (the home
+  shard first, on the calling thread; later waves share a pool), merge
   with early termination;
 * :mod:`~repro.cluster.replica` — R-way replication: the one replica
   health model and the one failover loop (:class:`FailoverSet`), plus the

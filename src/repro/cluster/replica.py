@@ -19,7 +19,8 @@ one was handed in.  Only when no replica answers does the set raise
 :class:`ReplicaSet` is the in-process deployment: one
 :class:`EngineEndpoint` per replica, each a private
 :class:`~repro.service.QueryEngine` whose ``execute`` runs on the thread
-that called the set — one of the router's ``desks-shard`` pool threads.
+that called the set — the thread that called the router, or one of its
+``desks-shard`` pool threads when a wave asks more than one shard.
 :class:`~repro.net.RemoteReplicaSet` is the same loop over socket
 endpoints, with breakers, a retry budget, hedging and background probes.
 
@@ -121,8 +122,9 @@ class FaultInjector:
     def before_call(self, shard_id: int, replica_id: int) -> None:
         """Apply the matching rule; raises :class:`InjectedFault` on a hit.
 
-        Called on the pool worker thread about to execute the query, so
-        injected latency occupies a worker exactly like slow real work.
+        Called on the thread about to execute the query — the router's
+        caller or a pool worker — so injected latency occupies it exactly
+        like slow real work.
         """
         with self._lock:
             rule = self._match(shard_id, replica_id)

@@ -14,15 +14,23 @@ collection into ``S`` independent :class:`~repro.core.DesksIndex` shards
    :class:`~repro.core.CardinalityEstimator`) as the tie-break: nearer
    shards bound the k-th distance sooner, and denser shards tighten it
    faster.
-3. **Scatter** — dispatch survivors to their replica sets in waves of
-   ``max_fanout`` on the router's thread pool (a pool thread runs the
-   shard's replica engine itself); each shard answers with its local
-   top-k (replication and failover live in
+3. **Scatter** — ask survivors in waves, nearest first, and never ask a
+   farther shard before a bound exists: the first wave is the leading
+   ``MINDIST`` tie group — normally the one shard whose MBR holds ``q``;
+   under the ``hash`` partitioner, whose MBRs all span the extent, the
+   first ``max_fanout`` shards — and every wave ends at the next
+   ``max_fanout``-th survivor.  The calling thread runs one call of each
+   wave itself and hands only the rest to the router's ``desks-shard``
+   pool, so a one-shard wave costs no thread hand-off; either way the
+   thread runs the shard's replica engine itself, and each shard answers
+   with its local top-k (replication and failover live in
    :mod:`repro.cluster.replica`).
 4. **Gather** — merge local top-k streams into the global top-k, mapping
    local ids back to global ids.  Between waves, any remaining shard whose
    MINDIST cannot beat the current global k-th bound is *skipped* — the
-   cluster-level mirror of Lemma 1's early termination.
+   cluster-level mirror of Lemma 1's early termination.  A skipped shard
+   could not have changed the merge, so the shards asked are always a
+   subset of what fixed waves of ``max_fanout`` would have asked.
 
 Exactness: answers equal the unsharded index's, bitwise, including
 tie-breaking — distances are computed from the same coordinates, and each
@@ -34,11 +42,12 @@ failed shard ids are reported.
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import (
     CardinalityEstimator,
@@ -282,8 +291,9 @@ class ShardRouter:
         With a :class:`~repro.trace.Tracer` active in the calling context
         the scatter-gather records a ``router.execute`` span tree:
         ``router.plan`` (pruning decisions), one ``router.wave`` per
-        dispatch wave, and one ``router.shard`` per shard call — running
-        on the pool but parented under its wave, with queue wait recorded.
+        dispatch wave, and one ``router.shard`` per shard call — on this
+        thread or a pool thread, parented under its wave either way, with
+        the wait between dispatch and start recorded.
         """
         tracer = current_tracer()
         if tracer is None:
@@ -328,10 +338,9 @@ class ShardRouter:
             wave_cm = (tracer.span("router.wave", wave=wave_number)
                        if tracer is not None else nullcontext())
             with wave_cm as wave_span:
-                wave: List[Tuple[Shard, "Future"]] = []
+                calls: List[Tuple[Shard, Callable]] = []
                 wave_skipped = 0
-                while (position < len(survivors)
-                       and len(wave) < self.max_fanout):
+                while position < len(survivors):
                     mindist, shard = survivors[position]
                     position += 1
                     # Early termination (cluster-level Lemma 1): survivors
@@ -350,13 +359,27 @@ class ShardRouter:
                                       record_queue_wait=True,
                                       shard_id=shard.spec.shard_id,
                                       mindist=mindist)
-                    wave.append((shard,
-                                 self._executor.submit(call, query,
-                                                       shard_timeout)))
-                dispatched += len(wave)
-                for shard, future in wave:
+                    calls.append((shard, call))
+                    # A wave ends at every max_fanout-th survivor; wave 0
+                    # also ends with the leading MINDIST tie group, so a
+                    # farther shard is never asked before a bound exists.
+                    if position % self.max_fanout == 0 or (
+                            wave_number == 0 and position < len(survivors)
+                            and survivors[position][0] > mindist):
+                        break
+                dispatched += len(calls)
+                # The calling thread is a worker too: it runs the nearest
+                # call itself once the rest are on the pool (so they
+                # overlap it), and a one-shard wave never leaves it.
+                answers = [(shard, functools.partial(call, query,
+                                                     shard_timeout))
+                           for shard, call in calls[:1]]
+                answers += [(shard, self._executor.submit(
+                                call, query, shard_timeout).result)
+                            for shard, call in calls[1:]]
+                for shard, answer in answers:
                     try:
-                        response, attempts = future.result()
+                        response, attempts = answer()
                     except ShardUnavailableError:
                         failed.append(shard.spec.shard_id)
                         retries += len(shard.transport) - 1
@@ -371,7 +394,7 @@ class ShardRouter:
                     kth_bound = merged[-1].distance
                 if wave_span is not None:
                     wave_span.annotate(
-                        shards_dispatched=len(wave),
+                        shards_dispatched=len(calls),
                         shards_skipped=wave_skipped,
                         merged_results=len(merged),
                         kth_bound=kth_bound)

@@ -157,8 +157,13 @@ def test_write_sanitizer_stress_on_a_remote_replica_set(write_tracker):
     replica_set, _ = make_set(
         [flapping, lambda index: ok_result(1), lambda index: ok_result(2)],
         health_threshold=2,
+        # This test is about write discipline, not retry amplification: the
+        # default bucket (10, +0.1 per success) can run dry when the threads
+        # meet the flapping replica in an unlucky order, and failover then
+        # stops by design.  240 calls at <= 2 retries each cannot drain 480.
         resilience=ResilienceConfig(breaker_reset_timeout=0.0,
-                                    probe_interval=0.0))
+                                    probe_interval=0.0,
+                                    retry_max_tokens=480.0))
     errors = []
 
     def client():

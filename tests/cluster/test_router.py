@@ -2,13 +2,51 @@
 
 import math
 import random
+import threading
+import time
 
 import pytest
 
-from repro.cluster import PARTITIONERS, ShardRouter, build_layout
+from repro.cluster import (
+    PARTITIONERS,
+    ShardRouter,
+    ShardUnavailableError,
+    build_layout,
+)
 from repro.core import DirectionalQuery
+from repro.core.bruteforce import brute_force_search
+from repro.trace import Tracer
 
+from ..kernel.conftest import make_corpus
 from .conftest import entries_of, random_queries
+
+FULL_CIRCLE = (0.0, 2 * math.pi)
+
+
+def home_query(router, k):
+    """A full-circle ``cafe`` query from the middle of shard 0's MBR."""
+    mbr = router.shards[0].spec.mbr
+    return DirectionalQuery.make((mbr.min_x + mbr.max_x) / 2,
+                                 (mbr.min_y + mbr.max_y) / 2,
+                                 *FULL_CIRCLE, ["cafe"], k)
+
+
+def intercept(router, before=None, after=None):
+    """Log ``(shard id, thread name)`` per shard call, in call order;
+    ``before`` / ``after`` run around the real call with the shard id."""
+    log = []
+    for shard in router.shards:
+        def execute(query, timeout=None, shard_id=shard.spec.shard_id,
+                    inner=shard.transport.execute):
+            log.append((shard_id, threading.current_thread().name))
+            if before is not None:
+                before(shard_id)
+            answer = inner(query, timeout)
+            if after is not None:
+                after(shard_id)
+            return answer
+        shard.transport.execute = execute
+    return log
 
 
 @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
@@ -40,11 +78,13 @@ def test_routing_accounting_is_consistent(collection):
 
 
 def test_narrow_sector_prunes_more_shards(collection):
-    """Direction-aware routing: narrower sectors dispatch fewer shards."""
+    """Direction-aware routing: the sector test alone (``shards_pruned``,
+    decided before any shard is asked) rules out more shards as the
+    interval narrows."""
     rng = random.Random(99)
     widths = [2 * math.pi, math.pi / 2, math.pi / 8]
     with ShardRouter(collection, num_shards=8, partitioner="grid") as router:
-        dispatched = []
+        pruned = []
         for width in widths:
             total = 0
             for _ in range(30):
@@ -52,9 +92,9 @@ def test_narrow_sector_prunes_more_shards(collection):
                 alpha = rng.uniform(0, 2 * math.pi)
                 q = DirectionalQuery.make(x, y, alpha, alpha + width,
                                           ["cafe"], 5)
-                total += router.execute(q).shards_dispatched
-            dispatched.append(total)
-    assert dispatched[0] > dispatched[-1]
+                total += router.execute(q).shards_pruned
+            pruned.append(total)
+    assert pruned[0] < pruned[1] < pruned[2]
 
 
 def test_zero_df_keyword_prunes_every_shard(collection, reference):
@@ -80,6 +120,107 @@ def test_early_termination_skips_far_shards(collection, reference):
             assert entries_of(r.result) == \
                 entries_of(reference.search(query))
     assert skipped > 0
+
+
+def test_home_shard_bound_skips_the_far_shard(collection, reference):
+    """Bound-first: the shard holding ``q`` answers alone, and its k-th
+    distance rules the other one out before it is ever asked."""
+    with ShardRouter(collection, num_shards=2, partitioner="grid") as router:
+        query = home_query(router, k=5)
+        r = router.execute(query)
+    assert (r.shards_dispatched, r.shards_skipped) == (1, 1)
+    assert entries_of(r.result) == entries_of(reference.search(query))
+
+
+def fixed_wave_dispatches(router, query):
+    """Shards asked by the fixed-wave rule bound-first replaced: every
+    ``max_fanout`` survivors go out together, the first wave unbounded."""
+    survivors, _, _ = router.plan(query)
+    merged, bound, dispatched = [], float("inf"), 0
+    for start in range(0, len(survivors), router.max_fanout):
+        wave = [shard for mindist, shard
+                in survivors[start:start + router.max_fanout]
+                if mindist <= bound]
+        dispatched += len(wave)
+        for shard in wave:
+            merged.extend(shard.globalize(
+                shard.transport.execute(query)[0].result))
+        merged.sort()
+        del merged[query.k:]
+        if len(merged) == query.k:
+            bound = merged[-1].distance
+    return dispatched
+
+
+@pytest.mark.parametrize("max_fanout", [1, 2, 4])
+@pytest.mark.parametrize("num_shards", [2, 4, 8])
+def test_dispatch_is_a_subset_of_the_fixed_wave_rule(collection, num_shards,
+                                                     max_fanout):
+    with ShardRouter(collection, num_shards=num_shards, partitioner="grid",
+                     max_fanout=max_fanout) as router:
+        for query in make_corpus():
+            r = router.execute(query)
+            assert r.shards_dispatched <= fixed_wave_dispatches(router, query)
+            assert entries_of(r.result) == \
+                entries_of(brute_force_search(collection, query))
+
+
+def test_caller_runs_one_call_of_every_wave(collection):
+    """A one-shard wave never leaves the calling thread; a wider wave
+    hands all but one call to the ``desks-shard`` pool."""
+    with ShardRouter(collection, num_shards=4, partitioner="grid") as router:
+        log = intercept(router)
+        # k exceeds every match: no bound ever exists, nothing is skipped.
+        router.execute(home_query(router, k=len(collection)))
+    caller = threading.current_thread().name
+    assert log[0] == (0, caller)
+    assert sorted(name == caller for _, name in log[1:]) == \
+        [False, False, True]
+    assert all(name == caller or name.startswith("desks-shard")
+               for _, name in log)
+
+
+def test_hash_first_wave_is_still_max_fanout_wide(collection):
+    """Every hash shard's MBR is the whole extent: all MINDISTs tie at 0,
+    so the leading tie group is cut by the wave cap alone."""
+    tracer = Tracer()
+    with ShardRouter(collection, num_shards=8, partitioner="hash",
+                     max_fanout=4) as router:
+        with tracer.activate():
+            router.execute(DirectionalQuery.make(50, 50, *FULL_CIRCLE,
+                                                 ["cafe"], 5))
+    assert [wave.attrs["shards_dispatched"]
+            for wave in tracer.find_all("router.wave")] == [4, 4]
+
+
+def test_lost_home_shard_leaves_the_rest_asked_unbounded(collection):
+    def lose_shard_zero(shard_id):
+        if shard_id == 0:
+            raise ShardUnavailableError(0, 1, None)
+
+    with ShardRouter(collection, num_shards=2, partitioner="grid") as router:
+        query = home_query(router, k=5)
+        far = router.shards[1]
+        expected = far.globalize(far.transport.execute(query)[0].result)
+        log = intercept(router, before=lose_shard_zero)
+        r = router.execute(query)
+    assert [shard_id for shard_id, _ in log] == [0, 1]
+    assert (r.shards_dispatched, r.shards_skipped) == (2, 0)
+    assert r.result.partial and r.unavailable_shards == (0,)
+    assert r.result.entries == expected
+
+
+@pytest.mark.parametrize("max_fanout", [1, 4])
+def test_deadline_spent_by_the_first_wave_abandons_the_rest(collection,
+                                                            max_fanout):
+    with ShardRouter(collection, num_shards=4, partitioner="grid",
+                     max_fanout=max_fanout) as router:
+        log = intercept(router, after=lambda shard_id: time.sleep(0.1))
+        r = router.execute(home_query(router, k=len(collection)),
+                           timeout=0.05)
+    assert [shard_id for shard_id, _ in log] == [0]
+    assert r.deadline_expired and r.result.partial
+    assert (r.shards_dispatched, r.shards_skipped) == (1, 3)
 
 
 def test_plan_orders_by_mindist(collection):

@@ -1,5 +1,7 @@
 """Trace context must survive thread pools — and cost nothing when off."""
 
+import math
+
 import pytest
 
 from repro.cluster import ShardRouter
@@ -122,6 +124,27 @@ class TestRouterPropagation:
                 assert child.find("engine.execute") is not None
         # Fanout bounds the spans per wave.
         assert all(len(w.children) <= 2 for w in waves)
+
+    def test_first_wave_is_the_home_shard_alone(self, collection):
+        """Bound-first: wave 0 of a grid query asks only the shard that
+        holds ``q`` — on the calling thread, still timed as a hand-off."""
+        query = make_query(alpha=0.0, width=2 * math.pi, keywords=("cafe",))
+        tracer = Tracer()
+        with ShardRouter(collection, num_shards=4, partitioner="grid",
+                         num_bands=4, num_wedges=5) as router:
+            with tracer.activate():
+                response = router.execute(query)
+        root = tracer.find("router.execute")
+        waves = root.find_all("router.wave")
+        (home,) = waves[0].children
+        assert home.name == "router.shard"
+        assert home.attrs["mindist"] == 0.0
+        assert home.attrs["queue_wait_seconds"] >= 0.0
+        assert waves[0].attrs["shards_dispatched"] == 1
+        assert root.attrs["waves"] == len(waves)
+        assert root.attrs["shards_dispatched"] == \
+            response.shards_dispatched == len(root.find_all("router.shard"))
+        assert root.attrs["shards_skipped"] == response.shards_skipped
 
     def test_root_annotations_match_response(self, collection):
         queries = make_queries(10, seed=5)
