@@ -35,7 +35,7 @@ def _avg_reads(index, searcher, queries, cold: bool) -> float:
     for query in queries:
         if cold:
             index.drop_caches()
-        searcher.search(query, PruningMode.RD)
+        searcher.search_regions(query, PruningMode.RD)
     return index.io_stats.logical_reads / len(queries), \
         index.io_stats.physical_reads / len(queries)
 
@@ -72,7 +72,7 @@ def test_ablation_buffer_capacity(datasets):
         searcher = DesksSearcher(index)
         index.io_stats.reset()
         for query in queries:
-            searcher.search(query, PruningMode.RD)
+            searcher.search_regions(query, PruningMode.RD)
         physicals.append(index.io_stats.physical_reads / len(queries))
         index.close()
     table = format_series_table(
@@ -123,8 +123,8 @@ def test_ablation_sliced_vs_compressed_layout(datasets):
         distances = []
         for query in queries:
             index.drop_caches()  # cold per query: isolates layout cost
-            distances.append(searcher.search(query,
-                                             PruningMode.RD).distances())
+            distances.append(searcher.search_regions(
+                query, PruningMode.RD).distances())
         rows[layout] = {
             "size_kb": index.size_bytes / 1024.0,
             "reads": index.io_stats.logical_reads / len(queries),
@@ -160,6 +160,6 @@ def test_ablation_disk_vs_memory_same_answers(datasets):
     mem_searcher = DesksSearcher(mem_index)
     queries = generate_queries(collection, 20, 2, WIDTH, k=10, seed=28)
     for query in queries:
-        d = disk_searcher.search(query, PruningMode.RD, SearchStats())
-        m = mem_searcher.search(query, PruningMode.RD, SearchStats())
+        d = disk_searcher.search_regions(query, PruningMode.RD, SearchStats())
+        m = mem_searcher.search_regions(query, PruningMode.RD, SearchStats())
         assert d.distances() == m.distances()

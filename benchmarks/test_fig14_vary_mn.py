@@ -72,6 +72,6 @@ def test_benchmark_desks_query_default_mn(benchmark, datasets,
 
     def run():
         for q in queries:
-            searcher.search(q, PruningMode.RD)
+            searcher.search_regions(q, PruningMode.RD)
 
     benchmark(run)

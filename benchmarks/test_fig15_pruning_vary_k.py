@@ -74,6 +74,6 @@ def test_benchmark_desks_rd_k10(benchmark, datasets, desks_searchers):
 
     def run():
         for q in queries:
-            searcher.search(q, PruningMode.RD)
+            searcher.search_regions(q, PruningMode.RD)
 
     benchmark(run)

@@ -88,7 +88,7 @@ def test_benchmark_desks_narrow_direction(benchmark, datasets,
 
     def run():
         for q in queries:
-            searcher.search(q, PruningMode.RD)
+            searcher.search_regions(q, PruningMode.RD)
 
     benchmark(run)
 

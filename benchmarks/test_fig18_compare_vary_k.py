@@ -80,6 +80,6 @@ def test_benchmark_desks_k100(benchmark, datasets, desks_searchers):
 
     def run():
         for q in queries:
-            searcher.search(q, PruningMode.RD)
+            searcher.search_regions(q, PruningMode.RD)
 
     benchmark(run)

@@ -76,6 +76,6 @@ def test_benchmark_desks_five_keywords(benchmark, datasets,
 
     def run():
         for q in queries:
-            searcher.search(q, PruningMode.RD)
+            searcher.search_regions(q, PruningMode.RD)
 
     benchmark(run)

@@ -43,8 +43,8 @@ def _sweep_increase(collection, searcher):
             inc.initial_search(query)
             wider = query.interval.widen(grow / 2, grow / 2)
             inc.increase_direction(wider, stats=incre_stats)
-            searcher.search(query.with_interval(wider), PruningMode.RD,
-                            scratch_stats)
+            searcher.search_regions(query.with_interval(wider),
+                                    PruningMode.RD, scratch_stats)
         incre_col.append(_avg_pois(incre_stats, QUERIES))
         scratch_col.append(_avg_pois(scratch_stats, QUERIES))
     return incre_col, scratch_col
@@ -61,7 +61,7 @@ def _sweep_move(collection, searcher):
             inc = IncrementalSearcher(searcher, PruningMode.RD)
             inc.initial_search(query)
             inc.move_direction(delta, stats=incre_stats)
-            searcher.search(
+            searcher.search_regions(
                 query.with_interval(query.interval.rotate(delta)),
                 PruningMode.RD, scratch_stats)
         incre_col.append(_avg_pois(incre_stats, QUERIES))

@@ -45,7 +45,7 @@ def test_io_comparison(datasets, baseline_indexes):
         desks.io_stats.reset()
         for query in queries:
             desks.drop_caches()  # cold pool: every page read is physical
-            searcher.search(query, PruningMode.RD)
+            searcher.search_regions(query, PruningMode.RD)
         cols["Desks (pages)"].append(
             desks.io_stats.logical_reads / len(queries))
         for name, index in (("MIR2-tree (nodes)", mir2),

@@ -64,7 +64,7 @@ def run_workload(method: str, search_fn: SearchFn,
 def desks_search_fn(searcher, mode) -> SearchFn:
     """Adapter for :class:`~repro.core.DesksSearcher` at a pruning mode."""
     def fn(query, stats):
-        return searcher.search(query, mode, stats)
+        return searcher.search_regions(query, mode, stats)
     return fn
 
 

@@ -222,12 +222,15 @@ class MutableDesksIndex:
             searcher = self._searcher
             delta = self._delta
             deleted = set(self._deleted) if self._deleted else self._deleted
-        if deleted:
-            # Tombstones may knock answers out of the static top-k; ask the
-            # static index for enough extras to guarantee k live results.
+        # Tombstones may knock answers out of the static top-k; ask the
+        # static index for enough extras to guarantee k live results.  Only
+        # a tombstone inside its id range can: one on a delta POI buries
+        # nothing the static search could return.
+        static_size = len(searcher.index.collection)
+        buried = sum(1 for poi_id in deleted if poi_id < static_size)
+        if buried:
             inflated = DirectionalQuery(query.location, query.interval,
-                                        query.keywords,
-                                        query.k + len(deleted),
+                                        query.keywords, query.k + buried,
                                         query.match_mode)
             indexed = searcher.search(inflated, mode, stats,
                                       deadline=deadline)

@@ -16,7 +16,9 @@ Classic System-R style estimation adapted to the paper's query class:
 Estimates drive nothing in the search algorithms (DESKS's pruning needs no
 statistics); they exist for planning-style uses — workload sizing, CLI
 hints, sanity checks — and are validated by correlation tests, not by
-exactness.
+exactness.  The one statistic the searcher does act on is exact, not
+estimated: the keywords' document frequencies decide between the posting
+walk and the region search (:meth:`repro.core.DesksSearcher.search`).
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ the previous query's k answers and supports two updates:
   if that already yields k answers within the old ``d_k`` the overlap needs
   no re-examination, otherwise the query is answered from scratch (the
   paper's fallback for large rotations).
+
+Every search here is :meth:`DesksSearcher.search_regions`: a seeded ``d_k``
+saves work only where the search prunes by it, and the posting walk of
+:meth:`DesksSearcher.search` prunes nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class IncrementalSearcher:
     def initial_search(self, query: DirectionalQuery,
                        stats: Optional[SearchStats] = None) -> QueryResult:
         """Answer ``query`` from scratch and prime the cache."""
-        result = self.searcher.search(query, self.mode, stats)
+        result = self.searcher.search_regions(query, self.mode, stats)
         self._cache = CachedAnswer(query, list(result.entries))
         return result
 
@@ -91,7 +95,7 @@ class IncrementalSearcher:
         entries = list(cache.entries)
         for wedge in _wedges(old, grow_lower, grow_upper):
             wedge_query = new_query.with_interval(wedge)
-            partial = self.searcher.search(
+            partial = self.searcher.search_regions(
                 wedge_query, self.mode, stats, seed_entries=entries)
             entries = list(partial.entries)
         result = QueryResult(entries)
@@ -123,7 +127,7 @@ class IncrementalSearcher:
             wedge = DirectionInterval(old.upper, old.upper + delta)
         else:
             wedge = DirectionInterval(old.lower + delta, old.lower)
-        wedge_result = self.searcher.search(
+        wedge_result = self.searcher.search_regions(
             new_query.with_interval(wedge), self.mode, stats,
             seed_entries=retained)
         merged = list(wedge_result.entries)
@@ -144,7 +148,7 @@ class IncrementalSearcher:
                 overlap = DirectionInterval(old.lower + delta, old.upper)
             else:
                 overlap = DirectionInterval(old.lower, old.upper + delta)
-            overlap_result = self.searcher.search(
+            overlap_result = self.searcher.search_regions(
                 new_query.with_interval(overlap), self.mode, stats,
                 seed_entries=merged)
             result = QueryResult(list(overlap_result.entries))
@@ -175,7 +179,7 @@ class IncrementalSearcher:
             if new_query.matches(poi.location, poi.keywords):
                 seeds.append(ResultEntry(
                     entry.poi_id, new_location.distance_to(poi.location)))
-        result = self.searcher.search(new_query, self.mode, stats,
+        result = self.searcher.search_regions(new_query, self.mode, stats,
                                       seed_entries=seeds)
         self._cache = CachedAnswer(new_query, list(result.entries))
         return result

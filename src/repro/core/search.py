@@ -1,14 +1,31 @@
-"""DESKS query processing — Algorithms 1 and 2 of the paper.
+"""DESKS query processing — Algorithms 1 and 2 of the paper, and when to
+skip them.
 
-One engine answers both the basic query (Algorithm 1, interval within one
-quadrant) and the general query (Algorithm 2): the interval is decomposed
-into per-quadrant basic sub-queries, and a single priority queue of
-``(MINDIST, band)`` entries — spanning all participating anchors — drives a
-best-first scan sharing one top-k collector, exactly as Algorithm 2's
-region queue ``Q_R`` does.
+**The region search** (:meth:`DesksSearcher.search_regions`) is the
+paper's algorithm.  One engine answers both the basic query (Algorithm 1,
+interval within one quadrant) and the general query (Algorithm 2): the
+interval is decomposed into per-quadrant basic sub-queries, and a single
+priority queue of ``(MINDIST, band)`` entries — spanning all
+participating anchors — drives a best-first scan sharing one top-k
+collector, exactly as Algorithm 2's region queue ``Q_R`` does.
+
+**The posting walk** is ours.  The region lists, the ``MINDIST`` ranking
+and the wedge-by-wedge scan pay for themselves when a keyword fills the
+sub-regions and are pure overhead when it does not, so
+:meth:`DesksSearcher.search` first asks how many postings it would have
+to read — the rarest keyword's document frequency under ``ALL``, the sum
+of the keywords' frequencies under ``ANY`` — and when that is at most the
+number of sub-regions one anchor has (``N x M``) it reads those POI
+lists whole from one anchor's keyword store and verifies every holder
+(keyword predicate, direction, distance) through the same top-k
+collector.  Otherwise it runs the region search.  The choice is made from
+the query and the index alone; nothing selects it from outside, and both
+paths return ``sorted((distance, poi_id))[:k]`` of the matching POIs.
 
 The three pruning configurations evaluated in the paper's Section VI-B map
-onto two switches:
+onto two switches.  They switch pruning *inside* the region search; the
+posting walk prunes nothing and ignores them, and the answers never
+depend on them:
 
 ========== ===================== =========================
 mode        region pruning         direction pruning
@@ -28,12 +45,21 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..storage import SearchStats
 from ..text import intersect_sorted, union_sorted
 from ..trace.spans import Span, Tracer, current_tracer
-from .index import AnchorIndex, DesksIndex
+from .index import POIS_PER_SUBREGION, AnchorIndex, DesksIndex
 from .mindist import (
     BasicQueryGeometry,
     band_mindist,
@@ -53,6 +79,8 @@ _BAND_COUNTERS = ("subregions_kept", "subregions_window_pruned",
 #: The band counters that roll up, same-named, into the ``desks.search`` root.
 _ROOT_SUMS = ("pages_read", "pois_fetched", "pois_verified",
               "subregions_examined", "mindist_evaluations")
+#: What a ``desks.postings`` span rolls up into the root.
+_POSTING_SUMS = ("pages_read", "pois_fetched", "pois_verified")
 
 
 class SupportsExpired:
@@ -157,12 +185,13 @@ class _Subquery:
 class DesksSearcher:
     """Answers direction-aware spatial keyword queries over a DesksIndex.
 
-    The best-first driver (Algorithm 2's region queue, Lemma 1,
-    FINDCANDREGIONS) is the only one in the repository.  What a subclass
-    may replace is the scanner seam — ``_resolve_terms``, ``_anchor``,
-    ``_postings`` and ``_scan_wedge`` (FINDCANDPOIS): here posting lists
-    read through the page store, in :mod:`repro.kernel.search` slices of
-    the columnar snapshot.
+    The access-path choice, the posting walk and the best-first driver
+    (Algorithm 2's region queue, Lemma 1, FINDCANDREGIONS) are the only
+    ones in the repository.  What a subclass may replace is the region
+    search's scanner seam — ``_resolve_terms``, ``_anchor``, ``_postings``
+    and ``_scan_wedge`` (FINDCANDPOIS): here posting lists read through
+    the page store, in :mod:`repro.kernel.search` slices of the columnar
+    snapshot.
     """
 
     def __init__(self, index: DesksIndex) -> None:
@@ -179,7 +208,10 @@ class DesksSearcher:
         """The k nearest POIs satisfying keyword and direction constraints.
 
         Answers are ordered by ``(distance, poi_id)``, ties at the k-th
-        distance included.
+        distance included.  A query whose keywords have no more postings
+        to read than one anchor has sub-regions is answered by verifying
+        those postings (:meth:`_posting_plan`); every other query by
+        :meth:`search_regions`.  The answers are the same either way.
 
         ``seed_entries`` pre-populates the top-k collector — the incremental
         algorithms of Section V pass cached answers here so ``d_k`` starts
@@ -187,23 +219,48 @@ class DesksSearcher:
 
         ``deadline`` is any object with an ``expired() -> bool`` method
         (e.g. :class:`repro.service.Deadline`).  The best-first scan checks
-        it cooperatively between bands and between sub-regions; on expiry
-        the search stops and returns the best answers found so far with
+        it cooperatively between bands and between sub-regions, the posting
+        walk once per sub-region's worth of POIs; on expiry the search
+        stops and returns the best answers found so far with
         ``partial=True`` instead of raising — graceful degradation for the
         serving layer.  Every returned entry is still a verified answer.
 
         When a :class:`repro.trace.Tracer` is active in the calling context
-        the search records a ``desks.search`` span tree as it goes
-        (prepare / sub-query / band / wedge stages with page-read and
-        pruning attribution; the root totals reconcile with
-        :class:`~repro.storage.SearchStats` / ``IOStats``, partial results
-        included); with no active tracer the only cost is one
-        ``ContextVar`` lookup.
+        the search records a ``desks.search`` span tree as it goes — one
+        ``desks.postings`` stage, or the region search's prepare /
+        sub-query / band / wedge stages with page-read and pruning
+        attribution; the root totals reconcile with
+        :class:`~repro.storage.SearchStats` / ``IOStats`` on either path,
+        partial results included.  With no active tracer the only cost is
+        one ``ContextVar`` lookup.
         """
+        return self._search(query, mode, stats, seed_entries, deadline, True)
+
+    def search_regions(self, query: DirectionalQuery,
+                       mode: PruningMode = PruningMode.RD,
+                       stats: Optional[SearchStats] = None,
+                       seed_entries: Optional[Iterable[ResultEntry]] = None,
+                       deadline: Optional["SupportsExpired"] = None,
+                       ) -> QueryResult:
+        """Algorithms 1-2 whatever the keywords' frequencies.
+
+        The paper's algorithm under its own name: what :meth:`search` runs
+        for popular keywords, what the posting walk is tested against, and
+        what the paper-figure drivers time.  Same arguments, answers,
+        deadline behaviour and span tree as :meth:`search`.
+        """
+        return self._search(query, mode, stats, seed_entries, deadline, False)
+
+    def _search(self, query: DirectionalQuery, mode: PruningMode,
+                stats: Optional[SearchStats],
+                seed_entries: Optional[Iterable[ResultEntry]],
+                deadline: Optional["SupportsExpired"],
+                posting_first: bool) -> QueryResult:
+        """Open the ``desks.search`` root when traced, then search."""
         tracer = current_tracer()
         if tracer is None:
             return self._search_impl(query, mode, stats, seed_entries,
-                                     deadline)
+                                     deadline, posting_first)
         with tracer.span("desks.search", mode=mode.name, k=query.k,
                          results=0, partial=False, terminated_early=False,
                          bands_scanned=0, bands_skipped_lemma1=0,
@@ -211,7 +268,7 @@ class DesksSearcher:
                          subregions_examined=0, subregions_pruned=0,
                          mindist_evaluations=0) as root:
             result = self._search_impl(query, mode, stats, seed_entries,
-                                       deadline, tracer, root)
+                                       deadline, posting_first, tracer, root)
             root.annotate(results=len(result), partial=result.partial)
         return result
 
@@ -220,17 +277,26 @@ class DesksSearcher:
                      stats: Optional[SearchStats],
                      seed_entries: Optional[Iterable[ResultEntry]],
                      deadline: Optional["SupportsExpired"],
+                     posting_first: bool,
                      tracer: Optional[Tracer] = None,
                      root: Optional[Span] = None) -> QueryResult:
         """The search body; ``root`` is the open ``desks.search`` span."""
         collector = _TopK(query.k, seed=seed_entries)
         conjunctive = query.match_mode is MatchMode.ALL
+        term_ids = self._resolve_terms(query.keywords, conjunctive)
+        if posting_first and term_ids is not None:
+            plan = self._posting_plan(term_ids, conjunctive)
+            if plan is not None:
+                completed = self._walk_postings(
+                    query, term_ids, plan, collector, stats, deadline,
+                    tracer, root)
+                return QueryResult(collector.entries(),
+                                   partial=not completed)
         if tracer is not None:
             io = self.index.io_stats
             pages_before = io.logical_reads
             prepare = tracer.record("desks.prepare", parent=root,
                                     pages_read=0, subqueries=0)
-        term_ids = self._resolve_terms(query.keywords, conjunctive)
         if term_ids is None:
             return QueryResult(collector.entries())
         subqueries = self._prepare_subqueries(query, term_ids)
@@ -252,7 +318,90 @@ class DesksSearcher:
             raise ValueError(
                 "search_basic() needs a single-quadrant interval; got "
                 f"{len(pieces)} pieces — use search() for complex queries")
-        return self.search(query, mode, stats)
+        return self.search_regions(query, mode, stats)
+
+    # -- the posting walk ---------------------------------------------------------
+
+    def _posting_plan(self, term_ids: Collection[int], conjunctive: bool,
+                      ) -> Optional[Tuple[AnchorIndex, Collection[int]]]:
+        """The access-path choice: ``(anchor, terms whose POI lists to
+        read)`` when verifying those lists is the cheaper plan, else
+        ``None`` (run the region search).
+
+        Under ``ALL`` every answer holds the rarest keyword, so its list
+        alone is read and the cost is its document frequency; under ``ANY``
+        every keyword's list is read and the cost is their sum.  That is
+        weighed against ``N x M``, the sub-regions an anchor is built with
+        — what the region search may have to intersect, rank and scan
+        before it reaches the same POIs, four anchors over for a full
+        circle.  Every anchor's store holds every posting, so the first
+        built one serves.
+        """
+        frequency = self._collection.vocabulary.doc_frequency
+        if conjunctive:
+            rarest = min(term_ids, key=frequency)
+            terms, postings = (rarest,), frequency(rarest)
+        else:
+            terms, postings = term_ids, sum(map(frequency, term_ids))
+        index = self.index
+        if postings > index.num_bands * index.num_wedges:
+            return None
+        anchor = next(filter(None, index.anchors), None)
+        if anchor is None:
+            return None
+        return anchor, terms
+
+    def _walk_postings(self, query: DirectionalQuery,
+                       term_ids: Collection[int],
+                       plan: Tuple[AnchorIndex, Collection[int]],
+                       collector: _TopK, stats: Optional[SearchStats],
+                       deadline: Optional["SupportsExpired"],
+                       tracer: Optional[Tracer],
+                       root: Optional[Span]) -> bool:
+        """Answer from whole POI lists; False when the deadline cut in.
+
+        Every holder of the keyword predicate is direction- and
+        distance-tested — there is no ``d_k`` to stop at, which is the
+        trade: a few more POIs examined than the region search would, none
+        of its region machinery.  ``SearchStats`` counts those POIs as the
+        wedge scan does, and no region or sub-region.
+        """
+        anchor, terms = plan
+        span = None
+        if tracer is not None:
+            io = self.index.io_stats
+            pages_before = io.logical_reads
+            span = tracer.record(
+                "desks.postings", parent=root, lists=0, postings=0,
+                subregions_per_anchor=(self.index.num_bands
+                                       * self.index.num_wedges),
+                pois_fetched=0, pois_verified=0, pages_read=0)
+        views = map(anchor.store.term_postings, terms)
+        lists = [view.pois() for view in views if view is not None]
+        candidates = (lists[0] if len(lists) == 1
+                      else list(set().union(*lists)))
+        if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
+            required = frozenset(term_ids)
+            held = self._collection.term_ids
+            candidates = [poi_id for poi_id in candidates
+                          if required <= held(poi_id)]
+        completed = True
+        # The region search looks at the clock between sub-regions; so
+        # does the walk, a sub-region being ~POIS_PER_SUBREGION POIs.
+        for start in range(0, len(candidates), POIS_PER_SUBREGION):
+            if deadline is not None and deadline.expired():
+                completed = False
+                break
+            self._verify_pois(
+                query, candidates[start:start + POIS_PER_SUBREGION],
+                collector, stats, span)
+        if span is not None:
+            span.ended = time.perf_counter()
+            span.annotate(lists=len(lists), postings=sum(map(len, lists)),
+                          pages_read=io.logical_reads - pages_before)
+            for key in _POSTING_SUMS:
+                root.add(key, span.attrs[key])
+        return completed
 
     # -- Algorithm 2 ------------------------------------------------------------
 
@@ -467,7 +616,7 @@ class DesksSearcher:
     # -- the scanner seam: keyword postings + FindCandPOIs ------------------------
 
     def _resolve_terms(self, keywords: FrozenSet[str],
-                       conjunctive: bool) -> Optional[Iterable[int]]:
+                       conjunctive: bool) -> Optional[Collection[int]]:
         """Term ids of the query keywords; ``None`` when nothing can match."""
         return self._collection.query_term_ids(keywords,
                                                require_all=conjunctive)
@@ -524,10 +673,19 @@ class DesksSearcher:
                 survivors.update(other)
             if not survivors:
                 return
+        self._verify_pois(query, survivors, collector, stats, span)
+
+    def _verify_pois(self, query: DirectionalQuery,
+                     poi_ids: Collection[int],
+                     collector: _TopK, stats: Optional[SearchStats],
+                     span: Optional[Span] = None) -> None:
+        """Direction- and distance-test POIs that satisfy the keyword
+        predicate, offering the survivors to the collector.  ``span``
+        counts them as ``pois_fetched`` / ``pois_verified``."""
         location = query.location
         if span is not None:
-            span.add("pois_fetched", len(survivors))
-        for poi_id in survivors:
+            span.add("pois_fetched", len(poi_ids))
+        for poi_id in poi_ids:
             if stats is not None:
                 stats.pois_examined += 1
                 stats.distance_computations += 1

@@ -65,6 +65,10 @@ class TermPostings:
                else self._num_pois)
         return self._read(pointers[idx], end)
 
+    def pois(self) -> Sequence[int]:
+        """The whole POI list ``LP_k``: every POI id holding the keyword."""
+        return self._read(0, self._num_pois)
+
 
 #: Per-POI term-id sets (``poi_term_ids[poi_id]``), raw or already flattened.
 PoiTermIds = Union["TermPairs", Sequence[Collection[int]]]

@@ -1,16 +1,20 @@
 """Vectorised band/wedge scan over the columnar snapshot.
 
 ``ColumnarSearcher`` is a drop-in replacement for
-:class:`~repro.core.search.DesksSearcher`: same ``search`` signature,
-same spans, same ``SearchStats`` counters, bit-identical answers.  The
-*decisions* — band order (Eq. 4), Lemma 1 skips and termination, the
-Lemma 2-4 wedge window, and every per-wedge ``MINDIST`` (Table I) —
-are not re-implemented here: the class inherits ``DesksSearcher``'s
-best-first driver and overrides only its scanner seam, so pruning
-counts are identical by construction.  What is vectorised is the
-per-POI verification inside each wedge: keyword-run intersection,
-direction membership, and the distance prefilter run as whole-array
-operations.
+:class:`~repro.core.search.DesksSearcher`: same ``search`` and
+``search_regions`` signatures, same spans, same ``SearchStats`` counters,
+bit-identical answers — on both access paths.  The *decisions* — whether a
+query's keywords are rare enough to verify their posting lists whole, and
+in the region search the band order (Eq. 4), Lemma 1 skips and
+termination, the Lemma 2-4 wedge window, and every per-wedge ``MINDIST``
+(Table I) — are not re-implemented here: the class inherits
+``DesksSearcher``'s driver and overrides only the region search's scanner
+seam, so the path taken and the pruning counts are identical by
+construction.  The posting walk is inherited whole (it reads the source
+index's keyword store; a dozen POIs leave nothing to vectorise).  What is
+vectorised is the per-POI verification inside each wedge: keyword-run
+intersection, direction membership, and the distance prefilter run as
+whole-array operations.
 
 Bit-exactness is kept by a prefilter-then-confirm discipline, because
 ``np.arctan2`` / ``np.hypot`` are *not* guaranteed bit-identical to
@@ -131,8 +135,9 @@ class _TermPlan:
 class ColumnarSearcher(DesksSearcher):
     """Answers DESKS queries over a :class:`ColumnarSnapshot`.
 
-    ``search`` is :meth:`DesksSearcher.search` itself — same contract,
-    same answers; only the scanner seam below is overridden.  Accepts
+    ``search`` and ``search_regions`` are :class:`DesksSearcher`'s own —
+    same contract, same answers, same access-path choice; only the region
+    search's scanner seam below is overridden.  Accepts
     either a frozen :class:`~repro.core.index.DesksIndex` (a snapshot is
     compiled on the spot) or a prebuilt snapshot — engine worker pools
     share one snapshot across searchers.  The per-instance plan caches

@@ -6,7 +6,9 @@ and packages three views of it into an :class:`ExplainReport`:
 * **plan** — what the searcher will do before touching data: the quadrant
   decomposition of the direction interval (paper Sec. IV-B), which pruning
   lemmas are armed, and the index shape (bands × wedges per anchor);
-* **actuals** — what it did: bands scanned vs skipped by Lemma 1,
+* **actuals** — what it did: which access path answered (``postings``:
+  the keywords were rare enough that their POI lists were verified whole;
+  ``regions``: Algorithms 1-2), bands scanned vs skipped by Lemma 1,
   sub-regions window-pruned (Lemmas 2-4) vs MINDIST-pruned, POIs fetched
   and verified, logical page reads, the full span tree;
 * **reconciliation** — the span totals checked *exactly* against the
@@ -166,6 +168,9 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
             "pages_read", total("pages_read"), io_delta.logical_reads))
 
     actuals = {
+        # The searcher chooses per query; the span tree is the record.
+        "access_path": ("postings" if tracer.find("desks.postings")
+                        is not None else "regions"),
         "seconds": root.seconds if root is not None else 0.0,
         "results": len(result),
         "partial": result.partial,

@@ -40,6 +40,29 @@ def random_queries(rng, count, extent=100.0, pool=KEYWORD_POOL):
     return queries
 
 
+def with_rare_keyword(collection):
+    """``collection`` plus six holders of ``kiosk`` — few enough that a
+    searcher over it (or over a shard of it) walks the posting list
+    instead of the regions on any grid of six sub-regions or more."""
+    rare = [POI.make(len(collection) + i, 9.0 + 16.0 * i, 88.0 - 15.0 * i,
+                     ["kiosk", "cafe"] if i % 2 else ["kiosk"])
+            for i in range(6)]
+    return POICollection(list(collection) + rare)
+
+
+def rare_keyword_queries():
+    """Queries on ``kiosk`` from inside, on a holder, and outside."""
+    import math
+
+    from repro.core import DirectionalQuery
+
+    return [DirectionalQuery.make(x, y, alpha, alpha + width, keywords, k)
+            for x, y in ((50.0, 50.0), (9.0, 88.0), (-10.0, 120.0))
+            for alpha, width in ((0.0, 2 * math.pi), (5.0, 2.0))
+            for keywords in (["kiosk"], ["kiosk", "cafe"])
+            for k in (1, 3, 10)]
+
+
 def entries_of(result):
     """Comparable (poi_id, distance) pairs of a QueryResult."""
     return [(e.poi_id, e.distance) for e in result.entries]

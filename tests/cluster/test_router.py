@@ -13,12 +13,17 @@ from repro.cluster import (
     ShardUnavailableError,
     build_layout,
 )
-from repro.core import DirectionalQuery
+from repro.core import DesksIndex, DesksSearcher, DirectionalQuery
 from repro.core.bruteforce import brute_force_search
 from repro.trace import Tracer
 
 from ..kernel.conftest import make_corpus
-from .conftest import entries_of, random_queries
+from .conftest import (
+    entries_of,
+    random_queries,
+    rare_keyword_queries,
+    with_rare_keyword,
+)
 
 FULL_CIRCLE = (0.0, 2 * math.pi)
 
@@ -62,6 +67,29 @@ def test_sharded_equals_unsharded(collection, reference, partitioner,
             assert not got.degraded
             assert entries_of(got.result) == \
                 entries_of(reference.search(query))
+
+
+def test_two_shards_on_rare_keywords_equal_the_region_search(collection):
+    """Each shard picks its access path from its *own* document
+    frequencies; the merged answer must not depend on the picks."""
+    grown = with_rare_keyword(collection)
+    reference = DesksSearcher(DesksIndex(grown, num_bands=4, num_wedges=5))
+    queries = rare_keyword_queries()
+    with ShardRouter(grown, num_shards=2, num_bands=4,
+                     num_wedges=5) as router:
+        posted = 0
+        for query in queries:
+            tracer = Tracer()
+            with tracer.activate():
+                got = router.execute(query)
+            posted += len(tracer.find_all("desks.postings"))
+            assert tracer.find_all("desks.prepare") == []
+            assert not got.degraded
+            assert entries_of(got.result) == \
+                entries_of(reference.search_regions(query))
+            assert entries_of(got.result) == \
+                entries_of(brute_force_search(grown, query))
+        assert posted >= len(queries)
 
 
 def test_routing_accounting_is_consistent(collection):

@@ -110,6 +110,32 @@ class TestMutableIndexQueries:
         idx.delete(target.poi_id)
         assert target.poi_id not in idx.search(q).poi_ids()
 
+    def test_static_k_grows_only_by_static_tombstones(self, monkeypatch):
+        """A tombstone on a delta POI buries nothing the static search can
+        return, so it must not inflate the static search's k."""
+        col = make_collection(50, seed=8)
+        idx = MutableDesksIndex(col, num_bands=3, num_wedges=3,
+                                rebuild_threshold=1.0)
+        asked = []
+        real = idx._searcher.search
+
+        def recording(query, *args, **kwargs):
+            asked.append(query.k)
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(idx._searcher, "search", recording)
+        q = DirectionalQuery.undirected(50.0, 50.0, ["cafe"], 4)
+        first = idx.insert(50.0, 50.5, ["cafe"])
+        second = idx.insert(50.5, 50.0, ["cafe"])
+        assert idx.delete(first) and idx.delete(second)
+        assert brute_force_over(idx.live_pois(), q) == \
+            idx.search(q).distances()
+        assert asked == [4]
+        assert idx.delete(0)
+        assert brute_force_over(idx.live_pois(), q) == \
+            idx.search(q).distances()
+        assert asked == [4, 5]
+
     def test_matches_oracle_through_update_stream(self):
         """Random inserts/deletes/queries stay exact at every step.
 

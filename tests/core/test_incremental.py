@@ -159,6 +159,42 @@ class TestIncreaseDirection:
         assert inc_total < fresh_total
 
 
+    def test_incremental_prunes_where_search_would_walk_postings(self, setup):
+        """On a grid fine enough that ``search()`` answers ``food`` from
+        its posting list (every holder examined, seed or no seed), the
+        incremental searches must still be the region search, where the
+        cached ``d_k`` cuts work."""
+        col, _ = setup
+        searcher = DesksSearcher(DesksIndex(col, num_bands=10,
+                                            num_wedges=20))
+        vocabulary = col.vocabulary
+        holders = vocabulary.doc_frequency(vocabulary.id_of("food"))
+        assert holders <= 10 * 20
+        rng = random.Random(78)
+        inc = IncrementalSearcher(searcher)
+        inc_total = fresh_total = 0
+        for _ in range(40):
+            x, y = rng.uniform(20, 80), rng.uniform(20, 80)
+            a = rng.uniform(0, 2 * math.pi)
+            q = DirectionalQuery.make(x, y, a, a + math.pi / 3,
+                                      ["food"], 10)
+            inc.initial_search(q)
+            wider = q.interval.widen(math.pi / 36, math.pi / 36)
+
+            inc_stats = SearchStats()
+            got = inc.increase_direction(wider, stats=inc_stats)
+            inc_total += inc_stats.pois_examined
+
+            fresh_stats = SearchStats()
+            fresh = searcher.search(q.with_interval(wider),
+                                    stats=fresh_stats)
+            assert fresh_stats.pois_examined == holders
+            assert fresh_stats.regions_examined == 0
+            fresh_total += fresh_stats.pois_examined
+            assert_same_distances(got, fresh)
+        assert inc_total < fresh_total
+
+
 class TestMoveDirection:
     def test_matches_from_scratch_small_moves(self, setup):
         col, searcher = setup

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.cluster import ShardUnavailableError
+from repro.core import DesksIndex, DesksSearcher, DirectionalQuery
 from repro.net import (
     OverloadError,
     RemoteReplicaSet,
@@ -29,7 +30,8 @@ from repro.net.protocol import (
     encode_search_request,
 )
 
-from .conftest import entries_of, random_queries
+from ..cluster.conftest import rare_keyword_queries, with_rare_keyword
+from .conftest import entries_of, make_collection, random_queries
 
 
 # -- correctness --------------------------------------------------------------
@@ -108,6 +110,48 @@ def test_generous_budget_still_answers_fully(client, reference):
     remote = client.search(query, budget=30.0)
     assert not remote.partial
     assert entries_of(remote.result) == entries_of(reference.search(query))
+
+
+# -- rare keywords: the shard answers from posting lists ------------------------
+
+
+@pytest.fixture(scope="module")
+def rare_server():
+    """The module corpus plus a keyword rare enough that the shard's
+    searcher walks its posting list instead of the regions."""
+    index = DesksIndex(with_rare_keyword(make_collection()), num_bands=4,
+                       num_wedges=5)
+    srv = ShardServer(index, shard_id=0, num_workers=2).start()
+    yield srv, DesksSearcher(index)
+    srv.stop()
+
+
+def test_remote_rare_keyword_search_equals_the_region_search(rare_server):
+    srv, reference = rare_server
+    with RemoteShardClient(srv.address) as cli:
+        for query in rare_keyword_queries():
+            remote = cli.search(query)
+            assert not remote.partial
+            assert remote.stats.regions_examined == 0     # posting path
+            assert remote.stats.pois_examined > 0
+            assert entries_of(remote.result) == \
+                entries_of(reference.search_regions(query))
+
+
+def test_budget_spent_on_the_posting_path_is_a_typed_partial(rare_server):
+    """A budget that reaches the shard alive and dies before the walk:
+    the searcher's own deadline check answers, typed and empty."""
+    srv, _ = rare_server
+    before = srv.metrics.counter("net_deadline_expired_total").value
+    with RemoteShardClient(srv.address) as cli:
+        # k = 7: in no earlier query, so the result cache cannot answer.
+        query = DirectionalQuery.undirected(50.0, 50.0, ["kiosk"], k=7)
+        remote = cli.search(query, budget=1e-9)
+    assert remote.partial
+    assert remote.result.entries == []
+    assert remote.stats.pois_examined == 0
+    # Not the server's spent-on-arrival shortcut: the search ran.
+    assert srv.metrics.counter("net_deadline_expired_total").value == before
 
 
 # -- admission control --------------------------------------------------------
