@@ -204,11 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="inproc",
                          help="inproc: call the engine directly; socket: "
                               "drive a ShardServer over the wire protocol")
-    p_serve.add_argument("--kernel", choices=["object", "columnar"],
-                         default="object",
-                         help="search kernel: object-path DesksSearcher "
-                              "or the columnar batch kernel (static "
-                              "index, inproc only)")
     p_serve.add_argument("--batch", type=int, default=1,
                          help="queries per client batch (submit_batch "
                               "path when > 1)")
@@ -250,10 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="inproc: replicas on a shared thread "
                                 "pool; socket: one real shard-server "
                                 "process per (shard, replica)")
-    p_cluster.add_argument("--kernel", choices=["object", "columnar"],
-                           default="object",
-                           help="per-shard search kernel (columnar "
-                                "requires --transport inproc)")
     p_cluster.add_argument("--no-verify", action="store_true",
                            help="skip the unsharded equivalence check")
     p_cluster.add_argument("--metrics-json", metavar="PATH", default=None,
@@ -659,6 +650,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from .core import MutableDesksIndex
     from .service import QueryEngine, run_closed_loop
 
+    if args.transport == "socket" and args.inserts:
+        print("error: --inserts requires --transport inproc (mutations "
+              "are not part of the wire protocol yet)", file=sys.stderr)
+        return 2
     collection = load_csv(args.input)
     base = generate_queries(
         collection, args.queries, num_keywords=args.keywords,
@@ -666,30 +661,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     stream = repeated_stream(base, args.repeats, seed=args.seed)
     timeout = (args.timeout_ms / 1000.0
                if args.timeout_ms is not None else None)
-    if args.kernel == "columnar":
-        # The columnar snapshot is frozen at compile time, so the sweep
-        # serves a static index: no insert churn, no wire transport yet.
-        if args.inserts:
-            print("error: --kernel columnar serves a frozen snapshot; "
-                  "--inserts requires --kernel object", file=sys.stderr)
-            return 2
-        if args.transport == "socket":
-            print("error: --kernel columnar requires --transport inproc "
-                  "(shard servers run the object path)", file=sys.stderr)
-            return 2
-        index = DesksIndex(collection)
-    else:
-        index = MutableDesksIndex(collection)
-    if args.transport == "socket" and args.inserts:
-        print("error: --inserts requires --transport inproc (mutations "
-              "are not part of the wire protocol yet)", file=sys.stderr)
-        return 2
+    index = MutableDesksIndex(collection)
     rng = random.Random(args.seed)
     mbr = collection.mbr
     print(f"{len(collection)} POIs, {len(base)} distinct queries x "
           f"{args.repeats} repeats, {args.requests} req/client, "
-          f"think={args.think_ms:.1f} ms, kernel={args.kernel}, "
-          f"batch={args.batch}, transport={args.transport}")
+          f"think={args.think_ms:.1f} ms, batch={args.batch}, "
+          f"transport={args.transport}")
     with ExitStack() as stack:
         if args.transport == "socket":
             # Same index, same worker count, on a background thread of
@@ -713,7 +691,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         else:
             target = stack.enter_context(QueryEngine(
                 index, num_workers=args.workers, cache_capacity=args.cache,
-                default_timeout=timeout, kernel=args.kernel))
+                default_timeout=timeout))
             metrics = target.metrics
             shed_on = ()
         for num_clients in args.clients:
@@ -769,15 +747,10 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
             return 2
         injector = FaultInjector(seed=args.seed)
         injector.set_fault(replica_id=0, error_rate=args.fault_rate)
-    if args.kernel == "columnar" and args.transport == "socket":
-        print("error: --kernel columnar requires --transport inproc "
-              "(shard servers run the object path)", file=sys.stderr)
-        return 2
 
     print(f"{len(collection)} POIs, {len(queries)} queries, "
           f"partitioner={args.partitioner}, replicas={args.replicas}, "
-          f"fault_rate={args.fault_rate}, transport={args.transport}, "
-          f"kernel={args.kernel}")
+          f"fault_rate={args.fault_rate}, transport={args.transport}")
     print(f"{'shards':>7}{'avg ms':>10}{'pruned %':>10}{'retries':>9}"
           f"{'degraded':>10}{'mismatches':>12}")
     exit_code = 0
@@ -843,8 +816,7 @@ def _cluster_bench_router(args: argparse.Namespace, collection,
                            replication=args.replicas,
                            num_workers=args.workers,
                            max_fanout=args.fanout,
-                           fault_injector=injector,
-                           kernel=args.kernel)
+                           fault_injector=injector)
 
     import tempfile
 

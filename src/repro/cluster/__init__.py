@@ -36,6 +36,7 @@ from .partition import (
     shard_collection,
 )
 from .replica import (
+    SHARD_CACHE_CAPACITY,
     EngineEndpoint,
     FailoverSet,
     FaultInjector,
@@ -52,6 +53,7 @@ from .transport import ReplicaEndpoint, RequestRejected
 __all__ = [
     "PARTITIONERS",
     "SHARD_BUCKETS",
+    "SHARD_CACHE_CAPACITY",
     "ClusterLayout",
     "ClusterResponse",
     "ClusterStats",

@@ -18,9 +18,11 @@ one was handed in.  Only when no replica answers does the set raise
 
 :class:`ReplicaSet` is the in-process deployment: one
 :class:`EngineEndpoint` per replica, each a private
-:class:`~repro.service.QueryEngine` whose ``execute`` runs on the thread
-that called the set — the thread that called the router, or one of its
-``desks-shard`` pool threads when a wave asks more than one shard.
+:class:`~repro.service.QueryEngine` (``RD`` pruning, a
+:data:`SHARD_CACHE_CAPACITY`-entry result cache — what a shard server
+runs) whose ``execute`` runs on the thread that called the set — the
+thread that called the router, or one of its ``desks-shard`` pool threads
+when a wave asks more than one shard.
 :class:`~repro.net.RemoteReplicaSet` is the same loop over socket
 endpoints, with breakers, a retry budget, hedging and background probes.
 
@@ -40,11 +42,14 @@ from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..analysis import make_lock, register_shared
-from ..core import DesksIndex, DirectionalQuery, MutableDesksIndex, PruningMode
-from ..kernel import ColumnarSnapshot
+from ..core import DesksIndex, DirectionalQuery, MutableDesksIndex
 from ..service import Deadline, MetricsRegistry, QueryEngine, ServiceResponse
 from ..storage import PageCorruptionError
 from .transport import ReplicaEndpoint, RequestRejected
+
+#: Result-cache entries of one shard replica's engine — in-process here,
+#: and the default of a :class:`~repro.net.ShardServer` process.
+SHARD_CACHE_CAPACITY = 128
 
 
 class InjectedFault(RuntimeError):
@@ -422,24 +427,16 @@ class ReplicaSet(FailoverSet):
     def __init__(self, shard_id: int,
                  index: Union[DesksIndex, MutableDesksIndex],
                  replication: int,
-                 mode: PruningMode = PruningMode.RD,
-                 cache_capacity: int = 128,
                  fault_injector: Optional[FaultInjector] = None,
                  health_threshold: int = 3,
-                 metrics: Optional[MetricsRegistry] = None,
-                 kernel: str = "object") -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         # Replicas share the shard's (read-only) index; each gets a private
         # engine so caches and per-replica metrics stay independent, as
         # they would be on separate machines.
-        # Under the columnar kernel the shard is compiled ONCE and the
-        # frozen snapshot shared — replicating arrays buys nothing.
-        snapshot = (ColumnarSnapshot(index) if kernel == "columnar"
-                    and not isinstance(index, MutableDesksIndex) else None)
         super().__init__(shard_id, [
             (EngineEndpoint(
-                QueryEngine(index, num_workers=1, mode=mode,
-                            cache_capacity=cache_capacity, kernel=kernel,
-                            snapshot=snapshot),
+                QueryEngine(index, num_workers=1,
+                            cache_capacity=SHARD_CACHE_CAPACITY),
                 partial(fault_injector.before_call, shard_id, replica_id)
                 if fault_injector is not None else None), None)
             for replica_id in range(replication)

@@ -47,14 +47,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import (
     CardinalityEstimator,
     DesksIndex,
     DirectionalQuery,
     MatchMode,
-    PruningMode,
     QueryResult,
     ResultEntry,
     load_sharded,
@@ -158,44 +157,24 @@ class ShardRouter:
                  max_fanout: int = 4,
                  num_bands: Optional[int] = None,
                  num_wedges: Optional[int] = None,
-                 mode: PruningMode = PruningMode.RD,
-                 cache_capacity: int = 128,
                  fault_injector: Optional[FaultInjector] = None,
-                 health_threshold: int = 3,
                  metrics: Optional[MetricsRegistry] = None,
-                 kernel: str = "object",
-                 _prebuilt: Optional[Sequence[Tuple[ShardSpec,
-                                                    DesksIndex]]] = None,
                  ) -> None:
-        def local_shards() -> List[Shard]:
-            if _prebuilt is not None:
-                pairs = [(spec, index.collection, index)
-                         for spec, index in _prebuilt]
-            else:
-                pairs = []
-                for spec in build_layout(collection, num_shards,
-                                         partitioner).shards:
-                    sub = shard_collection(collection, spec)
-                    pairs.append((spec, sub,
-                                  DesksIndex(sub, num_bands, num_wedges)))
-            return [
-                Shard(spec, sub, index, ReplicaSet(
-                    spec.shard_id, index, replication, mode=mode,
-                    cache_capacity=cache_capacity,
-                    fault_injector=fault_injector,
-                    health_threshold=health_threshold,
-                    metrics=self.stats.registry,
-                    kernel=kernel))
-                for spec, sub, index in pairs]
+        def local_pairs() -> Iterable[Tuple[ShardSpec, DesksIndex]]:
+            for spec in build_layout(collection, num_shards,
+                                     partitioner).shards:
+                sub = shard_collection(collection, spec)
+                yield spec, DesksIndex(sub, num_bands, num_wedges)
 
-        self._init(local_shards, partitioner, num_workers, max_fanout, mode,
-                   kernel, fault_injector, metrics)
+        self._init(
+            lambda: self._replicate(local_pairs(), replication,
+                                    fault_injector),
+            partitioner, num_workers, max_fanout, metrics)
 
-    def _init(self, build_shards, partitioner: str, num_workers: int,
-              max_fanout: int, mode: PruningMode, kernel: str,
-              fault_injector: Optional[FaultInjector],
+    def _init(self, build_shards: Callable[[], List[Shard]],
+              partitioner: str, num_workers: int, max_fanout: int,
               metrics: Optional[MetricsRegistry]) -> None:
-        """The one initialiser behind both constructors.
+        """The one initialiser behind every constructor.
 
         ``build_shards()`` is called once the metrics registry exists
         (in-process replica sets record into it); everything derived from
@@ -205,10 +184,7 @@ class ShardRouter:
             raise ValueError(f"num_workers must be >= 1: {num_workers}")
         if max_fanout < 1:
             raise ValueError(f"max_fanout must be >= 1: {max_fanout}")
-        self.mode = mode
-        self.kernel = kernel
         self.max_fanout = max_fanout
-        self.fault_injector = fault_injector
         self.stats = ClusterStats(metrics)
         self.shards: List[Shard] = build_shards()
         self._executor = ThreadPoolExecutor(
@@ -219,6 +195,16 @@ class ShardRouter:
         self.num_shards = len(self.shards)
         self.replication = max(len(shard.transport) for shard in self.shards)
 
+    def _replicate(self, pairs: Iterable[Tuple[ShardSpec, DesksIndex]],
+                   replication: int,
+                   fault_injector: Optional[FaultInjector]) -> List[Shard]:
+        """In-process shards: a :class:`ReplicaSet` per ``(spec, index)``."""
+        return [Shard(spec, index.collection, index, ReplicaSet(
+                    spec.shard_id, index, replication,
+                    fault_injector=fault_injector,
+                    metrics=self.stats.registry))
+                for spec, index in pairs]
+
     @classmethod
     def from_transports(cls,
                         shards: Sequence[Tuple[ShardSpec, POICollection,
@@ -226,7 +212,6 @@ class ShardRouter:
                         partitioner: str = "remote",
                         num_workers: int = 8,
                         max_fanout: int = 4,
-                        mode: PruningMode = PruningMode.RD,
                         metrics: Optional[MetricsRegistry] = None,
                         ) -> "ShardRouter":
         """A router over pre-existing transports (e.g. remote servers).
@@ -245,8 +230,7 @@ class ShardRouter:
         router._init(
             lambda: [Shard(spec, collection, None, transport)
                      for spec, collection, transport in shards],
-            partitioner, num_workers, max_fanout, mode, "object", None,
-            metrics)
+            partitioner, num_workers, max_fanout, metrics)
         return router
 
     # -- routing ------------------------------------------------------------
@@ -484,20 +468,26 @@ class ShardRouter:
                      meta=self.layout.to_meta())
 
     @classmethod
-    def load(cls, directory: str, **kwargs) -> "ShardRouter":
+    def load(cls, directory: str,
+             replication: int = 1,
+             num_workers: int = 8,
+             max_fanout: int = 4,
+             fault_injector: Optional[FaultInjector] = None,
+             metrics: Optional[MetricsRegistry] = None,
+             ) -> "ShardRouter":
         """Rebuild a router from :meth:`save` output.
 
         Shard indexes are loaded (linear passes, no global sorts) and
         routing stats (MBRs, document frequencies) are recomputed from the
-        shard collections; ``kwargs`` forward to the constructor
-        (replication, workers, fault injection, ...).
+        shard collections.  The layout and index shape come from the
+        directory; only the serving options are the caller's.
         """
         indexes, meta = load_sharded(directory)
         id_lists = meta.get("shard_global_ids")
         if id_lists is None or len(id_lists) != len(indexes):
             raise ValueError(
                 f"{directory} has no usable cluster layout metadata")
-        prebuilt = []
+        pairs = []
         for shard_id, (index, ids) in enumerate(zip(indexes, id_lists)):
             if len(ids) != len(index.collection):
                 raise ValueError(
@@ -505,10 +495,13 @@ class ShardRouter:
                     f"but the manifest lists {len(ids)} ids")
             spec = spec_from_collection(shard_id, tuple(ids),
                                         index.collection)
-            prebuilt.append((spec, index))
-        return cls(collection=None,
-                   partitioner=meta.get("partitioner", "unknown"),
-                   _prebuilt=prebuilt, **kwargs)
+            pairs.append((spec, index))
+        router = cls.__new__(cls)
+        router._init(
+            lambda: router._replicate(pairs, replication, fault_injector),
+            meta.get("partitioner", "unknown"), num_workers, max_fanout,
+            metrics)
+        return router
 
     # -- lifecycle ---------------------------------------------------------------
 

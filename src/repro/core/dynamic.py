@@ -50,6 +50,13 @@ class MutableDesksIndex:
                  num_bands: Optional[int] = None,
                  num_wedges: Optional[int] = None,
                  rebuild_threshold: float = 0.25) -> None:
+        self._init_state(num_bands, num_wedges, rebuild_threshold)
+        self._build(collection)
+
+    def _init_state(self, num_bands: Optional[int],
+                    num_wedges: Optional[int],
+                    rebuild_threshold: float) -> None:
+        """Everything both constructors set before the static index."""
         if not 0.0 < rebuild_threshold <= 1.0:
             raise ValueError(
                 f"rebuild_threshold must be in (0, 1]: {rebuild_threshold}")
@@ -62,7 +69,6 @@ class MutableDesksIndex:
         self._generation = 0
         self._listeners: List[Callable[[int], None]] = []
         self._lock = make_lock("core.mutable_index", reentrant=True)
-        self._build(collection)
 
     def _build(self, collection: POICollection) -> None:
         self._index = DesksIndex(collection, self._num_bands,
@@ -75,18 +81,8 @@ class MutableDesksIndex:
         """Adopt an already-built static index (e.g. one loaded from disk)
         without paying the four global sorts a fresh build costs."""
         instance = cls.__new__(cls)
-        if not 0.0 < rebuild_threshold <= 1.0:
-            raise ValueError(
-                f"rebuild_threshold must be in (0, 1]: {rebuild_threshold}")
-        instance._num_bands = index.num_bands
-        instance._num_wedges = index.num_wedges
-        instance.rebuild_threshold = rebuild_threshold
-        instance._delta = []
-        instance._deleted = set()
-        instance.rebuild_count = 0
-        instance._generation = 0
-        instance._listeners = []
-        instance._lock = make_lock("core.mutable_index", reentrant=True)
+        instance._init_state(index.num_bands, index.num_wedges,
+                             rebuild_threshold)
         instance._index = index
         instance._searcher = DesksSearcher(index)
         return instance

@@ -53,7 +53,7 @@ import time
 from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from ..analysis import make_lock
-from ..cluster import ShardRouter
+from ..cluster import SHARD_CACHE_CAPACITY, ShardRouter
 from ..core import (
     DesksIndex,
     DirectionalQuery,
@@ -406,7 +406,7 @@ class ShardServer(FrameServer):
                  num_workers: int = 4,
                  max_inflight: Optional[int] = None,
                  mode: PruningMode = PruningMode.RD,
-                 cache_capacity: int = 128,
+                 cache_capacity: int = SHARD_CACHE_CAPACITY,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if isinstance(index, str):
             index = load_shard(index)
@@ -506,7 +506,7 @@ def run_shard_server(directory: str, host: str = "127.0.0.1",
                      port: int = 0, shard_id: int = 0,
                      num_workers: int = 4,
                      max_inflight: Optional[int] = None,
-                     cache_capacity: int = 128,
+                     cache_capacity: int = SHARD_CACHE_CAPACITY,
                      mode: PruningMode = PruningMode.RD) -> int:
     """CLI entry: load ``directory``, announce readiness, serve forever.
 

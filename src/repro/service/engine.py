@@ -87,8 +87,7 @@ class QueryEngine:
                  default_timeout: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracing: bool = False,
-                 kernel: str = "object",
-                 snapshot: Optional[ColumnarSnapshot] = None) -> None:
+                 kernel: str = "object") -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive: {num_workers}")
         if kernel not in ("object", "columnar"):
@@ -99,9 +98,6 @@ class QueryEngine:
                 "kernel='columnar' requires a static DesksIndex: the "
                 "columnar snapshot is frozen at compile time and cannot "
                 "follow mutations")
-        if snapshot is not None and snapshot.index is not index:
-            raise ValueError(
-                "the supplied snapshot was compiled from a different index")
         self.index = index
         self.mode = mode
         self.kernel = kernel
@@ -128,15 +124,12 @@ class QueryEngine:
             # A searcher is cheap (two references), but pooling them keeps
             # per-worker state possible later (e.g. per-searcher buffers)
             # and bounds concurrent index scans to the pool size.  The
-            # columnar kernel compiles ONE shared snapshot (the arrays are
-            # read-only; callers may pass a pre-compiled one so e.g. all
-            # replicas of a shard share it) and gives each worker its own
-            # searcher so the per-searcher plan caches are uncontended.
-            if kernel == "columnar":
-                self.snapshot = (snapshot if snapshot is not None
-                                 else ColumnarSnapshot(index))
-            else:
-                self.snapshot = None
+            # columnar kernel compiles ONE snapshot of the engine's index
+            # (the arrays are read-only) and gives each worker its own
+            # searcher over it, so the per-searcher plan caches are
+            # uncontended.
+            self.snapshot = (ColumnarSnapshot(index) if kernel == "columnar"
+                             else None)
             pool: "queue.Queue" = queue.Queue()
             for _ in range(num_workers):
                 if self.snapshot is not None:
@@ -279,9 +272,6 @@ class QueryEngine:
             pair = unique.get(key)
             if pair is None:
                 pair = unique[key] = (query, Future())
-                self.metrics.counter("batch_unique_total").increment()
-            else:
-                self.metrics.counter("batch_deduped_total").increment()
             futures.append(pair[1])
         if not unique:
             return futures
@@ -300,6 +290,11 @@ class QueryEngine:
                               record_queue_wait=True)
                 self._executor.submit(call, pairs[start:end], timeout)
                 start = end
+        # Counted once admitted: a batch a closed engine refuses moves
+        # nothing.
+        self.metrics.counter("batch_unique_total").increment(len(pairs))
+        self.metrics.counter("batch_deduped_total").increment(
+            len(queries) - len(pairs))
         return futures
 
     def _run_batch_chunk(

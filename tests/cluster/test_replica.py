@@ -110,6 +110,9 @@ def test_replica_set_validation():
         ReplicaSet(0, index, replication=0)
     with pytest.raises(ValueError):
         ReplicaSet(0, index, replication=1, health_threshold=0)
+    for option in ("kernel", "mode", "cache_capacity"):
+        with pytest.raises(TypeError):
+            ReplicaSet(0, index, replication=1, **{option: None})
 
 
 def test_router_exact_under_single_replica_failure(collection, reference):

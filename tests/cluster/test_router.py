@@ -9,11 +9,12 @@ import pytest
 
 from repro.cluster import (
     PARTITIONERS,
+    SHARD_CACHE_CAPACITY,
     ShardRouter,
     ShardUnavailableError,
     build_layout,
 )
-from repro.core import DesksIndex, DesksSearcher, DirectionalQuery
+from repro.core import DesksIndex, DesksSearcher, DirectionalQuery, PruningMode
 from repro.core.bruteforce import brute_force_search
 from repro.trace import Tracer
 
@@ -277,9 +278,15 @@ def test_metrics_snapshot_shape(collection):
             assert len(info["replicas"]) == 2
         text = router.describe()
         assert "2 shards" in text and "replicas=2/2 healthy" in text
+        # Every replica engine runs what a shard server runs.
+        for shard in router.shards:
+            for replica in shard.transport.replicas:
+                assert replica.engine.cache.capacity == \
+                    SHARD_CACHE_CAPACITY == 128
+                assert replica.engine.mode is PruningMode.RD
 
 
-def test_router_rejects_bad_arguments(collection):
+def test_router_rejects_bad_arguments(collection, tmp_path):
     with pytest.raises(ValueError):
         ShardRouter(collection, num_shards=4, num_workers=0)
     with pytest.raises(ValueError):
@@ -288,3 +295,18 @@ def test_router_rejects_bad_arguments(collection):
         ShardRouter(collection, num_shards=4, partitioner="voronoi")
     with pytest.raises(TypeError):
         ShardRouter(collection, layout=build_layout(collection, 4, "grid"))
+    # Options no caller set are gone, not ignored.
+    for option, value in [("kernel", "columnar"), ("mode", PruningMode.R),
+                          ("cache_capacity", 16), ("health_threshold", 1),
+                          ("_prebuilt", [])]:
+        with pytest.raises(TypeError):
+            ShardRouter(collection, num_shards=2, **{option: value})
+    with ShardRouter(collection, num_shards=2) as router:
+        router.save(str(tmp_path))
+        with pytest.raises(TypeError):
+            ShardRouter.from_transports(
+                [(shard.spec, shard.collection, shard.transport)
+                 for shard in router.shards], mode=PruningMode.R)
+    # The shape of a saved deployment is the directory's, not the caller's.
+    with pytest.raises(TypeError):
+        ShardRouter.load(str(tmp_path), num_bands=8)

@@ -144,6 +144,10 @@ class TestServeBench:
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["queries_total"] > 0
         assert "histograms" in snapshot
+        # The search kernel is not a serving option.
+        with pytest.raises(SystemExit) as exited:
+            main(["serve-bench", str(csv_path), "--kernel", "columnar"])
+        assert exited.value.code == 2
 
     def test_socket_transport_sweep(self, csv_path, capsys):
         code = main(["serve-bench", str(csv_path), "--transport", "socket",
@@ -160,6 +164,11 @@ class TestServeBench:
             # Same row as the inproc sweep, plus the shed column.
             assert "qps=" in row and "hit_rate=" in row and "p95=" in row
             assert "errors=0" in row and row.endswith("shed=0")
+        # Mutations are not on the wire: refused before the CSV is read.
+        assert main(["serve-bench", str(csv_path) + ".missing",
+                     "--transport", "socket", "--inserts", "1"]) == 2
+        assert "--inserts requires --transport inproc" in \
+            capsys.readouterr().err
 
 
 class TestClusterBench:
@@ -201,6 +210,9 @@ class TestClusterBench:
         with pytest.raises(SystemExit):
             main(["cluster-bench", str(csv_path),
                   "--partitioner", "voronoi"])
+        with pytest.raises(SystemExit) as exited:
+            main(["cluster-bench", str(csv_path), "--kernel", "columnar"])
+        assert exited.value.code == 2
 
 
 class TestScrub:

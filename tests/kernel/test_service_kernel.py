@@ -1,15 +1,17 @@
-"""The ``kernel`` axis through the serving and cluster layers.
+"""The ``kernel`` axis where it is left: on ``QueryEngine``.
 
-``QueryEngine(kernel="columnar")``, batched submission, the closed-loop
-generator's ``batch_size``, and ``ShardRouter(kernel=...)`` must all
-give the object path's answers — the axis changes throughput, never
-results.
+``QueryEngine(kernel="columnar")``, batched submission and the
+closed-loop generator's ``batch_size`` must give the object path's
+answers — the axis changes throughput, never results.  The engine
+compiles one snapshot of its own index; nothing above it (replica sets,
+routers, the CLI) carries the axis, so ``ShardRouter(kernel=...)`` is a
+``TypeError``.
 """
 
 import pytest
 
 from repro.core import MutableDesksIndex
-from repro.kernel import ColumnarSnapshot
+from repro.kernel import ColumnarSearcher
 from repro.service import QueryEngine, run_closed_loop
 
 
@@ -43,18 +45,19 @@ def test_engine_rejects_mutable_index(collection):
         QueryEngine(MutableDesksIndex(collection), kernel="columnar")
 
 
-def test_engine_rejects_foreign_snapshot(index, collection):
-    from repro.core import DesksIndex
-
-    other = ColumnarSnapshot(DesksIndex(collection, num_bands=2,
-                                        num_wedges=4))
-    with pytest.raises(ValueError, match="different index"):
-        QueryEngine(index, kernel="columnar", snapshot=other)
+def test_engine_rejects_foreign_snapshot(index, snapshot):
+    with pytest.raises(TypeError):
+        QueryEngine(index, kernel="columnar", snapshot=snapshot)
 
 
-def test_engine_shares_supplied_snapshot(index, snapshot):
-    with QueryEngine(index, kernel="columnar", snapshot=snapshot) as engine:
-        assert engine.snapshot is snapshot
+def test_engine_shares_supplied_snapshot(index):
+    with QueryEngine(index, num_workers=3, kernel="columnar") as engine:
+        assert engine.snapshot.index is index
+        searchers = list(engine._searchers.queue)
+        assert len(searchers) == 3
+        for searcher in searchers:
+            assert isinstance(searcher, ColumnarSearcher)
+            assert searcher.snapshot is engine.snapshot
 
 
 def test_submit_batch_chunks_and_dedupes(engines, corpus):
@@ -78,6 +81,8 @@ def test_submit_batch_after_close_raises(index):
     engine.close()
     with pytest.raises(RuntimeError, match="closed"):
         engine.submit_batch(_three_queries())
+    assert engine.metrics.counter("batch_unique_total").value == 0
+    assert engine.metrics.counter("batch_deduped_total").value == 0
 
 
 def _three_queries():
@@ -102,19 +107,8 @@ def test_closed_loop_rejects_bad_batch_size(index, corpus):
                             requests_per_client=2, batch_size=0)
 
 
-def test_router_kernel_axis_equivalence(collection, corpus):
+def test_router_kernel_axis_equivalence(collection):
     from repro.cluster import ShardRouter
 
-    with ShardRouter(collection, num_shards=3, replication=2) as obj, \
-            ShardRouter(collection, num_shards=3, replication=2,
-                        kernel="columnar") as columnar:
-        assert columnar.kernel == "columnar"
-        # Replicas of one shard share one compiled snapshot.
-        for shard in columnar.shards:
-            snapshots = {id(replica.engine.snapshot)
-                         for replica in shard.transport.replicas}
-            assert len(snapshots) == 1
-        for query in corpus[::10]:
-            expected = obj.execute(query)
-            actual = columnar.execute(query)
-            assert entries_of(actual.result) == entries_of(expected.result)
+    with pytest.raises(TypeError):
+        ShardRouter(collection, num_shards=3, kernel="columnar")

@@ -206,7 +206,8 @@ class TestValidation:
             QueryEngine(static_index, num_workers=0)
 
     @pytest.mark.parametrize("option",
-                             ["cache", "location_quantum", "executor"])
+                             ["cache", "location_quantum", "executor",
+                              "snapshot"])
     def test_removed_engine_options_rejected(self, static_index, option):
         with pytest.raises(TypeError):
             QueryEngine(static_index, **{option: None})
