@@ -266,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--max-inflight", type=int, default=None,
                          help="admission limit before OVERLOAD "
                               "(default: 2x workers)")
-    p_shard.add_argument("--cache", type=int, default=128,
-                         help="result-cache capacity (entries)")
-    p_shard.add_argument("--mode", choices=["R", "D", "RD"], default="RD")
 
     p_net_serve = sub.add_parser(
         "serve",
@@ -853,8 +850,7 @@ def _cmd_shard_server(args: argparse.Namespace) -> int:
     return run_shard_server(
         args.directory, host=args.host, port=args.port,
         shard_id=args.shard_id, num_workers=args.workers,
-        max_inflight=args.max_inflight, cache_capacity=args.cache,
-        mode=PruningMode[args.mode])
+        max_inflight=args.max_inflight)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -46,7 +46,7 @@ from .replica import (
     ReplicaSet,
     ShardUnavailableError,
 )
-from .router import ClusterResponse, Shard, ShardRouter, spec_from_collection
+from .router import ClusterResponse, Shard, ShardRouter, specs_from_manifest
 from .stats import SHARD_BUCKETS, ClusterStats
 from .transport import ReplicaEndpoint, RequestRejected
 
@@ -72,5 +72,5 @@ __all__ = [
     "ShardUnavailableError",
     "build_layout",
     "shard_collection",
-    "spec_from_collection",
+    "specs_from_manifest",
 ]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ from ..core import (
     DesksIndex,
     DirectionalQuery,
     MatchMode,
+    PersistenceError,
     QueryResult,
     ResultEntry,
     load_sharded,
@@ -483,22 +485,12 @@ class ShardRouter:
         directory; only the serving options are the caller's.
         """
         indexes, meta = load_sharded(directory)
-        id_lists = meta.get("shard_global_ids")
-        if id_lists is None or len(id_lists) != len(indexes):
-            raise ValueError(
-                f"{directory} has no usable cluster layout metadata")
-        pairs = []
-        for shard_id, (index, ids) in enumerate(zip(indexes, id_lists)):
-            if len(ids) != len(index.collection):
-                raise ValueError(
-                    f"shard {shard_id} holds {len(index.collection)} POIs "
-                    f"but the manifest lists {len(ids)} ids")
-            spec = spec_from_collection(shard_id, tuple(ids),
-                                        index.collection)
-            pairs.append((spec, index))
+        specs = specs_from_manifest(
+            directory, meta, [index.collection for index in indexes])
         router = cls.__new__(cls)
         router._init(
-            lambda: router._replicate(pairs, replication, fault_injector),
+            lambda: router._replicate(zip(specs, indexes), replication,
+                                      fault_injector),
             meta.get("partitioner", "unknown"), num_workers, max_fanout,
             metrics)
         return router
@@ -518,19 +510,29 @@ class ShardRouter:
         self.close()
 
 
-def spec_from_collection(shard_id: int, global_ids: Tuple[int, ...],
-                         collection: POICollection) -> ShardSpec:
-    """Recompute a shard's routing stats from its loaded collection.
+def specs_from_manifest(directory: str, meta: dict,
+                        collections: Sequence[POICollection],
+                        ) -> List[ShardSpec]:
+    """Every shard's routing spec from a saved deployment's ``meta``.
 
-    MBR and keyword document frequencies derive from the data, so only
-    identity (shard id + global id list) needs to come from a manifest.
-    Used both by :meth:`ShardRouter.load` and by
-    :func:`repro.net.connect_router`, which builds routing specs without
-    loading the shard *indexes* (those live in the server processes).
+    MBR and keyword document frequencies derive from ``collections`` (the
+    shards' POIs in order), so only identity (shard id + global id list)
+    comes from the manifest.  Shared by :meth:`ShardRouter.load` and
+    :func:`repro.net.connect_router`, which never loads a shard index.
     """
-    from collections import Counter
-
-    df: Counter = Counter()
-    for poi in collection:
-        df.update(poi.keywords)
-    return ShardSpec(shard_id, global_ids, collection.mbr, dict(df))
+    id_lists = meta.get("shard_global_ids")
+    if id_lists is None:
+        raise PersistenceError(
+            f"{directory} has no usable cluster layout metadata")
+    specs = []
+    for shard_id, (ids, collection) in enumerate(zip(id_lists, collections)):
+        if len(ids) != len(collection):
+            raise PersistenceError(
+                f"shard {shard_id} holds {len(collection)} POIs but the "
+                f"manifest lists {len(ids)} ids")
+        df: Counter = Counter()
+        for poi in collection:
+            df.update(poi.keywords)
+        specs.append(ShardSpec(shard_id, tuple(ids), collection.mbr,
+                               dict(df)))
+    return specs

@@ -16,6 +16,7 @@ from .persistence import (
     SavedScrubReport,
     load_index,
     load_sharded,
+    read_sharded_manifest,
     repair_interrupted_swap,
     save_index,
     save_sharded,
@@ -73,6 +74,7 @@ __all__ = [
     "brute_force_search",
     "load_index",
     "load_sharded",
+    "read_sharded_manifest",
     "repair_interrupted_swap",
     "save_index",
     "save_sharded",

@@ -323,10 +323,21 @@ def load_sharded(directory: str,
 
     Returns ``(indexes, meta)`` — the per-shard indexes in shard order and
     the caller metadata stored at save time.  The manifest is validated
-    against the actual directory contents (shard count, directories
-    present) before any shard is parsed, so a half-written deployment
-    surfaces as a typed :class:`PersistenceError` rather than a bare
-    ``KeyError`` deep inside a shard load.
+    by :func:`read_sharded_manifest` before any shard is parsed.
+    """
+    shard_dirs, meta = read_sharded_manifest(directory)
+    indexes = [load_index(shard_dir, verify=verify)
+               for shard_dir in shard_dirs]
+    return indexes, meta
+
+
+def read_sharded_manifest(directory: str) -> Tuple[List[str], dict]:
+    """The manifest half of :func:`load_sharded`: ``(shard_dirs, meta)``.
+
+    Checked against the directory (version, shard count, shard
+    directories present, one global-id list per shard) without parsing
+    any shard, so every reader of a saved deployment refuses a
+    half-written one with a typed :class:`PersistenceError`.
     """
     repair_interrupted_swap(directory)
     manifest = _load_json(
@@ -365,9 +376,7 @@ def load_sharded(directory: str,
         raise PersistenceError(
             f"manifest lists global ids for {len(id_lists)} shard(s) "
             f"but promises {num_shards}")
-    indexes = [load_index(shard_dir, verify=verify)
-               for shard_dir in shard_dirs]
-    return indexes, meta
+    return shard_dirs, meta
 
 
 def _load_json(path: str, what: str) -> dict:

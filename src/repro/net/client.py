@@ -4,10 +4,12 @@
 address over a small pool of persistent TCP connections — reconnect with
 exponential backoff, retry-once when a pooled (possibly stale) connection
 dies mid-request, socket timeouts derived from the request's deadline
-budget so a dead server can never hang a caller.  Every failure is
-counted by kind (stale retry, truncation, reset, timeout, CRC) so the
-chaos suite can reconcile client-observed faults exactly against the
-:mod:`repro.net.chaos` proxy's injected-fault log.
+budget so a dead server can never hang a caller.  The dial policy and
+the timeout of a request without a budget are module constants; only
+``deadline_grace`` is tuned.  Every failure is counted by kind (stale
+retry, truncation, reset, timeout, CRC) so the chaos suite can reconcile
+client-observed faults exactly against the :mod:`repro.net.chaos`
+proxy's injected-fault log.
 
 :class:`SocketEndpoint` presents one such client as a
 :class:`~repro.cluster.ReplicaEndpoint` — it turns the wire's answer into
@@ -35,6 +37,7 @@ from ..service import Deadline, MetricsRegistry, ServiceResponse
 from . import protocol
 from .protocol import HealthReport, MessageType, RemoteSearchResult
 from .resilience import (
+    PROBE_TIMEOUT,
     CircuitBreaker,
     HedgePolicy,
     ResilienceConfig,
@@ -42,6 +45,18 @@ from .resilience import (
 )
 
 Address = Tuple[str, int]
+
+#: Dial attempts, the first retry's backoff (doubling per retry) and the
+#: per-attempt connect timeout, in seconds: a refused dial fails at once,
+#: so a dead server costs its caller 0.15 s and a restarting one is waited
+#: out.
+CONNECT_ATTEMPTS = 3
+CONNECT_BACKOFF = 0.05
+CONNECT_TIMEOUT = 5.0
+
+#: Socket timeout, in seconds, of a request sent with no deadline budget:
+#: only a dead or wedged server is caught by it.
+UNBOUNDED_REQUEST_TIMEOUT = 30.0
 
 
 class TransportError(RuntimeError):
@@ -56,24 +71,13 @@ class RemoteShardClient:
     """A pooled, reconnecting client for one shard server address."""
 
     def __init__(self, address: Address,
-                 connect_timeout: float = 5.0,
-                 request_timeout: float = 30.0,
                  deadline_grace: float = 2.0,
-                 connect_attempts: int = 3,
-                 backoff: float = 0.05,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if connect_attempts < 1:
-            raise ValueError(
-                f"connect_attempts must be >= 1: {connect_attempts}")
         self.address = (address[0], int(address[1]))
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
         #: Extra seconds past the deadline budget before the socket times
         #: out: the server answers an expired budget immediately, so only
         #: a dead/wedged server is ever caught by the socket timeout.
         self.deadline_grace = deadline_grace
-        self.connect_attempts = connect_attempts
-        self.backoff = backoff
         self.metrics = metrics
         self._idle: List[socket.socket] = []
         self._lock = make_lock("net.client")
@@ -89,12 +93,12 @@ class RemoteShardClient:
     def _connect(self) -> socket.socket:
         """Dial the server, with exponential backoff between attempts."""
         last: Optional[OSError] = None
-        for attempt in range(self.connect_attempts):
+        for attempt in range(CONNECT_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(CONNECT_BACKOFF * (2 ** (attempt - 1)))
             try:
                 conn = socket.create_connection(
-                    self.address, timeout=self.connect_timeout)
+                    self.address, timeout=CONNECT_TIMEOUT)
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 with self._lock:
                     self.reconnects += 1
@@ -104,7 +108,7 @@ class RemoteShardClient:
         self._count("net_client_connect_failures_total")
         raise TransportError(
             self.address,
-            f"connect failed after {self.connect_attempts} attempts: {last}")
+            f"connect failed after {CONNECT_ATTEMPTS} attempts: {last}")
 
     def _acquire(self) -> Tuple[socket.socket, bool]:
         """A pooled connection (``reused=True``) or a fresh one."""
@@ -122,13 +126,24 @@ class RemoteShardClient:
                 return
         _close_quietly(conn)
 
+    def _drop_idle(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            _close_quietly(conn)
+
+    def _redial(self) -> socket.socket:
+        """A fresh connection in place of a stale pooled one; a server
+        restart leaves every idle socket stale, so all are dropped."""
+        self._count("net_client_stale_retries_total")
+        self._drop_idle()
+        return self._connect()
+
     def close(self) -> None:
         """Drop every pooled connection; subsequent requests fail fast."""
         with self._lock:
             self._closed = True
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            _close_quietly(conn)
+        self._drop_idle()
 
     def __enter__(self) -> "RemoteShardClient":
         return self
@@ -144,13 +159,13 @@ class RemoteShardClient:
 
         A pooled connection may have been closed by the server (restart,
         idle reap) since its last use — that failure mode is retried once
-        on a fresh connection.  A fresh connection's failure is the
-        server's, and surfaces as :class:`TransportError`.  Each failure
-        kind increments its own ``net_client_*`` counter so injected
-        faults reconcile exactly with observed ones.
+        on a fresh connection (:meth:`_redial`).  A fresh connection's
+        failure is the server's, and surfaces as :class:`TransportError`.
+        Each failure kind increments its own ``net_client_*`` counter so
+        injected faults reconcile exactly with observed ones.
         """
-        for _ in range(2):
-            conn, reused = self._acquire()
+        conn, reused = self._acquire()
+        while True:
             conn.settimeout(timeout)
             try:
                 conn.sendall(frame)
@@ -158,7 +173,7 @@ class RemoteShardClient:
             except protocol.TruncatedFrame as exc:
                 _close_quietly(conn)
                 if reused:
-                    self._count("net_client_stale_retries_total")
+                    conn, reused = self._redial(), False
                     continue
                 self._count("net_client_truncated_total")
                 raise TransportError(self.address, str(exc)) from None
@@ -171,7 +186,7 @@ class RemoteShardClient:
             except OSError as exc:
                 _close_quietly(conn)
                 if reused:
-                    self._count("net_client_stale_retries_total")
+                    conn, reused = self._redial(), False
                     continue
                 self._count("net_client_reset_total")
                 raise TransportError(self.address, str(exc)) from None
@@ -189,8 +204,6 @@ class RemoteShardClient:
                 raise
             self._release(conn)
             return msg_type, payload
-        raise TransportError(  # pragma: no cover - loop always returns/raises
-            self.address, "request failed on a fresh connection")
 
     def _expect(self, frame: bytes, want: MessageType,
                 timeout: float) -> bytes:
@@ -211,7 +224,7 @@ class RemoteShardClient:
         typed server errors, :class:`TransportError` when the server is
         unreachable or silent past the budget plus grace.
         """
-        timeout = (self.request_timeout if budget is None
+        timeout = (UNBOUNDED_REQUEST_TIMEOUT if budget is None
                    else budget + self.deadline_grace)
         frame = protocol.encode_frame(
             MessageType.SEARCH_REQUEST,
@@ -228,7 +241,7 @@ class RemoteShardClient:
         cannot parse comes back as :class:`~repro.net.protocol.RpcError`
         (``BAD_REQUEST``) whose message carries the caret rendering.
         """
-        timeout = (self.request_timeout if budget is None
+        timeout = (UNBOUNDED_REQUEST_TIMEOUT if budget is None
                    else budget + self.deadline_grace)
         frame = protocol.encode_frame(
             MessageType.STATEMENT_REQUEST,
@@ -315,19 +328,14 @@ class RemoteReplicaSet(FailoverSet):
     def __init__(self, shard_id: int, addresses: Sequence[Address],
                  health_threshold: int = 3,
                  metrics: Optional[MetricsRegistry] = None,
-                 request_timeout: float = 30.0,
                  client_factory: Optional[
                      Callable[[Address], RemoteShardClient]] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  retry_budget: Optional[RetryBudget] = None,
-                 deadline_grace: float = 2.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if client_factory is None:
             def client_factory(address: Address) -> RemoteShardClient:
-                return RemoteShardClient(address,
-                                         request_timeout=request_timeout,
-                                         deadline_grace=deadline_grace,
-                                         metrics=metrics)
+                return RemoteShardClient(address, metrics=metrics)
         self.config = resilience or ResilienceConfig()
         self._clock = clock
         threshold = (self.config.breaker_failure_threshold
@@ -394,14 +402,14 @@ class RemoteReplicaSet(FailoverSet):
         more = True
         pending: dict = {}
         attempts = 0
-        hedges_fired = 0
+        hedged = False
         last_launch = 0.0
         last_error: Optional[BaseException] = None
 
         def launch() -> None:
             """Start the next admitted replica — a hedge when it joins an
             attempt still in flight, the next primary otherwise."""
-            nonlocal attempts, hedges_fired, more, last_launch
+            nonlocal attempts, hedged, more, last_launch
             is_hedge = bool(pending)
             for replica in admitted:
                 try:
@@ -413,7 +421,7 @@ class RemoteReplicaSet(FailoverSet):
                 pending[future] = is_hedge
                 last_launch = time.monotonic()
                 if is_hedge:
-                    hedges_fired += 1
+                    hedged = True
                     self._count("net_hedges_fired_total")
                 return
             more = False
@@ -421,7 +429,7 @@ class RemoteReplicaSet(FailoverSet):
         launch()
         try:
             while pending and not deadline.expired():
-                can_hedge = hedges_fired < hedge.max_hedges and more
+                can_hedge = not hedged and more
                 waits = []
                 if can_hedge:
                     waits.append(max(
@@ -452,22 +460,22 @@ class RemoteReplicaSet(FailoverSet):
 
     # -- probe-based recovery ------------------------------------------------
 
-    def probe_unavailable(self, timeout: Optional[float] = None) -> List[int]:
+    def probe_unavailable(self) -> List[int]:
         """Health-probe every excluded replica; returns recovered ids.
 
-        A replica whose endpoint answers the probe (the ``HEALTH`` RPC) is
-        marked successful — closing its breaker and restoring it to
-        healthy-first rotation — without waiting for an in-band request
-        to be risked against it.  Quarantined replicas stay parked.
+        A replica whose endpoint answers the probe (the ``HEALTH`` RPC
+        within :data:`~repro.net.resilience.PROBE_TIMEOUT`) is marked
+        successful — closing its breaker and restoring it to healthy-first
+        rotation — without waiting for an in-band request to be risked
+        against it.  Quarantined replicas stay parked.
         """
-        timeout = self.config.probe_timeout if timeout is None else timeout
         recovered: List[int] = []
         for replica in self.replicas:
             if replica.quarantined or (
                     replica.healthy
                     and replica.breaker_state in ("closed", "disabled")):
                 continue
-            if replica.endpoint.probe(timeout):
+            if replica.endpoint.probe(PROBE_TIMEOUT):
                 replica.mark_success()
                 self._count("net_probe_recoveries_total")
                 recovered.append(replica.replica_id)

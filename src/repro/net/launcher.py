@@ -7,7 +7,9 @@ announcing it with a ``SHARD-SERVER READY host port`` line that the
 launcher parses before health-probing the socket.  ``kill()`` delivers
 SIGKILL to a single replica — the primitive the failover tests use to
 take a *real* process down mid-run — and ``stop()`` tears the fleet
-down.
+down.  Every child runs this interpreter, serves like an in-process
+replica (``RD``, 128 cache entries) and gets :data:`STARTUP_TIMEOUT`
+seconds to announce itself.
 
 :func:`connect_router` is the other half: it rebuilds the routing
 statistics (shard MBRs, keyword document frequencies, cardinality
@@ -15,11 +17,14 @@ estimators) from the deployment's cheap per-shard ``pois.csv`` files —
 *without* loading any index — and returns a
 :class:`~repro.cluster.ShardRouter` whose transports are
 :class:`~repro.net.RemoteReplicaSet`\\ s over the launched addresses.
+
+Both read the deployment with :func:`~repro.core.read_sharded_manifest`,
+as :func:`~repro.core.load_sharded` does: a half-written one is a typed
+:class:`~repro.core.PersistenceError` before anything is spawned.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import signal
@@ -29,7 +34,8 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster import ShardRouter, spec_from_collection
+from ..cluster import ShardRouter, specs_from_manifest
+from ..core import read_sharded_manifest
 from ..datasets import load_csv
 from ..service import MetricsRegistry
 from .client import Address, RemoteReplicaSet, RemoteShardClient, TransportError
@@ -38,18 +44,8 @@ from .resilience import ResilienceConfig, RetryBudget
 #: The stdout line a shard server prints once it is accepting.
 READY_PREFIX = "SHARD-SERVER READY"
 
-
-def _read_manifest(deployment_dir: str) -> dict:
-    """The caller-level cluster manifest of a saved deployment.
-
-    ``save_sharded`` wraps the router's layout metadata under a ``meta``
-    key next to its own format fields; unwrap it if present.
-    """
-    with open(os.path.join(deployment_dir, "meta.json"),
-              encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    nested = manifest.get("meta")
-    return nested if isinstance(nested, dict) else manifest
+#: Seconds a shard process gets to load its index and print READY.
+STARTUP_TIMEOUT = 60.0
 
 
 class LaunchError(RuntimeError):
@@ -112,34 +108,23 @@ class ClusterLauncher:
                  replication: int = 1,
                  host: str = "127.0.0.1",
                  num_workers: int = 2,
-                 max_inflight: Optional[int] = None,
-                 startup_timeout: float = 60.0,
-                 python: Optional[str] = None) -> None:
+                 max_inflight: Optional[int] = None) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1: {replication}")
-        self.deployment_dir = os.path.abspath(deployment_dir)
         self.replication = replication
         self.host = host
         self.num_workers = num_workers
         self.max_inflight = max_inflight
-        self.startup_timeout = startup_timeout
-        self.python = python if python is not None else sys.executable
         self.servers: List[ServerProcess] = []
-        self.meta = _read_manifest(self.deployment_dir)
-        id_lists = self.meta.get("shard_global_ids")
-        if id_lists is None:
-            raise LaunchError(
-                f"{deployment_dir} has no cluster manifest "
-                "(save it with ShardRouter.save)")
-        self.num_shards = len(id_lists)
+        # A half-written deployment is refused here, before any process.
+        self.shard_dirs, _ = read_sharded_manifest(
+            os.path.abspath(deployment_dir))
 
     # -- process control ----------------------------------------------------
 
-    def _spawn(self, shard_id: int,
-               replica_id: int) -> "subprocess.Popen[str]":
-        shard_dir = os.path.join(self.deployment_dir, f"shard{shard_id}")
-        command = [self.python, "-m", "repro", "shard-server",
-                   "--directory", shard_dir,
+    def _spawn(self, shard_id: int) -> "subprocess.Popen[str]":
+        command = [sys.executable, "-m", "repro", "shard-server",
+                   "--directory", self.shard_dirs[shard_id],
                    "--host", self.host, "--port", "0",
                    "--shard-id", str(shard_id),
                    "--workers", str(self.num_workers)]
@@ -164,7 +149,7 @@ class ClusterLauncher:
         threading.Thread(target=pump, daemon=True,
                          name=f"desks-net-stdout-{shard_id}.{replica_id}",
                          ).start()
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         transcript: List[str] = []
         while True:
             remaining = deadline - time.monotonic()
@@ -172,7 +157,7 @@ class ClusterLauncher:
                 process.kill()
                 raise LaunchError(
                     f"shard {shard_id} replica {replica_id} not ready "
-                    f"within {self.startup_timeout}s:\n"
+                    f"within {STARTUP_TIMEOUT}s:\n"
                     + "".join(transcript))
             try:
                 line = lines.get(timeout=remaining)
@@ -197,16 +182,15 @@ class ClusterLauncher:
         """
         pending: List[Tuple[int, int, "subprocess.Popen[str]"]] = []
         try:
-            for shard_id in range(self.num_shards):
+            for shard_id in range(len(self.shard_dirs)):
                 for replica_id in range(self.replication):
                     pending.append((shard_id, replica_id,
-                                    self._spawn(shard_id, replica_id)))
+                                    self._spawn(shard_id)))
             for shard_id, replica_id, process in pending:
                 address = self._await_ready(process, shard_id, replica_id)
-                shard_dir = os.path.join(self.deployment_dir,
-                                         f"shard{shard_id}")
                 self.servers.append(ServerProcess(
-                    shard_id, replica_id, shard_dir, process, address))
+                    shard_id, replica_id, self.shard_dirs[shard_id],
+                    process, address))
             for server in self.servers:
                 self._probe(server)
         except Exception:
@@ -275,8 +259,6 @@ def connect_router(deployment_dir: str,
                    addresses: Dict[int, Sequence[Address]],
                    num_workers: int = 8,
                    max_fanout: int = 4,
-                   health_threshold: int = 3,
-                   request_timeout: float = 30.0,
                    metrics: Optional[MetricsRegistry] = None,
                    resilience: Optional[ResilienceConfig] = None,
                    deadline_grace: float = 2.0,
@@ -298,35 +280,31 @@ def connect_router(deployment_dir: str,
     so failover across the whole router is bounded process-wide.
     """
     deployment_dir = os.path.abspath(deployment_dir)
-    meta = _read_manifest(deployment_dir)
-    id_lists = meta.get("shard_global_ids")
-    if id_lists is None:
-        raise ValueError(f"{deployment_dir} has no cluster manifest")
+    shard_dirs, meta = read_sharded_manifest(deployment_dir)
+    collections = [load_csv(os.path.join(shard_dir, "pois.csv"))
+                   for shard_dir in shard_dirs]
+    specs = specs_from_manifest(deployment_dir, meta, collections)
     registry = metrics if metrics is not None else MetricsRegistry()
     config = resilience if resilience is not None else ResilienceConfig(
         probe_interval=2.0)
     budget = RetryBudget(max_tokens=config.retry_max_tokens,
                          earn_per_success=config.retry_earn_per_success)
+
+    def client_factory(address: Address) -> RemoteShardClient:
+        return RemoteShardClient(address, deadline_grace=deadline_grace,
+                                 metrics=registry)
+
     shards = []
-    for shard_id, ids in enumerate(id_lists):
-        replica_addresses = addresses.get(shard_id)
+    for spec, collection in zip(specs, collections):
+        replica_addresses = addresses.get(spec.shard_id)
         if not replica_addresses:
-            raise ValueError(f"no server addresses for shard {shard_id}")
-        collection = load_csv(os.path.join(
-            deployment_dir, f"shard{shard_id}", "pois.csv"))
-        if len(collection) != len(ids):
-            raise ValueError(
-                f"shard {shard_id} holds {len(collection)} POIs but the "
-                f"manifest lists {len(ids)} ids")
-        spec = spec_from_collection(shard_id, tuple(ids), collection)
+            raise ValueError(f"no server addresses for shard {spec.shard_id}")
         transport = RemoteReplicaSet(
-            shard_id, list(replica_addresses),
-            health_threshold=health_threshold,
-            request_timeout=request_timeout,
+            spec.shard_id, list(replica_addresses),
             metrics=registry,
+            client_factory=client_factory,
             resilience=config,
-            retry_budget=budget,
-            deadline_grace=deadline_grace)
+            retry_budget=budget)
         shards.append((spec, collection, transport))
     return ShardRouter.from_transports(
         shards, partitioner=meta.get("partitioner", "unknown"),

@@ -12,6 +12,7 @@ injector they are tested against):
     ``reset_timeout`` seconds one half-open trial is admitted, and its
     outcome decides between re-closing and re-opening.  The clock is
     injected so every transition is unit-testable without sleeping.
+    One trial slot: a second concurrent trial would only double the risk.
 
 :class:`RetryBudget`
     A process-wide token bucket that caps failover and hedge attempts:
@@ -24,11 +25,13 @@ injector they are tested against):
 :class:`HedgePolicy`
     After ``delay`` seconds without an answer, fire the same query at
     the next available replica and take whichever answer lands first.
-    Hedges spend retry tokens, so hedging can never amplify past the
-    budget either.
+    At most one hedge per request, and hedges spend retry tokens, so
+    hedging can never amplify past the budget either.
 
 :class:`ResilienceConfig` bundles the tunables so launchers and the CLI
-can pass one object down through :func:`~repro.net.connect_router`.
+can pass one object down through :func:`~repro.net.connect_router`;
+what no deployment tunes (one trial, one hedge, :data:`PROBE_TIMEOUT`)
+is fixed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..analysis import make_lock
+
+#: Seconds a recovery probe waits for a HEALTH answer.  HEALTH never
+#: queues behind searches, so a live server answers in well under this.
+PROBE_TIMEOUT = 1.0
 
 __all__ = [
     "BreakerOpenError",
@@ -68,15 +75,13 @@ class CircuitBreaker:
     Thread-safe.  ``try_acquire`` is the gate callers must pass before
     an attempt; ``record_success``/``record_failure`` report the
     attempt's outcome.  While OPEN every acquire is refused until
-    ``reset_timeout`` elapses, at which point exactly
-    ``half_open_max_trials`` concurrent trial attempts are admitted —
-    one success re-closes the breaker, one failure re-opens it (and
-    restarts the timer).
+    ``reset_timeout`` elapses, at which point exactly one trial attempt
+    is admitted — its success re-closes the breaker, its failure
+    re-opens it (and restarts the timer).
     """
 
     def __init__(self, failure_threshold: int = 3,
                  reset_timeout: float = 5.0,
-                 half_open_max_trials: int = 1,
                  clock: Callable[[], float] = time.monotonic,
                  on_transition: Optional[
                      Callable[[BreakerState, BreakerState], None]] = None,
@@ -86,18 +91,14 @@ class CircuitBreaker:
                 f"failure_threshold must be >= 1: {failure_threshold}")
         if reset_timeout < 0:
             raise ValueError(f"reset_timeout must be >= 0: {reset_timeout}")
-        if half_open_max_trials < 1:
-            raise ValueError(
-                f"half_open_max_trials must be >= 1: {half_open_max_trials}")
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_max_trials = half_open_max_trials
         self._clock = clock
         self._on_transition = on_transition
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._half_open_trials = 0
+        self._trial_admitted = False
         self._lock = make_lock("net.circuit_breaker")
 
     # -- state inspection ----------------------------------------------------
@@ -119,7 +120,7 @@ class CircuitBreaker:
         if (self._state is BreakerState.OPEN
                 and self._clock() - self._opened_at >= self.reset_timeout):
             self._transition(BreakerState.HALF_OPEN)
-            self._half_open_trials = 0
+            self._trial_admitted = False
 
     def _transition(self, to: BreakerState) -> None:
         came_from, self._state = self._state, to
@@ -132,7 +133,7 @@ class CircuitBreaker:
         """May an attempt proceed right now?
 
         CLOSED always admits; OPEN refuses (transitioning to HALF_OPEN
-        first when due); HALF_OPEN admits while trial slots remain.
+        first when due); HALF_OPEN admits its one trial.
         """
         with self._lock:
             self._tick()
@@ -140,9 +141,9 @@ class CircuitBreaker:
                 return True
             if self._state is BreakerState.OPEN:
                 return False
-            if self._half_open_trials >= self.half_open_max_trials:
+            if self._trial_admitted:
                 return False
-            self._half_open_trials += 1
+            self._trial_admitted = True
             return True
 
     # -- outcome reporting ---------------------------------------------------
@@ -222,17 +223,14 @@ class HedgePolicy:
     After ``delay`` seconds without a first answer, fire the query at
     the next available replica; first answer wins, the loser is
     abandoned (its health bookkeeping still lands when it resolves).
-    At most ``max_hedges`` extra attempts per request.
+    At most one extra attempt per request.
     """
 
     delay: float
-    max_hedges: int = 1
 
     def __post_init__(self) -> None:
         if self.delay < 0:
             raise ValueError(f"hedge delay must be >= 0: {self.delay}")
-        if self.max_hedges < 1:
-            raise ValueError(f"max_hedges must be >= 1: {self.max_hedges}")
 
 
 @dataclass(frozen=True)
@@ -254,4 +252,3 @@ class ResilienceConfig:
     retry_max_tokens: float = 10.0
     retry_earn_per_success: float = 0.1
     probe_interval: Optional[float] = None
-    probe_timeout: float = 1.0

@@ -58,7 +58,6 @@ from ..core import (
     DesksIndex,
     DirectionalQuery,
     MutableDesksIndex,
-    PruningMode,
     QueryResult,
     load_index,
 )
@@ -398,31 +397,27 @@ class FrameServer:
 
 
 class ShardServer(FrameServer):
-    """Serve one shard's index through a :class:`QueryEngine`."""
+    """Serve one shard's index through an ``RD`` :class:`QueryEngine`
+    (an in-process replica's pruning)."""
 
     def __init__(self, index: Union[DesksIndex, MutableDesksIndex, str],
                  host: str = "127.0.0.1", port: int = 0,
                  shard_id: int = 0,
                  num_workers: int = 4,
                  max_inflight: Optional[int] = None,
-                 mode: PruningMode = PruningMode.RD,
-                 cache_capacity: int = SHARD_CACHE_CAPACITY,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 cache_capacity: int = SHARD_CACHE_CAPACITY) -> None:
         if isinstance(index, str):
             index = load_shard(index)
-        if metrics is None:
-            metrics = MetricsRegistry()
         self.shard_id = shard_id
         self.engine = QueryEngine(index, num_workers=num_workers,
-                                  mode=mode, cache_capacity=cache_capacity,
-                                  metrics=metrics)
+                                  cache_capacity=cache_capacity)
         # Statement frames run through the same executor surface the CLI
         # uses; binding it to the engine keeps the text path and the
         # binary query path answer-identical (same cache, same deadline).
         super().__init__(
             host, port, f"shard {shard_id}", f"desks-net-{{}}-{shard_id}",
             2 * num_workers if max_inflight is None else max_inflight,
-            DqlExecutor(EngineBackend(self.engine)), metrics)
+            DqlExecutor(EngineBackend(self.engine)), self.engine.metrics)
 
     def _search(self, query: DirectionalQuery,
                 budget: Optional[float]) -> bytes:
@@ -463,15 +458,13 @@ class ClusterFrontend(FrameServer):
     def __init__(self, router: ShardRouter,
                  host: str = "127.0.0.1", port: int = 0,
                  max_inflight: int = 64,
-                 default_timeout: Optional[float] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 default_timeout: Optional[float] = None) -> None:
         self.router = router
         # Text statements run the same scatter-gather as binary frames;
         # the executor seam (repro.lang) is what makes that one line.
         super().__init__(
             host, port, "front door", "desks-frontdoor-{}", max_inflight,
-            DqlExecutor(RouterBackend(router)),
-            metrics if metrics is not None else router.metrics,
+            DqlExecutor(RouterBackend(router)), router.metrics,
             default_timeout)
 
     def _search(self, query: DirectionalQuery,
@@ -505,9 +498,7 @@ class ClusterFrontend(FrameServer):
 def run_shard_server(directory: str, host: str = "127.0.0.1",
                      port: int = 0, shard_id: int = 0,
                      num_workers: int = 4,
-                     max_inflight: Optional[int] = None,
-                     cache_capacity: int = SHARD_CACHE_CAPACITY,
-                     mode: PruningMode = PruningMode.RD) -> int:
+                     max_inflight: Optional[int] = None) -> int:
     """CLI entry: load ``directory``, announce readiness, serve forever.
 
     Prints ``SHARD-SERVER READY <host> <port>`` on stdout once the
@@ -517,8 +508,7 @@ def run_shard_server(directory: str, host: str = "127.0.0.1",
     """
     server = ShardServer(directory, host=host, port=port,
                          shard_id=shard_id, num_workers=num_workers,
-                         max_inflight=max_inflight,
-                         cache_capacity=cache_capacity, mode=mode)
+                         max_inflight=max_inflight)
     bound_host, bound_port = server.address
     print(f"SHARD-SERVER READY {bound_host} {bound_port}", flush=True)
     try:

@@ -38,8 +38,6 @@ def counters(metrics):
 
 
 def make_client(proxy, **kw):
-    kw.setdefault("connect_timeout", 2.0)
-    kw.setdefault("backoff", 0.02)
     kw.setdefault("metrics", MetricsRegistry())
     return RemoteShardClient(proxy.address, **kw)
 
@@ -230,8 +228,7 @@ def test_restarted_server_returns_to_healthy_first_rotation(
     replica_set = RemoteReplicaSet(
         0, [server_a.address, server_b.address], health_threshold=2,
         metrics=MetricsRegistry(),
-        client_factory=lambda address: RemoteShardClient(
-            address, connect_timeout=0.5, connect_attempts=1),
+        client_factory=RemoteShardClient,
         resilience=ResilienceConfig(breaker_reset_timeout=3600.0))
     restarted = None
     try:

@@ -10,12 +10,14 @@ marker.
 
 import os
 import random
+import shutil
+import subprocess
 
 import pytest
 
 from repro.cluster import ShardRouter
-from repro.net import ClusterLauncher, LaunchError, connect_router
-from repro.net.launcher import _read_manifest
+from repro.core import PersistenceError, read_sharded_manifest
+from repro.net import ClusterLauncher, connect_router
 
 from .conftest import entries_of, make_collection, random_queries
 
@@ -31,7 +33,9 @@ def deployment(tmp_path_factory):
 
 def test_manifest_unwraps_nested_meta(deployment):
     path, collection = deployment
-    meta = _read_manifest(path)
+    shard_dirs, meta = read_sharded_manifest(path)
+    assert shard_dirs == [os.path.join(path, "shard0"),
+                          os.path.join(path, "shard1")]
     assert len(meta["shard_global_ids"]) == 2
     assert meta["num_pois"] == len(collection)
 
@@ -39,8 +43,7 @@ def test_manifest_unwraps_nested_meta(deployment):
 def test_launch_probe_query_kill_stop(deployment, reference_for):
     path, collection = deployment
     reference = reference_for(collection)
-    with ClusterLauncher(path, replication=1, num_workers=1,
-                         startup_timeout=60.0) as launcher:
+    with ClusterLauncher(path, replication=1, num_workers=1) as launcher:
         addresses = launcher.start()
         assert sorted(addresses) == [0, 1]
         assert launcher.alive() == [(0, 0), (1, 0)]
@@ -66,8 +69,42 @@ def test_missing_manifest_is_a_launch_error(tmp_path):
     with open(tmp_path / "empty" / "meta.json", "w",
               encoding="utf-8") as handle:
         handle.write("{}")
-    with pytest.raises(LaunchError, match="manifest"):
+    with pytest.raises(PersistenceError, match="format version"):
         ClusterLauncher(str(tmp_path / "empty"))
+
+
+def damage_missing_shard(path):
+    shutil.rmtree(os.path.join(path, "shard1"))
+
+
+def damage_unparseable_manifest(path):
+    with open(os.path.join(path, "meta.json"), "w",
+              encoding="utf-8") as handle:
+        handle.write('{"version": 1, "num_sh')
+
+
+@pytest.mark.parametrize("damage", [damage_missing_shard,
+                                    damage_unparseable_manifest],
+                         ids=["missing-shard", "unparseable-manifest"])
+def test_half_written_deployment_is_refused_before_any_spawn(
+        deployment, tmp_path, monkeypatch, damage):
+    """The launcher and connect_router read the manifest the way
+    load_sharded does: a typed refusal, and no process started."""
+    path = str(tmp_path / "deploy")
+    shutil.copytree(deployment[0], path)
+    damage(path)
+    spawned = []
+
+    def no_spawn(command, **kwargs):
+        spawned.append(command)
+        raise AssertionError("a shard process was spawned")
+
+    monkeypatch.setattr(subprocess, "Popen", no_spawn)
+    with pytest.raises(PersistenceError):
+        ClusterLauncher(path).start()
+    with pytest.raises(PersistenceError):
+        connect_router(path, {0: [("127.0.0.1", 9)], 1: [("127.0.0.1", 9)]})
+    assert spawned == []
 
 
 def test_kill_unknown_replica_is_a_key_error(deployment):

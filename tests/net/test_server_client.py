@@ -29,6 +29,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_search_request,
 )
+from repro.service import MetricsRegistry
 
 from ..cluster.conftest import rare_keyword_queries, with_rare_keyword
 from .conftest import entries_of, make_collection, random_queries
@@ -273,8 +274,7 @@ def test_dead_server_raises_transport_error(index):
     server = ShardServer(index, shard_id=0, num_workers=1).start()
     address = server.address
     server.stop()
-    with RemoteShardClient(address, connect_timeout=0.5,
-                           connect_attempts=2, backoff=0.01) as cli:
+    with RemoteShardClient(address) as cli:
         with pytest.raises(TransportError):
             cli.health(timeout=1.0)
 
@@ -283,8 +283,7 @@ def test_client_reconnects_across_server_restart(index, reference):
     server = ShardServer(index, shard_id=0, num_workers=1).start()
     port = server.address[1]
     query = random_queries(random.Random(17), 1)[0]
-    with RemoteShardClient(server.address, connect_timeout=1.0,
-                           backoff=0.05) as cli:
+    with RemoteShardClient(server.address) as cli:
         assert entries_of(cli.search(query).result) == \
             entries_of(reference.search(query))
         server.stop()
@@ -300,6 +299,38 @@ def test_client_reconnects_across_server_restart(index, reference):
             restarted.stop()
 
 
+def test_restart_with_several_pooled_connections_reconnects(index,
+                                                            reference):
+    """Every idle connection goes stale with the server that made it.
+
+    The first stale one drops the whole pool and the retry dials fresh,
+    so the caller sees one transparent stale retry — never a failure
+    after two stale sockets in a row.
+    """
+    server = ShardServer(index, shard_id=0, num_workers=1).start()
+    port = server.address[1]
+    query = random_queries(random.Random(18), 1)[0]
+    metrics = MetricsRegistry()
+    with RemoteShardClient(server.address, metrics=metrics) as cli:
+        held = [cli._acquire()[0] for _ in range(2)]
+        for conn in held:
+            cli._release(conn)
+        assert cli.reconnects == 2
+        server.stop()
+        restarted = ShardServer(index, host="127.0.0.1", port=port,
+                                shard_id=0, num_workers=1).start()
+        try:
+            got = cli.search(query)
+            assert entries_of(got.result) == \
+                entries_of(reference.search(query))
+            assert cli.reconnects == 3
+            assert len(cli._idle) == 1
+        finally:
+            restarted.stop()
+    counters = metrics.to_dict()["counters"]
+    assert counters["net_client_stale_retries_total"] == 1
+
+
 # -- replica failover ---------------------------------------------------------
 
 
@@ -309,8 +340,7 @@ def test_replica_set_fails_over_and_marks_unhealthy(index, reference):
     doomed_address = doomed.address
     try:
         replicas = RemoteReplicaSet(
-            0, [doomed_address, alive.address], health_threshold=2,
-            request_timeout=5.0)
+            0, [doomed_address, alive.address], health_threshold=2)
         try:
             doomed.stop()
             queries = random_queries(random.Random(19), 6)
@@ -341,8 +371,7 @@ def test_all_replicas_down_raises_shard_unavailable(index):
     server = ShardServer(index, shard_id=0, num_workers=1).start()
     address = server.address
     server.stop()
-    replicas = RemoteReplicaSet(0, [address], health_threshold=3,
-                                request_timeout=1.0)
+    replicas = RemoteReplicaSet(0, [address], health_threshold=3)
     try:
         query = random_queries(random.Random(20), 1)[0]
         with pytest.raises(ShardUnavailableError):

@@ -313,9 +313,8 @@ def test_stop_drops_pooled_connections_and_port_is_reusable(make_server,
     host, port = server.address
     query = random_queries(random.Random(58), 1)[0]
     want = entries_of(reference.search(query))
-    dial = dict(connect_timeout=0.5, connect_attempts=2, backoff=0.01)
-    with RemoteShardClient(server.address, **dial) as early, \
-            RemoteShardClient(server.address, **dial) as late:
+    with RemoteShardClient(server.address) as early, \
+            RemoteShardClient(server.address) as late:
         for cli in (early, late):
             assert entries_of(cli.search(query).result) == want
         server.stop()
