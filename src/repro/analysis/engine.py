@@ -244,9 +244,15 @@ class LintEngine:
 
     @staticmethod
     def discover(target: str) -> List[str]:
-        """Python files under ``target`` (a file or a directory), sorted."""
+        """Python files under ``target`` (a file or a directory), sorted.
+
+        A target that is neither raises :class:`FileNotFoundError`: a
+        mistyped path must not lint as an empty, clean directory.
+        """
         if os.path.isfile(target):
             return [target]
+        if not os.path.isdir(target):
+            raise FileNotFoundError(f"no such file or directory: {target}")
         out: List[str] = []
         for dirpath, dirnames, filenames in os.walk(target):
             dirnames[:] = sorted(

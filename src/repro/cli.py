@@ -28,18 +28,6 @@ Commands
     Run one query with :mod:`repro.trace` active and print the span
     tree; ``--json`` exports it, ``--engine`` routes through the
     serving layer so engine-level spans (cache, queue wait) appear too.
-``bench``
-    Quick single-machine comparison of DESKS vs the baselines on a CSV.
-``serve-bench``
-    Drive the concurrent serving layer (:mod:`repro.service`) with a
-    closed-loop multi-client workload, sweeping client counts and
-    printing QPS / cache-hit-rate / tail-latency per step.
-``cluster-bench``
-    Drive the sharded scatter-gather layer (:mod:`repro.cluster`):
-    sweep shard counts under a chosen partitioner, verify answers
-    against the unsharded index, and report shard-pruning rates,
-    latency, and (with replication and ``--fault-rate``) failover
-    behaviour.
 ``shard-server``
     Serve one saved (or durable) shard's search/health/stats RPCs on a
     TCP socket (:mod:`repro.net`); prints ``SHARD-SERVER READY host
@@ -54,24 +42,20 @@ Commands
     Verify a saved index, sharded deployment, or durable-index directory
     against its checksum manifests (and WAL, when present); exit 1 on
     any corruption.
-``chaos-bench``
-    Run the durability chaos harness (:mod:`repro.durability`):
-    randomized crash/recovery trials, page-corruption injections, and a
-    WAL-overhead measurement, optionally written to a JSON report.
+``lint``
+    Run the project-invariant analyzer (:mod:`repro.analysis`).
+
+Measurements are library calls and ``benchmarks/`` drivers, not commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 import time
-from contextlib import ExitStack
-from functools import partial
 from typing import List, Optional
 
-from .baselines import FilterThenVerify, IRTree, MIR2Tree
 from .core import (
     DesksIndex,
     DesksSearcher,
@@ -161,96 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--json", metavar="PATH", default=None,
                          help="write the trace to PATH as JSON")
 
-    p_bench = sub.add_parser(
-        "bench", help="compare DESKS vs baselines on a CSV")
-    p_bench.add_argument("input", help="POI CSV path")
-    p_bench.add_argument("--queries", type=int, default=50)
-    p_bench.add_argument("--width", type=float, default=60.0,
-                         help="direction width in degrees")
-    p_bench.add_argument("-k", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="closed-loop load test of the concurrent serving layer")
-    p_serve.add_argument("input", help="POI CSV path")
-    p_serve.add_argument("--clients", type=int, nargs="+",
-                         default=[1, 2, 4, 8],
-                         help="client counts to sweep (default: 1 2 4 8)")
-    p_serve.add_argument("--requests", type=int, default=200,
-                         help="requests per client per step (default 200)")
-    p_serve.add_argument("--queries", type=int, default=50,
-                         help="distinct queries in the workload")
-    p_serve.add_argument("--repeats", type=int, default=4,
-                         help="replays of the query set (cache warmth)")
-    p_serve.add_argument("--keywords", type=int, default=2,
-                         help="keywords per generated query")
-    p_serve.add_argument("--width", type=float, default=60.0,
-                         help="direction width in degrees")
-    p_serve.add_argument("-k", type=int, default=10)
-    p_serve.add_argument("--workers", type=int, default=8,
-                         help="engine worker threads")
-    p_serve.add_argument("--cache", type=int, default=1024,
-                         help="result-cache capacity (entries)")
-    p_serve.add_argument("--timeout-ms", type=float, default=None,
-                         help="per-query deadline (graceful degradation)")
-    p_serve.add_argument("--think-ms", type=float, default=2.0,
-                         help="client think time between requests")
-    p_serve.add_argument("--inserts", type=int, default=0,
-                         help="POIs inserted between sweep steps "
-                              "(exercises cache invalidation)")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--transport", choices=["inproc", "socket"],
-                         default="inproc",
-                         help="inproc: call the engine directly; socket: "
-                              "drive a ShardServer over the wire protocol")
-    p_serve.add_argument("--batch", type=int, default=1,
-                         help="queries per client batch (submit_batch "
-                              "path when > 1)")
-    p_serve.add_argument("--metrics", action="store_true",
-                         help="dump the full metrics registry at the end")
-    p_serve.add_argument("--metrics-json", metavar="PATH", default=None,
-                         help="write the metrics registry to PATH as JSON")
-
-    p_cluster = sub.add_parser(
-        "cluster-bench",
-        help="sharded scatter-gather sweep with equivalence checking")
-    p_cluster.add_argument("input", help="POI CSV path")
-    p_cluster.add_argument("--shards", type=int, nargs="+",
-                           default=[1, 2, 4, 8],
-                           help="shard counts to sweep (default: 1 2 4 8)")
-    p_cluster.add_argument("--partitioner", default="grid",
-                           choices=["grid", "angular", "hash"])
-    p_cluster.add_argument("--replicas", type=int, default=1,
-                           help="replicas per shard (default 1)")
-    p_cluster.add_argument("--fault-rate", type=float, default=0.0,
-                           help="injected error probability on replica 0 "
-                                "of every shard (needs --replicas >= 2 "
-                                "for exact answers)")
-    p_cluster.add_argument("--fanout", type=int, default=4,
-                           help="max shards asked per wave (the first wave "
-                                "is the nearest shard(s) alone)")
-    p_cluster.add_argument("--workers", type=int, default=8,
-                           help="shared pool worker threads")
-    p_cluster.add_argument("--queries", type=int, default=100,
-                           help="random queries per sweep step")
-    p_cluster.add_argument("--keywords", type=int, default=2,
-                           help="keywords per generated query")
-    p_cluster.add_argument("--width", type=float, default=90.0,
-                           help="direction width in degrees")
-    p_cluster.add_argument("-k", type=int, default=10)
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--transport", choices=["inproc", "socket"],
-                           default="inproc",
-                           help="inproc: replicas on a shared thread "
-                                "pool; socket: one real shard-server "
-                                "process per (shard, replica)")
-    p_cluster.add_argument("--no-verify", action="store_true",
-                           help="skip the unsharded equivalence check")
-    p_cluster.add_argument("--metrics-json", metavar="PATH", default=None,
-                           help="write the cluster metrics snapshot "
-                                "(router + every shard/replica) to PATH")
-
     p_shard = sub.add_parser(
         "shard-server",
         help="serve one saved/durable shard's RPCs on a TCP socket")
@@ -314,23 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scrub.add_argument("directory",
                          help="saved index, sharded deployment, or "
                               "durable index directory")
-
-    p_chaos = sub.add_parser(
-        "chaos-bench",
-        help="crash/corruption chaos trials + WAL overhead measurement")
-    p_chaos.add_argument("--pois", type=int, default=400,
-                         help="base collection size (default 400)")
-    p_chaos.add_argument("--ops", type=int, default=120,
-                         help="mutations per workload script")
-    p_chaos.add_argument("--crash-trials", type=int, default=120,
-                         help="randomized kill points (default 120)")
-    p_chaos.add_argument("--corruption-trials", type=int, default=100,
-                         help="randomized page injections (default 100)")
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--sync", choices=["always", "batch", "checkpoint"],
-                         default="batch", help="WAL sync policy")
-    p_chaos.add_argument("--json", metavar="PATH", default=None,
-                         help="write the full report to PATH as JSON")
 
     p_lint = sub.add_parser(
         "lint", help="run the project-invariant analyzer (DAL rules)")
@@ -530,8 +407,11 @@ def _cmd_query_dql(args: argparse.Namespace) -> int:
             for outcome in outcomes:
                 print(outcome.render())
         if args.metrics_json:
-            _write_metrics_json(executor.execute("SHOW METRICS").table,
-                                args.metrics_json)
+            with open(args.metrics_json, "w", encoding="utf-8") as handle:
+                json.dump(executor.execute("SHOW METRICS").table, handle,
+                          indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"wrote metrics to {args.metrics_json}")
     finally:
         close()
     return exit_code
@@ -616,234 +496,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        baseline_search_fn,
-        desks_search_fn,
-        generate_queries,
-        run_workload,
-    )
-
-    collection = load_csv(args.input)
-    queries = generate_queries(
-        collection, args.queries, num_keywords=2,
-        direction_width=math.radians(args.width), k=args.k, seed=args.seed)
-    searcher = DesksSearcher(DesksIndex(collection))
-    methods = [
-        ("DESKS", desks_search_fn(searcher, PruningMode.RD)),
-        ("MIR2-tree", baseline_search_fn(MIR2Tree(collection))),
-        ("LkT", baseline_search_fn(IRTree(collection))),
-        ("filter-verify", baseline_search_fn(FilterThenVerify(collection))),
-    ]
-    print(f"{'method':<16}{'avg ms':>10}{'avg POIs':>12}")
-    for name, fn in methods:
-        run = run_workload(name, fn, queries)
-        print(f"{name:<16}{run.avg_ms:>10.3f}{run.avg_pois_examined:>12.1f}")
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .bench import generate_queries, repeated_stream
-    from .core import MutableDesksIndex
-    from .service import QueryEngine, run_closed_loop
-
-    if args.transport == "socket" and args.inserts:
-        print("error: --inserts requires --transport inproc (mutations "
-              "are not part of the wire protocol yet)", file=sys.stderr)
-        return 2
-    collection = load_csv(args.input)
-    base = generate_queries(
-        collection, args.queries, num_keywords=args.keywords,
-        direction_width=math.radians(args.width), k=args.k, seed=args.seed)
-    stream = repeated_stream(base, args.repeats, seed=args.seed)
-    timeout = (args.timeout_ms / 1000.0
-               if args.timeout_ms is not None else None)
-    index = MutableDesksIndex(collection)
-    rng = random.Random(args.seed)
-    mbr = collection.mbr
-    print(f"{len(collection)} POIs, {len(base)} distinct queries x "
-          f"{args.repeats} repeats, {args.requests} req/client, "
-          f"think={args.think_ms:.1f} ms, batch={args.batch}, "
-          f"transport={args.transport}")
-    with ExitStack() as stack:
-        if args.transport == "socket":
-            # Same index, same worker count, on a background thread of
-            # this process: every request crosses a real loopback socket
-            # through repro.net.protocol, so the delta against inproc is
-            # the framing + socket cost.
-            from .net import (
-                OverloadError,
-                RemoteShardClient,
-                ShardServer,
-                TransportError,
-            )
-
-            server = stack.enter_context(ShardServer(
-                index, num_workers=args.workers,
-                cache_capacity=args.cache).start())
-            client = stack.enter_context(RemoteShardClient(server.address))
-            target = partial(client.search, budget=timeout)
-            metrics = server.metrics
-            shed_on = (OverloadError, TransportError)
-        else:
-            target = stack.enter_context(QueryEngine(
-                index, num_workers=args.workers, cache_capacity=args.cache,
-                default_timeout=timeout))
-            metrics = target.metrics
-            shed_on = ()
-        for num_clients in args.clients:
-            report = run_closed_loop(
-                target, stream, num_clients,
-                requests_per_client=args.requests,
-                think_time=args.think_ms / 1000.0,
-                batch_size=args.batch, shed_on=shed_on)
-            print(report.summary())
-            if report.first_error:
-                print(f"  first error: {report.first_error}",
-                      file=sys.stderr)
-                return 1
-            for _ in range(args.inserts):
-                index.insert(rng.uniform(mbr.min_x, mbr.max_x),
-                             rng.uniform(mbr.min_y, mbr.max_y),
-                             ["serve", "bench"])
-        if args.metrics:
-            print()
-            print(metrics.render())
-        if args.metrics_json:
-            _write_metrics_json(metrics.to_dict(), args.metrics_json)
-    return 0
-
-
-def _write_metrics_json(snapshot: dict, path: str) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote metrics to {path}")
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from .bench import generate_queries
-    from .cluster import FaultInjector, ShardRouter
-
-    collection = load_csv(args.input)
-    queries = generate_queries(
-        collection, args.queries, num_keywords=args.keywords,
-        direction_width=math.radians(args.width), k=args.k, seed=args.seed)
-    reference = None
-    if not args.no_verify:
-        reference = DesksSearcher(DesksIndex(collection))
-
-    injector = None
-    if args.fault_rate > 0.0:
-        if args.transport == "socket":
-            print("error: --fault-rate requires --transport inproc (the "
-                  "socket transport's faults are real process kills; see "
-                  "the network benchmarks)", file=sys.stderr)
-            return 2
-        injector = FaultInjector(seed=args.seed)
-        injector.set_fault(replica_id=0, error_rate=args.fault_rate)
-
-    print(f"{len(collection)} POIs, {len(queries)} queries, "
-          f"partitioner={args.partitioner}, replicas={args.replicas}, "
-          f"fault_rate={args.fault_rate}, transport={args.transport}")
-    print(f"{'shards':>7}{'avg ms':>10}{'pruned %':>10}{'retries':>9}"
-          f"{'degraded':>10}{'mismatches':>12}")
-    exit_code = 0
-    last_snapshot = None
-    for num_shards in args.shards:
-        with _cluster_bench_router(args, collection, num_shards,
-                                   injector) as router:
-            row = _cluster_measure(router, queries, reference)
-            latency, retries, degraded, mismatches, pruned, total = row
-            print(f"{num_shards:>7}"
-                  f"{1000.0 * latency / len(queries):>10.3f}"
-                  f"{100.0 * pruned / total:>10.1f}"
-                  f"{int(retries):>9}{int(degraded):>10}"
-                  f"{int(mismatches):>12}")
-            if mismatches:
-                print(f"  ERROR: {int(mismatches)} sharded answers "
-                      "diverged from the unsharded index",
-                      file=sys.stderr)
-                exit_code = 1
-            last_snapshot = router.metrics_snapshot()
-    if args.metrics_json and last_snapshot is not None:
-        _write_metrics_json(last_snapshot, args.metrics_json)
-    return exit_code
-
-
-def _cluster_measure(router, queries, reference):
-    """Run the sweep's query loop; returns the aggregate row counters."""
-    latency = retries = degraded = mismatches = 0.0
-    pruned = total = 0
-    for query in queries:
-        response = router.execute(query)
-        latency += response.latency_seconds
-        retries += response.replica_retries
-        degraded += 1 if response.degraded else 0
-        pruned += (response.shards_pruned
-                   + response.shards_keyword_pruned
-                   + response.shards_skipped)
-        total += response.shards_total
-        if reference is not None and not response.degraded:
-            expected = reference.search(query)
-            if [(e.poi_id, e.distance)
-                    for e in response.result.entries] != \
-                    [(e.poi_id, e.distance)
-                     for e in expected.entries]:
-                mismatches += 1
-    return latency, retries, degraded, mismatches, pruned, total
-
-
-def _cluster_bench_router(args: argparse.Namespace, collection,
-                          num_shards: int, injector):
-    """A router for one sweep step — in-process or over real servers.
-
-    For ``--transport socket`` the step builds and saves the sharded
-    deployment, launches one ``shard-server`` process per (shard,
-    replica), and returns a remote router over their sockets; teardown
-    (processes, temp dir) is chained onto the router's ``close()``.
-    """
-    from .cluster import ShardRouter
-
-    if args.transport == "inproc":
-        return ShardRouter(collection, num_shards=num_shards,
-                           partitioner=args.partitioner,
-                           replication=args.replicas,
-                           num_workers=args.workers,
-                           max_fanout=args.fanout,
-                           fault_injector=injector)
-
-    import tempfile
-
-    from .net import ClusterLauncher, connect_router
-
-    cleanup = ExitStack()
-    try:
-        deploy = cleanup.enter_context(tempfile.TemporaryDirectory())
-        with ShardRouter(collection, num_shards=num_shards,
-                         partitioner=args.partitioner) as builder:
-            builder.save(deploy)
-        launcher = cleanup.enter_context(
-            ClusterLauncher(deploy, replication=args.replicas))
-        addresses = launcher.start()
-        router = connect_router(deploy, addresses,
-                                num_workers=args.workers,
-                                max_fanout=args.fanout)
-    except Exception:
-        cleanup.close()
-        raise
-    inner_close = router.close
-
-    def close_all() -> None:
-        inner_close()
-        cleanup.close()
-
-    router.close = close_all
-    return router
-
-
 def _cmd_shard_server(args: argparse.Namespace) -> int:
     from .net import run_shard_server
 
@@ -918,72 +570,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_chaos_bench(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from .durability import (
-        build_script,
-        measure_wal_overhead,
-        run_corruption_trials,
-        run_crash_trials,
-    )
-
-    collection = generate(SyntheticConfig(
-        name="chaos", num_pois=args.pois, num_unique_terms=200,
-        avg_terms_per_poi=3.0, seed=args.seed))
-    script = build_script(collection, args.ops, seed=args.seed)
-    with tempfile.TemporaryDirectory() as workdir:
-        started = time.perf_counter()
-        crash = run_crash_trials(collection, script, args.crash_trials,
-                                 seed=args.seed, workdir=workdir,
-                                 sync=args.sync)
-        print(f"crash trials: {crash.summary()} "
-              f"({time.perf_counter() - started:.1f} s)")
-        for failure in crash.failures():
-            print(f"  FAILED trial {failure.trial}: "
-                  f"{'; '.join(failure.mismatches)}", file=sys.stderr)
-        started = time.perf_counter()
-        corruption = run_corruption_trials(
-            collection, args.corruption_trials, seed=args.seed,
-            workdir=workdir)
-        print(f"corruption trials: {corruption.summary()} "
-              f"({time.perf_counter() - started:.1f} s)")
-        overhead = measure_wal_overhead(collection, script, workdir,
-                                        sync=args.sync)
-    print(f"WAL overhead ({args.sync}): "
-          f"{100.0 * overhead['overhead_fraction']:.1f}% "
-          f"({overhead['plain_ops_per_sec']:.0f} -> "
-          f"{overhead['durable_ops_per_sec']:.0f} ops/s)")
-    ok = crash.all_identical and corruption.all_surfaced
-    if args.json:
-        payload = {
-            "config": {
-                "pois": args.pois, "ops": args.ops, "seed": args.seed,
-                "sync": args.sync,
-                "crash_trials": args.crash_trials,
-                "corruption_trials": args.corruption_trials,
-            },
-            "crash": {
-                "trials": crash.total,
-                "identical": crash.identical,
-                "failures": [f.mismatches for f in crash.failures()],
-            },
-            "corruption": {
-                "trials": corruption.total,
-                "undetected": corruption.undetected,
-                "silent_wrong": corruption.silent_wrong,
-            },
-            "wal_overhead": overhead,
-            "ok": ok,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote chaos report to {args.json}")
-    return 0 if ok else 1
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import (ALIAS_CODES, RULE_INDEX, Contract, LintEngine,
                            ProgramRule, build_graph)
@@ -1045,13 +631,9 @@ _COMMANDS = {
     "query": _cmd_query,
     "explain": _cmd_explain,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
-    "serve-bench": _cmd_serve_bench,
-    "cluster-bench": _cmd_cluster_bench,
     "shard-server": _cmd_shard_server,
     "serve": _cmd_serve,
     "scrub": _cmd_scrub,
-    "chaos-bench": _cmd_chaos_bench,
     "lint": _cmd_lint,
 }
 
@@ -1060,10 +642,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -237,7 +237,7 @@ class ChaosReport:
         return [t for t in self.trials if not t.identical]
 
     def summary(self) -> str:
-        """One line for the chaos-bench report."""
+        """One human-readable line for a chaos report."""
         return (f"{self.identical}/{self.total} trials recovered "
                 f"byte-identically")
 
@@ -358,7 +358,7 @@ class CorruptionReport:
         return self.silent_wrong == 0 and self.undetected == 0
 
     def summary(self) -> str:
-        """One line for the chaos-bench report."""
+        """One human-readable line for a chaos report."""
         return (f"{self.total} injection(s): {self.undetected} undetected, "
                 f"{self.silent_wrong} silently wrong answer(s)")
 

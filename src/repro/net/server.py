@@ -404,13 +404,12 @@ class ShardServer(FrameServer):
                  host: str = "127.0.0.1", port: int = 0,
                  shard_id: int = 0,
                  num_workers: int = 4,
-                 max_inflight: Optional[int] = None,
-                 cache_capacity: int = SHARD_CACHE_CAPACITY) -> None:
+                 max_inflight: Optional[int] = None) -> None:
         if isinstance(index, str):
             index = load_shard(index)
         self.shard_id = shard_id
         self.engine = QueryEngine(index, num_workers=num_workers,
-                                  cache_capacity=cache_capacity)
+                                  cache_capacity=SHARD_CACHE_CAPACITY)
         # Statement frames run through the same executor surface the CLI
         # uses; binding it to the engine keeps the text path and the
         # binary query path answer-identical (same cache, same deadline).

@@ -84,7 +84,6 @@ class QueryEngine:
                  num_workers: int = 4,
                  mode: PruningMode = PruningMode.RD,
                  cache_capacity: int = 1024,
-                 default_timeout: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracing: bool = False,
                  kernel: str = "object") -> None:
@@ -101,7 +100,6 @@ class QueryEngine:
         self.index = index
         self.mode = mode
         self.kernel = kernel
-        self.default_timeout = default_timeout
         self.cache = ResultCache(cache_capacity)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # ``tracing=True`` traces every request the caller didn't already
@@ -191,8 +189,7 @@ class QueryEngine:
                 span.annotate(cache_hit=True, generation=generation,
                               results=len(cached))
             return ServiceResponse(query, cached, True, generation, latency)
-        deadline = Deadline.from_timeout(
-            timeout if timeout is not None else self.default_timeout)
+        deadline = Deadline.from_timeout(timeout)
         stats = SearchStats()
         io_before = self._io_snapshot()
         try:

@@ -6,8 +6,8 @@ makes a closed-loop benchmark scale with clients — while one client
 thinks, the target serves the others — and it mirrors real interactive
 traffic (a map user pans, reads, then queries again).  With zero think
 time and a pure-Python (GIL-bound) searcher, adding clients mostly adds
-queueing; the serve-bench defaults therefore use a small think time so
-client-count sweeps show the expected aggregate-QPS scaling.
+queueing; a client-count sweep therefore uses a small think time to
+show the expected aggregate-QPS scaling.
 
 The target is a :class:`QueryEngine` (``submit`` / ``submit_batch``,
 with cache-hit accounting) or any ``issue(query)`` callable —
@@ -77,7 +77,7 @@ class WorkloadReport:
         return self.cache_hits / max(self.cache_lookups, 1)
 
     def summary(self) -> str:
-        """One human-readable line, serve-bench's table row."""
+        """One human-readable line: a client-count sweep's table row."""
         p95 = self.latency.get("p95", 0.0) * 1000.0
         hit_rate = (f"{self.cache_hit_rate:6.1%}" if self.cache_lookups
                     else "   n/a")
@@ -115,8 +115,9 @@ def run_closed_loop(target: Union[QueryEngine,
     then sleeps ``think_time`` seconds before the next one.
 
     ``target`` is a :class:`QueryEngine` or an ``issue(query)`` callable
-    whose answer has a truthy/falsy ``partial`` attribute (a deadline is
-    the engine's ``default_timeout`` or bound into the callable).
+    whose answer has a truthy/falsy ``partial`` attribute.  A deadline is
+    bound into the callable (``partial(engine.execute, timeout=t)``,
+    ``partial(client.search, budget=t)``); an engine target runs unbounded.
 
     ``batch_size > 1`` (engine targets only) models batching clients:
     each loop iteration gathers that many consecutive queries from the

@@ -3,11 +3,10 @@
 Tracing answers "why was *this* query slow"; metrics answer "how is the
 service doing".  :class:`TraceSink` bridges them: attach one to a
 :class:`~repro.trace.Tracer` (or pass ``tracing=True`` to
-:class:`~repro.service.QueryEngine` / :class:`~repro.cluster.ShardRouter`)
-and every finished trace feeds per-stage latency histograms and counter
-totals into the existing :class:`~repro.service.MetricsRegistry` — the
-service and cluster dashboards get stage-level breakdowns for free,
-without a second telemetry pipeline.
+:class:`~repro.service.QueryEngine`) and every finished trace feeds
+per-stage latency histograms and counter totals into the existing
+:class:`~repro.service.MetricsRegistry` — the service dashboard gets
+stage-level breakdowns for free, without a second telemetry pipeline.
 """
 
 from __future__ import annotations

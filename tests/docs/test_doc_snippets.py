@@ -10,13 +10,20 @@ directly above it (for illustrative pseudo-code or examples that need
 external state).
 
 The companion link checker verifies every relative markdown link in the
-same documents (plus ``results/REPORT.md``) resolves to a real file.
+same documents (plus ``results/REPORT.md``) resolves to a real file, and
+the command-line checker parses every ``python -m repro ...`` line of a
+non-python fence with the real argument parser, so a removed or renamed
+subcommand or flag cannot live on in the docs.
 """
 
 import re
+import shlex
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DOCS_DIR = REPO_ROOT / "docs"
@@ -31,6 +38,10 @@ SNIPPET_DOCS = [REPO_ROOT / "README.md"] + sorted(DOCS_DIR.glob("*.md"))
 
 #: Documents whose links must resolve.
 LINKED_DOCS = SNIPPET_DOCS + [REPO_ROOT / "results" / "REPORT.md"]
+
+#: Documents whose ``python -m repro`` command lines must parse.
+CLI_DOCS = SNIPPET_DOCS + [REPO_ROOT / ".claude" / "skills" / "verify"
+                           / "SKILL.md"]
 
 
 def python_snippets(path):
@@ -108,3 +119,51 @@ def test_relative_links_resolve(doc):
     broken = [target for target in relative_links(doc)
               if not (doc.parent / target).exists()]
     assert not broken, f"{doc} has broken relative links: {broken}"
+
+
+_CLI = re.compile(r"python3? -m repro\s(?P<args>.*)")
+_SHELL_OPERATORS = {"|", "||", "&", "&&", ";", "<", ">", ">>"}
+
+
+def shell_fences(path):
+    """The text of each fence in ``path`` that is not ``python``, with
+    backslash-continued lines joined."""
+    fences, language, lines = [], None, []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.lstrip().startswith("```"):
+            lines.append(line)
+        elif language is None:
+            language, lines = line.lstrip()[3:].strip(), []
+        else:
+            if language != "python":
+                fences.append("\n".join(lines).replace("\\\n", " "))
+            language = None
+    return fences
+
+
+def cli_commands(path):
+    """The argv of each ``python -m repro`` command in ``path``'s shell
+    fences; a shell comment, pipe or redirection ends the argv."""
+    commands = []
+    for fence in shell_fences(path):
+        for match in _CLI.finditer(fence):
+            lexer = shlex.shlex(match.group("args"), posix=True,
+                                punctuation_chars=True)
+            lexer.whitespace_split = True
+            commands.append(list(takewhile(
+                lambda token: token not in _SHELL_OPERATORS, lexer)))
+    return commands
+
+
+@pytest.mark.parametrize("doc", CLI_DOCS, ids=[p.name for p in CLI_DOCS])
+def test_every_cli_line_parses(doc, capsys):
+    parser = build_parser()
+    commands = cli_commands(doc)
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc.name}: `python -m repro {shlex.join(argv)}` "
+                        f"does not parse:\n{capsys.readouterr().err}")
+    if doc.name in ("README.md", "SKILL.md"):
+        assert commands, f"{doc.name} lost its command lines?"

@@ -69,15 +69,20 @@ class TestQuery:
                          "--keywords", "restaurant", "--mode", mode]) == 0
 
 
+def assert_removed_command(argv, capsys):
+    """A removed subcommand is argparse's exit 2, before any work."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+
 class TestBench:
-    def test_bench_runs(self, csv_path, capsys):
-        code = main(["bench", str(csv_path), "--queries", "5",
-                     "--width", "60"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "DESKS" in out
-        assert "MIR2-tree" in out
-        assert "LkT" in out
+    # DESKS agreeing with the baselines: test_end_to_end.py::
+    # TestFullPipeline::test_all_methods_agree_on_paper_mix.
+    def test_bench_runs(self, capsys):
+        assert_removed_command(["bench", "pois.csv", "--queries", "5"],
+                               capsys)
 
 
 class TestParser:
@@ -128,91 +133,43 @@ class TestErrorHandling:
         assert main(["stats", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_lint_missing_target(self, tmp_path, capsys):
+        # A mistyped path is an error, not an empty (clean) directory.
+        missing = str(tmp_path / "srcc")
+        assert main(["lint", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
 
 class TestServeBench:
-    def test_sweep_and_metrics_json(self, csv_path, tmp_path, capsys):
-        import json
+    # The closed loop: tests/service/test_workload.py::TestClosedLoop
+    # (engine), tests/net/test_server_client.py::
+    # test_closed_loop_over_the_socket.
+    def test_sweep_and_metrics_json(self, capsys):
+        assert_removed_command(["serve-bench", "pois.csv",
+                                "--clients", "1", "2"], capsys)
 
-        metrics_path = tmp_path / "metrics.json"
-        code = main(["serve-bench", str(csv_path),
-                     "--clients", "1", "2", "--requests", "10",
-                     "--queries", "5", "--think-ms", "0",
-                     "--metrics-json", str(metrics_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "req/client" in out
-        snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["counters"]["queries_total"] > 0
-        assert "histograms" in snapshot
-        # The search kernel is not a serving option.
-        with pytest.raises(SystemExit) as exited:
-            main(["serve-bench", str(csv_path), "--kernel", "columnar"])
-        assert exited.value.code == 2
-
-    def test_socket_transport_sweep(self, csv_path, capsys):
-        code = main(["serve-bench", str(csv_path), "--transport", "socket",
-                     "--clients", "1", "2", "--requests", "5",
-                     "--queries", "5", "--think-ms", "0"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "transport=socket" in out
-        rows = [line for line in out.splitlines()
-                if line.startswith("clients=")]
-        assert [row.split()[0] for row in rows] == ["clients=1",
-                                                    "clients=2"]
-        for row in rows:
-            # Same row as the inproc sweep, plus the shed column.
-            assert "qps=" in row and "hit_rate=" in row and "p95=" in row
-            assert "errors=0" in row and row.endswith("shed=0")
-        # Mutations are not on the wire: refused before the CSV is read.
-        assert main(["serve-bench", str(csv_path) + ".missing",
-                     "--transport", "socket", "--inserts", "1"]) == 2
-        assert "--inserts requires --transport inproc" in \
-            capsys.readouterr().err
+    def test_socket_transport_sweep(self, capsys):
+        assert_removed_command(["serve-bench", "pois.csv",
+                                "--transport", "socket"], capsys)
 
 
 class TestClusterBench:
-    def test_sweep_verifies_and_writes_metrics(self, csv_path, tmp_path,
-                                               capsys):
-        import json
+    # Sharded answers equal unsharded ones, R=2 under injected faults:
+    # tests/cluster/test_replica.py::
+    # test_router_exact_under_single_replica_failure.
+    def test_sweep_verifies_and_writes_metrics(self, capsys):
+        assert_removed_command(["cluster-bench", "pois.csv",
+                                "--shards", "1", "4"], capsys)
 
-        metrics_path = tmp_path / "cluster.json"
-        code = main(["cluster-bench", str(csv_path),
-                     "--shards", "1", "4", "--queries", "15",
-                     "--partitioner", "angular",
-                     "--metrics-json", str(metrics_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "mismatches" in out
-        # Every sweep row must report zero mismatches.
-        for line in out.splitlines():
-            cells = line.split()
-            if cells and cells[0] in {"1", "4"}:
-                assert cells[-1] == "0"
-        snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["cluster"]["counters"]["cluster_queries_total"] == 15
-        assert len(snapshot["shards"]) == 4
+    def test_replicated_with_faults(self, capsys):
+        assert_removed_command(["cluster-bench", "pois.csv",
+                                "--replicas", "2", "--fault-rate", "1.0"],
+                               capsys)
 
-    def test_replicated_with_faults(self, csv_path, capsys):
-        code = main(["cluster-bench", str(csv_path),
-                     "--shards", "2", "--queries", "10",
-                     "--replicas", "2", "--fault-rate", "1.0"])
-        assert code == 0
-        out = capsys.readouterr().out
-        row = [ln for ln in out.splitlines()
-               if ln.split() and ln.split()[0] == "2"][-1]
-        cells = row.split()
-        assert int(cells[3]) > 0   # retries happened
-        assert cells[4] == "0"     # but nothing degraded
-        assert cells[5] == "0"     # and answers stayed exact
-
-    def test_rejects_unknown_partitioner(self, csv_path):
-        with pytest.raises(SystemExit):
-            main(["cluster-bench", str(csv_path),
-                  "--partitioner", "voronoi"])
-        with pytest.raises(SystemExit) as exited:
-            main(["cluster-bench", str(csv_path), "--kernel", "columnar"])
-        assert exited.value.code == 2
+    def test_rejects_unknown_partitioner(self, capsys):
+        assert_removed_command(["cluster-bench", "pois.csv",
+                                "--partitioner", "voronoi"], capsys)
 
 
 class TestScrub:
@@ -326,22 +283,10 @@ class TestTrace:
 
 
 class TestChaosBench:
-    def test_small_run_passes_and_writes_json(self, tmp_path, capsys):
-        import json
-
-        report = tmp_path / "chaos.json"
-        code = main(["chaos-bench", "--pois", "80", "--ops", "25",
-                     "--crash-trials", "4", "--corruption-trials", "3",
-                     "--seed", "2", "--json", str(report)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "crash trials" in out
-        assert "corruption trials" in out
-        assert "WAL overhead" in out
-        payload = json.loads(report.read_text())
-        assert payload["ok"] is True
-        assert payload["crash"]["identical"] == 4
-        assert payload["corruption"]["silent_wrong"] == 0
+    # Crash and corruption trials: tests/durability/test_chaos_harness.py.
+    def test_small_run_passes_and_writes_json(self, capsys):
+        assert_removed_command(["chaos-bench", "--crash-trials", "4"],
+                               capsys)
 
 
 class TestDqlQuery:

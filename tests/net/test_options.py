@@ -32,6 +32,9 @@ REMOVED = {
         "mode", lambda: ShardServer("nowhere", mode=PruningMode.RD)),
     "ShardServer-metrics": (
         "metrics", lambda: ShardServer("nowhere", metrics=None)),
+    "ShardServer-cache_capacity": (
+        "cache_capacity",
+        lambda: ShardServer("nowhere", cache_capacity=128)),
     "ClusterFrontend-metrics": (
         "metrics", lambda: ClusterFrontend(None, metrics=None)),
     "run_shard_server-mode": (

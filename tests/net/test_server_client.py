@@ -29,7 +29,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_search_request,
 )
-from repro.service import MetricsRegistry
+from repro.service import MetricsRegistry, run_closed_loop
 
 from ..cluster.conftest import rare_keyword_queries, with_rare_keyword
 from .conftest import entries_of, make_collection, random_queries
@@ -45,6 +45,20 @@ def test_remote_search_equals_local(client, reference):
         assert not remote.partial
         assert entries_of(remote.result) == \
             entries_of(reference.search(query))
+
+
+def test_closed_loop_over_the_socket(client, server):
+    """The load generator drives a socket as it drives an engine: every
+    request answered, none shed, each one counted by the server."""
+    queries = random_queries(random.Random(12), 6)
+    before = server.metrics.counter("net_requests_total").value
+    report = run_closed_loop(client.search, queries, num_clients=2,
+                             requests_per_client=5,
+                             shed_on=(OverloadError, TransportError))
+    assert report.total_queries == report.latency["count"] == 10
+    assert report.errors == 0 and report.cache_lookups == 0
+    assert report.shed == {"OverloadError": 0, "TransportError": 0}
+    assert server.metrics.counter("net_requests_total").value - before == 10
 
 
 def test_remote_search_carries_stats_and_generation(client, server):

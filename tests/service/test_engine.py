@@ -182,22 +182,24 @@ class TestMutableServing:
 class TestDeadlines:
     def test_zero_timeout_degrades_gracefully(self, static_index):
         query = make_queries(1, seed=20)[0]
-        with QueryEngine(static_index, default_timeout=0.0) as engine:
-            response = engine.execute(query)
+        with QueryEngine(static_index) as engine:
+            response = engine.execute(query, timeout=0.0)
             assert response.partial
             # Partial responses are not admitted to the cache...
             assert len(engine.cache) == 0
             assert engine.metrics.counter(
                 "partial_results_total").value == 1
-            # ...so a healthier follow-up recomputes in full (an explicit
-            # generous timeout; timeout=None falls back to the default).
+            # ...so a healthier follow-up recomputes in full.
             full = engine.execute(query, timeout=60.0)
             assert not full.partial
 
     def test_per_call_timeout_overrides_default(self, static_index):
+        # The engine has no default deadline: a call without one runs
+        # unbounded, a call with one is cut by it.
         query = make_queries(1, seed=21)[0]
-        with QueryEngine(static_index, default_timeout=None) as engine:
+        with QueryEngine(static_index) as engine:
             assert engine.execute(query, timeout=0.0).partial
+            assert not engine.execute(query).partial
 
 
 class TestValidation:
@@ -207,7 +209,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("option",
                              ["cache", "location_quantum", "executor",
-                              "snapshot"])
+                              "snapshot", "default_timeout"])
     def test_removed_engine_options_rejected(self, static_index, option):
         with pytest.raises(TypeError):
             QueryEngine(static_index, **{option: None})
