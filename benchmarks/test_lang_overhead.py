@@ -2,8 +2,8 @@
 
 Satellite of the DQL PR: every request that arrives as statement text
 pays tokenize + parse + plan validation + backend binding on top of the
-search itself.  This benchmark measures that toll on the serve-bench
-workload (the closed-loop stream from ``test_service_throughput.py``):
+search itself.  This benchmark measures that toll on the closed-loop
+serving stream ``test_service_throughput.py`` drives:
 ``CLIENTS`` threads drive one :class:`~repro.service.QueryEngine`
 either *directly* (``engine.execute(query)`` on prebuilt
 ``DirectionalQuery`` objects — the submission a DQL-less client

@@ -9,17 +9,17 @@ priority queue of ``(MINDIST, band)`` entries — spanning all
 participating anchors — drives a best-first scan sharing one top-k
 collector, exactly as Algorithm 2's region queue ``Q_R`` does.
 
-**The posting walk** is ours.  The region lists, the ``MINDIST`` ranking
-and the wedge-by-wedge scan pay for themselves when a keyword fills the
-sub-regions and are pure overhead when it does not, so
-:meth:`DesksSearcher.search` first asks how many postings it would have
-to read — the rarest keyword's document frequency under ``ALL``, the sum
-of the keywords' frequencies under ``ANY`` — and when that is at most the
-number of sub-regions one anchor has (``N x M``) it reads those POI
-lists whole from one anchor's keyword store and verifies every holder
-(keyword predicate, direction, distance) through the same top-k
-collector.  Otherwise it runs the region search.  The choice is made from
-the query and the index alone; nothing selects it from outside, and both
+**The posting walk** is ours.  It reads the keywords' POI lists whole
+from one anchor's keyword store and verifies every holder (keyword
+predicate, direction, distance) through the same top-k collector.  The
+region lists, the ``MINDIST`` ranking and the wedge-by-wedge scan pay for
+themselves when the scan can stop after a small share of the sub-regions
+and are overhead when it cannot — rare keywords, wide intervals, a large
+``k``, a query far outside the data.  So :meth:`DesksSearcher.search`
+estimates both costs (:meth:`DesksSearcher.access_costs`) and takes the
+cheaper path; a query with no more postings to read than one anchor has
+sub-regions (``N x M``) walks without asking.  The choice is made from the
+query and the index alone; nothing selects it from outside, and both
 paths return ``sorted((distance, poi_id))[:k]`` of the matching POIs.
 
 The three pruning configurations evaluated in the paper's Section VI-B map
@@ -56,12 +56,15 @@ from typing import (
     Tuple,
 )
 
+from ..geometry import TWO_PI
 from ..storage import SearchStats
 from ..text import intersect_sorted, union_sorted
 from ..trace.spans import Span, Tracer, current_tracer
+from .estimate import CardinalityEstimator
 from .index import POIS_PER_SUBREGION, AnchorIndex, DesksIndex
 from .mindist import (
     BasicQueryGeometry,
+    annulus_mindist,
     band_mindist,
     basic_geometry,
     subregion_mindist,
@@ -81,6 +84,23 @@ _ROOT_SUMS = ("pages_read", "pois_fetched", "pois_verified",
               "subregions_examined", "mindist_evaluations")
 #: What a ``desks.postings`` span rolls up into the root.
 _POSTING_SUMS = ("pages_read", "pois_fetched", "pois_verified")
+
+#: The access-path cost model (:meth:`DesksSearcher.access_costs`), in
+#: estimated microseconds.  Fitted once on CN/800 (20.6k POIs, N=2,
+#: M=103), per query, best of 3 of each path on the seed-11 paper mix
+#: and the 3x4-grid scan queries, and shared by both scanners.  Holders
+#: the walk direction- and distance-tests:
+VERIFY_US = 1.2
+#: Postings of the rarest list the walk subset-tests under ``ALL``:
+FILTER_US = 0.2
+#: Sub-regions the region search ranks and opens:
+SUBREGION_US = 5.0
+#: Postings it reads inside them:
+POSTING_US = 0.7
+#: How many times the share of the data within ``d_k`` of the query the
+#: best-first scan examines before ``d_k`` stops it (wedges are long and
+#: thin, so a disc touches many more sub-regions than its area's worth).
+SCAN_REACH = 8.0
 
 
 class SupportsExpired:
@@ -197,6 +217,7 @@ class DesksSearcher:
     def __init__(self, index: DesksIndex) -> None:
         self.index = index
         self._collection = index.collection
+        self._estimator = CardinalityEstimator(index.collection)
 
     # -- public API -----------------------------------------------------------
 
@@ -208,9 +229,9 @@ class DesksSearcher:
         """The k nearest POIs satisfying keyword and direction constraints.
 
         Answers are ordered by ``(distance, poi_id)``, ties at the k-th
-        distance included.  A query whose keywords have no more postings
-        to read than one anchor has sub-regions is answered by verifying
-        those postings (:meth:`_posting_plan`); every other query by
+        distance included.  A query whose posting walk is estimated to
+        cost no more than its region search is answered by verifying the
+        keywords' postings (:meth:`_posting_plan`); every other query by
         :meth:`search_regions`.  The answers are the same either way.
 
         ``seed_entries`` pre-populates the top-k collector — the incremental
@@ -285,7 +306,7 @@ class DesksSearcher:
         conjunctive = query.match_mode is MatchMode.ALL
         term_ids = self._resolve_terms(query.keywords, conjunctive)
         if posting_first and term_ids is not None:
-            plan = self._posting_plan(term_ids, conjunctive)
+            plan = self._posting_plan(query, term_ids, conjunctive)
             if plan is not None:
                 completed = self._walk_postings(
                     query, term_ids, plan, collector, stats, deadline,
@@ -322,20 +343,98 @@ class DesksSearcher:
 
     # -- the posting walk ---------------------------------------------------------
 
-    def _posting_plan(self, term_ids: Collection[int], conjunctive: bool,
+    def access_costs(self, query: DirectionalQuery,
+                     ) -> Optional[Tuple[float, float]]:
+        """``(walk, region)``: the estimated microseconds of the posting
+        walk and of the region search for ``query`` — what
+        :meth:`search` weighs, and what ``explain()`` reports.  ``None``
+        when no POI can hold the keywords."""
+        conjunctive = query.match_mode is MatchMode.ALL
+        term_ids = self._resolve_terms(query.keywords, conjunctive)
+        if term_ids is None:
+            return None
+        return self._access_costs(query, term_ids, conjunctive)
+
+    def _access_costs(self, query: DirectionalQuery,
+                      term_ids: Collection[int], conjunctive: bool,
+                      ) -> Tuple[float, float]:
+        """The cost model: a function of the query and the index alone.
+
+        **Walk.**  The holders it verifies — ``n`` times the keyword
+        selectivity under ``ALL``, the sum of the frequencies under
+        ``ANY`` — at :data:`VERIFY_US` each, plus, under ``ALL`` with two
+        or more keywords, the rarest list's subset test at
+        :data:`FILTER_US` a posting.
+
+        **Regions.**  The sub-regions the best-first scan examines, each
+        at :data:`SUBREGION_US` plus its share of every keyword's postings
+        at :data:`POSTING_US` a posting.  With ``q`` inside the index MBR
+        the direction window spans ``N x M x w / 2pi`` sub-regions per
+        anchor plus about ``N`` cut by each basic piece's edges, and the
+        scan stops once ``MINDIST`` passes ``d_k``: it examines
+        :data:`SCAN_REACH` times the share of the data within the
+        estimated ``d_k`` of ``q`` — about ``8k / m`` of the window for
+        ``m`` in-direction matches — or all of it when fewer than ``k``
+        matches are expected.  Outside the MBR Lemmas 1-4 and Table I do
+        not hold and only the annulus bound is left, so every wedge starts
+        about the gap away: each piece's anchor has every sub-region
+        examined in each band whose annulus comes within the estimated
+        ``d_k``, which counts that gap.
+        """
+        estimator = self._estimator
+        index = self.index
+        per_anchor = index.num_bands * index.num_wedges
+        # Sorted, so the sums do not depend on the ids' iteration order.
+        counts = sorted(map(self._collection.vocabulary.doc_frequency,
+                            term_ids))
+        if conjunctive:
+            holders = len(self._collection) * estimator.keyword_selectivity(
+                query, term_ids)
+            walk = holders * VERIFY_US
+            if len(counts) > 1:
+                walk += counts[0] * FILTER_US
+        else:
+            walk = sum(counts) * VERIFY_US
+        kth = estimator.estimate_kth_distance(query, term_ids)
+        location = query.location
+        pieces = query.basic_subqueries()
+        if self._collection.mbr.contains_point(location):
+            examined = (per_anchor * query.interval.width / TWO_PI
+                        + index.num_bands * len(pieces))
+            if kth is not None:
+                examined *= min(1.0, SCAN_REACH * math.pi * kth * kth
+                                / estimator.area)
+        else:
+            examined = 0
+            for quadrant, _ in pieces:
+                anchor = index.anchors[quadrant]
+                if anchor is None:
+                    continue
+                qd = location.distance_to(anchor.frame.anchor_point)
+                examined += sum(
+                    len(band.subregions) for band in anchor.regions.bands
+                    if kth is None or annulus_mindist(
+                        qd, band.inner_radius, band.outer_radius) < kth)
+        region = examined * (SUBREGION_US
+                             + sum(counts) / per_anchor * POSTING_US)
+        return walk, region
+
+    def _posting_plan(self, query: DirectionalQuery,
+                      term_ids: Collection[int], conjunctive: bool,
                       ) -> Optional[Tuple[AnchorIndex, Collection[int]]]:
         """The access-path choice: ``(anchor, terms whose POI lists to
-        read)`` when verifying those lists is the cheaper plan, else
-        ``None`` (run the region search).
+        read)`` when the walk is the cheaper plan, else ``None`` (run the
+        region search).
 
         Under ``ALL`` every answer holds the rarest keyword, so its list
-        alone is read and the cost is its document frequency; under ``ANY``
-        every keyword's list is read and the cost is their sum.  That is
-        weighed against ``N x M``, the sub-regions an anchor is built with
-        — what the region search may have to intersect, rank and scan
-        before it reaches the same POIs, four anchors over for a full
-        circle.  Every anchor's store holds every posting, so the first
-        built one serves.
+        alone is read; under ``ANY`` every keyword's list is.  When those
+        lists hold no more postings than ``N x M``, the sub-regions one
+        anchor is built with, the walk is taken without consulting the
+        cost model: on CN/800 no such query of the paper mix was faster
+        on the region path, so evaluating the model there would cost time
+        and change nothing.  Above it :meth:`_access_costs` decides.
+        Every anchor's store holds every posting, so the first built one
+        serves.
         """
         frequency = self._collection.vocabulary.doc_frequency
         if conjunctive:
@@ -345,7 +444,9 @@ class DesksSearcher:
             terms, postings = term_ids, sum(map(frequency, term_ids))
         index = self.index
         if postings > index.num_bands * index.num_wedges:
-            return None
+            walk, region = self._access_costs(query, term_ids, conjunctive)
+            if walk > region:
+                return None
         anchor = next(filter(None, index.anchors), None)
         if anchor is None:
             return None

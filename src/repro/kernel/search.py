@@ -3,18 +3,21 @@
 ``ColumnarSearcher`` is a drop-in replacement for
 :class:`~repro.core.search.DesksSearcher`: same ``search`` and
 ``search_regions`` signatures, same spans, same ``SearchStats`` counters,
-bit-identical answers — on both access paths.  The *decisions* — whether a
-query's keywords are rare enough to verify their posting lists whole, and
-in the region search the band order (Eq. 4), Lemma 1 skips and
+bit-identical answers — on both access paths.  The *decisions* — whether
+the cost model estimates the posting walk cheaper than the region search,
+and in the region search the band order (Eq. 4), Lemma 1 skips and
 termination, the Lemma 2-4 wedge window, and every per-wedge ``MINDIST``
 (Table I) — are not re-implemented here: the class inherits
 ``DesksSearcher``'s driver and overrides only the region search's scanner
 seam, so the path taken and the pruning counts are identical by
-construction.  The posting walk is inherited whole (it reads the source
-index's keyword store; a dozen POIs leave nothing to vectorise).  What is
-vectorised is the per-POI verification inside each wedge: keyword-run
-intersection, direction membership, and the distance prefilter run as
-whole-array operations.
+construction.  The cost model reads the query and the source index only,
+with one set of constants for both scanners: a faster wedge scan here
+does not move a query onto the region path.  The posting walk is
+inherited whole — it reads the source index's keyword store and verifies
+holders one by one, as the object scanner does.  What is vectorised is
+the per-POI verification inside each wedge: keyword-run intersection,
+direction membership, and the distance prefilter run as whole-array
+operations.
 
 Bit-exactness is kept by a prefilter-then-confirm discipline, because
 ``np.arctan2`` / ``np.hypot`` are *not* guaranteed bit-identical to

@@ -7,8 +7,12 @@ and packages three views of it into an :class:`ExplainReport`:
   decomposition of the direction interval (paper Sec. IV-B), which pruning
   lemmas are armed, and the index shape (bands × wedges per anchor);
 * **actuals** — what it did: which access path answered (``postings``:
-  the keywords were rare enough that their POI lists were verified whole;
-  ``regions``: Algorithms 1-2), bands scanned vs skipped by Lemma 1,
+  the keywords' POI lists were verified whole; ``regions``: Algorithms
+  1-2) next to the two cost estimates it was chosen by (``walk_cost``,
+  ``region_cost``, in estimated microseconds; the walk is also taken
+  without asking when the lists hold at most ``N x M`` postings; see
+  :meth:`repro.core.DesksSearcher.access_costs`), bands scanned vs
+  skipped by Lemma 1,
   sub-regions window-pruned (Lemmas 2-4) vs MINDIST-pruned, POIs fetched
   and verified, logical page reads, the full span tree;
 * **reconciliation** — the span totals checked *exactly* against the
@@ -135,9 +139,10 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
     elif isinstance(mode, str):
         mode = PruningMode[mode]
 
-    search = getattr(index, "search", None)
-    if not callable(search):
-        search = DesksSearcher(index).search
+    searcher = (index if isinstance(index, DesksSearcher)
+                else DesksSearcher(getattr(index, "static_index", index)))
+    search = getattr(index, "search", searcher.search)
+    costs = searcher.access_costs(query) or (None, None)
     io_stats = getattr(index, "io_stats", None)
     if io_stats is None:
         io_stats = getattr(getattr(index, "index", None), "io_stats", None)
@@ -171,6 +176,9 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
         # The searcher chooses per query; the span tree is the record.
         "access_path": ("postings" if tracer.find("desks.postings")
                         is not None else "regions"),
+        # What it weighed (estimated microseconds), floor path included.
+        "walk_cost": costs[0],
+        "region_cost": costs[1],
         "seconds": root.seconds if root is not None else 0.0,
         "results": len(result),
         "partial": result.partial,

@@ -1,11 +1,12 @@
-"""The access-path choice: posting walk for rare keywords, regions otherwise.
+"""The access-path choice: the posting walk or the region search.
 
 ``DesksSearcher.search`` verifies the keywords' POI lists whole when they
-hold at most ``N x M`` postings and runs Algorithms 1-2
-(``search_regions``) otherwise.  The two must be indistinguishable from
-outside — same ids, same IEEE-754 distances, same order as the exhaustive
-scan — on every searcher and store, and the span tree must say which one
-ran and account for its cost exactly.
+hold at most ``N x M`` postings (the floor) or when the cost model
+estimates the walk no dearer than Algorithms 1-2 (``access_costs``), and
+runs ``search_regions`` otherwise.  The two must be indistinguishable
+from outside — same ids, same IEEE-754 distances, same order as the
+exhaustive scan — on every searcher and store, and the span tree must say
+which one ran and account for its cost exactly.
 """
 
 import math
@@ -143,12 +144,15 @@ def path_of(tracer):
     return "postings" if tracer.find("desks.postings") else "regions"
 
 
-def expected_path(query):
+def expected_path(searcher, query):
+    """The floor, then the model's two estimates."""
     counts = [frequency(keyword) for keyword in query.keywords
               if keyword in COLLECTION.vocabulary]
-    cost = (min(counts) if query.match_mode is MatchMode.ALL
-            else sum(counts))
-    return "postings" if cost <= THRESHOLD else "regions"
+    postings = (min(counts) if query.match_mode is MatchMode.ALL
+                else sum(counts))
+    walk, region = searcher.access_costs(query)
+    return ("postings" if postings <= THRESHOLD or walk <= region
+            else "regions")
 
 
 @pytest.mark.parametrize("match_mode", list(MatchMode),
@@ -163,9 +167,48 @@ def test_both_paths_equal_brute_force_bit_for_bit(searcher, match_mode):
                 chosen = searcher.search(query, mode)
             assert pairs(chosen) == truth, (query, mode)
             assert pairs(searcher.search_regions(query, mode)) == truth
-            assert path_of(tracer) == expected_path(query), query
+            assert path_of(tracer) == expected_path(searcher, query), \
+                query
             taken.add(path_of(tracer))
     assert taken == {"postings", "regions"}
+
+
+def test_the_floor_walks_without_asking_the_model(searcher, monkeypatch):
+    # ``edge`` has exactly N x M holders, ``over`` one more: only the
+    # second is put to the model, which here always prefers the regions.
+    asked = []
+
+    def regions_always(query, term_ids, conjunctive):
+        asked.append(query)
+        return math.inf, 0.0
+
+    monkeypatch.setattr(searcher, "_access_costs", regions_always)
+    edge = DirectionalQuery.undirected(*CENTRE, ["edge"], k=3)
+    over = DirectionalQuery.undirected(*CENTRE, ["over"], k=3)
+    for query, path in ((edge, "postings"), (over, "regions")):
+        tracer = Tracer()
+        with tracer.activate():
+            result = searcher.search(query)
+        assert path_of(tracer) == path
+        assert pairs(result) == pairs(brute_force_search(COLLECTION, query))
+    assert asked == [over]
+
+
+def test_query_outside_the_index_walks_above_the_floor(searcher):
+    # Outside the MBR the region search keeps only the annulus bound and
+    # examines whole bands; the model sees it and walks ``common``.
+    query = DirectionalQuery.make(-20.0, 130.0, 4.9, 6.2, ["common"], k=5)
+    assert not COLLECTION.mbr.contains_point(query.location)
+    assert frequency("common") > THRESHOLD
+    walk, region = searcher.access_costs(query)
+    assert walk <= region
+    tracer = Tracer()
+    with tracer.activate():
+        result = searcher.search(query)
+    assert path_of(tracer) == "postings"
+    assert len(result) == 5
+    assert pairs(result) == pairs(brute_force_search(COLLECTION, query))
+    assert pairs(searcher.search_regions(query)) == pairs(result)
 
 
 def test_tie_at_the_kth_distance_goes_to_the_lower_ids(searcher):
@@ -232,6 +275,12 @@ def test_explain_reconciles_and_names_the_posting_path(index):
         assert report.actuals["access_path"] == "postings"
         assert report.to_dict()["actuals"]["access_path"] == "postings"
         assert "access_path=postings" in report.render()
+        # The floor walked it; the estimates are reported all the same.
+        walk, region = make(index).access_costs(query)
+        assert report.actuals["walk_cost"] == walk
+        assert report.actuals["region_cost"] == region
+        assert f"walk_cost={walk}" in report.render()
+        assert f"region_cost={region}" in report.render()
         assert "desks.postings" in report.render()
         assert report.actuals["pois_fetched"] == THRESHOLD
         assert (report.actuals["pages_read"] > 0) == index.disk_based
@@ -242,12 +291,14 @@ def test_explain_reconciles_and_names_the_posting_path(index):
 
 
 def test_explain_names_the_region_path(index):
-    query = DirectionalQuery.make(*CENTRE, 5.5, 7.0, ["over"], k=4)
+    query = DirectionalQuery.make(*CENTRE, 5.5, 7.0, ["popular"], k=4)
     report = explain(DesksSearcher(index), query)
     assert report.reconciled
     assert report.actuals["access_path"] == "regions"
     assert "access_path=regions" in report.render()
     assert report.trace.find("desks.postings") is None
+    actuals = report.to_dict()["actuals"]
+    assert actuals["walk_cost"] > actuals["region_cost"]
 
 
 # -- deadlines --------------------------------------------------------------------

@@ -119,6 +119,37 @@ class TestCalibration:
         assert estimate is not None
         assert actual / 3 <= estimate <= actual * 3
 
+    def test_kth_distance_is_never_nearer_than_the_data(self, setup):
+        """A query outside the MBR reaches no POI before crossing the gap:
+        the estimate is the inside one, counted from the MBR's edge."""
+        collection, est = setup
+        inside = DirectionalQuery.make(50, 50, 0.0, 2 * math.pi, ["food"],
+                                       10)
+        outside = DirectionalQuery.make(50, 400, 0.0, 2 * math.pi,
+                                        ["food"], 10)
+        gap = collection.mbr.min_distance_to_point(outside.location)
+        assert gap > 250
+        estimate = est.estimate_kth_distance(outside)
+        assert estimate == pytest.approx(
+            gap + est.estimate_kth_distance(inside))
+        actual = brute_force_search(collection, outside).kth_distance
+        assert actual / 3 <= estimate <= actual * 3
+
+    @pytest.mark.parametrize("match_mode", list(MatchMode))
+    def test_resolved_term_ids_give_the_same_estimates(self, setup,
+                                                       match_mode):
+        collection, est = setup
+        q = DirectionalQuery.make(30, 70, 0.5, 2.5, ["food", "cafe"], 10,
+                                  match_mode)
+        term_ids = collection.query_term_ids(
+            q.keywords, require_all=match_mode is MatchMode.ALL)
+        assert est.keyword_selectivity(q, term_ids) == \
+            est.keyword_selectivity(q)
+        assert est.estimate_matching_pois(q, term_ids) == \
+            est.estimate_matching_pois(q)
+        assert est.estimate_kth_distance(q, term_ids) == \
+            est.estimate_kth_distance(q)
+
     def test_summary_renders(self, setup):
         _, est = setup
         q = DirectionalQuery.make(50, 50, 0.0, 1.0, ["food"], 10)

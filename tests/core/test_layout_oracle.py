@@ -197,7 +197,8 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 #: Measured at the last commit that built the lists pair by pair:
 #: ``(physical_reads, physical_writes, cache_hits)`` after the build and
-#: after the 240-query corpus, CRC32 over every page, and ``size_bytes``.
+#: after the 240-query corpus through the region search (the store's
+#: page walk), CRC32 over every page, and ``size_bytes``.
 DISK_STORE_BASELINE = {
     "sliced": ((60, 60, 60), (948, 60, 5886), 3437833493, 24064),
     "compressed": ((20, 20, 28), (20, 20, 1311), 4035794817, 14436),
@@ -221,6 +222,6 @@ def test_disk_store_pages_and_io_counts_do_not_change(disk_format):
             crc = zlib.crc32(store._pages[page_id], crc)
     searcher = DesksSearcher(index)
     for query in make_corpus():
-        searcher.search(query)
+        searcher.search_regions(query)
     assert (built, counters(), crc,
             index.size_bytes) == DISK_STORE_BASELINE[disk_format]

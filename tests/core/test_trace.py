@@ -1,4 +1,6 @@
-"""The span tree a traced search records (the query's EXPLAIN facility)."""
+"""The span tree a traced region search records (the query's EXPLAIN
+facility); the posting walk's single span is in ``test_access_path.py``.
+"""
 
 import math
 
@@ -14,7 +16,7 @@ class TestQueryTrace:
     def run(self, searcher, query, mode=PruningMode.RD, stats=None):
         tracer = Tracer()
         with tracer.activate():
-            result = searcher.search(query, mode, stats)
+            result = searcher.search_regions(query, mode, stats)
         return tracer.find("desks.search"), result
 
     def test_subqueries_match_decomposition(self, searcher):

@@ -279,7 +279,16 @@ class TestTrace:
         spans = payload["spans"]
         assert spans[0]["name"] == "desks.search"
         names = {child["name"] for child in spans[0]["children"]}
-        assert "desks.prepare" in names
+        # The searcher's cost model picked the stage; EXPLAIN shows the
+        # two estimates it weighed ('restaurant' is far above the floor).
+        explain_path = tmp_path / "explain.json"
+        assert main(["explain", str(csv_path), "-x", "5000", "-y", "5000",
+                     "--keywords", "restaurant",
+                     "--json", str(explain_path)]) == 0
+        actuals = json.loads(explain_path.read_text())["actuals"]
+        walks = actuals["walk_cost"] <= actuals["region_cost"]
+        assert actuals["access_path"] == ("postings" if walks else "regions")
+        assert ("desks.postings" if walks else "desks.prepare") in names
 
 
 class TestChaosBench:

@@ -40,14 +40,40 @@ def entries_of(result):
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
 def test_corpus_bit_identical(object_searcher, columnar_searcher, corpus,
                               mode):
+    # ``search`` walks most of the corpus's postings; ``search_regions``
+    # keeps every query on the scanner seam under test.
     for query in corpus:
-        expected_stats = SearchStats()
-        actual_stats = SearchStats()
-        expected = object_searcher.search(query, mode, expected_stats)
-        actual = columnar_searcher.search(query, mode, actual_stats)
-        assert entries_of(actual) == entries_of(expected)
-        assert actual.partial == expected.partial
-        assert actual_stats == expected_stats
+        for entry in ("search", "search_regions"):
+            expected_stats = SearchStats()
+            actual_stats = SearchStats()
+            expected = getattr(object_searcher, entry)(query, mode,
+                                                       expected_stats)
+            actual = getattr(columnar_searcher, entry)(query, mode,
+                                                       actual_stats)
+            assert entries_of(actual) == entries_of(expected)
+            assert actual.partial == expected.partial
+            assert actual_stats == expected_stats
+
+
+def _path(searcher, query):
+    tracer = Tracer()
+    with tracer.activate():
+        searcher.search(query)
+    return "postings" if tracer.find("desks.postings") else "regions"
+
+
+def test_both_searchers_take_the_same_path(object_searcher,
+                                           columnar_searcher, corpus):
+    # The cost model reads the query and the source index only, so the
+    # path is the same by construction; the corpus takes both.
+    taken = set()
+    for query in corpus:
+        costs = object_searcher.access_costs(query)
+        assert columnar_searcher.access_costs(query) == costs
+        path = _path(object_searcher, query)
+        assert _path(columnar_searcher, query) == path, query
+        taken.add(path)
+    assert taken == {"postings", "regions"}
 
 
 def test_search_batch_matches_query_loop(object_searcher, columnar_searcher,
@@ -74,11 +100,11 @@ def test_explain_reconciles_on_columnar_path(columnar_searcher, corpus):
         assert report.reconciled, report.reconciliation
 
 
-def _span_tree(searcher, query, mode):
+def _span_tree(searcher, query, mode, entry="search"):
     """The search's span tree as plain data, wall-clock durations dropped."""
     tracer = Tracer()
     with tracer.activate():
-        searcher.search(query, mode)
+        getattr(searcher, entry)(query, mode)
 
     def strip(node):
         del node["seconds"]
@@ -95,9 +121,11 @@ def test_span_trees_equal_on_both_paths(object_searcher, columnar_searcher,
     # One driver records the spans, so the two scanners must tell the
     # same story wedge by wedge — not merely reconcile in total.
     for query in corpus[::24]:
-        expected = _span_tree(object_searcher, query, mode)
-        assert expected[0]["name"] == "desks.search"
-        assert _span_tree(columnar_searcher, query, mode) == expected
+        for entry in ("search", "search_regions"):
+            expected = _span_tree(object_searcher, query, mode, entry)
+            assert expected[0]["name"] == "desks.search"
+            assert _span_tree(columnar_searcher, query, mode,
+                              entry) == expected
 
 
 def test_any_mode_with_unknown_keyword(object_searcher, columnar_searcher):
@@ -166,17 +194,17 @@ def test_mid_search_deadline_cuts_both_paths_alike(object_searcher,
                                                    columnar_searcher, corpus,
                                                    mode):
     # Two queries per family (full circle / wraparound / narrow), cut at
-    # every deadline check the search makes: both scanners must stop at
-    # the same wedge with the same answers and the same work done.
+    # every deadline check the region search makes: both scanners must
+    # stop at the same wedge with the same answers and the same work done.
     for query in corpus[::40]:
         n = 0
         while True:
             n += 1
             expected_stats = SearchStats()
             actual_stats = SearchStats()
-            expected = object_searcher.search(
+            expected = object_searcher.search_regions(
                 query, mode, expected_stats, deadline=_ExpiresOnCall(n))
-            actual = columnar_searcher.search(
+            actual = columnar_searcher.search_regions(
                 query, mode, actual_stats, deadline=_ExpiresOnCall(n))
             assert actual.partial == expected.partial
             assert entries_of(actual) == entries_of(expected)

@@ -75,8 +75,12 @@ class TestReconciliation:
         assert actuals["pages_read"] == pages
 
     def test_pages_actually_flow_through_spans(self, disk_index):
-        report = explain(disk_index, make_query(width=math.pi))
-        assert report.actuals["pages_read"] > 0
+        # k=1 stops the region scan early: the model keeps it off the walk.
+        report = explain(disk_index, make_query(width=math.pi, k=1))
+        actuals = report.actuals
+        assert actuals["region_cost"] < actuals["walk_cost"]
+        assert actuals["access_path"] == "regions"
+        assert actuals["pages_read"] > 0
         root = report.trace.find("desks.search")
         prepare = root.find("desks.prepare")
         bands = root.find_all("desks.band")
@@ -162,8 +166,8 @@ class TestPartialResultsReconcile:
             stats = SearchStats()
             tracer = Tracer()
             with tracer.activate():
-                result = searcher.search(query, mode, stats,
-                                         deadline=_ExpiresOnCall(n))
+                result = searcher.search_regions(
+                    query, mode, stats, deadline=_ExpiresOnCall(n))
             root = tracer.find("desks.search")
             assert root.attrs["partial"] == result.partial
             for span_key, stats_key in RECONCILED_COUNTERS:
