@@ -4,11 +4,10 @@ Four layers (see ``docs/ANALYSIS.md``):
 
 * :class:`LintEngine` + the ``DALxxx`` rule catalog — an AST linter for
   the *project's own* invariants (angle arithmetic confined to
-  :mod:`repro.geometry`, WAL-before-apply, buffer-pool-only page I/O,
-  deterministic search/recovery);
+  :mod:`repro.geometry`, no float equality on angles and distances);
 * whole-program passes over the full tree — the import/call graph
-  (:mod:`repro.analysis.graph`), the declarative architecture contract
-  ``ARCHITECTURE.toml`` (DAL010, :mod:`repro.analysis.contract`), and
+  (:mod:`repro.analysis.graph`), the architecture contract written as
+  Python data (DAL010, :mod:`repro.analysis.contract`), and
   interprocedural exception-flow checking at the RPC boundaries
   (DAL011, :mod:`repro.analysis.exceptions`);
 * :func:`make_lock` / :class:`TrackedLock` / :class:`LockTracker` — a
@@ -54,7 +53,6 @@ from .locks import (
     make_lock,
 )
 from .rules import (
-    ALIAS_CODES,
     ALL_RULES,
     PROGRAM_RULES,
     RULE_INDEX,
@@ -74,7 +72,6 @@ from .shared import (
 )
 
 __all__ = [
-    "ALIAS_CODES",
     "ALL_RULES",
     "Boundary",
     "CallGraph",

@@ -1,50 +1,43 @@
-"""The declarative architecture contract and its enforcement rule (DAL010).
+"""The architecture contract and its enforcement rule (DAL010).
 
-``ARCHITECTURE.toml`` (shipped inside this package) declares the layer
-DAG — which units may import which, at module level or deferred inside a
-function — plus two confinement tables carried over from the v1 rules:
-external transport modules pinned to ``repro.net`` (old DAL007) and
-project modules restricted to an allow-list of files (old DAL009,
-``repro.net.chaos``).  :class:`ContractRule` reads the contract and
-flags every import the contract does not permit; entries may carry an
-``alias`` so a violation keeps its legacy code (DAL007/008/009) and its
-original message verbatim in reports.
+The checked-in :class:`Contract` (a literal below, returned by
+:func:`default_contract`) declares the layer DAG — which units may
+import which, at module level or deferred inside a function — plus two
+confinement tables: external transport modules pinned to ``repro.net``
+and project modules restricted to an allow-list of files
+(``repro.net.chaos``).  :class:`ContractRule` flags every import the
+contract does not permit, as DAL010.  ``docs/ARCHITECTURE.md`` renders
+the same DAG for humans.
 
 The contract also names the RPC *boundaries* — the entry points whose
 broad ``except`` is the typed-error conversion itself — which the
 exception-flow pass (DAL011, :mod:`repro.analysis.exceptions`) consumes.
 
-Parsing uses :mod:`tomllib` where available (Python >= 3.11) and falls
-back to a minimal single-line-value TOML subset parser otherwise, so the
-linter works on every interpreter the project supports without adding a
-dependency.
+The contract is Python data checked when this module is imported; tests
+hand a different :class:`Contract` to ``LintEngine(contract=...)``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import Finding, RuleVisitor
 from .graph import ImportRef, iter_imports, unit_of
 
-#: Default message templates when a contract entry does not override them.
-GENERIC_EXTERNAL_MESSAGE = ("`{module}` is confined by ARCHITECTURE.toml "
-                            "and may not be imported from this layer")
-GENERIC_RESTRICTED_MESSAGE = ("`{module}` is restricted by ARCHITECTURE.toml "
-                              "to an explicit allow-list of files")
-
 
 @dataclass(frozen=True)
 class Layer:
-    """One architecture unit and the units it may import."""
+    """One architecture unit and the units it may import.
+
+    ``deps`` may be imported at module level; ``deferred`` only inside a
+    function body (lazy imports that break a cycle or keep startup
+    light).  A top-level module (``cli``, ``__init__``) is its own unit.
+    """
 
     name: str
     deps: Tuple[str, ...]
     deferred: Tuple[str, ...] = ()
-    alias: str = ""
-    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -53,8 +46,6 @@ class ExternalRule:
 
     modules: Tuple[str, ...]
     allowed_in: Tuple[str, ...]
-    alias: str = ""
-    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -63,8 +54,6 @@ class RestrictedRule:
 
     module: str
     allowed_in: Tuple[str, ...]
-    alias: str = ""
-    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -76,28 +65,13 @@ class Boundary:
     allowed: Tuple[str, ...]
 
 
-def _str(value: object, key: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"contract: `{key}` must be a string")
-    return value
-
-
-def _strs(value: object, key: str) -> Tuple[str, ...]:
-    if not isinstance(value, list) or \
-            not all(isinstance(item, str) for item in value):
-        raise ValueError(f"contract: `{key}` must be an array of strings")
-    return tuple(value)
-
-
 class Contract:
-    """The parsed architecture contract: layers, confinements, boundaries."""
+    """The architecture contract: layers, confinements, boundaries."""
 
     def __init__(self, layers: Sequence[Layer],
                  externals: Sequence[ExternalRule] = (),
                  restricted: Sequence[RestrictedRule] = (),
-                 boundaries: Sequence[Boundary] = (),
-                 schema: int = 1) -> None:
-        self.schema = schema
+                 boundaries: Sequence[Boundary] = ()) -> None:
         self.layers: Dict[str, Layer] = {}
         for layer in layers:
             if layer.name in self.layers:
@@ -138,207 +112,78 @@ class Contract:
         """True when ``function`` in ``module_path`` is an RPC boundary."""
         return self.boundary(module_path, function) is not None
 
-    # -- construction --------------------------------------------------------
 
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, object]) -> "Contract":
-        """Build a contract from a parsed TOML document."""
-        schema = doc.get("schema", 1)
-        if not isinstance(schema, int) or schema != 1:
-            raise ValueError(f"contract: unsupported schema {schema!r}")
-
-        def tables(key: str) -> List[Mapping[str, object]]:
-            raw = doc.get(key, [])
-            if not isinstance(raw, list):
-                raise ValueError(f"contract: `{key}` must be an "
-                                 "array of tables")
-            out: List[Mapping[str, object]] = []
-            for item in raw:
-                if not isinstance(item, dict):
-                    raise ValueError(f"contract: `{key}` entries must "
-                                     "be tables")
-                out.append(item)
-            return out
-
-        layers = [Layer(
-            name=_str(t.get("name", ""), "layer.name"),
-            deps=_strs(t.get("deps", []), "layer.deps"),
-            deferred=_strs(t.get("deferred", []), "layer.deferred"),
-            alias=_str(t.get("alias", ""), "layer.alias"),
-            message=_str(t.get("message", ""), "layer.message"),
-        ) for t in tables("layer")]
-        externals = [ExternalRule(
-            modules=_strs(t.get("modules", []), "external.modules"),
-            allowed_in=_strs(t.get("allowed_in", []), "external.allowed_in"),
-            alias=_str(t.get("alias", ""), "external.alias"),
-            message=_str(t.get("message", ""), "external.message"),
-        ) for t in tables("external")]
-        restricted = [RestrictedRule(
-            module=_str(t.get("module", ""), "restricted.module"),
-            allowed_in=_strs(t.get("allowed_in", []),
-                             "restricted.allowed_in"),
-            alias=_str(t.get("alias", ""), "restricted.alias"),
-            message=_str(t.get("message", ""), "restricted.message"),
-        ) for t in tables("restricted")]
-        boundaries = [Boundary(
-            module=_str(t.get("module", ""), "boundary.module"),
-            function=_str(t.get("function", ""), "boundary.function"),
-            allowed=_strs(t.get("allowed", []), "boundary.allowed"),
-        ) for t in tables("boundary")]
-        return cls(layers, externals, restricted, boundaries, schema=schema)
-
-    @classmethod
-    def from_toml(cls, text: str) -> "Contract":
-        """Parse TOML text (tomllib, or the bundled fallback subset)."""
-        return cls.from_dict(parse_toml(text))
-
-    @classmethod
-    def load(cls, path: str) -> "Contract":
-        """Load a contract from a TOML file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_toml(handle.read())
-
-
-#: The checked-in contract shipped next to this module.
-DEFAULT_CONTRACT_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "ARCHITECTURE.toml")
-
-_default: Optional[Contract] = None
+#: The checked-in contract.  It matches the real import graph exactly:
+#: ``repro lint src`` is clean.
+_CONTRACT = Contract(
+    layers=[
+        Layer("analysis", ()),
+        Layer("geometry", ()),
+        Layer("text", ()),
+        Layer("trace", (), deferred=("core", "storage")),
+        Layer("storage", ("analysis", "trace")),
+        Layer("rtree", ("geometry", "storage")),
+        Layer("datasets", ("geometry", "text")),
+        Layer("core", ("analysis", "datasets", "geometry", "storage", "text",
+                       "trace")),
+        Layer("baselines", ("core", "datasets", "geometry", "rtree",
+                            "storage", "text")),
+        Layer("bench", ("core", "datasets", "geometry", "storage")),
+        Layer("kernel", ("core", "geometry", "storage", "trace")),
+        # The language binds to caller-supplied backends; it never
+        # imports the serving stack that speaks it.
+        Layer("lang", ("core", "geometry", "text", "trace")),
+        Layer("durability", ("core", "datasets", "storage", "trace"),
+              deferred=("service",)),
+        Layer("service", ("analysis", "core", "kernel", "storage", "trace")),
+        Layer("cluster", ("analysis", "core", "datasets", "geometry",
+                          "service", "storage", "trace")),
+        Layer("net", ("analysis", "cluster", "core", "datasets", "lang",
+                      "service", "storage"), deferred=("durability",)),
+        Layer("cli", ("core", "datasets", "storage"),
+              deferred=("analysis", "durability", "lang", "net", "service",
+                        "trace")),
+        Layer("__init__", ("cluster", "core", "datasets", "geometry",
+                           "service", "trace")),
+        Layer("__main__", ("cli",)),
+    ],
+    # Raw transports only inside repro.net: framing, deadlines and
+    # overload shedding live there and nowhere else.
+    externals=[ExternalRule(("socket", "asyncio", "socketserver",
+                             "selectors", "ssl"), allowed_in=("net",))],
+    # The fault-injecting proxy is driven from tests and benchmarks only.
+    restricted=[RestrictedRule("repro.net.chaos",
+                               allowed_in=("repro/net/chaos.py",))],
+    boundaries=[
+        Boundary("repro/net/server.py", "FrameServer._dispatch",
+                 ("ProtocolError",)),
+        Boundary("repro/lang/executor.py", "DqlExecutor.execute",
+                 ("DqlError",)),
+    ],
+)
 
 
 def default_contract() -> Contract:
-    """The packaged ``ARCHITECTURE.toml`` contract (parsed once)."""
-    global _default
-    if _default is None:
-        _default = Contract.load(DEFAULT_CONTRACT_PATH)
-    return _default
-
-
-# -- TOML parsing --------------------------------------------------------------
-
-
-def parse_toml(text: str) -> Dict[str, object]:
-    """Parse TOML using :mod:`tomllib` when present, else the fallback."""
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # pragma: no cover - py < 3.11 only
-        return _fallback_parse(text)
-    result = tomllib.loads(text)
-    assert isinstance(result, dict)
-    return result
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a ``#`` comment that is not inside a quoted string."""
-    in_string = False
-    for i, char in enumerate(line):
-        if char == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:i]
-    return line
-
-
-def _parse_scalar(token: str) -> object:
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        body = token[1:-1]
-        return (body.replace('\\"', '"').replace("\\n", "\n")
-                .replace("\\t", "\t").replace("\\\\", "\\"))
-    if token in ("true", "false"):
-        return token == "true"
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"contract TOML: unsupported value {token!r}") \
-            from None
-
-
-def _split_items(body: str) -> List[str]:
-    items: List[str] = []
-    current: List[str] = []
-    in_string = False
-    for i, char in enumerate(body):
-        if char == '"' and (i == 0 or body[i - 1] != "\\"):
-            in_string = not in_string
-            current.append(char)
-        elif char == "," and not in_string:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if "".join(current).strip():
-        items.append("".join(current))
-    return [item for item in items if item.strip()]
-
-
-def _fallback_parse(text: str) -> Dict[str, object]:
-    """A minimal TOML subset parser for the contract schema.
-
-    Supports comments, ``[[array.of.tables]]`` headers, ``[table]``
-    headers, and single-line values: strings, integers, booleans, and
-    arrays of those.  This is intentionally *not* a general TOML parser
-    — it exists so the contract loads on interpreters without
-    :mod:`tomllib`; a round-trip test asserts it agrees with tomllib on
-    the checked-in contract.
-    """
-    doc: Dict[str, object] = {}
-    current: Dict[str, object] = doc
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[["):
-            name = line[2:].rstrip("]").strip()
-            existing = doc.setdefault(name, [])
-            if not isinstance(existing, list):
-                raise ValueError(f"contract TOML: `{name}` redefined")
-            table: Dict[str, object] = {}
-            existing.append(table)
-            current = table
-        elif line.startswith("["):
-            name = line[1:].rstrip("]").strip()
-            sub: Dict[str, object] = {}
-            doc[name] = sub
-            current = sub
-        else:
-            key, sep, rest = line.partition("=")
-            if not sep:
-                raise ValueError(f"contract TOML: unparsable line {raw!r}")
-            value = rest.strip()
-            if value.startswith("[") and value.endswith("]"):
-                current[key.strip()] = [
-                    _parse_scalar(item) for item in _split_items(value[1:-1])]
-            else:
-                current[key.strip()] = _parse_scalar(value)
-    return doc
-
-
-# -- the rule ------------------------------------------------------------------
+    """The checked-in contract (one shared object)."""
+    return _CONTRACT
 
 
 class ContractRule(RuleVisitor):
-    """DAL010: an import the architecture contract does not allow.
-
-    Violations of contract entries that carry an ``alias`` are reported
-    under the alias code (DAL007/008/009) with the legacy wording, so
-    existing suppressions, docs, and report consumers keep working.
-    """
+    """DAL010: an import the architecture contract does not allow."""
 
     code = "DAL010"
     summary = ("import contradicts the declared architecture contract "
-               "(ARCHITECTURE.toml)")
+               "(repro/analysis/contract.py)")
     rationale = (
         "The layer DAG is what keeps the reproduction testable: geometry "
         "and text are pure vocabulary, core depends only on them, the "
         "service/cluster/net stack layers strictly above, and the "
-        "language layer binds to caller-supplied backends.  v1 enforced "
-        "three hand-written slices of this (DAL007 transports, DAL008 "
-        "language purity, DAL009 chaos containment); the contract file "
-        "declares the whole DAG once and this rule enforces every edge, "
-        "so a new package is governed the moment it appears in "
-        "ARCHITECTURE.toml rather than when someone writes a rule for "
-        "it.  Aliased entries keep their legacy codes in reports.")
+        "language layer binds to caller-supplied backends.  The contract "
+        "declares the whole DAG once — plus the raw transports confined "
+        "to repro.net and the chaos proxy confined to itself — and this "
+        "rule enforces every edge, so a new package is governed the "
+        "moment it appears in the contract rather than when someone "
+        "writes a rule for it.")
 
     def run(self) -> List[Finding]:
         """Check every import of the module against the contract."""
@@ -350,9 +195,9 @@ class ContractRule(RuleVisitor):
             self._check_layering(contract, ref)
         return self.findings
 
-    def _emit_ref(self, code: str, ref: ImportRef, message: str) -> None:
+    def _emit_ref(self, ref: ImportRef, message: str) -> None:
         self.findings.append(Finding(
-            code=code, message=message, path=self.ctx.path,
+            code=self.code, message=message, path=self.ctx.path,
             line=ref.line, col=ref.col,
             snippet=self.ctx.line_text(ref.line).strip()))
 
@@ -364,9 +209,8 @@ class ContractRule(RuleVisitor):
         for ext in contract.externals:
             if root in ext.modules and unit not in ext.allowed_in:
                 self._emit_ref(
-                    ext.alias or self.code, ref,
-                    (ext.message or GENERIC_EXTERNAL_MESSAGE)
-                    .format(module=root))
+                    ref, f"`{root}` is confined by the architecture "
+                         f"contract to: {', '.join(ext.allowed_in)}")
 
     def _check_restricted(self, contract: Contract,
                           ref: ImportRef) -> None:
@@ -376,65 +220,52 @@ class ContractRule(RuleVisitor):
                    or (ref.module == parts[:-1] and parts[-1] in ref.names))
             if hit and self.ctx.module_path not in res.allowed_in:
                 self._emit_ref(
-                    res.alias or self.code, ref,
-                    (res.message or GENERIC_RESTRICTED_MESSAGE)
-                    .format(module=res.module))
+                    ref, f"`{res.module}` is confined by the architecture "
+                         f"contract to: {', '.join(res.allowed_in)}")
 
     def _check_layering(self, contract: Contract, ref: ImportRef) -> None:
-        module_path = self.ctx.module_path
-        if not module_path.startswith("repro/"):
+        src_unit = unit_of(self.ctx.module_path)
+        if not src_unit or not ref.module or ref.module[0] != "repro":
             return
-        if not ref.module or ref.module[0] != "repro":
-            return
-        src_unit = unit_of(module_path)
-        layer = contract.layer(src_unit)
-        targets: List[str] = []
         if len(ref.module) >= 2:
-            targets.append(ref.module[1])
-        else:  # `from repro import X` — names may be packages.
-            for name in ref.names:
-                if name in contract.layers or (layer is not None
-                                               and bool(layer.alias)):
-                    targets.append(name)
+            targets = [ref.module[1]]
+        else:
+            # `import repro`, `from repro import X`, `from .. import X`:
+            # a name that is a unit imports that unit, anything else
+            # comes from the package root, i.e. `repro/__init__.py`.
+            targets = list(dict.fromkeys(
+                name if name in contract.layers else "__init__"
+                for name in ref.names or ("__init__",)))
+        layer = contract.layer(src_unit)
         for target in targets:
             if target == src_unit:
                 continue
             if layer is None:
                 self._emit_ref(
-                    self.code, ref,
-                    f"layer `{src_unit}` is not declared in "
-                    "ARCHITECTURE.toml; add a [[layer]] entry with its "
-                    "dependencies")
+                    ref, f"layer `{src_unit}` is not declared in the "
+                         "architecture contract; add a Layer entry with "
+                         "its dependencies to repro/analysis/contract.py")
                 continue
             allowed: Set[str] = set(layer.deps)
             if ref.deferred:
                 allowed |= set(layer.deferred)
             if target in allowed:
                 continue
-            if layer.alias:
-                message = (layer.message.format(target=target)
-                           if layer.message else
-                           f"layer `{src_unit}` may not import "
-                           f"`repro.{target}`")
-                self._emit_ref(layer.alias, ref, message)
-            else:
-                kind = ("function-local import" if ref.deferred
-                        else "module-level import")
-                allowed_text = ", ".join(sorted(allowed)) or "nothing"
-                self._emit_ref(
-                    self.code, ref,
-                    f"layer `{src_unit}` may not import `repro.{target}` "
-                    f"({kind}); ARCHITECTURE.toml allows: {allowed_text}")
+            kind = ("function-local import" if ref.deferred
+                    else "module-level import")
+            allowed_text = ", ".join(sorted(allowed)) or "nothing"
+            module = "repro" if target == "__init__" else f"repro.{target}"
+            self._emit_ref(
+                ref, f"layer `{src_unit}` may not import `{module}` "
+                     f"({kind}); the contract allows: {allowed_text}")
 
 
 __all__ = [
     "Boundary",
     "Contract",
     "ContractRule",
-    "DEFAULT_CONTRACT_PATH",
     "ExternalRule",
     "Layer",
     "RestrictedRule",
     "default_contract",
-    "parse_toml",
 ]

@@ -8,7 +8,7 @@ renderings.  Rules are small :class:`ast.NodeVisitor` subclasses (see
 :mod:`repro.analysis.rules` and is documented in ``docs/ANALYSIS.md``.
 
 Suppressions are explicit and per-line: a trailing comment of the form
-``# desks: noqa-DAL001`` (or ``# desks: noqa-DAL001,DAL005``) silences
+``# desks: noqa-DAL001`` (or ``# desks: noqa-DAL001,DAL002``) silences
 exactly the named codes on that line.  There is deliberately no blanket
 ``noqa`` — every suppression names the invariant it waives, so a grep for
 ``desks: noqa`` enumerates every place the project steps around its own
@@ -83,19 +83,11 @@ class ModuleContext:
         self.lines = source.splitlines()
         self.module_path = _module_path(path)
 
-    def in_package(self, *packages: str) -> bool:
-        """True when the module lives under any of ``packages``.
-
-        Packages are slash paths relative to the ``repro`` package root,
-        e.g. ``in_package("geometry", "storage")``; a full filename such
-        as ``core/persistence.py`` matches exactly that module.
-        """
-        for package in packages:
-            prefix = f"repro/{package}"
-            if self.module_path == prefix or \
-                    self.module_path.startswith(prefix.rstrip("/") + "/"):
-                return True
-        return False
+    def in_package(self, package: str) -> bool:
+        """True when the module lives under ``package``, named relative
+        to the ``repro`` package root (``in_package("geometry")`` matches
+        ``repro/geometry/angles.py``)."""
+        return self.module_path.startswith(f"repro/{package}/")
 
     def line_text(self, lineno: int) -> str:
         """The 1-based source line, or empty when out of range."""
@@ -105,10 +97,14 @@ class ModuleContext:
 
 
 def _module_path(path: str) -> str:
-    """``.../src/repro/core/index.py`` -> ``repro/core/index.py``."""
+    """``.../src/repro/core/index.py`` -> ``repro/core/index.py``.
+
+    Keys on the *last* ``repro`` segment, so a checkout that itself sits
+    under a directory named ``repro`` resolves the same way.
+    """
     parts = path.replace(os.sep, "/").split("/")
-    for i, part in enumerate(parts):
-        if part == "repro":
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "repro":
             return "/".join(parts[i:])
     return "/".join(parts)
 
@@ -118,8 +114,8 @@ class RuleVisitor(ast.NodeVisitor):
 
     Subclasses set the class attributes and call :meth:`emit` from their
     ``visit_*`` methods.  ``rationale`` ties the rule to the invariant it
-    protects (paper lemma, WAL protocol, ...) and feeds the rule catalog
-    in ``docs/ANALYSIS.md``.
+    protects (paper lemma, layering, ...) and feeds the rule catalog in
+    ``docs/ANALYSIS.md``.
     """
 
     code: str = ""
@@ -127,7 +123,7 @@ class RuleVisitor(ast.NodeVisitor):
     rationale: str = ""
     #: Optional architecture contract (set by the engine when it was
     #: constructed with one); contract-driven rules fall back to the
-    #: packaged default when this stays ``None``.
+    #: checked-in default when this stays ``None``.
     contract: Optional[object] = None
 
     def __init__(self, ctx: ModuleContext) -> None:

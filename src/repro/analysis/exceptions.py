@@ -3,11 +3,12 @@
 The wire protocol's promise is that a peer only ever sees one of the
 typed error codes (OVERLOAD / BAD_REQUEST / INTERNAL / SHUTTING_DOWN).
 That holds exactly when every exception that can reach an RPC entry
-point — the contract's ``[[boundary]]`` functions: ``FrameServer.
-_dispatch`` (inherited by ``ShardServer`` and ``ClusterFrontend``, whose
-hooks are followed as overrides), ``DqlExecutor.execute`` — is either
-converted there or belongs to a family the boundary's callers
-convert (its ``allowed`` list, subclasses included).
+point — the contract's :class:`~repro.analysis.contract.Boundary`
+entries: ``FrameServer._dispatch`` (inherited by ``ShardServer`` and
+``ClusterFrontend``, whose hooks are followed as overrides),
+``DqlExecutor.execute`` — is either converted there or belongs to a
+family the boundary's callers convert (its ``allowed`` list, subclasses
+included).
 
 :class:`ExceptionFlowRule` checks both halves:
 
@@ -401,7 +402,7 @@ class ExceptionFlowRule(ProgramRule):
                              "to a typed protocol error (OVERLOAD / "
                              "BAD_REQUEST / INTERNAL / SHUTTING_DOWN) or "
                              "extend the boundary's allow-list in "
-                             "ARCHITECTURE.toml"),
+                             "repro/analysis/contract.py"),
                     path=mod.path, line=line,
                     col=getattr(info.node, "col_offset", 0),
                     snippet=snippet))

@@ -276,9 +276,7 @@ class TrackedLock:
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         """Acquire the underlying lock; records the ordering on success."""
-        # This *is* the lock protocol implementation, not a use site; the
-        # caller holds the with/try-finally.
-        acquired = self._inner.acquire(blocking, timeout)  # desks: noqa-DAL003
+        acquired = self._inner.acquire(blocking, timeout)
         if acquired:
             self._tracker.on_acquire(self)
         return acquired

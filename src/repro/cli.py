@@ -225,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--graph", metavar="BASE", default=None,
                         help="also export the import graph of the lint "
                              "targets as BASE.json and BASE.dot")
-    p_lint.add_argument("--contract", metavar="PATH", default=None,
-                        help="architecture contract TOML to check "
-                             "against (default: the packaged "
-                             "ARCHITECTURE.toml)")
     return parser
 
 
@@ -571,11 +567,9 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import (ALIAS_CODES, RULE_INDEX, Contract, LintEngine,
-                           ProgramRule, build_graph)
+    from .analysis import RULE_INDEX, LintEngine, ProgramRule, build_graph
 
-    contract = Contract.load(args.contract) if args.contract else None
-    selected = None
+    engine = LintEngine()
     if args.rules:
         codes = [c.strip().upper() for c in args.rules.split(",") if c.strip()]
         unknown = [c for c in codes if c not in RULE_INDEX]
@@ -583,28 +577,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             known = ", ".join(sorted(RULE_INDEX))
             raise ValueError(
                 f"unknown rule code(s) {', '.join(unknown)}; known: {known}")
-        selected = set(codes)
-        if "DAL010" in selected:
-            # The generic contract rule reports the historic external/
-            # layering/restricted violations under their legacy codes.
-            selected.update(ALIAS_CODES)
-        file_rules, program_rules = [], []
-        for code in codes:
-            rule_cls = RULE_INDEX[code]
-            bucket = (program_rules if issubclass(rule_cls, ProgramRule)
-                      else file_rules)
-            if rule_cls not in bucket:
-                bucket.append(rule_cls)
-        engine = LintEngine(file_rules, program_rules=program_rules,
-                            contract=contract)
-    else:
-        engine = LintEngine(contract=contract)
+        rules = [RULE_INDEX[code] for code in dict.fromkeys(codes)]
+        engine = LintEngine(
+            [r for r in rules if not issubclass(r, ProgramRule)],
+            program_rules=[r for r in rules if issubclass(r, ProgramRule)])
     report = engine.check(args.targets)
-    if selected is not None:
-        report.findings = [f for f in report.findings
-                           if f.code in selected]
-        report.suppressed = [f for f in report.suppressed
-                             if f.code in selected]
     if args.graph:
         json_path, dot_path = build_graph(args.targets).write(args.graph)
         print(f"wrote import graph to {json_path} and {dot_path}")

@@ -395,7 +395,7 @@ def run_corruption_trials(collection: POICollection, num_trials: int,
         # Corruption is injected at the *physical* layer on purpose: going
         # through the pool would damage a cached frame, not the bytes the
         # recovery path re-reads.
-        saved = store.inner.read_page(page_id)  # desks: noqa-DAL005
+        saved = store.inner.read_page(page_id)
         event = injector.corrupt_page(store, page_id=page_id)
         changed = store.verify_page(page_id) is not None
         # Damaged pages must actually be *read*: evict the buffer pools
@@ -417,7 +417,7 @@ def run_corruption_trials(collection: POICollection, num_trials: int,
             degraded_responses=degraded, silent_wrong=silent_wrong))
         # The saved physical bytes verified before the injection, so
         # writing them back restores the exact pre-injection frame.
-        store.inner.write_page(page_id, saved)  # desks: noqa-DAL005
+        store.inner.write_page(page_id, saved)
         index.drop_caches()
         engine.cache.clear()
     engine.close()

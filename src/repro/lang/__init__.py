@@ -18,7 +18,7 @@ The package layers exactly like a small database front end:
   returning a :class:`StatementOutcome`.
 
 The language layer is *pure*: it imports only ``geometry``, ``text``,
-``core``, and ``trace`` (lint rule DAL008) — backends are passed in,
+``core``, and ``trace`` (lint rule DAL010) — backends are passed in,
 never constructed here.
 """
 

@@ -16,7 +16,7 @@ backend object and turns every statement form into one
 
 — but none of them import the serving/cluster/net packages: the adapter
 holds whatever object the caller constructed and speaks to it through
-its public methods (lint rule DAL008 holds this package to imports of
+its public methods (lint rule DAL010 holds this package to imports of
 ``geometry``/``text``/``core``/``trace`` only).  That is what lets one
 executor run the same statement against an in-process index and a
 server across a socket and return bit-identical entries.

@@ -31,12 +31,12 @@ ships traffic through:
   and hedged-request policy that :class:`RemoteReplicaSet` executes;
 * :mod:`~repro.net.chaos` — the seeded fault-injecting TCP proxy the
   acceptance suite drives all of the above with.  Deliberately *not*
-  re-exported here: lint rule DAL009 confines chaos imports to tests,
+  re-exported here: lint rule DAL010 confines chaos imports to tests,
   benchmarks, and tooling so fault injection can never reach a
   production import path.
 
 This package is the only place in the tree allowed to touch a raw
-``socket`` (lint rule DAL007) — every other layer stays deterministic,
+``socket`` (lint rule DAL010) — every other layer stays deterministic,
 testable, and transport-agnostic.  Load comes from
 :func:`repro.service.run_closed_loop`, which drives ``client.search``
 like any target and counts the error types its caller names as shed.

@@ -20,7 +20,7 @@ when a fault actually fires against traffic — never at plan-assignment
 time, which is what lets the chaos acceptance suite reconcile the client's
 failure counters exactly against the proxy's injected-fault counts.
 
-This module is test/benchmark infrastructure: lint rule DAL009 keeps it
+This module is test/benchmark infrastructure: lint rule DAL010 keeps it
 out of production import paths (only ``repro.net.chaos`` itself may be
 imported by tests, benchmarks, and tooling — never by ``src/repro``
 production modules).

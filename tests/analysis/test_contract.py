@@ -1,18 +1,18 @@
-"""The declarative architecture contract (DAL010) and its legacy aliases."""
+"""The architecture contract (DAL010): the checked-in literal, the rule
+on a synthetic contract, and the v1 fixtures every violation of which is
+now reported as DAL010."""
 
+import pathlib
 import textwrap
 
 import pytest
 
 from repro.analysis import Contract, ContractRule, LintEngine, default_contract
-from repro.analysis.contract import (
-    DEFAULT_CONTRACT_PATH,
-    _fallback_parse,
-    parse_toml,
-)
+from repro.analysis.contract import ExternalRule, Layer, RestrictedRule
 
 CORE = "src/repro/core/example.py"
 LANG = "src/repro/lang/example.py"
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def lint(source, path=CORE, rules=(ContractRule,), contract=None):
@@ -26,22 +26,25 @@ def facts(findings, code=None):
             if not f.suppressed and (code is None or f.code == code)]
 
 
-# -- parsing ------------------------------------------------------------------
+# -- the checked-in contract --------------------------------------------------
 
 
 class TestParsing:
     def test_fallback_parser_matches_tomllib_on_the_real_contract(self):
-        text = open(DEFAULT_CONTRACT_PATH, encoding="utf-8").read()
-        assert _fallback_parse(text) == parse_toml(text)
+        # The contract is Python data now; what the parser round trip
+        # guarded is that it names every unit the tree has.
+        units = {p.stem if p.suffix == ".py" else p.name
+                 for p in SRC.iterdir()
+                 if p.suffix == ".py" or (p / "__init__.py").exists()}
+        assert units == set(default_contract().layers)
 
     def test_round_trip_toml_to_contract(self):
-        contract = Contract.from_toml(
-            open(DEFAULT_CONTRACT_PATH, encoding="utf-8").read())
+        contract = default_contract()
         lang = contract.layer("lang")
-        assert lang is not None and lang.alias == "DAL008"
-        assert set(lang.deps) == {"core", "geometry", "text", "trace"}
+        assert lang is not None
+        assert lang.deps == ("core", "geometry", "text", "trace")
         trace = contract.layer("trace")
-        assert set(trace.deferred) == {"core", "storage"}
+        assert trace.deps == () and trace.deferred == ("core", "storage")
 
     def test_default_contract_is_cached(self):
         assert default_contract() is default_contract()
@@ -61,51 +64,29 @@ class TestParsing:
 
     def test_duplicate_layer_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Contract.from_toml(
-                'schema = 1\n[[layer]]\nname = "a"\ndeps = []\n'
-                '[[layer]]\nname = "a"\ndeps = []\n')
+            Contract([Layer("a", ()), Layer("a", ())])
 
     def test_undeclared_dep_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
-            Contract.from_toml(
-                'schema = 1\n[[layer]]\nname = "a"\ndeps = ["ghost"]\n')
+            Contract([Layer("a", ("ghost",))])
 
     def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            Contract.from_toml('schema = 2\n')
+        # There is no document format left to version.
+        with pytest.raises(TypeError, match="schema"):
+            Contract([], schema=2)
 
 
 # -- the generic rule on a synthetic bad tree ---------------------------------
 
 
-BAD_TREE_CONTRACT = Contract.from_toml(textwrap.dedent("""
-    schema = 1
-
-    [[layer]]
-    name = "core"
-    deps = ["storage"]
-
-    [[layer]]
-    name = "storage"
-    deps = []
-
-    [[layer]]
-    name = "net"
-    deps = ["core"]
-
-    [[layer]]
-    name = "trace"
-    deps = []
-    deferred = ["storage"]
-
-    [[external]]
-    modules = ["socket"]
-    allowed_in = ["net"]
-
-    [[restricted]]
-    module = "repro.net.chaos"
-    allowed_in = ["repro/net/chaos.py"]
-"""))
+BAD_TREE_CONTRACT = Contract(
+    [Layer("core", ("storage",)),
+     Layer("storage", ()),
+     Layer("net", ("core",)),
+     Layer("trace", (), deferred=("storage",))],
+    externals=[ExternalRule(("socket",), allowed_in=("net",))],
+    restricted=[RestrictedRule("repro.net.chaos",
+                               allowed_in=("repro/net/chaos.py",))])
 
 
 class TestGenericRule:
@@ -115,7 +96,7 @@ class TestGenericRule:
         assert facts(found) == [(
             "DAL010", 1,
             "layer `core` may not import `repro.net` (module-level "
-            "import); ARCHITECTURE.toml allows: storage")]
+            "import); the contract allows: storage")]
 
     def test_allowed_dep_is_silent(self):
         assert lint("from repro.storage import pages\n",
@@ -147,7 +128,26 @@ class TestGenericRule:
                      path="src/repro/mystery/example.py",
                      contract=BAD_TREE_CONTRACT)
         assert [f.code for f in found] == ["DAL010"]
-        assert "not declared in ARCHITECTURE.toml" in found[0].message
+        assert "not declared in the architecture contract" in \
+            found[0].message
+
+    def test_package_root_imports_are_layered(self):
+        # `repro/__init__.py` imports cluster and service, so a root
+        # import from core or geometry is a cycle: a name that is not a
+        # unit resolves to the `__init__` unit.
+        for source in ("from repro import DesksIndex\n",
+                       "from .. import DesksIndex\n"):
+            assert facts(lint(source)) == [(
+                "DAL010", 1,
+                "layer `core` may not import `repro` (module-level "
+                "import); the contract allows: analysis, datasets, "
+                "geometry, storage, text, trace")], source
+        assert facts(lint("import repro\n",
+                          path="src/repro/geometry/example.py")) == [(
+            "DAL010", 1,
+            "layer `geometry` may not import `repro` (module-level "
+            "import); the contract allows: nothing")]
+        assert lint("from repro import geometry\n") == []
 
     def test_noqa_suppresses(self):
         found = lint("from repro.net import server  # desks: noqa-DAL010\n",
@@ -156,46 +156,52 @@ class TestGenericRule:
         assert not [f for f in found if not f.suppressed]
 
 
-# -- alias parity with the legacy v1 rules ------------------------------------
+# -- the v1 fixtures, now all DAL010 ------------------------------------------
 #
-# The hand-written DAL007/008/009 rule classes are gone; what they
-# reported on each fixture (captured from the last commit that shipped
-# them) is frozen beside it as (code, line, message) facts, so the
-# contract aliases stay pinned to the legacy wording.
+# The v1 rules DAL007 (transports), DAL008 (language purity) and DAL009
+# (chaos containment) became contract entries whose violations kept the
+# old codes as aliases; the aliases are gone too.  Each fixture below
+# pins what DAL010 reports on it as (code, line, message) facts — the
+# lines the v1 rule reported, plus the layering edge the same import
+# breaks where there is one.
 
 
-def dal007(line, module):
-    return ("DAL007", line,
-            f"`{module}` imported outside repro.net; use repro.net's "
-            "clients/transports instead")
+def transport(line, module):
+    return ("DAL010", line,
+            f"`{module}` is confined by the architecture contract to: net")
 
 
-def dal008(line, package):
-    return ("DAL008", line,
-            f"repro.lang imports repro.{package}; the language layer may "
-            "depend only on geometry/text/core/trace — pass backends in "
-            "from the caller instead")
+def purity(line, package):
+    return ("DAL010", line,
+            f"layer `lang` may not import `repro.{package}` (module-level "
+            "import); the contract allows: core, geometry, text, trace")
 
 
-def dal009(line):
-    return ("DAL009", line,
-            "repro.net.chaos (the fault-injecting proxy) imported from "
-            "production code; chaos tooling may only be driven from tests "
-            "and benchmarks")
+def chaos(line):
+    return ("DAL010", line,
+            "`repro.net.chaos` is confined by the architecture contract "
+            "to: repro/net/chaos.py")
+
+
+def core_imports_net(line):
+    return ("DAL010", line,
+            "layer `core` may not import `repro.net` (module-level import); "
+            "the contract allows: analysis, datasets, geometry, storage, "
+            "text, trace")
 
 
 TRANSPORT_FIXTURES = (
-    ("import socket\n", CORE, [dal007(1, "socket")]),
-    ("import asyncio\n", CORE, [dal007(1, "asyncio")]),
+    ("import socket\n", CORE, [transport(1, "socket")]),
+    ("import asyncio\n", CORE, [transport(1, "asyncio")]),
     ("from socket import create_connection\n", CORE,
-     [dal007(1, "socket")]),
-    ("from socket.whatever import x\n", CORE, [dal007(1, "socket")]),
+     [transport(1, "socket")]),
+    ("from socket.whatever import x\n", CORE, [transport(1, "socket")]),
     ("import socketserver\nimport selectors\nimport ssl\n", CORE,
-     [dal007(1, "socketserver"), dal007(2, "selectors"),
-      dal007(3, "ssl")]),
-    ("import socket as sk\n", CORE, [dal007(1, "socket")]),
+     [transport(1, "socketserver"), transport(2, "selectors"),
+      transport(3, "ssl")]),
+    ("import socket as sk\n", CORE, [transport(1, "socket")]),
     ("def probe(a):\n    import socket\n    return socket.c(a)\n", CORE,
-     [dal007(2, "socket")]),
+     [transport(2, "socket")]),
     ("import socket\nimport asyncio\n", "src/repro/net/example.py", []),
     ("import socket\n", "src/repro/net/sub/deep.py", []),
     ("import threading\nimport socketish_helper\n", CORE, []),
@@ -203,20 +209,22 @@ TRANSPORT_FIXTURES = (
 
 PURITY_FIXTURES = (
     ("from repro.service import QueryEngine\n", LANG,
-     [dal008(1, "service")]),
-    ("import repro.cluster\n", LANG, [dal008(1, "cluster")]),
-    ("from repro import service\n", LANG, [dal008(1, "service")]),
+     [purity(1, "service")]),
+    ("import repro.cluster\n", LANG, [purity(1, "cluster")]),
+    ("from repro import service\n", LANG, [purity(1, "service")]),
     ("from ..service import MetricsRegistry\n", LANG,
-     [dal008(1, "service")]),
+     [purity(1, "service")]),
     ("from repro.geometry import angles\n", LANG, []),
     ("from .parser import parse\n", LANG, []),
     ("import math\n", LANG, []),
 )
 
 CHAOS_FIXTURES = (
-    ("import repro.net.chaos\n", CORE, [dal009(1)]),
-    ("from repro.net.chaos import ChaosProxy\n", CORE, [dal009(1)]),
-    ("from repro.net import chaos\n", CORE, [dal009(1)]),
+    ("import repro.net.chaos\n", CORE, [chaos(1), core_imports_net(1)]),
+    ("from repro.net.chaos import ChaosProxy\n", CORE,
+     [chaos(1), core_imports_net(1)]),
+    ("from repro.net import chaos\n", CORE,
+     [chaos(1), core_imports_net(1)]),
     ("import repro.net.chaos\n", "src/repro/net/chaos.py", []),
     ("from repro.net import protocol\n", "src/repro/net/example.py", []),
 )
@@ -227,30 +235,34 @@ def cases(fixtures):
     return [fixture[:2] for fixture in fixtures]
 
 
-def legacy_facts(fixtures, source, path):
-    return next(legacy for fixture_source, fixture_path, legacy in fixtures
+def expected_facts(fixtures, source, path):
+    return next(expected for fixture_source, fixture_path, expected
+                in fixtures
                 if (fixture_source, fixture_path) == (source, path))
 
 
 class TestAliasParity:
-    """ContractRule reports the v1 codes byte-identically to the v1 rules."""
+    """Every v1 fixture reports DAL010, on the v1 rule's lines."""
 
     @pytest.mark.parametrize("source,path", cases(TRANSPORT_FIXTURES))
     def test_dal007_matches_transport_rule(self, source, path):
-        assert facts(lint(source, path), code="DAL007") == \
-            legacy_facts(TRANSPORT_FIXTURES, source, path)
+        assert facts(lint(source, path)) == \
+            expected_facts(TRANSPORT_FIXTURES, source, path)
 
     @pytest.mark.parametrize("source,path", cases(PURITY_FIXTURES))
     def test_dal008_matches_language_purity_rule(self, source, path):
-        assert facts(lint(source, path), code="DAL008") == \
-            legacy_facts(PURITY_FIXTURES, source, path)
+        assert facts(lint(source, path)) == \
+            expected_facts(PURITY_FIXTURES, source, path)
 
     @pytest.mark.parametrize("source,path", cases(CHAOS_FIXTURES))
     def test_dal009_matches_chaos_containment_rule(self, source, path):
-        assert facts(lint(source, path), code="DAL009") == \
-            legacy_facts(CHAOS_FIXTURES, source, path)
+        assert facts(lint(source, path)) == \
+            expected_facts(CHAOS_FIXTURES, source, path)
 
     def test_alias_codes_suppress_independently(self):
-        found = lint("import socket  # desks: noqa-DAL007\n")
-        assert [f.code for f in found if f.suppressed] == ["DAL007"]
+        # A retired alias code suppresses nothing; DAL010 does.
+        assert facts(lint("import socket  # desks: noqa-DAL007\n")) == \
+            [transport(1, "socket")]
+        found = lint("import socket  # desks: noqa-DAL010\n")
+        assert [f.code for f in found if f.suppressed] == ["DAL010"]
         assert not [f for f in found if not f.suppressed]

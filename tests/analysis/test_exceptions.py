@@ -3,7 +3,8 @@
 import ast
 import textwrap
 
-from repro.analysis import Contract, ExceptionFlowRule, LintEngine
+from repro.analysis import Boundary, Contract, ExceptionFlowRule, LintEngine
+from repro.analysis.contract import Layer
 from repro.analysis.graph import ProgramIndex
 
 SVC = "src/repro/service/example.py"
@@ -27,13 +28,10 @@ def lint(source, path=SVC):
     return engine.check_source(textwrap.dedent(source), path)
 
 
-BOUNDARY_CONTRACT = Contract.from_dict({
-    "schema": 1,
-    "layer": [{"name": "net", "deps": []}],
-    "boundary": [{"module": "repro/net/server.py",
-                  "function": "Server.dispatch",
-                  "allowed": ["ProtocolError"]}],
-})
+BOUNDARY_CONTRACT = Contract(
+    [Layer("net", ())],
+    boundaries=[Boundary("repro/net/server.py", "Server.dispatch",
+                         ("ProtocolError",))])
 
 
 # -- handler facet ------------------------------------------------------------

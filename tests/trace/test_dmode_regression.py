@@ -3,8 +3,10 @@
 D mode (direction-only pruning) once under-attributed fetched POIs in
 the span aggregates, so ``explain()`` could not reconcile against the
 untraced counters.  This pins the repaired contract — *exact* equality,
-row by row — under fixed seeds, so the determinism the DAL006 rule
-enforces on the core makes any future drift reproduce identically.
+row by row — under fixed seeds.  Two runs of the same query must agree
+exactly, so this is also the runtime guard for search determinism: no
+wall-clock reads or unseeded randomness on the search path (DAL006's
+invariant; see "Retired rules" in docs/ANALYSIS.md).
 """
 
 import pytest
@@ -37,7 +39,7 @@ def test_dmode_reconciles_exactly_under_fixed_seeds(tmp_path, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dmode_explain_is_deterministic(tmp_path, seed):
     """Two explains of the same query agree on every reconciled count —
-    the replayability DAL006 exists to protect."""
+    the replayability the search path must keep."""
     collection = make_collection(n=350, seed=seed)
     index = DesksIndex(collection, num_bands=4, num_wedges=6,
                        disk_based=True,
