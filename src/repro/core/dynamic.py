@@ -23,16 +23,27 @@ a mutating index.  ``subscribe()`` registers callbacks fired (with the new
 generation) after each mutation, so caches can also purge eagerly.
 
 Updates are serialised by an internal lock; queries take a consistent
-snapshot of ``(searcher, delta, tombstones)`` under that lock and then run
-lock-free, so concurrent readers never block each other and a rebuild
-mid-query simply means that query answers against the pre-rebuild (still
-exact) state.
+snapshot of ``(searcher, memo, delta, tombstones)`` under that lock and
+then run lock-free, so concurrent readers never block each other and a
+rebuild mid-query simply means that query answers against the
+pre-rebuild (still exact) state.
+
+Every write bumps the generation, so under a steady write stream the
+result cache above rarely holds an answer long enough to serve it.  The
+static index itself only changes at a rebuild, though, so each static
+index carries a **snapshot memo**: its own complete answers, keyed by the
+query it was actually asked (``k`` already inflated by the tombstones)
+and the pruning mode, at most :data:`SNAPSHOT_MEMO_CAPACITY` of them.  A
+read whose static query is memoized skips the indexed search and pays
+only the tombstone filter, the delta scan and the merge.  The memo is
+created empty with its static index and discarded with it at the next
+rebuild, so nothing ever has to invalidate it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..analysis import make_lock
 from ..datasets import POI, POICollection
@@ -41,6 +52,9 @@ from ..trace.spans import current_tracer
 from .index import DesksIndex
 from .query import DirectionalQuery, QueryResult, ResultEntry
 from .search import DesksSearcher, PruningMode, SupportsExpired
+
+#: Answers one static index memoizes before it forgets its oldest (FIFO).
+SNAPSHOT_MEMO_CAPACITY = 1024
 
 
 class MutableDesksIndex:
@@ -71,9 +85,14 @@ class MutableDesksIndex:
         self._lock = make_lock("core.mutable_index", reentrant=True)
 
     def _build(self, collection: POICollection) -> None:
-        self._index = DesksIndex(collection, self._num_bands,
-                                 self._num_wedges)
-        self._searcher = DesksSearcher(self._index)
+        self._adopt_static(DesksIndex(collection, self._num_bands,
+                                      self._num_wedges))
+
+    def _adopt_static(self, index: DesksIndex) -> None:
+        """Install ``index`` as the static index, with an empty memo."""
+        self._index = index
+        self._searcher = DesksSearcher(index)
+        self._memo: Dict[Tuple, List[ResultEntry]] = {}
 
     @classmethod
     def from_static(cls, index: DesksIndex,
@@ -83,8 +102,7 @@ class MutableDesksIndex:
         instance = cls.__new__(cls)
         instance._init_state(index.num_bands, index.num_wedges,
                              rebuild_threshold)
-        instance._index = index
-        instance._searcher = DesksSearcher(index)
+        instance._adopt_static(index)
         return instance
 
     # -- state -----------------------------------------------------------
@@ -177,9 +195,13 @@ class MutableDesksIndex:
         now (checkpointing uses this so a snapshot of the static index
         captures the full visible state).  Returns True when a rebuild
         actually ran.  Counts as a mutation: ids may be re-densified and
-        the generation is bumped, exactly as for a threshold rebuild."""
+        the generation is bumped, exactly as for a threshold rebuild.
+
+        With no live POI left there is nothing to build a static index
+        from: it returns False and leaves the delta and tombstones as they
+        are, like the threshold rebuild on delete."""
         with self._lock:
-            if not self._delta and not self._deleted:
+            if (not self._delta and not self._deleted) or len(self) == 0:
                 return False
             self._rebuild()
             self._bump_generation()
@@ -207,15 +229,27 @@ class MutableDesksIndex:
         """Exact top-k over static index + delta buffer - tombstones.
 
         Safe to call from many threads at once: the method snapshots the
-        searcher/delta/tombstone trio under the update lock, then runs
-        against those immutable references.  ``deadline`` is forwarded to
-        the indexed search; an expired deadline yields ``partial=True``
-        (the delta scan is a cheap linear pass and always completes).
-        Under an active :class:`repro.trace.Tracer` the delta scan records
-        a ``desks.delta`` span next to the indexed ``desks.search`` tree.
+        searcher, its memo, the delta and the tombstones under the update
+        lock, then runs against those references; an answer computed on
+        one static index can therefore never land in the next one's memo.
+        The static query (``k`` inflated by the tombstones it may bury)
+        is answered from the memo when this static index has answered it
+        before, and by the indexed search otherwise; a complete answer of
+        the indexed search is then memoized.  ``deadline`` is forwarded
+        to the indexed search; an expired deadline yields
+        ``partial=True`` (the delta scan is a cheap linear pass and always
+        completes), and a partial answer is never memoized.  A memo hit
+        is complete whatever the deadline, like a result-cache hit.
+
+        Under an active :class:`repro.trace.Tracer` the static part is a
+        ``desks.search`` tree or, on a memo hit, one counter-free
+        ``desks.memo`` span, and the delta scan records a ``desks.delta``
+        span; ``stats`` counts the work actually done, so a memo hit adds
+        only the delta POIs.
         """
         with self._lock:
             searcher = self._searcher
+            memo = self._memo
             delta = self._delta
             deleted = set(self._deleted) if self._deleted else self._deleted
         # Tombstones may knock answers out of the static top-k; ask the
@@ -225,15 +259,28 @@ class MutableDesksIndex:
         static_size = len(searcher.index.collection)
         buried = sum(1 for poi_id in deleted if poi_id < static_size)
         if buried:
-            inflated = DirectionalQuery(query.location, query.interval,
-                                        query.keywords, query.k + buried,
-                                        query.match_mode)
-            indexed = searcher.search(inflated, mode, stats,
-                                      deadline=deadline)
+            query_static = DirectionalQuery(query.location, query.interval,
+                                            query.keywords, query.k + buried,
+                                            query.match_mode)
         else:
-            indexed = searcher.search(query, mode, stats, deadline=deadline)
-        merged = [e for e in indexed.entries if e.poi_id not in deleted]
+            query_static = query
+        key = (query_static.canonical_key(), mode)
         tracer = current_tracer()
+        entries = memo.get(key)
+        partial = False
+        if entries is None:
+            indexed = searcher.search(query_static, mode, stats,
+                                      deadline=deadline)
+            entries, partial = indexed.entries, indexed.partial
+            if not partial:
+                with self._lock:
+                    if len(memo) >= SNAPSHOT_MEMO_CAPACITY:
+                        del memo[next(iter(memo))]
+                    memo[key] = entries
+        elif tracer is not None:
+            tracer.record("desks.memo", mode=mode.name, k=query_static.k,
+                          results=len(entries))
+        merged = [e for e in entries if e.poi_id not in deleted]
         if tracer is not None:
             tick = time.perf_counter()
         # len(delta) is captured once: concurrent inserts appending to the
@@ -257,7 +304,7 @@ class MutableDesksIndex:
                           pois_fetched=examined,
                           tombstones_skipped=len(pending) - examined)
         merged.sort()
-        return QueryResult(merged[:query.k], partial=indexed.partial)
+        return QueryResult(merged[:query.k], partial=partial)
 
     def live_pois(self) -> List[POI]:
         """All currently visible POIs (static + delta, minus tombstones)."""
@@ -270,9 +317,9 @@ class MutableDesksIndex:
         """Look up a POI by id (static or delta); raises on deleted ids."""
         if poi_id in self._deleted:
             raise KeyError(f"poi {poi_id} is deleted")
-        if poi_id < len(self.collection):
+        if 0 <= poi_id < len(self.collection):
             return self.collection[poi_id]
         delta_pos = poi_id - len(self.collection)
-        if delta_pos < len(self._delta):
+        if 0 <= delta_pos < len(self._delta):
             return self._delta[delta_pos]
         raise KeyError(f"unknown poi id {poi_id}")

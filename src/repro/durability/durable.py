@@ -301,10 +301,13 @@ class DurableMutableIndex(MutableDesksIndex):
             try:
                 with _maybe_span("durable.compact"):
                     self.compact()
-                with _maybe_span("durable.snapshot"):
-                    self._save_snapshot()
-                with _maybe_span("wal.truncate"):
-                    self._wal.checkpoint()
+                # With no live POI, compaction leaves the pending ops in
+                # place; the WAL still holds them, so it must stay.
+                if not self._delta and not self._deleted:
+                    with _maybe_span("durable.snapshot"):
+                        self._save_snapshot()
+                    with _maybe_span("wal.truncate"):
+                        self._wal.checkpoint()
             finally:
                 self._checkpointing = False
             self._poisoned = False

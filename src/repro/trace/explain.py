@@ -8,8 +8,10 @@ and packages three views of it into an :class:`ExplainReport`:
   lemmas are armed, and the index shape (bands × wedges per anchor);
 * **actuals** — what it did: which access path answered (``postings``:
   the keywords' POI lists were verified whole; ``regions``: Algorithms
-  1-2) next to the two cost estimates it was chosen by (``walk_cost``,
-  ``region_cost``, in estimated microseconds; the walk is also taken
+  1-2; ``memo``: a mutable index's static index had answered the same
+  static query before and no indexed search ran) next to the two cost
+  estimates it was chosen by (``walk_cost``, ``region_cost``, in
+  estimated microseconds; the walk is also taken
   without asking when the lists hold at most ``N x M`` postings; see
   :meth:`repro.core.DesksSearcher.access_costs`), bands scanned vs
   skipped by Lemma 1,
@@ -174,8 +176,7 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
 
     actuals = {
         # The searcher chooses per query; the span tree is the record.
-        "access_path": ("postings" if tracer.find("desks.postings")
-                        is not None else "regions"),
+        "access_path": _access_path(tracer),
         # What it weighed (estimated microseconds), floor path included.
         "walk_cost": costs[0],
         "region_cost": costs[1],
@@ -207,6 +208,14 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
                  for e in result],
         trace=tracer,
     )
+
+
+def _access_path(tracer: Tracer) -> str:
+    if tracer.find("desks.memo") is not None:
+        return "memo"
+    if tracer.find("desks.postings") is not None:
+        return "postings"
+    return "regions"
 
 
 def _row(quantity: str, span_value, independent_value) -> Dict[str, Any]:

@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.datasets import POI, POICollection
 from repro.storage import SearchStats
+from repro.trace import Tracer, explain
 
 from .conftest import KEYWORD_POOL, make_collection, random_query_params
 
@@ -77,6 +78,32 @@ class TestMutableIndexBasics:
             idx.get(new_id)
         with pytest.raises(KeyError):
             idx.get(500)
+
+    def test_get_rejects_negative_ids(self):
+        idx = MutableDesksIndex(make_collection(10, seed=4), num_bands=2,
+                                num_wedges=2)
+        assert not idx.delete(-1)
+        with pytest.raises(KeyError):
+            idx.get(-1)
+
+    def test_compact_with_no_live_poi_changes_nothing(self):
+        col = make_collection(10, seed=4)
+        idx = MutableDesksIndex(col, num_bands=2, num_wedges=2,
+                                rebuild_threshold=1.0)
+        for poi_id in range(len(col)):
+            assert idx.delete(poi_id)
+        generation = idx.generation
+        assert not idx.compact()
+        assert (len(idx), idx.rebuild_count, idx.generation) == \
+            (0, 0, generation)
+        assert idx.static_index.collection is col
+        assert idx.search(DirectionalQuery.undirected(
+            50.0, 50.0, ["cafe"], 3)).entries == []
+        new_id = idx.insert(1.0, 2.0, ["cafe"])
+        assert idx.compact()
+        assert [p.keywords for p in idx.live_pois()] == [
+            frozenset({"cafe"})]
+        assert new_id == 10 and len(idx.collection) == 1
 
     def test_rebuild_triggered(self):
         col = make_collection(20, seed=5)
@@ -194,6 +221,72 @@ class TestMutableIndexQueries:
                                   ["a"], 5)
         assert idx.search(q).distances() == pytest.approx(
             static.search(q).distances())
+
+
+class _Expired:
+    """A deadline that has already passed."""
+
+    def expired(self):
+        return True
+
+
+def traced_search(idx, query, stats=None, deadline=None):
+    """``idx.search`` under a fresh tracer; the result and the span names."""
+    tracer = Tracer()
+    with tracer.activate():
+        result = idx.search(query, stats=stats, deadline=deadline)
+    return result, {span.name for span in tracer.roots}
+
+
+class TestSnapshotMemo:
+    """Each static index remembers its complete answers until a rebuild."""
+
+    QUERY = DirectionalQuery.make(50.0, 50.0, 0.3, 2.8, ["cafe"], 5)
+
+    def mutable(self):
+        return MutableDesksIndex(make_collection(200, seed=14), num_bands=3,
+                                 num_wedges=3, rebuild_threshold=1.0)
+
+    def test_repeat_read_skips_the_indexed_search(self):
+        idx = self.mutable()
+        first, spans = traced_search(idx, self.QUERY)
+        assert "desks.search" in spans and "desks.memo" not in spans
+        idx.insert(50.5, 51.0, ["cafe"])
+        idx.insert(10.0, 10.0, ["food"])
+        stats = SearchStats()
+        second, spans = traced_search(idx, self.QUERY, stats)
+        assert "desks.memo" in spans and "desks.search" not in spans
+        assert stats.pois_examined == 2
+        assert stats.candidates_verified == stats.subregions_examined == 0
+        assert second.entries == brute_force_search(
+            idx.live_pois(), self.QUERY).entries
+        report = explain(idx, self.QUERY)
+        assert report.actuals["access_path"] == "memo"
+        assert report.actuals["pois_fetched"] == 2
+        assert report.reconciled
+
+    def test_compaction_starts_an_empty_memo(self):
+        idx = self.mutable()
+        idx.search(self.QUERY)
+        idx.insert(50.5, 51.0, ["cafe"])
+        assert idx.compact()
+        result, spans = traced_search(idx, self.QUERY)
+        assert "desks.search" in spans and "desks.memo" not in spans
+        assert result.entries == brute_force_search(
+            idx.live_pois(), self.QUERY).entries
+        _, spans = traced_search(idx, self.QUERY)
+        assert "desks.memo" in spans
+
+    def test_partial_answers_are_not_memoized(self):
+        idx = self.mutable()
+        cut, _ = traced_search(idx, self.QUERY, deadline=_Expired())
+        assert cut.partial
+        full, spans = traced_search(idx, self.QUERY)
+        assert "desks.search" in spans and not full.partial
+        # Complete now, so memoized: a hit ignores the deadline.
+        again, spans = traced_search(idx, self.QUERY, deadline=_Expired())
+        assert "desks.memo" in spans and not again.partial
+        assert again.entries == full.entries
 
 
 class TestMoveLocation:

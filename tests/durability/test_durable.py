@@ -207,6 +207,28 @@ class TestCheckpointGuards:
             assert report.clean
             assert report.wal.records == 0
 
+    def test_checkpoint_with_no_live_poi_keeps_the_wal(self, tmp_path):
+        """Nothing to compact into: no snapshot, no truncation, and the
+        instance stays usable (it used to raise and poison itself)."""
+        root = str(tmp_path / "dur")
+        index = DurableMutableIndex.create(make_collection(6), root,
+                                           rebuild_threshold=1.0)
+        for poi_id in range(6):
+            assert index.delete(poi_id)
+        index.checkpoint()
+        assert index.snapshot_op_seq == 0
+        new_id = index.insert(5.0, 5.0, ["cafe"])
+        assert [p.poi_id for p in index.live_pois()] == [new_id]
+        before = probe(index)
+        index.close()
+        # The snapshot is still the base: recovery replays every op.
+        with DurableMutableIndex.recover(root) as recovered:
+            assert (recovered.op_seq, len(recovered)) == (7, 1)
+            assert probe(recovered) == before
+            recovered.checkpoint()
+            assert recovered.snapshot_op_seq == 7
+            assert recovered.scrub().wal.records == 0
+
 
 class TestScrub:
     def test_offline_scrub_clean(self, base, tmp_path):
