@@ -14,6 +14,14 @@ main-plus-delta design databases reach for in this situation:
 Queries remain exact at every moment; amortised insert cost is O(1) plus
 the periodic rebuild, the classic LSM-style trade.
 
+A rebuild does not re-intern the data it already has: the survivors'
+collection is derived from the old one (:meth:`POICollection.derive`),
+sharing every POI, term-id set and vocabulary entry before the first
+deleted static POI.  Only the changed suffix and the delta are renumbered
+and interned, so that part of a compaction costs the suffix plus the
+delta, not the whole vocabulary; the index build on top of it is the one
+numpy pass every build runs.
+
 For the serving layer (:mod:`repro.service`) the index additionally keeps a
 monotonically increasing **generation** counter, bumped by every successful
 insert, delete, and rebuild.  A result cache tags each cached answer with
@@ -23,10 +31,12 @@ a mutating index.  ``subscribe()`` registers callbacks fired (with the new
 generation) after each mutation, so caches can also purge eagerly.
 
 Updates are serialised by an internal lock; queries take a consistent
-snapshot of ``(searcher, memo, delta, tombstones)`` under that lock and
-then run lock-free, so concurrent readers never block each other and a
-rebuild mid-query simply means that query answers against the
-pre-rebuild (still exact) state.
+snapshot of ``(searcher, memo, delta, tombstones)`` and the count of
+tombstones on static POIs under that lock and then run lock-free, so
+concurrent readers never block each other and a rebuild mid-query simply
+means that query answers against the pre-rebuild (still exact) state.
+``get()``, ``live_pois()`` and ``len()`` read under the lock too, so a
+rebuild never lands between their reads.
 
 Every write bumps the generation, so under a steady write stream the
 result cache above rarely holds an answer long enough to serve it.  The
@@ -79,6 +89,9 @@ class MutableDesksIndex:
         self.rebuild_threshold = rebuild_threshold
         self._delta: List[POI] = []
         self._deleted: Set[int] = set()
+        # Tombstones inside the static id range: what the static search's
+        # k must be inflated by (see search).
+        self._buried = 0
         self.rebuild_count = 0
         self._generation = 0
         self._listeners: List[Callable[[int], None]] = []
@@ -153,8 +166,9 @@ class MutableDesksIndex:
             listener(self._generation)
 
     def __len__(self) -> int:
-        return (len(self.collection) + len(self._delta)
-                - len(self._deleted))
+        with self._lock:
+            return (len(self.collection) + len(self._delta)
+                    - len(self._deleted))
 
     # -- updates -------------------------------------------------------------
 
@@ -182,6 +196,7 @@ class MutableDesksIndex:
             if not 0 <= poi_id < total:
                 return False
             self._deleted.add(poi_id)
+            self._buried += poi_id < len(self.collection)
             # Tombstones inflate the static index's effective k (see
             # search); absorb them once they pile up, like the insert path.
             if (len(self._deleted) > self.rebuild_threshold
@@ -209,16 +224,20 @@ class MutableDesksIndex:
 
     def _rebuild(self) -> None:
         """Merge delta and tombstones into a fresh static index."""
-        # Caller holds self._lock.
-        survivors = self.live_pois()
-        # Rebuilding re-densifies ids (POICollection renumbers by
-        # position): previously returned ids become invalid after a
-        # rebuild, which callers can detect via ``rebuild_count``
-        # (documented contract of the delta design).
+        # Caller holds self._lock.  The survivors' collection is derived
+        # from the old one: everything before the first static tombstone
+        # is shared, and only the suffix after it plus the live delta is
+        # renumbered and interned.  It equals POICollection(live_pois())
+        # field by field, which recovery from a checkpoint relies on.
+        # Rebuilding re-densifies ids: previously returned ids become
+        # invalid after a rebuild, which callers can detect via
+        # ``rebuild_count`` (documented contract of the delta design).
+        collection = self.collection.derive(self._deleted, self._delta)
         self._delta = []
         self._deleted = set()
+        self._buried = 0
         self.rebuild_count += 1
-        self._build(POICollection(survivors))
+        self._build(collection)
 
     # -- queries ------------------------------------------------------------------
 
@@ -229,9 +248,10 @@ class MutableDesksIndex:
         """Exact top-k over static index + delta buffer - tombstones.
 
         Safe to call from many threads at once: the method snapshots the
-        searcher, its memo, the delta and the tombstones under the update
-        lock, then runs against those references; an answer computed on
-        one static index can therefore never land in the next one's memo.
+        searcher, its memo, the delta, the tombstones and how many of
+        them lie on static POIs under the update lock, then runs against
+        those references; an answer computed on one static index can
+        therefore never land in the next one's memo.
         The static query (``k`` inflated by the tombstones it may bury)
         is answered from the memo when this static index has answered it
         before, and by the indexed search otherwise; a complete answer of
@@ -252,12 +272,12 @@ class MutableDesksIndex:
             memo = self._memo
             delta = self._delta
             deleted = set(self._deleted) if self._deleted else self._deleted
+            buried = self._buried
         # Tombstones may knock answers out of the static top-k; ask the
         # static index for enough extras to guarantee k live results.  Only
         # a tombstone inside its id range can: one on a delta POI buries
-        # nothing the static search could return.
-        static_size = len(searcher.index.collection)
-        buried = sum(1 for poi_id in deleted if poi_id < static_size)
+        # nothing the static search could return.  delete() counts those
+        # as they land (``_buried``), so a read need not count them.
         if buried:
             query_static = DirectionalQuery(query.location, query.interval,
                                             query.keywords, query.k + buried,
@@ -308,18 +328,21 @@ class MutableDesksIndex:
 
     def live_pois(self) -> List[POI]:
         """All currently visible POIs (static + delta, minus tombstones)."""
-        out = [p for p in self.collection if p.poi_id not in self._deleted]
-        out.extend(p for p in self._delta
-                   if p.poi_id not in self._deleted)
-        return out
+        with self._lock:
+            deleted = self._deleted
+            out = [p for p in self.collection if p.poi_id not in deleted]
+            out.extend(p for p in self._delta if p.poi_id not in deleted)
+            return out
 
     def get(self, poi_id: int) -> POI:
         """Look up a POI by id (static or delta); raises on deleted ids."""
-        if poi_id in self._deleted:
-            raise KeyError(f"poi {poi_id} is deleted")
-        if 0 <= poi_id < len(self.collection):
-            return self.collection[poi_id]
-        delta_pos = poi_id - len(self.collection)
-        if 0 <= delta_pos < len(self._delta):
-            return self._delta[delta_pos]
-        raise KeyError(f"unknown poi id {poi_id}")
+        with self._lock:
+            if poi_id in self._deleted:
+                raise KeyError(f"poi {poi_id} is deleted")
+            collection = self.collection
+            if 0 <= poi_id < len(collection):
+                return collection[poi_id]
+            delta_pos = poi_id - len(collection)
+            if 0 <= delta_pos < len(self._delta):
+                return self._delta[delta_pos]
+            raise KeyError(f"unknown poi id {poi_id}")

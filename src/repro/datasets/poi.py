@@ -8,8 +8,11 @@ exposes the dataset MBR — the three things every index build needs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence
+from itertools import chain
+from typing import (AbstractSet, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence)
 
 from ..geometry import MBR, Point
 from ..text import Vocabulary
@@ -47,11 +50,55 @@ class POICollection:
         self._pois: List[POI] = []
         self.vocabulary = Vocabulary()
         self._term_ids: List[FrozenSet[int]] = []
-        for position, poi in enumerate(pois):
-            renumbered = POI(position, poi.location, poi.keywords)
-            self._pois.append(renumbered)
-            self._term_ids.append(self.vocabulary.add_document(poi.keywords))
+        self._append(pois)
         self.mbr = MBR.from_points(p.location for p in self._pois)
+
+    def _append(self, pois: Iterable[POI]) -> None:
+        """Renumber ``pois`` onto the end and intern their keywords (a POI
+        whose id already is its position is kept, not copied)."""
+        for poi in pois:
+            position = len(self._pois)
+            if poi.poi_id != position:
+                poi = POI(position, poi.location, poi.keywords)
+            self._pois.append(poi)
+            self._term_ids.append(self.vocabulary.add_document(poi.keywords))
+
+    def derive(self, deleted: AbstractSet[int],
+               appended: Sequence[POI]) -> "POICollection":
+        """``POICollection(survivors)``, built from this collection.
+
+        The survivors are this collection's POIs followed by ``appended``
+        (whose ids continue this one's), minus every POI whose id is in
+        ``deleted``.  The result equals the fresh build field by field, but
+        everything before the first deleted id of this collection is
+        shared: its POIs, term-id sets and vocabulary.  Only the POIs after
+        that id and the surviving ``appended`` ones are renumbered and
+        interned, so the cost is that suffix, not the collection.
+        """
+        first = min((poi_id for poi_id in deleted
+                     if 0 <= poi_id < len(self)), default=len(self))
+        tail = [poi for poi in self._pois[first:]
+                if poi.poi_id not in deleted]
+        tail.extend(poi for poi in appended if poi.poi_id not in deleted)
+        return self._prefix_with(first, tail)
+
+    def _prefix_with(self, keep: int, tail: Sequence[POI]) -> "POICollection":
+        """The first ``keep`` POIs, shared, then ``tail`` interned anew."""
+        if not keep and not tail:
+            raise ValueError("a POI collection needs at least one POI")
+        out = POICollection.__new__(POICollection)
+        out._pois = self._pois[:keep]
+        out._term_ids = self._term_ids[:keep]
+        out.vocabulary = self.vocabulary.rolled_back(
+            Counter(chain.from_iterable(self._term_ids[keep:])))
+        out._append(tail)
+        if keep < len(self):
+            out.mbr = MBR.from_points(p.location for p in out._pois)
+        elif tail:
+            out.mbr = self.mbr.union(MBR.from_points(p.location for p in tail))
+        else:
+            out.mbr = self.mbr
+        return out
 
     # -- access -----------------------------------------------------------
 
@@ -93,7 +140,7 @@ class POICollection:
         if not 1 <= size <= len(self):
             raise ValueError(
                 f"subset size {size} outside [1, {len(self)}]")
-        return POICollection(self._pois[:size])
+        return self._prefix_with(size, ())
 
     # -- statistics ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ to pick realistic (frequency-skewed) query keywords.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
 
 
 class Vocabulary:
@@ -52,6 +52,29 @@ class Vocabulary:
             self._doc_freq[term_id] += 1
             ids.add(term_id)
         return frozenset(ids)
+
+    def rolled_back(self, removed: Mapping[int, int]) -> "Vocabulary":
+        """A copy as it stood before the last documents were added.
+
+        ``removed`` counts, per term id, how many of those documents hold
+        the term.  Ids follow first occurrence, so the terms only those
+        documents held are exactly the highest ids: the copy drops them
+        and keeps every other term's id, with ``removed`` subtracted from
+        its document frequency.  ``self`` is left as it is.
+        """
+        doc_freq = list(self._doc_freq)
+        for term_id, count in removed.items():
+            doc_freq[term_id] -= count
+        size = len(doc_freq)
+        while size and not doc_freq[size - 1]:
+            size -= 1
+        out = Vocabulary()
+        out._term_to_id = dict(self._term_to_id)
+        for term in self._id_to_term[size:]:
+            del out._term_to_id[term]
+        out._id_to_term = self._id_to_term[:size]
+        out._doc_freq = doc_freq[:size]
+        return out
 
     def id_of(self, term: str) -> Optional[int]:
         """The id of ``term``, or ``None`` when unknown."""

@@ -94,6 +94,22 @@ class TestVocabulary:
         assert v.term_of(top[0]) == "pizza"
         assert v.term_of(top[1]) == "sushi"
 
+    def test_rolled_back_equals_the_prefix_vocabulary(self):
+        docs = [["atm", "bank"], ["atm"], ["cafe", "bank"], ["deli"]]
+        v, prefix = Vocabulary(), Vocabulary()
+        last = [v.add_document(d) for d in docs][2:]
+        for d in docs[:2]:
+            prefix.add_document(d)
+        removed = {}
+        for ids in last:
+            for term_id in ids:
+                removed[term_id] = removed.get(term_id, 0) + 1
+        back = v.rolled_back(removed)
+        assert back.terms() == prefix.terms() == ["atm", "bank"]
+        assert [back.doc_frequency(i) for i in range(len(back))] == [2, 1]
+        assert "cafe" not in back and "deli" not in back
+        assert len(v) == 4 and v.doc_frequency(v.id_of("bank")) == 2
+
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=50))
     def test_ids_unique_and_dense(self, terms):
         v = Vocabulary()
