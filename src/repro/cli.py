@@ -41,7 +41,7 @@ Commands
 ``scrub``
     Verify a saved index, sharded deployment, or durable-index directory
     against its checksum manifests (and WAL, when present); exit 1 on
-    any corruption.
+    any corruption, naming each damaged file on stderr.
 ``lint``
     Run the project-invariant analyzer (:mod:`repro.analysis`).
 
@@ -554,15 +554,11 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
         print(f"error: {args.directory} is not a directory",
               file=sys.stderr)
         return 2
-    if is_durable_dir(args.directory):
-        report = scrub_durable(args.directory)
-        print(report.summary())
-        return 0 if report.clean else 1
-    report = scrub_saved(args.directory)
+    scrub = scrub_durable if is_durable_dir(args.directory) else scrub_saved
+    report = scrub(args.directory)
     print(report.summary())
-    if not report.clean:
-        for path, reason in report.corrupt:
-            print(f"  corrupt: {path}: {reason}", file=sys.stderr)
+    for path, reason in report.corrupt:
+        print(f"  corrupt: {path}: {reason}", file=sys.stderr)
     return 0 if report.clean else 1
 
 

@@ -13,7 +13,6 @@ from .index import (
 from .persistence import (
     MissingPersistenceFile,
     PersistenceError,
-    SavedScrubReport,
     load_index,
     load_sharded,
     read_sharded_manifest,
@@ -61,7 +60,6 @@ __all__ = [
     "MutableDesksIndex",
     "PersistenceError",
     "PruningMode",
-    "SavedScrubReport",
     "QueryResult",
     "ResultEntry",
     "Subregion",

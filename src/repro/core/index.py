@@ -80,7 +80,7 @@ class DesksIndex:
     checksums:
         When disk-based, wrap each anchor's page store in a
         :class:`~repro.storage.ChecksummedPageStore`: every page carries a
-        CRC32C frame with torn-write detection, reads of damaged pages
+        CRC-32 frame with torn-write detection, reads of damaged pages
         raise :class:`~repro.storage.PageCorruptionError`, and
         :meth:`scrub` can verify the whole index.
     """

@@ -7,7 +7,7 @@ self-contained:
     <dir>/meta.json        version, N, M, anchors, POI count
     <dir>/pois.csv         the collection (library CSV format)
     <dir>/anchor<i>.bin    one region-skeleton blob per anchor
-    <dir>/checksums.json   CRC32C + length per file (scrub manifest)
+    <dir>/checksums.json   BLAKE2b-128 + length per file (scrub manifest)
 
 Keyword stores are *not* serialized: their layout is derived from
 ``poi_order`` at load time (one `TermPairs` flattening per index, one
@@ -18,6 +18,7 @@ A *sharded deployment* (``repro.cluster``) is saved as one such index
 directory per shard plus a cluster-level manifest:
 
     <dir>/meta.json        cluster version, shard count, caller metadata
+    <dir>/checksums.json   covers meta.json and every shard's manifest
     <dir>/shard<i>/        one saved index per shard (format above)
 
 **Durability.**  Both save paths are atomic at the directory level: files
@@ -29,24 +30,27 @@ between them leaves only the ``.displaced``/``.saving`` siblings, which
 :func:`repair_interrupted_swap` — run automatically by the load paths and
 by the next save — rolls forward (the staging dir is complete by then) or
 back.  The parent directory is fsynced after every rename so the swap
-also survives power loss, not just process death.  Every data file's CRC32C
-lands in ``checksums.json`` so :func:`scrub_saved` can verify a deployment
-end to end, and loads raise typed errors — :class:`PersistenceError` /
-:class:`MissingPersistenceFile` — instead of bare ``KeyError`` or
-``FileNotFoundError`` when handed a damaged directory.
+also survives power loss, not just process death.
+
+**Integrity.**  Every directory a save writes carries ``checksums.json``
+(version 2: BLAKE2b-128 and length per file, plus its own digest), so
+:func:`scrub_saved` verifies every byte of a save; a missing manifest or
+another version is corruption.  Loads raise typed errors —
+:class:`PersistenceError` / :class:`MissingPersistenceFile` — instead of
+bare ``KeyError``, ``FileNotFoundError`` or a decoder's ``ValueError``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..datasets import load_csv, save_csv
 from ..geometry import Anchor, CanonicalFrame
-from ..storage import crc32c, fsync_dir
+from ..storage import ScrubReport, fsync_dir
 from .index import AnchorIndex, DesksIndex
 from .regions import AnchorRegions
 from .stores import MemoryKeywordStore, TermPairs
@@ -54,6 +58,8 @@ from .stores import MemoryKeywordStore, TermPairs
 FORMAT_VERSION = 1
 CLUSTER_FORMAT_VERSION = 1
 CHECKSUMS_FILE = "checksums.json"
+#: Version of ``checksums.json`` this library writes and reads.
+MANIFEST_VERSION = 2
 
 
 class PersistenceError(ValueError):
@@ -130,6 +136,9 @@ def save_sharded(indexes: Sequence[DesksIndex], directory: str,
             _write_index_files(index, shard_dir)
         _write_file(os.path.join(staging, "meta.json"),
                     _json_bytes(manifest))
+        _write_manifest(staging, ["meta.json"] + [
+            f"shard{position}/{CHECKSUMS_FILE}"
+            for position in range(len(indexes))])
 
     _atomic_directory_swap(directory, write)
 
@@ -163,13 +172,33 @@ def _write_index_files(index: DesksIndex, directory: str,
     for name, blob in sorted((extra_files or {}).items()):
         _write_file(os.path.join(directory, name), blob)
         names.append(name)
-    manifest = {"version": 1, "files": {}}
+    _write_manifest(directory, names)
+
+
+def _write_manifest(directory: str, names: Sequence[str]) -> None:
+    """Write ``directory``'s ``checksums.json`` over its files ``names``."""
+    files = {}
     for name in names:
         blob = _read_file(os.path.join(directory, name))
-        manifest["files"][name] = {"crc32c": crc32c(blob),
-                                   "bytes": len(blob)}
+        files[name] = {"blake2b": _digest(blob), "bytes": len(blob)}
     _write_file(os.path.join(directory, CHECKSUMS_FILE),
-                _json_bytes(manifest))
+                _manifest_bytes(files))
+
+
+def _manifest_bytes(files: dict) -> bytes:
+    """A manifest's exact bytes, its own digest last: a flip anywhere in
+    it, whitespace included, fails :func:`_read_manifest`'s comparison."""
+    manifest = {"version": MANIFEST_VERSION, "files": files}
+    manifest["digest"] = _digest(_json_bytes(manifest))
+    return _json_bytes(manifest)
+
+
+def _digest(blob: bytes) -> str:
+    # Imported here, not at module level: hashlib costs every process
+    # that only serves (and never saves or scrubs) ~3.5 MB of RSS.
+    import hashlib
+
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
 def repair_interrupted_swap(directory: str) -> bool:
@@ -289,7 +318,11 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
     if not os.path.exists(pois_path):
         raise MissingPersistenceFile(
             f"{directory} lacks pois.csv (half-written save?)")
-    collection = load_csv(pois_path)
+    try:
+        collection = load_csv(pois_path)
+    except (ValueError, csv.Error) as exc:
+        raise PersistenceError(
+            f"{pois_path} failed to decode: {exc}") from exc
     if len(collection) != meta["num_pois"]:
         raise PersistenceError(
             f"meta.json promises {meta['num_pois']} POIs but pois.csv "
@@ -311,7 +344,11 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
                 f"{directory} lacks anchor{quadrant}.bin promised by "
                 "meta.json") from None
         frame = CanonicalFrame(Anchor(quadrant), collection.mbr)
-        regions = AnchorRegions.from_blob(frame, locations, blob)
+        try:
+            regions = AnchorRegions.from_blob(frame, locations, blob)
+        except (ValueError, IndexError) as exc:
+            raise PersistenceError(
+                f"{path} failed to decode: {exc}") from exc
         store = MemoryKeywordStore(regions, term_pairs)
         index.anchors[quadrant] = AnchorIndex(frame, regions, store)
     return index
@@ -323,8 +360,12 @@ def load_sharded(directory: str,
 
     Returns ``(indexes, meta)`` — the per-shard indexes in shard order and
     the caller metadata stored at save time.  The manifest is validated
-    by :func:`read_sharded_manifest` before any shard is parsed.
+    by :func:`read_sharded_manifest` (after the root's checksums, with
+    ``verify=True``) before any shard is parsed.
     """
+    if verify:
+        repair_interrupted_swap(directory)
+        _require_clean(_scrub_dir(directory))
     shard_dirs, meta = read_sharded_manifest(directory)
     indexes = [load_index(shard_dir, verify=verify)
                for shard_dir in shard_dirs]
@@ -400,96 +441,71 @@ def _load_json(path: str, what: str) -> dict:
 # -- scrubbing ------------------------------------------------------------
 
 
-@dataclass
-class SavedScrubReport:
-    """Outcome of verifying a saved index/deployment against its
-    checksum manifests."""
-
-    files_checked: int = 0
-    #: ``(path, reason)`` for every file that failed verification.
-    corrupt: List[Tuple[str, str]] = field(default_factory=list)
-    #: Directories that predate checksum manifests (unverifiable).
-    unverified_dirs: List[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt
-
-    def merge(self, other: "SavedScrubReport") -> None:
-        self.files_checked += other.files_checked
-        self.corrupt.extend(other.corrupt)
-        self.unverified_dirs.extend(other.unverified_dirs)
-
-    def summary(self) -> str:
-        state = ("clean" if self.clean
-                 else f"{len(self.corrupt)} corrupt file(s)")
-        extra = (f", {len(self.unverified_dirs)} dir(s) without manifests"
-                 if self.unverified_dirs else "")
-        return f"verified {self.files_checked} file(s): {state}{extra}"
-
-
-def scrub_saved(directory: str) -> SavedScrubReport:
+def scrub_saved(directory: str) -> ScrubReport:
     """Verify every file of a saved index *or* sharded deployment.
 
     Never raises on corruption — the report lists what failed and why, so
     operators (and the CLI ``scrub`` command) can act on the whole picture
-    instead of the first bad byte.
+    instead of the first bad byte.  A deployment's root manifest covers
+    its ``meta.json`` and each shard's manifest, so a lost shard is named.
     """
     if not os.path.isdir(directory):
         raise MissingPersistenceFile(f"{directory} does not exist")
-    manifest_path = os.path.join(directory, "meta.json")
-    num_shards = None
-    if os.path.exists(manifest_path):
-        try:
-            parsed = _load_json(manifest_path, directory)
-        except PersistenceError:
-            parsed = {}
-        raw = parsed.get("num_shards")
-        num_shards = raw if isinstance(raw, int) else None
-    if num_shards is not None:
-        report = SavedScrubReport()
-        for position in range(num_shards):
-            shard_dir = os.path.join(directory, f"shard{position}")
-            if not os.path.isdir(shard_dir):
-                report.corrupt.append(
-                    (shard_dir, "shard directory promised by manifest "
-                     "is absent"))
-                continue
-            report.merge(_scrub_index_dir(shard_dir))
-        return report
-    return _scrub_index_dir(directory)
-
-
-def _scrub_index_dir(directory: str) -> SavedScrubReport:
-    report = SavedScrubReport()
-    manifest_path = os.path.join(directory, CHECKSUMS_FILE)
-    if not os.path.exists(manifest_path):
-        report.unverified_dirs.append(directory)
-        return report
-    try:
-        manifest = _load_json(manifest_path, directory)
-        files = manifest["files"]
-    except (PersistenceError, KeyError):
-        report.corrupt.append((manifest_path, "unreadable checksum "
-                               "manifest"))
-        return report
-    for name, expected in sorted(files.items()):
-        path = os.path.join(directory, name)
-        report.files_checked += 1
-        if not os.path.exists(path):
-            report.corrupt.append((path, "missing"))
-            continue
-        blob = _read_file(path)
-        if len(blob) != expected.get("bytes"):
-            report.corrupt.append(
-                (path, f"length {len(blob)} != recorded "
-                 f"{expected.get('bytes')}"))
-        elif crc32c(blob) != expected.get("crc32c"):
-            report.corrupt.append((path, "checksum mismatch"))
+    report = _scrub_dir(directory)
+    for name in sorted(os.listdir(directory)):
+        shard_dir = os.path.join(directory, name)
+        if name.startswith("shard") and os.path.isdir(shard_dir):
+            report.merge(_scrub_dir(shard_dir))
     return report
 
 
-def _require_clean(report: SavedScrubReport) -> None:
+def _scrub_dir(directory: str) -> ScrubReport:
+    """Verify one directory's files against its ``checksums.json``."""
+    report = ScrubReport()
+    manifest_path = os.path.join(directory, CHECKSUMS_FILE)
+    try:
+        files = _read_manifest(manifest_path)
+    except PersistenceError as exc:
+        report.corrupt.append((manifest_path, str(exc)))
+        return report
+    for name, expected in files.items():
+        path = os.path.join(directory, name)
+        report.count("file")
+        try:
+            blob = _read_file(path)
+        except FileNotFoundError:
+            report.corrupt.append((path, "missing"))
+            continue
+        if len(blob) != expected["bytes"]:
+            report.corrupt.append(
+                (path, f"length {len(blob)} != recorded "
+                 f"{expected['bytes']}"))
+        elif _digest(blob) != expected["blake2b"]:
+            report.corrupt.append((path, "digest mismatch"))
+    return report
+
+
+def _read_manifest(path: str) -> dict:
+    """The ``files`` map of a manifest; :class:`PersistenceError` (the
+    reason) when the manifest is missing or cannot be trusted."""
+    try:
+        blob = _read_file(path)
+        manifest = json.loads(blob.decode("utf-8"))
+        version, files = manifest["version"], manifest["files"]
+    except FileNotFoundError:
+        raise PersistenceError("missing checksum manifest") from None
+    except (ValueError, KeyError, TypeError):
+        raise PersistenceError("unreadable checksum manifest") from None
+    if version != MANIFEST_VERSION:
+        raise PersistenceError(
+            f"checksum manifest version {version!r} is unsupported; this "
+            f"library reads version {MANIFEST_VERSION}")
+    if _manifest_bytes(files) != blob:
+        raise PersistenceError("checksum manifest fails its own digest")
+    return files
+
+
+def _require_clean(report: ScrubReport) -> None:
     if not report.clean:
         path, reason = report.corrupt[0]
         raise PersistenceError(

@@ -20,7 +20,6 @@ from .chaos import (
 )
 from .durable import (
     DURABLE_VERSION,
-    DurabilityScrubReport,
     DurableMutableIndex,
     is_durable_dir,
     scrub_durable,
@@ -34,7 +33,6 @@ __all__ = [
     "CountdownFailpoint",
     "CrashTrialResult",
     "DURABLE_VERSION",
-    "DurabilityScrubReport",
     "DurableMutableIndex",
     "answer_fingerprint",
     "apply_script",

@@ -42,7 +42,6 @@ from ..core.persistence import (
     load_index,
     save_index,
     scrub_saved,
-    SavedScrubReport,
 )
 from ..datasets import POICollection
 from ..storage.serializer import (
@@ -53,11 +52,10 @@ from ..storage.serializer import (
     encode_keywords,
     encode_varint,
 )
-from ..storage.stats import IOStats
+from ..storage.stats import IOStats, ScrubReport
 from ..storage.wal import (
     RECORD_OP,
     FailpointFn,
-    WalScrubReport,
     WriteAheadLog,
     fsync_dir,
     wal_scrub,
@@ -340,11 +338,9 @@ class DurableMutableIndex(MutableDesksIndex):
 
     # -- verification --------------------------------------------------------
 
-    def scrub(self) -> "DurabilityScrubReport":
+    def scrub(self) -> ScrubReport:
         """Verify every durable byte: snapshot files and WAL segments."""
-        snapshot = scrub_saved(os.path.join(self.directory, SNAPSHOT_DIR))
-        wal = self._wal.scrub()
-        return DurabilityScrubReport(snapshot, wal)
+        return scrub_durable(self.directory)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -370,25 +366,7 @@ class DurableMutableIndex(MutableDesksIndex):
         self.close()
 
 
-class DurabilityScrubReport:
-    """Combined verification of a durable index's snapshot and WAL."""
-
-    def __init__(self, snapshot: SavedScrubReport,
-                 wal: WalScrubReport) -> None:
-        self.snapshot = snapshot
-        self.wal = wal
-
-    @property
-    def clean(self) -> bool:
-        """True when neither the snapshot nor the WAL has damage."""
-        return self.snapshot.clean and self.wal.clean
-
-    def summary(self) -> str:
-        """One line combining the snapshot and WAL verdicts."""
-        return f"{self.snapshot.summary()}; {self.wal.summary()}"
-
-
-def scrub_durable(directory: str) -> DurabilityScrubReport:
+def scrub_durable(directory: str) -> ScrubReport:
     """Offline verification of a durable index directory (no replay).
 
     Strictly read-only: the WAL is scanned via :func:`wal_scrub` rather
@@ -398,9 +376,9 @@ def scrub_durable(directory: str) -> DurabilityScrubReport:
     repairs it.
     """
     _load_durable_meta(directory)
-    snapshot = scrub_saved(os.path.join(directory, SNAPSHOT_DIR))
-    return DurabilityScrubReport(snapshot,
-                                 wal_scrub(os.path.join(directory, WAL_DIR)))
+    report = scrub_saved(os.path.join(directory, SNAPSHOT_DIR))
+    report.merge(wal_scrub(os.path.join(directory, WAL_DIR)))
+    return report
 
 
 def is_durable_dir(directory: str) -> bool:

@@ -3,7 +3,6 @@ and the durability primitives (checksummed frames, corruption injection,
 write-ahead logging)."""
 
 from .buffer import BufferPool
-from .checksum import crc32c
 from .corruption import Corruption, CorruptionInjector, PAGE_CORRUPTION_KINDS
 from .pages import (
     FRAME_OVERHEAD,
@@ -13,7 +12,6 @@ from .pages import (
     InMemoryPageStore,
     PageCorruptionError,
     PageStore,
-    ScrubReport,
 )
 from .recordfile import RecordFile, RecordPointer
 from .serializer import (
@@ -30,12 +28,11 @@ from .serializer import (
     encode_uint_list,
     encode_varint,
 )
-from .stats import IOSnapshot, IOStats, SearchStats
+from .stats import IOSnapshot, IOStats, ScrubReport, SearchStats
 from .wal import (
     RECORD_OP,
     SimulatedCrash,
     WalCorruptionError,
-    WalScrubReport,
     WriteAheadLog,
     fsync_dir,
     wal_scrub,
@@ -62,9 +59,7 @@ __all__ = [
     "SearchStats",
     "SimulatedCrash",
     "WalCorruptionError",
-    "WalScrubReport",
     "WriteAheadLog",
-    "crc32c",
     "decode_floats",
     "decode_keywords",
     "decode_sorted_ids",

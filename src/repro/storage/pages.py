@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+import zlib
 from typing import List, Optional, Tuple
 
-from .checksum import crc32c
-from .stats import IOStats
+from .stats import IOStats, ScrubReport
 
 #: Default page size, matching the common 4 KiB database page.
 PAGE_SIZE = 4096
@@ -181,45 +180,24 @@ class FilePageStore(PageStore):
 
 # -- checksummed page frames ---------------------------------------------------
 
-#: Frame header: magic (2) + epoch (4) + reserved (2) + CRC32C (4).  The
+#: Frame header: magic (2) + epoch (4) + reserved (2) + CRC-32 (4).  The
 #: CRC is last so it can cover every other frame byte, trailing stamp
 #: included — a flip anywhere in the frame is caught by exactly one check.
 _FRAME_MAGIC = b"\xc5\xf0"
 _FRAME_HEADER = struct.Struct("<2sI2sI")
+_CRC_AT = _FRAME_HEADER.size - 4
 #: Trailing epoch stamp, re-written last; a mismatch against the header
 #: epoch means the page write was torn part-way through.
 _FRAME_STAMP = struct.Struct("<I")
 FRAME_OVERHEAD = _FRAME_HEADER.size + _FRAME_STAMP.size
 
 
-@dataclass
-class ScrubReport:
-    """Outcome of a full-store verification pass."""
-
-    pages_checked: int = 0
-    corrupt: List[Tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt
-
-    def merge(self, other: "ScrubReport") -> None:
-        """Fold another store's report into this one."""
-        self.pages_checked += other.pages_checked
-        self.corrupt.extend(other.corrupt)
-
-    def summary(self) -> str:
-        state = ("clean" if self.clean
-                 else f"{len(self.corrupt)} corrupt page(s)")
-        return f"scrubbed {self.pages_checked} page(s): {state}"
-
-
 class ChecksummedPageStore(PageStore):
-    """CRC32C-framed pages over an inner store, with torn-write detection.
+    """CRC-32-framed pages over an inner store, with torn-write detection.
 
     Each physical page of the inner store holds one *frame*::
 
-        [magic 2][epoch 4][crc32c 4][reserved 2][payload][epoch stamp 4]
+        [magic 2][epoch 4][reserved 2][crc32 4][payload][epoch stamp 4]
 
     The logical page exposed to clients is the payload — ``page_size`` here
     is the inner store's minus :data:`FRAME_OVERHEAD`, so record files and
@@ -227,8 +205,9 @@ class ChecksummedPageStore(PageStore):
     monotonic write counter written at both ends of the frame; a crash that
     tears a page write leaves the two copies disagreeing, which
     :meth:`read_page` reports as a torn write even when the bit pattern
-    happens to checksum correctly on one side.  The CRC covers the epoch
-    and the payload, so any flipped bit in either is caught.
+    happens to checksum correctly on one side.  The CRC (``zlib.crc32``)
+    covers every other frame byte, so it catches any single flipped bit
+    and any burst of up to 32 bits.
 
     A page that was allocated but never written reads back as all zero
     bytes in the inner store and is served as a zeroed logical page — the
@@ -257,7 +236,7 @@ class ChecksummedPageStore(PageStore):
         epoch = self._epoch & 0xFFFFFFFF
         prefix = _FRAME_MAGIC + struct.pack("<I", epoch) + b"\x00\x00"
         stamp = _FRAME_STAMP.pack(epoch)
-        crc = crc32c(prefix + payload + stamp)
+        crc = zlib.crc32(prefix + payload + stamp)
         self.inner.write_page(
             page_id, prefix + struct.pack("<I", crc) + payload + stamp)
 
@@ -281,8 +260,8 @@ class ChecksummedPageStore(PageStore):
     def scrub(self) -> ScrubReport:
         """Verify every allocated page; never raises."""
         report = ScrubReport()
+        report.count("page", self.num_pages)
         for page_id in range(self.num_pages):
-            report.pages_checked += 1
             reason = self.verify_page(page_id)
             if reason is not None:
                 report.corrupt.append((page_id, reason))
@@ -292,7 +271,7 @@ class ChecksummedPageStore(PageStore):
                     raw: bytes) -> Tuple[Optional[str], bytes]:
         if not any(raw):
             return None, bytes(self.page_size)  # allocated, never written
-        magic, epoch, reserved, crc = _FRAME_HEADER.unpack_from(raw)
+        magic, epoch, _, crc = _FRAME_HEADER.unpack_from(raw)
         if magic != _FRAME_MAGIC:
             return f"bad frame magic {magic!r}", b""
         (stamp,) = _FRAME_STAMP.unpack_from(raw, len(raw) - _FRAME_STAMP.size)
@@ -300,9 +279,7 @@ class ChecksummedPageStore(PageStore):
             return (f"torn write (header epoch {epoch}, "
                     f"trailing stamp {stamp})"), b""
         payload = raw[_FRAME_HEADER.size:len(raw) - _FRAME_STAMP.size]
-        covered = (magic + struct.pack("<I", epoch) + reserved
-                   + payload + raw[len(raw) - _FRAME_STAMP.size:])
-        if crc32c(covered) != crc:
+        if zlib.crc32(raw[:_CRC_AT] + raw[_FRAME_HEADER.size:]) != crc:
             return f"checksum mismatch at epoch {epoch}", b""
         return None, payload
 

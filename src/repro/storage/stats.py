@@ -4,7 +4,8 @@ The paper evaluates disk-based indexes; in a pure-Python reproduction, wall
 time alone under-reports the asymptotic story (Python overhead dwarfs a
 simulated seek).  Every page access therefore flows through an
 :class:`IOStats` so benchmarks can report logical page reads/writes alongside
-wall time.
+wall time.  Every integrity check (pages, saved files, WAL) returns the
+one :class:`ScrubReport`.
 """
 
 from __future__ import annotations
@@ -127,3 +128,42 @@ class SearchStats:
         self.distance_computations = 0
         self.candidates_verified = 0
         self.io.reset()
+
+
+@dataclass
+class ScrubReport:
+    """Outcome of an integrity pass over pages, saved files or a WAL.
+
+    ``checked`` counts what was verified per unit (``"page"``, ``"file"``,
+    ``"wal record"``); ``corrupt`` lists every piece of damage as
+    ``(location, reason)`` — the location is a page id within one store,
+    else a file path.
+    """
+
+    checked: dict[str, int] = field(default_factory=dict)
+    corrupt: list[tuple[int | str, str]] = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        return not self.corrupt
+
+    def count(self, unit: str, n: int = 1) -> None:
+        """Add ``n`` verified units (``n=0`` still names the unit)."""
+        self.checked[unit] = self.checked.get(unit, 0) + n
+
+    def merge(self, other: "ScrubReport") -> None:
+        """Fold another pass's report into this one."""
+        for unit, n in other.checked.items():
+            self.count(unit, n)
+        self.corrupt.extend(other.corrupt)
+
+    def summary(self) -> str:
+        counted = ", ".join(f"{n} {unit}(s)"
+                            for unit, n in self.checked.items())
+        state = "clean"
+        if self.corrupt:
+            location, reason = self.corrupt[0]
+            where = (f"page {location}" if isinstance(location, int)
+                     else location)
+            state = f"{len(self.corrupt)} corrupt (first {where}: {reason})"
+        return f"scrubbed {counted or 'nothing'}: {state}"

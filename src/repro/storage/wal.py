@@ -3,7 +3,7 @@
 The durability contract of :mod:`repro.durability` rests on this module:
 every mutation is appended here *before* it touches in-memory state, so a
 crash at any instant loses at most the tail of the log — and the tail is
-exactly recoverable, because each record carries a CRC32C and replay stops
+exactly recoverable, because each record carries a CRC-32 and replay stops
 at the first record that fails it (ARIES's "analysis stops at the torn
 tail" in miniature).
 
@@ -39,12 +39,9 @@ import zlib
 from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 
 from ..trace.spans import current_tracer
-from .stats import IOStats
+from .stats import IOStats, ScrubReport
 
-#: Record CRC.  Page frames use CRC32C (:mod:`repro.storage.checksum`);
-#: WAL records sit on the per-mutation hot path, so they use the
-#: C-accelerated stdlib CRC-32 instead — same 32-bit error detection,
-#: ~50x cheaper per record in pure-Python terms.
+#: Record CRC: the stdlib CRC-32, as in page frames and wire frames.
 _record_crc = zlib.crc32
 
 _RECORD_HEADER = struct.Struct("<BII")
@@ -221,7 +218,7 @@ class WriteAheadLog:
             for _, rectype, payload in _scan_segment(path):
                 yield rectype, payload
 
-    def scrub(self) -> "WalScrubReport":
+    def scrub(self) -> ScrubReport:
         """Verify every segment; reports where (if anywhere) the log tears."""
         return _scrub_segments(self.segments())
 
@@ -252,28 +249,7 @@ class WriteAheadLog:
                 handle.truncate(tail)
 
 
-class WalScrubReport:
-    """Outcome of :meth:`WriteAheadLog.scrub`."""
-
-    def __init__(self) -> None:
-        self.records = 0
-        self.torn_at: Optional[Tuple[str, int]] = None
-        self.unreachable_segments = 0
-
-    @property
-    def clean(self) -> bool:
-        return self.torn_at is None
-
-    def summary(self) -> str:
-        if self.clean:
-            return f"wal: {self.records} record(s), clean"
-        path, offset = self.torn_at
-        return (f"wal: {self.records} record(s), torn at "
-                f"{os.path.basename(path)}:{offset} "
-                f"({self.unreachable_segments} segment(s) unreachable)")
-
-
-def wal_scrub(directory: str) -> "WalScrubReport":
+def wal_scrub(directory: str) -> ScrubReport:
     """Verify a WAL directory **without touching it**.
 
     Unlike ``WriteAheadLog(...).scrub()``, this never repairs a torn
@@ -282,20 +258,23 @@ def wal_scrub(directory: str) -> "WalScrubReport":
     record instead of silently truncating the evidence.  A missing
     directory scrubs as an empty, clean log.
     """
-    if not os.path.isdir(directory):
-        return WalScrubReport()
-    return _scrub_segments(_segment_paths(directory))
+    return _scrub_segments(
+        _segment_paths(directory) if os.path.isdir(directory) else [])
 
 
-def _scrub_segments(segments: List[str]) -> "WalScrubReport":
-    report = WalScrubReport()
+def _scrub_segments(segments: List[str]) -> ScrubReport:
+    """Count valid records; a torn tail is one entry naming the segment,
+    the byte offset and the later segments replay cannot reach."""
+    report = ScrubReport()
+    report.count("wal record", 0)
     for index, path in enumerate(segments):
         good, tail = _scan_segment_extent(path)
-        report.records += good
+        report.count("wal record", good)
         if tail is not None:
-            report.torn_at = (path, tail)
-            # Bytes in later segments are unreachable by replay.
-            report.unreachable_segments = len(segments) - index - 1
+            report.corrupt.append(
+                (path, f"torn at byte {tail}, "
+                 f"{len(segments) - index - 1} later segment(s) "
+                 "unreachable"))
             break
     return report
 

@@ -26,7 +26,8 @@ class TestSaveLoadSharded:
         path = str(tmp_path / "deploy")
         save_sharded(indexes, path, meta=layout.to_meta())
         assert sorted(os.listdir(path)) == \
-            ["meta.json", "shard0", "shard1", "shard2", "shard3"]
+            ["checksums.json", "meta.json", "shard0", "shard1", "shard2",
+             "shard3"]
 
         loaded, meta = load_sharded(path)
         assert meta["partitioner"] == "grid"
@@ -93,6 +94,25 @@ class TestRouterSaveLoad:
             json.dumps(manifest))
         with pytest.raises(ValueError, match="manifest lists"):
             ShardRouter.load(path)
+
+    def test_swapped_ids_between_shards_fail_verification(self, tmp_path,
+                                                          collection):
+        from repro.core import scrub_saved
+        from repro.core.persistence import PersistenceError
+
+        path = tmp_path / "cluster"
+        with ShardRouter(collection, num_shards=2) as router:
+            router.save(str(path))
+        manifest = json.loads((path / "meta.json").read_text())
+        ids = manifest["meta"]["shard_global_ids"]
+        ids[0][0], ids[1][0] = ids[1][0], ids[0][0]
+        (path / "meta.json").write_text(json.dumps(manifest, indent=2))
+        report = scrub_saved(str(path))
+        assert not report.clean
+        assert [os.path.basename(p) for p, _ in report.corrupt] == \
+            ["meta.json"]
+        with pytest.raises(PersistenceError, match="meta.json"):
+            load_sharded(str(path), verify=True)
 
     def test_load_rejects_missing_layout(self, tmp_path, collection):
         path = str(tmp_path / "cluster")

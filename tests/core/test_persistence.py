@@ -211,6 +211,24 @@ class TestPersistenceProperty:
         with pytest.raises(ValueError):
             load_index(str(copy))
 
+    @pytest.mark.parametrize("name", ["anchor1.bin", "pois.csv"])
+    def test_undecodable_file_is_named(self, saved, tmp_path, name):
+        import shutil
+
+        from repro.core.persistence import PersistenceError
+
+        _, _, directory = saved
+        copy = tmp_path / "undecodable"
+        shutil.copytree(directory, copy)
+        if name == "pois.csv":
+            lines = (copy / name).read_text().splitlines()
+            lines[5] = "4,not-a-number,1.0,cafe"
+            (copy / name).write_text("\n".join(lines) + "\n")
+        else:
+            (copy / name).write_bytes(b"\x07garbage")
+        with pytest.raises(PersistenceError, match=name):
+            load_index(str(copy))
+
 
 class TestExtraFiles:
     def test_extras_ride_the_atomic_swap(self, tmp_path):

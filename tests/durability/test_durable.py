@@ -205,7 +205,7 @@ class TestCheckpointGuards:
             index.checkpoint()
             report = index.scrub()
             assert report.clean
-            assert report.wal.records == 0
+            assert report.checked["wal record"] == 0
 
     def test_checkpoint_with_no_live_poi_keeps_the_wal(self, tmp_path):
         """Nothing to compact into: no snapshot, no truncation, and the
@@ -227,7 +227,7 @@ class TestCheckpointGuards:
             assert probe(recovered) == before
             recovered.checkpoint()
             assert recovered.snapshot_op_seq == 7
-            assert recovered.scrub().wal.records == 0
+            assert recovered.scrub().checked["wal record"] == 0
 
 
 class TestScrub:
@@ -246,7 +246,7 @@ class TestScrub:
             str(root / "snapshot" / "pois.csv"))
         report = scrub_durable(str(root))
         assert not report.clean
-        assert any("pois.csv" in path for path, _ in report.snapshot.corrupt)
+        assert any("pois.csv" in path for path, _ in report.corrupt)
 
     def test_offline_scrub_refuses_non_durable_dir(self, tmp_path):
         with pytest.raises(PersistenceError):
@@ -330,8 +330,8 @@ class TestScrubIsReadOnly:
 
         report = scrub_durable(str(root))
         assert not report.clean
-        assert report.wal.torn_at is not None
-        assert report.wal.records == 1
+        assert any("torn" in reason for _, reason in report.corrupt)
+        assert report.checked["wal record"] == 1
         assert "torn" in report.summary()
         # Strictly read-only: same files, same bytes, no new segment.
         assert sorted(p.name for p in wal_dir.iterdir()) == listing_before

@@ -209,6 +209,27 @@ class TestScrub:
         assert main(["scrub", str(root)]) == 0
         assert "wal" in capsys.readouterr().out
 
+    def test_durable_directory_names_the_damaged_file(self, tmp_path,
+                                                      capsys):
+        import random
+
+        from repro.datasets import POI, POICollection
+        from repro.durability import DurableMutableIndex
+
+        rng = random.Random(5)
+        base = POICollection([
+            POI.make(i, rng.uniform(0, 50), rng.uniform(0, 50), ["cafe"])
+            for i in range(40)])
+        root = tmp_path / "dur"
+        DurableMutableIndex.create(base, str(root)).close()
+        pois = root / "snapshot" / "pois.csv"
+        blob = bytearray(pois.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        pois.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["scrub", str(root)]) == 1
+        assert "pois.csv" in capsys.readouterr().err
+
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["scrub", str(tmp_path / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err

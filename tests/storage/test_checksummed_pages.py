@@ -1,4 +1,4 @@
-"""Tests for CRC32C page frames and deterministic corruption injection."""
+"""Tests for CRC-32 page frames and deterministic corruption injection."""
 
 import pytest
 
@@ -92,6 +92,19 @@ class TestCorruptionDetection:
                                                 kind="flip")
         assert store.verify_page(pid) is not None
 
+    def test_every_single_bit_flip_of_a_frame_is_reported(self):
+        store = ChecksummedPageStore(InMemoryPageStore(page_size=96))
+        pid = store.allocate()
+        store.write_page(pid, bytes(range(1, store.page_size + 1)))
+        frame = store.inner.read_page(pid)
+        for bit in range(len(frame) * 8):
+            damaged = bytearray(frame)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            store.inner.write_page(pid, bytes(damaged))
+            assert store.verify_page(pid) is not None, f"bit {bit}"
+        store.inner.write_page(pid, frame)
+        assert store.verify_page(pid) is None
+
     def test_scrub_localizes_damage(self, store):
         pids = [store.allocate() for _ in range(4)]
         for pid in pids:
@@ -99,7 +112,7 @@ class TestCorruptionDetection:
         CorruptionInjector(seed=3).corrupt_page(store, page_id=pids[2],
                                                 kind="flip")
         report = store.scrub()
-        assert report.pages_checked == 4
+        assert report.checked["page"] == 4
         assert not report.clean
         assert [pid for pid, _ in report.corrupt] == [pids[2]]
         assert "corrupt" in report.summary()
@@ -109,7 +122,7 @@ class TestCorruptionDetection:
             store.write_page(store.allocate(), b"fine")
         report = store.scrub()
         assert report.clean
-        assert report.pages_checked == 3
+        assert report.checked["page"] == 3
 
     def test_restore_heals(self, store):
         pid = store.allocate()
