@@ -3,13 +3,13 @@
 Four layers (see ``docs/ANALYSIS.md``):
 
 * :class:`LintEngine` + the ``DALxxx`` rule catalog — an AST linter for
-  the *project's own* invariants (angle arithmetic confined to
-  :mod:`repro.geometry`, no float equality on angles and distances);
-* whole-program passes over the full tree — the import/call graph
-  (:mod:`repro.analysis.graph`), the architecture contract written as
-  Python data (DAL010, :mod:`repro.analysis.contract`), and
-  interprocedural exception-flow checking at the RPC boundaries
-  (DAL011, :mod:`repro.analysis.exceptions`);
+  the *project's own* invariants, one file at a time: angle arithmetic
+  confined to :mod:`repro.geometry`, no float equality on angles and
+  distances, the architecture contract written as Python data (DAL010,
+  :mod:`repro.analysis.contract`), and no broad handler that swallows
+  a cause (DAL011, :mod:`repro.analysis.exceptions`);
+* the whole-tree import graph (:mod:`repro.analysis.graph`), exported
+  as JSON + DOT;
 * :func:`make_lock` / :class:`TrackedLock` / :class:`LockTracker` — a
   runtime lock-order race detector for the concurrent modules, plus the
   shared-state write sanitizer (:func:`register_shared` /
@@ -20,7 +20,6 @@ Four layers (see ``docs/ANALYSIS.md``):
 """
 
 from .contract import (
-    Boundary,
     Contract,
     ContractRule,
     default_contract,
@@ -30,12 +29,10 @@ from .engine import (
     LintEngine,
     LintReport,
     ModuleContext,
-    ProgramRule,
     RuleVisitor,
 )
 from .exceptions import ExceptionFlowRule
 from .graph import (
-    CallGraph,
     ImportGraph,
     ProgramIndex,
     build_graph,
@@ -54,7 +51,6 @@ from .locks import (
 )
 from .rules import (
     ALL_RULES,
-    PROGRAM_RULES,
     RULE_INDEX,
     rule_catalog,
 )
@@ -73,8 +69,6 @@ from .shared import (
 
 __all__ = [
     "ALL_RULES",
-    "Boundary",
-    "CallGraph",
     "Contract",
     "ContractRule",
     "ENV_FLAG",
@@ -88,9 +82,7 @@ __all__ = [
     "LockOrderReport",
     "LockTracker",
     "ModuleContext",
-    "PROGRAM_RULES",
     "ProgramIndex",
-    "ProgramRule",
     "RULE_INDEX",
     "RuleVisitor",
     "SharedStateRule",

@@ -9,10 +9,6 @@ and project modules restricted to an allow-list of files
 contract does not permit, as DAL010.  ``docs/ARCHITECTURE.md`` renders
 the same DAG for humans.
 
-The contract also names the RPC *boundaries* — the entry points whose
-broad ``except`` is the typed-error conversion itself — which the
-exception-flow pass (DAL011, :mod:`repro.analysis.exceptions`) consumes.
-
 The contract is Python data checked when this module is imported; tests
 hand a different :class:`Contract` to ``LintEngine(contract=...)``.
 """
@@ -56,22 +52,12 @@ class RestrictedRule:
     allowed_in: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Boundary:
-    """An RPC entry point and the exception families allowed to escape it."""
-
-    module: str
-    function: str
-    allowed: Tuple[str, ...]
-
-
 class Contract:
-    """The architecture contract: layers, confinements, boundaries."""
+    """The architecture contract: layers and confinements."""
 
     def __init__(self, layers: Sequence[Layer],
                  externals: Sequence[ExternalRule] = (),
-                 restricted: Sequence[RestrictedRule] = (),
-                 boundaries: Sequence[Boundary] = ()) -> None:
+                 restricted: Sequence[RestrictedRule] = ()) -> None:
         self.layers: Dict[str, Layer] = {}
         for layer in layers:
             if layer.name in self.layers:
@@ -79,7 +65,6 @@ class Contract:
             self.layers[layer.name] = layer
         self.externals: Tuple[ExternalRule, ...] = tuple(externals)
         self.restricted: Tuple[RestrictedRule, ...] = tuple(restricted)
-        self.boundaries: Tuple[Boundary, ...] = tuple(boundaries)
         self._validate()
 
     def _validate(self) -> None:
@@ -99,18 +84,6 @@ class Contract:
     def layer(self, name: str) -> Optional[Layer]:
         """The layer entry for ``name``, or ``None`` if undeclared."""
         return self.layers.get(name)
-
-    def boundary(self, module_path: str,
-                 function: str) -> Optional[Boundary]:
-        """The boundary entry for a function, or ``None``."""
-        for entry in self.boundaries:
-            if entry.module == module_path and entry.function == function:
-                return entry
-        return None
-
-    def is_boundary(self, module_path: str, function: str) -> bool:
-        """True when ``function`` in ``module_path`` is an RPC boundary."""
-        return self.boundary(module_path, function) is not None
 
 
 #: The checked-in contract.  It matches the real import graph exactly:
@@ -154,12 +127,6 @@ _CONTRACT = Contract(
     # The fault-injecting proxy is driven from tests and benchmarks only.
     restricted=[RestrictedRule("repro.net.chaos",
                                allowed_in=("repro/net/chaos.py",))],
-    boundaries=[
-        Boundary("repro/net/server.py", "FrameServer._dispatch",
-                 ("ProtocolError",)),
-        Boundary("repro/lang/executor.py", "DqlExecutor.execute",
-                 ("DqlError",)),
-    ],
 )
 
 
@@ -261,7 +228,6 @@ class ContractRule(RuleVisitor):
 
 
 __all__ = [
-    "Boundary",
     "Contract",
     "ContractRule",
     "ExternalRule",

@@ -26,11 +26,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple, Type)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (runtime import cycle)
-    from .graph import ProgramIndex
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 #: ``# desks: noqa-DAL001`` / ``# desks: noqa-DAL001,DAL002`` (one line).
 _NOQA = re.compile(r"#\s*desks:\s*noqa-(DAL\d{3}(?:\s*,\s*DAL\d{3})*)")
@@ -145,29 +141,6 @@ class RuleVisitor(ast.NodeVisitor):
         return self.findings
 
 
-class ProgramRule:
-    """Base class for whole-program (interprocedural) rules.
-
-    Where a :class:`RuleVisitor` sees one file, a program rule sees the
-    entire parsed tree at once (a :class:`~repro.analysis.graph.
-    ProgramIndex`) and may follow imports and calls across modules.  The
-    engine runs each program rule exactly once per :meth:`LintEngine.
-    check` invocation, after the per-file rules, and applies the same
-    per-line ``# desks: noqa-DALxxx`` suppressions to its findings.
-    """
-
-    code: str = ""
-    summary: str = ""
-    rationale: str = ""
-    #: Optional architecture contract, same semantics as
-    #: :attr:`RuleVisitor.contract`.
-    contract: Optional[object] = None
-
-    def check(self, program: "ProgramIndex") -> List[Finding]:
-        """Analyse the whole program; return findings (any order)."""
-        raise NotImplementedError
-
-
 @dataclass
 class LintReport:
     """Every finding from one engine run, plus what was scanned."""
@@ -206,12 +179,15 @@ class LintReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
-        """Human output: one line per finding plus a summary line."""
+        """Human output: one line per finding or parse error plus a
+        summary line that counts both."""
         lines = [f.render() for f in self.findings]
         for path, error in self.errors:
             lines.append(f"{path}:0:0: PARSE {error}")
         state = ("clean" if self.clean
                  else f"{len(self.findings)} finding(s)")
+        if self.errors:
+            state += f", {len(self.errors)} parse error(s)"
         suppressed = (f", {len(self.suppressed)} suppressed"
                       if self.suppressed else "")
         lines.append(f"checked {self.files_checked} file(s): "
@@ -220,20 +196,15 @@ class LintReport:
 
 
 class LintEngine:
-    """Runs per-file and whole-program rules over files or trees."""
+    """Runs per-file rules over files or trees."""
 
     def __init__(self,
                  rules: Optional[Sequence[Type[RuleVisitor]]] = None,
-                 program_rules: Optional[Sequence[Type[ProgramRule]]] = None,
                  contract: Optional[object] = None) -> None:
         if rules is None:
-            from .rules import ALL_RULES, PROGRAM_RULES
+            from .rules import ALL_RULES
             rules = ALL_RULES
-            if program_rules is None:
-                program_rules = PROGRAM_RULES
         self.rules: List[Type[RuleVisitor]] = list(rules)
-        self.program_rules: List[Type[ProgramRule]] = list(
-            program_rules or ())
         self.contract = contract
 
     # -- discovery -----------------------------------------------------------
@@ -263,31 +234,15 @@ class LintEngine:
     def check_source(self, source: str, path: str = "<string>",
                      ) -> List[Finding]:
         """Lint one in-memory module; returns active + suppressed findings
-        (suppressed ones carry ``suppressed=True``).
-
-        Program rules run too, over a single-module program — their
-        cross-module facets simply see no other modules.
-        """
+        (suppressed ones carry ``suppressed=True``)."""
         tree = ast.parse(source, filename=path)
-        findings = self._run_file_rules(ModuleContext(path, source, tree))
-        if self.program_rules:
-            from .graph import ProgramIndex
-            program = ProgramIndex.from_sources([(path, source, tree)])
-            findings.extend(self._run_program_rules(program))
-        findings = self._apply_noqa(findings, {path: _noqa_lines(source)})
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+        findings = self._run_rules(ModuleContext(path, source, tree))
+        findings.sort(key=_finding_key)
         return findings
 
     def check(self, targets: Iterable[str]) -> LintReport:
-        """Lint every python file under each target path.
-
-        Per-file rules run per module; program rules run once over the
-        whole parsed set, so interprocedural facts (call chains, the
-        import graph) span every target.
-        """
+        """Lint every python file under each target path."""
         report = LintReport()
-        parsed: List[Tuple[str, str, ast.Module]] = []
-        noqa_by_path: Dict[str, Dict[int, Set[str]]] = {}
         for target in targets:
             for path in self.discover(target):
                 report.files_checked += 1
@@ -298,55 +253,28 @@ class LintEngine:
                 except (SyntaxError, OSError) as exc:
                     report.errors.append((path, str(exc)))
                     continue
-                parsed.append((path, source, tree))
-                noqa_by_path[path] = _noqa_lines(source)
-        findings: List[Finding] = []
-        for path, source, tree in parsed:
-            findings.extend(
-                self._run_file_rules(ModuleContext(path, source, tree)))
-        if self.program_rules and parsed:
-            from .graph import ProgramIndex
-            findings.extend(
-                self._run_program_rules(ProgramIndex.from_sources(parsed)))
-        for finding in self._apply_noqa(findings, noqa_by_path):
-            (report.suppressed if finding.suppressed
-             else report.findings).append(finding)
+                for finding in self._run_rules(
+                        ModuleContext(path, source, tree)):
+                    (report.suppressed if finding.suppressed
+                     else report.findings).append(finding)
         report.findings.sort(key=_finding_key)
         report.suppressed.sort(key=_finding_key)
         return report
 
     # -- internals -----------------------------------------------------------
 
-    def _run_file_rules(self, ctx: ModuleContext) -> List[Finding]:
+    def _run_rules(self, ctx: ModuleContext) -> List[Finding]:
+        """Every rule over one module, ``noqa`` suppressions applied."""
+        noqa = _noqa_lines(ctx.source)
         out: List[Finding] = []
         for rule in self.rules:
             visitor = rule(ctx)
             if self.contract is not None:
                 visitor.contract = self.contract
-            out.extend(visitor.run())
-        return out
-
-    def _run_program_rules(self,
-                           program: "ProgramIndex") -> List[Finding]:
-        out: List[Finding] = []
-        for rule_cls in self.program_rules:
-            rule = rule_cls()
-            if self.contract is not None:
-                rule.contract = self.contract
-            out.extend(rule.check(program))
-        return out
-
-    @staticmethod
-    def _apply_noqa(findings: List[Finding],
-                    noqa_by_path: Dict[str, Dict[int, Set[str]]],
-                    ) -> List[Finding]:
-        out: List[Finding] = []
-        for finding in findings:
-            codes = noqa_by_path.get(finding.path, {}).get(
-                finding.line, set())
-            if finding.code in codes and not finding.suppressed:
-                finding = replace(finding, suppressed=True)
-            out.append(finding)
+            for finding in visitor.run():
+                if finding.code in noqa.get(finding.line, ()):
+                    finding = replace(finding, suppressed=True)
+                out.append(finding)
         return out
 
 

@@ -1,23 +1,21 @@
-"""Whole-program import/call graphs over a parsed module set.
+"""The whole-program import graph over a parsed module set.
 
-This is the substrate for the v2 interprocedural passes: a
-:class:`ProgramIndex` parses every module under a target once and keys
-it by *module path* (``repro/net/server.py``); :class:`ImportGraph`
+A :class:`ProgramIndex` parses every module under a target once and
+keys it by *module path* (``repro/net/server.py``); :class:`ImportGraph`
 resolves every import statement (absolute, relative, deferred
 function-local) to an edge between modules with deterministic ordering
-and JSON + DOT export (``repro lint --graph``); :class:`CallGraph`
-resolves the calls the exception-flow pass (DAL011) walks.
+and JSON + DOT export (``repro lint --graph``).  The architecture
+contract (DAL010) checks the same resolved imports file by file through
+:func:`iter_imports`.
 
-Everything here is stdlib-only and deterministic: modules, edges, and
-functions are sorted, so two runs over the same tree serialise
-byte-identically (the golden-graph test in
-``tests/analysis/test_graph.py`` asserts exactly that).
+Everything here is stdlib-only and deterministic: modules and edges are
+sorted, so two runs over the same tree serialise byte-identically (the
+golden-graph test in ``tests/analysis/test_graph.py`` asserts exactly
+that).
 
-Resolution is deliberately *under-approximate*: a call or import that
-cannot be resolved from the parsed tree contributes nothing, it is
-never guessed.  The passes built on top (DAL010/DAL011) are therefore
-sound over what they see and silent over what they cannot see — the
-honest trade for an analysis with no imports executed.
+Resolution is deliberately *under-approximate*: an import that cannot
+be resolved from the parsed tree becomes an external edge to its root
+module, it is never guessed.
 """
 
 from __future__ import annotations
@@ -315,242 +313,12 @@ class ImportGraph:
         return json_path, dot_path
 
 
-# -- call graph ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FunctionInfo:
-    """One function or method definition."""
-
-    qualname: str
-    module_path: str
-    name: str
-    class_name: Optional[str]
-    node: ast.AST = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ClassInfo:
-    """One class definition: bases by simple name, methods by name."""
-
-    module_path: str
-    name: str
-    bases: Tuple[str, ...]
-    methods: Dict[str, str] = field(repr=False)
-
-
-def _terminal(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return _terminal(node.func)
-    return None
-
-
-class CallGraph:
-    """Project-wide resolved calls, for interprocedural propagation.
-
-    Resolution covers the forms that matter in this codebase: direct
-    calls to module-level functions, ``self.method()`` within a class
-    (bases included when resolvable by simple name, and every override
-    in a subclass — ``self`` may be any of them, which is how a template
-    method's hooks are followed), calls through ``from . import module``
-    / ``import pkg.mod`` module objects, and classmethod/constructor
-    calls on imported classes.  Anything else is left unresolved and
-    contributes no edge.
-    """
-
-    def __init__(self, program: ProgramIndex) -> None:
-        self.program = program
-        self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
-        #: class name -> names of the classes that list it as a base.
-        self._subclasses: Dict[str, List[str]] = {}
-        #: module_path -> local name -> ("module", path) | ("symbol",
-        #: path, name) import bindings.
-        self._env: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        self.calls: Dict[str, Tuple[str, ...]] = {}
-        self._build()
-
-    @staticmethod
-    def qualname(module_path: str, name: str) -> str:
-        """``repro/net/server.py::ShardServer._dispatch``."""
-        return f"{module_path}::{name}"
-
-    def _build(self) -> None:
-        for module_path in sorted(self.program.modules):
-            self._index_module(self.program.modules[module_path])
-        for qualname in sorted(self.functions):
-            info = self.functions[qualname]
-            self.calls[qualname] = tuple(sorted(self._resolve_calls(info)))
-
-    def _index_module(self, mod: SourceModule) -> None:
-        env: Dict[str, Tuple[str, ...]] = {}
-        for ref in iter_imports(mod.tree, mod.module_path):
-            base = self.program.resolve(ref.module)
-            if not ref.names:
-                if base is not None:
-                    # `import a.b` binds `a` but in-project code always
-                    # uses the terminal name or an alias; bind both ends.
-                    env[ref.module[-1]] = ("module", base)
-                continue
-            for name in ref.names:
-                sub = self.program.resolve(tuple(ref.module) + (name,))
-                if sub is not None:
-                    env[name] = ("module", sub)
-                elif base is not None:
-                    env[name] = ("symbol", base, name)
-        self._env[mod.module_path] = env
-        for stmt in mod.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(mod.module_path, stmt.name, None, stmt)
-            elif isinstance(stmt, ast.ClassDef):
-                methods: Dict[str, str] = {}
-                for item in stmt.body:
-                    if isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        name = f"{stmt.name}.{item.name}"
-                        self._add_function(mod.module_path, name,
-                                           stmt.name, item)
-                        methods[item.name] = self.qualname(
-                            mod.module_path, name)
-                bases = tuple(b for b in (_terminal(base)
-                                          for base in stmt.bases)
-                              if b is not None)
-                if stmt.name not in self.classes:
-                    self.classes[stmt.name] = ClassInfo(
-                        mod.module_path, stmt.name, bases, methods)
-                    for base in bases:
-                        self._subclasses.setdefault(base, []).append(
-                            stmt.name)
-
-    def _add_function(self, module_path: str, name: str,
-                      class_name: Optional[str], node: ast.AST) -> None:
-        qualname = self.qualname(module_path, name)
-        self.functions[qualname] = FunctionInfo(
-            qualname=qualname, module_path=module_path, name=name,
-            class_name=class_name, node=node)
-
-    # -- resolution ----------------------------------------------------------
-
-    def resolve(self, qualname: str, call: ast.Call) -> Tuple[str, ...]:
-        """Callee qualnames for one call site inside ``qualname``.
-
-        Empty when unresolved; more than one only for ``self.method()``
-        on a class whose subclasses override ``method``.
-        """
-        info = self.functions.get(qualname)
-        if info is None:
-            return ()
-        return self._resolve_call(info, call)
-
-    def _module_symbol(self, module_path: str,
-                       name: str) -> Optional[str]:
-        """Function/class-constructor qualname for ``name`` defined (or
-        re-exported nowhere — no star-import chasing) in a module."""
-        direct = self.qualname(module_path, name)
-        if direct in self.functions:
-            return direct
-        init = self.qualname(module_path, f"{name}.__init__")
-        if init in self.functions:
-            return init
-        binding = self._env.get(module_path, {}).get(name)
-        if binding and binding[0] == "symbol":
-            return self._module_symbol(binding[1], binding[2])
-        if binding and binding[0] == "module":
-            return None
-        return None
-
-    def _method_on(self, class_name: str, method: str,
-                   seen: Optional[Set[str]] = None) -> Optional[str]:
-        if seen is None:
-            seen = set()
-        if class_name in seen:
-            return None
-        seen.add(class_name)
-        info = self.classes.get(class_name)
-        if info is None:
-            return None
-        if method in info.methods:
-            return info.methods[method]
-        for base in info.bases:
-            found = self._method_on(base, method, seen)
-            if found is not None:
-                return found
-        return None
-
-    def _overrides(self, class_name: str, method: str) -> List[str]:
-        """``method`` as redefined by (transitive) subclasses."""
-        found: List[str] = []
-        seen: Set[str] = set()
-        stack = [class_name]
-        while stack:
-            for sub in self._subclasses.get(stack.pop(), ()):
-                if sub not in seen:
-                    seen.add(sub)
-                    stack.append(sub)
-                    if method in self.classes[sub].methods:
-                        found.append(self.classes[sub].methods[method])
-        return found
-
-    def _resolve_call(self, info: FunctionInfo,
-                      call: ast.Call) -> Tuple[str, ...]:
-        func = call.func
-        if isinstance(func, ast.Attribute) and \
-                isinstance(func.value, ast.Name) and \
-                func.value.id == "self" and info.class_name is not None:
-            bound = self._method_on(info.class_name, func.attr)
-            targets = self._overrides(info.class_name, func.attr)
-            if bound is not None:
-                targets.append(bound)
-            return tuple(sorted(targets))
-        target = self._resolve_static(info, call)
-        return () if target is None else (target,)
-
-    def _resolve_static(self, info: FunctionInfo,
-                        call: ast.Call) -> Optional[str]:
-        env = self._env.get(info.module_path, {})
-        func = call.func
-        if isinstance(func, ast.Name):
-            return self._module_symbol(info.module_path, func.id)
-        if isinstance(func, ast.Attribute) and \
-                isinstance(func.value, ast.Name):
-            owner = func.value.id
-            binding = env.get(owner)
-            if binding and binding[0] == "module":
-                return self._module_symbol(binding[1], func.attr)
-            if binding and binding[0] == "symbol":
-                # Classmethod/static call on an imported class.
-                target = self._module_symbol(binding[1], binding[2])
-                if target is not None and target.endswith(".__init__"):
-                    cls = target.rsplit("::", 1)[1].split(".")[0]
-                    return self._method_on(cls, func.attr)
-            # Class defined in this module: Target.method(...).
-            if owner in self.classes and \
-                    self.classes[owner].module_path == info.module_path:
-                return self._method_on(owner, func.attr)
-        return None
-
-    def _resolve_calls(self, info: FunctionInfo) -> List[str]:
-        out: Set[str] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                out.update(self._resolve_call(info, node))
-        out.discard(info.qualname)
-        return sorted(out)
-
-
 def build_graph(targets: Sequence[str]) -> ImportGraph:
     """Convenience: discover + parse ``targets``, build the import graph."""
     return ImportGraph.build(ProgramIndex.from_paths(targets))
 
 
 __all__ = [
-    "CallGraph",
-    "ClassInfo",
-    "FunctionInfo",
     "ImportEdge",
     "ImportGraph",
     "ImportRef",

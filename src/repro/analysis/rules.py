@@ -1,13 +1,14 @@
 """The project rule catalog: the invariants the paper's correctness needs.
 
-Each rule has a stable ``DALxxx`` code (Direction-Aware Lint).  The two
-file rules defined here catch what generic linters cannot see:
-wraparound-unsafe angle arithmetic (DAL001) and float equality on
-angles and distances (DAL002) — the paper's Eqs. 1-6 and Lemmas 1-4
-only hold when every direction is normalised the same way, and the apex
-direction-pruning bug was exactly a raw-angle comparison.  The catalog
-adds the architecture contract (DAL010), exception flow at the
-RPC boundaries (DAL011) and unguarded shared-state writes (DAL012).
+Each rule has a stable ``DALxxx`` code (Direction-Aware Lint) and runs
+on one file at a time.  The two rules defined here catch what generic
+linters cannot see: wraparound-unsafe angle arithmetic (DAL001) and
+float equality on angles and distances (DAL002) — the paper's Eqs. 1-6
+and Lemmas 1-4 only hold when every direction is normalised the same
+way, and the apex direction-pruning bug was exactly a raw-angle
+comparison.  The catalog adds the architecture contract (DAL010), broad
+handlers that swallow a cause (DAL011) and unguarded shared-state
+writes (DAL012).
 
 A rule stays in the catalog while it has caught something in non-fixture
 code; ``docs/ANALYSIS.md`` renders the catalog, names the retired codes
@@ -18,10 +19,10 @@ asserts the two never drift.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Sequence, Type
 
 from .contract import ContractRule
-from .engine import ProgramRule, RuleVisitor
+from .engine import RuleVisitor
 from .exceptions import ExceptionFlowRule
 from .shared import SharedStateRule
 
@@ -148,24 +149,19 @@ class FloatEqualityRule(RuleVisitor):
         self.generic_visit(node)
 
 
-#: Every per-file rule, in code order — the engine default.
+#: Every rule, in code order — the engine default.
 ALL_RULES: Sequence[Type[RuleVisitor]] = (
     AngleArithmeticRule,
     FloatEqualityRule,
     ContractRule,
+    ExceptionFlowRule,
     SharedStateRule,
 )
 
-#: Whole-program rules the default engine runs once per check().
-PROGRAM_RULES: Sequence[Type[ProgramRule]] = (
-    ExceptionFlowRule,
-)
-
-#: code -> rule class (file rules and program rules), for
-#: documentation, `--rules` validation, and the meta-test.
-RULE_INDEX: Dict[str, Union[Type[RuleVisitor], Type[ProgramRule]]] = {
+#: code -> rule class, for documentation, `--rules` validation, and the
+#: meta-test.
+RULE_INDEX: Dict[str, Type[RuleVisitor]] = {
     rule.code: rule for rule in ALL_RULES}
-RULE_INDEX.update((rule.code, rule) for rule in PROGRAM_RULES)
 
 
 def rule_catalog() -> List[Dict[str, str]]:

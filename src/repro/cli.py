@@ -40,8 +40,9 @@ Commands
     through the front door until interrupted.
 ``scrub``
     Verify a saved index, sharded deployment, or durable-index directory
-    against its checksum manifests (and WAL, when present); exit 1 on
-    any corruption, naming each damaged file on stderr.
+    against its checksum manifests (and a durable root's self-digested
+    ``durable.json`` and WAL); exit 1 on any corruption, naming each
+    damaged file on stderr.
 ``lint``
     Run the project-invariant analyzer (:mod:`repro.analysis`).
 
@@ -563,7 +564,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import RULE_INDEX, LintEngine, ProgramRule, build_graph
+    from .analysis import RULE_INDEX, LintEngine, build_graph
 
     engine = LintEngine()
     if args.rules:
@@ -573,10 +574,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             known = ", ".join(sorted(RULE_INDEX))
             raise ValueError(
                 f"unknown rule code(s) {', '.join(unknown)}; known: {known}")
-        rules = [RULE_INDEX[code] for code in dict.fromkeys(codes)]
-        engine = LintEngine(
-            [r for r in rules if not issubclass(r, ProgramRule)],
-            program_rules=[r for r in rules if issubclass(r, ProgramRule)])
+        engine = LintEngine([RULE_INDEX[code] for code in dict.fromkeys(codes)])
     report = engine.check(args.targets)
     if args.graph:
         json_path, dot_path = build_graph(args.targets).write(args.graph)

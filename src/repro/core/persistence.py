@@ -186,11 +186,19 @@ def _write_manifest(directory: str, names: Sequence[str]) -> None:
 
 
 def _manifest_bytes(files: dict) -> bytes:
-    """A manifest's exact bytes, its own digest last: a flip anywhere in
+    """A manifest's exact bytes (:func:`sealed_json`): a flip anywhere in
     it, whitespace included, fails :func:`_read_manifest`'s comparison."""
-    manifest = {"version": MANIFEST_VERSION, "files": files}
-    manifest["digest"] = _digest(_json_bytes(manifest))
-    return _json_bytes(manifest)
+    return sealed_json({"version": MANIFEST_VERSION, "files": files})
+
+
+def sealed_json(payload: dict) -> bytes:
+    """``payload`` as JSON bytes with its own BLAKE2b digest last.
+
+    A reader re-seals what it parsed (minus ``digest``) and compares
+    bytes, so one flipped byte anywhere in the file is caught."""
+    sealed = dict(payload)
+    sealed["digest"] = _digest(_json_bytes(sealed))
+    return _json_bytes(sealed)
 
 
 def _digest(blob: bytes) -> str:

@@ -22,7 +22,8 @@ harness in :mod:`repro.durability.chaos` asserts exactly this).
 
 Directory layout::
 
-    <dir>/durable.json    build parameters (bands, wedges, threshold)
+    <dir>/durable.json    build parameters (bands, wedges, threshold),
+                          sealed with their own BLAKE2b digest
     <dir>/snapshot/       save_index format + op_seq marker
     <dir>/wal/            segment-%08d.wal
 """
@@ -42,6 +43,7 @@ from ..core.persistence import (
     load_index,
     save_index,
     scrub_saved,
+    sealed_json,
 )
 from ..datasets import POICollection
 from ..storage.serializer import (
@@ -61,7 +63,7 @@ from ..storage.wal import (
     wal_scrub,
 )
 
-DURABLE_VERSION = 1
+DURABLE_VERSION = 2
 DURABLE_META = "durable.json"
 SNAPSHOT_DIR = "snapshot"
 WAL_DIR = "wal"
@@ -107,10 +109,12 @@ class DurableMutableIndex(MutableDesksIndex):
 
         The base collection is snapshotted immediately (op_seq 0), so even
         a crash before the first mutation leaves a recoverable directory.
-        ``durable.json`` is written (and fsynced) *last*: it is the commit
-        record of creation, so a crash anywhere earlier leaves a directory
-        that a re-run of ``create()`` simply restarts — never one that
-        both ``create()`` and ``recover()`` refuse.
+        ``durable.json`` is written (and fsynced) *last*, with one rename:
+        it is the commit record of creation, so a crash anywhere earlier
+        leaves a directory that a re-run of ``create()`` simply restarts —
+        never one that both ``create()`` and ``recover()`` refuse.  It
+        carries its own digest (:func:`sealed_json`), so a damaged build
+        parameter is refused, not silently rebuilt with.
         """
         if os.path.exists(os.path.join(directory, DURABLE_META)):
             raise PersistenceError(
@@ -120,16 +124,16 @@ class DurableMutableIndex(MutableDesksIndex):
         instance = cls._adopt(index, rebuild_threshold)
         instance._attach(directory, sync, sync_interval, failpoint)
         instance._save_snapshot()
-        meta = {
+        meta = sealed_json({
             "version": DURABLE_VERSION,
             "num_bands": index.num_bands,
             "num_wedges": index.num_wedges,
             "rebuild_threshold": rebuild_threshold,
-        }
+        })
         meta_path = os.path.join(directory, DURABLE_META)
         tmp_path = meta_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
+        with open(tmp_path, "wb") as handle:
+            handle.write(meta)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, meta_path)
@@ -373,10 +377,20 @@ def scrub_durable(directory: str) -> ScrubReport:
     than opened through :class:`WriteAheadLog` (whose constructor would
     truncate a torn tail and open a segment for append), so a torn final
     record is *reported*, not silently repaired.  ``recover()`` is what
-    repairs it.
+    repairs it.  A damaged ``durable.json`` is reported like any other
+    file; a directory without one is not a durable index and raises.
     """
-    _load_durable_meta(directory)
-    report = scrub_saved(os.path.join(directory, SNAPSHOT_DIR))
+    if not is_durable_dir(directory):
+        raise PersistenceError(
+            f"{directory} is not a durable index (no {DURABLE_META})")
+    report = ScrubReport()
+    report.count("file")
+    meta_path = os.path.join(directory, DURABLE_META)
+    try:
+        _read_durable_meta(meta_path)
+    except PersistenceError as exc:
+        report.corrupt.append((meta_path, str(exc)))
+    report.merge(scrub_saved(os.path.join(directory, SNAPSHOT_DIR)))
     report.merge(wal_scrub(os.path.join(directory, WAL_DIR)))
     return report
 
@@ -393,16 +407,36 @@ def is_durable_dir(directory: str) -> bool:
 
 
 def _load_durable_meta(directory: str) -> dict:
+    """The build parameters; :class:`PersistenceError` naming the file
+    when there is none or it cannot be trusted."""
     path = os.path.join(directory, DURABLE_META)
     if not os.path.isfile(path):
         raise PersistenceError(
             f"{directory} is not a durable index (no {DURABLE_META})")
-    with open(path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    if meta.get("version") != DURABLE_VERSION:
+    try:
+        return _read_durable_meta(path)
+    except PersistenceError as exc:
+        raise PersistenceError(f"{path}: {exc}") from None
+
+
+def _read_durable_meta(path: str) -> dict:
+    """Parse and verify ``durable.json``; the reason on failure."""
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        meta = json.loads(blob.decode("utf-8"))
+        version = meta["version"]
+    except OSError as exc:
+        raise PersistenceError(f"unreadable ({exc})") from None
+    except (ValueError, KeyError, TypeError):
+        raise PersistenceError("undecodable build parameters") from None
+    if version != DURABLE_VERSION:
         raise PersistenceError(
-            f"durable format version {meta.get('version')!r} unsupported "
-            f"(expected {DURABLE_VERSION})")
+            f"durable format version {version!r} is unsupported; this "
+            f"library reads version {DURABLE_VERSION}")
+    params = {key: value for key, value in meta.items() if key != "digest"}
+    if sealed_json(params) != blob:
+        raise PersistenceError("build parameters fail their own digest")
     return meta
 
 

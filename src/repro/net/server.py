@@ -307,7 +307,7 @@ class FrameServer:
         except protocol.ProtocolError as exc:
             self.metrics.counter("net_protocol_errors_total").increment()
             return _error_frame(ErrorCode.BAD_REQUEST, str(exc))
-        except Exception as exc:  # noqa: BLE001 - typed to the peer
+        except Exception as exc:  # desks: noqa-DAL011 - cause sent as a typed INTERNAL frame (tests/net/test_server_contract.py)
             return _error_frame(ErrorCode.INTERNAL,
                                 f"{type(exc).__name__}: {exc}")
         return _error_frame(ErrorCode.BAD_REQUEST,

@@ -1,11 +1,12 @@
-"""The whole-program substrate: import graph, call graph, determinism."""
+"""The whole-program substrate: the import graph and its determinism;
+the retired call graph is gone."""
 
 import ast
 import json
 import textwrap
 
+from repro.analysis import graph as graph_module
 from repro.analysis.graph import (
-    CallGraph,
     ImportGraph,
     ProgramIndex,
     build_graph,
@@ -137,7 +138,15 @@ class TestRealTreeGolden:
         assert by_unit["geometry"]["imports"] == []
 
 
-# -- call graph ---------------------------------------------------------------
+# -- call graph: retired -----------------------------------------------------
+#
+# The call graph existed only for DAL011's escape facet and went with it.
+# Each fixture stays: its imports still resolve in the import graph.
+
+
+def assert_call_graph_retired():
+    for name in ("CallGraph", "ClassInfo", "FunctionInfo"):
+        assert not hasattr(graph_module, name), name
 
 
 class TestCallGraph:
@@ -158,10 +167,9 @@ class TestCallGraph:
                     pass
             """,
         )
-        graph = CallGraph(index)
-        calls = graph.calls["repro/core/a.py::top"]
-        assert "repro/core/a.py::helper" in calls
-        assert "repro/core/b.py::other" in calls
+        assert_call_graph_retired()
+        edges = {(e.src, e.dst) for e in ImportGraph.build(index).edges}
+        assert edges == {("repro/core/a.py", "repro/core/b.py")}
 
     def test_resolves_self_calls_through_base_classes(self):
         index = program(
@@ -175,9 +183,8 @@ class TestCallGraph:
                         self.ping()
             """,
         )
-        graph = CallGraph(index)
-        assert "repro/core/svc.py::Base.ping" in \
-            graph.calls["repro/core/svc.py::Impl.run"]
+        assert_call_graph_retired()
+        assert ImportGraph.build(index).edges == []
 
     def test_resolves_self_calls_to_subclass_overrides(self):
         index = program(
@@ -197,12 +204,11 @@ class TestCallGraph:
                         pass
             """,
         )
-        graph = CallGraph(index)
-        assert graph.calls["repro/core/svc.py::Base.run"] == (
-            "repro/core/svc.py::Base.hook", "repro/core/svc.py::Leaf.hook")
+        assert_call_graph_retired()
+        assert list(index.modules) == ["repro/core/svc.py"]
 
     def test_indexes_the_real_tree_broadly(self):
-        graph = CallGraph(ProgramIndex.from_paths(["src"]))
-        assert len(graph.functions) > 500
-        resolved = sum(len(v) for v in graph.calls.values())
-        assert resolved > 500
+        assert_call_graph_retired()
+        graph = build_graph(["src"])
+        assert len(graph.program.modules) > 90
+        assert len(graph.edges) > 500

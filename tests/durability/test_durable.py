@@ -252,6 +252,42 @@ class TestScrub:
         with pytest.raises(PersistenceError):
             scrub_durable(str(tmp_path))
 
+    def test_one_changed_byte_of_the_build_parameters_is_refused(
+            self, tmp_path):
+        """A rebuild threshold of 0.05 instead of 0.25 would make recovery
+        rebuild where the original never did, so a different live POI set
+        answers: scrub must name the file and recover() must refuse it."""
+        from repro.datasets import load_preset
+
+        rng = random.Random(35)
+        root = str(tmp_path / "dur")
+        with DurableMutableIndex.create(load_preset("VA", scale=500),
+                                        root) as index:
+            for _ in range(150):
+                index.insert(rng.uniform(0, 100), rng.uniform(0, 100),
+                             rng.sample(KEYWORDS, 2))
+            for poi_id in rng.sample(range(len(index)), 150):
+                index.delete(poi_id)
+        path = os.path.join(root, "durable.json")
+        blob = open(path, "rb").read()
+        assert blob.count(b'"rebuild_threshold": 0.25') == 1
+        with open(path, "wb") as handle:
+            handle.write(blob.replace(b"0.25", b"0.05"))
+        report = scrub_durable(root)
+        assert [location for location, _ in report.corrupt] == [path]
+        with pytest.raises(PersistenceError, match="durable.json"):
+            DurableMutableIndex.recover(root)
+
+    def test_a_version_1_durable_json_is_refused(self, base, tmp_path):
+        root = tmp_path / "dur"
+        DurableMutableIndex.create(base, str(root)).close()
+        (root / "durable.json").write_text(json.dumps(
+            {"version": 1, "num_bands": 1, "num_wedges": 4,
+             "rebuild_threshold": 0.25}))
+        assert not scrub_durable(str(root)).clean
+        with pytest.raises(PersistenceError, match="version 1"):
+            DurableMutableIndex.recover(str(root))
+
 
 class TestOneShotIterables:
     def test_generator_keywords_hit_wal_and_index_alike(self, base,

@@ -45,12 +45,9 @@ def layouts(tmp_path_factory):
     for kind, directory, scrub in (("index", index_dir, scrub_saved),
                                    ("deployment", deploy_dir, scrub_saved),
                                    ("durable", durable_dir, scrub_durable)):
-        # The root durable.json (build parameters) is written once by
-        # create(), not by a save; every other file is a scrub's to cover.
         files = sorted(
             os.path.relpath(os.path.join(parent, name), directory)
             for parent, _, names in os.walk(directory) for name in names)
-        files = [f for f in files if f != "durable.json"]
         assert scrub(directory).clean
         result[kind] = (directory, scrub, files)
     return result

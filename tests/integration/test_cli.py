@@ -230,6 +230,26 @@ class TestScrub:
         assert main(["scrub", str(root)]) == 1
         assert "pois.csv" in capsys.readouterr().err
 
+    def test_undecodable_durable_json_is_named(self, tmp_path, capsys):
+        import random
+
+        from repro.datasets import POI, POICollection
+        from repro.durability import DurableMutableIndex
+
+        rng = random.Random(5)
+        base = POICollection([
+            POI.make(i, rng.uniform(0, 50), rng.uniform(0, 50), ["cafe"])
+            for i in range(40)])
+        root = tmp_path / "dur"
+        DurableMutableIndex.create(base, str(root)).close()
+        meta = root / "durable.json"
+        blob = bytearray(meta.read_bytes())
+        blob[0] ^= 0x80  # `{` becomes a byte no UTF-8 text starts with
+        meta.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["scrub", str(root)]) == 1
+        assert f"corrupt: {meta}:" in capsys.readouterr().err
+
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["scrub", str(tmp_path / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err
