@@ -94,11 +94,10 @@ _CONTRACT = Contract(
         Layer("geometry", ()),
         Layer("text", ()),
         Layer("trace", (), deferred=("core", "storage")),
-        Layer("storage", ("analysis", "trace")),
+        Layer("storage", ("trace",)),
         Layer("rtree", ("geometry", "storage")),
         Layer("datasets", ("geometry", "text")),
-        Layer("core", ("analysis", "datasets", "geometry", "storage", "text",
-                       "trace")),
+        Layer("core", ("datasets", "geometry", "storage", "text", "trace")),
         Layer("baselines", ("core", "datasets", "geometry", "rtree",
                             "storage", "text")),
         Layer("bench", ("core", "datasets", "geometry", "storage")),
@@ -108,11 +107,11 @@ _CONTRACT = Contract(
         Layer("lang", ("core", "geometry", "text", "trace")),
         Layer("durability", ("core", "datasets", "storage", "trace"),
               deferred=("service",)),
-        Layer("service", ("analysis", "core", "kernel", "storage", "trace")),
-        Layer("cluster", ("analysis", "core", "datasets", "geometry",
-                          "service", "storage", "trace")),
-        Layer("net", ("analysis", "cluster", "core", "datasets", "lang",
-                      "service", "storage"), deferred=("durability",)),
+        Layer("service", ("core", "kernel", "storage", "trace")),
+        Layer("cluster", ("core", "datasets", "geometry", "service",
+                          "storage", "trace")),
+        Layer("net", ("cluster", "core", "datasets", "lang", "service",
+                      "storage"), deferred=("durability",)),
         Layer("cli", ("core", "datasets", "storage"),
               deferred=("analysis", "durability", "lang", "net", "service",
                         "trace")),

@@ -6,9 +6,8 @@ linters cannot see: wraparound-unsafe angle arithmetic (DAL001) and
 float equality on angles and distances (DAL002) — the paper's Eqs. 1-6
 and Lemmas 1-4 only hold when every direction is normalised the same
 way, and the apex direction-pruning bug was exactly a raw-angle
-comparison.  The catalog adds the architecture contract (DAL010), broad
-handlers that swallow a cause (DAL011) and unguarded shared-state
-writes (DAL012).
+comparison.  The catalog adds the architecture contract (DAL010) and
+broad handlers that swallow a cause (DAL011).
 
 A rule stays in the catalog while it has caught something in non-fixture
 code; ``docs/ANALYSIS.md`` renders the catalog, names the retired codes
@@ -24,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Type
 from .contract import ContractRule
 from .engine import RuleVisitor
 from .exceptions import ExceptionFlowRule
-from .shared import SharedStateRule
 
 #: Two-pi in its spellings: ``TWO_PI``/``TAU`` names, ``math.tau``, a
 #: ``2 * math.pi`` product, or a literal within 1e-6 of 6.2831853.
@@ -155,7 +153,6 @@ ALL_RULES: Sequence[Type[RuleVisitor]] = (
     FloatEqualityRule,
     ContractRule,
     ExceptionFlowRule,
-    SharedStateRule,
 )
 
 #: code -> rule class, for documentation, `--rules` validation, and the

@@ -36,12 +36,12 @@ the router's ``fault_injector`` argument.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..analysis import make_lock, register_shared
 from ..core import DesksIndex, DirectionalQuery, MutableDesksIndex
 from ..service import Deadline, MetricsRegistry, QueryEngine, ServiceResponse
 from ..storage import PageCorruptionError
@@ -99,7 +99,7 @@ class FaultInjector:
     def __init__(self, seed: int = 0) -> None:
         self._rules: dict = {}
         self._rng = random.Random(seed)
-        self._lock = make_lock("cluster.fault_injector")
+        self._lock = threading.Lock()
         self.injected_faults = 0
 
     def set_fault(self, shard_id: Optional[int] = None,
@@ -201,8 +201,7 @@ class Replica:
         #: operator scrubs/restores it and calls :meth:`release`.
         self.quarantined = False
         self.quarantine_cause: Optional[str] = None
-        self._lock = make_lock("cluster.replica")
-        register_shared(self, "cluster.replica")
+        self._lock = threading.Lock()
 
     def __getattr__(self, name: str):
         # What the endpoint wraps is reachable through the replica:
@@ -281,8 +280,7 @@ class FailoverSet:
             for replica_id, (endpoint, breaker) in enumerate(members)
         ]
         self._rotation = 0
-        self._lock = make_lock("cluster.replica_set")
-        register_shared(self, "cluster.replica_set")
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.replicas)

@@ -52,10 +52,10 @@ rebuild, so nothing ever has to invalidate it.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..analysis import make_lock
 from ..datasets import POI, POICollection
 from ..storage import SearchStats
 from ..trace.spans import current_tracer
@@ -95,7 +95,7 @@ class MutableDesksIndex:
         self.rebuild_count = 0
         self._generation = 0
         self._listeners: List[Callable[[int], None]] = []
-        self._lock = make_lock("core.mutable_index", reentrant=True)
+        self._lock = threading.RLock()
 
     def _build(self, collection: POICollection) -> None:
         self._adopt_static(DesksIndex(collection, self._num_bands,

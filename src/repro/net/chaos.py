@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import make_lock
 from .protocol import HEADER_FORMAT, HEADER_SIZE, MAX_PAYLOAD, recv_exactly
 
 Address = Tuple[str, int]
@@ -111,8 +110,8 @@ class FaultLog:
     frames_throttled: int = 0
     frames_slowlorised: int = 0
     connections_dropped: int = 0
-    _lock: threading.Lock = field(
-        default_factory=lambda: make_lock("net.chaos_log"), repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False)
 
     def bump(self, counter: str, by: int = 1) -> None:
         with self._lock:
@@ -154,7 +153,7 @@ class ChaosProxy:
         self.upstream = (upstream[0], int(upstream[1]))
         self._plan = plan if plan is not None else FaultPlan("transparent")
         self.log = FaultLog()
-        self._lock = make_lock("net.chaos_proxy")
+        self._lock = threading.Lock()
         self._closed = False
         self._conn_seq = 0
         self._live: List[socket.socket] = []

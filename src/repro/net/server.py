@@ -52,7 +52,6 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
-from ..analysis import make_lock
 from ..cluster import SHARD_CACHE_CAPACITY, ShardRouter
 from ..core import (
     DesksIndex,
@@ -137,7 +136,7 @@ class FrameServer:
         self._inflight = threading.BoundedSemaphore(max_inflight)
         self._statements = statements
         self._started = time.monotonic()
-        self._lock = make_lock("net.server")
+        self._lock = threading.Lock()
         self._closed = False
         self._connections: Dict[socket.socket, threading.Thread] = {}
         self._accept_thread: Optional[threading.Thread] = None

@@ -21,11 +21,11 @@ with a healthier budget must not inherit a degraded answer.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
-from ..analysis import make_lock, register_shared
 from ..core import DirectionalQuery, QueryResult
 
 
@@ -65,9 +65,8 @@ class ResultCache:
         # canonical key -> (generation, result); recency order, MRU last.
         self._entries: "OrderedDict[Hashable, Tuple[int, QueryResult]]" = \
             OrderedDict()
-        self._lock = make_lock("service.result_cache")
+        self._lock = threading.Lock()
         self._stats = CacheStats()
-        register_shared(self, "service.result_cache")
 
     # -- keying -------------------------------------------------------------
 

@@ -32,12 +32,12 @@ searcher drops in later.
 from __future__ import annotations
 
 import queue
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from ..analysis import make_lock, register_shared
 from ..core import (
     DesksIndex,
     DesksSearcher,
@@ -142,9 +142,8 @@ class QueryEngine:
         # Serialises admission against close(): without it a submit that
         # passes the _closed check can race close() and die inside the
         # executor with a less actionable RuntimeError.
-        self._lifecycle_lock = make_lock("service.engine")
+        self._lifecycle_lock = threading.Lock()
         self._closed = False
-        register_shared(self, "service.engine")
 
     # -- generation ---------------------------------------------------------
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 import time
-
-from ..analysis import make_lock, register_shared
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): 50 µs .. ~30 s, ~4 steps per decade.
@@ -40,8 +39,7 @@ class Counter:
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0
-        self._lock = make_lock("service.metrics.counter")
-        register_shared(self, "service.metrics.counter")
+        self._lock = threading.Lock()
 
     def increment(self, by: int = 1) -> None:
         """Add ``by`` (non-negative) to the counter."""
@@ -65,8 +63,7 @@ class Gauge:
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0.0
-        self._lock = make_lock("service.metrics.gauge")
-        register_shared(self, "service.metrics.gauge")
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
@@ -104,8 +101,7 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._lock = make_lock("service.metrics.histogram")
-        register_shared(self, "service.metrics.histogram")
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         """Record one sample."""
@@ -143,36 +139,47 @@ class Histogram:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100]: {q}")
         with self._lock:
-            if self._count == 0:
-                return 0.0
-            rank = q / 100.0 * self._count
-            seen = 0
-            for idx, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                if seen + bucket_count >= rank:
-                    lo = self._bounds[idx - 1] if idx > 0 else min(
-                        self._min, self._bounds[0] if self._bounds else 0.0)
-                    hi = (self._bounds[idx] if idx < len(self._bounds)
-                          else self._max)
-                    lo = max(lo, self._min)
-                    hi = min(hi, self._max) if hi >= lo else lo
-                    frac = (rank - seen) / bucket_count
-                    return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
-                seen += bucket_count
-            return self._max  # pragma: no cover - defensive
+            return self._percentile(q)
+
+    def _percentile(self, q: float) -> float:
+        """:meth:`percentile` for a caller that holds ``_lock``."""
+        if self._count == 0:
+            return 0.0
+        rank = q / 100.0 * self._count
+        seen = 0
+        for idx, bucket_count in enumerate(self._counts):
+            if bucket_count == 0:
+                continue
+            if seen + bucket_count >= rank:
+                lo = self._bounds[idx - 1] if idx > 0 else min(
+                    self._min, self._bounds[0] if self._bounds else 0.0)
+                hi = (self._bounds[idx] if idx < len(self._bounds)
+                      else self._max)
+                lo = max(lo, self._min)
+                hi = min(hi, self._max) if hi >= lo else lo
+                frac = (rank - seen) / bucket_count
+                return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
+            seen += bucket_count
+        return self._max  # pragma: no cover - defensive
 
     def snapshot(self) -> Dict[str, float]:
-        """count/mean/min/max/p50/p95/p99 as one dict (for reports)."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "min": 0.0 if self.count == 0 else self._min,
-            "max": 0.0 if self.count == 0 else self._max,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-            "p99": self.percentile(99.0),
-        }
+        """count/mean/min/max/p50/p95/p99 as one dict (for reports).
+
+        One lock acquisition: every field describes the same samples, so
+        ``min <= p50 <= p95 <= p99 <= max`` holds under concurrent
+        :meth:`observe` calls.
+        """
+        with self._lock:
+            count = self._count
+            return {
+                "count": float(count),
+                "mean": self._sum / count if count else 0.0,
+                "min": self._min if count else 0.0,
+                "max": self._max if count else 0.0,
+                "p50": self._percentile(50.0),
+                "p95": self._percentile(95.0),
+                "p99": self._percentile(99.0),
+            }
 
 
 class MetricsRegistry:
@@ -182,9 +189,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._lock = make_lock("service.metrics.registry")
+        self._lock = threading.Lock()
         self._started = time.monotonic()
-        register_shared(self, "service.metrics")
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name``, created on first use."""

@@ -11,10 +11,10 @@ uncontended lock acquire per page access.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..analysis import make_lock, register_shared
 from .pages import PageStore
 from .stats import IOStats
 
@@ -39,8 +39,7 @@ class BufferPool:
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
         # Guards frames, eviction, and the shared I/O counters.  RLock so
         # close() may call flush() without re-entrancy gymnastics.
-        self._lock = make_lock("storage.buffer_pool", reentrant=True)
-        register_shared(self, "storage.buffer_pool")
+        self._lock = threading.RLock()
 
     # -- metrics ------------------------------------------------------------
 

@@ -3,6 +3,8 @@ on a synthetic contract, and the v1 fixtures every violation of which is
 now reported as DAL010."""
 
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -74,6 +76,27 @@ class TestParsing:
             Contract([], schema=2)
 
 
+class TestRuntimeIsolation:
+    RUNTIME = ("storage", "core", "service", "cluster", "net", "durability")
+
+    def test_no_runtime_layer_may_import_the_linter(self):
+        contract = default_contract()
+        for name in self.RUNTIME:
+            layer = contract.layer(name)
+            assert "analysis" not in layer.deps + layer.deferred, name
+        assert "analysis" in contract.layer("cli").deferred
+
+    def test_importing_the_runtime_loads_no_analysis_module(self):
+        code = ("import sys\n"
+                + "".join(f"import repro.{name}\n" for name in self.RUNTIME)
+                + "print(sorted(m for m in sys.modules "
+                  "if m.startswith('repro.analysis')))\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={"PYTHONPATH": str(SRC.parent)},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 # -- the generic rule on a synthetic bad tree ---------------------------------
 
 
@@ -138,8 +161,8 @@ class TestGenericRule:
             assert facts(lint(source)) == [(
                 "DAL010", 1,
                 "layer `core` may not import `repro` (module-level "
-                "import); the contract allows: analysis, datasets, "
-                "geometry, storage, text, trace")], source
+                "import); the contract allows: datasets, geometry, "
+                "storage, text, trace")], source
         assert facts(lint("import repro\n",
                           path="src/repro/geometry/example.py")) == [(
             "DAL010", 1,
@@ -184,8 +207,8 @@ def chaos(line):
 def core_imports_net(line):
     return ("DAL010", line,
             "layer `core` may not import `repro.net` (module-level import); "
-            "the contract allows: analysis, datasets, geometry, storage, "
-            "text, trace")
+            "the contract allows: datasets, geometry, storage, text, "
+            "trace")
 
 
 TRANSPORT_FIXTURES = (

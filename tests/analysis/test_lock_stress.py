@@ -1,5 +1,12 @@
-"""Concurrency stress harness: the real engine/cache/buffer stack runs
-under the lock-order detector and must produce a cycle-free graph.
+"""Concurrency stress harness: the real engine/cache/buffer stack and a
+remote replica set run under a hang-and-reconcile guard.
+
+Every thread and future must finish within a deadline — on a hang the
+test fails with every thread's stack (:mod:`.hang_guard`) instead of
+wedging the run — and the engine's counters must reconcile afterwards:
+one ``queries_total`` per request, each a cache hit or a miss, each one
+latency sample.  The last case proves the guard can fail: a deliberate
+two-lock inversion is reported with both threads' stacks.
 
 Marked ``race`` so CI's analysis job can run it in isolation
 (``pytest -m race``); it is fast enough to stay in tier-1 too.
@@ -10,44 +17,33 @@ import threading
 
 import pytest
 
-from repro.analysis import (
-    LockTracker,
-    WriteTracker,
-    disable_lock_tracking,
-    disable_write_tracking,
-    enable_lock_tracking,
-    enable_write_tracking,
-)
 from repro.core import DesksIndex, MutableDesksIndex
 from repro.service import QueryEngine
 
 from ..service.conftest import KEYWORD_POOL, make_collection, make_queries
+from .hang_guard import join_all, wait_all
 
 pytestmark = pytest.mark.race
 
-
-@pytest.fixture()
-def tracker():
-    # Tracking must be on *before* the stack under test is built: locks
-    # pick raw vs tracked at creation time.
-    t = enable_lock_tracking(LockTracker())
-    yield t
-    disable_lock_tracking()
+#: Seconds every stress thread and future gets; the runs take well under
+#: one.
+DEADLINE = 30.0
 
 
-@pytest.fixture()
-def write_tracker():
-    # Same creation-time rule as locks: registration instruments objects
-    # only while a tracker is installed.
-    t = enable_write_tracking(WriteTracker())
-    yield t
-    disable_write_tracking()
-    disable_lock_tracking()
+def assert_reconciled(engine, requests):
+    """The engine's counters account for exactly ``requests`` queries."""
+    metrics = engine.metrics
+    total = metrics.counter("queries_total").value
+    hits = metrics.counter("cache_hits_total").value
+    misses = metrics.counter("cache_misses_total").value
+    assert total == requests
+    assert hits + misses == total
+    assert metrics.histogram("query_latency_seconds").count == total
 
 
-def test_engine_mutable_index_cache_stress(tracker):
-    """Queries + mutations + metrics racing: the graph's only edge is the
-    generation-bump cache invalidation, and there is no cycle."""
+def test_engine_mutable_index_cache_stress():
+    """Queries racing inserts and deletes (each purging the result cache
+    under the index lock) all finish, and the counters reconcile."""
     collection = make_collection(n=300, seed=11)
     index = MutableDesksIndex(collection, num_bands=4, num_wedges=6)
     engine = QueryEngine(index, num_workers=4, cache_capacity=128)
@@ -70,31 +66,24 @@ def test_engine_mutable_index_cache_stress(tracker):
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    mutator = threading.Thread(target=mutate)
+    mutator = threading.Thread(target=mutate, name="mutator")
     mutator.start()
+    futures = [engine.submit(q) for q in queries for _ in range(3)]
     try:
-        futures = [engine.submit(q) for q in queries for _ in range(3)]
-        for future in futures:
-            future.result(timeout=30)
+        wait_all(futures, DEADLINE)
     finally:
         stop.set()
-        mutator.join()
-        engine.close()
+    join_all([mutator], DEADLINE)
+    engine.close()
 
     assert errors == []
-    report = tracker.report()
-    assert report.clean, "\n" + report.render()
-    assert report.acquisitions > 0
-    # The one cross-subsystem hold this stack performs: the mutable
-    # index bumps its generation (under its own lock) and the
-    # subscribed listener purges the result cache (taking its lock).
-    assert ("core.mutable_index", "service.result_cache") in {
-        (e.src, e.dst) for e in report.edges}
+    assert_reconciled(engine, len(futures))
 
 
-def test_engine_disk_index_buffer_pool_stress(tracker, tmp_path):
+def test_engine_disk_index_buffer_pool_stress(tmp_path):
     """Concurrent readers over a disk-backed index: buffer-pool, cache and
-    metrics locks interleave across workers without ordering conflicts."""
+    metrics locks interleave across workers, every future finishes, and
+    the counters reconcile."""
     collection = make_collection(n=300, seed=12)
     index = DesksIndex(collection, num_bands=4, num_wedges=6,
                        disk_based=True,
@@ -102,27 +91,18 @@ def test_engine_disk_index_buffer_pool_stress(tracker, tmp_path):
                        buffer_capacity=8)
     engine = QueryEngine(index, num_workers=4, cache_capacity=16)
     queries = make_queries(30, seed=6)
-    try:
-        futures = [engine.submit(q) for q in queries for _ in range(4)]
-        for future in futures:
-            future.result(timeout=30)
-    finally:
-        engine.close()
+    futures = [engine.submit(q) for q in queries for _ in range(4)]
+    wait_all(futures, DEADLINE)
+    engine.close()
 
-    report = tracker.report()
-    assert report.clean, "\n" + report.render()
-    assert report.acquisitions > 0
-    names = {e.src for e in report.edges} | {e.dst for e in report.edges}
-    # Whatever edges the run produced connect only known roles.
-    assert names <= {"storage.buffer_pool", "service.result_cache",
-                     "service.metrics.counter",
-                     "service.metrics.histogram",
-                     "service.metrics.registry", "service.engine"}
+    assert_reconciled(engine, len(futures))
+    assert index.io_stats.logical_reads > 0
 
 
-def test_write_sanitizer_stress_on_the_real_stack(write_tracker, tmp_path):
-    """The engine/cache/metrics/buffer stack under concurrent load makes
-    every shared-object write while holding a lock role: zero violations."""
+def test_write_sanitizer_stress_on_the_real_stack(tmp_path):
+    """Both entry points at once: client threads calling ``execute`` on
+    their own threads beside pool tasks from ``submit``, over one
+    disk-backed engine.  Every request is counted exactly once."""
     collection = make_collection(n=300, seed=13)
     index = DesksIndex(collection, num_bands=4, num_wedges=6,
                        disk_based=True,
@@ -130,23 +110,34 @@ def test_write_sanitizer_stress_on_the_real_stack(write_tracker, tmp_path):
                        buffer_capacity=8)
     engine = QueryEngine(index, num_workers=4, cache_capacity=16)
     queries = make_queries(30, seed=7)
-    try:
-        futures = [engine.submit(q) for q in queries for _ in range(4)]
-        for future in futures:
-            future.result(timeout=30)
-    finally:
-        engine.close()
+    errors = []
 
-    report = write_tracker.report()
-    assert report.writes > 0, "nothing was tracked: registration broke"
-    assert report.clean, "\n" + report.render()
+    def client():
+        try:
+            for query in queries:
+                engine.execute(query)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    clients = [threading.Thread(target=client, name=f"client-{i}")
+               for i in range(3)]
+    for thread in clients:
+        thread.start()
+    futures = [engine.submit(q) for q in queries for _ in range(2)]
+    wait_all(futures, DEADLINE)
+    join_all(clients, DEADLINE)
+    engine.close()
+
+    assert errors == []
+    assert_reconciled(engine, len(futures) + len(clients) * len(queries))
 
 
-def test_write_sanitizer_stress_on_a_remote_replica_set(write_tracker):
+def test_write_sanitizer_stress_on_a_remote_replica_set():
     """Failover, breaker trips, quarantine + release and background probes
-    racing on one remote set: replica and set state is only ever written
-    under a lock role."""
+    racing on one remote set: every client thread finishes, and every
+    call a replica served is an answer or a counted failure."""
     from repro.net import ResilienceConfig, TransportError
+    from repro.service import MetricsRegistry
 
     from ..net.test_resilience import QUERY, make_set, ok_result
 
@@ -154,10 +145,11 @@ def test_write_sanitizer_stress_on_a_remote_replica_set(write_tracker):
         return (TransportError(("10.0.0.0", 9000), "down") if index % 3
                 else ok_result(0))
 
-    replica_set, _ = make_set(
+    metrics = MetricsRegistry()
+    replica_set, clients = make_set(
         [flapping, lambda index: ok_result(1), lambda index: ok_result(2)],
-        health_threshold=2,
-        # This test is about write discipline, not retry amplification: the
+        health_threshold=2, metrics=metrics,
+        # This test is about completion, not retry amplification: the
         # default bucket (10, +0.1 per success) can run dry when the threads
         # meet the flapping replica in an unlucky order, and failover then
         # stops by design.  240 calls at <= 2 retries each cannot drain 480.
@@ -176,30 +168,60 @@ def test_write_sanitizer_stress_on_a_remote_replica_set(write_tracker):
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    threads = [threading.Thread(target=client) for _ in range(4)]
+    threads = [threading.Thread(target=client, name=f"client-{i}")
+               for i in range(4)]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
+    join_all(threads, DEADLINE)
     replica_set.close()
 
     assert errors == []
-    report = write_tracker.report()
-    assert report.writes > 0, "nothing was tracked: registration broke"
-    assert report.clean, "\n" + report.render()
+    failures = metrics.counter("cluster_replica_failures_total").value
+    assert sum(c.calls for c in clients.values()) == 240 + failures
 
 
-def test_write_sanitizer_catches_a_deliberate_unguarded_write(write_tracker):
-    """Proof the harness can fail: an attribute poked from outside any
-    lock on a registered engine is reported with role, attr, and stack."""
-    collection = make_collection(n=50, seed=14)
-    index = MutableDesksIndex(collection, num_bands=4, num_wedges=6)
+def test_write_sanitizer_catches_a_deliberate_unguarded_write():
+    """Proof the guard can fail: two threads take the mutable index's lock
+    and the result cache's lock in opposite orders.  The guard fails the
+    run within its deadline and names both threads with their stacks;
+    ``acquire(timeout=...)`` polling lets both threads give up after."""
+    index = MutableDesksIndex(make_collection(n=50, seed=14),
+                              num_bands=4, num_wedges=6)
     engine = QueryEngine(index, num_workers=2, cache_capacity=8)
+    index_lock, cache_lock = index._lock, engine.cache._lock
+    both_held = threading.Barrier(2)
+    give_up = threading.Event()
+
+    def take(first, second):
+        with first:
+            both_held.wait()
+            while not give_up.is_set():
+                if second.acquire(timeout=0.01):
+                    second.release()
+                    return
+
+    def index_then_cache():
+        take(index_lock, cache_lock)
+
+    def cache_then_index():
+        take(cache_lock, index_lock)
+
+    threads = [threading.Thread(target=index_then_cache, name="forward"),
+               threading.Thread(target=cache_then_index, name="backward")]
+    for thread in threads:
+        thread.start()
     try:
-        engine._closed = engine._closed  # no lock held: must be flagged
+        with pytest.raises(pytest.fail.Exception) as info:
+            join_all(threads, 0.5)
     finally:
+        give_up.set()
+        join_all(threads, DEADLINE)
         engine.close()
 
-    violations = {(v.role, v.attr)
-                  for v in write_tracker.report().violations}
-    assert ("service.engine", "_closed") in violations
+    report = str(info.value)
+    assert "2 thread(s) still running after 0.5s" in report
+    for name, function in (("forward", "index_then_cache"),
+                           ("backward", "cache_then_index")):
+        assert f"--- thread {name} (HUNG)" in report
+        assert function in report
+    assert report.count("in take") >= 2

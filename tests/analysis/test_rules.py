@@ -503,6 +503,7 @@ RETIRED = {
     "DAL007": "DAL010",
     "DAL008": "DAL010",
     "DAL009": "DAL010",
+    "DAL012": "tests/analysis/test_shared.py",
 }
 
 #: DAL011's retired escape facet (no typed-error escape from an RPC
@@ -513,6 +514,14 @@ RETIRED_ESCAPE_FACET_GUARDS = (
     "tests/lang/test_executor.py::TestErrors::test_backend_failure_wrapped",
 )
 
+#: The retired runtime detectors (lock order, shared-state writes) -> the
+#: hang-and-reconcile guards that replace them.
+RETIRED_DETECTOR_GUARDS = (
+    "tests/analysis/hang_guard.py",
+    "tests/analysis/test_lock_stress.py",
+    "tests/analysis/test_shared.py",
+)
+
 
 class TestCatalog:
     def test_rule_index_covers_all_rules(self, capsys):
@@ -520,10 +529,12 @@ class TestCatalog:
 
         own_codes = {r.code for r in ALL_RULES}
         assert set(RULE_INDEX) == own_codes == {
-            "DAL001", "DAL002", "DAL010", "DAL011", "DAL012"}
+            "DAL001", "DAL002", "DAL010", "DAL011"}
         # A retired or former alias code is an unknown code.
-        assert main(["lint", "src", "--rules", "DAL007"]) == 2
-        assert "unknown rule code(s) DAL007" in capsys.readouterr().err
+        for code in ("DAL007", "DAL012"):
+            assert main(["lint", "src", "--rules", code]) == 2
+            assert f"unknown rule code(s) {code}" in \
+                capsys.readouterr().err
 
     def test_every_rule_has_code_summary_rationale(self):
         for rule in ALL_RULES:
@@ -550,7 +561,7 @@ class TestCatalog:
         # test that guards its invariant.
         for code, guard in RETIRED.items():
             assert code in text and guard in text, (code, guard)
-        for guard in RETIRED_ESCAPE_FACET_GUARDS:
+        for guard in RETIRED_ESCAPE_FACET_GUARDS + RETIRED_DETECTOR_GUARDS:
             assert guard in text, guard
         # ...and the doc names no other codes (DAL999 is the worked
         # example in the "adding a rule" section).

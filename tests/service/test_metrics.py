@@ -81,6 +81,51 @@ class TestHistogram:
                              "p99"}
         assert snap["min"] == snap["max"] == 0.25
 
+    def test_snapshot_takes_the_lock_once(self):
+        # Six separate acquisitions (and unlocked min/max reads) let a
+        # concurrent observe() land between the fields of one snapshot.
+        class CountingLock:
+            def __init__(self, inner):
+                self.inner = inner
+                self.acquisitions = 0
+
+            def __enter__(self):
+                self.acquisitions += 1
+                return self.inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        h = Histogram("lat")
+        for v in (1e-3, 2e-3, 5e-2):
+            h.observe(v)
+        h._lock = CountingLock(h._lock)
+        snap = h.snapshot()
+        assert h._lock.acquisitions == 1
+        assert snap["count"] == 3.0
+        assert snap["min"] <= snap["p50"] <= snap["max"] == 5e-2
+
+    def test_concurrent_snapshots_are_ordered(self):
+        h = Histogram("lat")
+        stop = threading.Event()
+
+        def rising():
+            value = 1e-5
+            while not stop.is_set():
+                h.observe(value)
+                value *= 1.01
+
+        writer = threading.Thread(target=rising)
+        writer.start()
+        try:
+            snaps = [h.snapshot() for _ in range(2000)]
+        finally:
+            stop.set()
+            writer.join(timeout=10)
+        torn = [s for s in snaps if s["count"] and not
+                s["min"] <= s["p50"] <= s["p95"] <= s["p99"] <= s["max"]]
+        assert torn == []
+
 
 class TestRegistry:
     def test_same_name_same_object(self):
