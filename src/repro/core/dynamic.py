@@ -56,7 +56,7 @@ import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..datasets import POI, POICollection
+from ..datasets import POI, POICollection, check_finite
 from ..storage import SearchStats
 from ..trace.spans import current_tracer
 from .index import DesksIndex
@@ -172,14 +172,20 @@ class MutableDesksIndex:
 
     # -- updates -------------------------------------------------------------
 
+    def _next_id(self) -> int:
+        """The id the next insert gets.  Caller holds ``self._lock``."""
+        return len(self.collection) + len(self._delta)
+
     def insert(self, x: float, y: float, keywords: Iterable[str]) -> int:
         """Insert a POI; returns its (stable) id.
 
         Delta ids continue the static collection's id space, so ids remain
-        unique across rebuilds within this wrapper.
+        unique across rebuilds within this wrapper.  A non-finite ``x`` or
+        ``y`` is a ``ValueError`` and changes nothing.
         """
         with self._lock:
-            poi_id = len(self.collection) + len(self._delta)
+            poi_id = self._next_id()
+            check_finite(poi_id, x, y)
             self._delta.append(POI.make(poi_id, x, y, keywords))
             if len(self._delta) > self.rebuild_threshold * max(
                     len(self.collection), 1):

@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..datasets import POICollection
 from ..geometry import Anchor, CanonicalFrame
 from ..storage import (
@@ -111,16 +113,16 @@ class DesksIndex:
         self.io_stats = IOStats()
         self.anchors: List[Optional[AnchorIndex]] = [None] * 4
 
-        locations = [p.location for p in collection]
-        term_pairs = TermPairs(
-            [collection.term_ids(i) for i in range(n)])
+        xs = np.asarray(collection.xs, dtype=np.float64)
+        ys = np.asarray(collection.ys, dtype=np.float64)
+        term_pairs = TermPairs(collection.term_id_sets)
         build_anchors = (list(anchors) if anchors is not None
                          else list(Anchor))
 
         started = time.perf_counter()
         for anchor in build_anchors:
             frame = CanonicalFrame(anchor, collection.mbr)
-            regions = AnchorRegions(frame, locations,
+            regions = AnchorRegions(frame, xs, ys,
                                     self.num_bands, self.num_wedges)
             if disk_based:
                 if disk_path_prefix is not None:

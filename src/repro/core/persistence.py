@@ -48,6 +48,8 @@ import os
 import shutil
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..datasets import load_csv, save_csv
 from ..geometry import Anchor, CanonicalFrame
 from ..storage import ScrubReport, fsync_dir
@@ -340,9 +342,9 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
     # has, none copied by hand; the saved anchors are installed below.
     index = DesksIndex(collection, meta["num_bands"], meta["num_wedges"],
                        anchors=())
-    locations = [p.location for p in collection]
-    term_pairs = TermPairs(
-        [collection.term_ids(i) for i in range(len(collection))])
+    xs = np.asarray(collection.xs, dtype=np.float64)
+    ys = np.asarray(collection.ys, dtype=np.float64)
+    term_pairs = TermPairs(collection.term_id_sets)
     for quadrant in meta["anchors"]:
         path = os.path.join(directory, f"anchor{quadrant}.bin")
         try:
@@ -353,7 +355,7 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
                 "meta.json") from None
         frame = CanonicalFrame(Anchor(quadrant), collection.mbr)
         try:
-            regions = AnchorRegions.from_blob(frame, locations, blob)
+            regions = AnchorRegions.from_blob(frame, xs, ys, blob)
         except (ValueError, IndexError) as exc:
             raise PersistenceError(
                 f"{path} failed to decode: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import HALF_PI, CanonicalFrame, Point
+from ..geometry import HALF_PI, CanonicalFrame
 from ..storage import (
     decode_floats,
     decode_uint_list,
@@ -82,7 +82,7 @@ class AnchorRegions:
     """Bands, sub-regions, and the canonical per-POI polar coordinates."""
 
     def __init__(self, frame: CanonicalFrame,
-                 locations: Sequence[Point],
+                 xs: Sequence[float], ys: Sequence[float],
                  num_bands: int, num_wedges: int) -> None:
         if num_bands <= 0 or num_wedges <= 0:
             raise ValueError(
@@ -92,12 +92,12 @@ class AnchorRegions:
         self.num_bands_requested = num_bands
         self.num_wedges_requested = num_wedges
 
-        self.distances, self.thetas = _polar_coordinates(frame, locations)
+        self.distances, self.thetas = _polar_coordinates(frame, xs, ys)
         by_distance = np.argsort(self.distances, kind="stable")
         sorted_distances = self.distances[by_distance]
         band_cuts = _cuts_with_ties(sorted_distances, num_bands)
 
-        order = np.empty(len(locations), dtype=np.int64)
+        order = np.empty(len(self.distances), dtype=np.int64)
         self.bands: List[Band] = []
         self.subregions: List[Subregion] = []
         for band_index, (lo, hi) in enumerate(zip(band_cuts, band_cuts[1:])):
@@ -238,8 +238,8 @@ class AnchorRegions:
         return b"".join(parts)
 
     @classmethod
-    def from_blob(cls, frame: CanonicalFrame, locations: Sequence[Point],
-                  blob: bytes) -> "AnchorRegions":
+    def from_blob(cls, frame: CanonicalFrame, xs: Sequence[float],
+                  ys: Sequence[float], blob: bytes) -> "AnchorRegions":
         """Reconstruct a structure serialized by :meth:`to_blob`."""
         offset = 0
         requested, offset = decode_uint_list(blob, offset)
@@ -250,10 +250,10 @@ class AnchorRegions:
         sizes, offset = decode_uint_list(blob, offset)
         if len(requested) != 2 or len(band_counts) != len(inner_radii):
             raise ValueError("malformed anchor-regions blob")
-        if len(poi_order) != len(locations):
+        if len(poi_order) != len(xs):
             raise ValueError(
                 f"blob indexes {len(poi_order)} POIs but the collection "
-                f"has {len(locations)}")
+                f"has {len(xs)}")
         if sum(band_counts) != len(theta_los) or len(theta_los) != len(sizes):
             raise ValueError("inconsistent sub-region tables in blob")
         if sum(sizes) != len(poi_order):
@@ -262,7 +262,7 @@ class AnchorRegions:
         obj = cls.__new__(cls)
         obj.frame = frame
         obj.num_bands_requested, obj.num_wedges_requested = requested
-        obj.distances, obj.thetas = _polar_coordinates(frame, locations)
+        obj.distances, obj.thetas = _polar_coordinates(frame, xs, ys)
         order = np.asarray(poi_order, dtype=np.int64)
         obj.bands = []
         obj.subregions = []
@@ -293,18 +293,17 @@ class AnchorRegions:
         return obj
 
 
-def _polar_coordinates(frame: CanonicalFrame, locations: Sequence[Point],
+def _polar_coordinates(frame: CanonicalFrame, xs: Sequence[float],
+                       ys: Sequence[float],
                        ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Per-POI (distance, direction) to the anchor, vectorised.
 
-    A POI exactly on the anchor has no direction; it gets 0, the bottom of
-    the quadrant.
+    ``xs``/``ys`` are the world coordinates by POI id, as float64 arrays
+    (converted here when they are not).  A POI exactly on the anchor has
+    no direction; it gets 0, the bottom of the quadrant.
     """
-    xs = np.fromiter((p.x for p in locations), dtype=float,
-                     count=len(locations))
-    ys = np.fromiter((p.y for p in locations), dtype=float,
-                     count=len(locations))
-    cx, cy = frame.to_canonical_xy(xs, ys)
+    cx, cy = frame.to_canonical_xy(np.asarray(xs, dtype=np.float64),
+                                   np.asarray(ys, dtype=np.float64))
     distances = np.hypot(cx, cy)
     thetas = np.where(distances > 0.0, np.arctan2(cy, cx), 0.0)
     return distances, thetas

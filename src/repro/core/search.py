@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from ..geometry import TWO_PI
+from ..geometry import TWO_PI, in_direction
 from ..storage import SearchStats
 from ..text import intersect_sorted, union_sorted
 from ..trace.spans import Span, Tracer, current_tracer
@@ -88,8 +88,12 @@ _POSTING_SUMS = ("pages_read", "pois_fetched", "pois_verified")
 #: The access-path cost model (:meth:`DesksSearcher.access_costs`), in
 #: estimated microseconds.  Fitted once on CN/800 (20.6k POIs, N=2,
 #: M=103), per query, best of 3 of each path on the seed-11 paper mix
-#: and the 3x4-grid scan queries, and shared by both scanners.  Holders
-#: the walk direction- and distance-tests:
+#: and the 3x4-grid scan queries, and shared by both scanners.  The fit
+#: predates the one-call-per-wedge check (:meth:`DesksSearcher.
+#: _verify_pois`), which made verifying a POI cheaper on both paths; the
+#: constants are kept as fitted so that no query changes path, and a
+#: refit is left to a change of its own.  Holders the walk direction-
+#: and distance-tests:
 VERIFY_US = 1.2
 #: Postings of the rarest list the walk subset-tests under ``ALL``:
 FILTER_US = 0.2
@@ -483,9 +487,9 @@ class DesksSearcher:
                       else list(set().union(*lists)))
         if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
             required = frozenset(term_ids)
-            held = self._collection.term_ids
+            held = self._collection.term_id_sets
             candidates = [poi_id for poi_id in candidates
-                          if required <= held(poi_id)]
+                          if required <= held[poi_id]]
         completed = True
         # The region search looks at the clock between sub-regions; so
         # does the walk, a sub-region being ~POIS_PER_SUBREGION POIs.
@@ -763,6 +767,10 @@ class DesksSearcher:
             lists.sort(key=len)
             if not lists or not lists[0]:
                 return
+            if len(lists) == 1:
+                # One keyword: its holders as they are, no set to build.
+                self._verify_pois(query, lists[0], collector, stats, span)
+                return
             survivors = set(lists[0])
             for other in lists[1:]:
                 survivors.intersection_update(other)
@@ -781,27 +789,24 @@ class DesksSearcher:
                      collector: _TopK, stats: Optional[SearchStats],
                      span: Optional[Span] = None) -> None:
         """Direction- and distance-test POIs that satisfy the keyword
-        predicate, offering the survivors to the collector.  ``span``
-        counts them as ``pois_fetched`` / ``pois_verified``."""
-        location = query.location
+        predicate in one :func:`~repro.geometry.in_direction` call, and
+        offer the hits to the collector.  ``SearchStats`` and ``span``
+        (``pois_fetched`` / ``pois_verified``) are counted in bulk."""
+        collection = self._collection
+        hits = in_direction(query.location, query.interval, poi_ids,
+                            collection.xs, collection.ys)
+        if stats is not None:
+            stats.pois_examined += len(poi_ids)
+            stats.distance_computations += len(poi_ids)
+            stats.candidates_verified += len(hits)
         if span is not None:
             span.add("pois_fetched", len(poi_ids))
-        for poi_id in poi_ids:
-            if stats is not None:
-                stats.pois_examined += 1
-                stats.distance_computations += 1
-            poi_location = self._collection.location(poi_id)
-            if not poi_location.coincides(location):
-                theta = location.direction_to(poi_location)
-                if not query.interval.contains(theta):
-                    continue
-            if stats is not None:
-                stats.candidates_verified += 1
-            if span is not None:
-                span.add("pois_verified")
-            distance = location.distance_to(poi_location)
-            if distance <= collector.kth_distance:
+            span.add("pois_verified", len(hits))
+        kth = collector.kth_distance
+        for poi_id, distance in hits:
+            if distance <= kth:
                 collector.add(poi_id, distance)
+                kth = collector.kth_distance
 
 
 def _slice_sorted(values: Sequence[int], lo: int, hi: int) -> Sequence[int]:

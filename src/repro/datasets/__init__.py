@@ -1,7 +1,7 @@
 """POI datasets: model, synthetic generators, CSV persistence, statistics."""
 
 from .loaders import load_csv, save_csv
-from .poi import POI, POICollection
+from .poi import POI, POICollection, check_finite
 from .stats import DatasetStats, dataset_statistics, format_table2
 from .synthetic import (
     CATEGORY_TERMS,
@@ -20,6 +20,7 @@ __all__ = [
     "POICollection",
     "SyntheticConfig",
     "california_like",
+    "check_finite",
     "china_like",
     "dataset_statistics",
     "format_table2",

@@ -8,6 +8,7 @@ exposes the dataset MBR — the three things every index build needs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -37,11 +38,26 @@ class POI:
         return set(keywords) <= self.keywords
 
 
+def check_finite(poi_id: int, x: float, y: float) -> None:
+    """Refuse a location with an infinite or NaN coordinate.
+
+    One such POI stretches the dataset MBR to infinity, and every anchor
+    frame, band radius and ``MINDIST`` bound derived from it; the searches
+    then miss answers silently.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(
+            f"POI {poi_id} has a non-finite location ({x!r}, {y!r})")
+
+
 class POICollection:
     """An immutable, id-addressed set of POIs with interned keywords.
 
     POI ids are their positions in the collection (dense 0..n-1); loaders
     renumber on ingest so downstream index structures can use plain lists.
+    ``xs``/``ys`` (coordinates) and ``term_id_sets`` (interned keyword
+    ids) are id-indexed columns of the same POIs, for loops and array
+    builds that would otherwise make a method call per POI.
     """
 
     def __init__(self, pois: Sequence[POI]) -> None:
@@ -49,19 +65,27 @@ class POICollection:
             raise ValueError("a POI collection needs at least one POI")
         self._pois: List[POI] = []
         self.vocabulary = Vocabulary()
-        self._term_ids: List[FrozenSet[int]] = []
+        self.term_id_sets: List[FrozenSet[int]] = []
+        self.xs: List[float] = []
+        self.ys: List[float] = []
         self._append(pois)
         self.mbr = MBR.from_points(p.location for p in self._pois)
 
     def _append(self, pois: Iterable[POI]) -> None:
-        """Renumber ``pois`` onto the end and intern their keywords (a POI
-        whose id already is its position is kept, not copied)."""
+        """Renumber ``pois`` onto the end, fill their coordinate columns and
+        intern their keywords (a POI whose id already is its position is
+        kept, not copied).  A non-finite coordinate is a ``ValueError``."""
         for poi in pois:
             position = len(self._pois)
+            x, y = poi.location.x, poi.location.y
+            check_finite(poi.poi_id, x, y)
             if poi.poi_id != position:
                 poi = POI(position, poi.location, poi.keywords)
             self._pois.append(poi)
-            self._term_ids.append(self.vocabulary.add_document(poi.keywords))
+            self.xs.append(float(x))
+            self.ys.append(float(y))
+            self.term_id_sets.append(
+                self.vocabulary.add_document(poi.keywords))
 
     def derive(self, deleted: AbstractSet[int],
                appended: Sequence[POI]) -> "POICollection":
@@ -88,9 +112,11 @@ class POICollection:
             raise ValueError("a POI collection needs at least one POI")
         out = POICollection.__new__(POICollection)
         out._pois = self._pois[:keep]
-        out._term_ids = self._term_ids[:keep]
+        out.term_id_sets = self.term_id_sets[:keep]
+        out.xs = self.xs[:keep]
+        out.ys = self.ys[:keep]
         out.vocabulary = self.vocabulary.rolled_back(
-            Counter(chain.from_iterable(self._term_ids[keep:])))
+            Counter(chain.from_iterable(self.term_id_sets[keep:])))
         out._append(tail)
         if keep < len(self):
             out.mbr = MBR.from_points(p.location for p in out._pois)
@@ -117,7 +143,7 @@ class POICollection:
 
     def term_ids(self, poi_id: int) -> FrozenSet[int]:
         """Interned keyword ids of the POI with the given id."""
-        return self._term_ids[poi_id]
+        return self.term_id_sets[poi_id]
 
     def query_term_ids(self, keywords: Iterable[str],
                        require_all: bool = True,
@@ -147,7 +173,7 @@ class POICollection:
     @property
     def total_term_occurrences(self) -> int:
         """Sum over POIs of their distinct keyword counts (Table II row 2)."""
-        return sum(len(t) for t in self._term_ids)
+        return sum(len(t) for t in self.term_id_sets)
 
     @property
     def num_unique_terms(self) -> int:

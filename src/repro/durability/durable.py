@@ -45,7 +45,7 @@ from ..core.persistence import (
     scrub_saved,
     sealed_json,
 )
-from ..datasets import POICollection
+from ..datasets import POICollection, check_finite
 from ..storage.serializer import (
     decode_floats,
     decode_keywords,
@@ -227,9 +227,12 @@ class DurableMutableIndex(MutableDesksIndex):
     # -- logged mutations ----------------------------------------------------
 
     def insert(self, x: float, y: float, keywords: Iterable[str]) -> int:
-        """Insert a POI, WAL-first; returns its id."""
+        """Insert a POI, WAL-first; returns its id.  A non-finite location
+        is refused before the WAL sees it, so recovery has nothing to
+        replay."""
         with _maybe_span("durable.insert"), self._lock:
             self._check_usable()
+            check_finite(self._next_id(), x, y)
             # Materialize once: ``keywords`` may be a one-shot iterable,
             # and the WAL payload and the live index must see the same
             # terms or recovery would diverge from the pre-crash state.

@@ -28,6 +28,7 @@ from .point import ORIGIN, Point
 from .sector import (
     Sector,
     direction_overlaps_mbr,
+    in_direction,
     sector_intersects_mbr,
     subtended_interval,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "arc_contains_vectors",
     "directions_of",
     "frames_for",
+    "in_direction",
     "interval_from_optional",
     "normalize_angle",
     "normalize_angles",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .angles import TWO_PI, DirectionInterval, normalize_angle
+from .angles import ANGLE_EPS, TWO_PI, DirectionInterval, normalize_angle
 from .mbr import MBR
 from .point import Point
 
@@ -57,6 +57,52 @@ class Sector:
     def search_region_contains(self, p: Point, mbr: MBR) -> bool:
         """Membership in ``R_q`` = sector intersected with the dataset MBR."""
         return mbr.contains_point(p) and self.contains(p)
+
+
+def in_direction(origin: Point, interval: DirectionInterval,
+                 ids: Iterable[int], xs: Sequence[float],
+                 ys: Sequence[float]) -> List[Tuple[int, float]]:
+    """``(id, distance from origin)`` of every point ``(xs[id], ys[id])``
+    whose direction from ``origin`` lies in ``interval``, in ``ids`` order.
+
+    A point at ``origin`` has no direction and is kept, at distance 0.
+    This is the per-point test ``interval.contains(origin.direction_to(p))``
+    plus ``origin.distance_to(p)`` for a whole batch, bit for bit: the
+    same ``atan2``, ``hypot`` and comparisons, inlined.  ``atan2`` lies in
+    ``[-pi, pi]`` and ``theta - lower`` in ``(-2pi, 2pi)``, where
+    :func:`normalize_angle`'s ``fmod`` is the identity, so only its two
+    folds are spelled out.
+    """
+    ox, oy = origin.x, origin.y
+    hypot = math.hypot
+    lower = interval.lower
+    width = interval.upper - lower
+    if width >= TWO_PI - ANGLE_EPS:
+        return [(i, hypot(xs[i] - ox, ys[i] - oy)) for i in ids]
+    limit = width + ANGLE_EPS
+    atan2 = math.atan2
+    hits: List[Tuple[int, float]] = []
+    for i in ids:
+        x = xs[i]
+        y = ys[i]
+        dx = x - ox
+        dy = y - oy
+        if x == ox and y == oy:
+            hits.append((i, hypot(dx, dy)))
+            continue
+        theta = atan2(dy, dx)
+        if theta < 0.0:
+            theta += TWO_PI
+        if theta >= TWO_PI:
+            theta -= TWO_PI
+        offset = theta - lower
+        if offset < 0.0:
+            offset += TWO_PI
+        if offset >= TWO_PI:
+            offset -= TWO_PI
+        if offset <= limit:
+            hits.append((i, hypot(dx, dy)))
+    return hits
 
 
 def subtended_interval(center: Point, mbr: MBR,

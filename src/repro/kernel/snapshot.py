@@ -133,11 +133,8 @@ class ColumnarSnapshot:
         tick = time.perf_counter()
         self.index = index
         self.collection = index.collection
-        count = len(self.collection)
-        world_x = np.fromiter((poi.location.x for poi in self.collection),
-                              dtype=np.float64, count=count)
-        world_y = np.fromiter((poi.location.y for poi in self.collection),
-                              dtype=np.float64, count=count)
+        world_x = np.asarray(self.collection.xs, dtype=np.float64)
+        world_y = np.asarray(self.collection.ys, dtype=np.float64)
         term_pairs: Optional[TermPairs] = None
         self.anchors: List[Optional[AnchorColumns]] = [None] * 4
         for quadrant, anchor in enumerate(index.anchors):
@@ -149,8 +146,7 @@ class ColumnarSnapshot:
             layout = getattr(anchor.store, "layout", None)
             if layout is None:
                 if term_pairs is None:
-                    term_pairs = TermPairs([self.collection.term_ids(poi_id)
-                                            for poi_id in range(count)])
+                    term_pairs = TermPairs(self.collection.term_id_sets)
                 layout = TermLayout(regions, term_pairs)
             order = regions.order_array
             self.anchors[quadrant] = AnchorColumns(

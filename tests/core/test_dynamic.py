@@ -105,6 +105,21 @@ class TestMutableIndexBasics:
             frozenset({"cafe"})]
         assert new_id == 10 and len(idx.collection) == 1
 
+    @pytest.mark.parametrize("x, y", [(math.inf, 100.0), (5.0, math.nan)])
+    def test_insert_refuses_non_finite_location(self, x, y):
+        index = MutableDesksIndex(make_collection(60, seed=4),
+                                  rebuild_threshold=1.0)
+        generation = index.generation
+        with pytest.raises(ValueError, match="POI 60 has a non-finite"):
+            index.insert(x, y, ["cafe"])
+        assert len(index) == 60 and index.generation == generation
+        # The refused insert left nothing behind: the next one takes its
+        # id, and a compaction absorbs only that one.
+        assert index.insert(5.0, 5.0, ["cafe"]) == 60
+        index.compact()
+        assert len(index.collection) == 61
+        assert all(map(math.isfinite, index.collection.mbr))
+
     def test_rebuild_triggered(self):
         col = make_collection(20, seed=5)
         idx = MutableDesksIndex(col, num_bands=2, num_wedges=2,

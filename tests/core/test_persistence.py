@@ -34,11 +34,12 @@ class TestRegionsBlob:
         points = [Point(rng.uniform(0, 50), rng.uniform(0, 50))
                   for _ in range(120)]
         frame = CanonicalFrame(Anchor.TOP_RIGHT, MBR.from_points(points))
-        return AnchorRegions(frame, points, 4, 3), frame, points
+        xs, ys = [p.x for p in points], [p.y for p in points]
+        return AnchorRegions(frame, xs, ys, 4, 3), frame, (xs, ys)
 
     def test_round_trip_structure(self):
-        regions, frame, points = self.make_regions()
-        restored = AnchorRegions.from_blob(frame, points, regions.to_blob())
+        regions, frame, (xs, ys) = self.make_regions()
+        restored = AnchorRegions.from_blob(frame, xs, ys, regions.to_blob())
         assert restored.poi_order == regions.poi_order
         assert restored.position_of == regions.position_of
         assert restored.num_bands == regions.num_bands
@@ -53,15 +54,16 @@ class TestRegionsBlob:
             assert a.theta_hi == b.theta_hi
 
     def test_wrong_collection_size_rejected(self):
-        regions, frame, points = self.make_regions()
+        regions, frame, (xs, ys) = self.make_regions()
         with pytest.raises(ValueError, match="indexes"):
-            AnchorRegions.from_blob(frame, points[:-1], regions.to_blob())
+            AnchorRegions.from_blob(frame, xs[:-1], ys[:-1],
+                                    regions.to_blob())
 
     def test_truncated_blob_rejected(self):
-        regions, frame, points = self.make_regions()
+        regions, frame, (xs, ys) = self.make_regions()
         blob = regions.to_blob()
         with pytest.raises(ValueError):
-            AnchorRegions.from_blob(frame, points, blob[:10])
+            AnchorRegions.from_blob(frame, xs, ys, blob[:10])
 
 
 class TestSaveIndex:

@@ -18,7 +18,8 @@ FRAME = CanonicalFrame(Anchor.BOTTOM_LEFT, RECT)
 
 def make_regions(points, n=3, m=4, anchor=Anchor.BOTTOM_LEFT):
     frame = CanonicalFrame(anchor, MBR.from_points(points))
-    return AnchorRegions(frame, points, n, m)
+    return AnchorRegions(frame, [p.x for p in points],
+                         [p.y for p in points], n, m)
 
 
 def grid(side=10, step=10.0):

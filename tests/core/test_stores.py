@@ -18,7 +18,8 @@ def make_fixture():
               for x in range(6) for y in range(6)]
     mbr = MBR.from_points(points)
     frame = CanonicalFrame(Anchor.BOTTOM_LEFT, mbr)
-    regions = AnchorRegions(frame, points, num_bands=3, num_wedges=3)
+    regions = AnchorRegions(frame, [p.x for p in points],
+                            [p.y for p in points], num_bands=3, num_wedges=3)
     # Term 0 everywhere; term 1 on even ids; term 2 on a single POI.
     term_ids = []
     for i in range(len(points)):
@@ -191,7 +192,9 @@ class TestCompressedStore:
         points = [Point(float(x), float(y))
                   for x in range(30) for y in range(30)]
         frame = CanonicalFrame(Anchor.BOTTOM_LEFT, MBR.from_points(points))
-        regions = AnchorRegions(frame, points, num_bands=3, num_wedges=5)
+        regions = AnchorRegions(frame, [p.x for p in points],
+                                [p.y for p in points],
+                                num_bands=3, num_wedges=5)
         term_ids = [frozenset({0}) for _ in points]
         sliced = DiskKeywordStore(regions, term_ids,
                                   InMemoryPageStore(page_size=64))

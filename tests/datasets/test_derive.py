@@ -23,6 +23,9 @@ def fields(collection):
     return {
         "pois": [(p.poi_id, p.location, p.keywords) for p in collection],
         "term_ids": [collection.term_ids(i) for i in range(len(collection))],
+        "term_id_sets": collection.term_id_sets,
+        "xs": [repr(x) for x in collection.xs],
+        "ys": [repr(y) for y in collection.ys],
         "terms": terms,
         "ids": [vocabulary.id_of(t) for t in terms],
         "known": [w for w in WORDS if w in vocabulary],

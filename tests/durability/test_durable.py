@@ -378,3 +378,27 @@ class TestScrubIsReadOnly:
         with DurableMutableIndex.recover(str(root)) as recovered:
             assert recovered.op_seq == 1
         assert scrub_durable(str(root)).clean
+
+
+class TestNonFiniteInsert:
+    @pytest.mark.parametrize("x, y", [(math.inf, 100.0), (5.0, math.nan)])
+    def test_refused_before_the_wal(self, base, tmp_path, x, y):
+        root = tmp_path / "dur"
+
+        def wal_files():
+            return [(p.name, p.read_bytes())
+                    for p in sorted((root / "wal").iterdir())]
+
+        with DurableMutableIndex.create(base, str(root)) as index:
+            index.insert(1.0, 1.0, ["cafe"])
+            before = wal_files()
+            with pytest.raises(ValueError, match="non-finite location"):
+                index.insert(x, y, ["cafe"])
+            assert index.op_seq == 1
+            assert wal_files() == before
+            assert len(index) == len(base) + 1
+        with DurableMutableIndex.recover(str(root)) as recovered:
+            assert recovered.op_seq == 1
+            assert len(recovered) == len(base) + 1
+            recovered.checkpoint()
+            assert all(map(math.isfinite, recovered.collection.mbr))
