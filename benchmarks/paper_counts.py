@@ -8,27 +8,25 @@ statistics — and is a function of the code and the seeds alone.  A change
 to one of those is a change to what Algorithms 1-2 do, so it must be
 deliberate: regenerate the file and explain the change.
 
-Usage, from the repository root::
+Usage, from the repository root, after the figure runs::
 
-    python benchmarks/paper_counts.py            # list the pinned tables
-    python benchmarks/paper_counts.py --check    # after the figure runs
+    python benchmarks/paper_counts.py
 
-``--check`` compares each pinned table of the working-tree file with the
-same table of the file committed at ``--ref`` (default ``HEAD``) and
-exits 1, printing a diff, on any difference — a changed value, a table
-gone or a table added.  The wall-clock tables are ignored.
+It compares each pinned table of the working-tree file with the same
+table of the file committed at ``HEAD`` and exits 1, printing a diff, on
+any difference — a changed value, a table gone or a table added.  The
+wall-clock tables are ignored.
 """
 
 from __future__ import annotations
 
-import argparse
 import difflib
 import fnmatch
 import glob
 import os
 import subprocess
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The files the figure benchmarks write, relative to the repository root.
@@ -88,8 +86,6 @@ def read(path: str) -> str:
 
 def check(ref: str) -> int:
     """Print every pinned table that differs from ``ref``; the count."""
-    if not git("rev-parse", "--verify", "--quiet", ref):
-        raise SystemExit(f"paper counts: {ref!r} is not a git revision")
     tracked = [path for path in git("ls-tree", "--name-only", ref,
                                     "results/").splitlines()
                if any(fnmatch.fnmatch(path, p) for p in PATTERNS)]
@@ -113,19 +109,8 @@ def check(ref: str) -> int:
     return drifted
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="diff the pinned tables against --ref")
-    parser.add_argument("--ref", default="HEAD",
-                        help="git revision holding the committed tables")
-    args = parser.parse_args(argv)
-    if args.check:
-        return 1 if check(args.ref) else 0
-    for path in pinned_files():
-        for title in count_tables(read(path)):
-            print(f"{path}: {title}")
-    return 0
+def main() -> int:
+    return 1 if check("HEAD") else 0
 
 
 if __name__ == "__main__":

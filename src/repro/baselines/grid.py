@@ -61,7 +61,7 @@ class GridIndex:
             cell = self._cell_of(poi.location.x, poi.location.y)
             self._cell_pois.setdefault(cell, []).append(poi.poi_id)
             terms = self._cell_terms.setdefault(cell, {})
-            for term_id in collection.term_ids(poi.poi_id):
+            for term_id in collection.term_id_sets[poi.poi_id]:
                 terms.setdefault(term_id, []).append(poi.poi_id)
         self.build_seconds = time.perf_counter() - started
 

@@ -40,7 +40,7 @@ class IRTree(BaselineIndex):
         postings = 0
         for idx, entry in enumerate(node.entries):
             if node.is_leaf:
-                child_terms = self.collection.term_ids(entry.child)
+                child_terms = self.collection.term_id_sets[entry.child]
                 postings += len(child_terms)
             else:
                 child_terms = self._build_node(entry.child)

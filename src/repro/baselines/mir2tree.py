@@ -46,7 +46,7 @@ class MIR2Tree(BaselineIndex):
         for entry in node.entries:
             if node.is_leaf:
                 poi_sig = self.scheme.signature_of(
-                    self.collection.term_ids(entry.child))
+                    self.collection.term_id_sets[entry.child])
                 self._poi_signature[entry.child] = poi_sig
                 signature |= poi_sig
             else:

@@ -141,10 +141,6 @@ class POICollection:
         """Location of the POI with the given id."""
         return self._pois[poi_id].location
 
-    def term_ids(self, poi_id: int) -> FrozenSet[int]:
-        """Interned keyword ids of the POI with the given id."""
-        return self.term_id_sets[poi_id]
-
     def query_term_ids(self, keywords: Iterable[str],
                        require_all: bool = True,
                        ) -> Optional[FrozenSet[int]]:

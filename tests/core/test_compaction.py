@@ -19,7 +19,7 @@ def shared_prefix(old, new):
     count = 0
     for position in range(min(len(old), len(new))):
         if (new[position] is not old[position]
-                or new.term_ids(position) is not old.term_ids(position)):
+                or new.term_id_sets[position] is not old.term_id_sets[position]):
             break
         count += 1
     return count
@@ -49,7 +49,7 @@ def test_compaction_shares_everything_before_the_first_static_tombstone():
     assert shared_prefix(new, newer) == first
     # Everything after the first tombstone moved down and was re-interned.
     assert not any(newer[position] is new[position + 1]
-                   or newer.term_ids(position) is new.term_ids(position + 1)
+                   or newer.term_id_sets[position] is new.term_id_sets[position + 1]
                    for position in range(first, len(new) - 2))
     assert newer.vocabulary is not new.vocabulary
 

@@ -53,7 +53,7 @@ def assert_same_structure(index):
     """Every built anchor of ``index`` equals the reference construction."""
     collection = index.collection
     locations = [p.location for p in collection]
-    term_ids = [collection.term_ids(i) for i in range(len(collection))]
+    term_ids = [collection.term_id_sets[i] for i in range(len(collection))]
     all_terms = set().union(*term_ids)
     assert index.built_anchors()
     for quadrant in index.built_anchors():

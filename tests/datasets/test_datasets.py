@@ -57,9 +57,9 @@ class TestPOICollection:
     def test_term_ids_interned(self):
         col = small_collection()
         cafe = col.vocabulary.id_of("cafe")
-        assert cafe in col.term_ids(0)
-        assert cafe in col.term_ids(2)
-        assert col.term_ids(1).isdisjoint(col.term_ids(2))
+        assert cafe in col.term_id_sets[0]
+        assert cafe in col.term_id_sets[2]
+        assert col.term_id_sets[1].isdisjoint(col.term_id_sets[2])
 
     def test_query_term_ids(self):
         col = small_collection()

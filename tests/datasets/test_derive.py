@@ -22,7 +22,6 @@ def fields(collection):
     terms = vocabulary.terms()
     return {
         "pois": [(p.poi_id, p.location, p.keywords) for p in collection],
-        "term_ids": [collection.term_ids(i) for i in range(len(collection))],
         "term_id_sets": collection.term_id_sets,
         "xs": [repr(x) for x in collection.xs],
         "ys": [repr(y) for y in collection.ys],

@@ -65,10 +65,10 @@ def test_term_runs_are_sorted_unique_and_complete(snapshot, collection):
             assert np.array_equal(gids, term.region_gids)
             for position in positions[::11]:
                 poi_id = int(columns.poi_ids[int(position)])
-                assert term_id in collection.term_ids(poi_id)
+                assert term_id in collection.term_id_sets[poi_id]
             total += positions.size
         # Every (POI, term) pair appears exactly once.
-        expected = sum(len(collection.term_ids(poi_id))
+        expected = sum(len(collection.term_id_sets[poi_id])
                        for poi_id in range(len(collection)))
         assert total == expected
 
