@@ -13,6 +13,7 @@ from .index import (
 from .persistence import (
     MissingPersistenceFile,
     PersistenceError,
+    load_collection,
     load_index,
     load_sharded,
     read_sharded_manifest,
@@ -70,6 +71,7 @@ __all__ = [
     "band_mindist",
     "basic_geometry",
     "brute_force_search",
+    "load_collection",
     "load_index",
     "load_sharded",
     "read_sharded_manifest",

@@ -33,11 +33,18 @@ back.  The parent directory is fsynced after every rename so the swap
 also survives power loss, not just process death.
 
 **Integrity.**  Every directory a save writes carries ``checksums.json``
-(version 2: BLAKE2b-128 and length per file, plus its own digest), so
-:func:`scrub_saved` verifies every byte of a save; a missing manifest or
-another version is corruption.  Loads raise typed errors —
-:class:`PersistenceError` / :class:`MissingPersistenceFile` — instead of
-bare ``KeyError``, ``FileNotFoundError`` or a decoder's ``ValueError``.
+(version 2: BLAKE2b-128 and length per file, plus its own digest); a
+missing manifest or another version is corruption.  Every reader checks
+a directory against its manifest before it parses a byte of it —
+:func:`load_index` and :func:`load_collection` their own directory,
+:func:`read_sharded_manifest` (and so :func:`load_sharded`) the
+deployment root — and refuses a mismatch with :class:`PersistenceError`
+naming the file.  :func:`scrub_saved` is the offline form that reports
+every damaged file instead of the first.  The decoders' own checks
+(versions, counts, missing files) stay behind that gate, and raise the
+same typed errors — :class:`PersistenceError` /
+:class:`MissingPersistenceFile` — instead of bare ``KeyError``,
+``FileNotFoundError`` or a decoder's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,9 +55,13 @@ import os
 import shutil
 from typing import Callable, List, Optional, Sequence, Tuple
 
+# hashlib's blake2b *is* this builtin; importing hashlib would also load
+# OpenSSL's libcrypto, ~3.7 MB of RSS in every process that loads a save.
+from _blake2 import blake2b
+
 import numpy as np
 
-from ..datasets import load_csv, save_csv
+from ..datasets import POICollection, load_csv, save_csv
 from ..geometry import Anchor, CanonicalFrame
 from ..storage import ScrubReport, fsync_dir
 from .index import AnchorIndex, DesksIndex
@@ -204,11 +215,7 @@ def sealed_json(payload: dict) -> bytes:
 
 
 def _digest(blob: bytes) -> str:
-    # Imported here, not at module level: hashlib costs every process
-    # that only serves (and never saves or scrubs) ~3.5 MB of RSS.
-    import hashlib
-
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+    return blake2b(blob, digest_size=16).hexdigest()
 
 
 def repair_interrupted_swap(directory: str) -> bool:
@@ -224,8 +231,9 @@ def repair_interrupted_swap(directory: str) -> bool:
     partial ``.saving`` is never adopted — that is a crash mid-write, and
     the old state is whatever ``directory`` already holds.
 
-    The load paths and the next save both call this, so an interrupted
-    swap heals on first contact instead of wedging the directory.
+    Every reader (through :func:`_verify`) and the next save call this,
+    so an interrupted swap heals on first contact instead of wedging the
+    directory.
     """
     directory = directory.rstrip("/") or directory
     if os.path.isdir(directory):
@@ -300,44 +308,14 @@ def _json_bytes(payload: dict) -> bytes:
 # -- loading --------------------------------------------------------------
 
 
-def load_index(directory: str, verify: bool = False) -> DesksIndex:
+def load_index(directory: str) -> DesksIndex:
     """Load an index saved by :func:`save_index`.
 
-    With ``verify=True`` every file is first checked against the save's
-    checksum manifest, turning silent bit rot into a typed
-    :class:`PersistenceError` before any bytes are parsed.  A swap a
-    crash interrupted mid-rename is repaired first
-    (:func:`repair_interrupted_swap`), so recovery works even when the
-    crash landed between the swap's two renames.
+    Every file is checked against the save's checksum manifest before
+    any of it is parsed (:func:`_verify`), so bit rot is a typed
+    :class:`PersistenceError` naming the file, never a wrong answer.
     """
-    repair_interrupted_swap(directory)
-    if verify:
-        _require_clean(scrub_saved(directory))
-    meta = _load_json(os.path.join(directory, "meta.json"),
-                      f"{directory} is not a saved DESKS index")
-    version = meta.get("version")
-    if version != FORMAT_VERSION:
-        raise PersistenceError(
-            f"saved index has format version {version!r}; this library "
-            f"reads version {FORMAT_VERSION}")
-    for key in ("num_bands", "num_wedges", "num_pois", "anchors"):
-        if key not in meta:
-            raise PersistenceError(
-                f"meta.json in {directory} lacks required key {key!r}")
-    pois_path = os.path.join(directory, "pois.csv")
-    if not os.path.exists(pois_path):
-        raise MissingPersistenceFile(
-            f"{directory} lacks pois.csv (half-written save?)")
-    try:
-        collection = load_csv(pois_path)
-    except (ValueError, csv.Error) as exc:
-        raise PersistenceError(
-            f"{pois_path} failed to decode: {exc}") from exc
-    if len(collection) != meta["num_pois"]:
-        raise PersistenceError(
-            f"meta.json promises {meta['num_pois']} POIs but pois.csv "
-            f"holds {len(collection)}")
-
+    meta, collection = _load_verified(directory)
     # The constructor with no anchors to build: every field a built index
     # has, none copied by hand; the saved anchors are installed below.
     index = DesksIndex(collection, meta["num_bands"], meta["num_wedges"],
@@ -364,33 +342,68 @@ def load_index(directory: str, verify: bool = False) -> DesksIndex:
     return index
 
 
-def load_sharded(directory: str,
-                 verify: bool = False) -> Tuple[List[DesksIndex], dict]:
+def load_collection(directory: str) -> POICollection:
+    """The POI collection of a saved index, verified as
+    :func:`load_index` verifies it, without decoding any anchor.
+
+    A remote router needs a shard's POIs for its routing statistics,
+    never its index (:func:`repro.net.connect_router`)."""
+    return _load_verified(directory)[1]
+
+
+def _load_verified(directory: str) -> Tuple[dict, POICollection]:
+    """``(meta, collection)`` of a saved index, after :func:`_verify`."""
+    _verify(directory)
+    meta = _load_json(os.path.join(directory, "meta.json"),
+                      f"{directory} is not a saved DESKS index")
+    version = meta.get("version")
+    if version != FORMAT_VERSION:
+        raise PersistenceError(
+            f"saved index has format version {version!r}; this library "
+            f"reads version {FORMAT_VERSION}")
+    for key in ("num_bands", "num_wedges", "num_pois", "anchors"):
+        if key not in meta:
+            raise PersistenceError(
+                f"meta.json in {directory} lacks required key {key!r}")
+    pois_path = os.path.join(directory, "pois.csv")
+    if not os.path.exists(pois_path):
+        raise MissingPersistenceFile(
+            f"{directory} lacks pois.csv (half-written save?)")
+    try:
+        collection = load_csv(pois_path)
+    except (ValueError, csv.Error) as exc:
+        raise PersistenceError(
+            f"{pois_path} failed to decode: {exc}") from exc
+    if len(collection) != meta["num_pois"]:
+        raise PersistenceError(
+            f"meta.json promises {meta['num_pois']} POIs but pois.csv "
+            f"holds {len(collection)}")
+    return meta, collection
+
+
+def load_sharded(directory: str) -> Tuple[List[DesksIndex], dict]:
     """Load a deployment saved by :func:`save_sharded`.
 
     Returns ``(indexes, meta)`` — the per-shard indexes in shard order and
-    the caller metadata stored at save time.  The manifest is validated
-    by :func:`read_sharded_manifest` (after the root's checksums, with
-    ``verify=True``) before any shard is parsed.
+    the caller metadata stored at save time.  The root is verified and
+    its manifest validated by :func:`read_sharded_manifest`, each shard
+    by :func:`load_index`.
     """
-    if verify:
-        repair_interrupted_swap(directory)
-        _require_clean(_scrub_dir(directory))
     shard_dirs, meta = read_sharded_manifest(directory)
-    indexes = [load_index(shard_dir, verify=verify)
-               for shard_dir in shard_dirs]
-    return indexes, meta
+    return [load_index(shard_dir) for shard_dir in shard_dirs], meta
 
 
 def read_sharded_manifest(directory: str) -> Tuple[List[str], dict]:
     """The manifest half of :func:`load_sharded`: ``(shard_dirs, meta)``.
 
-    Checked against the directory (version, shard count, shard
-    directories present, one global-id list per shard) without parsing
-    any shard, so every reader of a saved deployment refuses a
-    half-written one with a typed :class:`PersistenceError`.
+    The root is verified (:func:`_verify`: its ``meta.json`` and every
+    shard's ``checksums.json``), then the manifest is checked against the
+    directory (version, shard count, shard directories present, one
+    global-id list per shard) without parsing any shard, so every reader
+    of a saved deployment refuses a damaged or half-written one with a
+    typed :class:`PersistenceError`.
     """
-    repair_interrupted_swap(directory)
+    _verify(directory)
     manifest = _load_json(
         os.path.join(directory, "meta.json"),
         f"{directory} is not a saved sharded deployment")
@@ -515,7 +528,15 @@ def _read_manifest(path: str) -> dict:
     return files
 
 
-def _require_clean(report: ScrubReport) -> None:
+def _verify(directory: str) -> None:
+    """The one gate before any reader parses a byte of ``directory``:
+    finish an interrupted swap, then check every file against the
+    directory's ``checksums.json``; :class:`PersistenceError` naming the
+    first damaged file otherwise."""
+    repair_interrupted_swap(directory)
+    if not os.path.isdir(directory):
+        raise MissingPersistenceFile(f"{directory} is not a directory")
+    report = _scrub_dir(directory)
     if not report.clean:
         path, reason = report.corrupt[0]
         raise PersistenceError(

@@ -145,20 +145,21 @@ class DurableMutableIndex(MutableDesksIndex):
     def recover(cls, directory: str, *,
                 sync: str = "batch",
                 sync_interval: int = 32,
-                verify: bool = False,
                 failpoint: Optional[FailpointFn] = None
                 ) -> "DurableMutableIndex":
         """Reopen ``directory`` after a crash (or clean close).
 
-        Loads the last durable snapshot, then replays the WAL suffix:
-        records whose sequence number is <= the snapshot's marker were
-        already absorbed and are skipped; a torn tail ends replay cleanly.
-        With ``verify=True`` the snapshot's checksum manifest is enforced
-        before any byte of it is trusted.
+        Loads the last durable snapshot — verified against its checksum
+        manifest by :func:`~repro.core.load_index` before any byte of it
+        is parsed — then replays the WAL suffix: records whose sequence
+        number is <= the snapshot's marker were already absorbed and are
+        skipped; a torn tail ends replay cleanly, and a corrupt record
+        before it raises :class:`~repro.storage.WalCorruptionError` with
+        the log left as it is.
         """
         meta = _load_durable_meta(directory)
         snapshot_dir = os.path.join(directory, SNAPSHOT_DIR)
-        static = load_index(snapshot_dir, verify=verify)
+        static = load_index(snapshot_dir)
         marker = _load_marker(snapshot_dir)
         instance = cls._adopt(static, meta["rebuild_threshold"])
         instance._attach(directory, sync, sync_interval, failpoint)

@@ -13,14 +13,16 @@ seconds to announce itself.
 
 :func:`connect_router` is the other half: it rebuilds the routing
 statistics (shard MBRs, keyword document frequencies, cardinality
-estimators) from the deployment's cheap per-shard ``pois.csv`` files —
-*without* loading any index — and returns a
-:class:`~repro.cluster.ShardRouter` whose transports are
+estimators) from each shard's POI collection
+(:func:`~repro.core.load_collection`) — *without* loading any index —
+and returns a :class:`~repro.cluster.ShardRouter` whose transports are
 :class:`~repro.net.RemoteReplicaSet`\\ s over the launched addresses.
 
 Both read the deployment with :func:`~repro.core.read_sharded_manifest`,
-as :func:`~repro.core.load_sharded` does: a half-written one is a typed
-:class:`~repro.core.PersistenceError` before anything is spawned.
+as :func:`~repro.core.load_sharded` does: a damaged or half-written one
+is a typed :class:`~repro.core.PersistenceError` before anything is
+spawned or connected.  Each shard server verifies its own directory as
+it loads it (:func:`~repro.core.load_index`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import ShardRouter, specs_from_manifest
-from ..core import read_sharded_manifest
-from ..datasets import load_csv
+from ..core import load_collection, read_sharded_manifest
 from ..service import MetricsRegistry
 from .client import Address, RemoteReplicaSet, RemoteShardClient, TransportError
 from .resilience import ResilienceConfig, RetryBudget
@@ -265,9 +266,9 @@ def connect_router(deployment_dir: str,
                    ) -> ShardRouter:
     """A :class:`~repro.cluster.ShardRouter` over running shard servers.
 
-    Rebuilds each shard's routing statistics from the deployment's
-    ``shard<i>/pois.csv`` (a linear CSV read — the indexes stay in the
-    server processes) and plugs a :class:`RemoteReplicaSet` per shard
+    Rebuilds each shard's routing statistics from its verified POI
+    collection (:func:`~repro.core.load_collection`: a linear CSV read —
+    the indexes stay in the server processes) and plugs a :class:`RemoteReplicaSet` per shard
     into :meth:`~repro.cluster.ShardRouter.from_transports`.  Pruning,
     MINDIST ordering, wave dispatch, early termination, and the top-k
     merge all run exactly as they do in-process.
@@ -281,8 +282,7 @@ def connect_router(deployment_dir: str,
     """
     deployment_dir = os.path.abspath(deployment_dir)
     shard_dirs, meta = read_sharded_manifest(deployment_dir)
-    collections = [load_csv(os.path.join(shard_dir, "pois.csv"))
-                   for shard_dir in shard_dirs]
+    collections = [load_collection(shard_dir) for shard_dir in shard_dirs]
     specs = specs_from_manifest(deployment_dir, meta, collections)
     registry = metrics if metrics is not None else MetricsRegistry()
     config = resilience if resilience is not None else ResilienceConfig(

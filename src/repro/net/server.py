@@ -89,7 +89,9 @@ def load_shard(path: str) -> Union[DesksIndex, MutableDesksIndex]:
     A durable directory (WAL + checkpoints, PR 3) is recovered through
     :class:`~repro.durability.DurableMutableIndex` so the server replays
     any tail the last checkpoint missed; a plain saved index loads
-    through :func:`~repro.core.load_index`.
+    through :func:`~repro.core.load_index`.  Either way the directory is
+    verified against its checksum manifest before a byte of it is
+    parsed, so a damaged shard never starts serving.
     """
     from ..durability import DurableMutableIndex, is_durable_dir
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from .pages import ChecksummedPageStore, PageStore, _FRAME_STAMP
+from .pages import ChecksummedPageStore, _FRAME_STAMP
 
 #: Supported page-corruption kinds, in the order the injector draws them.
 PAGE_CORRUPTION_KINDS = ("flip", "truncate", "tear")
@@ -83,17 +83,6 @@ class CorruptionInjector:
         corruption = Corruption(kind, page_id, detail)
         self.log.append(corruption)
         return corruption
-
-    def corrupt_store(self, store: ChecksummedPageStore,
-                      count: int = 1) -> List[Corruption]:
-        """Inject ``count`` independent corruptions into ``store``."""
-        return [self.corrupt_page(store) for _ in range(count)]
-
-    def pick_store(self, stores: Sequence[PageStore]) -> PageStore:
-        """Deterministically choose one of several stores to target."""
-        if not stores:
-            raise ValueError("no stores to choose from")
-        return stores[self._rng.randrange(len(stores))]
 
     # -- file-level ----------------------------------------------------------
 

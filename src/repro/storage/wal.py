@@ -5,7 +5,9 @@ every mutation is appended here *before* it touches in-memory state, so a
 crash at any instant loses at most the tail of the log — and the tail is
 exactly recoverable, because each record carries a CRC-32 and replay stops
 at the first record that fails it (ARIES's "analysis stops at the torn
-tail" in miniature).
+tail" in miniature).  A bad record that is not a torn tail — one in an
+earlier segment, or one followed by a record that verifies — is
+corruption: :class:`WalCorruptionError`, never a silent truncation.
 
 Records are opaque byte payloads with a caller-chosen one-byte type::
 
@@ -59,8 +61,15 @@ class SimulatedCrash(RuntimeError):
     """Raised by a failpoint to model a process crash at that instant."""
 
 
-class WalCorruptionError(RuntimeError):
-    """A WAL segment failed verification *before* the final tail."""
+class WalCorruptionError(ValueError):
+    """A WAL record failed verification *before* the final tail.
+
+    A :class:`ValueError`, like :class:`~repro.core.PersistenceError`:
+    damaged input on disk, reported the same way by the CLI."""
+
+    def __init__(self, path: str, reason: str) -> None:
+        super().__init__(f"{path}: {reason}")
+        self.reason = reason
 
 
 FailpointFn = Callable[[str], None]
@@ -210,13 +219,16 @@ class WriteAheadLog:
     def replay(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(rectype, payload)`` up to the last consistent record.
 
-        A torn or corrupt record ends the iteration cleanly — everything
+        A torn final record ends the iteration cleanly — everything
         before it was written (and CRC-verified) in full, which is the
-        strongest statement a redo log can make after a crash.
+        strongest statement a redo log can make after a crash.  A bad
+        record anywhere else raises :class:`WalCorruptionError`.
         """
-        for path in self.segments():
-            for _, rectype, payload in _scan_segment(path):
-                yield rectype, payload
+        segments = self.segments()
+        for position, path in enumerate(segments):
+            records, _ = _read_segment(path,
+                                       final=position == len(segments) - 1)
+            yield from records
 
     def scrub(self) -> ScrubReport:
         """Verify every segment; reports where (if anywhere) the log tears."""
@@ -242,8 +254,9 @@ class WriteAheadLog:
             self._failpoint(stage)
 
     def _repair_tail(self, path: str) -> None:
-        """Truncate the final segment's torn tail so appends can resume."""
-        _, tail = _scan_segment_extent(path)
+        """Truncate the final segment's torn tail so appends can resume;
+        :class:`WalCorruptionError`, file untouched, if it is corrupt."""
+        _, tail = _read_segment(path, final=True)
         if tail is not None:
             with open(path, "r+b") as handle:
                 handle.truncate(tail)
@@ -263,19 +276,20 @@ def wal_scrub(directory: str) -> ScrubReport:
 
 
 def _scrub_segments(segments: List[str]) -> ScrubReport:
-    """Count valid records; a torn tail is one entry naming the segment,
-    the byte offset and the later segments replay cannot reach."""
+    """Count valid records; a torn tail or a corrupt record is one entry
+    naming the segment, and replay reaches nothing after it."""
     report = ScrubReport()
     report.count("wal record", 0)
-    for index, path in enumerate(segments):
-        good, tail = _scan_segment_extent(path)
-        report.count("wal record", good)
-        if tail is not None:
-            report.corrupt.append(
-                (path, f"torn at byte {tail}, "
-                 f"{len(segments) - index - 1} later segment(s) "
-                 "unreachable"))
+    for position, path in enumerate(segments):
+        try:
+            records, tail = _read_segment(
+                path, final=position == len(segments) - 1)
+        except WalCorruptionError as exc:
+            report.corrupt.append((path, exc.reason))
             break
+        report.count("wal record", len(records))
+        if tail is not None:
+            report.corrupt.append((path, f"torn at byte {tail}"))
     return report
 
 
@@ -298,33 +312,51 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _scan_segment(path: str) -> Iterator[Tuple[int, int, bytes]]:
-    """Yield ``(offset, rectype, payload)`` for each valid record."""
+def _read_segment(path: str, final: bool
+                  ) -> Tuple[List[Tuple[int, bytes]], Optional[int]]:
+    """``(records, torn_at)``: the segment's verified ``(rectype,
+    payload)`` records, and the offset of its torn tail (None if clean).
+
+    The first record that fails verification ends the segment.  Only the
+    final segment may end torn, and only if no verified record starts
+    where the bad one's header says it ends: a torn write leaves nothing
+    after itself.  Anything else is mid-log corruption, raised as
+    :class:`WalCorruptionError` with the file untouched — truncating
+    there would discard records that verify.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
+    records: List[Tuple[int, bytes]] = []
     offset = 0
-    while offset + _RECORD_HEADER.size <= len(data):
-        rectype, length, crc = _RECORD_HEADER.unpack_from(data, offset)
-        if rectype == 0 or length > _MAX_RECORD:
-            return
-        end = offset + _RECORD_HEADER.size + length
-        if end > len(data):
-            return
-        payload = data[offset + _RECORD_HEADER.size:end]
-        if _record_crc(payload, rectype) != crc:
-            return
-        yield offset, rectype, payload
+    while offset < len(data):
+        rectype, payload, end = _record_at(data, offset)
+        if payload is None:
+            if final and _record_at(data, end)[1] is None:
+                return records, offset
+            raise WalCorruptionError(
+                path, f"record at byte {offset} fails verification but "
+                + ("the record after it verifies" if final
+                   else "a later segment follows"))
+        records.append((rectype, payload))
         offset = end
+    return records, None
 
 
-def _scan_segment_extent(path: str) -> Tuple[int, Optional[int]]:
-    """``(valid_records, torn_offset)``; torn_offset None when clean."""
-    last_end = 0
-    count = 0
-    for offset, _, payload in _scan_segment(path):
-        count += 1
-        last_end = offset + _RECORD_HEADER.size + len(payload)
-    return count, None if last_end == os.path.getsize(path) else last_end
+def _record_at(data: bytes, offset: int
+               ) -> Tuple[int, Optional[bytes], int]:
+    """``(rectype, payload, end)`` of the record at ``offset``;
+    ``payload`` is None when it does not verify, and ``end`` is where its
+    header says it ends (``len(data)`` when the header is cut short)."""
+    if offset + _RECORD_HEADER.size > len(data):
+        return 0, None, len(data)
+    rectype, length, crc = _RECORD_HEADER.unpack_from(data, offset)
+    end = offset + _RECORD_HEADER.size + length
+    if rectype == 0 or length > _MAX_RECORD or end > len(data):
+        return rectype, None, end
+    payload = data[offset + _RECORD_HEADER.size:end]
+    if _record_crc(payload, rectype) != crc:
+        return rectype, None, end
+    return rectype, payload, end
 
 
 def _segment_number(path: str) -> int:

@@ -1,6 +1,6 @@
-"""Text substrate: tokenisation, vocabulary, inverted lists, signatures."""
+"""Text substrate: tokenisation, vocabulary, posting-list merges, signatures."""
 
-from .inverted import InvertedIndex, intersect_sorted, union_sorted
+from .inverted import intersect_sorted, union_sorted
 from .signatures import (
     DEFAULT_HASHES,
     DEFAULT_SIGNATURE_BITS,
@@ -13,7 +13,6 @@ __all__ = [
     "DEFAULT_HASHES",
     "DEFAULT_SIGNATURE_BITS",
     "STOP_WORDS",
-    "InvertedIndex",
     "SignatureScheme",
     "Vocabulary",
     "intersect_sorted",

@@ -1,14 +1,14 @@
-"""In-memory inverted index and sorted-list intersection.
+"""Sorted-list intersection and union.
 
-This is the textbook substrate both DESKS and the LkT baseline build on: a
-map from term id to a sorted list of document (POI / region) ids, plus the
-k-way merge intersection used for conjunctive keyword matching.
+The textbook posting-list operations both DESKS and the LkT baseline
+build on: conjunctive keyword matching intersects sorted document
+(POI / region) id lists, disjunctive matching unions them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 
 def intersect_sorted(lists: Sequence[Sequence[int]]) -> List[int]:
@@ -48,75 +48,3 @@ def union_sorted(lists: Sequence[Sequence[int]]) -> List[int]:
     merged = sorted({value for lst in lists for value in lst})
     return merged
 
-
-class InvertedIndex:
-    """Term id -> sorted unique document id postings."""
-
-    def __init__(self) -> None:
-        self._postings: Dict[int, List[int]] = {}
-        self._frozen = False
-
-    def add(self, term_id: int, doc_id: int) -> None:
-        """Add one (term, document) pair; documents may arrive unsorted."""
-        if self._frozen:
-            raise RuntimeError("index is frozen; no further additions")
-        self._postings.setdefault(term_id, []).append(doc_id)
-
-    def add_document(self, doc_id: int, term_ids: Iterable[int]) -> None:
-        """Add all of a document's terms."""
-        for term_id in set(term_ids):
-            self.add(term_id, doc_id)
-
-    def freeze(self) -> None:
-        """Sort and deduplicate every posting list; additions end here."""
-        for term_id, docs in self._postings.items():
-            docs.sort()
-            deduped = []
-            prev = None
-            for d in docs:
-                if d != prev:
-                    deduped.append(d)
-                    prev = d
-            self._postings[term_id] = deduped
-        self._frozen = True
-
-    def postings(self, term_id: int) -> List[int]:
-        """The posting list for ``term_id`` (empty when absent)."""
-        self._require_frozen()
-        return self._postings.get(term_id, [])
-
-    def matching_documents(self, term_ids: Iterable[int],
-                           ) -> Optional[List[int]]:
-        """Documents containing *all* ``term_ids`` (conjunctive match).
-
-        Returns ``None`` when any term has no postings at all — the caller
-        can then skip work entirely, mirroring the unknown-keyword case.
-        """
-        self._require_frozen()
-        lists = []
-        for term_id in set(term_ids):
-            posting = self._postings.get(term_id)
-            if not posting:
-                return None
-            lists.append(posting)
-        if not lists:
-            return None
-        return intersect_sorted(lists)
-
-    @property
-    def num_terms(self) -> int:
-        """Number of distinct terms with at least one posting."""
-        return len(self._postings)
-
-    @property
-    def num_postings(self) -> int:
-        """Total number of (term, document) pairs."""
-        return sum(len(p) for p in self._postings.values())
-
-    def term_ids(self) -> List[int]:
-        """All term ids present, sorted."""
-        return sorted(self._postings)
-
-    def _require_frozen(self) -> None:
-        if not self._frozen:
-            raise RuntimeError("freeze() the index before querying it")

@@ -10,6 +10,7 @@ from repro.cluster import ShardRouter, build_layout, shard_collection
 from repro.core import DesksIndex, load_sharded, save_sharded
 from repro.core.persistence import CLUSTER_FORMAT_VERSION
 
+from ..reseal import reseal
 from .conftest import entries_of, make_collection, random_queries
 
 
@@ -54,8 +55,12 @@ class TestSaveLoadSharded:
         assert not path.exists()
 
     def test_missing_manifest(self, tmp_path):
+        path = tmp_path / "deploy"
+        save_sharded([DesksIndex(make_collection(n=30, seed=1))], str(path))
+        (path / "meta.json").unlink()
+        reseal(path)
         with pytest.raises(FileNotFoundError, match="meta.json"):
-            load_sharded(str(tmp_path / "nowhere"))
+            load_sharded(str(path))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "deploy"
@@ -63,6 +68,7 @@ class TestSaveLoadSharded:
         (path / "meta.json").write_text(json.dumps(
             {"version": CLUSTER_FORMAT_VERSION + 1, "num_shards": 0,
              "meta": {}}))
+        reseal(path)
         with pytest.raises(ValueError, match="format version"):
             load_sharded(str(path))
 
@@ -92,6 +98,7 @@ class TestRouterSaveLoad:
         manifest["meta"]["shard_global_ids"][0] = [0, 1, 2]
         (tmp_path / "cluster" / "meta.json").write_text(
             json.dumps(manifest))
+        reseal(tmp_path / "cluster")
         with pytest.raises(ValueError, match="manifest lists"):
             ShardRouter.load(path)
 
@@ -112,7 +119,7 @@ class TestRouterSaveLoad:
         assert [os.path.basename(p) for p, _ in report.corrupt] == \
             ["meta.json"]
         with pytest.raises(PersistenceError, match="meta.json"):
-            load_sharded(str(path), verify=True)
+            load_sharded(str(path))
 
     def test_load_rejects_missing_layout(self, tmp_path, collection):
         path = str(tmp_path / "cluster")

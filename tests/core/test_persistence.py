@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.regions import AnchorRegions
 from repro.geometry import Anchor, CanonicalFrame, MBR, Point
 
+from ..reseal import reseal
 from .conftest import make_collection, random_query_params
 
 
@@ -131,6 +132,7 @@ class TestLoadIndex:
         meta = json.loads((copy / "meta.json").read_text())
         meta["version"] = 99
         (copy / "meta.json").write_text(json.dumps(meta))
+        reseal(copy)
         with pytest.raises(ValueError, match="version"):
             load_index(str(copy))
 
@@ -141,6 +143,7 @@ class TestLoadIndex:
         shutil.copytree(directory, copy)
         lines = (copy / "pois.csv").read_text().splitlines()
         (copy / "pois.csv").write_text("\n".join(lines[:-1]) + "\n")
+        reseal(copy)
         with pytest.raises(ValueError, match="promises"):
             load_index(str(copy))
 
@@ -200,6 +203,7 @@ class TestPersistenceProperty:
         copy = tmp_path / "noanchor"
         shutil.copytree(directory, copy)
         (copy / "anchor2.bin").unlink()
+        reseal(copy)
         with pytest.raises(FileNotFoundError):
             load_index(str(copy))
 
@@ -210,7 +214,8 @@ class TestPersistenceProperty:
         copy = tmp_path / "corrupt"
         shutil.copytree(directory, copy)
         (copy / "anchor1.bin").write_bytes(b"\x07garbage")
-        with pytest.raises(ValueError):
+        reseal(copy)
+        with pytest.raises(ValueError, match="failed to decode"):
             load_index(str(copy))
 
     @pytest.mark.parametrize("name", ["anchor1.bin", "pois.csv"])
@@ -228,7 +233,9 @@ class TestPersistenceProperty:
             (copy / name).write_text("\n".join(lines) + "\n")
         else:
             (copy / name).write_bytes(b"\x07garbage")
-        with pytest.raises(PersistenceError, match=name):
+        reseal(copy)
+        with pytest.raises(PersistenceError,
+                           match=f"{name} failed to decode"):
             load_index(str(copy))
 
 
@@ -240,7 +247,7 @@ class TestExtraFiles:
         save_index(index, str(directory),
                    extra_files={"marker.json": b'{"op_seq": 7}'})
         assert (directory / "marker.json").read_bytes() == b'{"op_seq": 7}'
-        load_index(str(directory), verify=True)  # manifest covers extras
+        load_index(str(directory))  # manifest covers extras
 
     def test_extras_are_checksummed(self, tmp_path):
         from repro.core.persistence import PersistenceError, scrub_saved
@@ -254,7 +261,7 @@ class TestExtraFiles:
         assert not report.clean
         assert any("marker.json" in path for path, _ in report.corrupt)
         with pytest.raises(PersistenceError, match="verification"):
-            load_index(str(directory), verify=True)
+            load_index(str(directory))
 
 
 class TestKeywordEdgeCases:
@@ -275,7 +282,7 @@ class TestKeywordEdgeCases:
         index = self.make_index()
         directory = tmp_path / "uni"
         save_index(index, str(directory))
-        loaded = load_index(str(directory), verify=True)
+        loaded = load_index(str(directory))
         for i in range(4):
             assert (loaded.collection[i].keywords
                     == index.collection[i].keywords)
@@ -315,6 +322,7 @@ class TestShardedManifestValidation:
         directory = self.make_deployment(tmp_path)
         import shutil
         shutil.rmtree(directory / "shard1")
+        reseal(directory)
         with pytest.raises(MissingPersistenceFile, match="shard1"):
             load_sharded(str(directory))
 
@@ -334,6 +342,7 @@ class TestShardedManifestValidation:
         meta = json.loads((directory / "meta.json").read_text())
         meta["num_shards"] = 0
         (directory / "meta.json").write_text(json.dumps(meta))
+        reseal(directory)
         with pytest.raises(PersistenceError, match="num_shards"):
             load_sharded(str(directory))
 
@@ -350,6 +359,7 @@ class TestShardedManifestValidation:
 
         directory = self.make_deployment(tmp_path)
         (directory / "meta.json").write_text("[1, 2, 3]")
+        reseal(directory)
         with pytest.raises(PersistenceError, match="not an object"):
             load_sharded(str(directory))
 
@@ -395,7 +405,7 @@ class TestInterruptedSwap:
 
     def test_load_rolls_forward_to_completed_staging(self, tmp_path):
         directory = self.crash_mid_swap(tmp_path)
-        loaded = load_index(str(directory), verify=True)
+        loaded = load_index(str(directory))
         # The staging dir was complete when the crash hit, so repair
         # adopts the NEW save (marker.json only exists in it).
         assert (directory / "marker.json").read_bytes() == b"new"
@@ -406,7 +416,7 @@ class TestInterruptedSwap:
     def test_next_save_repairs_before_staging(self, tmp_path):
         directory = self.crash_mid_swap(tmp_path)
         save_index(self.make_index(seed=10), str(directory))
-        load_index(str(directory), verify=True)
+        load_index(str(directory))
         assert not (tmp_path / "idx.saving").exists()
         assert not (tmp_path / "idx.displaced").exists()
 
@@ -420,7 +430,7 @@ class TestInterruptedSwap:
         assert repair_interrupted_swap(str(directory))
         # Only the displaced old save is left; roll back to it.
         assert not (directory / "marker.json").exists()
-        load_index(str(directory), verify=True)
+        load_index(str(directory))
 
     def test_repair_is_noop_on_intact_directory(self, tmp_path):
         from repro.core import repair_interrupted_swap
@@ -428,7 +438,7 @@ class TestInterruptedSwap:
         directory = tmp_path / "idx"
         save_index(self.make_index(), str(directory))
         assert not repair_interrupted_swap(str(directory))
-        load_index(str(directory), verify=True)
+        load_index(str(directory))
 
     def test_partial_staging_alone_is_not_adopted(self, tmp_path):
         from repro.core import repair_interrupted_swap

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import struct
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.durability import (
     is_durable_dir,
     scrub_durable,
 )
-from repro.storage import CorruptionInjector, SimulatedCrash
+from repro.storage import CorruptionInjector, SimulatedCrash, WalCorruptionError
+
+from ..reseal import reseal
 
 KEYWORDS = ["cafe", "food", "gas", "atm", "pizza", "bank"]
 
@@ -159,6 +162,31 @@ class TestRecovery:
         with DurableMutableIndex.recover(root) as recovered:
             assert recovered.op_seq == 2  # torn third record dropped
 
+    def test_mid_log_corruption_is_refused_not_truncated(self, base,
+                                                         tmp_path):
+        root = tmp_path / "dur"
+        with DurableMutableIndex.create(base, str(root)) as index:
+            for i in range(10):
+                index.insert(float(i), float(i), ["cafe"])
+        segment = sorted((root / "wal").glob("segment-*.wal"))[-1]
+        blob = bytearray(segment.read_bytes())
+        header = struct.Struct("<BII")
+        offset = 0
+        for _ in range(2):  # skip records 1 and 2
+            offset += header.size + header.unpack_from(blob, offset)[1]
+        length = header.unpack_from(blob, offset)[1]
+        blob[offset + header.size + length // 2] ^= 0x10
+        segment.write_bytes(bytes(blob))
+
+        for _ in range(2):  # refused, and still refused: nothing truncated
+            report = scrub_durable(str(root))
+            assert [path for path, _ in report.corrupt] == [str(segment)]
+            assert "torn" not in report.corrupt[0][1]
+            with pytest.raises(WalCorruptionError,
+                               match=f"record at byte {offset}"):
+                DurableMutableIndex.recover(str(root))
+            assert segment.read_bytes() == bytes(blob)
+
     def test_recover_missing_directory(self, tmp_path):
         with pytest.raises(PersistenceError, match="not a durable"):
             DurableMutableIndex.recover(str(tmp_path / "nothing"))
@@ -168,6 +196,7 @@ class TestRecovery:
         DurableMutableIndex.create(base, str(root)).close()
         marker = root / "snapshot" / "durable.json"
         marker.write_text(json.dumps({"version": 1, "op_seq": -4}))
+        reseal(root / "snapshot")
         with pytest.raises(PersistenceError, match="op_seq"):
             DurableMutableIndex.recover(str(root))
 

@@ -17,8 +17,9 @@ import pytest
 
 from repro.cluster import ShardRouter
 from repro.core import PersistenceError, read_sharded_manifest
-from repro.net import ClusterLauncher, connect_router
+from repro.net import ClusterLauncher, LaunchError, connect_router
 
+from ..reseal import reseal
 from .conftest import entries_of, make_collection, random_queries
 
 
@@ -69,6 +70,7 @@ def test_missing_manifest_is_a_launch_error(tmp_path):
     with open(tmp_path / "empty" / "meta.json", "w",
               encoding="utf-8") as handle:
         handle.write("{}")
+    reseal(tmp_path / "empty")
     with pytest.raises(PersistenceError, match="format version"):
         ClusterLauncher(str(tmp_path / "empty"))
 
@@ -105,6 +107,22 @@ def test_half_written_deployment_is_refused_before_any_spawn(
     with pytest.raises(PersistenceError):
         connect_router(path, {0: [("127.0.0.1", 9)], 1: [("127.0.0.1", 9)]})
     assert spawned == []
+
+
+def test_damaged_shard_is_refused_by_its_server(deployment, tmp_path):
+    """The launcher verifies the root; each shard server verifies its
+    own directory before it loads a byte of it, and never gets READY."""
+    path = str(tmp_path / "deploy")
+    shutil.copytree(deployment[0], path)
+    anchor = os.path.join(path, "shard1", "anchor0.bin")
+    blob = bytearray(open(anchor, "rb").read())
+    blob[len(blob) // 2] ^= 0x01
+    with open(anchor, "wb") as handle:
+        handle.write(bytes(blob))
+    with ClusterLauncher(path) as launcher:
+        with pytest.raises(LaunchError, match="anchor0.bin: digest mismatch"):
+            launcher.start()
+        assert launcher.alive() == []
 
 
 def test_kill_unknown_replica_is_a_key_error(deployment):

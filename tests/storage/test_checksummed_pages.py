@@ -142,7 +142,8 @@ class TestInjectorDeterminism:
             for i in range(6):
                 store.write_page(store.allocate(), b"page %d" % i)
             injector = CorruptionInjector(seed=seed)
-            injector.corrupt_store(store, count=4)
+            for _ in range(4):
+                injector.corrupt_page(store)
             return [(c.kind, c.page_id, c.detail) for c in injector.log]
 
         assert run(11) == run(11)

@@ -7,7 +7,9 @@ import pytest
 from repro.storage import (
     IOStats,
     SimulatedCrash,
+    WalCorruptionError,
     WriteAheadLog,
+    wal_scrub,
 )
 
 
@@ -105,22 +107,24 @@ class TestSyncPolicies:
             assert stats.fsyncs == 1
 
 
+def flip_byte(path, offset):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x40]))
+
+
 class TestTornTails:
     def test_flipped_byte_ends_replay_at_corruption(self, tmp_path):
+        # A flip in the final record cannot be told from a torn write.
         with WriteAheadLog(str(tmp_path)) as wal:
             for i in range(10):
                 wal.append(b"record %d" % i)
             path = wal.segments()[0]
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.seek(size // 2)
-            byte = handle.read(1)[0]
-            handle.seek(size // 2)
-            handle.write(bytes([byte ^ 0x40]))
+        flip_byte(path, os.path.getsize(path) - 2)
         records = replay_all(tmp_path)
-        assert 0 < len(records) < 10
-        assert records == [(1, b"record %d" % i)
-                           for i in range(len(records))]
+        assert records == [(1, b"record %d" % i) for i in range(9)]
 
     def test_truncated_tail_repaired_on_reopen(self, tmp_path):
         with WriteAheadLog(str(tmp_path)) as wal:
@@ -140,11 +144,49 @@ class TestTornTails:
             assert wal.scrub().clean
             path = wal.segments()[0]
         os.truncate(path, os.path.getsize(path) - 3)
-        # Scan directly — reopening the log would repair the tail first.
-        from repro.storage.wal import _scan_segment_extent
-        good, torn = _scan_segment_extent(path)
-        assert good == 9
-        assert torn is not None
+        # Scan read-only — reopening the log would repair the tail first.
+        report = wal_scrub(str(tmp_path))
+        assert report.checked["wal record"] == 9
+        assert [reason for _, reason in report.corrupt] == [
+            f"torn at byte {os.path.getsize(path) - 14}"]
+
+
+class TestMidLogCorruption:
+    """A bad record that is not a torn tail is corruption: the log is
+    refused and left byte-identical, never truncated to before it."""
+
+    def write_log(self, directory, count=10, segment_bytes=256 * 1024):
+        with WriteAheadLog(str(directory),
+                           segment_bytes=segment_bytes) as wal:
+            for i in range(count):
+                wal.append(b"record %d" % i)
+            return wal.segments()
+
+    def assert_refused(self, directory, path):
+        before = open(path, "rb").read()
+        with pytest.raises(WalCorruptionError, match="fails verification"):
+            replay_all(directory)
+        assert open(path, "rb").read() == before
+        report = wal_scrub(str(directory))
+        assert [p for p, _ in report.corrupt] == [path]
+        assert "fails verification" in report.corrupt[0][1]
+
+    def test_flip_followed_by_a_verified_record(self, tmp_path):
+        path = self.write_log(tmp_path)[0]
+        flip_byte(path, os.path.getsize(path) // 2)
+        self.assert_refused(tmp_path, path)
+
+    def test_flip_in_an_earlier_segment(self, tmp_path):
+        segments = self.write_log(tmp_path, count=40, segment_bytes=256)
+        assert len(segments) > 1
+        # The last record of the first segment: nothing follows it there.
+        flip_byte(segments[0], os.path.getsize(segments[0]) - 2)
+        self.assert_refused(tmp_path, segments[0])
+
+    def test_torn_earlier_segment(self, tmp_path):
+        segments = self.write_log(tmp_path, count=40, segment_bytes=256)
+        os.truncate(segments[0], os.path.getsize(segments[0]) - 3)
+        self.assert_refused(tmp_path, segments[0])
 
 
 class TestFailpoints:

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text import (
-    InvertedIndex,
     SignatureScheme,
     Vocabulary,
     intersect_sorted,
@@ -138,63 +137,6 @@ class TestIntersectSorted:
         lists = [sorted(s) for s in sets]
         expect = sorted(set.intersection(*map(set, sets))) if sets else []
         assert intersect_sorted(lists) == expect
-
-
-class TestInvertedIndex:
-    def build(self, docs):
-        idx = InvertedIndex()
-        for doc_id, terms in docs.items():
-            idx.add_document(doc_id, terms)
-        idx.freeze()
-        return idx
-
-    def test_postings_sorted_unique(self):
-        idx = InvertedIndex()
-        idx.add(0, 5)
-        idx.add(0, 1)
-        idx.add(0, 5)
-        idx.freeze()
-        assert idx.postings(0) == [1, 5]
-
-    def test_query_before_freeze_rejected(self):
-        idx = InvertedIndex()
-        with pytest.raises(RuntimeError):
-            idx.postings(0)
-
-    def test_add_after_freeze_rejected(self):
-        idx = InvertedIndex()
-        idx.freeze()
-        with pytest.raises(RuntimeError):
-            idx.add(0, 0)
-
-    def test_conjunctive_match(self):
-        idx = self.build({1: [10, 20], 2: [10], 3: [10, 20, 30]})
-        assert idx.matching_documents([10, 20]) == [1, 3]
-
-    def test_missing_term_gives_none(self):
-        idx = self.build({1: [10]})
-        assert idx.matching_documents([10, 99]) is None
-        assert idx.matching_documents([]) is None
-
-    def test_counts(self):
-        idx = self.build({1: [10, 20], 2: [10]})
-        assert idx.num_terms == 2
-        assert idx.num_postings == 3
-        assert idx.term_ids() == [10, 20]
-
-    @given(st.dictionaries(st.integers(0, 20),
-                           st.sets(st.integers(0, 10), min_size=1),
-                           max_size=20),
-           st.sets(st.integers(0, 10), min_size=1, max_size=3))
-    def test_matches_brute_force(self, docs, query):
-        idx = self.build(docs)
-        got = idx.matching_documents(query)
-        expect = sorted(d for d, terms in docs.items()
-                        if query <= terms)
-        if got is None:
-            assert expect == []
-        else:
-            assert got == expect
 
 
 class TestSignatures:
