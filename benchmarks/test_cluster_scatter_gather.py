@@ -28,9 +28,10 @@ from repro.bench import (
     write_json_result,
     write_result,
 )
-from repro.cluster import PARTITIONERS, FaultInjector, ShardRouter
+from repro.cluster import PARTITIONERS, ShardRouter
 from repro.core import DesksIndex, DesksSearcher
 from repro.net import ClusterLauncher, connect_router
+from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint
 
 from conftest import bench_bands, bench_wedges
 
@@ -77,12 +78,14 @@ def test_exact_under_single_replica_failure(datasets):
     """R=2, replica position 0 always fails: answers stay exact."""
     collection = datasets["VA"]
     reference = _reference(collection)
-    injector = FaultInjector()
-    injector.set_fault(replica_id=0, error_rate=1.0)
+    down, log = FaultPlan("down", reset_probability=1.0), FaultLog()
     queries = generate_queries(collection, 50, 2,
                                direction_width=math.pi / 2, k=10, seed=77)
     with ShardRouter(collection, num_shards=4, partitioner="grid",
-                     replication=2, fault_injector=injector) as router:
+                     replication=2) as router:
+        for shard in router.shards:
+            replica = shard.transport.replicas[0]
+            replica.endpoint = FaultyEndpoint(replica.endpoint, down, log)
         retries = 0
         for query in queries:
             got = router.execute(query)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.bench import write_json_result, write_result
 from repro.datasets import SyntheticConfig, generate
-from repro.durability import (
+from repro.durability.chaos import (
     build_script,
     measure_wal_overhead,
     run_corruption_trials,

@@ -35,7 +35,7 @@ from .core import (
     load_index,
     save_index,
 )
-from .cluster import FaultInjector, ShardRouter
+from .cluster import ShardRouter
 from .datasets import POI, POICollection
 from .geometry import DirectionInterval, Point
 from .service import (
@@ -58,7 +58,6 @@ __all__ = [
     "DirectionInterval",
     "DirectionalQuery",
     "ExplainReport",
-    "FaultInjector",
     "IncrementalSearcher",
     "MatchMode",
     "MetricsRegistry",

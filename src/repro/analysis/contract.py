@@ -5,9 +5,9 @@ The checked-in :class:`Contract` (a literal below, returned by
 import which, at module level or deferred inside a function — plus two
 confinement tables: external transport modules pinned to ``repro.net``
 and project modules restricted to an allow-list of files
-(``repro.net.chaos``).  :class:`ContractRule` flags every import the
-contract does not permit, as DAL010.  ``docs/ARCHITECTURE.md`` renders
-the same DAG for humans.
+(``repro.net.chaos``, ``repro.durability.chaos``).  :class:`ContractRule`
+flags every import the contract does not permit, as DAL010.
+``docs/ARCHITECTURE.md`` renders the same DAG for humans.
 
 The contract is Python data checked when this module is imported; tests
 hand a different :class:`Contract` to ``LintEngine(contract=...)``.
@@ -123,9 +123,13 @@ _CONTRACT = Contract(
     # overload shedding live there and nowhere else.
     externals=[ExternalRule(("socket", "asyncio", "socketserver",
                              "selectors", "ssl"), allowed_in=("net",))],
-    # The fault-injecting proxy is driven from tests and benchmarks only.
+    # Fault injection (the proxy and faulty endpoint, the crash
+    # failpoints and page corrupter) is driven from tests and benchmarks
+    # only.
     restricted=[RestrictedRule("repro.net.chaos",
-                               allowed_in=("repro/net/chaos.py",))],
+                               allowed_in=("repro/net/chaos.py",)),
+                RestrictedRule("repro.durability.chaos",
+                               allowed_in=("repro/durability/chaos.py",))],
 )
 
 
@@ -146,9 +150,9 @@ class ContractRule(RuleVisitor):
         "service/cluster/net stack layers strictly above, and the "
         "language layer binds to caller-supplied backends.  The contract "
         "declares the whole DAG once — plus the raw transports confined "
-        "to repro.net and the chaos proxy confined to itself — and this "
-        "rule enforces every edge, so a new package is governed the "
-        "moment it appears in the contract rather than when someone "
+        "to repro.net and the two chaos modules confined to themselves — "
+        "and this rule enforces every edge, so a new package is governed "
+        "the moment it appears in the contract rather than when someone "
         "writes a rule for it.")
 
     def run(self) -> List[Finding]:

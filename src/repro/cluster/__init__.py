@@ -15,8 +15,7 @@ sub-regions inside one index.
   shard first, on the calling thread; later waves share a pool), merge
   with early termination;
 * :mod:`~repro.cluster.replica` — R-way replication: the one replica
-  health model and the one failover loop (:class:`FailoverSet`), plus the
-  :class:`FaultInjector` that makes degraded modes testable;
+  health model and the one failover loop (:class:`FailoverSet`);
 * :mod:`~repro.cluster.stats` — routing counters and a whole-deployment
   metrics snapshot on the PR-1 :class:`~repro.service.MetricsRegistry`;
 * :mod:`~repro.cluster.transport` — the :class:`ReplicaEndpoint`
@@ -39,9 +38,6 @@ from .replica import (
     SHARD_CACHE_CAPACITY,
     EngineEndpoint,
     FailoverSet,
-    FaultInjector,
-    FaultRule,
-    InjectedFault,
     Replica,
     ReplicaSet,
     ShardUnavailableError,
@@ -59,9 +55,6 @@ __all__ = [
     "ClusterStats",
     "EngineEndpoint",
     "FailoverSet",
-    "FaultInjector",
-    "FaultRule",
-    "InjectedFault",
     "Replica",
     "ReplicaSet",
     "ReplicaEndpoint",

@@ -25,22 +25,14 @@ thread that called the router, or one of its ``desks-shard`` pool threads
 when a wave asks more than one shard.
 :class:`~repro.net.RemoteReplicaSet` is the same loop over socket
 endpoints, with breakers, a retry budget, hedging and background probes.
-
-:class:`FaultInjector` makes the degraded modes testable: per-shard /
-per-replica rules inject extra latency and/or raise
-:class:`InjectedFault` with a configured probability, deterministic under
-a seed.  Production code paths never import it; it is plugged in through
-the router's ``fault_injector`` argument.
+Tests make a replica fail by swapping its ``endpoint`` for a
+:class:`~repro.net.chaos.FaultyEndpoint`; nothing here knows about it.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-import time
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core import DesksIndex, DirectionalQuery, MutableDesksIndex
 from ..service import Deadline, MetricsRegistry, QueryEngine, ServiceResponse
@@ -50,10 +42,6 @@ from .transport import ReplicaEndpoint, RequestRejected
 #: Result-cache entries of one shard replica's engine — in-process here,
 #: and the default of a :class:`~repro.net.ShardServer` process.
 SHARD_CACHE_CAPACITY = 128
-
-
-class InjectedFault(RuntimeError):
-    """Raised by :class:`FaultInjector` in place of a real replica error."""
 
 
 class ShardUnavailableError(RuntimeError):
@@ -70,100 +58,17 @@ class ShardUnavailableError(RuntimeError):
             f"attempts{detail}")
 
 
-@dataclass(frozen=True)
-class FaultRule:
-    """One injection rule: probability of error plus added latency."""
-
-    error_rate: float = 0.0
-    extra_latency: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ValueError(
-                f"error_rate must be in [0, 1]: {self.error_rate}")
-        if self.extra_latency < 0.0:
-            raise ValueError(
-                f"extra_latency must be non-negative: {self.extra_latency}")
-
-
-class FaultInjector:
-    """Configurable per-shard / per-replica error and latency injection.
-
-    Rules are keyed by ``(shard_id, replica_id)`` where either side may be
-    ``None`` as a wildcard; the most specific match wins, in the order
-    exact > shard-wide > replica-position-wide > global.  Thread-safe;
-    draws are deterministic under ``seed`` (per call sequence, so tests
-    usually use rates of 0.0 or 1.0 when they need exact behavior).
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rules: dict = {}
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self.injected_faults = 0
-
-    def set_fault(self, shard_id: Optional[int] = None,
-                  replica_id: Optional[int] = None,
-                  error_rate: float = 0.0,
-                  extra_latency: float = 0.0) -> None:
-        """Install (or replace) the rule for one scope."""
-        rule = FaultRule(error_rate, extra_latency)
-        with self._lock:
-            self._rules[(shard_id, replica_id)] = rule
-
-    def clear(self) -> None:
-        """Drop every rule (the cluster heals instantly)."""
-        with self._lock:
-            self._rules.clear()
-
-    def _match(self, shard_id: int, replica_id: int) -> Optional[FaultRule]:
-        for key in ((shard_id, replica_id), (shard_id, None),
-                    (None, replica_id), (None, None)):
-            rule = self._rules.get(key)
-            if rule is not None:
-                return rule
-        return None
-
-    def before_call(self, shard_id: int, replica_id: int) -> None:
-        """Apply the matching rule; raises :class:`InjectedFault` on a hit.
-
-        Called on the thread about to execute the query — the router's
-        caller or a pool worker — so injected latency occupies it exactly
-        like slow real work.
-        """
-        with self._lock:
-            rule = self._match(shard_id, replica_id)
-            if rule is None:
-                return
-            fire = rule.error_rate > 0.0 and \
-                self._rng.random() < rule.error_rate
-            if fire:
-                self.injected_faults += 1
-        if rule.extra_latency > 0.0:
-            time.sleep(rule.extra_latency)
-        if fire:
-            raise InjectedFault(
-                f"injected fault at shard {shard_id} replica {replica_id}")
-
-
-
-
 class EngineEndpoint:
     """A replica served in-process by its own :class:`QueryEngine`.
 
-    ``before_call`` is the fault injector's hook bound to this replica.
     Whatever an engine raises is retryable elsewhere: never fatal.
     """
 
-    def __init__(self, engine: QueryEngine,
-                 before_call: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
-        self.before_call = before_call
 
     def call(self, query: DirectionalQuery,
              budget: Optional[float]) -> ServiceResponse:
-        if self.before_call is not None:
-            self.before_call()
         return self.engine.execute(query, budget)
 
     def probe(self, timeout: float) -> bool:
@@ -425,17 +330,14 @@ class ReplicaSet(FailoverSet):
     def __init__(self, shard_id: int,
                  index: Union[DesksIndex, MutableDesksIndex],
                  replication: int,
-                 fault_injector: Optional[FaultInjector] = None,
                  health_threshold: int = 3,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         # Replicas share the shard's (read-only) index; each gets a private
         # engine so caches and per-replica metrics stay independent, as
         # they would be on separate machines.
         super().__init__(shard_id, [
-            (EngineEndpoint(
-                QueryEngine(index, num_workers=1,
-                            cache_capacity=SHARD_CACHE_CAPACITY),
-                partial(fault_injector.before_call, shard_id, replica_id)
-                if fault_injector is not None else None), None)
-            for replica_id in range(replication)
+            (EngineEndpoint(QueryEngine(
+                index, num_workers=1, cache_capacity=SHARD_CACHE_CAPACITY)),
+             None)
+            for _ in range(replication)
         ], health_threshold, metrics)

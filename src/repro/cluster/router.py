@@ -66,12 +66,7 @@ from ..geometry import sector_intersects_mbr
 from ..service import Deadline, MetricsRegistry
 from ..trace import current_tracer, traced
 from .partition import ClusterLayout, ShardSpec, build_layout, shard_collection
-from .replica import (
-    FailoverSet,
-    FaultInjector,
-    ReplicaSet,
-    ShardUnavailableError,
-)
+from .replica import FailoverSet, ReplicaSet, ShardUnavailableError
 from .stats import ClusterStats
 
 
@@ -159,7 +154,6 @@ class ShardRouter:
                  max_fanout: int = 4,
                  num_bands: Optional[int] = None,
                  num_wedges: Optional[int] = None,
-                 fault_injector: Optional[FaultInjector] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  ) -> None:
         def local_pairs() -> Iterable[Tuple[ShardSpec, DesksIndex]]:
@@ -169,8 +163,7 @@ class ShardRouter:
                 yield spec, DesksIndex(sub, num_bands, num_wedges)
 
         self._init(
-            lambda: self._replicate(local_pairs(), replication,
-                                    fault_injector),
+            lambda: self._replicate(local_pairs(), replication),
             partitioner, num_workers, max_fanout, metrics)
 
     def _init(self, build_shards: Callable[[], List[Shard]],
@@ -198,12 +191,10 @@ class ShardRouter:
         self.replication = max(len(shard.transport) for shard in self.shards)
 
     def _replicate(self, pairs: Iterable[Tuple[ShardSpec, DesksIndex]],
-                   replication: int,
-                   fault_injector: Optional[FaultInjector]) -> List[Shard]:
+                   replication: int) -> List[Shard]:
         """In-process shards: a :class:`ReplicaSet` per ``(spec, index)``."""
         return [Shard(spec, index.collection, index, ReplicaSet(
                     spec.shard_id, index, replication,
-                    fault_injector=fault_injector,
                     metrics=self.stats.registry))
                 for spec, index in pairs]
 
@@ -474,7 +465,6 @@ class ShardRouter:
              replication: int = 1,
              num_workers: int = 8,
              max_fanout: int = 4,
-             fault_injector: Optional[FaultInjector] = None,
              metrics: Optional[MetricsRegistry] = None,
              ) -> "ShardRouter":
         """Rebuild a router from :meth:`save` output.
@@ -489,8 +479,7 @@ class ShardRouter:
             directory, meta, [index.collection for index in indexes])
         router = cls.__new__(cls)
         router._init(
-            lambda: router._replicate(zip(specs, indexes), replication,
-                                      fault_injector),
+            lambda: router._replicate(zip(specs, indexes), replication),
             meta.get("partitioner", "unknown"), num_workers, max_fanout,
             metrics)
         return router

@@ -1,23 +1,11 @@
 """Crash-safe storage for DESKS: WAL-fronted mutable indexes, checkpoints,
-recovery, scrubbing, and the chaos harness that proves them."""
+recovery and scrubbing.
 
-from .chaos import (
-    CHAOS_TERMS,
-    ChaosReport,
-    CorruptionReport,
-    CorruptionTrialResult,
-    CountdownFailpoint,
-    CrashTrialResult,
-    answer_fingerprint,
-    apply_script,
-    build_script,
-    build_twin,
-    live_fingerprint,
-    measure_wal_overhead,
-    probe_queries,
-    run_corruption_trials,
-    run_crash_trials,
-)
+The chaos harness that proves them (crash failpoints, page corruption,
+randomized trials) is :mod:`repro.durability.chaos`; it is imported by
+name from tests and benchmarks and re-exported nowhere.
+"""
+
 from .durable import (
     DURABLE_VERSION,
     DurableMutableIndex,
@@ -26,23 +14,8 @@ from .durable import (
 )
 
 __all__ = [
-    "CHAOS_TERMS",
-    "ChaosReport",
-    "CorruptionReport",
-    "CorruptionTrialResult",
-    "CountdownFailpoint",
-    "CrashTrialResult",
     "DURABLE_VERSION",
     "DurableMutableIndex",
-    "answer_fingerprint",
-    "apply_script",
-    "build_script",
-    "build_twin",
     "is_durable_dir",
-    "live_fingerprint",
-    "measure_wal_overhead",
-    "probe_queries",
-    "run_corruption_trials",
-    "run_crash_trials",
     "scrub_durable",
 ]

@@ -15,27 +15,35 @@ promise into repeatable experiments:
   failpoint that raises :class:`~repro.storage.SimulatedCrash` at a
   seed-chosen WAL stage, recovers, and compares the recovered index
   against a freshly built twin on probe queries and the full live-POI set;
-* :func:`run_corruption_trials` flips/tears/truncates pages of a
-  checksummed disk index and asserts every damaged read is *surfaced*
-  (degraded response / scrub hit), never silently wrong;
+* :class:`CorruptionInjector` flips bits, truncates pages and tears
+  writes in the physical bytes beneath a
+  :class:`~repro.storage.ChecksummedPageStore` (and in files on disk);
+  :func:`run_corruption_trials` drives it against a checksummed disk
+  index and asserts every damaged read is *surfaced* (degraded response
+  / scrub hit), never silently wrong;
 * :func:`measure_wal_overhead` times the same mutation workload with and
   without the WAL in front, for the benchmark report.
 
 Everything is deterministic under a seed; the tier-1 suite runs a small
-number of trials and the chaos benchmark runs hundreds.
+number of trials and the chaos benchmark runs hundreds.  This module is
+test/benchmark infrastructure: lint rule DAL010 keeps it out of every
+production import path (``repro.durability`` does not re-export it).
 """
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..core import MutableDesksIndex
+from ..core import DesksIndex, MutableDesksIndex
 from ..core.query import DirectionalQuery
 from ..datasets import POICollection
-from ..storage import SimulatedCrash
+from ..storage import ChecksummedPageStore, SimulatedCrash
+from ..storage.pages import _FRAME_STAMP
 from .durable import DurableMutableIndex, is_durable_dir
 
 #: Deliberately multilingual so crash/recovery exercises the UTF-8 paths
@@ -249,9 +257,6 @@ def run_crash_trials(base: POICollection, script: Sequence[Tuple],
                      rebuild_threshold: float = 0.25) -> ChaosReport:
     """Kill the workload at ``num_trials`` seed-chosen WAL stages; assert
     each recovery answers identically to its never-crashed twin."""
-    import os
-    import shutil
-
     queries = probe_queries(base, probes, seed ^ 0x9E3779B9)
     # Reference run: counts failpoint firings so trials can target any
     # stage of the whole workload, including checkpoint internals.
@@ -314,6 +319,104 @@ def run_crash_trials(base: POICollection, script: Sequence[Tuple],
     return report
 
 
+# -- corruption injection ----------------------------------------------------
+
+#: Supported page-corruption kinds, in the order the injector draws them.
+PAGE_CORRUPTION_KINDS = ("flip", "truncate", "tear")
+
+
+@dataclass(frozen=True)
+class Corruption:
+    """One injected corruption, for replay and assertions."""
+
+    kind: str
+    page_id: int
+    detail: str
+
+
+class CorruptionInjector:
+    """Seeded bit flips, page truncations, and torn writes.
+
+    All draws come from one private :class:`random.Random`, so a given
+    seed produces the same corruption sequence regardless of wall clock or
+    interpreter hashing — the property the chaos harness relies on to
+    replay a failure.
+    """
+
+    def __init__(self, seed: int = 0) -> None:
+        self._rng = random.Random(seed)
+        self.log: List[Corruption] = []
+
+    # -- page-level ----------------------------------------------------------
+
+    def corrupt_page(self, store: ChecksummedPageStore,
+                     page_id: Optional[int] = None,
+                     kind: Optional[str] = None) -> Corruption:
+        """Corrupt one (random) page of ``store``'s physical bytes."""
+        if store.num_pages == 0:
+            raise ValueError("store has no pages to corrupt")
+        if page_id is None:
+            page_id = self._rng.randrange(store.num_pages)
+        if kind is None:
+            kind = self._rng.choice(PAGE_CORRUPTION_KINDS)
+        inner = store.inner
+        raw = bytearray(inner.read_page(page_id))
+        if kind == "flip":
+            bit = self._rng.randrange(len(raw) * 8)
+            raw[bit // 8] ^= 1 << (bit % 8)
+            detail = f"bit {bit}"
+        elif kind == "truncate":
+            keep = self._rng.randrange(1, len(raw))
+            raw[keep:] = bytes(len(raw) - keep)
+            detail = f"kept {keep} bytes"
+        elif kind == "tear":
+            # Header and trailing stamp disagree: the classic half-flushed
+            # page.  +1 mod 2^32 guarantees a mismatch without relying on
+            # the checksum to catch it.
+            stamp_at = len(raw) - _FRAME_STAMP.size
+            (stamp,) = _FRAME_STAMP.unpack_from(raw, stamp_at)
+            _FRAME_STAMP.pack_into(raw, stamp_at, (stamp + 1) & 0xFFFFFFFF)
+            detail = f"stamp {stamp} -> {(stamp + 1) & 0xFFFFFFFF}"
+        else:
+            raise ValueError(f"unknown corruption kind {kind!r}")
+        inner.write_page(page_id, bytes(raw))
+        corruption = Corruption(kind, page_id, detail)
+        self.log.append(corruption)
+        return corruption
+
+    # -- file-level ----------------------------------------------------------
+
+    def corrupt_file(self, path: str,
+                     offset: Optional[int] = None) -> Corruption:
+        """Flip one bit of a file on disk (saved-index blobs, WAL tails)."""
+        size = os.path.getsize(path)
+        if size == 0:
+            raise ValueError(f"cannot corrupt empty file {path}")
+        if offset is None:
+            offset = self._rng.randrange(size)
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)[0]
+            handle.seek(offset)
+            handle.write(bytes([byte ^ (1 << self._rng.randrange(8))]))
+        corruption = Corruption("file-flip", -1, f"{path}@{offset}")
+        self.log.append(corruption)
+        return corruption
+
+    def truncate_file(self, path: str,
+                      keep_bytes: Optional[int] = None) -> Corruption:
+        """Cut a file short, as an interrupted append would."""
+        size = os.path.getsize(path)
+        if keep_bytes is None:
+            keep_bytes = self._rng.randrange(size) if size else 0
+        with open(path, "r+b") as handle:
+            handle.truncate(keep_bytes)
+        corruption = Corruption("file-truncate", -1,
+                                f"{path} {size} -> {keep_bytes} bytes")
+        self.log.append(corruption)
+        return corruption
+
+
 # -- corruption trials -------------------------------------------------------
 
 
@@ -369,11 +472,7 @@ def run_corruption_trials(collection: POICollection, num_trials: int,
                           page_size: int = 512) -> CorruptionReport:
     """Inject page corruption into a checksummed disk index; every probe
     must come back either correct or explicitly degraded."""
-    import os
-
-    from ..core import DesksIndex
     from ..service import QueryEngine
-    from ..storage import CorruptionInjector
 
     index = DesksIndex(collection, disk_based=True,
                        disk_path_prefix=os.path.join(workdir, "pages"),
@@ -443,9 +542,6 @@ def measure_wal_overhead(base: POICollection, script: Sequence[Tuple],
     is measured separately and reported as ``checkpoint_seconds_avg``.
     Each variant takes the best of ``repeats`` runs (coarse clock noise).
     """
-    import os
-    import shutil
-
     mutations = sum(1 for entry in script if entry[0] != OP_CHECKPOINT)
     stream = [entry for entry in script if entry[0] != OP_CHECKPOINT]
 

@@ -30,7 +30,9 @@ ships traffic through:
   per-replica circuit breakers, the process-wide retry token budget,
   and hedged-request policy that :class:`RemoteReplicaSet` executes;
 * :mod:`~repro.net.chaos` — the seeded fault-injecting TCP proxy the
-  acceptance suite drives all of the above with.  Deliberately *not*
+  acceptance suite drives all of the above with, and the
+  :class:`~repro.net.chaos.FaultyEndpoint` that applies the same plan to
+  an in-process replica.  Deliberately *not*
   re-exported here: lint rule DAL010 confines chaos imports to tests,
   benchmarks, and tooling so fault injection can never reach a
   production import path.

@@ -1,13 +1,23 @@
-"""A deterministic fault-injecting TCP proxy for the shard protocol.
+"""Deterministic fault injection for the serving stack, driven by one
+declarative :class:`FaultPlan` and counted in one :class:`FaultLog`.
 
 :class:`ChaosProxy` sits between any :class:`~repro.net.RemoteShardClient`
-and a :class:`~repro.net.ShardServer` and executes a declarative
-:class:`FaultPlan`: added latency with jitter, bandwidth throttling,
-blackhole/accept-then-silence half-opens, connection reset mid-frame,
-payload byte corruption (which the CRC layer must catch), and slow-loris
-partial writes.  Every stochastic choice comes from a ``random.Random``
-seeded from ``(plan.seed, connection_index)``, so a given plan against a
-given connection order injects exactly the same faults on every run.
+and a :class:`~repro.net.ShardServer` and executes the plan on the wire:
+added latency with jitter, blackhole/accept-then-silence half-opens,
+connection reset mid-frame, and payload byte corruption (which the CRC
+layer must catch).  Every stochastic choice comes from a
+``random.Random`` seeded from ``(plan.seed, connection_index)``, so a
+given plan against a given connection order injects exactly the same
+faults on every run.
+
+:class:`FaultyEndpoint` applies the same plan to one in-process replica:
+it wraps any :class:`~repro.cluster.ReplicaEndpoint`, sleeps the plan's
+latency and raises :class:`InjectedFault` with the plan's reset
+probability, each draw seeded from ``(plan.seed, call_index)``.  Tests
+install it through the endpoint seam and heal by putting ``.inner``
+back::
+
+    replica.endpoint = FaultyEndpoint(replica.endpoint, plan, log)
 
 The proxy is *frame-aware* in the server→client direction: it parses the
 12-byte frame headers (:data:`~repro.net.protocol.HEADER_FORMAT`) so that
@@ -28,19 +38,24 @@ production modules).
 
 from __future__ import annotations
 
+import collections
 import random
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..cluster import ReplicaEndpoint
+from ..core import DirectionalQuery
+from ..service import ServiceResponse
 from .protocol import HEADER_FORMAT, HEADER_SIZE, MAX_PAYLOAD, recv_exactly
 
 Address = Tuple[str, int]
 
-__all__ = ["ChaosProxy", "FaultLog", "FaultPlan"]
+__all__ = ["ChaosProxy", "FaultLog", "FaultPlan", "FaultyEndpoint",
+           "InjectedFault"]
 
 #: Relay buffer for the raw client→server direction.
 _RELAY_CHUNK = 65536
@@ -51,23 +66,26 @@ _ACCEPT_POLL = 0.2
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Declarative description of what the proxy does to traffic.
+    """Declarative description of what an injector does to traffic.
 
     All probabilities are per-draw in ``[0, 1]``; a plan with every
     field at its default is a transparent relay.  ``seed`` plus the
-    connection index fully determine every draw.
+    connection index (proxy) or call index (endpoint) fully determine
+    every draw.
     """
 
     name: str
     seed: int = 0
-    #: Fixed extra delay applied to every server→client frame, plus a
-    #: uniform jitter in ``[0, latency_jitter_seconds)``.
+    #: Fixed extra delay applied to every server→client frame (every
+    #: endpoint call), plus a uniform jitter in
+    #: ``[0, latency_jitter_seconds)``.
     latency_seconds: float = 0.0
     latency_jitter_seconds: float = 0.0
     #: Probability of XOR-flipping one payload byte per frame.  The CRC
     #: layer must turn every one of these into a typed ChecksumMismatch.
     corrupt_probability: float = 0.0
-    #: Probability of cutting the connection mid-frame: the first
+    #: Probability of cutting the connection mid-frame (of failing an
+    #: endpoint call with :class:`InjectedFault`): the first
     #: ``reset_after_bytes`` of the frame are forwarded, then both sides
     #: are closed (an RST when ``reset_rst``, a clean FIN otherwise —
     #: the client sees ECONNRESET or a truncated frame respectively).
@@ -79,12 +97,6 @@ class FaultPlan:
     #: and the upstream is never dialed (a half-open / partitioned peer).
     #: Only the client's deadline can end such a request.
     blackhole_probability: float = 0.0
-    #: Pace server→client frames to this many bytes per second.
-    bandwidth_bytes_per_second: Optional[float] = None
-    #: Slow-loris: write each server→client frame in chunks of this many
-    #: bytes with ``slowloris_delay_seconds`` between chunks.
-    slowloris_chunk_bytes: Optional[int] = None
-    slowloris_delay_seconds: float = 0.01
 
     def __post_init__(self) -> None:
         for name in ("corrupt_probability", "reset_probability",
@@ -92,44 +104,95 @@ class FaultPlan:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]: {p}")
-        if self.reset_after_bytes < 0:
-            raise ValueError(
-                f"reset_after_bytes must be >= 0: {self.reset_after_bytes}")
+        for name in ("latency_seconds", "latency_jitter_seconds",
+                     "reset_after_bytes"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0: {value}")
+
+    def rng(self, position: int) -> random.Random:
+        """The draws of connection (proxy) or call (endpoint) ``position``."""
+        return random.Random((self.seed << 20) ^ position)
+
+    def delay(self, rng: random.Random) -> Optional[float]:
+        """This draw's added latency, or ``None`` when the plan adds none."""
+        if self.latency_seconds > 0 or self.latency_jitter_seconds > 0:
+            return self.latency_seconds + \
+                self.latency_jitter_seconds * rng.random()
+        return None
 
 
-@dataclass
 class FaultLog:
     """Thread-safe activation counters, one per fault kind."""
 
-    connections: int = 0
-    frames_forwarded: int = 0
-    latencies_injected: int = 0
-    corruptions_injected: int = 0
-    resets_injected: int = 0
-    blackholes_activated: int = 0
-    frames_throttled: int = 0
-    frames_slowlorised: int = 0
-    connections_dropped: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
+    KEYS = ("connections", "frames_forwarded", "latencies_injected",
+            "corruptions_injected", "resets_injected",
+            "blackholes_activated", "connections_dropped")
+
+    def __init__(self) -> None:
+        self._counts: collections.Counter = collections.Counter()
+        self._lock = threading.Lock()
 
     def bump(self, counter: str, by: int = 1) -> None:
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + by)
+            self._counts[counter] += by
 
     def to_dict(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "connections": self.connections,
-                "frames_forwarded": self.frames_forwarded,
-                "latencies_injected": self.latencies_injected,
-                "corruptions_injected": self.corruptions_injected,
-                "resets_injected": self.resets_injected,
-                "blackholes_activated": self.blackholes_activated,
-                "frames_throttled": self.frames_throttled,
-                "frames_slowlorised": self.frames_slowlorised,
-                "connections_dropped": self.connections_dropped,
-            }
+            return {key: self._counts[key] for key in self.KEYS}
+
+
+class InjectedFault(RuntimeError):
+    """Raised by :class:`FaultyEndpoint` in place of a real replica error."""
+
+
+class FaultyEndpoint:
+    """A :class:`~repro.cluster.ReplicaEndpoint` whose calls suffer a plan.
+
+    Each call sleeps the plan's latency, then fails with
+    ``reset_probability`` by raising :class:`InjectedFault` — on the
+    calling thread, so injected latency occupies it exactly like slow
+    real work.  Call ``i`` draws from ``plan.rng(i)``, as the proxy's
+    connection ``i`` does.  Probes,
+    ``describe`` and ``close`` pass through untouched.
+    """
+
+    def __init__(self, inner: ReplicaEndpoint, plan: FaultPlan,
+                 log: FaultLog) -> None:
+        if plan.corrupt_probability > 0 or plan.blackhole_probability > 0:
+            raise ValueError(
+                f"plan {plan.name!r} has wire-only faults (corrupt, "
+                "blackhole); only a ChaosProxy can inject them")
+        self.inner = inner
+        self.plan = plan
+        self.log = log
+        self._calls = 0
+        self._lock = threading.Lock()
+
+    def call(self, query: DirectionalQuery,
+             budget: Optional[float]) -> ServiceResponse:
+        with self._lock:
+            index = self._calls
+            self._calls += 1
+        rng = self.plan.rng(index)
+        delay = self.plan.delay(rng)
+        if delay is not None:
+            time.sleep(delay)
+            self.log.bump("latencies_injected")
+        if rng.random() < self.plan.reset_probability:
+            self.log.bump("resets_injected")
+            raise InjectedFault(f"plan {self.plan.name!r}: injected fault "
+                                f"on call {index}")
+        return self.inner.call(query, budget)
+
+    def probe(self, timeout: float) -> bool:
+        return self.inner.probe(timeout)
+
+    def describe(self) -> Dict[str, object]:
+        return self.inner.describe()
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 class ChaosProxy:
@@ -142,7 +205,6 @@ class ChaosProxy:
         proxy.start()
         client = RemoteShardClient(proxy.address)
 
-    ``set_plan`` swaps the plan live (new draws use the new plan);
     ``drop_connections`` severs every in-flight connection at once — the
     partition lever for tests that cut a replica off mid-stream.
     """
@@ -151,7 +213,7 @@ class ChaosProxy:
                  plan: Optional[FaultPlan] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.upstream = (upstream[0], int(upstream[1]))
-        self._plan = plan if plan is not None else FaultPlan("transparent")
+        self.plan = plan if plan is not None else FaultPlan("transparent")
         self.log = FaultLog()
         self._lock = threading.Lock()
         self._closed = False
@@ -187,16 +249,6 @@ class ChaosProxy:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    @property
-    def plan(self) -> FaultPlan:
-        with self._lock:
-            return self._plan
-
-    def set_plan(self, plan: FaultPlan) -> None:
-        """Swap the live plan; subsequent draws use the new plan."""
-        with self._lock:
-            self._plan = plan
-
     def drop_connections(self, count: bool = True) -> int:
         """Sever every in-flight connection (a hard partition)."""
         with self._lock:
@@ -227,12 +279,11 @@ class ChaosProxy:
                     return
                 index = self._conn_seq
                 self._conn_seq += 1
-                plan = self._plan
                 self._live.append(downstream)
             self.log.bump("connections")
             threading.Thread(
                 target=self._serve_connection,
-                args=(downstream, index, plan),
+                args=(downstream, index),
                 name=f"chaos-conn-{self.address[1]}-{index}",
                 daemon=True).start()
 
@@ -243,9 +294,10 @@ class ChaosProxy:
 
     # -- one proxied connection ----------------------------------------------
 
-    def _serve_connection(self, downstream: socket.socket, index: int,
-                          plan: FaultPlan) -> None:
-        rng = random.Random((plan.seed << 20) ^ index)
+    def _serve_connection(self, downstream: socket.socket,
+                          index: int) -> None:
+        plan = self.plan
+        rng = plan.rng(index)
         downstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if rng.random() < plan.blackhole_probability:
             self._blackhole(downstream)
@@ -318,6 +370,8 @@ class ChaosProxy:
                      downstream: socket.socket,
                      rng: random.Random) -> None:
         """server → client: whole frames, with per-frame fault draws."""
+        plan = self.plan
+
         def recv(limit: int) -> bytes:
             # An error reads as EOF: what arrived before the connection
             # broke is forwarded, as it is for a clean close.
@@ -347,18 +401,15 @@ class ChaosProxy:
             payload = recv_exactly(recv, length)
             frame = bytearray(header + payload)
             truncated = len(payload) < length
-            plan = self.plan
-            if plan.latency_seconds > 0 or plan.latency_jitter_seconds > 0:
-                delay = (plan.latency_seconds
-                         + plan.latency_jitter_seconds * rng.random())
+            delay = plan.delay(rng)
+            if delay is not None:
                 time.sleep(delay)
                 self.log.bump("latencies_injected")
-            if (plan.corrupt_probability > 0 and length > 0
-                    and not truncated
-                    and rng.random() < plan.corrupt_probability):
-                pos = HEADER_SIZE + rng.randrange(length)
-                frame[pos] ^= 0xFF
-                self.log.bump("corruptions_injected")
+            corrupted = (plan.corrupt_probability > 0 and length > 0
+                         and not truncated
+                         and rng.random() < plan.corrupt_probability)
+            if corrupted:
+                frame[HEADER_SIZE + rng.randrange(length)] ^= 0xFF
             if (plan.reset_probability > 0
                     and rng.random() < plan.reset_probability):
                 # Never forward the whole frame before cutting — a reset
@@ -370,36 +421,18 @@ class ChaosProxy:
                     _arm_rst(downstream)
                 self.log.bump("resets_injected")
                 return
-            if not self._write_frame(downstream, bytes(frame), plan):
+            try:
+                downstream.sendall(bytes(frame))
+            except OSError:
                 return
             self.log.bump("frames_forwarded")
+            if corrupted:
+                # Counted only once the damaged frame went out whole: a
+                # reset cuts a frame before its payload, so the client
+                # sees a truncation, never this corruption.
+                self.log.bump("corruptions_injected")
             if truncated:
                 return
-
-    def _write_frame(self, downstream: socket.socket, frame: bytes,
-                     plan: FaultPlan) -> bool:
-        """Write one frame honoring slow-loris/bandwidth pacing."""
-        try:
-            if plan.slowloris_chunk_bytes:
-                for offset in range(0, len(frame),
-                                    plan.slowloris_chunk_bytes):
-                    if offset:
-                        time.sleep(plan.slowloris_delay_seconds)
-                    downstream.sendall(
-                        frame[offset:offset + plan.slowloris_chunk_bytes])
-                self.log.bump("frames_slowlorised")
-            elif plan.bandwidth_bytes_per_second:
-                chunk = max(1, int(plan.bandwidth_bytes_per_second * 0.01))
-                for offset in range(0, len(frame), chunk):
-                    if offset:
-                        time.sleep(0.01)
-                    downstream.sendall(frame[offset:offset + chunk])
-                self.log.bump("frames_throttled")
-            else:
-                downstream.sendall(frame)
-        except OSError:
-            return False
-        return True
 
 
 def _shutdown_quietly(conn: socket.socket) -> None:

@@ -1,9 +1,7 @@
 """Simulated-disk substrate: pages, buffer pool, records, I/O accounting,
-and the durability primitives (checksummed frames, corruption injection,
-write-ahead logging)."""
+and the durability primitives (checksummed frames, write-ahead logging)."""
 
 from .buffer import BufferPool
-from .corruption import Corruption, CorruptionInjector, PAGE_CORRUPTION_KINDS
 from .pages import (
     FRAME_OVERHEAD,
     PAGE_SIZE,
@@ -40,13 +38,10 @@ from .wal import (
 
 __all__ = [
     "FRAME_OVERHEAD",
-    "PAGE_CORRUPTION_KINDS",
     "PAGE_SIZE",
     "RECORD_OP",
     "BufferPool",
     "ChecksummedPageStore",
-    "Corruption",
-    "CorruptionInjector",
     "FilePageStore",
     "IOSnapshot",
     "IOStats",

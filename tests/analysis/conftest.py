@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import FaultInjector, ReplicaSet
+from repro.cluster import ReplicaSet
 from repro.core import MutableDesksIndex
 from repro.net import (
     CircuitBreaker,
@@ -10,7 +10,7 @@ from repro.net import (
     RetryBudget,
     ShardServer,
 )
-from repro.net.chaos import ChaosProxy, FaultLog
+from repro.net.chaos import ChaosProxy, FaultLog, FaultPlan, FaultyEndpoint
 from repro.service import Counter, Gauge, Histogram, MetricsRegistry, \
     QueryEngine
 from repro.storage import BufferPool, InMemoryPageStore
@@ -40,8 +40,6 @@ def lock_sites():
         ("service/metrics.py:Histogram", Histogram("h"), "_lock", False),
         ("service/metrics.py:MetricsRegistry", MetricsRegistry(), "_lock",
          False),
-        ("cluster/replica.py:FaultInjector", FaultInjector(), "_lock",
-         False),
         ("cluster/replica.py:Replica", replica_set.replicas[0], "_lock",
          False),
         ("cluster/replica.py:FailoverSet", replica_set, "_lock", False),
@@ -52,6 +50,9 @@ def lock_sites():
          False),
         ("net/resilience.py:RetryBudget", RetryBudget(), "_lock", False),
         ("net/chaos.py:FaultLog", FaultLog(), "_lock", False),
+        ("net/chaos.py:FaultyEndpoint",
+         FaultyEndpoint(replica_set.replicas[0].endpoint,
+                        FaultPlan("transparent"), FaultLog()), "_lock", False),
         ("net/chaos.py:ChaosProxy", proxy, "_lock", False),
     ]
     yield sites

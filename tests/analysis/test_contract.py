@@ -96,6 +96,26 @@ class TestRuntimeIsolation:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_no_production_import_path_loads_fault_code(self, tmp_path):
+        # The package root, the CLI and a shard server recovering a
+        # durable directory: none of them may load an injector.
+        from repro.datasets import POI, POICollection
+        from repro.durability import DurableMutableIndex
+
+        durable = str(tmp_path / "durable")
+        DurableMutableIndex.create(POICollection(
+            [POI.make(0, 1.0, 1.0, ["cafe"])]), durable).close()
+        code = ("import sys\n"
+                "import repro, repro.cli, repro.net.server\n"
+                f"repro.net.server.load_shard({durable!r}).close()\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.endswith('.chaos')\n"
+                "             or m == 'repro.storage.corruption'))\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={"PYTHONPATH": str(SRC.parent)},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 # -- the generic rule on a synthetic bad tree ---------------------------------
 
@@ -198,10 +218,10 @@ def purity(line, package):
             "import); the contract allows: core, geometry, text, trace")
 
 
-def chaos(line):
+def chaos(line, module="repro.net.chaos"):
     return ("DAL010", line,
-            "`repro.net.chaos` is confined by the architecture contract "
-            "to: repro/net/chaos.py")
+            f"`{module}` is confined by the architecture contract "
+            f"to: {module.replace('.', '/')}.py")
 
 
 def core_imports_net(line):
@@ -248,6 +268,14 @@ CHAOS_FIXTURES = (
      [chaos(1), core_imports_net(1)]),
     ("import repro.net.chaos\n", "src/repro/net/chaos.py", []),
     ("from repro.net import protocol\n", "src/repro/net/example.py", []),
+    ("import repro.durability.chaos\n", "src/repro/service/x.py",
+     [chaos(1, "repro.durability.chaos"),
+      ("DAL010", 1, "layer `service` may not import `repro.durability` "
+       "(module-level import); the contract allows: core, kernel, "
+       "storage, trace")]),
+    # net may defer-import durability, but not its chaos harness.
+    ("def f():\n    from repro.durability.chaos import build_twin\n",
+     "src/repro/net/x.py", [chaos(2, "repro.durability.chaos")]),
 )
 
 

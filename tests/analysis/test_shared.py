@@ -19,9 +19,10 @@ import pytest
 
 import repro.analysis
 from repro.analysis import RULE_INDEX, LintEngine
-from repro.cluster import FailoverSet, FaultInjector, InjectedFault
+from repro.cluster import FailoverSet
 from repro.core import QueryResult
 from repro.net import RemoteReplicaSet, RetryBudget
+from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint, InjectedFault
 from repro.service import Gauge, Histogram, MetricsRegistry, ResultCache
 from repro.storage import BufferPool, InMemoryPageStore
 
@@ -69,6 +70,13 @@ def hammer(work, threads=4, deadline=30.0):
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+class Answering:
+    """An endpoint whose every call answers."""
+
+    def call(self, query, budget):
+        return "answer"
 
 
 def registered(lock_sites):
@@ -194,21 +202,32 @@ class TestWriteTracker:
         assert 0.0 <= budget.tokens <= 100.0
 
     def test_disable_stops_recording(self):
-        # Each injected fault raised is counted once.
-        injector = FaultInjector(seed=5)
-        injector.set_fault(shard_id=0, error_rate=0.5)
+        # Each injected fault raised is counted once, and each call gets
+        # its own position: the 800 positions fault the same calls as a
+        # sequential run, whatever the interleaving.
+        log = FaultLog()
+        endpoint = FaultyEndpoint(Answering(), FaultPlan(
+            "flaky", seed=5, reset_probability=0.5), log)
         raised = [0] * 4
 
         def work(i):
             for _ in range(200):
                 try:
-                    injector.before_call(0, i)
+                    endpoint.call(None, None)
                 except InjectedFault:
                     raised[i] += 1
 
         hammer(work)
-        assert injector.injected_faults == sum(raised)
-        assert 0 < injector.injected_faults < 800
+        assert log.to_dict()["resets_injected"] == sum(raised)
+        assert 0 < sum(raised) < 800
+        sequential = FaultyEndpoint(Answering(), endpoint.plan, FaultLog())
+        expected = 0
+        for _ in range(800):
+            try:
+                sequential.call(None, None)
+            except InjectedFault:
+                expected += 1
+        assert sum(raised) == expected
 
 
 # -- static: DAL012 fixtures, now silent --------------------------------------

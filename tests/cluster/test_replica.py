@@ -5,49 +5,33 @@ import random
 
 import pytest
 
-from repro.cluster import (
-    FaultInjector,
-    FaultRule,
-    InjectedFault,
-    ReplicaSet,
-    ShardRouter,
-    ShardUnavailableError,
-)
+from repro.cluster import ReplicaSet, ShardRouter, ShardUnavailableError
 from repro.core import DesksIndex, DirectionalQuery
+from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint, InjectedFault
 
 from .conftest import entries_of, make_collection, random_queries
+
+#: Every call fails.
+DOWN = FaultPlan("down", reset_probability=1.0)
 
 
 def make_query(k=5):
     return DirectionalQuery.make(50, 50, 0.0, 2 * math.pi, ["cafe"], k)
 
 
-def test_fault_rule_validation():
-    with pytest.raises(ValueError):
-        FaultRule(error_rate=1.5)
-    with pytest.raises(ValueError):
-        FaultRule(extra_latency=-0.1)
-
-
-def test_injector_scope_precedence():
-    inj = FaultInjector()
-    inj.set_fault(error_rate=1.0)                        # global wildcard
-    inj.set_fault(shard_id=1, replica_id=0, error_rate=0.0)  # exact override
-    with pytest.raises(InjectedFault):
-        inj.before_call(0, 0)
-    inj.before_call(1, 0)  # exact rule wins: no fault
-    assert inj.injected_faults == 1
-    inj.clear()
-    inj.before_call(0, 0)  # healed
-    assert inj.injected_faults == 1
+def inject(replicas, plan=DOWN):
+    """Put every replica in ``replicas`` behind ``plan``; one shared log."""
+    log = FaultLog()
+    for replica in replicas:
+        replica.endpoint = FaultyEndpoint(replica.endpoint, plan, log)
+    return log
 
 
 def test_failover_hides_single_replica_failure():
     coll = make_collection(n=200, seed=3)
     index = DesksIndex(coll)
-    inj = FaultInjector()
-    inj.set_fault(replica_id=0, error_rate=1.0)
-    rs = ReplicaSet(0, index, replication=2, fault_injector=inj)
+    rs = ReplicaSet(0, index, replication=2)
+    inject(rs.replicas[:1])
     try:
         response, retries = rs.execute(make_query())
         assert response.result.entries  # replica 1 answered
@@ -60,9 +44,8 @@ def test_failover_hides_single_replica_failure():
 
 def test_all_replicas_down_raises_shard_unavailable():
     coll = make_collection(n=100, seed=4)
-    inj = FaultInjector()
-    inj.set_fault(error_rate=1.0)
-    rs = ReplicaSet(3, DesksIndex(coll), replication=2, fault_injector=inj)
+    rs = ReplicaSet(3, DesksIndex(coll), replication=2)
+    inject(rs.replicas)
     try:
         with pytest.raises(ShardUnavailableError) as err:
             rs.execute(make_query())
@@ -75,10 +58,8 @@ def test_all_replicas_down_raises_shard_unavailable():
 
 def test_health_threshold_and_recovery():
     coll = make_collection(n=100, seed=5)
-    inj = FaultInjector()
-    inj.set_fault(replica_id=0, error_rate=1.0)
-    rs = ReplicaSet(0, DesksIndex(coll), replication=2,
-                    fault_injector=inj, health_threshold=2)
+    rs = ReplicaSet(0, DesksIndex(coll), replication=2, health_threshold=2)
+    inject(rs.replicas[:1])
     try:
         for _ in range(4):
             rs.execute(make_query())
@@ -90,7 +71,7 @@ def test_health_threshold_and_recovery():
         assert retries == 0
         # Recovery probe: heal the fault, unhealthy replica is retried
         # eventually and marked healthy on first success.
-        inj.clear()
+        bad.endpoint = bad.endpoint.inner
         for _ in range(4):
             rs.execute(make_query())
         # Probe only happens if the healthy replica fails first, so force it:
@@ -117,11 +98,10 @@ def test_replica_set_validation():
 
 def test_router_exact_under_single_replica_failure(collection, reference):
     """Acceptance: R=2 with one dead replica per shard stays exact."""
-    inj = FaultInjector()
-    inj.set_fault(replica_id=0, error_rate=1.0)
     rng = random.Random(11)
     with ShardRouter(collection, num_shards=4, partitioner="grid",
-                     replication=2, fault_injector=inj) as router:
+                     replication=2) as router:
+        inject(shard.transport.replicas[0] for shard in router.shards)
         retries = 0
         for query in random_queries(rng, 30):
             r = router.execute(query)
@@ -136,10 +116,9 @@ def test_router_exact_under_single_replica_failure(collection, reference):
 
 
 def test_router_degrades_when_whole_shard_dies(collection):
-    inj = FaultInjector()
-    inj.set_fault(shard_id=0, error_rate=1.0)
     with ShardRouter(collection, num_shards=4, partitioner="grid",
-                     replication=2, fault_injector=inj) as router:
+                     replication=2) as router:
+        inject(router.shards[0].transport.replicas)
         q = make_query(k=400)  # forces dispatch to every shard
         r = router.execute(q)
         assert r.degraded
@@ -157,9 +136,10 @@ def test_router_degrades_when_whole_shard_dies(collection):
 
 def test_injected_latency_slows_but_answers():
     coll = make_collection(n=100, seed=8)
-    inj = FaultInjector()
-    inj.set_fault(extra_latency=0.02)
-    with ShardRouter(coll, num_shards=2, fault_injector=inj) as router:
+    with ShardRouter(coll, num_shards=2) as router:
+        inject([replica for shard in router.shards
+                for replica in shard.transport.replicas],
+               FaultPlan("slow", latency_seconds=0.02))
         r = router.execute(make_query())
         assert not r.degraded
         assert r.latency_seconds >= 0.02
@@ -169,23 +149,23 @@ def test_failover_stops_at_the_deadline():
     """Every replica is slow *and* failing: the first attempt eats the
     whole budget, so failover must not walk the other two."""
     coll = make_collection(n=100, seed=9)
-    inj = FaultInjector()
-    inj.set_fault(error_rate=1.0, extra_latency=0.2)
-    rs = ReplicaSet(0, DesksIndex(coll), replication=3, fault_injector=inj)
+    rs = ReplicaSet(0, DesksIndex(coll), replication=3)
+    log = inject(rs.replicas, FaultPlan("slow-down", reset_probability=1.0,
+                                        latency_seconds=0.2))
     try:
         with pytest.raises(ShardUnavailableError) as err:
             rs.execute(make_query(), timeout=0.1)
         assert err.value.attempts == 1
-        assert inj.injected_faults == 1
+        assert log.to_dict()["resets_injected"] == 1
     finally:
         rs.close()
 
 
 def test_surviving_replica_gets_the_remaining_budget():
     coll = make_collection(n=100, seed=10)
-    inj = FaultInjector()
-    inj.set_fault(replica_id=0, error_rate=1.0, extra_latency=0.05)
-    rs = ReplicaSet(0, DesksIndex(coll), replication=2, fault_injector=inj)
+    rs = ReplicaSet(0, DesksIndex(coll), replication=2)
+    inject(rs.replicas[:1], FaultPlan("slow-down", reset_probability=1.0,
+                                      latency_seconds=0.05))
     try:
         survivor = rs.replicas[1].engine
         real_execute, budgets = survivor.execute, []

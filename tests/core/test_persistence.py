@@ -365,7 +365,7 @@ class TestShardedManifestValidation:
 
     def test_scrub_covers_every_shard(self, tmp_path):
         from repro.core.persistence import scrub_saved
-        from repro.storage import CorruptionInjector
+        from repro.durability.chaos import CorruptionInjector
 
         directory = self.make_deployment(tmp_path)
         assert scrub_saved(str(directory)).clean

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.datasets import POI, POICollection
-from repro.durability import (
+from repro.durability.chaos import (
     CHAOS_TERMS,
     build_script,
     measure_wal_overhead,

@@ -16,7 +16,8 @@ from repro.durability import (
     is_durable_dir,
     scrub_durable,
 )
-from repro.storage import CorruptionInjector, SimulatedCrash, WalCorruptionError
+from repro.durability.chaos import CorruptionInjector
+from repro.storage import SimulatedCrash, WalCorruptionError
 
 from ..reseal import reseal
 

@@ -182,7 +182,7 @@ class TestScrub:
 
     def test_corrupt_saved_index_exits_nonzero(self, csv_path, tmp_path,
                                                capsys):
-        from repro.storage import CorruptionInjector
+        from repro.durability.chaos import CorruptionInjector
 
         index_dir = tmp_path / "idx"
         assert main(["build", str(csv_path), str(index_dir)]) == 0

@@ -1,4 +1,5 @@
-"""ChaosProxy faults against a real ShardServer, one kind at a time.
+"""ChaosProxy faults against a real ShardServer, one kind at a time,
+and the same plans applied in process by FaultyEndpoint.
 
 Each test proxies a live in-process server through
 :class:`repro.net.chaos.ChaosProxy` with exactly one fault armed, and
@@ -22,7 +23,13 @@ from repro.net import (
     ShardServer,
     TransportError,
 )
-from repro.net.chaos import ChaosProxy, FaultPlan
+from repro.net.chaos import (
+    ChaosProxy,
+    FaultLog,
+    FaultPlan,
+    FaultyEndpoint,
+    InjectedFault,
+)
 from repro.service import MetricsRegistry
 
 from .conftest import entries_of, random_queries
@@ -78,6 +85,16 @@ def test_plan_validation():
         FaultPlan("bad", blackhole_probability=-0.1)
     with pytest.raises(ValueError):
         FaultPlan("bad", reset_after_bytes=-1)
+    with pytest.raises(ValueError):
+        FaultPlan("bad", reset_probability=1.5)
+    # A negative delay would make the pump thread's sleep raise and drop
+    # the connection with nothing in the log.
+    with pytest.raises(ValueError):
+        FaultPlan("bad", latency_seconds=-0.1)
+    with pytest.raises(ValueError):
+        FaultPlan("bad", latency_seconds=-0.2, latency_jitter_seconds=0.1)
+    with pytest.raises(ValueError):
+        FaultPlan("bad", latency_jitter_seconds=-0.1)
 
 
 # -- corruption: the CRC layer must catch every flipped byte ------------------
@@ -188,6 +205,73 @@ def test_same_seed_same_connection_order_injects_identically(server, query):
             outcomes.append((run, proxy.log.to_dict()["resets_injected"]))
     assert outcomes[0] == outcomes[1]
     assert "reset" in outcomes[0][0] and "ok" in outcomes[0][0]
+
+
+# -- the same plans in process: FaultyEndpoint --------------------------------
+
+
+class Answering:
+    """An endpoint that answers every call and records what reached it."""
+
+    def __init__(self):
+        self.calls = 0
+        self.closed = False
+
+    def call(self, query, budget):
+        self.calls += 1
+        return "answer"
+
+    def probe(self, timeout):
+        return True
+
+    def describe(self):
+        return {"inner": True}
+
+    def close(self):
+        self.closed = True
+
+
+def outcomes(endpoint, calls):
+    run = []
+    for _ in range(calls):
+        try:
+            run.append(endpoint.call(None, None))
+        except InjectedFault:
+            run.append("reset")
+    return run
+
+
+def test_faulty_endpoint_refuses_wire_only_faults():
+    for plan in (FaultPlan("c", corrupt_probability=0.1),
+                 FaultPlan("b", blackhole_probability=0.1)):
+        with pytest.raises(ValueError, match="wire-only"):
+            FaultyEndpoint(Answering(), plan, FaultLog())
+
+
+def test_faulty_endpoint_counts_what_it_injects():
+    inner, log = Answering(), FaultLog()
+    endpoint = FaultyEndpoint(inner, FaultPlan(
+        "slow-flaky", seed=3, reset_probability=0.5,
+        latency_seconds=0.001), log)
+    run = outcomes(endpoint, 40)
+    counts = log.to_dict()
+    assert counts["latencies_injected"] == 40
+    assert counts["resets_injected"] == run.count("reset")
+    assert 0 < inner.calls == run.count("answer") < 40
+    # Everything but the call passes through to the wrapped endpoint.
+    assert endpoint.probe(1.0) and endpoint.describe() == {"inner": True}
+    endpoint.close()
+    assert inner.closed
+
+
+def test_faulty_endpoint_is_deterministic_under_its_seed():
+    plan = FaultPlan("flaky", seed=7, reset_probability=0.5)
+    runs = [outcomes(FaultyEndpoint(Answering(), plan, FaultLog()), 30)
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    other = FaultPlan("flaky", seed=8, reset_probability=0.5)
+    assert outcomes(FaultyEndpoint(Answering(), other, FaultLog()),
+                    30) != runs[0]
 
 
 # -- replica set over a faulty proxy: correctness survives --------------------

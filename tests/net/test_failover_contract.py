@@ -17,13 +17,13 @@ import pytest
 from repro.cluster import (
     EngineEndpoint,
     FailoverSet,
-    InjectedFault,
     ReplicaEndpoint,
     ReplicaSet,
     ShardUnavailableError,
 )
 from repro.core import DesksIndex, QueryResult
 from repro.net import ResilienceConfig, SocketEndpoint, TransportError
+from repro.net.chaos import InjectedFault
 from repro.net.protocol import RemoteSearchResult
 from repro.service import MetricsRegistry
 from repro.storage import PageCorruptionError

@@ -5,12 +5,14 @@ import threading
 
 import pytest
 
-from repro.cluster import FaultInjector, ShardRouter
+from repro.cluster import ShardRouter
 from repro.net import (
     ClusterFrontend,
     OverloadError,
     RemoteShardClient,
 )
+
+from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint
 
 from .conftest import entries_of, random_queries
 
@@ -77,10 +79,11 @@ def test_frontend_forwards_typed_brownout(collection):
     ``degraded`` with ``unavailable_shards`` on the wire — so a remote
     client knows exactly which shards its partial answer is missing.
     """
-    injector = FaultInjector()
-    injector.set_fault(replica_id=0, error_rate=1.0)
-    with ShardRouter(collection, num_shards=2, partitioner="grid",
-                     fault_injector=injector) as router:
+    down, log = FaultPlan("down", reset_probability=1.0), FaultLog()
+    with ShardRouter(collection, num_shards=2, partitioner="grid") as router:
+        for shard in router.shards:
+            replica = shard.transport.replicas[0]
+            replica.endpoint = FaultyEndpoint(replica.endpoint, down, log)
         frontend = ClusterFrontend(router).start()
         try:
             query = random_queries(random.Random(35), 1)[0]

@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro.durability.chaos import PAGE_CORRUPTION_KINDS, CorruptionInjector
 from repro.storage import (
     FRAME_OVERHEAD,
     ChecksummedPageStore,
-    CorruptionInjector,
     FilePageStore,
     InMemoryPageStore,
-    PAGE_CORRUPTION_KINDS,
     PageCorruptionError,
 )
 
