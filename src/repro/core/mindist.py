@@ -5,7 +5,10 @@ the origin, the dataset rectangle is ``[0, L] x [0, H]``, and the basic
 query's direction interval satisfies ``0 <= alpha <= beta <= pi/2``.
 
 * :func:`band_mindist` — the paper's Eq. 4, ``MINDIST(q, R_i)``.
-* :func:`subregion_mindist` — the paper's Table I, ``MINDIST(q, R_ij)``.
+* :func:`subregion_mindists` — the paper's Table I, ``MINDIST(q, R_ij)``,
+  for a band's sub-regions in one pass over their
+  :class:`BoundaryColumns`; :func:`subregion_mindist` is its
+  one-sub-region call.
 * :meth:`BasicQueryGeometry.band_direction_bounds` — the tighter per-band
   bounds ``tau_l^{R_i}`` / ``tau_u^{R_i}`` of Eqs. 5-6 (Lemma 4), falling
   back to the region-wide bounds of Lemma 2.
@@ -20,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..geometry import (
     HALF_PI,
     DirectionInterval,
     Point,
     ray_circle_intersection,
-    ray_ray_intersection,
+    ray_ray_distance,
     ray_rectangle_exit,
     signed_angle,
     signed_angle_of,
@@ -100,6 +103,11 @@ class BasicQueryGeometry:
             self.q, self.beta, self.length, self.height)
         self.theta_exit_alpha = _anchor_angle(self._exit_alpha)
         self.theta_exit_beta = _anchor_angle(self._exit_beta)
+        # The alpha/beta ray directions, for Table I's boundary rays.
+        self.cos_alpha = math.cos(self.alpha)
+        self.sin_alpha = math.sin(self.alpha)
+        self.cos_beta = math.cos(self.beta)
+        self.sin_beta = math.sin(self.beta)
 
     # -- Lemma 2: region-wide direction bounds ------------------------------
 
@@ -178,14 +186,6 @@ class BasicQueryGeometry:
             return None
         return self.q.distance_to(hit)
 
-    def dist_to_boundary_ray_along(self, phi: float, boundary_theta: float,
-                                   ) -> Optional[float]:
-        """Distance to ``q_phi^{theta}`` (Eq. 2 point), if it exists."""
-        hit = ray_ray_intersection(self.q, phi, boundary_theta)
-        if hit is None:
-            return None
-        return self.q.distance_to(hit)
-
 
 def _anchor_angle(p: Optional[Point]) -> Optional[float]:
     """Direction of ``p`` from the origin, ``None`` for the origin/missing."""
@@ -224,89 +224,142 @@ def band_mindist(geo: BasicQueryGeometry, inner: float,
 # -- Table I: MINDIST(q, R_ij) --------------------------------------------------
 
 
+class BoundaryColumns(NamedTuple):
+    """Sub-region direction boundaries by gid, with their cosines and sines.
+
+    ``theta_lo[gid]``/``theta_hi[gid]`` are sub-region ``gid``'s
+    ``theta_{ij-1}``/``theta_ij``; the trigonometry is the ``math.cos`` /
+    ``math.sin`` that Table I's corners and boundary rays would otherwise
+    recompute on every query.  Plain lists: scalar indexing is what
+    :func:`subregion_mindists` does, and lists beat numpy scalars there.
+    """
+
+    theta_lo: List[float]
+    theta_hi: List[float]
+    cos_lo: List[float]
+    sin_lo: List[float]
+    cos_hi: List[float]
+    sin_hi: List[float]
+
+    @classmethod
+    def of(cls, theta_lo: Sequence[float],
+           theta_hi: Sequence[float]) -> "BoundaryColumns":
+        return cls(list(theta_lo), list(theta_hi),
+                   [math.cos(t) for t in theta_lo],
+                   [math.sin(t) for t in theta_lo],
+                   [math.cos(t) for t in theta_hi],
+                   [math.sin(t) for t in theta_hi])
+
+
 def subregion_mindist(geo: BasicQueryGeometry, inner: float, outer: float,
                       theta_lo: float, theta_hi: float) -> float:
     """The paper's Table I: least distance from q to an answer in R_ij.
 
     ``inner``/``outer`` are the band radii, ``theta_lo``/``theta_hi`` the
-    sub-region's direction range (``theta_{ij-1}`` / ``theta_ij``).
+    sub-region's direction range (``theta_{ij-1}`` / ``theta_ij``).  The
+    one-sub-region call of :func:`subregion_mindists`.
     """
-    fallback = annulus_mindist(geo.qd, inner, outer)
+    kept = subregion_mindists(geo, inner, outer, (0,),
+                              BoundaryColumns.of((theta_lo,), (theta_hi,)),
+                              INF)
+    return kept[0][0] if kept else INF
+
+
+def subregion_mindists(geo: BasicQueryGeometry, inner: float, outer: float,
+                       gids: Iterable[int], bounds: BoundaryColumns,
+                       kth: float) -> List[Tuple[float, int]]:
+    """Table I for sub-regions ``gids`` of one band, in one pass.
+
+    ``(MINDIST(q, R_ij), gid)`` for every gid whose bound is below ``kth``
+    (Algorithm 1's ``d_k``), in ``gids`` order.  The band's radii decide
+    which three of the six rows apply; each sub-region's boundary columns
+    pick the row.  Where an intersection point is undefined the row falls
+    back to the annulus bound, and every row is raised to it.
+    """
+    qd = geo.qd
+    fallback = annulus_mindist(qd, inner, outer)
     if not geo.inside_rect:
-        return fallback
-    if geo.qd >= outer:
-        return INF  # q in R_i^>, Lemma 1
+        if fallback >= kth:
+            return []
+        return [(fallback, gid) for gid in gids]
+    if qd >= outer:
+        return []  # q in R_i^>, Lemma 1: MINDIST is inf
+    theta_lo, theta_hi, cos_lo, sin_lo, cos_hi, sin_hi = bounds
+    q = geo.q
+    qx, qy, q_theta = q.x, q.y, geo.q_theta
+    cos_a, sin_a, cos_b, sin_b = geo.cos_alpha, geo.sin_alpha, \
+        geo.cos_beta, geo.sin_beta
+    out: List[Tuple[float, int]] = []
     value: Optional[float]
-    if geo.qd < inner:
-        value = _mindist_from_inside_inner(geo, inner, theta_lo, theta_hi)
+    if qd >= inner:
+        # Rows R_i: q inside the band's radius range.
+        for gid in gids:
+            if q_theta < theta_lo[gid]:
+                # Row R_i[0, theta_{ij-1}): reach the low-angle boundary
+                # ray along beta (beta <= pi/2 makes this the nearest).
+                value = ray_ray_distance(qx, qy, cos_b, sin_b,
+                                         cos_lo[gid], sin_lo[gid])
+            elif q_theta < theta_hi[gid]:
+                value = 0.0  # q is inside R_ij
+            else:
+                # Row R_i[theta_ij, pi/2]: the high-angle ray along alpha.
+                value = ray_ray_distance(qx, qy, cos_a, sin_a,
+                                         cos_hi[gid], sin_hi[gid])
+            mindist = fallback if value is None else max(value, fallback)
+            if mindist >= kth:
+                continue
+            out.append((mindist, gid))
+        return out
+    # Rows R_i^<: q inside the inner arc.  What the sector reaches along
+    # alpha or beta on the inner arc is the same for the whole band.
+    alpha, beta = geo.alpha, geo.beta
+    arc_alpha = geo.dist_to_inner_arc_along(alpha, inner)
+    arc_beta = geo.dist_to_inner_arc_along(beta, inner)
+    if alpha <= q_theta <= beta:
+        radial: Optional[float] = inner - qd
     else:
-        value = _mindist_from_within_band(geo, theta_lo, theta_hi)
-    if value is None:
-        return fallback
-    return max(value, fallback)
-
-
-def _mindist_from_inside_inner(geo: BasicQueryGeometry, inner: float,
-                               theta_lo: float, theta_hi: float,
-                               ) -> Optional[float]:
-    """Table I rows for ``q`` inside the inner arc (``R_i^<``)."""
-    if geo.q_theta < theta_lo:
-        # Row R_i^<[0, theta_{ij-1}): closest corner is the inner/low-angle
-        # one, the paper's "bottom-right" p_{i-1,j-1}.
-        corner = polar_point(inner, theta_lo)
-        return _corner_case(
-            geo, corner,
-            below=lambda: geo.dist_to_inner_arc_along(geo.alpha, inner),
-            above=lambda: geo.dist_to_boundary_ray_along(geo.beta, theta_lo))
-    if geo.q_theta < theta_hi:
-        # Row R_i^<[theta_{ij-1}, theta_ij): radially below the sub-region.
-        if geo.alpha <= geo.q_theta <= geo.beta:
-            return inner - geo.qd
-        phi = geo.alpha if geo.q_theta < geo.alpha else geo.beta
-        return geo.dist_to_inner_arc_along(phi, inner)
-    # Row R_i^<[theta_ij, pi/2]: closest corner is the inner/high-angle one,
-    # the paper's "bottom-left" p_{i-1,j}.
-    corner = polar_point(inner, theta_hi)
-    return _corner_case(
-        geo, corner,
-        below=lambda: geo.dist_to_boundary_ray_along(geo.alpha, theta_hi),
-        above=lambda: geo.dist_to_inner_arc_along(geo.beta, inner))
-
-
-def _mindist_from_within_band(geo: BasicQueryGeometry, theta_lo: float,
-                              theta_hi: float) -> Optional[float]:
-    """Table I rows for ``q`` inside the band's radius range (``R_i``)."""
-    if geo.q_theta < theta_lo:
-        # Row R_i[0, theta_{ij-1}): reach the low-angle boundary ray along
-        # the beta ray (beta <= pi/2 guarantees this is the nearest point).
-        return geo.dist_to_boundary_ray_along(geo.beta, theta_lo)
-    if geo.q_theta < theta_hi:
-        return 0.0  # q is inside R_ij
-    # Row R_i[theta_ij, pi/2]: reach the high-angle boundary ray along alpha.
-    return geo.dist_to_boundary_ray_along(geo.alpha, theta_hi)
-
-
-def _corner_case(geo: BasicQueryGeometry, corner: Point, below, above,
-                 ) -> Optional[float]:
-    """Shared corner logic of Table I rows 2 and 4.
-
-    When the corner's direction from q falls inside ``[alpha, beta]`` the
-    corner itself is nearest; when the sector aims below it (``< alpha``)
-    or above it (``> beta``) the nearest point slides along the matching
-    query ray, computed by the ``below``/``above`` thunks.
-    """
-    if corner.coincides(geo.q):
-        return 0.0
-    # The corner can sit clockwise of the positive x-axis as seen from q
-    # (its direction wraps into (3*pi/2, 2*pi)); compared raw against
-    # alpha in [0, pi/2] that would masquerade as "above beta".  Signed
-    # representation puts it below alpha, where it belongs.
-    direction = signed_angle(geo.q.direction_to(corner))
-    if direction < geo.alpha:
-        return below()
-    if direction > geo.beta:
-        return above()
-    return geo.q.distance_to(corner)
+        radial = arc_alpha if q_theta < alpha else arc_beta
+    for gid in gids:
+        if theta_lo[gid] <= q_theta < theta_hi[gid]:
+            # Row R_i^<[theta_{ij-1}, theta_ij): radially below R_ij.
+            value = radial
+        else:
+            # Rows R_i^<[0, theta_{ij-1}) and R_i^<[theta_ij, pi/2]: the
+            # nearest corner is the inner arc's low-angle one (the paper's
+            # "bottom-right" p_{i-1,j-1}) or its high-angle one
+            # ("bottom-left" p_{i-1,j}).  Its direction from q inside
+            # [alpha, beta] makes it nearest; a sector aiming below or
+            # above it slides along the matching query ray.
+            low = q_theta < theta_lo[gid]
+            corner = (Point(inner * cos_lo[gid], inner * sin_lo[gid]) if low
+                      else Point(inner * cos_hi[gid], inner * sin_hi[gid]))
+            if corner.coincides(q):
+                value = 0.0
+            else:
+                # The corner can sit clockwise of the positive x-axis as
+                # seen from q (its direction wraps into (3*pi/2, 2*pi));
+                # compared raw against alpha in [0, pi/2] that would
+                # masquerade as "above beta".  Signed puts it below alpha.
+                direction = signed_angle(q.direction_to(corner))
+                if direction < alpha:
+                    if low:
+                        value = arc_alpha
+                    else:  # to the high-angle boundary ray along alpha
+                        value = ray_ray_distance(qx, qy, cos_a, sin_a,
+                                                 cos_hi[gid], sin_hi[gid])
+                elif direction > beta:
+                    if low:  # to the low-angle boundary ray along beta
+                        value = ray_ray_distance(qx, qy, cos_b, sin_b,
+                                                 cos_lo[gid], sin_lo[gid])
+                    else:
+                        value = arc_beta
+                else:
+                    value = q.distance_to(corner)
+        mindist = fallback if value is None else max(value, fallback)
+        if mindist >= kth:
+            continue
+        out.append((mindist, gid))
+    return out
 
 
 def basic_geometry(frame, world_point: Point,

@@ -31,6 +31,7 @@ from ..storage import (
     encode_floats,
     encode_uint_list,
 )
+from .mindist import BoundaryColumns
 
 
 @dataclass
@@ -71,11 +72,6 @@ class Band:
     @property
     def first_gid(self) -> int:
         return self.subregions[0].gid
-
-    @property
-    def theta_breaks(self) -> List[float]:
-        """Sub-region lower directions, for binary searching."""
-        return [s.theta_lo for s in self.subregions]
 
 
 class AnchorRegions:
@@ -135,7 +131,8 @@ class AnchorRegions:
 
         The arrays are what the keyword layout and the columnar snapshot
         gather through; the lists serve scalar indexing, where they beat
-        numpy scalars.
+        numpy scalars.  Nothing here is saved: a loaded index derives the
+        same lookups from the same order and sub-regions.
         """
         count = order.size
         self.order_array = order
@@ -148,6 +145,12 @@ class AnchorRegions:
         self.poi_order: List[int] = order.tolist()
         self.position_of: List[int] = self.position_array.tolist()
         self._inner_radii = [b.inner_radius for b in self.bands]
+        #: Every sub-region's direction range and its trigonometry, by
+        #: gid: what Table I (:func:`~repro.core.mindist.
+        #: subregion_mindists`) and the wedge window read.
+        self.boundaries = BoundaryColumns.of(
+            [sub.theta_lo for sub in self.subregions],
+            [sub.theta_hi for sub in self.subregions])
 
     # -- lookups -----------------------------------------------------------
 
@@ -199,18 +202,22 @@ class AnchorRegions:
         exactly ``pi/2`` live inside it, so it is closed at the top and
         must not be pruned by ``theta_hi <= tau_lo``.
         """
-        breaks = band.theta_breaks
+        breaks = self.boundaries.theta_lo  # sorted within the band
+        first_gid = band.first_gid
+        end_gid = first_gid + len(band.subregions)
         # First sub-region whose *upper* bound exceeds tau_lo: since
         # theta_hi[j] == theta_lo[j+1], that is the last j with
         # theta_lo[j] <= tau_lo, except when its theta_hi == tau_lo.
-        first = bisect_right(breaks, tau_lo) - 1
+        first = bisect_right(breaks, tau_lo, first_gid, end_gid) - 1 \
+            - first_gid
         if first < 0:
             first = 0
         elif (band.subregions[first].theta_hi <= tau_lo
               and first + 1 < len(band.subregions)):
             first += 1
         # Last sub-region whose lower bound is <= tau_hi.
-        last = bisect_right(breaks, tau_hi) - 1
+        last = bisect_right(breaks, tau_hi, first_gid, end_gid) - 1 \
+            - first_gid
         if last < first:
             return (first, first)  # empty range
         return (first, last + 1)

@@ -67,7 +67,7 @@ from .mindist import (
     annulus_mindist,
     band_mindist,
     basic_geometry,
-    subregion_mindist,
+    subregion_mindists,
 )
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
 from .regions import Band
@@ -90,14 +90,17 @@ _POSTING_SUMS = ("pages_read", "pois_fetched", "pois_verified")
 #: M=103), per query, best of 3 of each path on the seed-11 paper mix
 #: and the 3x4-grid scan queries, and shared by both scanners.  The fit
 #: predates the one-call-per-wedge check (:meth:`DesksSearcher.
-#: _verify_pois`), which made verifying a POI cheaper on both paths; the
+#: _verify_pois`), which made verifying a POI cheaper on both paths, and
+#: the one-call-per-band Table I (:func:`~repro.core.mindist.
+#: subregion_mindists`), which made ranking a sub-region cheaper; the
 #: constants are kept as fitted so that no query changes path, and a
 #: refit is left to a change of its own.  Holders the walk direction-
 #: and distance-tests:
 VERIFY_US = 1.2
 #: Postings of the rarest list the walk subset-tests under ``ALL``:
 FILTER_US = 0.2
-#: Sub-regions the region search ranks and opens:
+#: Sub-regions the region search ranks and opens (fitted when each was
+#: ranked by a Table I call of its own):
 SUBREGION_US = 5.0
 #: Postings it reads inside them:
 POSTING_US = 0.7
@@ -675,7 +678,6 @@ class DesksSearcher:
                               ) -> List[Tuple[float, int]]:
         """FINDCANDREGIONS: keyword-bearing sub-regions surviving pruning."""
         regions = sub.anchor.regions
-        geo = sub.geometry
         first_gid = band.first_gid
         end_gid = first_gid + len(band.subregions)
         if mode.direction:
@@ -697,25 +699,19 @@ class DesksSearcher:
                     mindist_evaluations=len(selected),
                     tau_lower=tau_lo, tau_upper=tau_hi,
                     wedge_window=[lo_idx, hi_idx])
-        out: List[Tuple[float, int]] = []
-        pruned = 0
-        for gid in selected:
-            if stats is not None:
-                stats.subregions_examined += 1
-            if mode.direction:
-                wedge = regions.subregions[gid]
-                mindist = subregion_mindist(
-                    geo, band.inner_radius, band.outer_radius,
-                    wedge.theta_lo, wedge.theta_hi)
-                if mindist >= collector.kth_distance:
-                    pruned += 1
-                    continue
-            else:
-                mindist = 0.0  # +R treats the band as one opaque region
-            out.append((mindist, gid))
+        if stats is not None:
+            stats.subregions_examined += len(selected)
+        if mode.direction:
+            out = subregion_mindists(sub.geometry, band.inner_radius,
+                                     band.outer_radius, selected,
+                                     regions.boundaries,
+                                     collector.kth_distance)
+            out.sort()
+        else:
+            # +R treats the band as one opaque region: already in order.
+            out = [(0.0, gid) for gid in selected]
         if span is not None:
-            span.annotate(subregions_mindist_pruned=pruned)
-        out.sort()
+            span.annotate(subregions_mindist_pruned=len(selected) - len(out))
         return out
 
     # -- the scanner seam: keyword postings + FindCandPOIs ------------------------

@@ -20,6 +20,7 @@ from .angles import (
 from .frames import Anchor, CanonicalFrame, frames_for
 from .intersections import (
     ray_circle_intersection,
+    ray_ray_distance,
     ray_ray_intersection,
     ray_rectangle_exit,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "normalize_angles",
     "quadrant_of",
     "ray_circle_intersection",
+    "ray_ray_distance",
     "ray_ray_intersection",
     "ray_rectangle_exit",
     "signed_angle",

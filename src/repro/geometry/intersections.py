@@ -9,7 +9,9 @@ the other three anchors onto this frame.)
   ray from ``q`` with direction ``phi`` meets the arc of radius ``r`` centred
   at the origin.
 * :func:`ray_ray_intersection` — Eq. 2: the point ``q_alpha^{theta}`` where
-  the ray from ``q`` meets the ray from the origin with direction ``theta``.
+  the ray from ``q`` meets the ray from the origin with direction ``theta``;
+  :func:`ray_ray_distance` is its distance from ``q``, over unit vectors
+  the caller computed once.
 * :func:`ray_rectangle_exit` — Eq. 3: the point ``q_alpha^{R}`` where the ray
   from ``q`` (inside the rectangle) exits the rectangle boundary.
 
@@ -86,6 +88,34 @@ def ray_ray_intersection(q: Point, phi: float, theta: float,
     if px * vx + py * vy < -_T_EPS:
         return None
     return Point(px, py)
+
+
+def ray_ray_distance(qx: float, qy: float, ux: float, uy: float,
+                     vx: float, vy: float) -> Optional[float]:
+    """``q.distance_to(ray_ray_intersection(q, phi, theta))``, bit for bit.
+
+    ``(ux, uy)`` is ``(cos phi, sin phi)`` and ``(vx, vy)`` is
+    ``(cos theta, sin theta)``: a caller that meets the same directions
+    many times (Table I, one band's sub-region boundaries against one
+    query's ``alpha``/``beta``) takes the trigonometry out of its loop.
+    The same branches and operations as :func:`ray_ray_intersection`,
+    the parallel case's ``q`` itself included (distance ``0.0``), with no
+    ``Point`` allocated; ``None`` where it returns ``None``.
+    """
+    denom = ux * vy - uy * vx
+    if abs(denom) < _T_EPS:
+        if (abs(qx * vy - qy * vx) < _T_EPS
+                and qx * vx + qy * vy >= -_T_EPS):
+            return 0.0  # the hit is q itself
+        return None
+    t = (vx * qy - vy * qx) / denom
+    if t < -_T_EPS:
+        return None
+    px = qx + max(t, 0.0) * ux
+    py = qy + max(t, 0.0) * uy
+    if px * vx + py * vy < -_T_EPS:
+        return None
+    return math.hypot(px - qx, py - qy)
 
 
 def ray_rectangle_exit(q: Point, phi: float, length: float, height: float,

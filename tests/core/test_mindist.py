@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from repro.core.mindist import (
     BasicQueryGeometry,
+    BoundaryColumns,
     annulus_mindist,
     band_mindist,
     basic_geometry,
     polar_point,
     subregion_mindist,
+    subregion_mindists,
 )
 from repro.geometry import (
     HALF_PI,
@@ -28,6 +30,8 @@ from repro.geometry import (
     MBR,
     Point,
 )
+
+from . import reference_verify as reference
 
 L, H = 100.0, 80.0
 
@@ -300,3 +304,125 @@ class TestSubregionMindistExactness:
         resolution = (outer - inner) / 50.0
         assert bound <= sampled + 1e-9, f"{row}: not a lower bound"
         assert bound >= sampled - resolution, f"{row}: bound too loose"
+
+
+@st.composite
+def table_one_bands(draw):
+    """``(geometry, inner, outer, gids, bounds, kth)`` for one band.
+
+    Biased to Table I's edges: ``q`` on the anchor, outside the rectangle
+    or on a sub-region corner; a boundary at ``q_theta`` or one ulp from
+    it; ``qd`` at the inner arc or past the outer one; an unbounded last
+    band; ``beta`` on a low boundary or ``alpha`` on a high one (the
+    parallel-ray branch), or either at ``q_theta``; ``kth`` equal to one
+    of the band's MINDISTs.
+    """
+    lows = sorted(set(draw(st.lists(quadrant_angle, min_size=1,
+                                    max_size=6))))
+    inner = draw(st.floats(min_value=0.0, max_value=120.0))
+    where = draw(st.sampled_from(("inside", "anchor", "outside", "corner")))
+    if where == "inside":
+        q = Point(draw(in_x), draw(in_y))
+    elif where == "anchor":
+        q = Point(0.0, 0.0)
+    elif where == "outside":
+        q = Point(draw(st.sampled_from((-1e-6, -7.5, L + 1e-6, L + 30.0))),
+                  draw(in_y))
+    else:
+        # Exactly the Point(inner * cos, inner * sin) corner Table I builds.
+        q = polar_point(inner, draw(st.sampled_from(lows + [HALF_PI])))
+    alpha, beta = sorted((draw(quadrant_angle), draw(quadrant_angle)))
+    pin = draw(st.sampled_from((None, "beta", "alpha", "q_theta")))
+    if pin == "beta":
+        beta = draw(st.sampled_from(lows))
+        alpha = min(alpha, beta)
+    elif pin == "alpha":
+        alpha = draw(st.sampled_from(lows[1:] + [HALF_PI]))
+        beta = max(alpha, beta)
+    g = geo(q.x, q.y, alpha, beta)
+    if pin == "q_theta" and 0.0 <= g.q_theta <= HALF_PI and g.qd > 0.0:
+        # q on the sector's edge: the radial row's alpha <= q_theta <= beta.
+        if draw(st.booleans()):
+            alpha, beta = g.q_theta, max(g.q_theta, beta)
+        else:
+            alpha, beta = min(alpha, g.q_theta), g.q_theta
+        g = geo(q.x, q.y, alpha, beta)
+    if where != "corner":
+        nudge = draw(st.sampled_from((None, 0.0, -math.inf, math.inf)))
+        if nudge is not None:
+            at = g.q_theta if nudge == 0.0 else math.nextafter(g.q_theta,
+                                                               nudge)
+            if 0.0 <= at <= HALF_PI:
+                lows = sorted(set(lows + [at]))
+        if draw(st.booleans()):
+            inner = g.qd
+    reach = draw(st.sampled_from(("inf", "width", "qd")))
+    if reach == "inf":
+        outer = math.inf
+    elif reach == "width":
+        outer = inner + draw(st.floats(min_value=0.5, max_value=150.0))
+    else:
+        outer = max(inner, g.qd)
+    # Leading columns of earlier bands: gids index the columns globally.
+    first_gid = draw(st.integers(min_value=0, max_value=3))
+    bounds = BoundaryColumns.of([0.0] * first_gid + lows,
+                                [0.0] * first_gid + lows[1:] + [HALF_PI])
+    band = range(first_gid, first_gid + len(lows))
+    gids = sorted(draw(st.sets(st.sampled_from(band), min_size=1)))
+    finite = [m for m in (reference.subregion_mindist(
+                  g, inner, outer, bounds.theta_lo[gid],
+                  bounds.theta_hi[gid]) for gid in gids)
+              if m != math.inf]
+    kth = draw(st.one_of(
+        st.just(math.inf), st.floats(min_value=0.0, max_value=200.0),
+        *([st.sampled_from(finite)] if finite else [])))
+    return g, inner, outer, gids, bounds, kth
+
+
+class TestBatchTableOneIsTheScalarOne:
+    """:func:`subregion_mindists` is the per-sub-region Table I the search
+    ran before (kept in ``reference_verify.py``) bit for bit: the same
+    float for every sub-region, the same gids kept below ``kth``."""
+
+    @staticmethod
+    def expected(g, inner, outer, gids, bounds, kth):
+        out = []
+        for gid in gids:
+            mindist = reference.subregion_mindist(
+                g, inner, outer, bounds.theta_lo[gid], bounds.theta_hi[gid])
+            if not mindist >= kth:
+                out.append((mindist.hex(), gid))
+        return out
+
+    @settings(max_examples=1500, deadline=None)
+    @given(table_one_bands())
+    def test_same_bits_and_kept_gids(self, case):
+        g, inner, outer, gids, bounds, kth = case
+        got = subregion_mindists(g, inner, outer, gids, bounds, kth)
+        assert [(m.hex(), gid) for m, gid in got] == \
+            self.expected(g, inner, outer, gids, bounds, kth)
+        for gid in gids:
+            lo, hi = bounds.theta_lo[gid], bounds.theta_hi[gid]
+            assert subregion_mindist(g, inner, outer, lo, hi).hex() == \
+                reference.subregion_mindist(g, inner, outer, lo, hi).hex()
+
+    def test_corner_on_q(self):
+        """A query point on a sub-region's inner-arc corner, just inside
+        the arc after rounding: the corner-coincides branch, whose 0.0 is
+        raised to the annulus bound."""
+        hits = 0
+        for step in range(1, 200):
+            inner, theta = 10.0 + step * 0.37, step * HALF_PI / 200
+            q = polar_point(inner, theta)
+            g = geo(q.x, q.y, 0.2, 1.2)
+            if not g.qd < inner:
+                continue
+            bounds = BoundaryColumns.of([0.0, theta], [theta, HALF_PI])
+            got = subregion_mindists(g, inner, math.inf, [0, 1], bounds,
+                                     math.inf)
+            assert [(m.hex(), gid) for m, gid in got] == self.expected(
+                g, inner, math.inf, [0, 1], bounds, math.inf)
+            corner = 1 if g.q_theta < theta else 0
+            assert got[corner] == (inner - g.qd, corner)
+            hits += 1
+        assert hits > 0

@@ -53,6 +53,9 @@ class TestRegionsBlob:
                 (b.gid, b.band_index, b.start, b.end)
             assert a.theta_lo == b.theta_lo
             assert a.theta_hi == b.theta_hi
+        # Table I's columns are derived on load, not saved: same values.
+        assert restored.boundaries == regions.boundaries
+        assert len(restored.boundaries.theta_lo) == regions.num_subregions
 
     def test_wrong_collection_size_rejected(self):
         regions, frame, (xs, ys) = self.make_regions()

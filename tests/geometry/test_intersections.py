@@ -11,6 +11,7 @@ from repro.geometry import (
     Point,
     ray_circle_intersection,
     ray_rectangle_exit,
+    ray_ray_distance,
     ray_ray_intersection,
 )
 
@@ -100,6 +101,44 @@ class TestRayRay:
         p = ray_ray_intersection(q, phi, theta)
         if p is not None and math.hypot(p.x, p.y) > 1e-9:
             assert math.atan2(p.y, p.x) == pytest.approx(theta, abs=1e-6)
+
+
+class TestRayRayDistance:
+    """The column form is the Point form's distance, bit for bit."""
+
+    @staticmethod
+    def both(q, phi, theta):
+        hit = ray_ray_intersection(q, phi, theta)
+        expected = None if hit is None else q.distance_to(hit)
+        got = ray_ray_distance(q.x, q.y, math.cos(phi), math.sin(phi),
+                               math.cos(theta), math.sin(theta))
+        return got, expected
+
+    @pytest.mark.parametrize("q,phi,theta", [
+        (Point(1.0, 0.0), HALF_PI, math.pi / 4),       # a hit
+        (Point(2.0, 1.0), 1.5 * math.pi, math.pi / 4),  # behind q's ray
+        (Point(-3.0, 1.0), math.pi + 0.3, math.pi / 4),  # behind the origin's
+        (Point(0.0, 1.0), 0.0, 0.0),                   # parallel, disjoint
+        (Point(2.0, 2.0), math.pi / 4, math.pi / 4),   # collinear: q itself
+        (Point(0.0, 0.0), 0.7, 0.7),                   # q on the anchor
+    ])
+    def test_cases(self, q, phi, theta):
+        got, expected = self.both(q, phi, theta)
+        assert got == expected
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.hex() == expected.hex()
+
+    @given(st.floats(min_value=-20.0, max_value=20.0),
+           st.floats(min_value=-20.0, max_value=20.0),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           quadrant_angles, st.booleans())
+    def test_same_bits(self, qx, qy, phi, theta, parallel):
+        if parallel:
+            phi = theta
+        got, expected = self.both(Point(qx, qy), phi, theta)
+        assert (None if got is None else got.hex()) == \
+            (None if expected is None else expected.hex())
 
 
 class TestRayRectangleExit:
