@@ -1,4 +1,4 @@
-"""Closed-loop load generation against an engine or any issue function.
+"""Closed-loop load generation against any ``issue(query)`` callable.
 
 N client threads each run the classic closed loop: issue a query, wait for
 the answer, *think* for a configurable time, repeat.  Think time is what
@@ -9,16 +9,17 @@ time and a pure-Python (GIL-bound) searcher, adding clients mostly adds
 queueing; a client-count sweep therefore uses a small think time to
 show the expected aggregate-QPS scaling.
 
-The target is a :class:`QueryEngine` (``submit`` / ``submit_batch``,
-with cache-hit accounting) or any ``issue(query)`` callable —
-``client.search`` over a socket, ``router.execute`` — so every transport
-replays the same workload with the same bookkeeping.  Latency is
-client-observed, one sample per completed request of *this* run: exact
-nearest-rank percentiles, never a histogram shared with earlier runs.
+The target is one callable — ``lambda q: engine.submit(q).result()`` for
+an engine's pool, ``engine.execute``, ``client.search`` over a socket,
+``router.execute`` — so every transport replays the same workload with
+the same bookkeeping.  Latency is client-observed, one sample per
+completed request of *this* run: exact nearest-rank percentiles, never a
+histogram shared with earlier runs.  Cache hits are the engine's to
+count: read ``engine.cache.stats`` before and after a run.
 
-The loop is deterministic given ``seed``: client ``i`` walks the query
-list starting at offset ``i`` with stride ``num_clients``, so a repeated
-(cache-warm) workload replays exactly.
+The loop is deterministic: client ``i`` walks the query list starting at
+offset ``i`` with stride ``num_clients``, so a repeated (cache-warm)
+workload replays exactly.
 """
 
 from __future__ import annotations
@@ -26,20 +27,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from ..core import DirectionalQuery
-from .engine import QueryEngine
+from repro.core import DirectionalQuery
 
 
 @dataclass
@@ -50,8 +40,6 @@ class WorkloadReport:
     elapsed_seconds: float
     total_queries: int
     per_client_queries: List[int]
-    cache_hits: int
-    cache_lookups: int
     partial_results: int
     errors: int
     first_error: Optional[str] = None
@@ -71,19 +59,11 @@ class WorkloadReport:
         """Aggregate completed queries per wall-clock second."""
         return self.total_queries / max(self.elapsed_seconds, 1e-9)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of cache lookups that hit (engine targets only)."""
-        return self.cache_hits / max(self.cache_lookups, 1)
-
     def summary(self) -> str:
         """One human-readable line: a client-count sweep's table row."""
         p95 = self.latency.get("p95", 0.0) * 1000.0
-        hit_rate = (f"{self.cache_hit_rate:6.1%}" if self.cache_lookups
-                    else "   n/a")
         shed = f"  shed={sum(self.shed.values())}" if self.shed else ""
         return (f"clients={self.num_clients:<3} qps={self.qps:8.1f}  "
-                f"hit_rate={hit_rate}  "
                 f"p95={p95:7.2f}ms  partial={self.partial_results}  "
                 f"errors={self.errors}{shed}")
 
@@ -97,14 +77,12 @@ def _exact_percentile(samples: List[float], q: float) -> float:
     return samples[rank - 1]
 
 
-def run_closed_loop(target: Union[QueryEngine,
-                                  Callable[[DirectionalQuery], Any]],
+def run_closed_loop(target: Callable[[DirectionalQuery], Any],
                     queries: Sequence[DirectionalQuery],
                     num_clients: int,
                     requests_per_client: Optional[int] = None,
                     duration_seconds: Optional[float] = None,
                     think_time: float = 0.0,
-                    batch_size: int = 1,
                     shed_on: Tuple[Type[Exception], ...] = (),
                     ) -> WorkloadReport:
     """Drive ``target`` with ``num_clients`` synchronous client threads.
@@ -114,17 +92,10 @@ def run_closed_loop(target: Union[QueryEngine,
     given.  Each client blocks on its own request — the closed loop —
     then sleeps ``think_time`` seconds before the next one.
 
-    ``target`` is a :class:`QueryEngine` or an ``issue(query)`` callable
-    whose answer has a truthy/falsy ``partial`` attribute.  A deadline is
-    bound into the callable (``partial(engine.execute, timeout=t)``,
-    ``partial(client.search, budget=t)``); an engine target runs unbounded.
-
-    ``batch_size > 1`` (engine targets only) models batching clients:
-    each loop iteration gathers that many consecutive queries from the
-    client's stride and issues them as ONE ``engine.submit_batch`` call,
-    blocking until the whole batch answers (one think pause, and one
-    latency sample per request, per batch).  On a columnar engine this
-    is the path that amortises kernel plan construction.
+    ``target`` is an ``issue(query)`` callable whose answer has a
+    truthy/falsy ``partial`` attribute.  A deadline is bound into the
+    callable (``partial(engine.execute, timeout=t)``,
+    ``partial(client.search, budget=t)``).
 
     ``shed_on`` names the exception types that mean "the target shed
     this request, keep going" (``OverloadError``, ``TransportError`` for
@@ -137,21 +108,9 @@ def run_closed_loop(target: Union[QueryEngine,
         raise ValueError("the workload needs at least one query")
     if num_clients <= 0:
         raise ValueError(f"num_clients must be positive: {num_clients}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1: {batch_size}")
     if (requests_per_client is None) == (duration_seconds is None):
         raise ValueError("give exactly one of requests_per_client or "
                          "duration_seconds")
-    engine = target if isinstance(target, QueryEngine) else None
-    if engine is None and batch_size != 1:
-        raise ValueError("batch_size > 1 needs a QueryEngine target")
-
-    def issue(batch: List[DirectionalQuery]) -> List[Any]:
-        if engine is None:
-            return [target(batch[0])]
-        if len(batch) == 1:
-            return [engine.submit(batch[0]).result()]
-        return [future.result() for future in engine.submit_batch(batch)]
 
     stop_at = (time.monotonic() + duration_seconds
                if duration_seconds is not None else None)
@@ -174,39 +133,31 @@ def run_closed_loop(target: Union[QueryEngine,
                 break
             if stop_at is not None and time.monotonic() >= stop_at:
                 break
-            take = batch_size
-            if requests_per_client is not None:
-                take = min(take, requests_per_client - issued)
-            batch = []
-            for _ in range(take):
-                batch.append(queries[position % len(queries)])
-                position += num_clients
-            issued += take
+            query = queries[position % len(queries)]
+            position += num_clients
+            issued += 1
             started = time.monotonic()
             try:
-                responses = issue(batch)
+                response = target(query)
             except shed_on as exc:
                 name = next(shed_type.__name__ for shed_type in shed_on
                             if isinstance(exc, shed_type))
                 with outcome_lock:
-                    shed[name] += take
+                    shed[name] += 1
                 continue
-            except Exception as exc:  # desks: noqa-DAL011 - cause reported through the errors list
+            except Exception as exc:  # reported through errors
                 with outcome_lock:
                     errors.append(f"{type(exc).__name__}: {exc}")
                 break
-            samples[client_id].extend(
-                [time.monotonic() - started] * take)
-            for response in responses:
-                if getattr(response, "partial", False):
-                    partials[client_id] += 1
+            samples[client_id].append(time.monotonic() - started)
+            if getattr(response, "partial", False):
+                partials[client_id] += 1
             if think_time > 0.0:
                 time.sleep(think_time)
 
     threads = [threading.Thread(target=client, args=(i,),
                                 name=f"client-{i}", daemon=True)
                for i in range(num_clients)]
-    cache_before = engine.cache.stats if engine is not None else None
     for thread in threads:
         thread.start()
     start_barrier.wait()
@@ -214,11 +165,6 @@ def run_closed_loop(target: Union[QueryEngine,
     for thread in threads:
         thread.join()
     elapsed = time.monotonic() - started
-    cache_hits = cache_lookups = 0
-    if engine is not None:
-        cache_after = engine.cache.stats
-        cache_hits = cache_after.hits - cache_before.hits
-        cache_lookups = cache_after.lookups - cache_before.lookups
 
     merged = sorted(s for per_client in samples for s in per_client)
     return WorkloadReport(
@@ -226,8 +172,6 @@ def run_closed_loop(target: Union[QueryEngine,
         elapsed_seconds=elapsed,
         total_queries=len(merged),
         per_client_queries=[len(per_client) for per_client in samples],
-        cache_hits=cache_hits,
-        cache_lookups=cache_lookups,
         partial_results=sum(partials),
         errors=len(errors),
         first_error=errors[0] if errors else None,

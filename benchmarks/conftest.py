@@ -14,7 +14,7 @@ figures exercise.
 
 import pytest
 
-from repro.baselines import FilterThenVerify, GridIndex, IRTree, MIR2Tree
+from repro.baselines import FilterThenVerify, IRTree, MIR2Tree
 from repro.core import DesksIndex, DesksSearcher
 from repro.datasets import california_like, china_like, generate, virginia_like
 
@@ -72,6 +72,5 @@ def baseline_indexes(datasets):
             "MIR2-tree": MIR2Tree(collection, fanout=50),
             "LkT": IRTree(collection, fanout=50),
             "filter-verify": FilterThenVerify(collection, fanout=50),
-            "grid": GridIndex(collection),
         }
     return out

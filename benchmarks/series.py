@@ -1,17 +1,89 @@
-"""Plain-text rendering of benchmark series in the paper's shape.
+"""Timed query workloads and their plain-text series tables.
 
-Each experiment produces a *series table*: one row per x-value (k, direction
-width, keyword count, ...) and one column per method — the same rows/series
-the paper plots.  Results are also appended to ``results/`` files so
-EXPERIMENTS.md can quote measured numbers.
+Each paper figure runs one workload per (x-value, method) through
+:func:`run_workload` and renders a *series table*: one row per x-value
+(k, direction width, keyword count, ...) and one column per method — the
+same rows/series the paper plots.  Results are also written to
+``results/`` files so EXPERIMENTS.md can quote measured numbers.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
-from typing import Dict, List, Optional, Sequence
+import time
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
+
+from repro.core import DirectionalQuery, QueryResult
+from repro.storage import SearchStats
+
+#: A search callable: (query, stats) -> QueryResult.
+SearchFn = Callable[[DirectionalQuery, Optional[SearchStats]], QueryResult]
+
+
+@dataclass(frozen=True)
+class RunMeasurement:
+    """Aggregate outcome of running one method over one workload."""
+
+    method: str
+    num_queries: int
+    total_seconds: float
+    stats: SearchStats
+    total_results: int
+
+    @property
+    def avg_ms(self) -> float:
+        """Mean elapsed milliseconds per query — the paper's y-axis."""
+        return 1000.0 * self.total_seconds / max(self.num_queries, 1)
+
+    @property
+    def avg_pois_examined(self) -> float:
+        """Mean POIs touched per query — a hardware-independent proxy."""
+        return self.stats.pois_examined / max(self.num_queries, 1)
+
+    @property
+    def avg_io(self) -> float:
+        """Mean logical page reads per query (disk-backed methods only)."""
+        return self.stats.io.logical_reads / max(self.num_queries, 1)
+
+
+def run_workload(method: str, search_fn: SearchFn,
+                 queries: Sequence[DirectionalQuery],
+                 warmup: int = 2) -> RunMeasurement:
+    """Run ``queries`` through ``search_fn`` and aggregate time and stats.
+
+    A few warm-up queries are executed first (untimed) so interpreter and
+    cache warm-up does not pollute the first data point, mirroring the
+    paper's averaged measurements.
+    """
+    for query in queries[:warmup]:
+        search_fn(query, None)
+    stats = SearchStats()
+    total_results = 0
+    started = time.perf_counter()
+    for query in queries:
+        result = search_fn(query, stats)
+        total_results += len(result)
+    elapsed = time.perf_counter() - started
+    return RunMeasurement(method, len(queries), elapsed, stats,
+                          total_results)
+
+
+def desks_search_fn(searcher, mode) -> SearchFn:
+    """Adapter for :class:`~repro.core.DesksSearcher` at a pruning mode."""
+    def fn(query, stats):
+        return searcher.search_regions(query, mode, stats)
+    return fn
+
+
+def baseline_search_fn(index) -> SearchFn:
+    """Adapter for any :class:`~repro.baselines.BaselineIndex`."""
+    def fn(query, stats):
+        return index.search(query, stats)
+    return fn
 
 
 def format_series_table(title: str, x_label: str,
@@ -85,8 +157,6 @@ def ascii_chart(title: str, x_labels: Sequence,
     reproduces that reading.  Intended for the ``results/`` files — a shape
     you can eyeball without plotting libraries.
     """
-    import math as _math
-
     if height < 2:
         raise ValueError(f"chart height must be at least 2, got {height}")
     names = list(columns)
@@ -100,7 +170,7 @@ def ascii_chart(title: str, x_labels: Sequence,
 
     def transform(v: float) -> float:
         if log_scale:
-            return _math.log10(max(v, 1e-12))
+            return math.log10(max(v, 1e-12))
         return v
 
     values = [transform(v) for name in names for v in columns[name]]

@@ -20,15 +20,16 @@ paper's disk-resident setting, muted in RAM).
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import PruningMode
+
+from series import (
     baseline_search_fn,
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import PruningMode
 
 WIDTH_STEPS = (1, 3, 6, 12)  # * pi/6
 QUERIES_PER_POINT = 25

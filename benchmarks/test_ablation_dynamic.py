@@ -11,9 +11,11 @@ the standard main-plus-delta design.  Two questions this bench answers:
 import math
 import time
 
-from repro.bench import format_series_table, generate_queries, write_result
+from repro.bench import generate_queries
 from repro.core import MutableDesksIndex
 from repro.storage import SearchStats
+
+from series import format_series_table, write_result
 
 QUERIES = 30
 WIDTH = math.pi / 3

@@ -12,11 +12,12 @@ ablations:
 
 import math
 
-from repro.bench import format_series_table, generate_queries, write_result
+from repro.bench import generate_queries
 from repro.core import DesksIndex, DesksSearcher, PruningMode
 from repro.storage import SearchStats
 
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_result
 
 QUERIES = 30
 WIDTH = math.pi / 3

@@ -22,18 +22,14 @@ import math
 
 import pytest
 
-from repro.bench import (
-    format_series_table,
-    generate_queries,
-    write_json_result,
-    write_result,
-)
+from repro.bench import generate_queries
 from repro.cluster import PARTITIONERS, ShardRouter
 from repro.core import DesksIndex, DesksSearcher
 from repro.net import ClusterLauncher, connect_router
 from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint
 
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_json_result, write_result
 
 SHARD_SWEEP = (1, 2, 4, 8)
 WIDTH_SWEEP = (2 * math.pi, math.pi, math.pi / 2, math.pi / 4, math.pi / 8)

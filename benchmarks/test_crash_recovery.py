@@ -19,7 +19,6 @@ Everything is seed-deterministic; results land in
 
 import pytest
 
-from repro.bench import write_json_result, write_result
 from repro.datasets import SyntheticConfig, generate
 from repro.durability.chaos import (
     build_script,
@@ -27,6 +26,8 @@ from repro.durability.chaos import (
     run_corruption_trials,
     run_crash_trials,
 )
+
+from series import write_json_result, write_result
 
 SEED = 1210
 BASE_POIS = 400

@@ -8,14 +8,15 @@ around moderate N and M.
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import DesksIndex, DesksSearcher, PruningMode
+
+from series import (
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import DesksIndex, DesksSearcher, PruningMode
 
 #: Bench-scale grids (the paper sweeps N in 50..250 / M in 50..250 on
 #: CA/VA and up to 1000 on CN; scaled ~20x down with the datasets).

@@ -9,14 +9,15 @@ the biggest dataset (CN) where there are many bands to skip.
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import PruningMode
+
+from series import (
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import PruningMode
 
 K_VALUES = (1, 5, 10, 20, 50, 100)
 QUERIES_PER_POINT = 40

@@ -9,14 +9,15 @@ the full circle (nothing to prune by direction).
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import PruningMode
+
+from series import (
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import PruningMode
 
 WIDTH_STEPS = tuple(range(1, 13))  # multiples of pi/6
 QUERIES_PER_POINT = 30

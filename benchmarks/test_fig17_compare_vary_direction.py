@@ -9,16 +9,17 @@ every width, including the full circle.
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import PruningMode
+
+from series import (
     ascii_chart,
     baseline_search_fn,
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import PruningMode
 
 WIDTH_STEPS = (1, 2, 4, 6, 9, 12)  # multiples of pi/6 (paper: 1..12)
 QUERIES_PER_POINT = 25
@@ -72,7 +73,7 @@ def test_fig17_compare_vary_direction(datasets, desks_searchers,
             assert time_cols["Desks"][0] < time_cols[rival][0]
         # Baselines degrade sharply as the width narrows (the two-step
         # method draws ~1/width more candidates); DESKS stays nearly flat.
-        for rival in ("MIR2-tree", "LkT", "grid"):
+        for rival in ("MIR2-tree", "LkT"):
             assert poi_cols[rival][0] > 1.7 * poi_cols[rival][-1]
         desks_flatness = (max(poi_cols["Desks"])
                           / max(min(poi_cols["Desks"]), 1e-9))

@@ -10,16 +10,17 @@ costs them many out-of-direction candidates.
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import PruningMode
+
+from series import (
     ascii_chart,
     baseline_search_fn,
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import PruningMode
 
 K_VALUES = (1, 5, 10, 20, 50, 100)
 QUERIES_PER_POINT = 30

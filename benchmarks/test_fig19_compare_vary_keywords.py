@@ -8,15 +8,16 @@ orders of magnitude slower throughout.
 
 import math
 
-from repro.bench import (
+from repro.bench import generate_queries
+from repro.core import PruningMode
+
+from series import (
     baseline_search_fn,
     desks_search_fn,
     format_series_table,
-    generate_queries,
     run_workload,
     write_result,
 )
-from repro.core import PruningMode
 
 KEYWORD_COUNTS = (1, 2, 3, 4, 5)
 QUERIES_PER_POINT = 30

@@ -16,10 +16,11 @@ margin shrinks for large rotations where it falls back to scratch.
 
 import math
 
-from repro.bench import format_series_table, write_result
-from repro.core import IncrementalSearcher, PruningMode
 from repro.bench import generate_queries
+from repro.core import IncrementalSearcher, PruningMode
 from repro.storage import SearchStats
+
+from series import format_series_table, write_result
 
 QUERIES = 40
 BASE_WIDTH = math.pi / 3

@@ -15,16 +15,16 @@ standing in for the paper's 2M steps).
 
 import math
 
-from repro.bench import (
-    desks_search_fn,
-    format_series_table,
-    generate_queries,
-    run_workload,
-    write_result,
-)
+from repro.bench import generate_queries
 from repro.core import DesksIndex, DesksSearcher, PruningMode
 
 from conftest import bench_bands, bench_wedges
+from series import (
+    desks_search_fn,
+    format_series_table,
+    run_workload,
+    write_result,
+)
 
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 K_VALUES = (1, 10, 100)

@@ -17,11 +17,12 @@ order-of-magnitude wall-time gaps on spinning disks.
 
 import math
 
-from repro.bench import format_series_table, generate_queries, write_result
+from repro.bench import generate_queries
 from repro.core import DesksIndex, DesksSearcher, PruningMode
 from repro.storage import SearchStats
 
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_result
 
 WIDTH_STEPS = (1, 3, 6, 12)  # * pi/6
 QUERIES = 25

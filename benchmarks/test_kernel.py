@@ -34,16 +34,13 @@ import time
 
 import pytest
 
-from repro.bench import (
-    format_series_table,
-    generate_queries,
-    write_json_result,
-    write_result,
-)
+from repro.bench import generate_queries
 from repro.core import DesksIndex, DesksSearcher, PruningMode
 from repro.datasets import china_like, generate
 from repro.kernel import ColumnarSearcher, ColumnarSnapshot
 from repro.storage import SearchStats
+
+from series import format_series_table, write_json_result, write_result
 
 pytestmark = pytest.mark.kernel
 

@@ -38,18 +38,13 @@ import math
 import threading
 import time
 
-from repro.bench import (
-    format_series_table,
-    generate_queries,
-    repeated_stream,
-    write_json_result,
-    write_result,
-)
+from repro.bench import generate_queries, repeated_stream
 from repro.core import MutableDesksIndex
 from repro.lang import DqlExecutor, EngineBackend, parse, plan_from_query
 from repro.service import QueryEngine
 
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_json_result, write_result
 
 WIDTH = math.pi / 3
 ROUNDS = 4

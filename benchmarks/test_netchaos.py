@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from repro.bench import generate_queries, write_json_result, write_result
+from repro.bench import generate_queries
 from repro.cluster import ShardRouter
 from repro.core import DesksIndex, DesksSearcher
 from repro.net import (
@@ -45,6 +45,7 @@ from repro.net.chaos import ChaosProxy, FaultPlan
 from repro.service import MetricsRegistry
 
 from conftest import bench_bands, bench_wedges
+from series import write_json_result, write_result
 
 pytestmark = pytest.mark.netchaos
 

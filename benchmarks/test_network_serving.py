@@ -1,6 +1,6 @@
 """Network serving: socket vs in-process transport, shedding, deadlines.
 
-The one closed-loop generator (:func:`repro.service.run_closed_loop`)
+The one closed-loop generator (``run_closed_loop``, ``closed_loop.py``)
 drives the same VA workload, for ``DURATION_SECONDS`` of wall clock per
 facet, through two transports:
 
@@ -32,12 +32,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.bench import (
-    format_series_table,
-    generate_queries,
-    write_json_result,
-    write_result,
-)
+from repro.bench import generate_queries
 from repro.core import DesksIndex
 from repro.net import (
     OverloadError,
@@ -45,9 +40,11 @@ from repro.net import (
     ShardServer,
     TransportError,
 )
-from repro.service import QueryEngine, run_closed_loop
+from repro.service import QueryEngine
 
+from closed_loop import run_closed_loop
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_json_result, write_result
 
 pytestmark = pytest.mark.network
 

@@ -13,17 +13,18 @@ import os
 
 import pytest
 
-from repro.bench import (
-    baseline_search_fn,
-    desks_search_fn,
-    format_series_table,
-    generate_queries,
-    run_workload,
-    write_result,
-)
+from repro.bench import generate_queries
 from repro.baselines import MIR2Tree
 from repro.core import DesksIndex, DesksSearcher, PruningMode
 from repro.datasets import china_like, generate
+
+from series import (
+    baseline_search_fn,
+    desks_search_fn,
+    format_series_table,
+    run_workload,
+    write_result,
+)
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("DESKS_LARGE") != "1",

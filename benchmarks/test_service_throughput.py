@@ -14,17 +14,13 @@ the dataset changes underneath a result cache.  Two acceptance checks:
 
 import math
 
-from repro.bench import (
-    format_series_table,
-    generate_queries,
-    repeated_stream,
-    write_json_result,
-    write_result,
-)
+from repro.bench import generate_queries, repeated_stream
 from repro.core import MutableDesksIndex
-from repro.service import QueryEngine, run_closed_loop
+from repro.service import QueryEngine
 
+from closed_loop import run_closed_loop
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_json_result, write_result
 
 WIDTH = math.pi / 3
 THINK_TIME = 0.005
@@ -47,12 +43,15 @@ def test_multi_client_qps_beats_single_client(datasets):
         for query in base:
             engine.execute(query)
         for num_clients in CLIENT_SWEEP:
+            before = engine.cache.stats
             report = run_closed_loop(
-                engine, stream, num_clients,
+                lambda q: engine.submit(q).result(), stream, num_clients,
                 requests_per_client=REQUESTS, think_time=THINK_TIME)
+            after = engine.cache.stats
             assert report.errors == 0, report.first_error
             qps_col.append(report.qps)
-            hit_col.append(100.0 * report.cache_hit_rate)
+            hit_col.append(100.0 * (after.hits - before.hits)
+                           / max(after.lookups - before.lookups, 1))
             p95_col.append(1000.0 * report.latency.get("p95", 0.0))
 
     table = format_series_table(

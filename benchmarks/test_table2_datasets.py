@@ -5,8 +5,9 @@ and checks the cross-dataset ratios the algorithms are sensitive to: CA has
 the richest descriptions, CN the largest (relative) vocabulary.
 """
 
-from repro.bench import write_result
 from repro.datasets import dataset_statistics, format_table2
+
+from series import write_result
 
 
 def test_table2_statistics(datasets):

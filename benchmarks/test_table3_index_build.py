@@ -9,11 +9,11 @@ MIR2-tree is the smallest of the keyword-aware trees.
 
 import pytest
 
-from repro.bench import write_result
 from repro.core import DesksIndex
 from repro.geometry import Anchor
 
 from conftest import bench_bands, bench_wedges
+from series import write_result
 
 
 def _mb(num_bytes: int) -> float:

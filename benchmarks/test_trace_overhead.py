@@ -20,20 +20,16 @@ Acceptance: shipped QPS within 2% of stripped QPS.
 import math
 import time
 
-from repro.bench import (
-    format_series_table,
-    generate_queries,
-    repeated_stream,
-    write_json_result,
-    write_result,
-)
+from repro.bench import generate_queries, repeated_stream
 from repro.core import DesksIndex, DesksSearcher, MutableDesksIndex
 import repro.core.dynamic as dynamic_mod
 import repro.core.search as search_mod
-from repro.service import QueryEngine, run_closed_loop
+from repro.service import QueryEngine
 import repro.service.engine as engine_mod
 
+from closed_loop import run_closed_loop
 from conftest import bench_bands, bench_wedges
+from series import format_series_table, write_json_result, write_result
 
 WIDTH = math.pi / 3
 ROUNDS = 5
@@ -45,8 +41,9 @@ MAX_OVERHEAD_PCT = 2.0
 
 
 def _engine_seconds(engine, stream):
-    report = run_closed_loop(engine, stream, CLIENTS,
-                             requests_per_client=REQUESTS, think_time=0.0)
+    report = run_closed_loop(lambda q: engine.submit(q).result(), stream,
+                             CLIENTS, requests_per_client=REQUESTS,
+                             think_time=0.0)
     assert report.errors == 0, report.first_error
     return CLIENTS * REQUESTS / report.qps
 

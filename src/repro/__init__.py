@@ -44,7 +44,6 @@ from .service import (
     QueryEngine,
     ResultCache,
     ServiceResponse,
-    run_closed_loop,
 )
 from .trace import ExplainReport, TraceSink, Tracer, explain
 
@@ -77,7 +76,6 @@ __all__ = [
     "brute_force_search",
     "explain",
     "load_index",
-    "run_closed_loop",
     "save_index",
     "__version__",
 ]

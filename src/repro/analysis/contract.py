@@ -100,7 +100,7 @@ _CONTRACT = Contract(
         Layer("core", ("datasets", "geometry", "storage", "text", "trace")),
         Layer("baselines", ("core", "datasets", "geometry", "rtree",
                             "storage", "text")),
-        Layer("bench", ("core", "datasets", "geometry", "storage")),
+        Layer("bench", ("core", "datasets", "geometry")),
         Layer("kernel", ("core", "geometry", "storage", "trace")),
         # The language binds to caller-supplied backends; it never
         # imports the serving stack that speaks it.

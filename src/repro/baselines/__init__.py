@@ -1,14 +1,12 @@
 """Baseline competitors: filter-and-verify, MIR2-tree, LkT/IR-tree."""
 
 from .base import BaselineIndex, FilterThenVerify
-from .grid import GridIndex
 from .lkt import IRTree
 from .mir2tree import MIR2Tree
 
 __all__ = [
     "BaselineIndex",
     "FilterThenVerify",
-    "GridIndex",
     "IRTree",
     "MIR2Tree",
 ]

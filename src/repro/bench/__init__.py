@@ -1,35 +1,9 @@
-"""Benchmark harness: workload builders, timed runners, report rendering."""
+"""Query-workload generators matching the paper's experimental setup."""
 
-from .reporting import (
-    ascii_chart,
-    format_series_table,
-    speedup,
-    write_json_result,
-    write_result,
-)
-from .runner import (
-    RunMeasurement,
-    baseline_search_fn,
-    brute_force_fn,
-    check_agreement,
-    desks_search_fn,
-    run_workload,
-)
 from .workloads import generate_queries, paper_query_mix, repeated_stream
 
 __all__ = [
-    "RunMeasurement",
-    "ascii_chart",
-    "baseline_search_fn",
-    "brute_force_fn",
-    "check_agreement",
-    "desks_search_fn",
-    "format_series_table",
     "generate_queries",
     "paper_query_mix",
     "repeated_stream",
-    "run_workload",
-    "speedup",
-    "write_json_result",
-    "write_result",
 ]

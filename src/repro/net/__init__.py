@@ -40,8 +40,9 @@ ships traffic through:
 This package is the only place in the tree allowed to touch a raw
 ``socket`` (lint rule DAL010) — every other layer stays deterministic,
 testable, and transport-agnostic.  Load comes from
-:func:`repro.service.run_closed_loop`, which drives ``client.search``
-like any target and counts the error types its caller names as shed.
+the closed-loop generator in ``benchmarks/closed_loop.py``, which drives
+``client.search`` like any target and counts the error types its caller
+names as shed.
 
 See ``docs/NETWORK.md`` for the wire format, the life of a remote
 query, and the failure-mode matrix.

@@ -12,9 +12,10 @@ touching the algorithms' answers:
 * :class:`Deadline` — cooperative per-query budgets with graceful
   degradation to partial results (``deadline.py``);
 * :class:`MetricsRegistry` — counters and latency/page-I/O histograms
-  (``metrics.py``);
-* :func:`run_closed_loop` — the N-client closed-loop load generator
-  (``workload.py``) for an engine or any ``issue(query)`` callable.
+  (``metrics.py``).
+
+The closed-loop load generator that drives an engine, a socket client or
+a router is benchmark tooling: ``benchmarks/closed_loop.py``.
 
 See ``docs/SERVICE.md`` for the architecture and the cache-invalidation
 and deadline contracts.
@@ -31,7 +32,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .workload import WorkloadReport, run_closed_loop
 
 __all__ = [
     "CacheStats",
@@ -45,6 +45,4 @@ __all__ = [
     "QueryEngine",
     "ResultCache",
     "ServiceResponse",
-    "WorkloadReport",
-    "run_closed_loop",
 ]

@@ -24,7 +24,7 @@ latency/page-I/O histograms into a
 
 Pure-Python searches hold the GIL, so the pool does not speed up a single
 CPU-bound query stream; what it buys is (a) overlap of many *clients'*
-think time (see ``workload.py``), (b) one hand-off per chunk of a batch,
+think time (a closed-loop load), (b) one hand-off per chunk of a batch,
 and (c) the architecture seam where a C/GIL-releasing or multi-process
 searcher drops in later.
 """

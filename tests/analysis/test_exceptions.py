@@ -328,7 +328,6 @@ class TestRealTree:
             ("src/repro/cluster/replica.py", "FailoverSet._attempt"),
             ("src/repro/net/server.py", "FrameServer._dispatch"),
             ("src/repro/service/engine.py", "QueryEngine._run_batch_chunk"),
-            ("src/repro/service/workload.py", "run_closed_loop.client"),
         ]
 
     def test_the_one_dispatcher_reaches_both_servers_hooks(self):

@@ -208,75 +208,3 @@ class TestFilterThenVerifyVariants:
         ftv.search(q, s_two, prune_direction=False)
         ftv.search(q, s_int, prune_direction=True)
         assert s_int.pois_examined <= s_two.pois_examined
-
-
-class TestGridIndex:
-    def test_validation(self, collection):
-        from repro.baselines import GridIndex
-        with pytest.raises(ValueError):
-            GridIndex(collection, target_pois_per_cell=0)
-
-    def test_matches_brute_force(self, collection):
-        from repro.baselines import GridIndex
-        grid = GridIndex(collection, target_pois_per_cell=10)
-        rng = random.Random(91)
-        for _ in range(40):
-            x, y, a, b, kws, k = random_query_params(rng)
-            q = DirectionalQuery.make(x, y, a, b, kws, k)
-            got = grid.search(q).distances()
-            expect = brute_force_search(collection, q).distances()
-            assert [round(d, 9) for d in got] == \
-                [round(d, 9) for d in expect]
-
-    def test_matches_brute_force_any_mode(self, collection):
-        from repro.baselines import GridIndex
-        from repro.core import MatchMode
-
-        grid = GridIndex(collection, target_pois_per_cell=10)
-        rng = random.Random(92)
-        for _ in range(20):
-            x, y, a, b, kws, k = random_query_params(rng)
-            q = DirectionalQuery.make(x, y, a, b, kws, k,
-                                      match_mode=MatchMode.ANY)
-            got = grid.search(q).distances()
-            expect = brute_force_search(collection, q).distances()
-            assert [round(d, 9) for d in got] == \
-                [round(d, 9) for d in expect]
-
-    def test_direction_pruning_option(self, collection):
-        from repro.baselines import GridIndex
-        grid = GridIndex(collection, target_pois_per_cell=10)
-        q = DirectionalQuery.make(50, 50, 1.0, 1.3, ["food"], 5)
-        s_on, s_off = SearchStats(), SearchStats()
-        on = grid.search(q, s_on, prune_direction=True)
-        off = grid.search(q, s_off, prune_direction=False)
-        assert on.distances() == pytest.approx(off.distances())
-        assert s_on.pois_examined <= s_off.pois_examined
-
-    def test_cell_mbrs_tile_dataset(self, collection):
-        from repro.baselines import GridIndex
-        grid = GridIndex(collection, target_pois_per_cell=20)
-        for poi in collection:
-            cell = grid._cell_of(poi.location.x, poi.location.y)
-            assert grid.cell_mbr(cell).contains_point(poi.location)
-
-    def test_unknown_keyword(self, collection):
-        from repro.baselines import GridIndex
-        grid = GridIndex(collection, target_pois_per_cell=10)
-        q = DirectionalQuery.make(50, 50, 0, 1, ["zzz"], 5)
-        assert len(grid.search(q)) == 0
-
-    def test_size_positive(self, collection):
-        from repro.baselines import GridIndex
-        assert GridIndex(collection).size_bytes > 0
-
-    def test_single_cell_degenerate(self):
-        from repro.baselines import GridIndex
-        from repro.datasets import POI, POICollection
-
-        col = POICollection([POI.make(i, float(i), 2.0, ["x"])
-                             for i in range(5)])  # collinear
-        grid = GridIndex(col, target_pois_per_cell=100)
-        q = DirectionalQuery.make(0.0, 2.0, 0.0, 0.1, ["x"], 3)
-        expect = brute_force_search(col, q).distances()
-        assert grid.search(q).distances() == pytest.approx(expect)

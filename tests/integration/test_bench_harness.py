@@ -1,24 +1,29 @@
-"""Tests for the benchmark harness (workloads, runner, reporting)."""
+"""Tests for the benchmark harness: the query generators
+(``repro.bench``) and the timed runner and series tables
+(``benchmarks/series.py``)."""
 
 import math
 import os
 
 import pytest
 
-from repro.bench import (
+from benchmarks.series import (
+    ascii_chart,
     baseline_search_fn,
-    brute_force_fn,
-    check_agreement,
     desks_search_fn,
     format_series_table,
-    generate_queries,
-    paper_query_mix,
     run_workload,
     speedup,
     write_result,
 )
 from repro.baselines import FilterThenVerify
-from repro.core import DesksIndex, DesksSearcher, PruningMode
+from repro.bench import generate_queries, paper_query_mix
+from repro.core import (
+    DesksIndex,
+    DesksSearcher,
+    PruningMode,
+    brute_force_search,
+)
 from repro.storage import SearchStats
 
 from ..core.conftest import make_collection
@@ -87,22 +92,18 @@ class TestRunWorkload:
         assert m.avg_pois_examined == m.stats.pois_examined / 10
 
     def test_methods_agree(self, collection):
-        """All adapters must return identical answer distances."""
+        """Both adapters must return the oracle's answer distances."""
         index = DesksIndex(collection, num_bands=3, num_wedges=4)
         searcher = DesksSearcher(index)
         ftv = FilterThenVerify(collection, fanout=8)
         queries = generate_queries(collection, 15, 2, 2.0, seed=5)
         fns = [desks_search_fn(searcher, PruningMode.RD),
-               baseline_search_fn(ftv),
-               brute_force_fn(collection)]
+               baseline_search_fn(ftv)]
         for q in queries:
-            distances = [fn(q, SearchStats()).distances() for fn in fns]
-            assert check_agreement(
-                [round(d, 9) for d in distances[0]],
-                [round(d, 9) for d in distances[1]])
-            assert check_agreement(
-                [round(d, 9) for d in distances[0]],
-                [round(d, 9) for d in distances[2]])
+            expected = brute_force_search(collection, q).distances()
+            for fn in fns:
+                got = fn(q, SearchStats()).distances()
+                assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestReporting:
@@ -130,24 +131,20 @@ class TestReporting:
 
 class TestAsciiChart:
     def test_basic_render(self):
-        from repro.bench import ascii_chart
         out = ascii_chart("t", [1, 2], {"a": [1.0, 2.0], "b": [3.0, 4.0]})
         assert "t" in out
         assert "*=a" in out and "o=b" in out
         assert "+--" in out
 
     def test_log_scale_marker(self):
-        from repro.bench import ascii_chart
         out = ascii_chart("t", [1], {"a": [10.0]}, log_scale=True)
         assert "(log scale)" in out
 
     def test_collision_glyph(self):
-        from repro.bench import ascii_chart
         out = ascii_chart("t", [1], {"a": [5.0], "b": [5.0]})
         assert "=" in out.splitlines()[1] or "=" in out
 
     def test_validation(self):
-        from repro.bench import ascii_chart
         with pytest.raises(ValueError):
             ascii_chart("t", [1], {"a": [1.0, 2.0]})
         with pytest.raises(ValueError):
@@ -156,7 +153,6 @@ class TestAsciiChart:
             ascii_chart("t", [1], {"a": [1.0]}, height=1)
 
     def test_flat_series_no_crash(self):
-        from repro.bench import ascii_chart
         out = ascii_chart("t", [1, 2, 3], {"a": [2.0, 2.0, 2.0]})
         assert "*" in out
 

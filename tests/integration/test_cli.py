@@ -142,9 +142,9 @@ class TestErrorHandling:
 
 
 class TestServeBench:
-    # The closed loop: tests/service/test_workload.py::TestClosedLoop
-    # (engine), tests/net/test_server_client.py::
-    # test_closed_loop_over_the_socket.
+    # The closed loop is benchmarks/closed_loop.py, tested by
+    # tests/service/test_workload.py::TestClosedLoop (engine) and
+    # tests/net/test_server_client.py::test_closed_loop_over_the_socket.
     def test_sweep_and_metrics_json(self, capsys):
         assert_removed_command(["serve-bench", "pois.csv",
                                 "--clients", "1", "2"], capsys)

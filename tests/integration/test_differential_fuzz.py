@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.baselines import FilterThenVerify, GridIndex, IRTree, MIR2Tree
+from repro.baselines import FilterThenVerify, IRTree, MIR2Tree
 from repro.core import (
     DesksIndex,
     DesksSearcher,
@@ -78,13 +78,8 @@ def build_engines(rng, collection):
     pruning = rng.choice(list(PruningMode))
     engines[f"desks-{desks_kind}-{pruning.name}"] = (
         lambda q, s=searcher, m=pruning: s.search(q, m))
-    baseline_cls = rng.choice([FilterThenVerify, MIR2Tree, IRTree,
-                               GridIndex])
-    if baseline_cls is GridIndex:
-        baseline = GridIndex(collection,
-                             target_pois_per_cell=rng.choice([4, 16]))
-    else:
-        baseline = baseline_cls(collection, fanout=rng.choice([4, 8, 16]))
+    baseline_cls = rng.choice([FilterThenVerify, MIR2Tree, IRTree])
+    baseline = baseline_cls(collection, fanout=rng.choice([4, 8, 16]))
     engines[baseline.name] = lambda q, b=baseline: b.search(q)
     mutable = MutableDesksIndex(collection, bands, wedges,
                                 rebuild_threshold=1.0)

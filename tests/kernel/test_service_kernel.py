@@ -1,18 +1,17 @@
 """The ``kernel`` axis where it is left: on ``QueryEngine``.
 
-``QueryEngine(kernel="columnar")``, batched submission and the
-closed-loop generator's ``batch_size`` must give the object path's
-answers — the axis changes throughput, never results.  The engine
-compiles one snapshot of its own index; nothing above it (replica sets,
-routers, the CLI) carries the axis, so ``ShardRouter(kernel=...)`` is a
-``TypeError``.
+``QueryEngine(kernel="columnar")`` and batched submission must give the
+object path's answers — the axis changes throughput, never results.  The
+engine compiles one snapshot of its own index; nothing above it (replica
+sets, routers, the CLI) carries the axis, so ``ShardRouter(kernel=...)``
+is a ``TypeError``.
 """
 
 import pytest
 
 from repro.core import MutableDesksIndex
 from repro.kernel import ColumnarSearcher
-from repro.service import QueryEngine, run_closed_loop
+from repro.service import QueryEngine
 
 
 def entries_of(result):
@@ -90,21 +89,6 @@ def _three_queries():
 
     return [DirectionalQuery.make(50.0, 50.0, 0.1, 2.0, ["cafe"], k)
             for k in (1, 2, 3)]
-
-
-def test_closed_loop_batch_size(index, corpus):
-    with QueryEngine(index, num_workers=2, kernel="columnar") as engine:
-        report = run_closed_loop(engine, corpus[:10], num_clients=2,
-                                 requests_per_client=7, batch_size=3)
-    assert report.total_queries == 14
-    assert report.errors == 0
-
-
-def test_closed_loop_rejects_bad_batch_size(index, corpus):
-    with QueryEngine(index, kernel="columnar") as engine:
-        with pytest.raises(ValueError, match="batch_size"):
-            run_closed_loop(engine, corpus[:4], num_clients=1,
-                            requests_per_client=2, batch_size=0)
 
 
 def test_router_kernel_axis_equivalence(collection):

@@ -1,4 +1,9 @@
-"""The closed-loop load generator: determinism, accounting, scaling hooks."""
+"""The closed-loop load generator: determinism, accounting, scaling hooks.
+
+The generator is benchmark tooling (``benchmarks/closed_loop.py``); an
+engine is driven through its pool as ``engine.submit(q).result()``, and
+cache hits are read from ``engine.cache.stats``.
+"""
 
 import threading
 import time
@@ -6,7 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.service import QueryEngine, run_closed_loop
+from benchmarks.closed_loop import run_closed_loop
+from repro.service import QueryEngine
 
 from .conftest import make_queries
 
@@ -17,10 +23,23 @@ def engine(static_index):
         yield eng
 
 
+def pooled(engine):
+    """The engine's pooled path as an ``issue(query)`` callable."""
+    return lambda query: engine.submit(query).result()
+
+
+def hits_and_lookups(engine, run):
+    """``run()``'s report plus the cache hits and lookups it caused."""
+    before = engine.cache.stats
+    report = run()
+    after = engine.cache.stats
+    return report, after.hits - before.hits, after.lookups - before.lookups
+
+
 class TestClosedLoop:
     def test_fixed_request_count(self, engine):
         queries = make_queries(10, seed=30)
-        report = run_closed_loop(engine, queries, num_clients=3,
+        report = run_closed_loop(pooled(engine), queries, num_clients=3,
                                  requests_per_client=7)
         assert report.total_queries == 21
         assert report.per_client_queries == [7, 7, 7]
@@ -32,42 +51,46 @@ class TestClosedLoop:
         queries = make_queries(5, seed=31)
         # Each client walks the 5 queries 4 times: everything past the
         # first pass is a hit.
-        report = run_closed_loop(engine, queries, num_clients=1,
-                                 requests_per_client=20)
-        assert report.cache_lookups == 20
-        assert report.cache_hits == 15
-        assert report.cache_hit_rate == pytest.approx(0.75)
+        report, hits, lookups = hits_and_lookups(
+            engine, lambda: run_closed_loop(pooled(engine), queries,
+                                            num_clients=1,
+                                            requests_per_client=20))
+        assert report.total_queries == lookups == 20
+        assert hits == 15
+        assert hits / lookups == pytest.approx(0.75)
 
     def test_latency_snapshot_present(self, engine):
-        report = run_closed_loop(engine, make_queries(4, seed=32),
+        report = run_closed_loop(pooled(engine), make_queries(4, seed=32),
                                  num_clients=2, requests_per_client=4)
         assert set(report.latency) >= {"p50", "p95", "p99", "mean"}
         assert report.latency["p50"] >= 0.0
 
     def test_duration_bound_stops(self, engine):
-        report = run_closed_loop(engine, make_queries(4, seed=33),
+        report = run_closed_loop(pooled(engine), make_queries(4, seed=33),
                                  num_clients=2, duration_seconds=0.15)
         assert report.elapsed_seconds < 5.0
         assert report.errors == 0
 
     def test_summary_renders(self, engine):
-        report = run_closed_loop(engine, make_queries(3, seed=34),
+        report = run_closed_loop(pooled(engine), make_queries(3, seed=34),
                                  num_clients=2, requests_per_client=3)
         line = report.summary()
-        assert "qps=" in line and "hit_rate=" in line
+        assert "clients=2" in line and "qps=" in line and "p95=" in line
+        assert "errors=0" in line
 
     def test_validation(self, engine):
         queries = make_queries(2, seed=35)
+        target = pooled(engine)
         with pytest.raises(ValueError):
-            run_closed_loop(engine, [], num_clients=1,
+            run_closed_loop(target, [], num_clients=1,
                             requests_per_client=1)
         with pytest.raises(ValueError):
-            run_closed_loop(engine, queries, num_clients=0,
+            run_closed_loop(target, queries, num_clients=0,
                             requests_per_client=1)
         with pytest.raises(ValueError):
-            run_closed_loop(engine, queries, num_clients=1)
+            run_closed_loop(target, queries, num_clients=1)
         with pytest.raises(ValueError):
-            run_closed_loop(engine, queries, num_clients=1,
+            run_closed_loop(target, queries, num_clients=1,
                             requests_per_client=1, duration_seconds=1.0)
 
     def test_latency_is_per_run_not_cumulative(self, engine, monkeypatch):
@@ -81,13 +104,15 @@ class TestClosedLoop:
 
         monkeypatch.setattr(engine, "_search", slow_search)
         queries = make_queries(6, seed=36)
-        cold = run_closed_loop(engine, queries, num_clients=1,
+        cold = run_closed_loop(pooled(engine), queries, num_clients=1,
                                requests_per_client=6)
-        warm = run_closed_loop(engine, queries, num_clients=2,
-                               requests_per_client=9)
+        warm, warm_hits, _ = hits_and_lookups(
+            engine, lambda: run_closed_loop(pooled(engine), queries,
+                                            num_clients=2,
+                                            requests_per_client=9))
         assert cold.latency["count"] == cold.total_queries == 6
         assert cold.latency["p50"] >= 0.05
-        assert warm.cache_hits == warm.total_queries == 18
+        assert warm_hits == warm.total_queries == 18
         assert warm.latency["count"] == 18
         assert warm.latency["p50"] <= warm.latency["p95"] \
             <= warm.latency["p99"] <= warm.latency["max"] < 0.05
@@ -136,7 +161,6 @@ class TestCallableTarget:
         assert report.errors == 0 and report.first_error is None
         assert report.latency["count"] == 7
         assert report.partial_results == 2  # attempts 5 and 10
-        assert report.cache_lookups == 0
         assert "shed=3" in report.summary()
 
     def test_undeclared_exception_stops_that_client(self):
@@ -161,17 +185,23 @@ class TestCallableTarget:
 
     def test_stride_is_identical_for_engine_and_callable(self, engine,
                                                          monkeypatch):
+        """The pooled ``submit`` callable and ``engine.execute`` walk the
+        same stride: the target's route never changes the workload."""
         queries = make_queries(7, seed=43)
-        submitted = []
+        submitted, executed = [], []
         real_submit = engine.submit
 
         def recording_submit(query, *args):
             submitted.append(query)
             return real_submit(query, *args)
 
+        def recording_execute(query):
+            executed.append(query)
+            return engine.execute(query)
+
         monkeypatch.setattr(engine, "submit", recording_submit)
-        target = FakeTarget()
-        for walked, load in ((submitted, engine), (target.seen, target)):
+        for walked, load in ((submitted, pooled(engine)),
+                             (executed, recording_execute)):
             run_closed_loop(load, queries, num_clients=1,
                             requests_per_client=5)
             assert walked == [queries[i % 7] for i in range(5)]
@@ -182,9 +212,3 @@ class TestCallableTarget:
                             requests_per_client=4)
             assert sorted(map(queries.index, walked)) == sorted(
                 (i + 3 * step) % 7 for i in range(3) for step in range(4))
-
-    def test_batching_needs_an_engine(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            run_closed_loop(FakeTarget(), make_queries(2, seed=44),
-                            num_clients=1, requests_per_client=2,
-                            batch_size=2)
