@@ -12,7 +12,7 @@ promise into repeatable experiments:
   twin deterministically;
 * :func:`run_crash_trials` runs the script against a
   :class:`~repro.durability.DurableMutableIndex` with a countdown
-  failpoint that raises :class:`~repro.storage.SimulatedCrash` at a
+  failpoint that raises :class:`SimulatedCrash` at a
   seed-chosen WAL stage, recovers, and compares the recovered index
   against a freshly built twin on probe queries and the full live-POI set;
 * :class:`CorruptionInjector` flips bits, truncates pages and tears
@@ -25,9 +25,10 @@ promise into repeatable experiments:
   without the WAL in front, for the benchmark report.
 
 Everything is deterministic under a seed; the tier-1 suite runs a small
-number of trials and the chaos benchmark runs hundreds.  This module is
-test/benchmark infrastructure: lint rule DAL010 keeps it out of every
-production import path (``repro.durability`` does not re-export it).
+number of trials and the chaos benchmark runs hundreds.  Only tests and
+benchmarks drive faults, so this module lives beside the benchmarks and
+no ``repro`` module imports it: benchmark drivers import it as
+``chaos_durability``, tests as ``benchmarks.chaos_durability``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..core import DesksIndex, MutableDesksIndex
-from ..core.query import DirectionalQuery
-from ..datasets import POICollection
-from ..storage import ChecksummedPageStore, SimulatedCrash
-from ..storage.pages import _FRAME_STAMP
-from .durable import DurableMutableIndex, is_durable_dir
+from repro.core import DesksIndex, DirectionalQuery, MutableDesksIndex
+from repro.datasets import POICollection
+from repro.durability import DurableMutableIndex, is_durable_dir
+from repro.service import QueryEngine
+from repro.storage import ChecksummedPageStore
+from repro.storage.pages import _FRAME_STAMP
 
 #: Deliberately multilingual so crash/recovery exercises the UTF-8 paths
 #: of the WAL op codec and the snapshot CSV round-trip.
@@ -56,6 +57,10 @@ CHAOS_TERMS = (
 OP_INSERT = "insert"
 OP_DELETE = "delete"
 OP_CHECKPOINT = "checkpoint"
+
+
+class SimulatedCrash(RuntimeError):
+    """Raised by a failpoint to model a process crash at that instant."""
 
 
 class CountdownFailpoint:
@@ -403,12 +408,9 @@ class CorruptionInjector:
         self.log.append(corruption)
         return corruption
 
-    def truncate_file(self, path: str,
-                      keep_bytes: Optional[int] = None) -> Corruption:
+    def truncate_file(self, path: str, keep_bytes: int) -> Corruption:
         """Cut a file short, as an interrupted append would."""
         size = os.path.getsize(path)
-        if keep_bytes is None:
-            keep_bytes = self._rng.randrange(size) if size else 0
         with open(path, "r+b") as handle:
             handle.truncate(keep_bytes)
         corruption = Corruption("file-truncate", -1,
@@ -472,8 +474,6 @@ def run_corruption_trials(collection: POICollection, num_trials: int,
                           page_size: int = 512) -> CorruptionReport:
     """Inject page corruption into a checksummed disk index; every probe
     must come back either correct or explicitly degraded."""
-    from ..service import QueryEngine
-
     index = DesksIndex(collection, disk_based=True,
                        disk_path_prefix=os.path.join(workdir, "pages"),
                        page_size=page_size, checksums=True)
@@ -534,16 +534,20 @@ def measure_wal_overhead(base: POICollection, script: Sequence[Tuple],
                          repeats: int = 3) -> dict:
     """Time the same mutation stream with and without the WAL in front.
 
-    ``overhead_fraction`` isolates the *logging* cost — the per-mutation
-    price every insert/delete pays forever: both variants run the script's
-    insert/delete stream (checkpoint markers compact on both sides, under
-    identical code, so rebuild work cancels out).  Checkpointing cost —
-    snapshot + WAL truncation, paid occasionally and amortized by policy —
-    is measured separately and reported as ``checkpoint_seconds_avg``.
-    Each variant takes the best of ``repeats`` runs (coarse clock noise).
+    Both variants run the script's insert/delete stream with its
+    checkpoint markers stripped, so neither side compacts on a marker.
+    The index still rebuilds itself whenever its delta or tombstones
+    pass ``rebuild_threshold``, on both sides alike: those rebuilds land
+    in both timings and in the plain denominator.  ``overhead_fraction``
+    is therefore WAL cost over mutation *plus rebuild* cost, not the bare
+    per-mutation price of logging, and it rises as rebuilds get cheaper.
+    Checkpointing cost — snapshot + WAL truncation, paid occasionally
+    and amortized by policy — is one ``checkpoint()`` after each durable
+    run, reported as ``checkpoint_seconds_avg``.  Each variant takes the
+    best of ``repeats`` runs (coarse clock noise).
     """
-    mutations = sum(1 for entry in script if entry[0] != OP_CHECKPOINT)
     stream = [entry for entry in script if entry[0] != OP_CHECKPOINT]
+    mutations = len(stream)
 
     def run_plain() -> float:
         index = MutableDesksIndex(base,
@@ -552,7 +556,7 @@ def measure_wal_overhead(base: POICollection, script: Sequence[Tuple],
         apply_script(index, stream, durable_checkpoints=False)
         return time.perf_counter() - started
 
-    def run_durable(run: int) -> Tuple[float, float, int]:
+    def run_durable(run: int) -> Tuple[float, float]:
         directory = os.path.join(workdir, f"overhead{run}")
         index = DurableMutableIndex.create(
             base, directory, rebuild_threshold=rebuild_threshold,
@@ -565,20 +569,20 @@ def measure_wal_overhead(base: POICollection, script: Sequence[Tuple],
         checkpoint_s = time.perf_counter() - checkpoint_started
         index.close()
         shutil.rmtree(directory, ignore_errors=True)
-        return elapsed, checkpoint_s, 1
+        return elapsed, checkpoint_s
 
     run_plain()          # warm caches/allocator so neither side pays for it
     run_durable(-1)
     plain_times: List[float] = []
-    durable_runs: List[Tuple[float, float, int]] = []
+    durable_runs: List[Tuple[float, float]] = []
     for run in range(repeats):
         # Interleave the variants so clock drift and filesystem state
         # changes during the measurement hit both sides equally.
         plain_times.append(run_plain())
         durable_runs.append(run_durable(run))
     plain_s = min(plain_times)
-    durable_s = min(elapsed for elapsed, _, _ in durable_runs)
-    checkpoint_avg = (sum(c for _, c, _ in durable_runs)
+    durable_s = min(elapsed for elapsed, _ in durable_runs)
+    checkpoint_avg = (sum(c for _, c in durable_runs)
                       / len(durable_runs))
     overhead = (durable_s - plain_s) / plain_s if plain_s > 0 else 0.0
     return {

@@ -22,7 +22,9 @@ back::
 The proxy is *frame-aware* in the server→client direction: it parses the
 12-byte frame headers (:data:`~repro.net.protocol.HEADER_FORMAT`) so that
 per-frame faults land deterministically on whole protocol frames rather
-than on arbitrary TCP segment boundaries.  The client→server direction is
+than on arbitrary TCP segment boundaries; every upstream is a
+:class:`~repro.net.server.FrameServer`, so every header it reads is a
+frame's.  The client→server direction is
 relayed verbatim (except under blackhole, where bytes are swallowed).
 
 Fault counters in :class:`FaultLog` are incremented at *activation* time —
@@ -30,10 +32,9 @@ when a fault actually fires against traffic — never at plan-assignment
 time, which is what lets the chaos acceptance suite reconcile the client's
 failure counters exactly against the proxy's injected-fault counts.
 
-This module is test/benchmark infrastructure: lint rule DAL010 keeps it
-out of production import paths (only ``repro.net.chaos`` itself may be
-imported by tests, benchmarks, and tooling — never by ``src/repro``
-production modules).
+Only tests and benchmarks drive faults, so this module lives beside the
+benchmarks and no ``repro`` module imports it: benchmark drivers import
+it as ``chaos_net``, tests as ``benchmarks.chaos_net``.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster import ReplicaEndpoint
-from ..core import DirectionalQuery
-from ..service import ServiceResponse
-from .protocol import HEADER_FORMAT, HEADER_SIZE, MAX_PAYLOAD, recv_exactly
+from repro.cluster import ReplicaEndpoint
+from repro.core import DirectionalQuery
+from repro.net.protocol import HEADER_FORMAT, HEADER_SIZE, recv_exactly
+from repro.service import ServiceResponse
 
 Address = Tuple[str, int]
 
 __all__ = ["ChaosProxy", "FaultLog", "FaultPlan", "FaultyEndpoint",
            "InjectedFault"]
 
-#: Relay buffer for the raw client→server direction.
+#: Relay buffer for the verbatim client→server direction.
 _RELAY_CHUNK = 65536
 
 #: Accept-loop poll interval; bounds shutdown latency.
@@ -389,15 +390,7 @@ class ChaosProxy:
                 if header:
                     _send_quietly(downstream, header)
                 return
-            try:
-                length = struct.unpack(HEADER_FORMAT, header)[3]
-            except struct.error:  # pragma: no cover - header is 12 bytes
-                return
-            if length > MAX_PAYLOAD:
-                # Not a DESKS frame; relay the rest of the stream raw.
-                _send_quietly(downstream, header)
-                self._relay_downstream(upstream, downstream)
-                return
+            length = struct.unpack(HEADER_FORMAT, header)[3]
             payload = recv_exactly(recv, length)
             frame = bytearray(header + payload)
             truncated = len(payload) < length

@@ -26,8 +26,8 @@ from repro.bench import generate_queries
 from repro.cluster import PARTITIONERS, ShardRouter
 from repro.core import DesksIndex, DesksSearcher
 from repro.net import ClusterLauncher, connect_router
-from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint
 
+from chaos_net import FaultLog, FaultPlan, FaultyEndpoint
 from conftest import bench_bands, bench_wedges
 from series import format_series_table, write_json_result, write_result
 

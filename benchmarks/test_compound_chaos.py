@@ -6,18 +6,18 @@ run stacks them.  Per seed:
 
 1. a :class:`~repro.durability.DurableMutableIndex` runs a seeded
    mutation script and is killed by a
-   :class:`~repro.durability.chaos.CountdownFailpoint` at a seed-chosen
+   :class:`~chaos_durability.CountdownFailpoint` at a seed-chosen
    stage *inside* a checkpoint (the snapshot swap or the WAL truncation);
 2. the crashed directory is copied and both copies are recovered, each
    served by an in-thread :class:`~repro.net.ShardServer` — two replicas
    of one :class:`~repro.net.RemoteReplicaSet`;
-3. replica 0's link runs behind a :class:`~repro.net.chaos.ChaosProxy`
+3. replica 0's link runs behind a :class:`~chaos_net.ChaosProxy`
    whose plan resets and corrupts frames.
 
 Two gates per seed:
 
 * **exact or typed partial** — every answer equals brute force over the
-  never-crashed twin (:func:`~repro.durability.chaos.build_twin`), or the
+  never-crashed twin (:func:`~chaos_durability.build_twin`), or the
   set raises :class:`~repro.cluster.ShardUnavailableError`;
 * **exact reconciliation** — the proxy's injected resets and corruptions
   equal the client's observed counters, kind by kind, as
@@ -33,18 +33,19 @@ from repro.cluster import ShardUnavailableError
 from repro.core import brute_force_search
 from repro.datasets import POI, POICollection
 from repro.durability import DurableMutableIndex
-from repro.durability.chaos import (
+from repro.net import RemoteReplicaSet, ResilienceConfig, ShardServer
+from repro.service import MetricsRegistry
+
+from chaos_durability import (
     CHAOS_TERMS,
     CountdownFailpoint,
+    SimulatedCrash,
     apply_script,
     build_script,
     build_twin,
     probe_queries,
 )
-from repro.net import RemoteReplicaSet, ResilienceConfig, ShardServer
-from repro.net.chaos import ChaosProxy, FaultPlan
-from repro.service import MetricsRegistry
-from repro.storage import SimulatedCrash
+from chaos_net import ChaosProxy, FaultPlan
 
 pytestmark = pytest.mark.chaos
 

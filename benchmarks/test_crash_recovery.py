@@ -20,13 +20,13 @@ Everything is seed-deterministic; results land in
 import pytest
 
 from repro.datasets import SyntheticConfig, generate
-from repro.durability.chaos import (
+
+from chaos_durability import (
     build_script,
     measure_wal_overhead,
     run_corruption_trials,
     run_crash_trials,
 )
-
 from series import write_json_result, write_result
 
 SEED = 1210

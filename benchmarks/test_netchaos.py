@@ -2,7 +2,7 @@
 
 Real shard server *processes* (via :class:`~repro.net.ClusterLauncher`)
 serve a 240-query equivalence corpus with replica 0 of every shard
-behind a :class:`~repro.net.chaos.ChaosProxy`, one armed fault plan at a
+behind a :class:`~chaos_net.ChaosProxy`, one armed fault plan at a
 time — added latency, mid-frame resets, CRC-caught corruption, and
 blackholes.  Three hard gates per plan:
 
@@ -41,9 +41,9 @@ from repro.net import (
     ResilienceConfig,
     connect_router,
 )
-from repro.net.chaos import ChaosProxy, FaultPlan
 from repro.service import MetricsRegistry
 
+from chaos_net import ChaosProxy, FaultPlan
 from conftest import bench_bands, bench_wedges
 from series import write_json_result, write_result
 

@@ -60,6 +60,7 @@ def test_desks_four_anchor_cost(datasets):
 
 def test_load_faster_than_build(datasets, tmp_path_factory):
     """(beyond paper) loading a saved index skips the global sorts."""
+    import gc
     import time
 
     from repro.core import load_index, save_index
@@ -74,19 +75,33 @@ def test_load_faster_than_build(datasets, tmp_path_factory):
     # Both cold paths start from files on disk: CSV parse + build vs load.
     csv_path = tmp_path_factory.mktemp("csv") / "cn.csv"
     save_csv(collection, csv_path)
-    started = time.perf_counter()
-    rebuilt = DesksIndex(load_csv(csv_path), num_bands=bands,
-                         num_wedges=wedges)
-    build_s = time.perf_counter() - started
-
     directory = tmp_path_factory.mktemp("idx") / "cn"
     save_index(index, str(directory))
-    started = time.perf_counter()
-    loaded = load_index(str(directory))
-    load_s = time.perf_counter() - started
+
+    def build():
+        return DesksIndex(load_csv(csv_path), num_bands=bands,
+                          num_wedges=wedges)
+
+    def load():
+        return load_index(str(directory))
+
+    # After the other benchmarks of a pytest run the heap holds every
+    # dataset and index their fixtures built, and a full collection over
+    # it costs more than either path; one landing inside a single-shot timing once read
+    # load 308 ms against build 100 ms.  So collect before each call,
+    # interleave the two paths, and keep the best of three.
+    seconds = {build: [], load: []}
+    indexes = {}
+    for _ in range(3):
+        for path in (build, load):
+            gc.collect()
+            started = time.perf_counter()
+            indexes[path] = path()
+            seconds[path].append(time.perf_counter() - started)
+    build_s, load_s = min(seconds[build]), min(seconds[load])
     print(f"\nCN index from disk: parse+build {build_s * 1e3:.0f} ms, "
-          f"load {load_s * 1e3:.0f} ms")
-    assert loaded.num_bands == rebuilt.num_bands
+          f"load {load_s * 1e3:.0f} ms (best of 3)")
+    assert indexes[load].num_bands == indexes[build].num_bands
     # At bench scale both cold paths are CSV-parse-dominated, so load and
     # build land within noise of each other; the assertion only rules out
     # a load path that regressed to much slower than building.  (The

@@ -2,10 +2,8 @@
 
 The checked-in :class:`Contract` (a literal below, returned by
 :func:`default_contract`) declares the layer DAG — which units may
-import which, at module level or deferred inside a function — plus two
-confinement tables: external transport modules pinned to ``repro.net``
-and project modules restricted to an allow-list of files
-(``repro.net.chaos``, ``repro.durability.chaos``).  :class:`ContractRule`
+import which, at module level or deferred inside a function — plus the
+external transport modules pinned to ``repro.net``.  :class:`ContractRule`
 flags every import the contract does not permit, as DAL010.
 ``docs/ARCHITECTURE.md`` renders the same DAG for humans.
 
@@ -44,27 +42,17 @@ class ExternalRule:
     allowed_in: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RestrictedRule:
-    """A project module importable only from an allow-list of files."""
-
-    module: str
-    allowed_in: Tuple[str, ...]
-
-
 class Contract:
-    """The architecture contract: layers and confinements."""
+    """The architecture contract: layers and confined externals."""
 
     def __init__(self, layers: Sequence[Layer],
-                 externals: Sequence[ExternalRule] = (),
-                 restricted: Sequence[RestrictedRule] = ()) -> None:
+                 externals: Sequence[ExternalRule] = ()) -> None:
         self.layers: Dict[str, Layer] = {}
         for layer in layers:
             if layer.name in self.layers:
                 raise ValueError(f"contract: duplicate layer `{layer.name}`")
             self.layers[layer.name] = layer
         self.externals: Tuple[ExternalRule, ...] = tuple(externals)
-        self.restricted: Tuple[RestrictedRule, ...] = tuple(restricted)
         self._validate()
 
     def _validate(self) -> None:
@@ -123,13 +111,6 @@ _CONTRACT = Contract(
     # overload shedding live there and nowhere else.
     externals=[ExternalRule(("socket", "asyncio", "socketserver",
                              "selectors", "ssl"), allowed_in=("net",))],
-    # Fault injection (the proxy and faulty endpoint, the crash
-    # failpoints and page corrupter) is driven from tests and benchmarks
-    # only.
-    restricted=[RestrictedRule("repro.net.chaos",
-                               allowed_in=("repro/net/chaos.py",)),
-                RestrictedRule("repro.durability.chaos",
-                               allowed_in=("repro/durability/chaos.py",))],
 )
 
 
@@ -150,10 +131,9 @@ class ContractRule(RuleVisitor):
         "service/cluster/net stack layers strictly above, and the "
         "language layer binds to caller-supplied backends.  The contract "
         "declares the whole DAG once — plus the raw transports confined "
-        "to repro.net and the two chaos modules confined to themselves — "
-        "and this rule enforces every edge, so a new package is governed "
-        "the moment it appears in the contract rather than when someone "
-        "writes a rule for it.")
+        "to repro.net — and this rule enforces every edge, so a new "
+        "package is governed the moment it appears in the contract "
+        "rather than when someone writes a rule for it.")
 
     def run(self) -> List[Finding]:
         """Check every import of the module against the contract."""
@@ -161,7 +141,6 @@ class ContractRule(RuleVisitor):
                     else default_contract())
         for ref in iter_imports(self.ctx.tree, self.ctx.module_path):
             self._check_external(contract, ref)
-            self._check_restricted(contract, ref)
             self._check_layering(contract, ref)
         return self.findings
 
@@ -181,17 +160,6 @@ class ContractRule(RuleVisitor):
                 self._emit_ref(
                     ref, f"`{root}` is confined by the architecture "
                          f"contract to: {', '.join(ext.allowed_in)}")
-
-    def _check_restricted(self, contract: Contract,
-                          ref: ImportRef) -> None:
-        for res in contract.restricted:
-            parts = tuple(res.module.split("."))
-            hit = (ref.module[:len(parts)] == parts
-                   or (ref.module == parts[:-1] and parts[-1] in ref.names))
-            if hit and self.ctx.module_path not in res.allowed_in:
-                self._emit_ref(
-                    ref, f"`{res.module}` is confined by the architecture "
-                         f"contract to: {', '.join(res.allowed_in)}")
 
     def _check_layering(self, contract: Contract, ref: ImportRef) -> None:
         src_unit = unit_of(self.ctx.module_path)
@@ -235,6 +203,5 @@ __all__ = [
     "ContractRule",
     "ExternalRule",
     "Layer",
-    "RestrictedRule",
     "default_contract",
 ]

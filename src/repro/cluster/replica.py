@@ -26,7 +26,8 @@ when a wave asks more than one shard.
 :class:`~repro.net.RemoteReplicaSet` is the same loop over socket
 endpoints, with breakers, a retry budget, hedging and background probes.
 Tests make a replica fail by swapping its ``endpoint`` for a
-:class:`~repro.net.chaos.FaultyEndpoint`; nothing here knows about it.
+``FaultyEndpoint`` (``benchmarks/chaos_net.py``); nothing here knows
+about it.
 """
 
 from __future__ import annotations

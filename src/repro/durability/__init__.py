@@ -2,8 +2,8 @@
 recovery and scrubbing.
 
 The chaos harness that proves them (crash failpoints, page corruption,
-randomized trials) is :mod:`repro.durability.chaos`; it is imported by
-name from tests and benchmarks and re-exported nowhere.
+randomized trials) is ``benchmarks/chaos_durability.py``, outside the
+package.
 """
 
 from .durable import (

@@ -18,7 +18,7 @@ Replay is deterministic: given the same base collection, the same op
 sequence, and the same rebuild threshold, ``MutableDesksIndex`` assigns
 the same ids and rebuilds at the same points, so a recovered index answers
 queries byte-for-byte like an instance that never crashed (the chaos
-harness in :mod:`repro.durability.chaos` asserts exactly this).
+harness in ``benchmarks/chaos_durability.py`` asserts exactly this).
 
 Directory layout::
 

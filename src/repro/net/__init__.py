@@ -28,14 +28,10 @@ ships traffic through:
   kill/stop server processes) and :func:`connect_router`;
 * :mod:`~repro.net.resilience` — the client-side resilience layer:
   per-replica circuit breakers, the process-wide retry token budget,
-  and hedged-request policy that :class:`RemoteReplicaSet` executes;
-* :mod:`~repro.net.chaos` — the seeded fault-injecting TCP proxy the
-  acceptance suite drives all of the above with, and the
-  :class:`~repro.net.chaos.FaultyEndpoint` that applies the same plan to
-  an in-process replica.  Deliberately *not*
-  re-exported here: lint rule DAL010 confines chaos imports to tests,
-  benchmarks, and tooling so fault injection can never reach a
-  production import path.
+  and hedged-request policy that :class:`RemoteReplicaSet` executes.
+
+The seeded fault-injecting TCP proxy the acceptance suite drives all of
+the above with is ``benchmarks/chaos_net.py``, outside the package.
 
 This package is the only place in the tree allowed to touch a raw
 ``socket`` (lint rule DAL010) — every other layer stays deterministic,

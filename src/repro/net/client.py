@@ -8,8 +8,8 @@ budget so a dead server can never hang a caller.  The dial policy and
 the timeout of a request without a budget are module constants; only
 ``deadline_grace`` is tuned.  Every failure is counted by kind (stale
 retry, truncation, reset, timeout, CRC) so the chaos suite can reconcile
-client-observed faults exactly against the :mod:`repro.net.chaos`
-proxy's injected-fault log.
+client-observed faults exactly against the fault proxy's injected-fault
+log (``benchmarks/chaos_net.py``).
 
 :class:`SocketEndpoint` presents one such client as a
 :class:`~repro.cluster.ReplicaEndpoint` — it turns the wire's answer into

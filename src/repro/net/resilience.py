@@ -2,7 +2,7 @@
 
 Three mechanisms, composable and individually testable, that keep a
 :class:`~repro.net.RemoteReplicaSet` correct and *bounded* when the
-network under it misbehaves (see :mod:`repro.net.chaos` for the fault
+network under it misbehaves (``benchmarks/chaos_net.py`` holds the fault
 injector they are tested against):
 
 :class:`CircuitBreaker`

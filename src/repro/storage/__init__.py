@@ -29,7 +29,6 @@ from .serializer import (
 from .stats import IOSnapshot, IOStats, ScrubReport, SearchStats
 from .wal import (
     RECORD_OP,
-    SimulatedCrash,
     WalCorruptionError,
     WriteAheadLog,
     fsync_dir,
@@ -52,7 +51,6 @@ __all__ = [
     "RecordPointer",
     "ScrubReport",
     "SearchStats",
-    "SimulatedCrash",
     "WalCorruptionError",
     "WriteAheadLog",
     "decode_floats",

@@ -28,7 +28,7 @@ only at rotation/checkpoint/close).
 **Failpoints** make crash testing deterministic: a callable invoked at
 named stages (``append.header``, ``append.torn``, ``append.complete``,
 ``sync``, ``rotate``, ``checkpoint.before``, ``checkpoint.after``) may
-raise :class:`SimulatedCrash` mid-operation; whatever bytes were already
+raise mid-operation to model a crash; whatever bytes were already
 written stay on disk, exactly as a real crash would leave them.
 """
 
@@ -55,10 +55,6 @@ RECORD_OP = 1
 _MAX_RECORD = 1 << 26
 
 SYNC_POLICIES = ("always", "batch", "checkpoint")
-
-
-class SimulatedCrash(RuntimeError):
-    """Raised by a failpoint to model a process crash at that instant."""
 
 
 class WalCorruptionError(ValueError):

@@ -2,6 +2,12 @@
 
 import pytest
 
+from benchmarks.chaos_net import (
+    ChaosProxy,
+    FaultLog,
+    FaultPlan,
+    FaultyEndpoint,
+)
 from repro.cluster import ReplicaSet
 from repro.core import MutableDesksIndex
 from repro.net import (
@@ -10,7 +16,6 @@ from repro.net import (
     RetryBudget,
     ShardServer,
 )
-from repro.net.chaos import ChaosProxy, FaultLog, FaultPlan, FaultyEndpoint
 from repro.service import Counter, Gauge, Histogram, MetricsRegistry, \
     QueryEngine
 from repro.storage import BufferPool, InMemoryPageStore
@@ -21,8 +26,8 @@ from ..service.conftest import make_collection
 @pytest.fixture()
 def lock_sites():
     """``(site, object, lock attribute, reentrant)`` for every lock the
-    concurrent modules create, as ``module:Class``; objects that own
-    sockets or threads are closed afterwards."""
+    concurrent modules and the fault injectors create, as ``module:Class``;
+    objects that own sockets or threads are closed afterwards."""
     index = MutableDesksIndex(make_collection(n=60, seed=21),
                               num_bands=4, num_wedges=6)
     engine = QueryEngine(index, num_workers=1, cache_capacity=4)
@@ -49,11 +54,11 @@ def lock_sites():
         ("net/resilience.py:CircuitBreaker", CircuitBreaker(), "_lock",
          False),
         ("net/resilience.py:RetryBudget", RetryBudget(), "_lock", False),
-        ("net/chaos.py:FaultLog", FaultLog(), "_lock", False),
-        ("net/chaos.py:FaultyEndpoint",
+        ("benchmarks/chaos_net.py:FaultLog", FaultLog(), "_lock", False),
+        ("benchmarks/chaos_net.py:FaultyEndpoint",
          FaultyEndpoint(replica_set.replicas[0].endpoint,
                         FaultPlan("transparent"), FaultLog()), "_lock", False),
-        ("net/chaos.py:ChaosProxy", proxy, "_lock", False),
+        ("benchmarks/chaos_net.py:ChaosProxy", proxy, "_lock", False),
     ]
     yield sites
     proxy.stop()

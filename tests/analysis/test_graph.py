@@ -33,7 +33,7 @@ def program(by_path=None, **modules):
 class TestUnits:
     def test_unit_is_first_segment_under_repro(self):
         assert unit_of("repro/storage/buffer.py") == "storage"
-        assert unit_of("repro/net/chaos.py") == "net"
+        assert unit_of("repro/net/client.py") == "net"
         assert unit_of("outside/thing.py") == ""
 
     def test_top_level_modules_are_their_own_unit(self):

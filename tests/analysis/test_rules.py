@@ -217,9 +217,9 @@ class TestNondeterminism(RetiredCase):
 
 # -- the v1 layering rules, now DAL010 ----------------------------------------
 #
-# DAL007 (raw transports), DAL008 (language purity) and DAL009 (chaos
-# containment) are entries of the architecture contract; every
-# violation of them is reported, and suppressed, as DAL010.
+# DAL007 (raw transports) and DAL008 (language purity) are entries of
+# the architecture contract; every violation of them is reported, and
+# suppressed, as DAL010.
 
 
 class ContractCase:
@@ -338,50 +338,6 @@ class TestLanguagePurity(ContractCase):
         assert [f.code for f in found if f.suppressed] == ["DAL010"]
 
 
-# -- chaos injector stays out of production paths -----------------------------
-
-
-class TestChaosContainment(ContractCase):
-    NET = "src/repro/net/client.py"
-
-    def test_absolute_import_fires(self):
-        found = self.lint("import repro.net.chaos\n")
-        assert codes(found) == ["DAL010"]
-
-    def test_from_import_fires(self):
-        found = self.lint("from repro.net.chaos import ChaosProxy\n",
-                          path="src/repro/cluster/router.py")
-        assert codes(found) == ["DAL010"]
-
-    def test_from_package_import_chaos_fires(self):
-        found = self.lint("from repro.net import chaos\n")
-        assert codes(found) == ["DAL010"]
-
-    def test_relative_import_within_net_fires(self):
-        for stmt in ("from .chaos import ChaosProxy\n",
-                     "from . import chaos\n"):
-            assert codes(self.lint(stmt, path=self.NET)) == ["DAL010"], stmt
-
-    def test_chaos_module_itself_is_exempt(self):
-        src = ("import socket\n"
-               "from .protocol import HEADER_FORMAT\n")
-        assert self.lint(src, path="src/repro/net/chaos.py") == []
-
-    def test_other_net_imports_ok(self):
-        src = ("from .protocol import HEADER_FORMAT\n"
-               "from .resilience import CircuitBreaker\n"
-               "from repro.net import RemoteShardClient\n")
-        assert self.lint(src, path=self.NET) == []
-
-    def test_noqa_suppresses(self):
-        # The import breaks the chaos confinement and core's layering:
-        # one DAL010 waiver covers both.
-        found = self.lint("from repro.net import chaos"
-                          "  # desks: noqa-DAL010\n")
-        assert active(found) == []
-        assert [f.code for f in found if f.suppressed] == ["DAL010"] * 2
-
-
 # -- engine plumbing ----------------------------------------------------------
 
 
@@ -493,8 +449,9 @@ class TestEngine:
 # -- catalog/documentation meta-tests -----------------------------------------
 
 
-#: Retired code -> the runtime test that guards its invariant; the
-#: former DAL010 aliases are guarded by DAL010 itself.
+#: Retired code -> the test that guards its invariant; the former DAL010
+#: aliases are guarded by DAL010 itself, except DAL009 (chaos
+#: containment), whose fault code left the package.
 RETIRED = {
     "DAL003": "tests/analysis/test_lock_stress.py",
     "DAL004": "benchmarks/test_crash_recovery.py",
@@ -502,7 +459,7 @@ RETIRED = {
     "DAL006": "tests/trace/test_dmode_regression.py",
     "DAL007": "DAL010",
     "DAL008": "DAL010",
-    "DAL009": "DAL010",
+    "DAL009": "test_no_package_module_defines_fault_code",
     "DAL012": "tests/analysis/test_shared.py",
 }
 

@@ -17,12 +17,17 @@ import threading
 
 import pytest
 
+from benchmarks.chaos_net import (
+    FaultLog,
+    FaultPlan,
+    FaultyEndpoint,
+    InjectedFault,
+)
 import repro.analysis
 from repro.analysis import RULE_INDEX, LintEngine
 from repro.cluster import FailoverSet
 from repro.core import QueryResult
 from repro.net import RemoteReplicaSet, RetryBudget
-from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint, InjectedFault
 from repro.service import Gauge, Histogram, MetricsRegistry, ResultCache
 from repro.storage import BufferPool, InMemoryPageStore
 

@@ -5,9 +5,14 @@ import random
 
 import pytest
 
+from benchmarks.chaos_net import (
+    FaultLog,
+    FaultPlan,
+    FaultyEndpoint,
+    InjectedFault,
+)
 from repro.cluster import ReplicaSet, ShardRouter, ShardUnavailableError
 from repro.core import DesksIndex, DirectionalQuery
-from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint, InjectedFault
 
 from .conftest import entries_of, make_collection, random_queries
 

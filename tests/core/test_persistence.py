@@ -368,7 +368,7 @@ class TestShardedManifestValidation:
 
     def test_scrub_covers_every_shard(self, tmp_path):
         from repro.core.persistence import scrub_saved
-        from repro.durability.chaos import CorruptionInjector
+        from benchmarks.chaos_durability import CorruptionInjector
 
         directory = self.make_deployment(tmp_path)
         assert scrub_saved(str(directory)).clean
@@ -388,7 +388,7 @@ class TestInterruptedSwap:
 
     def crash_mid_swap(self, tmp_path):
         """Save twice, killing the second save between its renames."""
-        from repro.storage import SimulatedCrash
+        from benchmarks.chaos_durability import SimulatedCrash
 
         directory = tmp_path / "idx"
         save_index(self.make_index(seed=8), str(directory))

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from repro.datasets import POI, POICollection
-from repro.durability.chaos import (
+from benchmarks.chaos_durability import (
     CHAOS_TERMS,
     build_script,
     measure_wal_overhead,
     run_corruption_trials,
     run_crash_trials,
 )
+from repro.datasets import POI, POICollection
 
 SEED = 77
 

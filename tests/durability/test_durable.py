@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from benchmarks.chaos_durability import CorruptionInjector, SimulatedCrash
 from repro.core import DirectionalQuery
 from repro.core.persistence import PersistenceError
 from repro.datasets import POI, POICollection
@@ -16,8 +17,7 @@ from repro.durability import (
     is_durable_dir,
     scrub_durable,
 )
-from repro.durability.chaos import CorruptionInjector
-from repro.storage import SimulatedCrash, WalCorruptionError
+from repro.storage import WalCorruptionError
 
 from ..reseal import reseal
 

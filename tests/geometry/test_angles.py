@@ -15,6 +15,7 @@ from repro.geometry import (
     interval_from_optional,
     normalize_angle,
     quadrant_of,
+    signed_angle,
 )
 
 angles = st.floats(min_value=-100.0, max_value=100.0,
@@ -48,8 +49,11 @@ class TestNormalizeAngle:
 
     @given(angles, st.integers(min_value=-3, max_value=3))
     def test_periodic(self, theta, k):
-        assert normalize_angle(theta + k * TWO_PI) == pytest.approx(
-            normalize_angle(theta), abs=1e-9)
+        # Compare on the circle: theta = -1.3e-15 maps to just below 2*pi,
+        # while theta + 6*pi rounds onto a multiple of 2*pi and maps to 0.
+        shifted = normalize_angle(theta + k * TWO_PI)
+        assert signed_angle(shifted - normalize_angle(theta)) == \
+            pytest.approx(0.0, abs=1e-9)
 
 
 class TestAngleOf:

@@ -2,7 +2,7 @@
 and the same plans applied in process by FaultyEndpoint.
 
 Each test proxies a live in-process server through
-:class:`repro.net.chaos.ChaosProxy` with exactly one fault armed, and
+:class:`benchmarks.chaos_net.ChaosProxy` with exactly one fault armed, and
 asserts both sides of the reconciliation contract: the client surfaces
 the *typed* failure (never a hang, never a wrong answer) and the
 client-side failure counter matches the proxy's activation counter
@@ -15,6 +15,13 @@ import time
 
 import pytest
 
+from benchmarks.chaos_net import (
+    ChaosProxy,
+    FaultLog,
+    FaultPlan,
+    FaultyEndpoint,
+    InjectedFault,
+)
 from repro.net import (
     ChecksumMismatch,
     RemoteReplicaSet,
@@ -22,13 +29,6 @@ from repro.net import (
     ResilienceConfig,
     ShardServer,
     TransportError,
-)
-from repro.net.chaos import (
-    ChaosProxy,
-    FaultLog,
-    FaultPlan,
-    FaultyEndpoint,
-    InjectedFault,
 )
 from repro.service import MetricsRegistry
 

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from benchmarks.chaos_net import InjectedFault
 from repro.cluster import (
     EngineEndpoint,
     FailoverSet,
@@ -23,7 +24,6 @@ from repro.cluster import (
 )
 from repro.core import DesksIndex, QueryResult
 from repro.net import ResilienceConfig, SocketEndpoint, TransportError
-from repro.net.chaos import InjectedFault
 from repro.net.protocol import RemoteSearchResult
 from repro.service import MetricsRegistry
 from repro.storage import PageCorruptionError

@@ -5,14 +5,13 @@ import threading
 
 import pytest
 
+from benchmarks.chaos_net import FaultLog, FaultPlan, FaultyEndpoint
 from repro.cluster import ShardRouter
 from repro.net import (
     ClusterFrontend,
     OverloadError,
     RemoteShardClient,
 )
-
-from repro.net.chaos import FaultLog, FaultPlan, FaultyEndpoint
 
 from .conftest import entries_of, random_queries
 

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.durability.chaos import PAGE_CORRUPTION_KINDS, CorruptionInjector
+from benchmarks.chaos_durability import (
+    PAGE_CORRUPTION_KINDS,
+    CorruptionInjector,
+)
 from repro.storage import (
     FRAME_OVERHEAD,
     ChecksummedPageStore,

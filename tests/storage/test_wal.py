@@ -4,9 +4,9 @@ import os
 
 import pytest
 
+from benchmarks.chaos_durability import SimulatedCrash
 from repro.storage import (
     IOStats,
-    SimulatedCrash,
     WalCorruptionError,
     WriteAheadLog,
     wal_scrub,
