@@ -45,7 +45,7 @@ from .service import (
     ResultCache,
     ServiceResponse,
 )
-from .trace import ExplainReport, TraceSink, Tracer, explain
+from .trace import ExplainReport, Tracer, explain
 
 __version__ = "1.0.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "ResultEntry",
     "ServiceResponse",
     "ShardRouter",
-    "TraceSink",
     "Tracer",
     "brute_force_search",
     "explain",

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import List, Optional
@@ -612,7 +613,19 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # Flushed here so that a reader gone early (``| head``) raises
+        # inside this ``try``, not at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Nobody reads the rest.  Point stdout at devnull so the flush at
+        # exit cannot raise again (the recipe in the ``signal`` module's
+        # documentation) and leave stderr quiet, as ``cat`` or ``grep``
+        # would: a shell pipeline's early exit is not an error to report.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

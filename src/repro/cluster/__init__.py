@@ -13,11 +13,10 @@ sub-regions inside one index.
 * :mod:`~repro.cluster.router` — :class:`ShardRouter`: sector pruning,
   MINDIST + cardinality ordering, bound-first wave dispatch (the home
   shard first, on the calling thread; later waves share a pool), merge
-  with early termination;
+  with early termination, and the routing counters on the router's
+  :class:`~repro.service.MetricsRegistry`;
 * :mod:`~repro.cluster.replica` — R-way replication: the one replica
   health model and the one failover loop (:class:`FailoverSet`);
-* :mod:`~repro.cluster.stats` — routing counters and a whole-deployment
-  metrics snapshot on the PR-1 :class:`~repro.service.MetricsRegistry`;
 * :mod:`~repro.cluster.transport` — the :class:`ReplicaEndpoint`
   protocol (answer one query on one replica) that lets
   :class:`~repro.net.RemoteReplicaSet` put server processes under the
@@ -35,6 +34,7 @@ from .partition import (
     shard_collection,
 )
 from .replica import (
+    HEALTH_THRESHOLD,
     SHARD_CACHE_CAPACITY,
     EngineEndpoint,
     FailoverSet,
@@ -42,17 +42,22 @@ from .replica import (
     ReplicaSet,
     ShardUnavailableError,
 )
-from .router import ClusterResponse, Shard, ShardRouter, specs_from_manifest
-from .stats import SHARD_BUCKETS, ClusterStats
+from .router import (
+    SHARD_BUCKETS,
+    ClusterResponse,
+    Shard,
+    ShardRouter,
+    specs_from_manifest,
+)
 from .transport import ReplicaEndpoint, RequestRejected
 
 __all__ = [
+    "HEALTH_THRESHOLD",
     "PARTITIONERS",
     "SHARD_BUCKETS",
     "SHARD_CACHE_CAPACITY",
     "ClusterLayout",
     "ClusterResponse",
-    "ClusterStats",
     "EngineEndpoint",
     "FailoverSet",
     "Replica",

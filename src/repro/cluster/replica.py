@@ -3,7 +3,7 @@
 Each shard is served by ``R`` replicas.  A :class:`Replica` is an
 *endpoint* — something that answers one query (see
 :mod:`repro.cluster.transport`) — plus the caller's view of its health:
-failure counts, the ``health_threshold`` that marks it unhealthy, sticky
+failure counts, the :data:`HEALTH_THRESHOLD` that marks it unhealthy, sticky
 corruption quarantine with :meth:`Replica.release`, and an optional
 circuit breaker handed in by the caller.
 
@@ -43,6 +43,12 @@ from .transport import ReplicaEndpoint, RequestRejected
 #: Result-cache entries of one shard replica's engine — in-process here,
 #: and the default of a :class:`~repro.net.ShardServer` process.
 SHARD_CACHE_CAPACITY = 128
+
+#: Consecutive failures that mark a replica unhealthy (sorted last in the
+#: attempt plan until one success).  Also the default breaker threshold
+#: of a :class:`~repro.net.RemoteReplicaSet`, so breaker-open and
+#: unhealthy coincide.
+HEALTH_THRESHOLD = 3
 
 
 class ShardUnavailableError(RuntimeError):
@@ -93,10 +99,9 @@ class Replica:
     """
 
     def __init__(self, replica_id: int, endpoint: ReplicaEndpoint,
-                 health_threshold: int, breaker=None) -> None:
+                 breaker=None) -> None:
         self.replica_id = replica_id
         self.endpoint = endpoint
-        self.health_threshold = health_threshold
         self.breaker = breaker
         self.healthy = True
         self.consecutive_failures = 0
@@ -109,13 +114,6 @@ class Replica:
         self.quarantine_cause: Optional[str] = None
         self._lock = threading.Lock()
 
-    def __getattr__(self, name: str):
-        # What the endpoint wraps is reachable through the replica:
-        # ``replica.engine`` in-process, ``replica.client`` over sockets.
-        if name == "endpoint":
-            raise AttributeError(name)
-        return getattr(self.endpoint, name)
-
     def mark_success(self) -> None:
         """Record a successful request; an unhealthy replica recovers."""
         with self._lock:
@@ -125,11 +123,12 @@ class Replica:
             self.breaker.record_success()
 
     def mark_failure(self) -> None:
-        """Record a failure; ``health_threshold`` in a row marks unhealthy."""
+        """Record a failure; :data:`HEALTH_THRESHOLD` in a row mark it
+        unhealthy."""
         with self._lock:
             self.consecutive_failures += 1
             self.total_failures += 1
-            if self.consecutive_failures >= self.health_threshold:
+            if self.consecutive_failures >= HEALTH_THRESHOLD:
                 self.healthy = False
         if self.breaker is not None:
             self.breaker.record_failure()
@@ -167,7 +166,6 @@ class FailoverSet:
 
     def __init__(self, shard_id: int,
                  members: Sequence[Tuple[ReplicaEndpoint, object]],
-                 health_threshold: int,
                  metrics: Optional[MetricsRegistry],
                  retry_budget=None) -> None:
         """``members`` is one ``(endpoint, breaker or None)`` per replica;
@@ -175,14 +173,11 @@ class FailoverSet:
         charged for each attempt after a query's first."""
         if not members:
             raise ValueError(f"shard {shard_id} needs >= 1 replica")
-        if health_threshold < 1:
-            raise ValueError(
-                f"health_threshold must be >= 1: {health_threshold}")
         self.shard_id = shard_id
         self.metrics = metrics
         self.retry_budget = retry_budget
         self.replicas: List[Replica] = [
-            Replica(replica_id, endpoint, health_threshold, breaker)
+            Replica(replica_id, endpoint, breaker)
             for replica_id, (endpoint, breaker) in enumerate(members)
         ]
         self._rotation = 0
@@ -331,7 +326,6 @@ class ReplicaSet(FailoverSet):
     def __init__(self, shard_id: int,
                  index: Union[DesksIndex, MutableDesksIndex],
                  replication: int,
-                 health_threshold: int = 3,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         # Replicas share the shard's (read-only) index; each gets a private
         # engine so caches and per-replica metrics stay independent, as
@@ -341,4 +335,4 @@ class ReplicaSet(FailoverSet):
                 index, num_workers=1, cache_capacity=SHARD_CACHE_CAPACITY)),
              None)
             for _ in range(replication)
-        ], health_threshold, metrics)
+        ], metrics)

@@ -48,7 +48,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import (
     CardinalityEstimator,
@@ -67,7 +67,10 @@ from ..service import Deadline, MetricsRegistry
 from ..trace import current_tracer, traced
 from .partition import ClusterLayout, ShardSpec, build_layout, shard_collection
 from .replica import FailoverSet, ReplicaSet, ShardUnavailableError
-from .stats import ClusterStats
+
+#: Buckets for shards-per-query histograms (counts, not seconds).
+SHARD_BUCKETS: Tuple[float, ...] = (
+    0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 class Shard:
@@ -180,7 +183,9 @@ class ShardRouter:
         if max_fanout < 1:
             raise ValueError(f"max_fanout must be >= 1: {max_fanout}")
         self.max_fanout = max_fanout
-        self.stats = ClusterStats(metrics)
+        #: The cluster-level registry: routing counters and histograms
+        #: per query (what ``SHOW METRICS`` and the frontend's STATS read).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shards: List[Shard] = build_shards()
         self._executor = ThreadPoolExecutor(
             max_workers=num_workers, thread_name_prefix="desks-shard")
@@ -195,7 +200,7 @@ class ShardRouter:
         """In-process shards: a :class:`ReplicaSet` per ``(spec, index)``."""
         return [Shard(spec, index.collection, index, ReplicaSet(
                     spec.shard_id, index, replication,
-                    metrics=self.stats.registry))
+                    metrics=self.metrics))
                 for spec, index in pairs]
 
     @classmethod
@@ -406,8 +411,33 @@ class ShardRouter:
                 failed_shards=len(failed),
                 replica_retries=retries,
                 deadline_expired=deadline_expired)
-        self.stats.record(response)
+        self._record(response)
         return response
+
+    def _record(self, response: ClusterResponse) -> None:
+        """Fold one routed query's outcome into :attr:`metrics`."""
+        metrics = self.metrics
+        metrics.counter("cluster_queries_total").increment()
+        metrics.counter("cluster_shards_pruned_total").increment(
+            response.shards_pruned)
+        metrics.counter("cluster_shards_keyword_pruned_total").increment(
+            response.shards_keyword_pruned)
+        metrics.counter("cluster_shards_dispatched_total").increment(
+            response.shards_dispatched)
+        metrics.counter("cluster_shards_skipped_total").increment(
+            response.shards_skipped)
+        metrics.counter("cluster_shards_failed_total").increment(
+            len(response.failed_shards))
+        metrics.counter("cluster_replica_retries_total").increment(
+            response.replica_retries)
+        if response.failed_shards:
+            metrics.counter("cluster_degraded_answers_total").increment()
+        metrics.histogram("cluster_query_latency_seconds").observe(
+            response.latency_seconds)
+        metrics.histogram("cluster_shards_dispatched", SHARD_BUCKETS) \
+            .observe(float(response.shards_dispatched))
+        metrics.histogram("cluster_shards_pruned", SHARD_BUCKETS) \
+            .observe(float(response.shards_pruned))
 
     def search(self, query: DirectionalQuery,
                timeout: Optional[float] = None) -> QueryResult:
@@ -415,15 +445,6 @@ class ShardRouter:
         return self.execute(query, timeout).result
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The cluster-level metrics registry."""
-        return self.stats.registry
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Cluster + per-shard/replica metrics as one JSON-ready dict."""
-        return self.stats.aggregate(self.shards)
 
     def describe(self) -> str:
         """One line per shard: population, MBR, replica health."""

@@ -28,7 +28,6 @@ from .mindist import (
     band_mindist,
     basic_geometry,
     polar_point,
-    subregion_mindist,
 )
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
 from .regions import AnchorRegions, Band, Subregion
@@ -83,5 +82,4 @@ __all__ = [
     "polar_point",
     "recommended_bands",
     "recommended_wedges",
-    "subregion_mindist",
 ]

@@ -7,8 +7,7 @@ query's direction interval satisfies ``0 <= alpha <= beta <= pi/2``.
 * :func:`band_mindist` — the paper's Eq. 4, ``MINDIST(q, R_i)``.
 * :func:`subregion_mindists` — the paper's Table I, ``MINDIST(q, R_ij)``,
   for a band's sub-regions in one pass over their
-  :class:`BoundaryColumns`; :func:`subregion_mindist` is its
-  one-sub-region call.
+  :class:`BoundaryColumns`.
 * :meth:`BasicQueryGeometry.band_direction_bounds` — the tighter per-band
   bounds ``tau_l^{R_i}`` / ``tau_u^{R_i}`` of Eqs. 5-6 (Lemma 4), falling
   back to the region-wide bounds of Lemma 2.
@@ -249,20 +248,6 @@ class BoundaryColumns(NamedTuple):
                    [math.sin(t) for t in theta_lo],
                    [math.cos(t) for t in theta_hi],
                    [math.sin(t) for t in theta_hi])
-
-
-def subregion_mindist(geo: BasicQueryGeometry, inner: float, outer: float,
-                      theta_lo: float, theta_hi: float) -> float:
-    """The paper's Table I: least distance from q to an answer in R_ij.
-
-    ``inner``/``outer`` are the band radii, ``theta_lo``/``theta_hi`` the
-    sub-region's direction range (``theta_{ij-1}`` / ``theta_ij``).  The
-    one-sub-region call of :func:`subregion_mindists`.
-    """
-    kept = subregion_mindists(geo, inner, outer, (0,),
-                              BoundaryColumns.of((theta_lo,), (theta_hi,)),
-                              INF)
-    return kept[0][0] if kept else INF
 
 
 def subregion_mindists(geo: BasicQueryGeometry, inner: float, outer: float,

@@ -13,8 +13,8 @@ The package layers exactly like a small database front end:
 * :mod:`~repro.lang.plan` — frozen, validated plans whose canonical
   :meth:`~repro.lang.plan.SelectPlan.render` round-trips through
   :func:`parse` bit-exactly;
-* :mod:`~repro.lang.executor` — one seam binding a plan to a local
-  index, a query engine, a shard router, or a socket client, always
+* :mod:`~repro.lang.executor` — one seam binding a plan to a query
+  engine, a shard router, or a socket client, always
   returning a :class:`StatementOutcome`.
 
 The language layer is *pure*: it imports only ``geometry``, ``text``,
@@ -26,7 +26,6 @@ from .errors import DqlError, DqlExecutionError, DqlSyntaxError
 from .executor import (
     DqlExecutor,
     EngineBackend,
-    IndexBackend,
     RouterBackend,
     SocketBackend,
     StatementOutcome,
@@ -48,5 +47,5 @@ __all__ = [
     "SelectPlan", "ExplainPlan", "ShowPlan", "Plan",
     "canonical_keywords", "plan_from_query",
     "DqlExecutor", "StatementOutcome",
-    "IndexBackend", "EngineBackend", "RouterBackend", "SocketBackend",
+    "EngineBackend", "RouterBackend", "SocketBackend",
 ]

@@ -1,11 +1,9 @@
 """Bind DQL plans to a backend and execute them uniformly.
 
-The one seam the ISSUE asks for: a :class:`DqlExecutor` takes *any*
+One seam: a :class:`DqlExecutor` takes *any*
 backend object and turns every statement form into one
-:class:`StatementOutcome` envelope.  Four backend adapters ship here —
+:class:`StatementOutcome` envelope.  Three backend adapters ship here —
 
-* :class:`IndexBackend` — a local :class:`~repro.core.DesksIndex` (or
-  mutable index), searched on the calling thread;
 * :class:`EngineBackend` — a ``repro.service.QueryEngine`` (cache,
   deadlines, metrics; ``TIMEOUT`` becomes the engine deadline);
 * :class:`RouterBackend` — a ``repro.cluster.ShardRouter``
@@ -18,18 +16,17 @@ backend object and turns every statement form into one
 holds whatever object the caller constructed and speaks to it through
 its public methods (lint rule DAL010 holds this package to imports of
 ``geometry``/``text``/``core``/``trace`` only).  That is what lets one
-executor run the same statement against an in-process index and a
+executor run the same statement against an in-process engine and a
 server across a socket and return bit-identical entries.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from ..core import DesksSearcher, ResultEntry
+from ..core import ResultEntry
 from ..trace import explain
 from .errors import DqlError, DqlExecutionError
 from .parser import parse
@@ -96,19 +93,6 @@ class StatementOutcome:
         return out
 
 
-class _TimeLimit:
-    """A monotonic-clock deadline satisfying core's ``SupportsExpired``."""
-
-    __slots__ = ("_deadline",)
-
-    def __init__(self, seconds: float) -> None:
-        self._deadline = time.monotonic() + seconds
-
-    def expired(self) -> bool:
-        """True once the budget has elapsed."""
-        return time.monotonic() >= self._deadline
-
-
 def _combine(*budgets: Optional[float]) -> Optional[float]:
     """The tightest of several optional second budgets."""
     live = [budget for budget in budgets if budget is not None]
@@ -136,71 +120,6 @@ def _shard_rows(shard_id: int, population: int, mbr) -> Dict[str, float]:
         rows[f"shard.{shard_id}.max_x"] = float(mbr.max_x)
         rows[f"shard.{shard_id}.max_y"] = float(mbr.max_y)
     return rows
-
-
-class IndexBackend:
-    """Plans against a local index, searched on the calling thread.
-
-    ``index`` is a ``DesksIndex`` or ``MutableDesksIndex``; the backend
-    honours the plan's ``MODE`` per statement (it owns the search call)
-    and implements ``TIMEOUT`` with a local monotonic deadline.
-    """
-
-    name = "index"
-
-    def __init__(self, index) -> None:
-        self.index = index
-        search = getattr(index, "search", None)
-        self._search = search if callable(search) \
-            else DesksSearcher(index).search
-
-    def select(self, plan: SelectPlan,
-               budget: Optional[float] = None) -> StatementOutcome:
-        """Run one ``SELECT`` plan; ``budget`` tightens its deadline."""
-        limit = _combine(plan.timeout_seconds(), budget)
-        deadline = _TimeLimit(limit) if limit is not None else None
-        started = time.monotonic()
-        result = self._search(plan.query(), mode=plan.mode,
-                              deadline=deadline)
-        return StatementOutcome(
-            statement=plan.render(), kind="search", backend=self.name,
-            entries=tuple(result.entries), partial=result.partial,
-            generation=int(getattr(self.index, "generation", 0)),
-            latency_seconds=time.monotonic() - started)
-
-    def explain(self, plan: ExplainPlan) -> StatementOutcome:
-        """Full PR-4 ``explain()``: span tree + exact reconciliation."""
-        report = explain(self.index, plan.target.query(),
-                         mode=plan.target.mode)
-        return StatementOutcome(
-            statement=plan.render(), kind="text", backend=self.name,
-            text=report.render())
-
-    def show(self, plan: ShowPlan) -> StatementOutcome:
-        """Index-level operational state as a flat table."""
-        collection = getattr(self.index, "collection", None)
-        population = len(collection) if collection is not None else 0
-        if plan.target == "SHARDS":
-            table = {"shards.total": 1.0}
-            table.update(_shard_rows(0, population,
-                                     getattr(collection, "mbr", None)))
-        else:
-            table = {
-                "pois": float(population),
-                "generation": float(getattr(self.index, "generation", 0)),
-            }
-            inner = self.index if hasattr(self.index, "num_bands") \
-                else getattr(self.index, "index", self.index)
-            for attr in ("num_bands", "num_wedges"):
-                value = getattr(inner, attr, None)
-                if value is not None:
-                    table[attr] = float(value)
-            io_stats = getattr(self.index, "io_stats", None)
-            if io_stats is not None:
-                table["physical_reads"] = float(io_stats.physical_reads)
-                table["cache_hits"] = float(io_stats.cache_hits)
-        return StatementOutcome(statement=plan.render(), kind="table",
-                                backend=self.name, table=table)
 
 
 class EngineBackend:
@@ -429,7 +348,3 @@ class DqlExecutor:
                 f"{type(exc).__name__}: {exc}",
                 statement=plan.render()) from exc
         return outcome
-
-    def execute_many(self, statements) -> List[StatementOutcome]:
-        """Execute several statements in order (REPL scripts, tests)."""
-        return [self.execute(statement) for statement in statements]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 from ..core import DirectionalQuery, MatchMode, PruningMode
 from ..geometry import DirectionInterval, Point, interval_from_optional
@@ -202,21 +202,6 @@ class SelectPlan:
                          f"interval=[{piece.lower:.6f}, {piece.upper:.6f}]")
         return lines
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary of the plan."""
-        return {
-            "statement": "select",
-            "k": self.k,
-            "location": [self.x, self.y],
-            "heading": (None if self.alpha is None
-                        else [self.alpha, self.beta]),
-            "keywords": list(self.keywords),
-            "match_mode": self.match_mode.value,
-            "mode": self.mode.name,
-            "within": self.within,
-            "timeout_ms": self.timeout_ms,
-        }
-
 
 @dataclass(frozen=True)
 class ExplainPlan:
@@ -231,10 +216,6 @@ class ExplainPlan:
     def render(self) -> str:
         """Canonical statement text."""
         return f"EXPLAIN {self.target.render()}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary."""
-        return {"statement": "explain", "target": self.target.to_dict()}
 
 
 #: Legal ``SHOW`` targets.
@@ -258,10 +239,6 @@ class ShowPlan:
     def render(self) -> str:
         """Canonical statement text."""
         return f"SHOW {self.target}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary."""
-        return {"statement": "show", "target": self.target}
 
 
 #: Any parsed DQL statement.

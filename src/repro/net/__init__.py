@@ -53,7 +53,6 @@ from .client import (
 )
 from .launcher import ClusterLauncher, LaunchError, ServerProcess, connect_router
 from .resilience import (
-    BreakerOpenError,
     BreakerState,
     CircuitBreaker,
     HedgePolicy,
@@ -84,7 +83,6 @@ from .server import ClusterFrontend, ShardServer, load_shard, run_shard_server
 __all__ = [
     "Address",
     "BadMagic",
-    "BreakerOpenError",
     "BreakerState",
     "ChecksumMismatch",
     "CircuitBreaker",

@@ -30,7 +30,12 @@ import threading
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..cluster import FailoverSet, RequestRejected, ShardUnavailableError
+from ..cluster import (
+    HEALTH_THRESHOLD,
+    FailoverSet,
+    RequestRejected,
+    ShardUnavailableError,
+)
 from ..core import DirectionalQuery
 from ..service import Deadline, MetricsRegistry, ServiceResponse
 from . import protocol
@@ -325,7 +330,6 @@ class RemoteReplicaSet(FailoverSet):
     """
 
     def __init__(self, shard_id: int, addresses: Sequence[Address],
-                 health_threshold: int = 3,
                  metrics: Optional[MetricsRegistry] = None,
                  client_factory: Optional[
                      Callable[[Address], RemoteShardClient]] = None,
@@ -339,11 +343,9 @@ class RemoteReplicaSet(FailoverSet):
         self._clock = clock
         threshold = (self.config.breaker_failure_threshold
                      if self.config.breaker_failure_threshold is not None
-                     else health_threshold)
+                     else HEALTH_THRESHOLD)
 
-        def breaker() -> Optional[CircuitBreaker]:
-            if not self.config.breaker_enabled:
-                return None
+        def breaker() -> CircuitBreaker:
             return CircuitBreaker(
                 failure_threshold=threshold,
                 reset_timeout=self.config.breaker_reset_timeout,
@@ -371,7 +373,7 @@ class RemoteReplicaSet(FailoverSet):
             shard_id,
             [(SocketEndpoint(client_factory(address)), breaker())
              for address in addresses],
-            health_threshold, metrics, retry_budget)
+            metrics, retry_budget)
 
     # -- the execute contract ------------------------------------------------
 

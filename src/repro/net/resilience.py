@@ -48,7 +48,6 @@ from typing import Callable, Optional
 PROBE_TIMEOUT = 1.0
 
 __all__ = [
-    "BreakerOpenError",
     "BreakerState",
     "CircuitBreaker",
     "HedgePolicy",
@@ -63,10 +62,6 @@ class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-class BreakerOpenError(RuntimeError):
-    """An attempt was refused because the breaker is open."""
 
 
 class CircuitBreaker:
@@ -180,8 +175,7 @@ class RetryBudget:
     """
 
     def __init__(self, max_tokens: float = 10.0,
-                 earn_per_success: float = 0.1,
-                 initial: Optional[float] = None) -> None:
+                 earn_per_success: float = 0.1) -> None:
         if max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1: {max_tokens}")
         if earn_per_success < 0:
@@ -189,7 +183,7 @@ class RetryBudget:
                 f"earn_per_success must be >= 0: {earn_per_success}")
         self.max_tokens = float(max_tokens)
         self.earn_per_success = float(earn_per_success)
-        self._tokens = self.max_tokens if initial is None else float(initial)
+        self._tokens = self.max_tokens
         self.spent = 0
         self.denied = 0
         self._lock = threading.Lock()
@@ -237,15 +231,14 @@ class HedgePolicy:
 class ResilienceConfig:
     """Tunables for one :class:`~repro.net.RemoteReplicaSet`.
 
-    ``breaker_failure_threshold`` of ``None`` reuses the replica set's
-    ``health_threshold`` so breaker-open and unhealthy coincide by
-    default.  ``hedge`` of ``None`` disables hedging (the sequential
+    ``breaker_failure_threshold`` of ``None`` reuses
+    :data:`~repro.cluster.replica.HEALTH_THRESHOLD` so breaker-open and
+    unhealthy coincide by default.  ``hedge`` of ``None`` disables hedging (the sequential
     failover path).  ``probe_interval`` of ``None`` disables the
     opportunistic background recovery probe; recovery then rides on the
     breaker's half-open trials alone.
     """
 
-    breaker_enabled: bool = True
     breaker_failure_threshold: Optional[int] = None
     breaker_reset_timeout: float = 5.0
     hedge: Optional[HedgePolicy] = None

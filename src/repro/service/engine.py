@@ -48,7 +48,7 @@ from ..core import (
 )
 from ..kernel import ColumnarSearcher, ColumnarSnapshot
 from ..storage import PageCorruptionError, SearchStats
-from ..trace import TraceSink, Tracer, current_tracer, traced
+from ..trace import current_tracer, traced
 from .cache import ResultCache
 from .deadline import Deadline
 from .metrics import MetricsRegistry, PAGES_BUCKETS
@@ -84,8 +84,6 @@ class QueryEngine:
                  num_workers: int = 4,
                  mode: PruningMode = PruningMode.RD,
                  cache_capacity: int = 1024,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracing: bool = False,
                  kernel: str = "object") -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive: {num_workers}")
@@ -101,11 +99,7 @@ class QueryEngine:
         self.mode = mode
         self.kernel = kernel
         self.cache = ResultCache(cache_capacity)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # ``tracing=True`` traces every request the caller didn't already
-        # trace and folds the span aggregates into ``metrics`` via a
-        # TraceSink — stage-level dashboards without per-call plumbing.
-        self._trace_sink = TraceSink(self.metrics) if tracing else None
+        self.metrics = MetricsRegistry()
         self.num_workers = num_workers
         self._mutable = isinstance(index, MutableDesksIndex)
         if self._mutable:
@@ -161,14 +155,11 @@ class QueryEngine:
         """Serve one query on the calling thread (cache, then search).
 
         With a :class:`~repro.trace.Tracer` active in the calling context
-        (or the engine constructed with ``tracing=True``) the request
-        records an ``engine.execute`` span — cache hit/miss, pages read,
-        deadline slack — with the search's own span tree beneath it.
+        the request records an ``engine.execute`` span — cache hit/miss,
+        pages read, deadline slack — with the search's own span tree
+        beneath it.
         """
         tracer = current_tracer()
-        if tracer is None and self._trace_sink is not None:
-            with Tracer(sink=self._trace_sink).activate():
-                return self.execute(query, timeout)
         if tracer is None:
             return self._execute_impl(query, timeout, None)
         with tracer.span("engine.execute") as span:

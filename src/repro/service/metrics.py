@@ -2,9 +2,9 @@
 
 The registry is deliberately Prometheus-shaped without the dependency:
 monotonic :class:`Counter`\\ s, log-bucketed :class:`Histogram`\\ s with
-percentile estimation, and a plain-text :meth:`MetricsRegistry.render`
-suitable for printing at the end of a benchmark run or scraping off a
-future HTTP endpoint.
+percentile estimation, and one JSON-ready :meth:`MetricsRegistry.to_dict`
+snapshot — what ``SHOW METRICS``, the STATS RPC and the CLI's
+``--metrics-json`` read.
 
 Percentiles are estimated from the bucket counts by linear interpolation
 inside the winning bucket — the standard trade: O(num_buckets) memory
@@ -227,8 +227,6 @@ class MetricsRegistry:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot: every counter value and histogram summary.
 
-        The machine-readable twin of :meth:`render`, consumed by the
-        cluster stats aggregation and the CLI's ``--metrics-json``.
         Values are plain ints/floats so ``json.dump`` works directly.
         """
         with self._lock:
@@ -242,32 +240,3 @@ class MetricsRegistry:
             "gauges": {g.name: g.value for g in gauges},
             "histograms": {h.name: h.snapshot() for h in histograms},
         }
-
-    def render(self) -> str:
-        """Plain-text dump: one line per counter, one block per histogram.
-
-        Latency-style histograms (names ending in ``_seconds``) are shown
-        in milliseconds for readability.
-        """
-        lines: List[str] = [f"# uptime {self.uptime_seconds:.1f}s"]
-        with self._lock:
-            counters = sorted(self._counters.values(), key=lambda c: c.name)
-            gauges = sorted(self._gauges.values(), key=lambda g: g.name)
-            histograms = sorted(self._histograms.values(),
-                                key=lambda h: h.name)
-        for counter in counters:
-            lines.append(f"{counter.name} {counter.value}")
-        for gauge in gauges:
-            lines.append(f"{gauge.name} {gauge.value:.3f}")
-        for histogram in histograms:
-            snap = histogram.snapshot()
-            unit, scale = ("ms", 1e3) if histogram.name.endswith(
-                "_seconds") else ("", 1.0)
-            lines.append(
-                f"{histogram.name} count={int(snap['count'])} "
-                f"mean={snap['mean'] * scale:.3f}{unit} "
-                f"p50={snap['p50'] * scale:.3f}{unit} "
-                f"p95={snap['p95'] * scale:.3f}{unit} "
-                f"p99={snap['p99'] * scale:.3f}{unit} "
-                f"max={snap['max'] * scale:.3f}{unit}")
-        return "\n".join(lines)

@@ -8,23 +8,18 @@ this package says where *one query* spent its time and I/O.  A
 :meth:`~repro.cluster.ShardRouter.execute` scatter-gather — collects a
 span tree from every instrumented layer it passes through, with page
 reads and pruning decisions attributed per stage.  :func:`explain` wraps
-one search into a plan/actuals/reconciliation report, and
-:class:`TraceSink` folds finished traces back into a
-:class:`~repro.service.MetricsRegistry`.
+one search into a plan/actuals/reconciliation report.
 
 Tracing is per-request opt-in.  When no tracer is active, instrumented
 code pays one ``ContextVar`` read and allocates nothing.
 """
 
 from .explain import ExplainReport, explain
-from .sink import DEFAULT_COUNTER_ATTRS, TraceSink
 from .spans import Span, Tracer, current_span, current_tracer, traced
 
 __all__ = [
-    "DEFAULT_COUNTER_ATTRS",
     "ExplainReport",
     "Span",
-    "TraceSink",
     "Tracer",
     "current_span",
     "current_tracer",

@@ -119,14 +119,13 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def explain(index, query, mode=None, sink=None) -> ExplainReport:
+def explain(index, query, mode=None) -> ExplainReport:
     """Run ``query`` against ``index`` traced, and account for every cost.
 
     ``index`` is a :class:`~repro.core.DesksIndex` (or anything exposing a
     compatible ``search``/``io_stats``).  ``mode`` is a
     :class:`~repro.core.PruningMode` or its name (``"R"``/``"D"``/``"RD"``,
-    default ``RD``).  ``sink`` optionally receives the finished tracer
-    (see :class:`~repro.trace.TraceSink`).
+    default ``RD``).
 
     The search runs once, with a fresh tracer active and an independent
     :class:`~repro.storage.SearchStats`; the report's reconciliation
@@ -150,7 +149,7 @@ def explain(index, query, mode=None, sink=None) -> ExplainReport:
         io_stats = getattr(getattr(index, "index", None), "io_stats", None)
 
     stats = SearchStats()
-    tracer = Tracer(sink=sink)
+    tracer = Tracer()
     io_before = io_stats.snapshot() if io_stats is not None else None
     with tracer.activate():
         result = search(query, mode=mode, stats=stats)

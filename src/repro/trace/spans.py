@@ -170,17 +170,12 @@ class Tracer:
         print(tracer.render())
         json_blob = tracer.to_json()
 
-    ``sink`` (see :class:`repro.trace.TraceSink`) receives the finished
-    tracer when ``activate()`` exits, feeding span aggregates into a
-    :class:`~repro.service.MetricsRegistry`.
-
     Thread-safe: spans may be opened concurrently from many worker
     threads (see :func:`traced`); attachment is serialized on one lock.
     """
 
-    def __init__(self, sink: Optional["SupportsObserve"] = None) -> None:
+    def __init__(self) -> None:
         self.roots: List[Span] = []
-        self.sink = sink
         self.spans_started = 0
         self._lock = threading.Lock()
 
@@ -234,17 +229,14 @@ class Tracer:
     def activate(self) -> Iterator["Tracer"]:
         """Make this tracer current for the context of the ``with`` block.
 
-        On exit the sink (if any) observes the finished tracer.  Nesting
-        a second tracer inside an active one shadows the outer tracer for
-        the inner block.
+        Nesting a second tracer inside an active one shadows the outer
+        tracer for the inner block.
         """
         token = _TRACER.set(self)
         try:
             yield self
         finally:
             _TRACER.reset(token)
-            if self.sink is not None:
-                self.sink.observe(self)
 
     # -- introspection / export ---------------------------------------------
 
@@ -281,14 +273,6 @@ class Tracer:
     def render(self) -> str:
         """Human-readable tree of every root span."""
         return "\n".join(root.render() for root in self.roots)
-
-
-class SupportsObserve:
-    """Structural type for tracer sinks (``observe(tracer)``)."""
-
-    def observe(self, tracer: Tracer) -> None:  # pragma: no cover
-        """Consume one finished tracer."""
-        raise NotImplementedError
 
 
 def traced(name: str, fn: Callable, *,

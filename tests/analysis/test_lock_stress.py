@@ -148,7 +148,7 @@ def test_write_sanitizer_stress_on_a_remote_replica_set():
     metrics = MetricsRegistry()
     replica_set, clients = make_set(
         [flapping, lambda index: ok_result(1), lambda index: ok_result(2)],
-        health_threshold=2, metrics=metrics,
+        metrics=metrics,
         # This test is about completion, not retry amplification: the
         # default bucket (10, +0.1 per success) can run dry when the threads
         # meet the flapping replica in an unlucky order, and failover then

@@ -23,7 +23,7 @@ def poison_engine(replica, calls=None):
         raise PageCorruptionError(3, "torn write (header epoch 9, "
                                   "trailing stamp 8)", "anchor1.pages")
 
-    replica.engine.execute = corrupt_execute
+    replica.endpoint.engine.execute = corrupt_execute
 
 
 class TestReplicaQuarantine:
@@ -77,14 +77,14 @@ class TestReplicaQuarantine:
         try:
             import dataclasses
 
-            real_execute = rs.replicas[0].engine.execute
+            real_execute = rs.replicas[0].endpoint.engine.execute
 
             def degraded_execute(query, timeout=None):
                 return dataclasses.replace(
                     real_execute(query, timeout), degraded=True,
                     failure_cause="page 7: checksum mismatch")
 
-            rs.replicas[0].engine.execute = degraded_execute
+            rs.replicas[0].endpoint.engine.execute = degraded_execute
             rs._rotation = 0           # attempt the poisoned replica first
             response, _ = rs.execute(make_query())
             assert not response.degraded       # failover found clean pages

@@ -11,7 +11,12 @@ from benchmarks.chaos_net import (
     FaultyEndpoint,
     InjectedFault,
 )
-from repro.cluster import ReplicaSet, ShardRouter, ShardUnavailableError
+from repro.cluster import (
+    HEALTH_THRESHOLD,
+    ReplicaSet,
+    ShardRouter,
+    ShardUnavailableError,
+)
 from repro.core import DesksIndex, DirectionalQuery
 
 from .conftest import entries_of, make_collection, random_queries
@@ -63,14 +68,17 @@ def test_all_replicas_down_raises_shard_unavailable():
 
 def test_health_threshold_and_recovery():
     coll = make_collection(n=100, seed=5)
-    rs = ReplicaSet(0, DesksIndex(coll), replication=2, health_threshold=2)
+    rs = ReplicaSet(0, DesksIndex(coll), replication=2)
     inject(rs.replicas[:1])
     try:
-        for _ in range(4):
+        # The rotation starts at replica 0 every other query: three
+        # failures in a row take six.
+        assert HEALTH_THRESHOLD == 3
+        for _ in range(6):
             rs.execute(make_query())
         bad = rs.replicas[0]
         assert not bad.healthy
-        assert bad.consecutive_failures >= 2
+        assert bad.consecutive_failures >= 3
         # Unhealthy replicas go last: no more retries once demoted.
         _, retries = rs.execute(make_query())
         assert retries == 0
@@ -83,7 +91,7 @@ def test_health_threshold_and_recovery():
         bad.mark_success()
         assert bad.healthy and bad.consecutive_failures == 0
         summary = rs.health_summary()
-        assert summary[0]["total_failures"] >= 2
+        assert summary[0]["total_failures"] >= 3
         assert summary[1]["total_failures"] == 0
     finally:
         rs.close()
@@ -94,8 +102,6 @@ def test_replica_set_validation():
     index = DesksIndex(coll)
     with pytest.raises(ValueError):
         ReplicaSet(0, index, replication=0)
-    with pytest.raises(ValueError):
-        ReplicaSet(0, index, replication=1, health_threshold=0)
     for option in ("kernel", "mode", "cache_capacity"):
         with pytest.raises(TypeError):
             ReplicaSet(0, index, replication=1, **{option: None})
@@ -115,8 +121,7 @@ def test_router_exact_under_single_replica_failure(collection, reference):
             assert entries_of(r.result) == \
                 entries_of(reference.search(query))
         assert retries > 0  # failover actually happened
-        snap = router.metrics_snapshot()
-        assert snap["cluster"]["counters"][
+        assert router.metrics.to_dict()["counters"][
             "cluster_replica_failures_total"] > 0
 
 
@@ -133,10 +138,10 @@ def test_router_degrades_when_whole_shard_dies(collection):
         lost = set(router.shards[0].spec.global_ids)
         got = {e.poi_id for e in r.result.entries}
         assert got and not (got & lost)
-        snap = router.metrics_snapshot()
-        assert snap["cluster"]["counters"][
+        assert router.metrics.to_dict()["counters"][
             "cluster_degraded_answers_total"] == 1
-        assert snap["shards"]["0"]["health"][0]["total_failures"] > 0
+        assert router.shards[0].transport.health_summary()[0][
+            "total_failures"] > 0
 
 
 def test_injected_latency_slows_but_answers():
@@ -172,7 +177,7 @@ def test_surviving_replica_gets_the_remaining_budget():
     inject(rs.replicas[:1], FaultPlan("slow-down", reset_probability=1.0,
                                       latency_seconds=0.05))
     try:
-        survivor = rs.replicas[1].engine
+        survivor = rs.replicas[1].endpoint.engine
         real_execute, budgets = survivor.execute, []
 
         def recording_execute(query, timeout=None):

@@ -267,23 +267,23 @@ def test_search_returns_bare_result(collection, reference):
             entries_of(reference.search(q))
 
 
-def test_metrics_snapshot_shape(collection):
+def test_router_metrics_and_replica_shape(collection):
     with ShardRouter(collection, num_shards=2, replication=2) as router:
         router.search(DirectionalQuery.make(10, 10, 0.0, 3.0, ["cafe"], 5))
-        snap = router.metrics_snapshot()
-        assert snap["cluster"]["counters"]["cluster_queries_total"] == 1
-        assert set(snap["shards"]) == {"0", "1"}
-        for info in snap["shards"].values():
-            assert info["num_pois"] > 0
-            assert len(info["replicas"]) == 2
+        counters = router.metrics.to_dict()["counters"]
+        assert counters["cluster_queries_total"] == 1
+        assert [shard.spec.shard_id for shard in router.shards] == [0, 1]
+        for shard in router.shards:
+            assert len(shard.spec) > 0
+            assert len(shard.transport.health_summary()) == 2
         text = router.describe()
         assert "2 shards" in text and "replicas=2/2 healthy" in text
         # Every replica engine runs what a shard server runs.
         for shard in router.shards:
             for replica in shard.transport.replicas:
-                assert replica.engine.cache.capacity == \
-                    SHARD_CACHE_CAPACITY == 128
-                assert replica.engine.mode is PruningMode.RD
+                engine = replica.endpoint.engine
+                assert engine.cache.capacity == SHARD_CACHE_CAPACITY == 128
+                assert engine.mode is PruningMode.RD
 
 
 def test_router_rejects_bad_arguments(collection, tmp_path):

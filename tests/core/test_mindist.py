@@ -19,7 +19,6 @@ from repro.core.mindist import (
     band_mindist,
     basic_geometry,
     polar_point,
-    subregion_mindist,
     subregion_mindists,
 )
 from repro.geometry import (
@@ -32,6 +31,14 @@ from repro.geometry import (
 )
 
 from . import reference_verify as reference
+
+
+def subregion_mindist(g, inner, outer, theta_lo, theta_hi):
+    """Table I for one sub-region: a one-gid :func:`subregion_mindists`."""
+    kept = subregion_mindists(g, inner, outer, (0,),
+                              BoundaryColumns.of((theta_lo,), (theta_hi,)),
+                              math.inf)
+    return kept[0][0] if kept else math.inf
 
 L, H = 100.0, 80.0
 

@@ -12,7 +12,7 @@ from repro.storage import SearchStats
 from repro.trace import Tracer
 
 
-class TestQueryTrace:
+class TestRegionSearchSpans:
     def run(self, searcher, query, mode=PruningMode.RD, stats=None):
         tracer = Tracer()
         with tracer.activate():

@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -139,6 +146,48 @@ class TestErrorHandling:
         assert main(["lint", missing]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and missing in err
+
+
+class TestBrokenPipe:
+    """A reader that stops early (``repro query ... | head -2``) ends the
+    run quietly: no traceback, a non-zero exit, at most one ``error:``
+    line."""
+
+    #: Answers printed: well past what a pipe buffers (~64 kB), so the
+    #: CLI is still writing when the reader closes its end.
+    ANSWERS = 4000
+
+    @pytest.fixture()
+    def cafes(self, tmp_path):
+        rng = random.Random(5)
+        path = tmp_path / "cafes.csv"
+        path.write_text("id,x,y,keywords\n" + "".join(
+            f"{i},{rng.uniform(0, 1000):.3f},{rng.uniform(0, 1000):.3f},"
+            f"cafe\n" for i in range(self.ANSWERS)))
+        return path
+
+    @pytest.mark.parametrize("args", [
+        ["-x", "500", "-y", "500", "--alpha", "0", "--beta", "360",
+         "--keywords", "cafe", "-k", str(ANSWERS)],
+        ["-e", f"SELECT {ANSWERS} NEAR (500, 500) MATCHING 'cafe'",
+         "--json"],
+    ], ids=["flags", "statement-json"])
+    def test_reader_closing_early_is_not_a_traceback(self, cafes, args):
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "query", str(cafes), *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert first
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) <= 1 and all(
+            line.startswith("error:") for line in lines)
 
 
 class TestServeBench:

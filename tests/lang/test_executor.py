@@ -5,8 +5,7 @@ corpus (full circle, wraparound sector, narrow wedge, all three pruning
 modes, WITHIN, MATCH ANY) must produce **bit-identical** entries via
 
 * the direct API (``DesksSearcher.search`` on the same index),
-* DQL through :class:`IndexBackend` and :class:`EngineBackend`
-  in-process, and
+* DQL through :class:`EngineBackend` in-process, and
 * DQL shipped as text over a real socket to a ``ShardServer``.
 
 That is the language layer's correctness claim: parsing, planning, and
@@ -23,7 +22,6 @@ from repro.lang import (
     DqlExecutor,
     DqlSyntaxError,
     EngineBackend,
-    IndexBackend,
     SocketBackend,
     StatementOutcome,
     parse,
@@ -98,26 +96,25 @@ def socket_executor(index):
 
 class TestEquivalence:
     @pytest.mark.parametrize("statement", CORPUS)
-    def test_direct_vs_inproc_vs_socket(self, statement, searcher, index,
-                                        engine, socket_executor):
+    def test_direct_vs_inproc_vs_socket(self, statement, searcher, engine,
+                                        socket_executor):
         oracle = direct_rows(searcher, statement)
-        via_index = DqlExecutor(IndexBackend(index)).execute(statement)
         via_engine = DqlExecutor(EngineBackend(engine)).execute(statement)
         via_socket = socket_executor.execute(statement)
-        assert rows(via_index) == oracle, statement
         assert rows(via_engine) == oracle, statement
         assert rows(via_socket) == oracle, statement
 
-    def test_modes_agree_with_each_other(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_modes_agree_with_each_other(self, searcher, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         base = "SELECT 6 NEAR (400.0, 600.0) HEADING [2.0, 5.0] " \
                "MATCHING 'pizza' MODE {}"
-        answers = {mode: rows(executor.execute(base.format(mode)))
+        answers = {mode: direct_rows(searcher, base.format(mode))
                    for mode in ("RD", "R", "D")}
         assert answers["RD"] == answers["R"] == answers["D"]
+        assert rows(executor.execute(base.format("R"))) == answers["RD"]
 
-    def test_render_and_reparse_same_answers(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_render_and_reparse_same_answers(self, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         for statement in CORPUS:
             plan = parse(statement)
             assert rows(executor.execute(plan)) == \
@@ -125,16 +122,16 @@ class TestEquivalence:
 
 
 class TestEnvelope:
-    def test_search_outcome_shape(self, index):
-        outcome = DqlExecutor(IndexBackend(index)).execute(CORPUS[0])
+    def test_search_outcome_shape(self, engine):
+        outcome = DqlExecutor(EngineBackend(engine)).execute(CORPUS[0])
         assert isinstance(outcome, StatementOutcome)
         assert outcome.kind == "search"
-        assert outcome.backend == "index"
+        assert outcome.backend == "engine"
         assert outcome.statement == parse(CORPUS[0]).render()
         assert len(outcome.entries) == 5
 
-    def test_render_is_deterministic(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_render_is_deterministic(self, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         first = executor.execute(CORPUS[0]).render()
         second = executor.execute(CORPUS[0]).render()
         assert first == second
@@ -148,8 +145,8 @@ class TestEnvelope:
         assert "latency_seconds" in data
         assert len(data["rows"]) == 5
 
-    def test_within_filter_inclusive(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_within_filter_inclusive(self, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         outcome = executor.execute(
             "SELECT 50 NEAR (500.0, 500.0) MATCHING 'cafe'")
         assert outcome.entries, "corpus index has cafes"
@@ -159,28 +156,22 @@ class TestEnvelope:
             f"WITHIN {boundary!r}")
         assert capped.entries[0].distance == boundary  # <=, not <
 
-    def test_timeout_yields_partial_not_error(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_timeout_yields_partial_not_error(self, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         outcome = executor.execute(
             "SELECT 10 NEAR (500.0, 500.0) MATCHING 'cafe' "
             "TIMEOUT 0.000001")
         assert outcome.kind == "search"  # partial or complete, never raise
 
-    def test_budget_combines_with_plan_timeout(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_budget_combines_with_plan_timeout(self, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         outcome = executor.execute(CORPUS[0], budget=1e-9)
         assert outcome.kind == "search"
 
 
 class TestShowAndExplain:
-    def test_show_metrics_index(self, index):
-        outcome = DqlExecutor(IndexBackend(index)).execute("SHOW METRICS")
-        assert outcome.kind == "table"
-        assert outcome.table["pois"] == 400.0
-        assert outcome.table["num_bands"] == 4.0
-
-    def test_show_shards_single_pseudo_shard(self, index):
-        outcome = DqlExecutor(IndexBackend(index)).execute("SHOW SHARDS")
+    def test_show_shards_single_pseudo_shard(self, engine):
+        outcome = DqlExecutor(EngineBackend(engine)).execute("SHOW SHARDS")
         assert outcome.table["shards.total"] == 1.0
         assert outcome.table["shard.0.pois"] == 400.0
 
@@ -190,16 +181,16 @@ class TestShowAndExplain:
         outcome = executor.execute("SHOW METRICS")
         assert outcome.table["queries_total"] >= 1.0
 
-    def test_explain_reconciles(self, index):
-        outcome = DqlExecutor(IndexBackend(index)).execute(
+    def test_explain_reconciles(self, engine):
+        outcome = DqlExecutor(EngineBackend(engine)).execute(
             "EXPLAIN " + CORPUS[1])
         assert outcome.kind == "text"
         assert "reconciliation (OK)" in outcome.text
 
-    def test_explain_over_socket_matches_local(self, index,
+    def test_explain_over_socket_matches_local(self, engine,
                                                socket_executor):
         statement = "EXPLAIN " + CORPUS[3]
-        local = DqlExecutor(IndexBackend(index)).execute(statement)
+        local = DqlExecutor(EngineBackend(engine)).execute(statement)
         remote = socket_executor.execute(statement)
         assert "reconciliation (OK)" in remote.text
         # Span timings differ run to run; the plan section must not.
@@ -213,8 +204,8 @@ def plan_section(text):
 
 
 class TestErrors:
-    def test_syntax_error_passes_through(self, index):
-        executor = DqlExecutor(IndexBackend(index))
+    def test_syntax_error_passes_through(self, engine):
+        executor = DqlExecutor(EngineBackend(engine))
         with pytest.raises(DqlSyntaxError):
             executor.execute("SELEKT 1")
 
@@ -226,8 +217,3 @@ class TestErrors:
         executor = DqlExecutor(Exploding())
         with pytest.raises(DqlExecutionError, match="RuntimeError: boom"):
             executor.execute("SELECT 1 NEAR (0, 0) MATCHING 'cafe'")
-
-    def test_execute_many_in_order(self, index):
-        executor = DqlExecutor(IndexBackend(index))
-        outcomes = executor.execute_many(["SHOW METRICS", CORPUS[0]])
-        assert [o.kind for o in outcomes] == ["table", "search"]

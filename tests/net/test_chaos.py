@@ -284,8 +284,7 @@ def test_replica_set_answers_exactly_despite_a_corrupting_replica(
     with ChaosProxy(server.address, plan) as proxy:
         direct = ShardServer(index, shard_id=0, num_workers=1).start()
         replica_set = RemoteReplicaSet(
-            0, [proxy.address, direct.address], health_threshold=2,
-            metrics=MetricsRegistry())
+            0, [proxy.address, direct.address], metrics=MetricsRegistry())
         try:
             for query in queries:
                 response, _ = replica_set.execute(query, timeout=10.0)
@@ -310,16 +309,15 @@ def test_restarted_server_returns_to_healthy_first_rotation(
     port_a = server_a.address[1]
     query = random_queries(random.Random(47), 1)[0]
     replica_set = RemoteReplicaSet(
-        0, [server_a.address, server_b.address], health_threshold=2,
-        metrics=MetricsRegistry(),
+        0, [server_a.address, server_b.address], metrics=MetricsRegistry(),
         client_factory=RemoteShardClient,
         resilience=ResilienceConfig(breaker_reset_timeout=3600.0))
     restarted = None
     try:
         server_a.stop()
-        # Rotation attempts the dead replica on queries 1 and 3; two
+        # Rotation attempts the dead replica on queries 1, 3 and 5; three
         # failures open its breaker and mark it unhealthy.
-        for _ in range(4):
+        for _ in range(6):
             response, _ = replica_set.execute(query, timeout=10.0)
             assert entries_of(response.result) == \
                 entries_of(reference.search(query))
@@ -336,13 +334,14 @@ def test_restarted_server_returns_to_healthy_first_rotation(
         summary = replica_set.health_summary()
         assert summary[0]["healthy"]
         assert summary[0]["breaker"] == "closed"
-        before = replica_set.replicas[0].client.health().requests_total
+        client = replica_set.replicas[0].endpoint.client
+        before = client.health().requests_total
         for _ in range(4):
             response, retried = replica_set.execute(query, timeout=10.0)
             assert retried == 0
             assert entries_of(response.result) == \
                 entries_of(reference.search(query))
-        after = replica_set.replicas[0].client.health().requests_total
+        after = client.health().requests_total
         # The restarted server is serving search traffic again, not just
         # answering probes: rotation sent it half the queries.
         assert after - before >= 2

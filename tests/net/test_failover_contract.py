@@ -5,9 +5,11 @@ the same :class:`~repro.cluster.FailoverSet` loop over different
 endpoints, so everything the loop promises is asserted here against both:
 an :class:`~repro.cluster.EngineEndpoint` over a real engine whose
 ``execute`` is scripted, and a :class:`~repro.net.SocketEndpoint` over the
-scripted ``FakeShardClient``.  The socket harness runs without a circuit
+scripted ``FakeShardClient``.  The socket harness is a plain
+:class:`~repro.cluster.FailoverSet` over socket endpoints, with no circuit
 breaker — with none, its attempt plan is the in-process one exactly;
-what breakers, budgets and hedging add is ``test_resilience.py``'s job.
+what breakers, budgets and hedging add to a ``RemoteReplicaSet`` is
+``test_resilience.py``'s job.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import pytest
 
 from benchmarks.chaos_net import InjectedFault
 from repro.cluster import (
+    HEALTH_THRESHOLD,
     EngineEndpoint,
     FailoverSet,
     ReplicaEndpoint,
@@ -23,13 +26,13 @@ from repro.cluster import (
     ShardUnavailableError,
 )
 from repro.core import DesksIndex, QueryResult
-from repro.net import ResilienceConfig, SocketEndpoint, TransportError
+from repro.net import RemoteReplicaSet, SocketEndpoint, TransportError
 from repro.net.protocol import RemoteSearchResult
 from repro.service import MetricsRegistry
 from repro.storage import PageCorruptionError
 
 from .conftest import make_collection
-from .test_resilience import QUERY, make_set, ok_result
+from .test_resilience import QUERY, FakeShardClient, ok_result
 
 INDEX = DesksIndex(make_collection(n=120, seed=61))
 CAUSE = "page 7: checksum mismatch"
@@ -47,8 +50,9 @@ class EngineHarness:
         self.mode = ["ok"] * replicas
         self.calls = [0] * replicas
         for replica in self.set.replicas:
-            replica.engine.execute = self._scripted(
-                replica.replica_id, replica.engine.execute)
+            engine = replica.endpoint.engine
+            engine.execute = self._scripted(replica.replica_id,
+                                            engine.execute)
 
     def _scripted(self, i, real_execute):
         def execute(query, timeout=None):
@@ -72,11 +76,14 @@ class SocketHarness:
     failure_type = TransportError
     extra_keys = {"address"}
 
-    def __init__(self, replicas, **kw):
+    def __init__(self, replicas, metrics=None):
         self.mode = ["ok"] * replicas
-        self.set, self._clients = make_set(
-            [self._scripted(i) for i in range(replicas)],
-            resilience=ResilienceConfig(breaker_enabled=False), **kw)
+        self._clients = [
+            FakeShardClient(("10.0.0.%d" % i, 9000 + i), self._scripted(i))
+            for i in range(replicas)]
+        self.set = FailoverSet(
+            7, [(SocketEndpoint(client), None) for client in self._clients],
+            metrics)
 
     def _scripted(self, i):
         def behavior(call_index):
@@ -93,7 +100,7 @@ class SocketHarness:
 
     @property
     def calls(self):
-        return [self._clients[i].calls for i in range(len(self._clients))]
+        return [client.calls for client in self._clients]
 
 
 @pytest.fixture(params=[EngineHarness, SocketHarness],
@@ -122,6 +129,8 @@ def test_both_sets_are_the_one_loop_over_conforming_endpoints(harness):
     assert isinstance(h.set, FailoverSet)
     assert type(h.set)._attempts is FailoverSet._attempts
     assert type(h.set)._attempt is FailoverSet._attempt
+    assert RemoteReplicaSet._attempts is FailoverSet._attempts
+    assert RemoteReplicaSet._attempt is FailoverSet._attempt
     for replica in h.set.replicas:
         assert type(replica.endpoint) is h.endpoint_type
         assert isinstance(replica.endpoint, ReplicaEndpoint)
@@ -136,10 +145,11 @@ def test_rotation_start_advances(harness):
 
 
 def test_unhealthy_replicas_go_last_and_recover_as_probes(harness):
-    h = harness(3, health_threshold=1)
+    h = harness(3)
     h.mode[0] = "down"
-    _, retries = run(h, first=0)
-    assert retries == 1
+    for _ in range(HEALTH_THRESHOLD):
+        _, retries = run(h, first=0)
+        assert retries == 1
     assert not h.set.replicas[0].healthy
     # Demoted: wherever the rotation starts, a healthy replica answers
     # first and the unhealthy one is left alone.
@@ -157,18 +167,20 @@ def test_unhealthy_replicas_go_last_and_recover_as_probes(harness):
 
 
 def test_health_threshold_in_a_row_then_recovery_on_success(harness):
-    h = harness(2, health_threshold=2)
+    h = harness(2)
     bad = h.set.replicas[0]
     h.mode[0] = "down"
+    assert HEALTH_THRESHOLD == 3
+    for failures in (1, 2):
+        run(h, first=0)
+        assert bad.healthy and bad.consecutive_failures == failures
     run(h, first=0)
-    assert bad.healthy and bad.consecutive_failures == 1
-    run(h, first=0)
-    assert not bad.healthy and bad.consecutive_failures == 2
+    assert not bad.healthy and bad.consecutive_failures == 3
     h.mode = ["ok", "down"]
     _, retries = run(h, first=1)
     assert retries == 1
     assert bad.healthy and bad.consecutive_failures == 0
-    assert bad.total_failures == 2
+    assert bad.total_failures == 3
 
 
 @pytest.mark.parametrize("form", ["corrupt", "degraded"])

@@ -1,15 +1,22 @@
-"""The socket deployment's fixed values are constants, not options.
+"""Options that are gone stay gone: a fixed value or a deleted feature.
 
-Each keyword or flag below had one value in use outside the tests; it is
-now a named constant (``repro.net.client.CONNECT_ATTEMPTS``,
-``repro.net.resilience.PROBE_TIMEOUT``, ...).  Passing one is refused at
-the call, before any socket, process or file is touched: a ``TypeError``
-from the constructor, argparse's exit 2 from the CLI.
+Each keyword or flag below is one of two kinds.  Most had one value in
+use outside the tests and are now a named constant
+(``repro.net.client.CONNECT_ATTEMPTS``,
+``repro.net.resilience.PROBE_TIMEOUT``,
+``repro.cluster.replica.HEALTH_THRESHOLD``, ...).  The rest switched a
+feature that is deleted: the trace sink (``tracing``, ``sink``), a
+caller-supplied engine registry (``metrics``), the breaker-less remote
+set (``breaker_enabled``) and a part-filled retry budget (``initial``).
+Passing one is refused at the call, before any socket, process, file or
+search is touched: a ``TypeError`` from the constructor or function,
+argparse's exit 2 from the CLI.
 """
 
 import pytest
 
 from repro.cli import main
+from repro.cluster import ReplicaSet
 from repro.core import PruningMode
 from repro.net import (
     CircuitBreaker,
@@ -19,10 +26,13 @@ from repro.net import (
     RemoteReplicaSet,
     RemoteShardClient,
     ResilienceConfig,
+    RetryBudget,
     ShardServer,
     connect_router,
     run_shard_server,
 )
+from repro.service import QueryEngine
+from repro.trace import Tracer, explain
 
 ADDRESS = ("127.0.0.1", 9)
 
@@ -70,6 +80,21 @@ REMOVED = {
         lambda: ClusterLauncher("nowhere", startup_timeout=60.0)),
     "ClusterLauncher-python": (
         "python", lambda: ClusterLauncher("nowhere", python=None)),
+    "RemoteReplicaSet-health_threshold": (
+        "health_threshold",
+        lambda: RemoteReplicaSet(0, [ADDRESS], health_threshold=3)),
+    "ReplicaSet-health_threshold": (
+        "health_threshold",
+        lambda: ReplicaSet(0, None, 1, health_threshold=3)),
+    "QueryEngine-tracing": (
+        "tracing", lambda: QueryEngine(None, tracing=False)),
+    "QueryEngine-metrics": (
+        "metrics", lambda: QueryEngine(None, metrics=None)),
+    "Tracer-sink": ("sink", lambda: Tracer(sink=None)),
+    "explain-sink": ("sink", lambda: explain(None, None, sink=None)),
+    "ResilienceConfig-breaker_enabled": (
+        "breaker_enabled", lambda: ResilienceConfig(breaker_enabled=True)),
+    "RetryBudget-initial": ("initial", lambda: RetryBudget(initial=None)),
     "ResilienceConfig-probe_timeout": (
         "probe_timeout", lambda: ResilienceConfig(probe_timeout=1.0)),
     "CircuitBreaker-half_open_max_trials": (

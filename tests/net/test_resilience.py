@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.cluster import ShardUnavailableError
+from repro.cluster import HEALTH_THRESHOLD, ShardUnavailableError
 from repro.core import DirectionalQuery, QueryResult, ResultEntry
 from repro.net import (
     BreakerState,
@@ -147,8 +147,10 @@ class TestRetryBudget:
         assert budget.tokens == 0.0
 
     def test_successes_earn_tokens_back(self):
-        budget = RetryBudget(max_tokens=10.0, earn_per_success=0.5,
-                             initial=0.5)
+        budget = RetryBudget(max_tokens=10.0, earn_per_success=0.5)
+        while budget.try_spend():
+            pass
+        budget.record_success()
         assert not budget.try_spend()
         budget.record_success()
         assert budget.tokens == pytest.approx(1.0)
@@ -303,8 +305,8 @@ class TestRetryBudgetBoundsFailover:
         replica_set.close()
 
     def test_successes_replenish_the_budget(self):
-        budget = RetryBudget(max_tokens=2.0, earn_per_success=1.0,
-                             initial=0.0)
+        budget = RetryBudget(max_tokens=2.0, earn_per_success=1.0)
+        assert budget.try_spend() and budget.try_spend()
         replica_set, clients = make_set([always(ok_result(1))],
                                         retry_budget=budget)
         for _ in range(3):
@@ -319,13 +321,12 @@ class TestBreakerInTheLoop:
         down = TransportError(("10.0.0.0", 9000), "down")
         clock = FakeClock()
         replica_set, clients = make_set(
-            [always(down), always(ok_result(3))],
-            health_threshold=2, clock=clock,
+            [always(down), always(ok_result(3))], clock=clock,
             resilience=ResilienceConfig(breaker_reset_timeout=60.0))
         # Rotation alternates the starting replica, so replica 0 is
-        # attempted (and fails) on queries 1 and 3 — opening its breaker
-        # at the threshold of 2.
-        for _ in range(3):
+        # attempted (and fails) on queries 1, 3 and 5 — opening its
+        # breaker at the threshold of 3.
+        for _ in range(2 * HEALTH_THRESHOLD - 1):
             replica_set.execute(QUERY)
         assert replica_set.replicas[0].breaker.state is BreakerState.OPEN
         calls_before = clients[0].calls
@@ -343,30 +344,32 @@ class TestBreakerInTheLoop:
         down = TransportError(("10.0.0.0", 9000), "down")
         clock = FakeClock()
         replica_set, clients = make_set(
-            [always(down)], health_threshold=1, clock=clock,
+            [always(down)], clock=clock,
             resilience=ResilienceConfig(breaker_reset_timeout=60.0))
-        with pytest.raises(ShardUnavailableError):
-            replica_set.execute(QUERY)
+        for _ in range(HEALTH_THRESHOLD):
+            with pytest.raises(ShardUnavailableError):
+                replica_set.execute(QUERY)
         assert replica_set.replicas[0].breaker.state is BreakerState.OPEN
         # The sole replica's circuit is open, but the shard must degrade
         # through a real attempt, not wedge behind its own breaker.
         with pytest.raises(ShardUnavailableError) as info:
             replica_set.execute(QUERY)
         assert info.value.attempts == 1
-        assert clients[0].calls == 2
+        assert clients[0].calls == HEALTH_THRESHOLD + 1
         replica_set.close()
 
     def test_half_open_trial_recovers_the_replica(self):
         def flaky(index):
             return (TransportError(("10.0.0.0", 9000), "down")
-                    if index < 1 else ok_result(9))
+                    if index < HEALTH_THRESHOLD else ok_result(9))
 
         clock = FakeClock()
         replica_set, clients = make_set(
-            [flaky], health_threshold=1, clock=clock,
+            [flaky], clock=clock,
             resilience=ResilienceConfig(breaker_reset_timeout=5.0))
-        with pytest.raises(ShardUnavailableError):
-            replica_set.execute(QUERY)
+        for _ in range(HEALTH_THRESHOLD):
+            with pytest.raises(ShardUnavailableError):
+                replica_set.execute(QUERY)
         assert replica_set.replicas[0].breaker.state is BreakerState.OPEN
         clock.advance(5.0)
         response, retried = replica_set.execute(QUERY)
@@ -392,11 +395,11 @@ class TestProbeRecovery:
         metrics = MetricsRegistry()
         replica_set, clients = make_set(
             [recovering, always(ok_result(2))],
-            health_threshold=2, clock=clock, metrics=metrics,
+            clock=clock, metrics=metrics,
             resilience=ResilienceConfig(breaker_reset_timeout=3600.0))
-        # Rotation attempts replica 0 on queries 1 and 3: two failures
-        # in a row trip both the health threshold and the breaker.
-        for _ in range(3):
+        # Rotation attempts replica 0 on queries 1, 3 and 5: three
+        # failures in a row trip both the health threshold and the breaker.
+        for _ in range(2 * HEALTH_THRESHOLD - 1):
             replica_set.execute(QUERY)
         assert not replica_set.replicas[0].healthy
         assert replica_set.replicas[0].breaker_open
@@ -423,9 +426,11 @@ class TestProbeRecovery:
         replica_set, clients = make_set(
             [{"behavior": always(down), "health_ok": False},
              always(ok_result(2))],
-            health_threshold=1, clock=clock,
+            clock=clock,
             resilience=ResilienceConfig(breaker_reset_timeout=3600.0))
-        replica_set.execute(QUERY)
+        # Replica 0 fails on queries 1, 3 and 5.
+        for _ in range(2 * HEALTH_THRESHOLD - 1):
+            replica_set.execute(QUERY)
         assert replica_set.probe_unavailable() == []
         assert not replica_set.replicas[0].healthy
         assert clients[0].health_calls == 1

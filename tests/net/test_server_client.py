@@ -355,7 +355,7 @@ def test_replica_set_fails_over_and_marks_unhealthy(index, reference):
     doomed_address = doomed.address
     try:
         replicas = RemoteReplicaSet(
-            0, [doomed_address, alive.address], health_threshold=2)
+            0, [doomed_address, alive.address])
         try:
             doomed.stop()
             queries = random_queries(random.Random(19), 6)
@@ -373,7 +373,7 @@ def test_replica_set_fails_over_and_marks_unhealthy(index, reference):
             doomed_row = summary[
                 f"{doomed_address[0]}:{doomed_address[1]}"]
             assert not doomed_row["healthy"]
-            assert doomed_row["consecutive_failures"] >= 2
+            assert doomed_row["consecutive_failures"] >= 3
             assert replicas.quarantined_replicas() == []
         finally:
             replicas.close()
@@ -386,7 +386,7 @@ def test_all_replicas_down_raises_shard_unavailable(index):
     server = ShardServer(index, shard_id=0, num_workers=1).start()
     address = server.address
     server.stop()
-    replicas = RemoteReplicaSet(0, [address], health_threshold=3)
+    replicas = RemoteReplicaSet(0, [address])
     try:
         query = random_queries(random.Random(20), 1)[0]
         with pytest.raises(ShardUnavailableError):

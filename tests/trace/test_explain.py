@@ -120,16 +120,6 @@ class TestReportShape:
         assert isinstance(report, ExplainReport)
         assert "reconciliation (OK)" in report.render()
 
-    def test_sink_receives_the_tracer(self, disk_index):
-        class Recorder:
-            observed = None
-
-            def observe(self, tracer):
-                Recorder.observed = tracer
-
-        report = explain(disk_index, make_query(), sink=Recorder())
-        assert Recorder.observed is report.trace
-
     def test_in_memory_index_reconciles_with_zero_pages(self):
         collection = make_collection(n=200, seed=7)
         index = DesksIndex(collection, num_bands=3, num_wedges=5)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import ShardRouter
 from repro.core import DesksIndex, DesksSearcher, MutableDesksIndex
-from repro.service import MetricsRegistry, QueryEngine
+from repro.service import QueryEngine
 from repro.trace import Tracer
 import repro.trace.spans as spans_mod
 
@@ -81,23 +81,12 @@ class TestEnginePropagation:
         assert execute.attrs["cache_hit"] is True
         assert execute.find("desks.search") is None
 
-    def test_tracing_option_feeds_metrics_without_caller_tracer(
-            self, collection):
-        index = DesksIndex(collection, num_bands=4, num_wedges=6)
-        registry = MetricsRegistry()
-        with QueryEngine(index, metrics=registry, tracing=True) as engine:
-            engine.execute(make_query())
-        histograms = registry.to_dict()["histograms"]
-        assert "span_engine_execute_seconds" in histograms
-        assert "span_desks_search_seconds" in histograms
-
     def test_untraced_engine_records_no_span_metrics(self, collection):
         index = DesksIndex(collection, num_bands=4, num_wedges=6)
-        registry = MetricsRegistry()
-        with QueryEngine(index, metrics=registry) as engine:
+        with QueryEngine(index) as engine:
             engine.execute(make_query())
-        assert not any(name.startswith("span_")
-                       for name in registry.to_dict()["histograms"])
+            histograms = engine.metrics.to_dict()["histograms"]
+        assert not any(name.startswith("span_") for name in histograms)
 
 
 class TestRouterPropagation:

@@ -1,4 +1,4 @@
-"""Span/Tracer mechanics: nesting, context-locality, export, sinks."""
+"""Span/Tracer mechanics: nesting, context-locality, export."""
 
 import json
 import threading
@@ -7,7 +7,6 @@ import pytest
 
 from repro.trace import (
     Span,
-    TraceSink,
     Tracer,
     current_span,
     current_tracer,
@@ -186,50 +185,6 @@ class TestThreadPropagation:
             thread.start()
             thread.join()
         assert seen["tracer"] is None
-
-
-class TestSink:
-    def test_sink_observes_on_activation_exit(self):
-        class Recorder:
-            def __init__(self):
-                self.observed = []
-
-            def observe(self, tracer):
-                self.observed.append(tracer)
-
-        sink = Recorder()
-        tracer = Tracer(sink=sink)
-        with tracer.activate():
-            with tracer.span("op"):
-                pass
-        assert sink.observed == [tracer]
-
-    def test_trace_sink_feeds_metrics_registry(self):
-        from repro.service import MetricsRegistry
-
-        registry = MetricsRegistry()
-        tracer = Tracer(sink=TraceSink(registry))
-        with tracer.activate():
-            with tracer.span("desks.search", pages_read=7,
-                             pois_fetched=20):
-                with tracer.span("desks.band", pages_read=7):
-                    pass
-        snapshot = registry.to_dict()
-        counters = snapshot["counters"]
-        assert counters["span_desks_search_pages_read_total"] == 7
-        assert counters["span_desks_search_pois_fetched_total"] == 20
-        assert counters["span_desks_band_pages_read_total"] == 7
-        assert "span_desks_search_seconds" in snapshot["histograms"]
-
-    def test_sink_skips_bools_and_non_ints(self):
-        from repro.service import MetricsRegistry
-
-        registry = MetricsRegistry()
-        tracer = Tracer(sink=TraceSink(registry))
-        with tracer.activate():
-            with tracer.span("op", pages_read=True, pois_fetched="many"):
-                pass
-        assert not registry.to_dict()["counters"]
 
 
 class TestHygiene:
