@@ -498,7 +498,8 @@ def run_corruption_trials(collection: POICollection, num_trials: int,
         event = injector.corrupt_page(store, page_id=page_id)
         changed = store.verify_page(page_id) is not None
         # Damaged pages must actually be *read*: evict the buffer pools
-        # and the result cache so every probe goes back to the frames.
+        # and the engine's answer cache so every probe goes back to the
+        # frames.
         index.drop_caches()
         engine.cache.clear()
         scrub_hit = not index.scrub().clean

@@ -3,8 +3,9 @@
 The paper leaves data update as future work; our `MutableDesksIndex` uses
 the standard main-plus-delta design.  Two questions this bench answers:
 
-* how does query cost grow with the pending-delta fraction (the linear
-  delta scan is the price of O(1) inserts)?
+* how does query cost grow with the pending-delta fraction (the delta
+  walk, which visits the pending POIs posted under the query's rarest
+  keyword, is the price of O(1) inserts)?
 * what does a rebuild cost relative to the steady-state insert?
 """
 
@@ -49,8 +50,8 @@ def test_ablation_query_cost_vs_delta_fraction(datasets):
     print(table)
     write_result("ablation_dynamic_delta", table)
 
-    # The delta scan adds linear work: examined POIs grow with the delta,
-    # by roughly the delta size itself.
+    # The delta walk adds work that grows with the delta, by at most
+    # roughly the delta size itself.
     assert pois_col[-1] > pois_col[0]
     expected_extra = int(len(base) * fractions[-1])
     assert pois_col[-1] - pois_col[0] <= expected_extra * 1.2

@@ -17,6 +17,7 @@ import math
 from repro.bench import generate_queries, repeated_stream
 from repro.core import MutableDesksIndex
 from repro.service import QueryEngine
+from repro.trace import Tracer
 
 from closed_loop import run_closed_loop
 from conftest import bench_bands, bench_wedges
@@ -111,7 +112,12 @@ def test_insert_invalidates_affected_cached_result(datasets):
         assert after.result.poi_ids() != first.result.poi_ids()
         assert after.generation > first.generation
 
-        # And the recomputed answer is itself cached again.
-        again = engine.execute(query)
-        assert again.cached
+        # The static answer stays cached: the next ask runs no indexed
+        # search, only the merge of the pending insert, so its response
+        # is not `cached` (the cache did not answer alone).
+        tracer = Tracer()
+        with tracer.activate():
+            again = engine.execute(query)
+        assert tracer.find("desks.memo") is not None
+        assert tracer.find("desks.search") is None
         assert again.result.poi_ids() == after.result.poi_ids()

@@ -21,6 +21,7 @@ Quickstart::
 """
 
 from .core import (
+    AnswerCache,
     CardinalityEstimator,
     DesksIndex,
     DesksSearcher,
@@ -42,7 +43,6 @@ from .service import (
     Deadline,
     MetricsRegistry,
     QueryEngine,
-    ResultCache,
     ServiceResponse,
 )
 from .trace import ExplainReport, Tracer, explain
@@ -50,6 +50,7 @@ from .trace import ExplainReport, Tracer, explain
 __version__ = "1.0.0"
 
 __all__ = [
+    "AnswerCache",
     "CardinalityEstimator",
     "Deadline",
     "DesksIndex",
@@ -67,7 +68,6 @@ __all__ = [
     "PruningMode",
     "QueryEngine",
     "QueryResult",
-    "ResultCache",
     "ResultEntry",
     "ServiceResponse",
     "ShardRouter",

@@ -244,7 +244,10 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
                    help="upper direction bound in degrees")
     p.add_argument("--keywords", nargs="+", default=None)
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--mode", choices=["R", "D", "RD"], default="RD")
+    p.add_argument("--mode", choices=["R", "D", "RD"], default="RD",
+                   help="pruning mode of a direct search or EXPLAIN; "
+                        "it changes effort, never answers, so the "
+                        "engine and DQL SELECTs always run RD")
     p.add_argument("--match-any", action="store_true",
                    help="match POIs containing ANY keyword "
                         "(default: ALL)")
@@ -379,8 +382,7 @@ def _cmd_query_dql(args: argparse.Namespace) -> int:
     if not statements and not args.repl:
         # Flag-built query routed through the language layer so --json
         # and --metrics-json get the same envelope as -e statements.
-        statements = [plan_from_query(_parse_query(args),
-                                      mode=PruningMode[args.mode])]
+        statements = [plan_from_query(_parse_query(args))]
     index = _load_query_target(args)
     backend, close = _query_backend(args, index)
     executor = DqlExecutor(backend)
@@ -478,7 +480,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.engine:
         from .service import QueryEngine
 
-        with QueryEngine(index, mode=PruningMode[args.mode]) as engine, \
+        with QueryEngine(index) as engine, \
                 tracer.activate():
             engine.submit(query).result()
     else:

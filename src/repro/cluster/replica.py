@@ -19,7 +19,7 @@ one was handed in.  Only when no replica answers does the set raise
 :class:`ReplicaSet` is the in-process deployment: one
 :class:`EngineEndpoint` per replica, each a private
 :class:`~repro.service.QueryEngine` (``RD`` pruning, a
-:data:`SHARD_CACHE_CAPACITY`-entry result cache — what a shard server
+:data:`SHARD_CACHE_CAPACITY`-entry answer cache — what a shard server
 runs) whose ``execute`` runs on the thread that called the set — the
 thread that called the router, or one of its ``desks-shard`` pool threads
 when a wave asks more than one shard.

@@ -1,6 +1,7 @@
 """DESKS core: the direction-aware index and its search algorithms."""
 
 from .bruteforce import brute_force_search
+from .cache import AnswerCache, CacheStats
 from .dynamic import MutableDesksIndex
 from .estimate import CardinalityEstimator
 from .incremental import CachedAnswer, IncrementalSearcher
@@ -44,8 +45,10 @@ from .stores import (
 __all__ = [
     "AnchorIndex",
     "AnchorRegions",
+    "AnswerCache",
     "Band",
     "BasicQueryGeometry",
+    "CacheStats",
     "CachedAnswer",
     "CardinalityEstimator",
     "CompressedDiskKeywordStore",

@@ -5,8 +5,9 @@ wedges) and densely packed posting lists, so in-place insertion would
 shift every slice behind the insertion point.  We instead use the standard
 main-plus-delta design databases reach for in this situation:
 
-* inserts land in an unindexed **delta buffer**, scanned linearly at query
-  time (cheap while small);
+* inserts land in a **delta buffer** with keyword postings of its own, so
+  a read visits only the pending POIs that can match: the shortest of its
+  keywords' lists under ``ALL``, their union under ``ANY``;
 * deletes become **tombstones**, filtered during verification;
 * when the delta grows past ``rebuild_threshold`` (a fraction of the
   indexed size), the static index is rebuilt to absorb it.
@@ -17,53 +18,41 @@ the periodic rebuild, the classic LSM-style trade.
 A rebuild does not re-intern the data it already has: the survivors'
 collection is derived from the old one (:meth:`POICollection.derive`),
 sharing every POI, term-id set and vocabulary entry before the first
-deleted static POI.  Only the changed suffix and the delta are renumbered
-and interned, so that part of a compaction costs the suffix plus the
-delta, not the whole vocabulary; the index build on top of it is the one
-numpy pass every build runs.
+deleted static POI, so it costs the changed suffix plus the delta and
+the one numpy build pass, not the whole vocabulary.
 
-For the serving layer (:mod:`repro.service`) the index additionally keeps a
-monotonically increasing **generation** counter, bumped by every successful
-insert, delete, and rebuild.  A result cache tags each cached answer with
-the generation it was computed under and refuses to serve it once the
-counter has moved — the invalidation contract that makes caching safe over
-a mutating index.  ``subscribe()`` registers callbacks fired (with the new
-generation) after each mutation, so caches can also purge eagerly.
+Updates are serialised by an internal lock and bump a **generation**
+counter (data on responses and on the wire).  A read snapshots the
+searcher, the answer cache, the postings, the next id and the
+tombstones under the lock and then runs lock-free: tombstones are copied
+on write, posting lists only grow and a read skips ids past its bound,
+and a rebuild mid-read leaves it answering the pre-rebuild (still exact)
+state.  ``get()``, ``live_pois()`` and ``len()`` read under the lock too.
 
-Updates are serialised by an internal lock; queries take a consistent
-snapshot of ``(searcher, memo, delta, tombstones)`` and the count of
-tombstones on static POIs under that lock and then run lock-free, so
-concurrent readers never block each other and a rebuild mid-query simply
-means that query answers against the pre-rebuild (still exact) state.
-``get()``, ``live_pois()`` and ``len()`` read under the lock too, so a
-rebuild never lands between their reads.
-
-Every write bumps the generation, so under a steady write stream the
-result cache above rarely holds an answer long enough to serve it.  The
-static index itself only changes at a rebuild, though, so each static
-index carries a **snapshot memo**: its own complete answers, keyed by the
-query it was actually asked (``k`` already inflated by the tombstones)
-and the pruning mode, at most :data:`SNAPSHOT_MEMO_CAPACITY` of them.  A
-read whose static query is memoized skips the indexed search and pays
-only the tombstone filter, the delta scan and the merge.  The memo is
-created empty with its static index and discarded with it at the next
-rebuild, so nothing ever has to invalidate it.
+Each static snapshot carries an :class:`~repro.core.cache.AnswerCache`
+of its complete answers, keyed by the canonical key and the count of
+tombstones on static POIs (what the static ``k`` is inflated by).  A
+cached static answer skips the indexed search; the tombstone filter,
+the delta walk and the merge still run.  A rebuild hands the next
+snapshot an empty successor, so nothing ever has to invalidate it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datasets import POI, POICollection, check_finite
 from ..storage import SearchStats
 from ..trace.spans import current_tracer
+from .cache import AnswerCache
 from .index import DesksIndex
-from .query import DirectionalQuery, QueryResult, ResultEntry
+from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
 from .search import DesksSearcher, PruningMode, SupportsExpired
 
-#: Answers one static index memoizes before it forgets its oldest (FIFO).
+#: Answers one static snapshot caches before it forgets the least recently
+#: used, unless a :class:`~repro.service.QueryEngine` bounds it.
 SNAPSHOT_MEMO_CAPACITY = 1024
 
 
@@ -75,7 +64,7 @@ class MutableDesksIndex:
                  num_wedges: Optional[int] = None,
                  rebuild_threshold: float = 0.25) -> None:
         self._init_state(num_bands, num_wedges, rebuild_threshold)
-        self._build(collection)
+        self._adopt_static(DesksIndex(collection, num_bands, num_wedges))
 
     def _init_state(self, num_bands: Optional[int],
                     num_wedges: Optional[int],
@@ -88,24 +77,22 @@ class MutableDesksIndex:
         self._num_wedges = num_wedges
         self.rebuild_threshold = rebuild_threshold
         self._delta: List[POI] = []
+        # keyword -> pending POIs carrying it, in id order.
+        self._postings: Dict[str, List[POI]] = {}
+        # Replaced, never mutated: a read holds it without a copy.
         self._deleted: Set[int] = set()
         # Tombstones inside the static id range: what the static search's
-        # k must be inflated by (see search).
+        # k must be inflated by (see read).
         self._buried = 0
         self.rebuild_count = 0
         self._generation = 0
-        self._listeners: List[Callable[[int], None]] = []
+        self._cache = AnswerCache(SNAPSHOT_MEMO_CAPACITY)
         self._lock = threading.RLock()
 
-    def _build(self, collection: POICollection) -> None:
-        self._adopt_static(DesksIndex(collection, self._num_bands,
-                                      self._num_wedges))
-
     def _adopt_static(self, index: DesksIndex) -> None:
-        """Install ``index`` as the static index, with an empty memo."""
+        """Install ``index`` as the static index."""
         self._index = index
         self._searcher = DesksSearcher(index)
-        self._memo: Dict[Tuple, List[ResultEntry]] = {}
 
     @classmethod
     def from_static(cls, index: DesksIndex,
@@ -142,28 +129,15 @@ class MutableDesksIndex:
         return self._index
 
     @property
+    def cache(self) -> AnswerCache:
+        """The current static snapshot's answer cache (its counters and
+        capacity carry over to the next snapshot's)."""
+        return self._cache
+
+    @property
     def generation(self) -> int:
-        """Monotonic mutation counter; bumped by insert/delete/rebuild.
-
-        Two searches bracketed by equal generations saw the same data, so
-        any answer computed at generation ``g`` may be served from a cache
-        while ``generation == g`` still holds.
-        """
+        """Monotonic mutation counter; bumped by insert/delete/rebuild."""
         return self._generation
-
-    def subscribe(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked (with the new generation) after
-        every mutation.  Callbacks run on the mutating thread and must be
-        cheap and non-raising; they exist so result caches can invalidate
-        eagerly instead of only on their next lookup."""
-        with self._lock:
-            self._listeners.append(listener)
-
-    def _bump_generation(self) -> None:
-        # Caller holds self._lock.
-        self._generation += 1
-        for listener in self._listeners:
-            listener(self._generation)
 
     def __len__(self) -> int:
         with self._lock:
@@ -186,11 +160,14 @@ class MutableDesksIndex:
         with self._lock:
             poi_id = self._next_id()
             check_finite(poi_id, x, y)
-            self._delta.append(POI.make(poi_id, x, y, keywords))
+            poi = POI.make(poi_id, x, y, keywords)
+            self._delta.append(poi)
+            for word in poi.keywords:
+                self._postings.setdefault(word, []).append(poi)
             if len(self._delta) > self.rebuild_threshold * max(
                     len(self.collection), 1):
                 self._rebuild()
-            self._bump_generation()
+            self._generation += 1
             return poi_id
 
     def delete(self, poi_id: int) -> bool:
@@ -201,14 +178,14 @@ class MutableDesksIndex:
             total = len(self.collection) + len(self._delta)
             if not 0 <= poi_id < total:
                 return False
-            self._deleted.add(poi_id)
+            self._deleted = self._deleted | {poi_id}
             self._buried += poi_id < len(self.collection)
             # Tombstones inflate the static index's effective k (see
-            # search); absorb them once they pile up, like the insert path.
+            # read); absorb them once they pile up, like the insert path.
             if (len(self._deleted) > self.rebuild_threshold
                     * max(len(self.collection), 1) and len(self) > 0):
                 self._rebuild()
-            self._bump_generation()
+            self._generation += 1
             return True
 
     def compact(self) -> bool:
@@ -225,7 +202,7 @@ class MutableDesksIndex:
             if (not self._delta and not self._deleted) or len(self) == 0:
                 return False
             self._rebuild()
-            self._bump_generation()
+            self._generation += 1
             return True
 
     def _rebuild(self) -> None:
@@ -240,10 +217,13 @@ class MutableDesksIndex:
         # ``rebuild_count`` (documented contract of the delta design).
         collection = self.collection.derive(self._deleted, self._delta)
         self._delta = []
+        self._postings = {}
         self._deleted = set()
         self._buried = 0
         self.rebuild_count += 1
-        self._build(collection)
+        self._adopt_static(DesksIndex(collection, self._num_bands,
+                                      self._num_wedges))
+        self._cache = self._cache.successor()
 
     # -- queries ------------------------------------------------------------------
 
@@ -251,86 +231,81 @@ class MutableDesksIndex:
                mode: PruningMode = PruningMode.RD,
                stats: Optional[SearchStats] = None,
                deadline: Optional[SupportsExpired] = None) -> QueryResult:
-        """Exact top-k over static index + delta buffer - tombstones.
+        """Exact top-k over static index + delta buffer - tombstones."""
+        return self.read(query, mode, stats, deadline)[0]
 
-        Safe to call from many threads at once: the method snapshots the
-        searcher, its memo, the delta, the tombstones and how many of
-        them lie on static POIs under the update lock, then runs against
-        those references; an answer computed on one static index can
-        therefore never land in the next one's memo.
-        The static query (``k`` inflated by the tombstones it may bury)
-        is answered from the memo when this static index has answered it
-        before, and by the indexed search otherwise; a complete answer of
-        the indexed search is then memoized.  ``deadline`` is forwarded
-        to the indexed search; an expired deadline yields
-        ``partial=True`` (the delta scan is a cheap linear pass and always
-        completes), and a partial answer is never memoized.  A memo hit
-        is complete whatever the deadline, like a result-cache hit.
+    def read(self, query: DirectionalQuery,
+             mode: PruningMode = PruningMode.RD,
+             stats: Optional[SearchStats] = None,
+             deadline: Optional[SupportsExpired] = None,
+             ) -> Tuple[QueryResult, bool]:
+        """:meth:`search`'s answer, and whether the snapshot's answer cache
+        gave it alone (nothing pending to merge in).
 
-        Under an active :class:`repro.trace.Tracer` the static part is a
-        ``desks.search`` tree or, on a memo hit, one counter-free
-        ``desks.memo`` span, and the delta scan records a ``desks.delta``
-        span; ``stats`` counts the work actually done, so a memo hit adds
-        only the delta POIs.
+        Safe from many threads: an answer computed on one static index can
+        never land in the next one's cache.  ``deadline`` reaches only the
+        indexed search (a cut one is ``partial`` and never cached; a cached
+        one is complete whatever the deadline).  Traced, the static part is
+        a ``desks.search`` tree or, when cached, a counter-free
+        ``desks.memo`` span, and the delta walk a ``desks.delta`` span;
+        ``stats`` counts only the work done.
         """
         with self._lock:
             searcher = self._searcher
-            memo = self._memo
-            delta = self._delta
-            deleted = set(self._deleted) if self._deleted else self._deleted
+            cache = self._cache
+            postings = self._postings
+            bound = self._next_id()
+            deleted = self._deleted
             buried = self._buried
+            alone = not self._delta and not deleted
+        tracer = current_tracer()
         # Tombstones may knock answers out of the static top-k; ask the
         # static index for enough extras to guarantee k live results.  Only
         # a tombstone inside its id range can: one on a delta POI buries
         # nothing the static search could return.  delete() counts those
         # as they land (``_buried``), so a read need not count them.
-        if buried:
-            query_static = DirectionalQuery(query.location, query.interval,
-                                            query.keywords, query.k + buried,
-                                            query.match_mode)
+        key = (query.cache_key, buried)
+        static = cache.get(key, alone)
+        if static is None:
+            query_static = query if not buried else DirectionalQuery(
+                query.location, query.interval, query.keywords,
+                query.k + buried, query.match_mode)
+            static = searcher.search(query_static, mode, stats,
+                                     deadline=deadline)
+            cache.put(key, static)
+            hit = False
         else:
-            query_static = query
-        key = (query_static.canonical_key(), mode)
-        tracer = current_tracer()
-        entries = memo.get(key)
-        partial = False
-        if entries is None:
-            indexed = searcher.search(query_static, mode, stats,
-                                      deadline=deadline)
-            entries, partial = indexed.entries, indexed.partial
-            if not partial:
-                with self._lock:
-                    if len(memo) >= SNAPSHOT_MEMO_CAPACITY:
-                        del memo[next(iter(memo))]
-                    memo[key] = entries
-        elif tracer is not None:
-            tracer.record("desks.memo", mode=mode.name, k=query_static.k,
-                          results=len(entries))
-        merged = [e for e in entries if e.poi_id not in deleted]
+            hit = True
+            if tracer is not None:
+                tracer.record("desks.memo", mode=mode.name,
+                              k=query.k + buried, results=len(static))
+        if alone and tracer is None:
+            return static, hit
+        merged = [e for e in static.entries if e.poi_id not in deleted]
         if tracer is not None:
             tick = time.perf_counter()
-        # len(delta) is captured once: concurrent inserts appending to the
-        # same list are simply not part of this query's snapshot.
-        pending = delta[:len(delta)]
-        examined = 0
-        for poi in pending:
-            if poi.poi_id in deleted:
+        examined = skipped = 0
+        for poi in _delta_candidates(query, postings):
+            poi_id = poi.poi_id
+            if poi_id >= bound:
+                continue        # inserted after this read's snapshot
+            if poi_id in deleted:
+                skipped += 1
                 continue
             examined += 1
-            if not query.matches(poi.location, poi.keywords):
-                continue
-            merged.append(ResultEntry(
-                poi.poi_id, query.location.distance_to(poi.location)))
+            if query.matches(poi.location, poi.keywords):
+                merged.append(ResultEntry(
+                    poi_id, query.location.distance_to(poi.location)))
         if stats is not None:
             stats.pois_examined += examined
         if tracer is not None:
-            # The delta scan's share of SearchStats, so span totals still
+            # The delta walk's share of SearchStats, so span totals still
             # reconcile while inserts are pending.
             tracer.record("desks.delta", seconds=time.perf_counter() - tick,
-                          pois_fetched=examined,
-                          tombstones_skipped=len(pending) - examined)
+                          pois_fetched=examined, tombstones_skipped=skipped)
         merged.sort()
-        return QueryResult(merged[:query.k], partial=partial)
+        return (QueryResult(merged[:query.k], partial=static.partial),
+                hit and alone)
 
     def live_pois(self) -> List[POI]:
         """All currently visible POIs (static + delta, minus tombstones)."""
@@ -352,3 +327,17 @@ class MutableDesksIndex:
             if 0 <= delta_pos < len(self._delta):
                 return self._delta[delta_pos]
             raise KeyError(f"unknown poi id {poi_id}")
+
+
+def _delta_candidates(query: DirectionalQuery,
+                      postings: Dict[str, List[POI]]) -> Iterable[POI]:
+    """The pending POIs that can match ``query``'s keywords: the shortest
+    of its keywords' lists under ``ALL`` (empty when one keyword has no
+    pending POI), the union of them, each POI once, under ``ANY``."""
+    lists = [postings.get(word, ()) for word in query.keywords]
+    if query.match_mode is MatchMode.ALL:
+        return min(lists, key=len)
+    lists = [found for found in lists if found]
+    if len(lists) <= 1:
+        return lists[0] if lists else ()
+    return {poi.poi_id: poi for found in lists for poi in found}.values()

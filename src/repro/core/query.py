@@ -97,7 +97,7 @@ class DirectionalQuery:
         return self.accepts_direction(self.location.direction_to(location))
 
     def canonical_key(self) -> Tuple:
-        """A stable, hashable identity for result caching and batch dedupe.
+        """A stable, hashable identity for answer caching and batch dedupe.
 
         Two queries with the same answer set map to the same key even when
         they were built differently: keywords become a sorted tuple, the
@@ -114,6 +114,15 @@ class DirectionalQuery:
                    round(self.interval.width, _ANGLE_DECIMALS))
         return (loc, arc, tuple(sorted(self.keywords)), self.k,
                 self.match_mode.value)
+
+    @property
+    def cache_key(self) -> Tuple:
+        """:meth:`canonical_key`, memoized on the frozen query."""
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = self.canonical_key()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 One sentence instead of one API call::
 
     SELECT 5 NEAR (320.0, 240.0) HEADING [0.5, 1.8] MATCHING 'cafe sushi'
-        MODE RD WITHIN 50.0 TIMEOUT 200
+        WITHIN 50.0 TIMEOUT 200
 
 The package layers exactly like a small database front end:
 

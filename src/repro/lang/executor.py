@@ -125,10 +125,9 @@ def _shard_rows(shard_id: int, population: int, mbr) -> Dict[str, float]:
 class EngineBackend:
     """Plans against a ``repro.service.QueryEngine`` (duck-typed).
 
-    ``TIMEOUT`` becomes the engine's cooperative deadline; the engine's
-    own pruning mode applies (it is fixed at engine construction — the
-    plan's ``MODE`` clause changes effort, never answers, so results are
-    unaffected).  ``SHOW METRICS`` flattens the engine's registry.
+    ``TIMEOUT`` becomes the engine's cooperative deadline.  ``EXPLAIN``
+    runs under its ``MODE``.  ``SHOW METRICS`` flattens the engine's
+    registry.
     """
 
     name = "engine"
@@ -151,7 +150,7 @@ class EngineBackend:
     def explain(self, plan: ExplainPlan) -> StatementOutcome:
         """Full ``explain()`` against the engine's underlying index."""
         report = explain(self.engine.index, plan.target.query(),
-                         mode=plan.target.mode)
+                         mode=plan.mode)
         return StatementOutcome(
             statement=plan.render(), kind="text", backend=self.name,
             text=report.render())

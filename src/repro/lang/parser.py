@@ -8,14 +8,16 @@ case-insensitive)::
                  [HEADING [ angle , angle ]]
                  MATCHING string
                  clause*
-    clause    := MODE (RD | R | D)
+    clause    := MODE (RD | R | D)          -- under EXPLAIN only
                | MATCH (ALL | ANY)
                | WITHIN number
                | TIMEOUT number
     angle     := number [DEG]
 
 Angles are radians unless suffixed ``DEG``; trailing clauses may appear
-in any order but each at most once.  Every failure — lexical, grammar,
+in any order but each at most once.  ``MODE`` picks the pruning mode an
+``EXPLAIN`` runs under; a mode changes effort, never answers, so a plain
+``SELECT`` refuses it.  Every failure — lexical, grammar,
 or a statement describing an invalid plan — raises a positioned
 :class:`~repro.lang.DqlSyntaxError`; no other exception type escapes
 :func:`parse` (the fuzz suite holds the parser to that).
@@ -93,13 +95,14 @@ class _Parser:
         if token.kind is not WORD:
             self.fail("expected SELECT, EXPLAIN, or SHOW")
         if token.text == "SELECT":
-            plan = self.select()
+            plan, _ = self.select(explain=False)
         elif token.text == "EXPLAIN":
             self.advance()
             start = self.peek()
             if not (start.kind is WORD and start.text == "SELECT"):
                 self.fail("EXPLAIN expects a SELECT statement")
-            plan = ExplainPlan(self.select())
+            target, mode = self.select(explain=True)
+            plan = ExplainPlan(target, mode or PruningMode.RD)
         elif token.text == "SHOW":
             plan = self.show()
         else:
@@ -107,7 +110,9 @@ class _Parser:
         self.expect_end()
         return plan
 
-    def select(self) -> SelectPlan:
+    def select(self, explain: bool,
+               ) -> Tuple[SelectPlan, Optional[PruningMode]]:
+        """A ``SELECT`` and, under ``EXPLAIN``, its ``MODE`` clause."""
         keyword = self.expect_word("SELECT")
         k, k_token = self.expect_number("the result count k")
         self.expect_word("NEAR")
@@ -148,6 +153,9 @@ class _Parser:
                 break
             if token.text in seen:
                 self.fail(f"duplicate {token.text} clause")
+            if token.text == "MODE" and not explain:
+                self.fail("MODE is an EXPLAIN clause (a pruning mode "
+                          "changes effort, never answers)")
             seen.add(token.text)
             self.advance()
             if token.text == "MODE":
@@ -177,8 +185,7 @@ class _Parser:
                 keywords=(keywords_token.text,),
                 alpha=alpha, beta=beta,
                 match_mode=match_mode or MatchMode.ALL,
-                mode=mode or PruningMode.RD,
-                within=within, timeout_ms=timeout_ms)
+                within=within, timeout_ms=timeout_ms), mode
         except DqlSyntaxError:
             raise
         except ValueError as exc:

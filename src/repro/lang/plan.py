@@ -81,7 +81,6 @@ class SelectPlan:
     alpha: Optional[float] = None
     beta: Optional[float] = None
     match_mode: MatchMode = MatchMode.ALL
-    mode: PruningMode = PruningMode.RD
     #: Keep only answers within this distance of the query location.
     within: Optional[float] = None
     #: Cooperative deadline for the bound backend, in milliseconds.
@@ -105,8 +104,6 @@ class SelectPlan:
                            canonical_keywords(self.keywords))
         if not isinstance(self.match_mode, MatchMode):
             raise ValueError(f"bad match mode {self.match_mode!r}")
-        if not isinstance(self.mode, PruningMode):
-            raise ValueError(f"bad pruning mode {self.mode!r}")
         if self.within is not None:
             within = _require_finite("WITHIN radius", self.within)
             if within <= 0.0:
@@ -166,8 +163,6 @@ class SelectPlan:
         if self.alpha is not None:
             parts.append(f"HEADING [{self.alpha!r}, {self.beta!r}]")
         parts.append(f"MATCHING '{' '.join(self.keywords)}'")
-        if self.mode is not PruningMode.RD:
-            parts.append(f"MODE {self.mode.name}")
         if self.match_mode is not MatchMode.ALL:
             parts.append(f"MATCH {self.match_mode.name}")
         if self.within is not None:
@@ -187,8 +182,7 @@ class SelectPlan:
             heading = (f"[{interval.lower:.6f}, {interval.upper:.6f}] rad "
                        f"(width {interval.width:.6f})")
         lines = [
-            f"select k={self.k} match={self.match_mode.value} "
-            f"mode={self.mode.name}",
+            f"select k={self.k} match={self.match_mode.value}",
             f"  location: ({self.x!r}, {self.y!r})",
             f"  heading: {heading}",
             f"  keywords: {' '.join(self.keywords)}",
@@ -205,17 +199,26 @@ class SelectPlan:
 
 @dataclass(frozen=True)
 class ExplainPlan:
-    """``EXPLAIN <select>``: explain the wrapped plan, don't answer it."""
+    """``EXPLAIN <select>``: explain the wrapped plan, don't answer it.
+
+    ``mode`` is the pruning mode the explained search runs under: it
+    changes effort, never answers, so only ``EXPLAIN`` takes a ``MODE``.
+    """
 
     target: SelectPlan
+    mode: PruningMode = PruningMode.RD
 
     def __post_init__(self) -> None:
         if not isinstance(self.target, SelectPlan):
             raise ValueError("EXPLAIN wraps a SELECT statement")
+        if not isinstance(self.mode, PruningMode):
+            raise ValueError(f"bad pruning mode {self.mode!r}")
 
     def render(self) -> str:
         """Canonical statement text."""
-        return f"EXPLAIN {self.target.render()}"
+        if self.mode is PruningMode.RD:
+            return f"EXPLAIN {self.target.render()}"
+        return f"EXPLAIN {self.target.render()} MODE {self.mode.name}"
 
 
 #: Legal ``SHOW`` targets.
@@ -245,10 +248,7 @@ class ShowPlan:
 Plan = Union[SelectPlan, ExplainPlan, ShowPlan]
 
 
-def plan_from_query(query: DirectionalQuery,
-                    mode: PruningMode = PruningMode.RD,
-                    within: Optional[float] = None,
-                    timeout_ms: Optional[float] = None) -> SelectPlan:
+def plan_from_query(query: DirectionalQuery) -> SelectPlan:
     """Lift an existing :class:`~repro.core.DirectionalQuery` into a plan.
 
     The inverse direction of :meth:`SelectPlan.query`: benchmarks and the
@@ -262,6 +262,4 @@ def plan_from_query(query: DirectionalQuery,
     return SelectPlan(
         k=query.k, x=query.location.x, y=query.location.y,
         keywords=tuple(sorted(query.keywords)),
-        alpha=alpha, beta=beta,
-        match_mode=query.match_mode, mode=mode,
-        within=within, timeout_ms=timeout_ms)
+        alpha=alpha, beta=beta, match_mode=query.match_mode)

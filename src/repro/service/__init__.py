@@ -4,11 +4,8 @@ The paper evaluates one query at a time; this package is the reproduction's
 first step toward the ROADMAP's production north star.  It adds, without
 touching the algorithms' answers:
 
-* :class:`QueryEngine` — a thread-pooled front door with ``submit`` /
-  ``submit_batch`` (``engine.py``);
-* :class:`ResultCache` — canonical-key LRU caching with generation-based
-  invalidation against :class:`~repro.core.MutableDesksIndex`
-  (``cache.py``);
+* :class:`QueryEngine` — a thread-pooled front door with an answer cache,
+  ``submit`` / ``submit_batch`` (``engine.py``);
 * :class:`Deadline` — cooperative per-query budgets with graceful
   degradation to partial results (``deadline.py``);
 * :class:`MetricsRegistry` — counters and latency/page-I/O histograms
@@ -17,11 +14,10 @@ touching the algorithms' answers:
 The closed-loop load generator that drives an engine, a socket client or
 a router is benchmark tooling: ``benchmarks/closed_loop.py``.
 
-See ``docs/SERVICE.md`` for the architecture and the cache-invalidation
-and deadline contracts.
+See ``docs/SERVICE.md`` for the architecture and the cache and deadline
+contracts.
 """
 
-from .cache import CacheStats, ResultCache
 from .deadline import Deadline
 from .engine import QueryEngine, ServiceResponse
 from .metrics import (
@@ -34,7 +30,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "CacheStats",
     "Counter",
     "Deadline",
     "Gauge",
@@ -43,6 +38,5 @@ __all__ = [
     "MetricsRegistry",
     "PAGES_BUCKETS",
     "QueryEngine",
-    "ResultCache",
     "ServiceResponse",
 ]

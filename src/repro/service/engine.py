@@ -1,4 +1,4 @@
-"""The concurrent query engine: cache + deadlines + metrics + a batch pool.
+"""The concurrent query engine: answer cache + deadlines + metrics + a pool.
 
 :class:`QueryEngine` is the serving layer's front door.  It wraps either a
 static :class:`~repro.core.DesksIndex` (behind a queue of ``num_workers``
@@ -15,12 +15,13 @@ searcher and mutation lock).  Each entry point has exactly one route:
   queries (same canonical key) collapsed onto a single execution and the
   unique ones spread over at most ``num_workers`` chunk tasks.
 
-Every execution consults the :class:`~repro.service.cache.ResultCache`
-first, keyed on the query's canonical form and the index *generation* (see
-``cache.py`` for the staleness contract), runs under a
-:class:`~repro.service.deadline.Deadline`, and records counters and
-latency/page-I/O histograms into a
-:class:`~repro.service.metrics.MetricsRegistry`.
+One :class:`~repro.core.AnswerCache`, keyed by the canonical key a request
+computes once, serves the engine: its own over a static index, the current
+snapshot's over a mutable one (whose :meth:`~repro.core.MutableDesksIndex.read`
+merges what is pending).  ``cache_capacity`` bounds it either way.  Every
+execution runs under a :class:`~repro.service.deadline.Deadline`, in
+pruning mode ``RD`` (a mode changes effort, never answers), and records
+counters and histograms into a :class:`~repro.service.metrics.MetricsRegistry`.
 
 Pure-Python searches hold the GIL, so the pool does not speed up a single
 CPU-bound query stream; what it buys is (a) overlap of many *clients'*
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..core import (
+    AnswerCache,
     DesksIndex,
     DesksSearcher,
     DirectionalQuery,
@@ -49,7 +51,6 @@ from ..core import (
 from ..kernel import ColumnarSearcher, ColumnarSnapshot
 from ..storage import PageCorruptionError, SearchStats
 from ..trace import current_tracer, traced
-from .cache import ResultCache
 from .deadline import Deadline
 from .metrics import MetricsRegistry, PAGES_BUCKETS
 
@@ -82,11 +83,13 @@ class QueryEngine:
 
     def __init__(self, index: Union[DesksIndex, MutableDesksIndex],
                  num_workers: int = 4,
-                 mode: PruningMode = PruningMode.RD,
                  cache_capacity: int = 1024,
                  kernel: str = "object") -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive: {num_workers}")
+        if cache_capacity <= 0:
+            raise ValueError(
+                f"cache capacity must be positive: {cache_capacity}")
         if kernel not in ("object", "columnar"):
             raise ValueError(
                 f"kernel must be 'object' or 'columnar': {kernel!r}")
@@ -96,20 +99,14 @@ class QueryEngine:
                 "columnar snapshot is frozen at compile time and cannot "
                 "follow mutations")
         self.index = index
-        self.mode = mode
         self.kernel = kernel
-        self.cache = ResultCache(cache_capacity)
         self.metrics = MetricsRegistry()
         self.num_workers = num_workers
         self._mutable = isinstance(index, MutableDesksIndex)
         if self._mutable:
-            # Eager purge on every insert/delete/rebuild.  Correctness does
-            # not depend on this (lookups re-check the generation), it just
-            # frees memory promptly and keeps the hit-rate metric honest.
-            # The listener is the cache's own method, not a closure over
-            # this engine: index -> listener -> engine -> index would be a
-            # cycle only the cyclic collector could free.
-            index.subscribe(self.cache.invalidate_older_than)
+            # The snapshot's cache is the index's; this engine bounds it.
+            index.cache.capacity = cache_capacity
+            self._cache = None
             self._searchers = None
             self.snapshot: Optional[ColumnarSnapshot] = None
         else:
@@ -129,6 +126,7 @@ class QueryEngine:
                 else:
                     pool.put(DesksSearcher(index))
             self._searchers = pool
+            self._cache = AnswerCache(cache_capacity)
         # Only submit() and submit_batch() use the pool; it spawns no
         # thread until the first of them is called.
         self._executor = ThreadPoolExecutor(
@@ -138,6 +136,11 @@ class QueryEngine:
         # executor with a less actionable RuntimeError.
         self._lifecycle_lock = threading.Lock()
         self._closed = False
+
+    @property
+    def cache(self) -> AnswerCache:
+        """The answer cache that serves this engine."""
+        return self.index.cache if self._mutable else self._cache
 
     # -- generation ---------------------------------------------------------
 
@@ -171,19 +174,22 @@ class QueryEngine:
         """The untraced serve body (``execute`` wraps it in a span)."""
         started = time.monotonic()
         generation = self.generation
-        cached = self.cache.get(query, generation)
-        if cached is not None:
-            latency = time.monotonic() - started
-            self._record(latency, cached=True, partial=False, pages=0)
-            if span is not None:
-                span.annotate(cache_hit=True, generation=generation,
-                              results=len(cached))
-            return ServiceResponse(query, cached, True, generation, latency)
+        if not self._mutable:
+            key = query.cache_key
+            cached = self._cache.get(key)
+            if cached is not None:
+                latency = time.monotonic() - started
+                self._record(latency, cached=True, partial=False, pages=0)
+                if span is not None:
+                    span.annotate(cache_hit=True, generation=generation,
+                                  results=len(cached))
+                return ServiceResponse(query, cached, True, generation,
+                                       latency)
         deadline = Deadline.from_timeout(timeout)
         stats = SearchStats()
         io_before = self._io_snapshot()
         try:
-            result = self._search(query, stats, deadline)
+            result, hit = self._search(query, stats, deadline)
         except PageCorruptionError as exc:
             # Verification failed mid-search: refuse to guess.  The query
             # gets an explicitly degraded, partial, uncached answer — a
@@ -199,22 +205,20 @@ class QueryEngine:
                 query, QueryResult([], partial=True), False, generation,
                 latency, stats, degraded=True, failure_cause=str(exc))
         pages = self._io_snapshot() - io_before
-        # The generation captured *before* the search makes late caching
-        # safe: if an update landed mid-search, the stored tag is already
-        # stale and the entry can never be served.
-        self.cache.put(query, result, generation)
+        if not self._mutable:
+            self._cache.put(key, result)
         latency = time.monotonic() - started
-        self._record(latency, cached=False, partial=result.partial,
+        self._record(latency, cached=hit, partial=result.partial,
                      pages=pages)
         if span is not None:
-            span.annotate(cache_hit=False, generation=generation,
+            span.annotate(cache_hit=hit, generation=generation,
                           results=len(result), partial=result.partial,
                           pages_read=pages)
             if not deadline.is_unbounded:
                 span.annotate(
                     deadline_slack_seconds=deadline.remaining())
-        return ServiceResponse(query, result, False, generation, latency,
-                               stats)
+        return ServiceResponse(query, result, hit, generation, latency,
+                               None if hit else stats)
 
     def submit(self, query: DirectionalQuery,
                timeout: Optional[float] = None,
@@ -255,7 +259,7 @@ class QueryEngine:
         unique: Dict[Hashable,
                      Tuple[DirectionalQuery, "Future[ServiceResponse]"]] = {}
         for query in queries:
-            key = self.cache.key_for(query)
+            key = query.cache_key
             pair = unique.get(key)
             if pair is None:
                 pair = unique[key] = (query, Future())
@@ -316,14 +320,14 @@ class QueryEngine:
     # -- internals ----------------------------------------------------------
 
     def _search(self, query: DirectionalQuery, stats: SearchStats,
-                deadline: Deadline) -> QueryResult:
+                deadline: Deadline) -> Tuple[QueryResult, bool]:
+        """The answer, and whether a mutable index's cache gave it alone."""
         if self._mutable:
-            return self.index.search(query, self.mode, stats,
-                                     deadline=deadline)
+            return self.index.read(query, PruningMode.RD, stats, deadline)
         searcher = self._searchers.get()
         try:
-            return searcher.search(query, self.mode, stats,
-                                   deadline=deadline)
+            return searcher.search(query, PruningMode.RD, stats,
+                                   deadline=deadline), False
         finally:
             self._searchers.put(searcher)
 

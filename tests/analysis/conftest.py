@@ -39,7 +39,7 @@ def lock_sites():
          BufferPool(InMemoryPageStore()), "_lock", True),
         ("core/dynamic.py:MutableDesksIndex", index, "_lock", True),
         ("service/engine.py:QueryEngine", engine, "_lifecycle_lock", False),
-        ("service/cache.py:ResultCache", engine.cache, "_lock", False),
+        ("core/cache.py:AnswerCache", engine.cache, "_lock", False),
         ("service/metrics.py:Counter", Counter("c"), "_lock", False),
         ("service/metrics.py:Gauge", Gauge("g"), "_lock", False),
         ("service/metrics.py:Histogram", Histogram("h"), "_lock", False),

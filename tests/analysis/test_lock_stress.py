@@ -42,8 +42,9 @@ def assert_reconciled(engine, requests):
 
 
 def test_engine_mutable_index_cache_stress():
-    """Queries racing inserts and deletes (each purging the result cache
-    under the index lock) all finish, and the counters reconcile."""
+    """Queries racing inserts, deletes and rebuilds (each rebuild retiring
+    the snapshot's answer cache under the index lock) all finish, and the
+    counters reconcile."""
     collection = make_collection(n=300, seed=11)
     index = MutableDesksIndex(collection, num_bands=4, num_wedges=6)
     engine = QueryEngine(index, num_workers=4, cache_capacity=128)
@@ -78,6 +79,8 @@ def test_engine_mutable_index_cache_stress():
 
     assert errors == []
     assert_reconciled(engine, len(futures))
+    # Every read looked the snapshot's answer cache up exactly once.
+    assert engine.cache.stats.lookups == len(futures)
 
 
 def test_engine_disk_index_buffer_pool_stress(tmp_path):
@@ -182,7 +185,7 @@ def test_write_sanitizer_stress_on_a_remote_replica_set():
 
 def test_write_sanitizer_catches_a_deliberate_unguarded_write():
     """Proof the guard can fail: two threads take the mutable index's lock
-    and the result cache's lock in opposite orders.  The guard fails the
+    and the answer cache's lock in opposite orders.  The guard fails the
     run within its deadline and names both threads with their stacks;
     ``acquire(timeout=...)`` polling lets both threads give up after."""
     index = MutableDesksIndex(make_collection(n=50, seed=14),

@@ -26,9 +26,9 @@ from benchmarks.chaos_net import (
 import repro.analysis
 from repro.analysis import RULE_INDEX, LintEngine
 from repro.cluster import FailoverSet
-from repro.core import QueryResult
+from repro.core import AnswerCache, QueryResult
 from repro.net import RemoteReplicaSet, RetryBudget
-from repro.service import Gauge, Histogram, MetricsRegistry, ResultCache
+from repro.service import Gauge, Histogram, MetricsRegistry
 from repro.storage import BufferPool, InMemoryPageStore
 
 from ..service.conftest import make_queries
@@ -46,7 +46,7 @@ SANITIZER_NAMES = (
 #: The classes that used to call ``register_shared`` (every one but the
 #: subclass :class:`RemoteReplicaSet` is in ``lock_sites``).
 REGISTERED = ("BufferPool", "Counter", "Gauge", "Histogram",
-              "MetricsRegistry", "QueryEngine", "ResultCache", "Replica",
+              "MetricsRegistry", "QueryEngine", "AnswerCache", "Replica",
               "FailoverSet")
 
 
@@ -117,27 +117,27 @@ class TestWriteTracker:
 
     def test_guarded_write_is_clean(self):
         # Lookups, insertions and purges racing on one small cache: every
-        # lookup is a hit or a miss, and every insertion is counted.
-        cache = ResultCache(8)
-        queries = make_queries(16, seed=3)
+        # lookup is a hit or a miss, and every entry is accounted for.
+        cache = AnswerCache(8)
+        keys = [query.cache_key for query in make_queries(16, seed=3)]
         rounds = 50
 
         def work(i):
             for r in range(rounds):
-                query = queries[(i + r) % len(queries)]
-                if cache.get(query) is None:
-                    assert cache.put(query, QueryResult([]))
+                key = keys[(i + r) % len(keys)]
+                if cache.get(key) is None:
+                    assert cache.put(key, QueryResult([]))
                 if r % 10 == 0:
                     cache.clear()
 
         hammer(work)
         stats = cache.stats
         assert stats.lookups == 4 * rounds
-        assert stats.insertions == stats.misses
         resident = len(cache)
         assert resident <= 8
+        # Every miss admitted one entry.
         assert stats.evictions + stats.invalidations + resident <= \
-            stats.insertions
+            stats.misses
 
     def test_init_writes_are_exempt_by_construction(self):
         # First use from many threads at once creates one metric per

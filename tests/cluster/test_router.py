@@ -283,7 +283,6 @@ def test_router_metrics_and_replica_shape(collection):
             for replica in shard.transport.replicas:
                 engine = replica.endpoint.engine
                 assert engine.cache.capacity == SHARD_CACHE_CAPACITY == 128
-                assert engine.mode is PruningMode.RD
 
 
 def test_router_rejects_bad_arguments(collection, tmp_path):

@@ -271,13 +271,14 @@ class TestSnapshotMemo:
         stats = SearchStats()
         second, spans = traced_search(idx, self.QUERY, stats)
         assert "desks.memo" in spans and "desks.search" not in spans
-        assert stats.pois_examined == 2
+        # The delta walk visits the `cafe` POI only, never the `food` one.
+        assert stats.pois_examined == 1
         assert stats.candidates_verified == stats.subregions_examined == 0
         assert second.entries == brute_force_search(
             idx.live_pois(), self.QUERY).entries
         report = explain(idx, self.QUERY)
         assert report.actuals["access_path"] == "memo"
-        assert report.actuals["pois_fetched"] == 2
+        assert report.actuals["pois_fetched"] == 1
         assert report.reconciled
 
     def test_compaction_starts_an_empty_memo(self):

@@ -1,8 +1,8 @@
 """Executor tests: the uniform envelope, and backend equivalence.
 
 The load-bearing suite is :class:`TestEquivalence`: a fixed statement
-corpus (full circle, wraparound sector, narrow wedge, all three pruning
-modes, WITHIN, MATCH ANY) must produce **bit-identical** entries via
+corpus (full circle, wraparound sector, narrow wedge, WITHIN, MATCH
+ANY) must produce **bit-identical** entries via
 
 * the direct API (``DesksSearcher.search`` on the same index),
 * DQL through :class:`EngineBackend` in-process, and
@@ -44,13 +44,8 @@ CORPUS = [
     "MATCHING 'cafe food'",
     # MATCH ANY over two keywords
     "SELECT 10 NEAR (900.0, 100.0) MATCHING 'atm sushi' MATCH ANY",
-    # the three pruning modes over one sector (mode never changes answers)
-    "SELECT 6 NEAR (400.0, 600.0) HEADING [2.0, 5.0] MATCHING 'pizza' "
-    "MODE RD",
-    "SELECT 6 NEAR (400.0, 600.0) HEADING [2.0, 5.0] MATCHING 'pizza' "
-    "MODE R",
-    "SELECT 6 NEAR (400.0, 600.0) HEADING [2.0, 5.0] MATCHING 'pizza' "
-    "MODE D",
+    # the sector whose three pruning modes are compared below
+    "SELECT 6 NEAR (400.0, 600.0) HEADING [2.0, 5.0] MATCHING 'pizza'",
     # degrees spelling of a sector
     "SELECT 4 NEAR (500.0, 500.0) HEADING [45 DEG, 135 DEG] "
     "MATCHING 'bank'",
@@ -68,7 +63,7 @@ def rows(outcome):
 def direct_rows(searcher, statement):
     """The oracle: the parsed plan run straight through the API."""
     plan = parse(statement)
-    result = searcher.search(plan.query(), plan.mode)
+    result = searcher.search(plan.query())
     entries = [(e.poi_id, e.distance) for e in result.entries]
     if plan.within is not None:
         entries = [(p, d) for p, d in entries if d <= plan.within]
@@ -105,13 +100,19 @@ class TestEquivalence:
         assert rows(via_socket) == oracle, statement
 
     def test_modes_agree_with_each_other(self, searcher, engine):
+        # A mode changes effort, never answers: SELECT takes none.
         executor = DqlExecutor(EngineBackend(engine))
         base = "SELECT 6 NEAR (400.0, 600.0) HEADING [2.0, 5.0] " \
-               "MATCHING 'pizza' MODE {}"
-        answers = {mode: direct_rows(searcher, base.format(mode))
-                   for mode in ("RD", "R", "D")}
-        assert answers["RD"] == answers["R"] == answers["D"]
-        assert rows(executor.execute(base.format("R"))) == answers["RD"]
+               "MATCHING 'pizza'"
+        query = parse(base).query()
+        answers = {mode: [(e.poi_id, e.distance)
+                          for e in searcher.search(query, mode).entries]
+                   for mode in PruningMode}
+        assert answers[PruningMode.RD] == answers[PruningMode.R] == \
+            answers[PruningMode.D]
+        assert rows(executor.execute(base)) == answers[PruningMode.RD]
+        with pytest.raises(DqlSyntaxError, match="MODE"):
+            executor.execute(base + " MODE R")
 
     def test_render_and_reparse_same_answers(self, engine):
         executor = DqlExecutor(EngineBackend(engine))

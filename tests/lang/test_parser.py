@@ -52,14 +52,14 @@ class TestGrammar:
         assert plan.beta == pytest.approx(math.radians(90))
 
     def test_all_clauses_any_order(self):
-        a = parse("SELECT 2 NEAR (0, 0) MATCHING 'cafe' "
+        a = parse("EXPLAIN SELECT 2 NEAR (0, 0) MATCHING 'cafe' "
                   "MODE R MATCH ANY WITHIN 10 TIMEOUT 50")
-        b = parse("SELECT 2 NEAR (0, 0) MATCHING 'cafe' "
+        b = parse("EXPLAIN SELECT 2 NEAR (0, 0) MATCHING 'cafe' "
                   "TIMEOUT 50 WITHIN 10 MATCH ANY MODE R")
         assert a == b
         assert a.mode is PruningMode.R
-        assert a.match_mode is MatchMode.ANY
-        assert a.within == 10.0 and a.timeout_ms == 50.0
+        assert a.target.match_mode is MatchMode.ANY
+        assert a.target.within == 10.0 and a.target.timeout_ms == 50.0
 
     def test_explain_wraps_select(self):
         plan = parse("EXPLAIN SELECT 1 NEAR (0, 0) MATCHING 'cafe'")
@@ -111,7 +111,8 @@ class TestPositionedErrors:
                  fragment="WITHIN")
 
     def test_duplicate_clause(self):
-        statement = "SELECT 1 NEAR (0, 0) MATCHING 'cafe' MODE R MODE D"
+        statement = ("EXPLAIN SELECT 1 NEAR (0, 0) MATCHING 'cafe' "
+                     "MODE R MODE D")
         fails_at(statement, position=statement.rindex("MODE"),
                  fragment="duplicate")
 
@@ -121,8 +122,13 @@ class TestPositionedErrors:
                  fragment="trailing")
 
     def test_bad_mode_member(self):
-        fails_at("SELECT 1 NEAR (0, 0) MATCHING 'cafe' MODE TURBO",
+        fails_at("EXPLAIN SELECT 1 NEAR (0, 0) MATCHING 'cafe' MODE TURBO",
                  fragment="MODE expects")
+
+    def test_select_takes_no_mode(self):
+        statement = "SELECT 1 NEAR (0, 0) MATCHING 'cafe' MODE R"
+        fails_at(statement, position=statement.index("MODE"),
+                 fragment="EXPLAIN clause")
 
     def test_empty_statement(self):
         fails_at("", position=0, fragment="empty")
@@ -157,7 +163,6 @@ def select_plans(draw):
         keywords=tuple(draw(st.sets(keyword, min_size=1, max_size=4))),
         alpha=alpha, beta=beta,
         match_mode=draw(st.sampled_from(list(MatchMode))),
-        mode=draw(st.sampled_from(list(PruningMode))),
         within=draw(st.one_of(st.none(), st.floats(
             min_value=1e-3, max_value=1e6,
             allow_nan=False, allow_infinity=False))),
@@ -177,10 +182,10 @@ class TestRoundTripProperty:
     def test_render_is_canonical_fixed_point(self, plan):
         assert parse(plan.render()).render() == plan.render()
 
-    @given(select_plans())
+    @given(select_plans(), st.sampled_from(list(PruningMode)))
     @settings(max_examples=50, deadline=None)
-    def test_explain_round_trips_too(self, plan):
-        wrapped = ExplainPlan(plan)
+    def test_explain_round_trips_too(self, plan, mode):
+        wrapped = ExplainPlan(plan, mode)
         assert parse(wrapped.render()) == wrapped
 
 

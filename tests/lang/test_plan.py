@@ -78,12 +78,15 @@ class TestRender:
             "MATCHING 'cafe'"
 
     def test_every_clause_rendered(self):
-        plan = select(alpha=0.5, beta=2.5, mode=PruningMode.R,
+        plan = select(alpha=0.5, beta=2.5,
                       match_mode=MatchMode.ANY, within=99.5,
                       timeout_ms=250.0)
         assert plan.render() == (
             "SELECT 5 NEAR (10.0, 20.0) HEADING [0.5, 2.5] "
-            "MATCHING 'cafe' MODE R MATCH ANY WITHIN 99.5 TIMEOUT 250.0")
+            "MATCHING 'cafe' MATCH ANY WITHIN 99.5 TIMEOUT 250.0")
+        # The pruning mode is an EXPLAIN clause.
+        assert ExplainPlan(plan, PruningMode.R).render() == \
+            f"EXPLAIN {plan.render()} MODE R"
 
     def test_render_parses_back_equal(self):
         plan = select(alpha=-0.25, beta=0.25, within=500.0)
@@ -120,9 +123,8 @@ class TestPlanFromQuery:
         query = DirectionalQuery.make(3.0, 4.0, 0.1, 2.2,
                                       ["cafe", "gas"], 9,
                                       match_mode=MatchMode.ANY)
-        plan = plan_from_query(query, mode=PruningMode.D)
+        plan = plan_from_query(query)
         assert plan.query() == query
-        assert plan.mode is PruningMode.D
 
     def test_full_circle_drops_heading(self):
         query = DirectionalQuery.make(0.0, 0.0, 0.0, TWO_PI, ["cafe"], 1)

@@ -7,10 +7,13 @@ use outside the tests and are now a named constant
 ``repro.cluster.replica.HEALTH_THRESHOLD``, ...).  The rest switched a
 feature that is deleted: the trace sink (``tracing``, ``sink``), a
 caller-supplied engine registry (``metrics``), the breaker-less remote
-set (``breaker_enabled``) and a part-filled retry budget (``initial``).
-Passing one is refused at the call, before any socket, process, file or
-search is touched: a ``TypeError`` from the constructor or function,
-argparse's exit 2 from the CLI.
+set (``breaker_enabled``), a part-filled retry budget (``initial``) and
+a pruning mode on the serving path (``QueryEngine(mode=)``, ``SELECT ...
+MODE``: a mode changes effort, never answers, so only ``EXPLAIN`` and a
+direct search take one).  Passing one is refused at the call, before any
+socket, process, file or search is touched: a ``TypeError`` from the
+constructor or function, argparse's exit 2 from the CLI, a positioned
+``DqlSyntaxError`` from the parser.
 """
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.cluster import ReplicaSet
 from repro.core import PruningMode
+from repro.lang import DqlSyntaxError, parse
 from repro.net import (
     CircuitBreaker,
     ClusterFrontend,
@@ -90,6 +94,11 @@ REMOVED = {
         "tracing", lambda: QueryEngine(None, tracing=False)),
     "QueryEngine-metrics": (
         "metrics", lambda: QueryEngine(None, metrics=None)),
+    "QueryEngine-mode": (
+        "mode", lambda: QueryEngine(None, mode=PruningMode.RD)),
+    "SELECT-MODE": (
+        "MODE", lambda: parse("SELECT 1 NEAR (0, 0) MATCHING 'cafe' "
+                              "MODE RD")),
     "Tracer-sink": ("sink", lambda: Tracer(sink=None)),
     "explain-sink": ("sink", lambda: explain(None, None, sink=None)),
     "ResilienceConfig-breaker_enabled": (
@@ -118,6 +127,9 @@ def test_removed_option_is_refused(name, call, capsys):
             call()
         assert info.value.code == 2
         assert name in capsys.readouterr().err
+    elif name.isupper():
+        with pytest.raises(DqlSyntaxError, match=f"{name} is an EXPLAIN"):
+            call()
     else:
         with pytest.raises(TypeError, match=name):
             call()

@@ -1,4 +1,4 @@
-"""QueryEngine: concurrency, caching, invalidation, deadlines, metrics."""
+"""QueryEngine: concurrency, caching, staleness, deadlines, metrics."""
 
 import gc
 import math
@@ -6,8 +6,13 @@ import weakref
 
 import pytest
 
-from repro.core import MutableDesksIndex, brute_force_search
-from repro.service import QueryEngine, ResultCache
+from repro.core import (
+    AnswerCache,
+    DirectionalQuery,
+    MutableDesksIndex,
+    brute_force_search,
+)
+from repro.service import QueryEngine
 
 from .conftest import make_queries
 
@@ -131,23 +136,12 @@ class TestMutableServing:
             assert after.result.poi_ids() == live_oracle(
                 mutable_index, query)
 
-    def test_eager_purge_via_subscription(self, mutable_index):
-        queries = make_queries(6, seed=18)
-        with QueryEngine(mutable_index) as engine:
-            for query in queries:
-                engine.execute(query)
-            assert len(engine.cache) == 6
-            mutable_index.insert(1.0, 1.0, ["cafe"])
-            # The subscription purged everything tagged with the old
-            # generation without waiting for lookups.
-            assert len(engine.cache) == 0
-
     def test_replaced_engine_and_index_are_freed_by_refcount_alone(
             self, collection):
-        """The index's listener is the cache's bound method, so no cycle
-        runs through the engine: dropping the last references frees the
-        pair at once (tens of MB at benchmark scale), not at whichever
-        later moment the cyclic collector next runs."""
+        """Nothing in the index refers back to the engine, so no cycle
+        runs through the pair: dropping the last references frees it at
+        once (tens of MB at benchmark scale), not at whichever later
+        moment the cyclic collector next runs."""
         index = MutableDesksIndex(collection, num_bands=4, num_wedges=6)
         engine = QueryEngine(index, num_workers=2)
         query = make_queries(1, seed=23)[0]
@@ -216,4 +210,36 @@ class TestValidation:
 
     def test_removed_cache_quantum_rejected(self):
         with pytest.raises(TypeError):
-            ResultCache(4, location_quantum=0.5)
+            AnswerCache(4, location_quantum=0.5)
+
+
+class TestKeyedOnce:
+    """One request computes its query's canonical key once: the dedupe,
+    the lookup and the admission share it."""
+
+    @pytest.fixture(params=["static", "mutable"])
+    def index(self, request, static_index, collection):
+        if request.param == "static":
+            return static_index
+        return MutableDesksIndex(collection, num_bands=4, num_wedges=6)
+
+    @pytest.mark.parametrize("entry", ["execute", "submit", "submit_batch"])
+    def test_one_canonical_key_per_request(self, index, entry, monkeypatch):
+        original = DirectionalQuery.canonical_key
+        calls = []
+
+        def counting(query):
+            calls.append(query)
+            return original(query)
+
+        monkeypatch.setattr(DirectionalQuery, "canonical_key", counting)
+        with QueryEngine(index, num_workers=2) as engine:
+            query = make_queries(1, seed=24)[0]
+            if entry == "execute":
+                response = engine.execute(query)
+            elif entry == "submit":
+                response = engine.submit(query).result(timeout=30)
+            else:
+                response = engine.submit_batch([query])[0].result(timeout=30)
+        assert not response.cached
+        assert len(calls) == 1
