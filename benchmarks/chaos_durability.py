@@ -1,4 +1,4 @@
-"""Chaos harness: randomized crash and corruption trials.
+"""Chaos harness: randomized crash trials and seeded file corruption.
 
 The durability layer's promise is behavioural, not structural: after a
 crash at *any* instant, recovery must produce an index that answers
@@ -15,12 +15,8 @@ promise into repeatable experiments:
   failpoint that raises :class:`SimulatedCrash` at a
   seed-chosen WAL stage, recovers, and compares the recovered index
   against a freshly built twin on probe queries and the full live-POI set;
-* :class:`CorruptionInjector` flips bits, truncates pages and tears
-  writes in the physical bytes beneath a
-  :class:`~repro.storage.ChecksummedPageStore` (and in files on disk);
-  :func:`run_corruption_trials` drives it against a checksummed disk
-  index and asserts every damaged read is *surfaced* (degraded response
-  / scrub hit), never silently wrong;
+* :class:`CorruptionInjector` flips seeded bits in files on disk (saved
+  indexes, WAL segments), for the scrub and loader tests;
 * :func:`measure_wal_overhead` times the same mutation workload with and
   without the WAL in front, for the benchmark report.
 
@@ -40,12 +36,9 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core import DesksIndex, DirectionalQuery, MutableDesksIndex
+from repro.core import DirectionalQuery, MutableDesksIndex
 from repro.datasets import POICollection
 from repro.durability import DurableMutableIndex, is_durable_dir
-from repro.service import QueryEngine
-from repro.storage import ChecksummedPageStore
-from repro.storage.pages import _FRAME_STAMP
 
 #: Deliberately multilingual so crash/recovery exercises the UTF-8 paths
 #: of the WAL op codec and the snapshot CSV round-trip.
@@ -326,70 +319,28 @@ def run_crash_trials(base: POICollection, script: Sequence[Tuple],
 
 # -- corruption injection ----------------------------------------------------
 
-#: Supported page-corruption kinds, in the order the injector draws them.
-PAGE_CORRUPTION_KINDS = ("flip", "truncate", "tear")
-
 
 @dataclass(frozen=True)
 class Corruption:
-    """One injected corruption, for replay and assertions."""
+    """One injected bit flip, for replay and assertions."""
 
-    kind: str
-    page_id: int
-    detail: str
+    path: str
+    offset: int
+    bit: int
 
 
 class CorruptionInjector:
-    """Seeded bit flips, page truncations, and torn writes.
+    """Seeded bit flips in files on disk.
 
     All draws come from one private :class:`random.Random`, so a given
     seed produces the same corruption sequence regardless of wall clock or
-    interpreter hashing — the property the chaos harness relies on to
-    replay a failure.
+    interpreter hashing — the property a test relies on to replay a
+    failure.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
         self.log: List[Corruption] = []
-
-    # -- page-level ----------------------------------------------------------
-
-    def corrupt_page(self, store: ChecksummedPageStore,
-                     page_id: Optional[int] = None,
-                     kind: Optional[str] = None) -> Corruption:
-        """Corrupt one (random) page of ``store``'s physical bytes."""
-        if store.num_pages == 0:
-            raise ValueError("store has no pages to corrupt")
-        if page_id is None:
-            page_id = self._rng.randrange(store.num_pages)
-        if kind is None:
-            kind = self._rng.choice(PAGE_CORRUPTION_KINDS)
-        inner = store.inner
-        raw = bytearray(inner.read_page(page_id))
-        if kind == "flip":
-            bit = self._rng.randrange(len(raw) * 8)
-            raw[bit // 8] ^= 1 << (bit % 8)
-            detail = f"bit {bit}"
-        elif kind == "truncate":
-            keep = self._rng.randrange(1, len(raw))
-            raw[keep:] = bytes(len(raw) - keep)
-            detail = f"kept {keep} bytes"
-        elif kind == "tear":
-            # Header and trailing stamp disagree: the classic half-flushed
-            # page.  +1 mod 2^32 guarantees a mismatch without relying on
-            # the checksum to catch it.
-            stamp_at = len(raw) - _FRAME_STAMP.size
-            (stamp,) = _FRAME_STAMP.unpack_from(raw, stamp_at)
-            _FRAME_STAMP.pack_into(raw, stamp_at, (stamp + 1) & 0xFFFFFFFF)
-            detail = f"stamp {stamp} -> {(stamp + 1) & 0xFFFFFFFF}"
-        else:
-            raise ValueError(f"unknown corruption kind {kind!r}")
-        inner.write_page(page_id, bytes(raw))
-        corruption = Corruption(kind, page_id, detail)
-        self.log.append(corruption)
-        return corruption
-
-    # -- file-level ----------------------------------------------------------
 
     def corrupt_file(self, path: str,
                      offset: Optional[int] = None) -> Corruption:
@@ -399,130 +350,15 @@ class CorruptionInjector:
             raise ValueError(f"cannot corrupt empty file {path}")
         if offset is None:
             offset = self._rng.randrange(size)
+        bit = self._rng.randrange(8)
         with open(path, "r+b") as handle:
             handle.seek(offset)
             byte = handle.read(1)[0]
             handle.seek(offset)
-            handle.write(bytes([byte ^ (1 << self._rng.randrange(8))]))
-        corruption = Corruption("file-flip", -1, f"{path}@{offset}")
+            handle.write(bytes([byte ^ (1 << bit)]))
+        corruption = Corruption(path, offset, bit)
         self.log.append(corruption)
         return corruption
-
-    def truncate_file(self, path: str, keep_bytes: int) -> Corruption:
-        """Cut a file short, as an interrupted append would."""
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(keep_bytes)
-        corruption = Corruption("file-truncate", -1,
-                                f"{path} {size} -> {keep_bytes} bytes")
-        self.log.append(corruption)
-        return corruption
-
-
-# -- corruption trials -------------------------------------------------------
-
-
-@dataclass
-class CorruptionTrialResult:
-    """Outcome of one inject-and-query experiment."""
-
-    trial: int
-    kind: str
-    page_id: int
-    changed: bool                     # injection actually altered bytes
-    scrub_detected: bool
-    degraded_responses: int
-    silent_wrong: int                 # MUST stay 0
-
-
-@dataclass
-class CorruptionReport:
-    """Aggregate over a batch of corruption-injection trials."""
-
-    trials: List[CorruptionTrialResult] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        """Number of injection trials run."""
-        return len(self.trials)
-
-    @property
-    def silent_wrong(self) -> int:
-        """Wrong answers served without any detection — must stay 0."""
-        return sum(t.silent_wrong for t in self.trials)
-
-    @property
-    def undetected(self) -> int:
-        """Injections that changed bytes but escaped the scrub."""
-        return sum(1 for t in self.trials
-                   if t.changed and not t.scrub_detected)
-
-    @property
-    def all_surfaced(self) -> bool:
-        """True when every injection was detected or harmless."""
-        return self.silent_wrong == 0 and self.undetected == 0
-
-    def summary(self) -> str:
-        """One human-readable line for a chaos report."""
-        return (f"{self.total} injection(s): {self.undetected} undetected, "
-                f"{self.silent_wrong} silently wrong answer(s)")
-
-
-def run_corruption_trials(collection: POICollection, num_trials: int,
-                          seed: int, workdir: str,
-                          probes: int = 4,
-                          page_size: int = 512) -> CorruptionReport:
-    """Inject page corruption into a checksummed disk index; every probe
-    must come back either correct or explicitly degraded."""
-    index = DesksIndex(collection, disk_based=True,
-                       disk_path_prefix=os.path.join(workdir, "pages"),
-                       page_size=page_size, checksums=True)
-    for anchor in index.anchors:
-        if anchor is not None:
-            anchor.store.flush()  # injections must not be flushed over
-    queries = probe_queries(collection, probes, seed ^ 0x517CC1B7)
-    engine = QueryEngine(index, num_workers=1)
-    clean = [engine.execute(q).result for q in queries]
-
-    injector = CorruptionInjector(seed)
-    rng = random.Random(seed ^ 0x2545F491)
-    report = CorruptionReport()
-    stores = index.page_stores()
-    for trial in range(num_trials):
-        store = stores[rng.randrange(len(stores))]
-        page_id = rng.randrange(store.num_pages)
-        # Corruption is injected at the *physical* layer on purpose: going
-        # through the pool would damage a cached frame, not the bytes the
-        # recovery path re-reads.
-        saved = store.inner.read_page(page_id)
-        event = injector.corrupt_page(store, page_id=page_id)
-        changed = store.verify_page(page_id) is not None
-        # Damaged pages must actually be *read*: evict the buffer pools
-        # and the engine's answer cache so every probe goes back to the
-        # frames.
-        index.drop_caches()
-        engine.cache.clear()
-        scrub_hit = not index.scrub().clean
-        degraded = 0
-        silent_wrong = 0
-        for query, reference in zip(queries, clean):
-            response = engine.execute(query)
-            if response.degraded:
-                degraded += 1
-            elif response.result.entries != reference.entries:
-                silent_wrong += 1
-        report.trials.append(CorruptionTrialResult(
-            trial=trial, kind=event.kind, page_id=page_id,
-            changed=changed, scrub_detected=scrub_hit,
-            degraded_responses=degraded, silent_wrong=silent_wrong))
-        # The saved physical bytes verified before the injection, so
-        # writing them back restores the exact pre-injection frame.
-        store.inner.write_page(page_id, saved)
-        index.drop_caches()
-        engine.cache.clear()
-    engine.close()
-    index.close()
-    return report
 
 
 # -- overhead ----------------------------------------------------------------

@@ -3,9 +3,8 @@
 Each shard is served by ``R`` replicas.  A :class:`Replica` is an
 *endpoint* — something that answers one query (see
 :mod:`repro.cluster.transport`) — plus the caller's view of its health:
-failure counts, the :data:`HEALTH_THRESHOLD` that marks it unhealthy, sticky
-corruption quarantine with :meth:`Replica.release`, and an optional
-circuit breaker handed in by the caller.
+failure counts, the :data:`HEALTH_THRESHOLD` that marks it unhealthy, and
+an optional circuit breaker handed in by the caller.
 
 :meth:`FailoverSet.execute` is the only failover driver in the tree.  Per
 query it rotates the starting replica, orders the rest healthy-first, and
@@ -37,7 +36,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core import DesksIndex, DirectionalQuery, MutableDesksIndex
 from ..service import Deadline, MetricsRegistry, QueryEngine, ServiceResponse
-from ..storage import PageCorruptionError
 from .transport import ReplicaEndpoint, RequestRejected
 
 #: Result-cache entries of one shard replica's engine — in-process here,
@@ -106,12 +104,6 @@ class Replica:
         self.healthy = True
         self.consecutive_failures = 0
         self.total_failures = 0
-        #: Set on detected data corruption.  Unlike ``healthy`` (which
-        #: recovers on the next successful probe), quarantine is sticky:
-        #: a replica serving damaged pages must not be retried until an
-        #: operator scrubs/restores it and calls :meth:`release`.
-        self.quarantined = False
-        self.quarantine_cause: Optional[str] = None
         self._lock = threading.Lock()
 
     def mark_success(self) -> None:
@@ -132,20 +124,6 @@ class Replica:
                 self.healthy = False
         if self.breaker is not None:
             self.breaker.record_failure()
-
-    def quarantine(self, cause: str) -> None:
-        """Exclude this replica from dispatch until ``release()`` is called."""
-        with self._lock:
-            self.quarantined = True
-            self.quarantine_cause = cause
-            self.healthy = False
-
-    def release(self) -> None:
-        """Operator action after repair: healthy, breaker closed, eligible."""
-        with self._lock:
-            self.quarantined = False
-            self.quarantine_cause = None
-        self.mark_success()
 
     @property
     def breaker_state(self) -> str:
@@ -201,8 +179,7 @@ class FailoverSet:
         """The replicas one query may try, in order, each already admitted.
 
         Healthy first from a rotating start; unhealthy last (transient
-        faults heal, so they get recovery probes); quarantined never
-        (corruption does not heal by retrying); open circuits left out —
+        faults heal, so they get recovery probes); open circuits left out —
         unless *every* circuit is open, when the rotation is attempted
         past the breakers: a shard degrades through real attempts, never
         wedges behind its own breakers.  Ends when the deadline expires or
@@ -211,8 +188,7 @@ class FailoverSet:
         with self._lock:
             start = self._rotation
             self._rotation = (self._rotation + 1) % len(self.replicas)
-        rotated = [r for r in (self.replicas[start:] + self.replicas[:start])
-                   if not r.quarantined]
+        rotated = self.replicas[start:] + self.replicas[:start]
         plan = sorted((r for r in rotated if not r.breaker_open),
                       key=lambda r: not r.healthy)
         last_resort = not plan
@@ -248,20 +224,10 @@ class FailoverSet:
             response = replica.endpoint.call(query, budget)
         except RequestRejected as exc:
             raise exc.error from None
-        except PageCorruptionError as exc:
-            self._quarantine(replica, str(exc))
-            return None, exc
         except Exception as exc:  # desks: noqa-DAL011 - converted to failover; cause kept in last_error
             replica.mark_failure()
             self._count("cluster_replica_failures_total")
             return None, exc
-        if response.degraded:
-            # The engine already caught the corruption and refused to
-            # answer; treat it exactly like the raised form — park the
-            # replica and fail over to one with intact pages.
-            cause = response.failure_cause or "degraded response"
-            self._quarantine(replica, cause)
-            return None, PageCorruptionError(-1, cause, None)
         replica.mark_success()
         if self.retry_budget is not None:
             self.retry_budget.record_success()
@@ -290,15 +256,7 @@ class FailoverSet:
                 return response, attempts - 1
         raise ShardUnavailableError(self.shard_id, attempts, last_error)
 
-    def _quarantine(self, replica: Replica, cause: str) -> None:
-        replica.quarantine(cause)
-        self._count("cluster_replicas_quarantined_total")
-
     # -- inspection / shutdown -----------------------------------------------
-
-    def quarantined_replicas(self) -> List[int]:
-        """Replica ids currently parked for corruption."""
-        return [r.replica_id for r in self.replicas if r.quarantined]
 
     def health_summary(self) -> List[dict]:
         """Per-replica health for stats/CLI output."""

@@ -113,10 +113,6 @@ class ClusterResponse:
     shards_dispatched: int
     shards_skipped: int             # early termination (k-th bound)
     failed_shards: List[int] = field(default_factory=list)
-    #: Shards that currently hold >= 1 corruption-quarantined replica.
-    #: The answer may still be complete (failover found intact replicas),
-    #: but the operator signal must travel with the response.
-    quarantined_shards: List[int] = field(default_factory=list)
     replica_retries: int = 0
     latency_seconds: float = 0.0
     #: The query's deadline expired before every wave was dispatched.
@@ -382,8 +378,6 @@ class ShardRouter:
                         kth_bound=kth_bound)
             wave_number += 1
 
-        quarantined = [shard.spec.shard_id for shard in self.shards
-                       if shard.transport.quarantined_replicas()]
         response = ClusterResponse(
             query=query,
             result=QueryResult(merged, partial=partial),
@@ -393,7 +387,6 @@ class ShardRouter:
             shards_dispatched=dispatched,
             shards_skipped=skipped,
             failed_shards=failed,
-            quarantined_shards=quarantined,
             replica_retries=retries,
             latency_seconds=time.monotonic() - started,
             deadline_expired=deadline_expired,

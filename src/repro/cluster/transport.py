@@ -1,6 +1,6 @@
 """The endpoint seam: one query answered by one replica, wherever it runs.
 
-Failover — rotation, health, quarantine, deadline, retry budget — is one
+Failover — rotation, health, deadline, retry budget — is one
 loop, :class:`~repro.cluster.replica.FailoverSet`, and what it drives is a
 :class:`ReplicaEndpoint`: :class:`~repro.cluster.replica.EngineEndpoint`
 over an in-process :class:`~repro.service.QueryEngine`, or
@@ -11,8 +11,7 @@ implements these four methods and inherits the loop.
 ``call`` reports one attempt as one of three outcomes, and each endpoint
 maps its own error types onto them so the loop never inspects those:
 
-* **answered** — it returns a :class:`~repro.service.ServiceResponse` (a
-  ``degraded`` one makes the loop quarantine the replica);
+* **answered** — it returns a :class:`~repro.service.ServiceResponse`;
 * **fatal** — it raises :class:`RequestRejected`: the request itself is at
   fault, so the wrapped error surfaces to the caller at once and no
   replica's health is touched;

@@ -17,12 +17,10 @@ import numpy as np
 from ..datasets import POICollection
 from ..geometry import Anchor, CanonicalFrame
 from ..storage import (
-    ChecksummedPageStore,
     FilePageStore,
     IOStats,
     InMemoryPageStore,
     PageStore,
-    ScrubReport,
 )
 from .regions import AnchorRegions
 from .stores import (
@@ -79,12 +77,6 @@ class DesksIndex:
         pointer slices — the paper's layout; ``"compressed"`` delta-varint
         encodes them (smaller, but every fetch reads the whole posting;
         see the storage ablation benchmark).
-    checksums:
-        When disk-based, wrap each anchor's page store in a
-        :class:`~repro.storage.ChecksummedPageStore`: every page carries a
-        CRC-32 frame with torn-write detection, reads of damaged pages
-        raise :class:`~repro.storage.PageCorruptionError`, and
-        :meth:`scrub` can verify the whole index.
     """
 
     def __init__(self, collection: POICollection,
@@ -95,8 +87,7 @@ class DesksIndex:
                  buffer_capacity: int = 256,
                  anchors: Optional[Sequence[Anchor]] = None,
                  disk_format: str = "sliced",
-                 page_size: Optional[int] = None,
-                 checksums: bool = False) -> None:
+                 page_size: Optional[int] = None) -> None:
         if disk_format not in ("sliced", "compressed"):
             raise ValueError(
                 f"disk_format must be 'sliced' or 'compressed', got "
@@ -109,7 +100,6 @@ class DesksIndex:
         self.num_wedges = (num_wedges if num_wedges is not None
                            else recommended_wedges(n, self.num_bands))
         self.disk_based = disk_based
-        self.checksums = checksums and disk_based
         self.io_stats = IOStats()
         self.anchors: List[Optional[AnchorIndex]] = [None] * 4
 
@@ -132,8 +122,6 @@ class DesksIndex:
                 else:
                     page_store = InMemoryPageStore(stats=self.io_stats,
                                                    **page_kwargs)
-                if checksums:
-                    page_store = ChecksummedPageStore(page_store)
                 store_cls = (DiskKeywordStore if disk_format == "sliced"
                              else CompressedDiskKeywordStore)
                 store = store_cls(regions, term_pairs, page_store,
@@ -182,7 +170,7 @@ class DesksIndex:
             if anchor is not None and hasattr(anchor.store, "drop_cache"):
                 anchor.store.drop_cache()
 
-    # -- durability -------------------------------------------------------------
+    # -- disk --------------------------------------------------------------
 
     def page_stores(self) -> List[PageStore]:
         """The page store beneath each disk-backed anchor (empty when the
@@ -192,25 +180,6 @@ class DesksIndex:
             if anchor is not None and hasattr(anchor.store, "page_store"):
                 stores.append(anchor.store.page_store)
         return stores
-
-    def scrub(self) -> ScrubReport:
-        """Verify every page of every checksummed anchor store.
-
-        Dirty buffered pages are flushed first so the verification covers
-        what a crash-then-restart would actually read back.  Raises when
-        the index was not built with ``checksums=True`` (there is nothing
-        trustworthy to verify).
-        """
-        if not self.checksums:
-            raise ValueError(
-                "scrub() needs an index built with checksums=True")
-        report = ScrubReport()
-        for anchor in self.anchors:
-            if anchor is None:
-                continue
-            anchor.store.flush()
-            report.merge(anchor.store.page_store.scrub())
-        return report
 
     def close(self) -> None:
         """Close disk-backed stores."""

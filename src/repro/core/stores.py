@@ -276,12 +276,8 @@ class _RecordFileStore:
 
     @property
     def page_store(self):
-        """The page store beneath the record file (scrub/injection)."""
+        """The page store beneath the record file."""
         return self._file.page_store
-
-    def flush(self) -> None:
-        """Write back dirty buffered pages."""
-        self._file.flush()
 
     def drop_cache(self) -> None:
         """Evict the buffer pool (cold-cache measurements)."""

@@ -1,9 +1,9 @@
 """Crash-safe storage for DESKS: WAL-fronted mutable indexes, checkpoints,
 recovery and scrubbing.
 
-The chaos harness that proves them (crash failpoints, page corruption,
-randomized trials) is ``benchmarks/chaos_durability.py``, outside the
-package.
+The chaos harness that proves them (crash failpoints, seeded file
+corruption, randomized trials) is ``benchmarks/chaos_durability.py``,
+outside the package.
 """
 
 from .durable import (

@@ -301,9 +301,7 @@ class SocketEndpoint:
             cached=remote.cached,
             generation=remote.generation,
             latency_seconds=time.monotonic() - started,
-            stats=remote.stats,
-            degraded=remote.degraded,
-            failure_cause=remote.failure_cause)
+            stats=remote.stats)
 
     def probe(self, timeout: float) -> bool:
         try:
@@ -322,7 +320,7 @@ class SocketEndpoint:
 class RemoteReplicaSet(FailoverSet):
     """R shard server processes behind the one failover loop.
 
-    Rotation, health, quarantine and the deadline- and budget-bounded
+    Rotation, health and the deadline- and budget-bounded
     attempt plan are inherited.  This class builds the socket deployment
     from a :class:`~repro.net.resilience.ResilienceConfig` (a client and
     a circuit breaker per address, the shared retry budget) and adds what
@@ -465,12 +463,11 @@ class RemoteReplicaSet(FailoverSet):
         within :data:`~repro.net.resilience.PROBE_TIMEOUT`) is marked
         successful — closing its breaker and restoring it to healthy-first
         rotation — without waiting for an in-band request to be risked
-        against it.  Quarantined replicas stay parked.
+        against it.
         """
         recovered: List[int] = []
         for replica in self.replicas:
-            if replica.quarantined or (
-                    replica.healthy
+            if (replica.healthy
                     and replica.breaker_state in ("closed", "disabled")):
                 continue
             if replica.endpoint.probe(PROBE_TIMEOUT):
@@ -487,8 +484,7 @@ class RemoteReplicaSet(FailoverSet):
         if interval is None:
             return
         now = self._clock()
-        if not any(not r.quarantined and (not r.healthy or r.breaker_open)
-                   for r in self.replicas):
+        if not any(not r.healthy or r.breaker_open for r in self.replicas):
             return
         with self._lock:
             if self._probe_inflight or now - self._last_probe < interval:

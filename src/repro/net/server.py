@@ -427,9 +427,7 @@ class ShardServer(FrameServer):
             cached=response.cached,
             generation=response.generation,
             server_latency=response.latency_seconds,
-            stats=response.stats,
-            degraded=response.degraded,
-            failure_cause=response.failure_cause)
+            stats=response.stats)
 
     def _identity(self) -> Tuple[int, int, int]:
         return (self.shard_id, self.engine.generation,

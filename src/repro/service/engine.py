@@ -49,7 +49,7 @@ from ..core import (
     QueryResult,
 )
 from ..kernel import ColumnarSearcher, ColumnarSnapshot
-from ..storage import PageCorruptionError, SearchStats
+from ..storage import SearchStats
 from ..trace import current_tracer, traced
 from .deadline import Deadline
 from .metrics import MetricsRegistry, PAGES_BUCKETS
@@ -65,12 +65,11 @@ class ServiceResponse:
     generation: int
     latency_seconds: float
     stats: Optional[SearchStats] = None
-    #: Storage-level damage pre-empted the search: ``result`` holds
-    #: whatever the engine can still vouch for (currently nothing) and
-    #: ``failure_cause`` says what was hit.  Degraded answers are never
-    #: cached — the page may be repaired before the next request.
-    degraded: bool = False
-    failure_cause: Optional[str] = None
+
+    @property
+    def degraded(self) -> bool:
+        # Kept only for benchmarks/e2e/harness.py's two reads (lines 649, 725).
+        return False
 
     @property
     def partial(self) -> bool:
@@ -188,22 +187,7 @@ class QueryEngine:
         deadline = Deadline.from_timeout(timeout)
         stats = SearchStats()
         io_before = self._io_snapshot()
-        try:
-            result, hit = self._search(query, stats, deadline)
-        except PageCorruptionError as exc:
-            # Verification failed mid-search: refuse to guess.  The query
-            # gets an explicitly degraded, partial, uncached answer — a
-            # healthy replica (cluster layer) or a scrub+recover pass is
-            # the remedy, not silence.
-            latency = time.monotonic() - started
-            self.metrics.counter("degraded_results_total").increment()
-            self._record(latency, cached=False, partial=True, pages=0)
-            if span is not None:
-                span.annotate(cache_hit=False, degraded=True,
-                              failure_cause=str(exc))
-            return ServiceResponse(
-                query, QueryResult([], partial=True), False, generation,
-                latency, stats, degraded=True, failure_cause=str(exc))
+        result, hit = self._search(query, stats, deadline)
         pages = self._io_snapshot() - io_before
         if not self._mutable:
             self._cache.put(key, result)

@@ -1,14 +1,11 @@
 """Simulated-disk substrate: pages, buffer pool, records, I/O accounting,
-and the durability primitives (checksummed frames, write-ahead logging)."""
+and the durability primitive (the write-ahead log)."""
 
 from .buffer import BufferPool
 from .pages import (
-    FRAME_OVERHEAD,
     PAGE_SIZE,
-    ChecksummedPageStore,
     FilePageStore,
     InMemoryPageStore,
-    PageCorruptionError,
     PageStore,
 )
 from .recordfile import RecordFile, RecordPointer
@@ -36,16 +33,13 @@ from .wal import (
 )
 
 __all__ = [
-    "FRAME_OVERHEAD",
     "PAGE_SIZE",
     "RECORD_OP",
     "BufferPool",
-    "ChecksummedPageStore",
     "FilePageStore",
     "IOSnapshot",
     "IOStats",
     "InMemoryPageStore",
-    "PageCorruptionError",
     "PageStore",
     "RecordFile",
     "RecordPointer",

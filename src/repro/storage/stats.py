@@ -132,16 +132,15 @@ class SearchStats:
 
 @dataclass
 class ScrubReport:
-    """Outcome of an integrity pass over pages, saved files or a WAL.
+    """Outcome of an integrity pass over saved files or a WAL.
 
-    ``checked`` counts what was verified per unit (``"page"``, ``"file"``,
+    ``checked`` counts what was verified per unit (``"file"``,
     ``"wal record"``); ``corrupt`` lists every piece of damage as
-    ``(location, reason)`` — the location is a page id within one store,
-    else a file path.
+    ``(path, reason)``.
     """
 
     checked: dict[str, int] = field(default_factory=dict)
-    corrupt: list[tuple[int | str, str]] = field(default_factory=list)
+    corrupt: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -162,8 +161,6 @@ class ScrubReport:
                             for unit, n in self.checked.items())
         state = "clean"
         if self.corrupt:
-            location, reason = self.corrupt[0]
-            where = (f"page {location}" if isinstance(location, int)
-                     else location)
-            state = f"{len(self.corrupt)} corrupt (first {where}: {reason})"
+            path, reason = self.corrupt[0]
+            state = f"{len(self.corrupt)} corrupt (first {path}: {reason})"
         return f"scrubbed {counted or 'nothing'}: {state}"

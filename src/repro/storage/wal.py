@@ -43,7 +43,7 @@ from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 from ..trace.spans import current_tracer
 from .stats import IOStats, ScrubReport
 
-#: Record CRC: the stdlib CRC-32, as in page frames and wire frames.
+#: Record CRC: the stdlib CRC-32, as in wire frames.
 _record_crc = zlib.crc32
 
 _RECORD_HEADER = struct.Struct("<BII")

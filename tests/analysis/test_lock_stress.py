@@ -136,9 +136,9 @@ def test_write_sanitizer_stress_on_the_real_stack(tmp_path):
 
 
 def test_write_sanitizer_stress_on_a_remote_replica_set():
-    """Failover, breaker trips, quarantine + release and background probes
-    racing on one remote set: every client thread finishes, and every
-    call a replica served is an answer or a counted failure."""
+    """Failover, breaker trips and background probes racing on one remote
+    set: every client thread finishes, and every call a replica served is
+    an answer or a counted failure."""
     from repro.net import ResilienceConfig, TransportError
     from repro.service import MetricsRegistry
 
@@ -163,11 +163,8 @@ def test_write_sanitizer_stress_on_a_remote_replica_set():
 
     def client():
         try:
-            for i in range(60):
+            for _ in range(60):
                 replica_set.execute(QUERY, timeout=5.0)
-                if i % 20 == 0:
-                    replica_set.replicas[2].quarantine("scrub")
-                    replica_set.replicas[2].release()
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 

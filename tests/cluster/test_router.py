@@ -309,3 +309,31 @@ def test_router_rejects_bad_arguments(collection, tmp_path):
     # The shape of a saved deployment is the directory's, not the caller's.
     with pytest.raises(TypeError):
         ShardRouter.load(str(tmp_path), num_bands=8)
+
+
+def cafe_query(k):
+    return DirectionalQuery.make(50, 50, *FULL_CIRCLE, ["cafe"], k)
+
+
+class TestDeadlinePropagation:
+    def test_expired_deadline_skips_remaining_waves(self, collection):
+        with ShardRouter(collection, num_shards=4) as router:
+            response = router.execute(cafe_query(k=10), timeout=0.0)
+            assert response.deadline_expired
+            assert response.result.partial
+            assert response.shards_dispatched == 0
+            planned = len(router.plan(cafe_query(k=10))[0])
+            assert response.shards_skipped >= planned
+
+    def test_generous_deadline_completes(self, collection):
+        with ShardRouter(collection, num_shards=4) as router:
+            response = router.execute(cafe_query(k=10), timeout=60.0)
+            assert not response.deadline_expired
+            assert not response.result.partial
+            assert response.result.entries
+
+    def test_unbounded_deadline_unchanged(self, collection):
+        with ShardRouter(collection, num_shards=4) as router:
+            response = router.execute(cafe_query(k=10))
+            assert not response.deadline_expired
+            assert response.result.entries

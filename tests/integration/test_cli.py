@@ -382,7 +382,7 @@ class TestTrace:
 
 
 class TestChaosBench:
-    # Crash and corruption trials: tests/durability/test_chaos_harness.py.
+    # Crash trials: tests/durability/test_chaos_harness.py.
     def test_small_run_passes_and_writes_json(self, capsys):
         assert_removed_command(["chaos-bench", "--crash-trials", "4"],
                                capsys)

@@ -12,8 +12,6 @@ what breakers, budgets and hedging add to a ``RemoteReplicaSet`` is
 ``test_resilience.py``'s job.
 """
 
-import dataclasses
-
 import pytest
 
 from benchmarks.chaos_net import InjectedFault
@@ -25,17 +23,14 @@ from repro.cluster import (
     ReplicaSet,
     ShardUnavailableError,
 )
-from repro.core import DesksIndex, QueryResult
+from repro.core import DesksIndex
 from repro.net import RemoteReplicaSet, SocketEndpoint, TransportError
-from repro.net.protocol import RemoteSearchResult
 from repro.service import MetricsRegistry
-from repro.storage import PageCorruptionError
 
 from .conftest import make_collection
 from .test_resilience import QUERY, FakeShardClient, ok_result
 
 INDEX = DesksIndex(make_collection(n=120, seed=61))
-CAUSE = "page 7: checksum mismatch"
 
 
 class EngineHarness:
@@ -59,13 +54,7 @@ class EngineHarness:
             self.calls[i] += 1
             if self.mode[i] == "down":
                 raise InjectedFault(f"replica {i} is down")
-            if self.mode[i] == "corrupt":
-                raise PageCorruptionError(7, "checksum mismatch")
-            response = real_execute(query, timeout)
-            if self.mode[i] == "degraded":
-                return dataclasses.replace(response, degraded=True,
-                                           failure_cause=CAUSE)
-            return response
+            return real_execute(query, timeout)
         return execute
 
 
@@ -89,12 +78,6 @@ class SocketHarness:
         def behavior(call_index):
             if self.mode[i] == "down":
                 return TransportError(("10.0.0.%d" % i, 9000 + i), "down")
-            if self.mode[i] == "corrupt":
-                return PageCorruptionError(7, "checksum mismatch")
-            if self.mode[i] == "degraded":
-                return RemoteSearchResult(
-                    result=QueryResult([], partial=True), degraded=True,
-                    failure_cause=CAUSE)
             return ok_result(i)
         return behavior
 
@@ -183,29 +166,6 @@ def test_health_threshold_in_a_row_then_recovery_on_success(harness):
     assert bad.total_failures == 3
 
 
-@pytest.mark.parametrize("form", ["corrupt", "degraded"])
-def test_corruption_quarantines_and_fails_over(harness, form):
-    metrics = MetricsRegistry()
-    h = harness(2, metrics=metrics)
-    parked = h.set.replicas[0]
-    h.mode[0] = form
-    response, retries = run(h, first=0)
-    assert retries == 1 and not response.degraded
-    assert h.set.quarantined_replicas() == [0]
-    assert not parked.healthy and "checksum" in parked.quarantine_cause
-    assert metrics.counter("cluster_replicas_quarantined_total").value == 1
-    # Sticky: unlike an unhealthy replica it gets no recovery probes...
-    for _ in range(4):
-        run(h)
-    assert h.calls[0] == 1
-    # ...until the operator releases it.
-    h.mode[0] = "ok"
-    parked.release()
-    assert h.set.quarantined_replicas() == [] and parked.healthy
-    _, retries = run(h, first=0)
-    assert retries == 0 and h.calls[0] == 2
-
-
 def test_all_down_raises_with_attempts_and_last_cause(harness):
     metrics = MetricsRegistry()
     h = harness(3, metrics=metrics)
@@ -216,16 +176,6 @@ def test_all_down_raises_with_attempts_and_last_cause(harness):
     assert err.value.attempts == 3
     assert isinstance(err.value.last_error, h.failure_type)
     assert metrics.counter("cluster_replica_failures_total").value == 3
-
-
-def test_all_quarantined_reports_the_corruption(harness):
-    h = harness(2)
-    h.mode = ["corrupt", "degraded"]
-    with pytest.raises(ShardUnavailableError) as err:
-        run(h)
-    assert err.value.attempts == 2
-    assert isinstance(err.value.last_error, PageCorruptionError)
-    assert h.set.quarantined_replicas() == [0, 1]
 
 
 def test_spent_deadline_makes_no_attempt(harness):

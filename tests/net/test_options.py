@@ -7,10 +7,12 @@ use outside the tests and are now a named constant
 ``repro.cluster.replica.HEALTH_THRESHOLD``, ...).  The rest switched a
 feature that is deleted: the trace sink (``tracing``, ``sink``), a
 caller-supplied engine registry (``metrics``), the breaker-less remote
-set (``breaker_enabled``), a part-filled retry budget (``initial``) and
-a pruning mode on the serving path (``QueryEngine(mode=)``, ``SELECT ...
+set (``breaker_enabled``), a part-filled retry budget (``initial``), a
+pruning mode on the serving path (``QueryEngine(mode=)``, ``SELECT ...
 MODE``: a mode changes effort, never answers, so only ``EXPLAIN`` and a
-direct search take one).  Passing one is refused at the call, before any
+direct search take one) and checksummed index pages
+(``DesksIndex(checksums=)``: every deployment serves an in-memory index
+loaded from a manifest-verified save).  Passing one is refused at the call, before any
 socket, process, file or search is touched: a ``TypeError`` from the
 constructor or function, argparse's exit 2 from the CLI, a positioned
 ``DqlSyntaxError`` from the parser.
@@ -20,7 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import ReplicaSet
-from repro.core import PruningMode
+from repro.core import DesksIndex, PruningMode
 from repro.lang import DqlSyntaxError, parse
 from repro.net import (
     CircuitBreaker,
@@ -90,6 +92,8 @@ REMOVED = {
     "ReplicaSet-health_threshold": (
         "health_threshold",
         lambda: ReplicaSet(0, None, 1, health_threshold=3)),
+    "DesksIndex-checksums": (
+        "checksums", lambda: DesksIndex(None, checksums=False)),
     "QueryEngine-tracing": (
         "tracing", lambda: QueryEngine(None, tracing=False)),
     "QueryEngine-metrics": (

@@ -437,41 +437,6 @@ class TestProbeRecovery:
         replica_set.close()
 
 
-class TestQuarantineRelease:
-    """A parked remote replica is excluded everywhere until released."""
-
-    def test_release_returns_a_quarantined_replica_to_service(self):
-        damaged = RemoteSearchResult(
-            result=QueryResult([], partial=True), degraded=True,
-            failure_cause="page 7: checksum mismatch")
-        state = {"outcome": damaged}
-        replica_set, clients = make_set(
-            [lambda index: state["outcome"], always(ok_result(2))])
-        parked = replica_set.replicas[0]
-        replica_set._rotation = 0      # attempt the damaged replica first
-        response, retried = replica_set.execute(QUERY)
-        assert response.result.poi_ids() == [2] and retried == 1
-        assert replica_set.quarantined_replicas() == [0]
-        assert "checksum" in parked.quarantine_cause
-        # Parked means out of the plan and out of the probe's reach.
-        for _ in range(4):
-            replica_set.execute(QUERY)
-        assert clients[0].calls == 1
-        assert replica_set.probe_unavailable() == []
-        assert clients[0].health_calls == 0
-        # The operator repairs the pages and releases the replica.
-        state["outcome"] = ok_result(1)
-        parked.release()
-        assert replica_set.quarantined_replicas() == []
-        assert parked.healthy and parked.quarantine_cause is None
-        assert parked.breaker.state is BreakerState.CLOSED
-        for _ in range(4):
-            response, retried = replica_set.execute(QUERY)
-            assert retried == 0
-        assert clients[0].calls == 3   # back in rotation: every other query
-        replica_set.close()
-
-
 class TestHedging:
 
     def test_hedge_fires_and_wins_against_a_straggler(self):
