@@ -14,6 +14,9 @@ Everything is seed-deterministic; results land in
 ``results/BENCH_durability.json`` for CI artifact upload.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.datasets import SyntheticConfig, generate
@@ -42,6 +45,36 @@ OVERHEAD_SYNC_INTERVAL = 64
 OVERHEAD_REPEATS = 9
 
 pytestmark = pytest.mark.chaos
+
+#: What both blocks of ``BENCH_durability.json`` were measured under.
+CONFIG = {
+    "seed": SEED,
+    "base_pois": BASE_POIS,
+    "script_ops": SCRIPT_OPS,
+    "crash_trials": CRASH_TRIALS,
+    "max_wal_overhead": MAX_WAL_OVERHEAD,
+    "overhead_pois": OVERHEAD_POIS,
+    "overhead_ops": OVERHEAD_OPS,
+    "overhead_rebuild_threshold": OVERHEAD_THRESHOLD,
+}
+
+
+def write_block(name, block):
+    """Write one test's block of ``results/BENCH_durability.json``.
+
+    The other test's block is kept as the file has it, so a run that
+    selects one test (or orders them differently) never overwrites the
+    other's reading with an empty one.
+    """
+    path = os.path.join(os.getcwd(), "results", "BENCH_durability.json")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)["data"]
+    except (FileNotFoundError, ValueError, KeyError):
+        data = {}
+    data["config"] = CONFIG
+    data[name] = block
+    write_json_result("BENCH_durability", data)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +105,8 @@ def test_crash_recovery_byte_identical(chaos_base, chaos_script, tmp_path):
                      f"stage {failure.crashed_at}): "
                      f"{'; '.join(failure.mismatches)}")
     write_result("chaos_crash_recovery", "\n".join(lines))
-    test_crash_recovery_byte_identical.report = report
+    write_block("crash", {"trials": report.total,
+                          "identical": report.identical})
     assert report.total == CRASH_TRIALS
     assert report.all_identical, report.failures()
 
@@ -87,23 +121,5 @@ def test_wal_overhead_within_budget(tmp_path):
         base, script, str(tmp_path), sync="batch",
         sync_interval=OVERHEAD_SYNC_INTERVAL,
         rebuild_threshold=OVERHEAD_THRESHOLD, repeats=OVERHEAD_REPEATS)
-    crash = getattr(test_crash_recovery_byte_identical, "report", None)
-    payload = {
-        "config": {
-            "seed": SEED,
-            "base_pois": BASE_POIS,
-            "script_ops": SCRIPT_OPS,
-            "crash_trials": CRASH_TRIALS,
-            "max_wal_overhead": MAX_WAL_OVERHEAD,
-            "overhead_pois": OVERHEAD_POIS,
-            "overhead_ops": OVERHEAD_OPS,
-            "overhead_rebuild_threshold": OVERHEAD_THRESHOLD,
-        },
-        "crash": {
-            "trials": crash.total if crash else 0,
-            "identical": crash.identical if crash else 0,
-        },
-        "wal_overhead": overhead,
-    }
-    write_json_result("BENCH_durability", payload)
+    write_block("wal_overhead", overhead)
     assert overhead["overhead_fraction"] <= MAX_WAL_OVERHEAD, overhead

@@ -67,6 +67,17 @@ class AnswerCache:
                 self._stats.misses += 1
             return result
 
+    def hit(self, key: Hashable) -> Optional[QueryResult]:
+        """The answer at ``key``, counted as a hit; None, counted as
+        nothing, when there is none (the :meth:`get` that follows counts
+        the miss)."""
+        with self._lock:
+            result = self._entries.get(key)
+            if result is not None:
+                self._entries.move_to_end(key)
+                self._stats.hits += 1
+            return result
+
     def put(self, key: Hashable, result: QueryResult) -> bool:
         """Admit a complete ``result``, evicting the least recently used;
         False (nothing cached) for a partial one."""

@@ -15,11 +15,17 @@ main-plus-delta design databases reach for in this situation:
 Queries remain exact at every moment; amortised insert cost is O(1) plus
 the periodic rebuild, the classic LSM-style trade.
 
-A rebuild does not re-intern the data it already has: the survivors'
+A rebuild does not redo the work it already has.  The survivors'
 collection is derived from the old one (:meth:`POICollection.derive`),
 sharing every POI, term-id set and vocabulary entry before the first
-deleted static POI, so it costs the changed suffix plus the delta and
-the one numpy build pass, not the whole vocabulary.
+deleted static POI.  The next static index is built from the old one
+(``DesksIndex._following``): the kept POIs' polar coordinates and
+(POI, term) pairs are reused, and the distance and direction sorts start
+from the old orders, which timsort takes as presorted runs.  A rebuild
+then costs the changed suffix plus the delta, a few linear passes and
+the per-anchor keyword layout, not the four global sorts; a moved MBR
+(new frames) or a loaded previous index (no distance order) sorts
+afresh, and the result is the fresh build's either way.
 
 Updates are serialised by an internal lock and bump a **generation**
 counter (data on responses and on the wire).  A read snapshots the
@@ -215,14 +221,18 @@ class MutableDesksIndex:
         # Rebuilding re-densifies ids: previously returned ids become
         # invalid after a rebuild, which callers can detect via
         # ``rebuild_count`` (documented contract of the delta design).
+        keep = self.collection.kept_prefix(self._deleted)
         collection = self.collection.derive(self._deleted, self._delta)
         self._delta = []
         self._postings = {}
         self._deleted = set()
         self._buried = 0
         self.rebuild_count += 1
-        self._adopt_static(DesksIndex(collection, self._num_bands,
-                                      self._num_wedges))
+        # The next index sorts from this one's orders: what it pays for is
+        # the renumbered suffix, not the collection.
+        self._adopt_static(DesksIndex._following(
+            self._index, collection, keep, self._num_bands,
+            self._num_wedges))
         self._cache = self._cache.successor()
 
     # -- queries ------------------------------------------------------------------
@@ -233,6 +243,17 @@ class MutableDesksIndex:
                deadline: Optional[SupportsExpired] = None) -> QueryResult:
         """Exact top-k over static index + delta buffer - tombstones."""
         return self.read(query, mode, stats, deadline)[0]
+
+    def cached(self, query: DirectionalQuery) -> Optional[QueryResult]:
+        """The snapshot cache's answer to ``query`` when it answers alone
+        (nothing pending, no tombstone), counted as a hit; else None,
+        counted as nothing: the :meth:`read` that follows counts.  What a
+        serving engine asks before it pays for a search's bookkeeping."""
+        with self._lock:
+            if self._delta or self._deleted:
+                return None
+            cache = self._cache
+        return cache.hit((query.cache_key, 0))
 
     def read(self, query: DirectionalQuery,
              mode: PruningMode = PruningMode.RD,

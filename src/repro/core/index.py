@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +93,51 @@ class DesksIndex:
                 f"disk_format must be 'sliced' or 'compressed', got "
                 f"{disk_format!r}")
         page_kwargs = {} if page_size is None else {"page_size": page_size}
+
+        def make_store(anchor: Anchor, regions: AnchorRegions):
+            if not disk_based:
+                return MemoryKeywordStore(regions, self.term_pairs)
+            if disk_path_prefix is not None:
+                page_store: PageStore = FilePageStore(
+                    f"{disk_path_prefix}.a{anchor.value}.bin",
+                    stats=self.io_stats, **page_kwargs)
+            else:
+                page_store = InMemoryPageStore(stats=self.io_stats,
+                                               **page_kwargs)
+            store_cls = (DiskKeywordStore if disk_format == "sliced"
+                         else CompressedDiskKeywordStore)
+            return store_cls(regions, self.term_pairs, page_store,
+                             buffer_capacity=buffer_capacity)
+
+        self._set_up(collection, num_bands, num_wedges, disk_based)
+        self._lay_out(list(anchors) if anchors is not None else list(Anchor),
+                      make_store, None, 0)
+
+    @classmethod
+    def _following(cls, previous: "DesksIndex", collection: POICollection,
+                   keep: int, num_bands: Optional[int],
+                   num_wedges: Optional[int]) -> "DesksIndex":
+        """``DesksIndex(collection, num_bands, num_wedges)``, bit for bit,
+        built from ``previous`` when ``collection`` shares its first
+        ``keep`` POIs (:meth:`~repro.datasets.POICollection.derive`).
+
+        The sorts and the term walk then pay for the POIs after ``keep``,
+        not for the collection: see :meth:`AnchorRegions.following` and
+        :class:`~repro.core.stores.TermPairs`.  An anchor whose frame
+        moved (the MBR changed) or that kept no distance order (a loaded
+        index) is built as a fresh one is.
+        """
+        index = cls.__new__(cls)
+        index._set_up(collection, num_bands, num_wedges, False)
+        index._lay_out(list(Anchor),
+                       lambda anchor, regions: MemoryKeywordStore(
+                           regions, index.term_pairs),
+                       previous if keep else None, keep)
+        return index
+
+    def _set_up(self, collection: POICollection, num_bands: Optional[int],
+                num_wedges: Optional[int], disk_based: bool) -> None:
+        """Every field but the layout's."""
         self.collection = collection
         n = len(collection)
         self.num_bands = (num_bands if num_bands is not None
@@ -103,32 +148,34 @@ class DesksIndex:
         self.io_stats = IOStats()
         self.anchors: List[Optional[AnchorIndex]] = [None] * 4
 
-        xs = np.asarray(collection.xs, dtype=np.float64)
-        ys = np.asarray(collection.ys, dtype=np.float64)
-        term_pairs = TermPairs(collection.term_id_sets)
-        build_anchors = (list(anchors) if anchors is not None
-                         else list(Anchor))
-
+    def _lay_out(self, build_anchors: Sequence[Anchor],
+                 make_store: Callable[[Anchor, AnchorRegions], object],
+                 previous: "Optional[DesksIndex]", keep: int) -> None:
+        """Flatten the term pairs and build each anchor; from
+        ``previous``'s orders where it can (see :meth:`_following`)."""
+        collection = self.collection
+        #: Every (POI, term) pair, flattened once for all four anchors.
+        self.term_pairs = TermPairs(
+            collection.term_id_sets,
+            previous.term_pairs if previous is not None else None, keep)
+        xs = ys = None
         started = time.perf_counter()
         for anchor in build_anchors:
             frame = CanonicalFrame(anchor, collection.mbr)
-            regions = AnchorRegions(frame, xs, ys,
-                                    self.num_bands, self.num_wedges)
-            if disk_based:
-                if disk_path_prefix is not None:
-                    page_store = FilePageStore(
-                        f"{disk_path_prefix}.a{anchor.value}.bin",
-                        stats=self.io_stats, **page_kwargs)
-                else:
-                    page_store = InMemoryPageStore(stats=self.io_stats,
-                                                   **page_kwargs)
-                store_cls = (DiskKeywordStore if disk_format == "sliced"
-                             else CompressedDiskKeywordStore)
-                store = store_cls(regions, term_pairs, page_store,
-                                  buffer_capacity=buffer_capacity)
+            before = (previous.anchors[anchor.value]
+                      if previous is not None else None)
+            if before is not None and before.regions.can_precede(frame):
+                regions = AnchorRegions.following(
+                    before.regions, frame, keep, collection.xs[keep:],
+                    collection.ys[keep:], self.num_bands, self.num_wedges)
             else:
-                store = MemoryKeywordStore(regions, term_pairs)
-            self.anchors[anchor.value] = AnchorIndex(frame, regions, store)
+                if xs is None:
+                    xs = np.asarray(collection.xs, dtype=np.float64)
+                    ys = np.asarray(collection.ys, dtype=np.float64)
+                regions = AnchorRegions(frame, xs, ys,
+                                        self.num_bands, self.num_wedges)
+            self.anchors[anchor.value] = AnchorIndex(
+                frame, regions, make_store(anchor, regions))
         self.build_seconds = time.perf_counter() - started
 
     # -- access ------------------------------------------------------------

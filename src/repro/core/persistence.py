@@ -66,7 +66,7 @@ from ..geometry import Anchor, CanonicalFrame
 from ..storage import ScrubReport, fsync_dir
 from .index import AnchorIndex, DesksIndex
 from .regions import AnchorRegions
-from .stores import MemoryKeywordStore, TermPairs
+from .stores import MemoryKeywordStore
 
 FORMAT_VERSION = 1
 CLUSTER_FORMAT_VERSION = 1
@@ -322,7 +322,6 @@ def load_index(directory: str) -> DesksIndex:
                        anchors=())
     xs = np.asarray(collection.xs, dtype=np.float64)
     ys = np.asarray(collection.ys, dtype=np.float64)
-    term_pairs = TermPairs(collection.term_id_sets)
     for quadrant in meta["anchors"]:
         path = os.path.join(directory, f"anchor{quadrant}.bin")
         try:
@@ -337,7 +336,7 @@ def load_index(directory: str) -> DesksIndex:
         except (ValueError, IndexError) as exc:
             raise PersistenceError(
                 f"{path} failed to decode: {exc}") from exc
-        store = MemoryKeywordStore(regions, term_pairs)
+        store = MemoryKeywordStore(regions, index.term_pairs)
         index.anchors[quadrant] = AnchorIndex(frame, regions, store)
     return index
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,73 @@ class AnchorRegions:
     def __init__(self, frame: CanonicalFrame,
                  xs: Sequence[float], ys: Sequence[float],
                  num_bands: int, num_wedges: int) -> None:
+        distances, thetas = _polar_coordinates(frame, xs, ys)
+        self._lay_out(frame, distances, thetas, num_bands, num_wedges,
+                      np.argsort(distances, kind="stable"), None)
+
+    @classmethod
+    def following(cls, previous: "AnchorRegions", frame: CanonicalFrame,
+                  keep: int, xs: Sequence[float], ys: Sequence[float],
+                  num_bands: int, num_wedges: int) -> "AnchorRegions":
+        """What ``AnchorRegions(frame, ...)`` builds over ``previous``'s
+        first ``keep`` POIs followed by POIs at ``xs``/``ys`` (ids
+        ``keep`` on), sorted from ``previous``'s orders.
+
+        ``frame`` must be ``previous``'s to the bit
+        (:meth:`can_precede`): the kept POIs' polar coordinates are then
+        ``previous``'s, and only the appended ones are computed.  The
+        distance sort starts from the kept POIs in their old stable order,
+        which timsort takes as one run; equal distances come out in id
+        order as in a fresh sort, since every appended id is above every
+        kept one.  The direction sort starts from every kept POI in
+        (direction, distance rank) order — one stable sort of the old
+        band-major ``order_array`` by direction gives it — then the
+        appended POIs in distance order.  A direction shared by a kept and
+        an appended POI is the one thing that seed cannot place (the
+        distance rank decides it), so it falls back to sorting each band.
+        """
+        tail_distances, tail_thetas = _polar_coordinates(frame, xs, ys)
+        distances = np.concatenate((previous.distances[:keep],
+                                    tail_distances))
+        thetas = np.concatenate((previous.thetas[:keep], tail_thetas))
+        old = previous.by_distance
+        seed = np.concatenate((old[old < keep],
+                               np.arange(keep, distances.size,
+                                         dtype=np.int64)))
+        by_distance = seed[np.argsort(distances[seed], kind="stable")]
+        old = previous.order_array
+        old = old[np.argsort(previous.thetas[old], kind="stable")]
+        kept = old[old < keep]
+        kept_thetas = thetas[kept]
+        at = np.searchsorted(kept_thetas, tail_thetas)
+        inside = at < kept.size
+        if np.any(kept_thetas[at[inside]] == tail_thetas[inside]):
+            by_theta = None
+        else:
+            seed = np.concatenate((kept, by_distance[by_distance >= keep]))
+            by_theta = seed[np.argsort(thetas[seed], kind="stable")]
+        obj = cls.__new__(cls)
+        obj._lay_out(frame, distances, thetas, num_bands, num_wedges,
+                     by_distance, by_theta)
+        return obj
+
+    def can_precede(self, frame: CanonicalFrame) -> bool:
+        """Whether :meth:`following` may start from this structure: it
+        kept its distance order (a loaded one has none) and ``frame`` is
+        its own, sign of zero included."""
+        return (self.by_distance is not None
+                and frame.anchor is self.frame.anchor
+                and _bits(frame.mbr) == _bits(self.frame.mbr))
+
+    def _lay_out(self, frame: CanonicalFrame, distances: "np.ndarray",
+                 thetas: "np.ndarray", num_bands: int, num_wedges: int,
+                 by_distance: "np.ndarray",
+                 by_theta: "Optional[np.ndarray]") -> None:
+        """Cut bands along ``by_distance`` (every id, stable distance
+        order) and sub-regions inside each band.  ``by_theta``, when
+        given, is every id in (direction, distance rank) order, and each
+        band's direction order is its members' subsequence of it;
+        otherwise each band is sorted on its own."""
         if num_bands <= 0 or num_wedges <= 0:
             raise ValueError(
                 f"need positive band/wedge counts, got {num_bands}/"
@@ -87,13 +154,31 @@ class AnchorRegions:
         self.frame = frame
         self.num_bands_requested = num_bands
         self.num_wedges_requested = num_wedges
-
-        self.distances, self.thetas = _polar_coordinates(frame, xs, ys)
-        by_distance = np.argsort(self.distances, kind="stable")
-        sorted_distances = self.distances[by_distance]
+        self.distances, self.thetas = distances, thetas
+        #: Every id in stable distance order: where the next build after
+        #: an append starts (:meth:`following`).
+        self.by_distance = by_distance
+        sorted_distances = distances[by_distance]
         band_cuts = _cuts_with_ties(sorted_distances, num_bands)
 
-        order = np.empty(len(self.distances), dtype=np.int64)
+        if by_theta is None:
+            order = np.empty(len(distances), dtype=np.int64)
+            for lo, hi in zip(band_cuts, band_cuts[1:]):
+                chunk = by_distance[lo:hi]
+                # Stable, like the distance sort: equal directions keep
+                # their distance order, so the layout is a function of the
+                # data alone.
+                order[lo:hi] = chunk[np.argsort(thetas[chunk], kind="stable")]
+        else:
+            # A stable sort by band of the global direction order; band
+            # numbers fit a small integer type, which numpy radix-sorts.
+            band_of = np.empty(len(distances),
+                               dtype=np.min_scalar_type(len(band_cuts)))
+            band_of[by_distance] = np.repeat(
+                np.arange(len(band_cuts) - 1, dtype=band_of.dtype),
+                np.diff(band_cuts))
+            order = by_theta[np.argsort(band_of[by_theta], kind="stable")]
+
         self.bands: List[Band] = []
         self.subregions: List[Subregion] = []
         for band_index, (lo, hi) in enumerate(zip(band_cuts, band_cuts[1:])):
@@ -101,12 +186,7 @@ class AnchorRegions:
             band = Band(band_index, inner, math.inf)
             if self.bands:
                 self.bands[-1].outer_radius = inner
-            chunk = by_distance[lo:hi]
-            # Stable, like the distance sort: equal directions keep their
-            # distance order, so the layout is a function of the data alone.
-            by_theta = chunk[np.argsort(self.thetas[chunk], kind="stable")]
-            order[lo:hi] = by_theta
-            sorted_thetas = self.thetas[by_theta]
+            sorted_thetas = thetas[order[lo:hi]]
             wedge_cuts = _cuts_with_ties(sorted_thetas, num_wedges)
             for start, end in zip(wedge_cuts, wedge_cuts[1:]):
                 sub = Subregion(
@@ -270,6 +350,7 @@ class AnchorRegions:
         obj.frame = frame
         obj.num_bands_requested, obj.num_wedges_requested = requested
         obj.distances, obj.thetas = _polar_coordinates(frame, xs, ys)
+        obj.by_distance = None      # not saved: the next build sorts anew
         order = np.asarray(poi_order, dtype=np.int64)
         obj.bands = []
         obj.subregions = []
@@ -316,6 +397,12 @@ def _polar_coordinates(frame: CanonicalFrame, xs: Sequence[float],
     return distances, thetas
 
 
+def _bits(mbr) -> List[str]:
+    """An MBR's four bounds, told apart to the bit (``0.0`` from ``-0.0``)."""
+    return [float(v).hex()
+            for v in (mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y)]
+
+
 def _cuts_with_ties(sorted_keys: "np.ndarray", buckets: int) -> List[int]:
     """Cut points of ~``buckets`` chunks of ``sorted_keys``; equal keys
     stay together.
@@ -326,8 +413,11 @@ def _cuts_with_ties(sorted_keys: "np.ndarray", buckets: int) -> List[int]:
     between equal directions).  Chunk ``c`` is ``[cuts[c], cuts[c + 1])``.
     """
     n = len(sorted_keys)
-    cuts = [0]
     target = max(1, round(n / buckets))
+    ideal = np.arange(target, n, target)
+    if n and np.all(sorted_keys[ideal] != sorted_keys[ideal - 1]):
+        return [0, *ideal.tolist(), n]    # no tie at any target fill
+    cuts = [0]
     # A cut may only fall where the key changes: absorbing ties moves it to
     # the first such place at or after the target fill.
     run_starts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])

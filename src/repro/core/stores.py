@@ -81,28 +81,47 @@ class TermPairs:
     the per-POI term sets happens once, here; an anchor's
     :class:`TermLayout` only re-sorts each term's run by that anchor's
     ``poi_order``.  ``slot`` is a term's rank among the terms present.
+
+    Given the pairs of a collection that shares this one's first ``keep``
+    POIs (what :meth:`~repro.datasets.POICollection.derive` keeps), only
+    the term sets after them are walked: the kept pairs are ``previous``'s
+    with a POI id below ``keep``, already in order.
     """
 
     __slots__ = ("term", "poi", "bounds", "slot_of")
 
-    def __init__(self, poi_term_ids: Sequence[Collection[int]]) -> None:
+    def __init__(self, poi_term_ids: Sequence[Collection[int]],
+                 previous: Optional["TermPairs"] = None,
+                 keep: int = 0) -> None:
         num_pois = len(poi_term_ids)
-        counts = np.fromiter((len(terms) for terms in poi_term_ids),
-                             dtype=np.int64, count=num_pois)
-        term = np.fromiter(chain.from_iterable(poi_term_ids),
+        tail = poi_term_ids[keep:]
+        counts = np.fromiter((len(terms) for terms in tail),
+                             dtype=np.int64, count=len(tail))
+        term = np.fromiter(chain.from_iterable(tail),
                            dtype=np.int64, count=int(counts.sum()))
-        poi = np.repeat(np.arange(num_pois, dtype=np.int64), counts)
+        poi = np.repeat(np.arange(keep, num_pois, dtype=np.int64), counts)
         # One sort of the fused key (term, poi) orders the pairs; ids are
         # dense and far below 2**31, so the key stays inside int64.
         key = term * num_pois + poi
         key.sort()
+        term, poi = np.divmod(key, num_pois)
+        if keep:
+            kept = previous.poi < keep
+            old_term, old_poi = previous.term[kept], previous.poi[kept]
+            # Each new pair goes after every kept pair of its term: its
+            # POI id is above all of theirs.
+            at = np.searchsorted(old_term, term, side="right")
+            term = np.insert(old_term, at, term)
+            poi = np.insert(old_poi, at, poi)
         #: Term id of each pair, ascending; and the pair's POI id.
-        self.term, self.poi = np.divmod(key, num_pois)
-        terms, starts = np.unique(self.term, return_index=True)
+        self.term, self.poi = term, poi
+        opens = np.ones(term.size, dtype=bool)
+        opens[1:] = term[1:] != term[:-1]
+        starts = np.flatnonzero(opens)
         #: Term ``slot`` owns pairs ``[bounds[slot], bounds[slot + 1])``.
-        self.bounds = np.append(starts, self.term.size)
-        self.slot_of: Dict[int, int] = {
-            term_id: slot for slot, term_id in enumerate(terms.tolist())}
+        self.bounds = np.append(starts, term.size)
+        self.slot_of: Dict[int, int] = dict(
+            zip(term[starts].tolist(), range(starts.size)))
 
     @classmethod
     def of(cls, poi_term_ids: PoiTermIds) -> "TermPairs":
@@ -144,12 +163,14 @@ class TermLayout:
         gids = gid_by_position[self.positions]
         # A term's region list gets an entry wherever the sub-region
         # changes along its POI list, and at the list's first POI.
-        opens_region = np.ones(gids.size, dtype=bool)
-        opens_region[1:] = gids[1:] != gids[:-1]
-        opens_region[pairs.bounds[:-1]] = True
+        opens_term = np.zeros(gids.size, dtype=bool)
+        opens_term[pairs.bounds[:-1]] = True
+        opens_region = opens_term.copy()
+        opens_region[1:] |= gids[1:] != gids[:-1]
         region_starts = np.flatnonzero(opens_region)
         self.region_gids = gids[region_starts]
-        self.region_bounds = np.searchsorted(region_starts, pairs.bounds)
+        self.region_bounds = np.append(
+            np.flatnonzero(opens_term[region_starts]), region_starts.size)
         self.pointers = region_starts - np.repeat(
             pairs.bounds[:-1], np.diff(self.region_bounds))
 

@@ -99,12 +99,17 @@ class POICollection:
         that id and the surviving ``appended`` ones are renumbered and
         interned, so the cost is that suffix, not the collection.
         """
-        first = min((poi_id for poi_id in deleted
-                     if 0 <= poi_id < len(self)), default=len(self))
+        first = self.kept_prefix(deleted)
         tail = [poi for poi in self._pois[first:]
                 if poi.poi_id not in deleted]
         tail.extend(poi for poi in appended if poi.poi_id not in deleted)
         return self._prefix_with(first, tail)
+
+    def kept_prefix(self, deleted: AbstractSet[int]) -> int:
+        """How many POIs :meth:`derive` shares: those before the first id
+        of this collection in ``deleted``."""
+        return min((poi_id for poi_id in deleted
+                    if 0 <= poi_id < len(self)), default=len(self))
 
     def _prefix_with(self, keep: int, tail: Sequence[POI]) -> "POICollection":
         """The first ``keep`` POIs, shared, then ``tail`` interned anew."""

@@ -173,17 +173,18 @@ class QueryEngine:
         """The untraced serve body (``execute`` wraps it in a span)."""
         started = time.monotonic()
         generation = self.generation
-        if not self._mutable:
+        if self._mutable:
+            cached = self.index.cached(query)
+        else:
             key = query.cache_key
             cached = self._cache.get(key)
-            if cached is not None:
-                latency = time.monotonic() - started
-                self._record(latency, cached=True, partial=False, pages=0)
-                if span is not None:
-                    span.annotate(cache_hit=True, generation=generation,
-                                  results=len(cached))
-                return ServiceResponse(query, cached, True, generation,
-                                       latency)
+        if cached is not None:
+            latency = time.monotonic() - started
+            self._record(latency, cached=True, partial=False, pages=0)
+            if span is not None:
+                span.annotate(cache_hit=True, generation=generation,
+                              results=len(cached))
+            return ServiceResponse(query, cached, True, generation, latency)
         deadline = Deadline.from_timeout(timeout)
         stats = SearchStats()
         io_before = self._io_snapshot()

@@ -102,7 +102,7 @@ def test_engine_disk_index_buffer_pool_stress(tmp_path):
     assert index.io_stats.logical_reads > 0
 
 
-def test_write_sanitizer_stress_on_the_real_stack(tmp_path):
+def test_hang_and_reconcile_on_the_real_stack(tmp_path):
     """Both entry points at once: client threads calling ``execute`` on
     their own threads beside pool tasks from ``submit``, over one
     disk-backed engine.  Every request is counted exactly once."""
@@ -135,7 +135,7 @@ def test_write_sanitizer_stress_on_the_real_stack(tmp_path):
     assert_reconciled(engine, len(futures) + len(clients) * len(queries))
 
 
-def test_write_sanitizer_stress_on_a_remote_replica_set():
+def test_hang_and_reconcile_on_a_remote_replica_set():
     """Failover, breaker trips and background probes racing on one remote
     set: every client thread finishes, and every call a replica served is
     an answer or a counted failure."""
@@ -180,7 +180,7 @@ def test_write_sanitizer_stress_on_a_remote_replica_set():
     assert sum(c.calls for c in clients.values()) == 240 + failures
 
 
-def test_write_sanitizer_catches_a_deliberate_unguarded_write():
+def test_deadlock_guard_catches_a_lock_order_inversion():
     """Proof the guard can fail: two threads take the mutable index's lock
     and the answer cache's lock in opposite orders.  The guard fails the
     run within its deadline and names both threads with their stacks;

@@ -3,7 +3,9 @@
 Counts of shared objects, not timings: a compaction derives the
 survivors' collection from the old one, so every POI and term-id set
 before the first static tombstone is the very object the old collection
-held, and only the suffix after it (plus the delta) is built anew.
+held, and only the suffix after it (plus the delta) is built anew.  The
+next static index is built from the old one's pairs too, so the kept
+term-id sets are not walked again.
 """
 
 import threading
@@ -52,6 +54,33 @@ def test_compaction_shares_everything_before_the_first_static_tombstone():
                    or newer.term_id_sets[position] is new.term_id_sets[position + 1]
                    for position in range(first, len(new) - 2))
     assert newer.vocabulary is not new.vocabulary
+
+
+class _CountedTerms(frozenset):
+    """A term-id set that logs every walk over it."""
+
+    walks = []
+
+    def __iter__(self):
+        _CountedTerms.walks.append(self)
+        return super().__iter__()
+
+
+def test_compaction_with_no_static_tombstone_flattens_only_the_tail():
+    index = MutableDesksIndex(make_collection(200, seed=6), num_bands=2,
+                              num_wedges=3)
+    kept = index.collection.term_id_sets
+    kept[:] = [_CountedTerms(terms) for terms in kept]
+    inserted = [index.insert(20.0 + i, 30.0, ["cafe", "tail"])
+                for i in range(6)]
+    assert index.delete(inserted[-1])
+    _CountedTerms.walks.clear()
+    assert index.compact()
+    new = index.collection.term_id_sets
+    assert all(new[i] is kept[i] for i in range(len(kept)))
+    assert _CountedTerms.walks == []
+    # The tail: the five surviving inserts.
+    assert len(new) == len(kept) + 5
 
 
 class _RebuildOnFirstLookup(set):

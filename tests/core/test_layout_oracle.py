@@ -1,4 +1,5 @@
-"""Structure identity: the vectorised build against the pure-Python one.
+"""Structure identity: the vectorised build against the pure-Python one,
+and a rebuild against the fresh build.
 
 ``reference_layout`` holds the loops the index was built with before
 construction moved to numpy.  An index built by the shipped code must be
@@ -8,9 +9,16 @@ on every anchor — answers, ``SearchStats`` and ``IOStats`` are then
 unchanged by construction.  The cases aim at the places a sort or a cut
 could differ: ties at a band cut, ties at a wedge cut, a POI on the
 anchor, duplicates, POIs without keywords.
+
+A :class:`MutableDesksIndex` rebuild sorts from the previous static
+index's orders; after every rebuild of a generated insert / delete /
+compact history its static index must equal
+``DesksIndex(index.collection, N, M)`` field by field, down to the
+bytes :func:`save_index` writes.
 """
 
 import os
+import tempfile
 import zlib
 
 import pytest
@@ -20,13 +28,16 @@ from hypothesis import strategies as st
 from repro.core import (
     DesksIndex,
     DesksSearcher,
+    MutableDesksIndex,
     build_term_layout,
     load_index,
     save_index,
 )
+from repro.core.regions import AnchorRegions
 from repro.datasets import (
     POI,
     POICollection,
+    SyntheticConfig,
     china_like,
     generate,
     virginia_like,
@@ -225,3 +236,256 @@ def test_disk_store_pages_and_io_counts_do_not_change(disk_format):
         searcher.search_regions(query)
     assert (built, counters(), crc,
             index.size_bytes) == DISK_STORE_BASELINE[disk_format]
+
+
+# -- rebuilds: the successor build against the fresh one ---------------------
+
+
+def bits(values):
+    """Floats told apart to the bit, ``0.0`` from ``-0.0``."""
+    return [float(value).hex() for value in values]
+
+
+def assert_same_index(built, fresh):
+    """``built`` equals ``fresh`` field by field: the pairs, every
+    anchor's orders, bands, sub-regions and ``TermLayout`` arrays."""
+    assert (built.num_bands, built.num_wedges) == (fresh.num_bands,
+                                                   fresh.num_wedges)
+    assert built.built_anchors() == fresh.built_anchors()
+    for name in ("term", "poi", "bounds"):
+        assert (getattr(built.term_pairs, name).tobytes()
+                == getattr(fresh.term_pairs, name).tobytes()), name
+    assert built.term_pairs.slot_of == fresh.term_pairs.slot_of
+    for quadrant in fresh.built_anchors():
+        ours, theirs = built.anchors[quadrant], fresh.anchors[quadrant]
+        assert mbr_bits(ours.frame) == mbr_bits(theirs.frame)
+        regions, expected = ours.regions, theirs.regions
+        assert regions.poi_order == expected.poi_order
+        assert regions.position_of == expected.position_of
+        for name in ("distances", "thetas", "by_distance", "order_array",
+                     "position_array", "sub_starts"):
+            assert (getattr(regions, name).tobytes()
+                    == getattr(expected, name).tobytes()), name
+        assert ([bits((b.inner_radius, b.outer_radius)) + [b.size]
+                 for b in regions.bands]
+                == [bits((b.inner_radius, b.outer_radius)) + [b.size]
+                    for b in expected.bands])
+        assert ([bits((s.theta_lo, s.theta_hi)) + [s.start, s.end]
+                 for s in regions.subregions]
+                == [bits((s.theta_lo, s.theta_hi)) + [s.start, s.end]
+                    for s in expected.subregions])
+        layout, reference = ours.store.layout, theirs.store.layout
+        for name in ("order", "positions", "region_gids", "pointers",
+                     "region_bounds"):
+            assert (getattr(layout, name).tobytes()
+                    == getattr(reference, name).tobytes()), name
+
+
+def mbr_bits(frame):
+    mbr = frame.mbr
+    return bits((mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y))
+
+
+def saved_bytes(index):
+    """Every file :func:`save_index` writes for ``index``, by name."""
+    with tempfile.TemporaryDirectory() as directory:
+        target = os.path.join(directory, "index")
+        save_index(index, target)
+        files = {}
+        for name in sorted(os.listdir(target)):
+            with open(os.path.join(target, name), "rb") as handle:
+                files[name] = handle.read()
+        return files
+
+
+def assert_rebuilt_as_fresh(index, num_bands, num_wedges):
+    fresh = DesksIndex(index.collection, num_bands, num_wedges)
+    assert_same_index(index.static_index, fresh)
+    return fresh
+
+
+class Builds:
+    """Counts which constructor built each anchor's regions."""
+
+    def __init__(self, monkeypatch):
+        self.fresh = self.following = self.seeded = 0
+        build, following, lay_out = (AnchorRegions.__init__,
+                                     AnchorRegions.following.__func__,
+                                     AnchorRegions._lay_out)
+
+        def counting_build(regions, *args):
+            self.fresh += 1
+            build(regions, *args)
+
+        def counting_following(cls, *args):
+            self.following += 1
+            return following(cls, *args)
+
+        def counting_lay_out(regions, *args):
+            self.seeded += args[-1] is not None
+            lay_out(regions, *args)
+
+        monkeypatch.setattr(AnchorRegions, "__init__", counting_build)
+        monkeypatch.setattr(AnchorRegions, "following",
+                            classmethod(counting_following))
+        monkeypatch.setattr(AnchorRegions, "_lay_out", counting_lay_out)
+
+
+def grid_collection(side, keywords=("a", "b", "c")):
+    """``side`` x ``side`` integer points (ties in distance and in
+    direction everywhere), keywords dealt round-robin."""
+    return collection_of(
+        [(x, y) for x in range(side) for y in range(side)],
+        [(keywords[i % len(keywords)],) for i in range(side * side)])
+
+
+class TestRebuildPaths:
+    """Which build each kind of rebuild takes, and that each gives the
+    fresh build's index."""
+
+    def test_a_compaction_of_appends_sorts_from_the_previous_orders(
+            self, monkeypatch):
+        index = MutableDesksIndex(make_collection(n=300, seed=4), 2, 3)
+        for step in range(5):
+            index.insert(10.5 + step, 20.25 + 3 * step, ["cafe", "new"])
+        builds = Builds(monkeypatch)
+        assert index.compact()
+        assert (builds.fresh, builds.following, builds.seeded) == (0, 4, 4)
+        assert_rebuilt_as_fresh(index, 2, 3)
+
+    def test_a_direction_shared_with_a_kept_poi_sorts_each_band(
+            self, monkeypatch):
+        index = MutableDesksIndex(grid_collection(6), 2, 2)
+        index.insert(2.0, 2.0, ["a"])      # on the diagonal of anchor 0
+        builds = Builds(monkeypatch)
+        assert index.compact()
+        assert builds.following == 4 and builds.seeded < 4
+        assert_rebuilt_as_fresh(index, 2, 2)
+
+    def test_an_insert_that_grows_the_mbr_builds_afresh(self, monkeypatch):
+        index = MutableDesksIndex(grid_collection(5), 2, 2)
+        index.insert(9.0, 1.0, ["b"])
+        builds = Builds(monkeypatch)
+        assert index.compact()
+        assert (builds.fresh, builds.following) == (4, 0)
+        assert_rebuilt_as_fresh(index, 2, 2)
+
+    def test_a_static_tombstone_keeps_the_prefix_before_it(
+            self, monkeypatch):
+        index = MutableDesksIndex(grid_collection(6), 2, 3)
+        for first in (17, 0):
+            assert index.delete(first) and index.delete(first + 5)
+            index.insert(2.5, 1.5, ["c", "d"])
+            builds = Builds(monkeypatch)
+            assert index.compact()
+            # A tombstone at id 0 keeps nothing: every sort starts afresh.
+            assert builds.following == (4 if first else 0)
+            assert_rebuilt_as_fresh(index, 2, 3)
+            monkeypatch.undo()
+
+    def test_a_loaded_index_sorts_afresh_once(self, tmp_path, monkeypatch):
+        save_index(DesksIndex(grid_collection(7), 2, 3), str(tmp_path / "i"))
+        index = MutableDesksIndex.from_static(load_index(str(tmp_path / "i")))
+        counts = []
+        for rebuild in range(2):
+            index.insert(3.5, 2.5 + rebuild, ["a"])
+            builds = Builds(monkeypatch)
+            assert index.compact()
+            counts.append((builds.fresh, builds.following))
+            monkeypatch.undo()
+            assert_rebuilt_as_fresh(index, 2, 3)
+        assert counts == [(4, 0), (0, 4)]
+
+    def test_bands_and_wedges_follow_the_collection_size(self):
+        # Unset N and M track n: 144 -> 156 POIs moves M from 1 to 2.
+        index = MutableDesksIndex(grid_collection(12), rebuild_threshold=1.0)
+        for step in range(12):
+            index.insert(1.5 + step * 0.5, 7.25, ["b"])
+        assert index.compact()
+        fresh = assert_rebuilt_as_fresh(index, None, None)
+        assert (fresh.num_bands, fresh.num_wedges) == (1, 2)
+
+    def test_band_count_crossing_recommended_bands(self):
+        # 14 995 POIs take N = 1; 15 005 take N = 2 (recommended_bands).
+        collection = generate(SyntheticConfig(
+            name="cross", num_pois=14_995, num_unique_terms=300,
+            avg_terms_per_poi=2.0, seed=31))
+        index = MutableDesksIndex(collection)
+        assert index.static_index.num_bands == 1
+        mbr = collection.mbr
+        for step in range(10):
+            index.insert(mbr.min_x + (step + 1) * 0.01 * mbr.width,
+                         mbr.min_y + 0.5 * mbr.height, ["crossing"])
+        assert index.compact()
+        fresh = assert_rebuilt_as_fresh(index, None, None)
+        assert fresh.num_bands == 2
+
+    def test_rebuild_saves_the_bytes_a_fresh_build_saves(self):
+        index = MutableDesksIndex(make_collection(n=200, seed=8), 3, 4)
+        index.insert(50.0, 50.0, ["cafe"])
+        index.delete(120)
+        index.insert(0.0, 0.0, ["park"])
+        assert index.compact()
+        fresh = assert_rebuilt_as_fresh(index, 3, 4)
+        assert saved_bytes(index.static_index) == saved_bytes(fresh)
+
+
+#: Coordinates of a 0..8 grid, with a rare step outside it (an insert
+#: that grows the MBR).
+COORDINATE = st.one_of(st.integers(0, 8), st.integers(0, 8),
+                       st.integers(0, 8), st.integers(-2, 10))
+
+OPERATION = st.one_of(
+    st.tuples(st.just("insert"), COORDINATE, COORDINATE,
+              st.sets(st.sampled_from("abcde"), max_size=3)),
+    st.tuples(st.just("insert"), COORDINATE, COORDINATE,
+              st.sets(st.sampled_from("abcde"), max_size=3)),
+    # A tombstone at id 0 is drawn on purpose, not by luck.
+    st.tuples(st.just("delete"), st.one_of(st.just(0),
+                                           st.integers(0, 200))),
+    st.tuples(st.just("compact")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                       st.sets(st.sampled_from("abcd"), max_size=3)),
+             min_size=1, max_size=40),
+    st.lists(OPERATION, min_size=1, max_size=40),
+    st.sampled_from([(None, None), (1, 1), (2, 3), (3, 2), (4, 5)]),
+    st.sampled_from([0.1, 0.3, 1.0]),
+    st.booleans())
+def test_generated_histories(rows, operations, shape, threshold, loaded):
+    """After every rebuild — a ``compact()`` or a threshold rebuild inside
+    ``insert``/``delete`` — the static index is the fresh build's."""
+    num_bands, num_wedges = shape
+    collection = collection_of([(x, y) for x, y, _ in rows],
+                               [tuple(sorted(kws)) for _, _, kws in rows])
+    if loaded:
+        with tempfile.TemporaryDirectory() as directory:
+            save_index(DesksIndex(collection, num_bands, num_wedges),
+                       directory + "/index")
+            index = MutableDesksIndex.from_static(
+                load_index(directory + "/index"), threshold)
+        # from_static keeps the loaded N and M, never None.
+        num_bands, num_wedges = (index.static_index.num_bands,
+                                 index.static_index.num_wedges)
+    else:
+        index = MutableDesksIndex(collection, num_bands, num_wedges,
+                                  rebuild_threshold=threshold)
+    rebuilds = index.rebuild_count
+    for operation in operations:
+        if operation[0] == "insert":
+            _, x, y, keywords = operation
+            index.insert(float(x), float(y), sorted(keywords))
+        elif operation[0] == "delete":
+            total = len(index.collection) + index.num_pending
+            index.delete(operation[1] % total)
+        else:
+            index.compact()
+        if index.rebuild_count != rebuilds:
+            rebuilds = index.rebuild_count
+            assert_rebuilt_as_fresh(index, num_bands, num_wedges)
+    if rebuilds:
+        fresh = DesksIndex(index.collection, num_bands, num_wedges)
+        assert saved_bytes(index.static_index) == saved_bytes(fresh)
