@@ -19,7 +19,7 @@ A rebuild does not redo the work it already has.  The survivors'
 collection is derived from the old one (:meth:`POICollection.derive`),
 sharing every POI, term-id set and vocabulary entry before the first
 deleted static POI.  The next static index is built from the old one
-(``DesksIndex._following``): the kept POIs' polar coordinates and
+(``DesksIndex._rebuildable``): the kept POIs' polar coordinates and
 (POI, term) pairs are reused, and the distance and direction sorts start
 from the old orders, which timsort takes as presorted runs.  A rebuild
 then costs the changed suffix plus the delta, a few linear passes and
@@ -70,7 +70,8 @@ class MutableDesksIndex:
                  num_wedges: Optional[int] = None,
                  rebuild_threshold: float = 0.25) -> None:
         self._init_state(num_bands, num_wedges, rebuild_threshold)
-        self._adopt_static(DesksIndex(collection, num_bands, num_wedges))
+        self._adopt_static(DesksIndex._rebuildable(collection, num_bands,
+                                                   num_wedges))
 
     def _init_state(self, num_bands: Optional[int],
                     num_wedges: Optional[int],
@@ -230,9 +231,9 @@ class MutableDesksIndex:
         self.rebuild_count += 1
         # The next index sorts from this one's orders: what it pays for is
         # the renumbered suffix, not the collection.
-        self._adopt_static(DesksIndex._following(
-            self._index, collection, keep, self._num_bands,
-            self._num_wedges))
+        self._adopt_static(DesksIndex._rebuildable(
+            collection, self._num_bands, self._num_wedges, self._index,
+            keep))
         self._cache = self._cache.successor()
 
     # -- queries ------------------------------------------------------------------

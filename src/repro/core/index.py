@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -112,20 +112,29 @@ class DesksIndex:
         self._set_up(collection, num_bands, num_wedges, disk_based)
         self._lay_out(list(anchors) if anchors is not None else list(Anchor),
                       make_store, None, 0)
+        # Only the next build of a mutable index reads the distance
+        # orders (:meth:`_rebuildable`); a plain index drops them, as a
+        # loaded one never had them.
+        for anchor in self.anchors:
+            if anchor is not None:
+                anchor.regions.by_distance = None
 
     @classmethod
-    def _following(cls, previous: "DesksIndex", collection: POICollection,
-                   keep: int, num_bands: Optional[int],
-                   num_wedges: Optional[int]) -> "DesksIndex":
+    def _rebuildable(cls, collection: POICollection,
+                     num_bands: Optional[int], num_wedges: Optional[int],
+                     previous: "Optional[DesksIndex]" = None,
+                     keep: int = 0) -> "DesksIndex":
         """``DesksIndex(collection, num_bands, num_wedges)``, bit for bit,
-        built from ``previous`` when ``collection`` shares its first
-        ``keep`` POIs (:meth:`~repro.datasets.POICollection.derive`).
+        that keeps each anchor's distance order for the next such build:
+        a :class:`~repro.core.MutableDesksIndex`'s static snapshot.
 
-        The sorts and the term walk then pay for the POIs after ``keep``,
-        not for the collection: see :meth:`AnchorRegions.following` and
+        Built from ``previous`` when ``collection`` shares its first
+        ``keep`` POIs (:meth:`~repro.datasets.POICollection.derive`), the
+        sorts and the term walk pay for the POIs after ``keep``, not for
+        the collection: see :meth:`AnchorRegions.following` and
         :class:`~repro.core.stores.TermPairs`.  An anchor whose frame
         moved (the MBR changed) or that kept no distance order (a loaded
-        index) is built as a fresh one is.
+        or a plain index) is built as a fresh one is.
         """
         index = cls.__new__(cls)
         index._set_up(collection, num_bands, num_wedges, False)
@@ -147,12 +156,13 @@ class DesksIndex:
         self.disk_based = disk_based
         self.io_stats = IOStats()
         self.anchors: List[Optional[AnchorIndex]] = [None] * 4
+        self._holders: Dict[int, FrozenSet[int]] = {}
 
     def _lay_out(self, build_anchors: Sequence[Anchor],
                  make_store: Callable[[Anchor, AnchorRegions], object],
                  previous: "Optional[DesksIndex]", keep: int) -> None:
         """Flatten the term pairs and build each anchor; from
-        ``previous``'s orders where it can (see :meth:`_following`)."""
+        ``previous``'s orders where it can (see :meth:`_rebuildable`)."""
         collection = self.collection
         #: Every (POI, term) pair, flattened once for all four anchors.
         self.term_pairs = TermPairs(
@@ -191,6 +201,21 @@ class DesksIndex:
     def built_anchors(self) -> List[int]:
         """Quadrants whose anchor structures exist."""
         return [i for i, a in enumerate(self.anchors) if a is not None]
+
+    def holders(self, term_id: int) -> FrozenSet[int]:
+        """Ids of the POIs that hold ``term_id``: built on first use from
+        :attr:`term_pairs`, so no page is read, and kept for the index's
+        life (a mutable index's next snapshot starts with none).  Workers
+        sharing the index may build one term's set at once; each stores
+        an equal set, so no lock is taken."""
+        found = self._holders.get(term_id)
+        if found is None:
+            pairs = self.term_pairs
+            slot = pairs.slot_of.get(term_id)
+            found = frozenset() if slot is None else frozenset(
+                pairs.poi[pairs.bounds[slot]:pairs.bounds[slot + 1]].tolist())
+            self._holders[term_id] = found
+        return found
 
     # -- size accounting -------------------------------------------------------
 

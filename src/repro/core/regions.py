@@ -132,7 +132,8 @@ class AnchorRegions:
 
     def can_precede(self, frame: CanonicalFrame) -> bool:
         """Whether :meth:`following` may start from this structure: it
-        kept its distance order (a loaded one has none) and ``frame`` is
+        kept its distance order (only a mutable index's snapshot does:
+        :meth:`~repro.core.DesksIndex._rebuildable`) and ``frame`` is
         its own, sign of zero included."""
         return (self.by_distance is not None
                 and frame.anchor is self.frame.anchor
@@ -156,7 +157,8 @@ class AnchorRegions:
         self.num_wedges_requested = num_wedges
         self.distances, self.thetas = distances, thetas
         #: Every id in stable distance order: where the next build after
-        #: an append starts (:meth:`following`).
+        #: an append starts (:meth:`following`).  ``None`` unless the
+        #: index is a mutable index's snapshot.
         self.by_distance = by_distance
         sorted_distances = distances[by_distance]
         band_cuts = _cuts_with_ties(sorted_distances, num_bands)

@@ -51,6 +51,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -85,29 +86,72 @@ _ROOT_SUMS = ("pages_read", "pois_fetched", "pois_verified",
 #: What a ``desks.postings`` span rolls up into the root.
 _POSTING_SUMS = ("pages_read", "pois_fetched", "pois_verified")
 
-#: The access-path cost model (:meth:`DesksSearcher.access_costs`), in
-#: estimated microseconds.  Fitted once on CN/800 (20.6k POIs, N=2,
-#: M=103), per query, best of 3 of each path on the seed-11 paper mix
-#: and the 3x4-grid scan queries, and shared by both scanners.  The fit
-#: predates the one-call-per-wedge check (:meth:`DesksSearcher.
-#: _verify_pois`), which made verifying a POI cheaper on both paths, and
-#: the one-call-per-band Table I (:func:`~repro.core.mindist.
-#: subregion_mindists`), which made ranking a sub-region cheaper; the
-#: constants are kept as fitted so that no query changes path, and a
-#: refit is left to a change of its own.  Holders the walk direction-
-#: and distance-tests:
-VERIFY_US = 1.2
-#: Postings of the rarest list the walk subset-tests under ``ALL``:
-FILTER_US = 0.2
-#: Sub-regions the region search ranks and opens (fitted when each was
-#: ranked by a Table I call of its own):
-SUBREGION_US = 5.0
+#: The access-path cost model (:func:`price`), in estimated
+#: microseconds, shared by both scanners: the output of
+#: ``python benchmarks/fit_cost_model.py`` on CN/800 (20.6k POIs; N=2,
+#: M=103 for the paper mix, 3x4 for the scan mix), least squares over
+#: both paths' best-of-5 times on seed 11, 2 shared CPUs.  Its regret
+#: (the paths taken against the faster ones):
+#:
+#:   fit seed 11 paper: 400 queries, ... after 0.3%
+#:   fit seed 11 scan: 300 queries, ... after 0.3%
+#:   held-out seed 12 paper: 400 queries, ... after 0.2%
+#:   held-out seed 12 scan: 300 queries, ... after 0.3%
+#:   path disagreements: 0
+#:
+#: On the same timings the model it replaced (no per-piece term, the
+#: share of the data's area within ``d_k``) had 3.3 % and 10.7 %.
+#: Rerun the tool after any change to either path's loops.  Holders the
+#: walk direction- and distance-tests:
+VERIFY_US = 0.354
+#: Postings of the rarest list the walk probes under ``ALL``:
+FILTER_US = 0.064
+#: Basic sub-queries the region search prepares and drives — most of its
+#: cost at these sizes, whatever it then examines:
+PIECE_US = 93.76
+#: Sub-regions it examines (the fit prices them at nothing beside
+#: the pieces):
+SUBREGION_US = 0.0
 #: Postings it reads inside them:
-POSTING_US = 0.7
-#: How many times the share of the data within ``d_k`` of the query the
-#: best-first scan examines before ``d_k`` stops it (wedges are long and
-#: thin, so a disc touches many more sub-regions than its area's worth).
-SCAN_REACH = 8.0
+POSTING_US = 0.012
+#: How many times the estimated ``d_k``, as a share of the data's extent,
+#: the share of its bands the best-first scan crosses before ``d_k``
+#: stops it (bands are rings about an anchor, so the share grows with
+#: ``d_k``; wedges are long and thin, so far more than the disc's):
+SCAN_REACH = 53.5
+
+
+class CostTerms(NamedTuple):
+    """The counts :func:`price` weighs (:meth:`DesksSearcher._cost_terms`)."""
+
+    #: POIs the posting walk direction- and distance-tests.
+    holders: float
+    #: Postings of the rarest list the walk probes against the other
+    #: keywords' holder sets (``ALL`` with two or more keywords, else 0).
+    probed: int
+    #: Basic sub-queries (quadrant pieces) the region search drives.
+    pieces: int
+    #: Sub-regions the region search examines if the scan cannot stop.
+    window: float
+    #: The estimated ``d_k`` over the extent of the data (``inf`` when
+    #: the scan cannot stop early: fewer than ``k`` matches expected, or
+    #: the query outside the MBR).
+    reach: float
+    #: Postings of the keywords per sub-region.
+    density: float
+
+
+def price(terms: CostTerms, verify_us: float = VERIFY_US,
+          filter_us: float = FILTER_US, piece_us: float = PIECE_US,
+          subregion_us: float = SUBREGION_US,
+          posting_us: float = POSTING_US, scan_reach: float = SCAN_REACH,
+          ) -> Tuple[float, float]:
+    """``(walk, region)`` estimated microseconds of ``terms`` — at this
+    module's constants unless others are given (the fit tool's)."""
+    walk = terms.holders * verify_us + terms.probed * filter_us
+    examined = terms.window * min(1.0, scan_reach * terms.reach)
+    return walk, (terms.pieces * piece_us
+                  + examined * (subregion_us + terms.density * posting_us))
 
 
 class SupportsExpired:
@@ -365,28 +409,36 @@ class DesksSearcher:
     def _access_costs(self, query: DirectionalQuery,
                       term_ids: Collection[int], conjunctive: bool,
                       ) -> Tuple[float, float]:
-        """The cost model: a function of the query and the index alone.
+        """The cost model: :func:`price` of :meth:`_cost_terms`."""
+        return price(self._cost_terms(query, term_ids, conjunctive))
+
+    def _cost_terms(self, query: DirectionalQuery,
+                    term_ids: Collection[int], conjunctive: bool,
+                    ) -> CostTerms:
+        """The counts the cost model prices: functions of the query and
+        the index alone.
 
         **Walk.**  The holders it verifies — ``n`` times the keyword
         selectivity under ``ALL``, the sum of the frequencies under
-        ``ANY`` — at :data:`VERIFY_US` each, plus, under ``ALL`` with two
-        or more keywords, the rarest list's subset test at
-        :data:`FILTER_US` a posting.
+        ``ANY`` — and, under ``ALL`` with two or more keywords, the
+        rarest list's postings it probes against the other keywords'
+        holder sets.
 
-        **Regions.**  The sub-regions the best-first scan examines, each
-        at :data:`SUBREGION_US` plus its share of every keyword's postings
-        at :data:`POSTING_US` a posting.  With ``q`` inside the index MBR
-        the direction window spans ``N x M x w / 2pi`` sub-regions per
-        anchor plus about ``N`` cut by each basic piece's edges, and the
-        scan stops once ``MINDIST`` passes ``d_k``: it examines
-        :data:`SCAN_REACH` times the share of the data within the
-        estimated ``d_k`` of ``q`` — about ``8k / m`` of the window for
-        ``m`` in-direction matches — or all of it when fewer than ``k``
-        matches are expected.  Outside the MBR Lemmas 1-4 and Table I do
-        not hold and only the annulus bound is left, so every wedge starts
-        about the gap away: each piece's anchor has every sub-region
-        examined in each band whose annulus comes within the estimated
-        ``d_k``, which counts that gap.
+        **Regions.**  The basic sub-queries it drives, each prepared
+        (its anchor's region lists intersected) and queued, and the
+        sub-regions the best-first scan may examine, each with its share
+        of every keyword's postings.  With ``q`` inside the index MBR the
+        direction window spans ``N x M x w / 2pi`` sub-regions per anchor
+        plus about ``N`` cut by each basic piece's edges, and the scan
+        stops once ``MINDIST`` passes ``d_k``: it examines
+        :data:`SCAN_REACH` times ``reach``, the estimated ``d_k`` over
+        the data's extent (the square root of its area), of the window —
+        the bands it crosses are rings about the anchor — or all of it
+        when fewer than ``k`` matches are expected.  Outside the
+        MBR Lemmas 1-4 and Table I do not hold and only the annulus bound
+        is left, so every wedge starts about the gap away: each piece's
+        anchor has every sub-region examined in each band whose annulus
+        comes within the estimated ``d_k``, which counts that gap.
         """
         estimator = self._estimator
         index = self.index
@@ -397,67 +449,74 @@ class DesksSearcher:
         if conjunctive:
             holders = len(self._collection) * estimator.keyword_selectivity(
                 query, term_ids)
-            walk = holders * VERIFY_US
-            if len(counts) > 1:
-                walk += counts[0] * FILTER_US
+            probed = counts[0] if len(counts) > 1 else 0
         else:
-            walk = sum(counts) * VERIFY_US
+            holders, probed = sum(counts), 0
         kth = estimator.estimate_kth_distance(query, term_ids)
         location = query.location
         pieces = query.basic_subqueries()
+        reach = INF
         if self._collection.mbr.contains_point(location):
-            examined = (per_anchor * query.interval.width / TWO_PI
-                        + index.num_bands * len(pieces))
+            window = (per_anchor * query.interval.width / TWO_PI
+                      + index.num_bands * len(pieces))
             if kth is not None:
-                examined *= min(1.0, SCAN_REACH * math.pi * kth * kth
-                                / estimator.area)
+                reach = kth / math.sqrt(estimator.area)
         else:
-            examined = 0
+            window = 0
             for quadrant, _ in pieces:
                 anchor = index.anchors[quadrant]
                 if anchor is None:
                     continue
                 qd = location.distance_to(anchor.frame.anchor_point)
-                examined += sum(
+                window += sum(
                     len(band.subregions) for band in anchor.regions.bands
                     if kth is None or annulus_mindist(
                         qd, band.inner_radius, band.outer_radius) < kth)
-        region = examined * (SUBREGION_US
-                             + sum(counts) / per_anchor * POSTING_US)
-        return walk, region
+        return CostTerms(holders, probed, len(pieces), window, reach,
+                         sum(counts) / per_anchor)
 
     def _posting_plan(self, query: DirectionalQuery,
                       term_ids: Collection[int], conjunctive: bool,
                       ) -> Optional[Tuple[AnchorIndex, Collection[int]]]:
-        """The access-path choice: ``(anchor, terms whose POI lists to
-        read)`` when the walk is the cheaper plan, else ``None`` (run the
-        region search).
+        """The access-path choice: :meth:`_walk_plan` when the walk is the
+        cheaper plan, else ``None`` (run the region search).
 
-        Under ``ALL`` every answer holds the rarest keyword, so its list
-        alone is read; under ``ANY`` every keyword's list is.  When those
-        lists hold no more postings than ``N x M``, the sub-regions one
-        anchor is built with, the walk is taken without consulting the
-        cost model: on CN/800 no such query of the paper mix was faster
-        on the region path, so evaluating the model there would cost time
-        and change nothing.  Above it :meth:`_access_costs` decides.
-        Every anchor's store holds every posting, so the first built one
-        serves.
+        When the lists the walk reads hold no more postings than ``N x
+        M``, the sub-regions one anchor is built with, the walk is taken
+        without consulting the cost model: on CN/800 no such query of the
+        paper mix was faster on the region path, so evaluating the model
+        there would cost time and change nothing.  Above it
+        :meth:`_access_costs` decides.
         """
-        frequency = self._collection.vocabulary.doc_frequency
-        if conjunctive:
-            rarest = min(term_ids, key=frequency)
-            terms, postings = (rarest,), frequency(rarest)
-        else:
-            terms, postings = term_ids, sum(map(frequency, term_ids))
+        plan = self._walk_plan(term_ids, conjunctive)
+        if plan is None:
+            return None
         index = self.index
+        postings = sum(map(self._collection.vocabulary.doc_frequency,
+                           plan[1]))
         if postings > index.num_bands * index.num_wedges:
             walk, region = self._access_costs(query, term_ids, conjunctive)
             if walk > region:
                 return None
-        anchor = next(filter(None, index.anchors), None)
+        return plan
+
+    def _walk_plan(self, term_ids: Collection[int], conjunctive: bool,
+                   ) -> Optional[Tuple[AnchorIndex, Collection[int]]]:
+        """``(anchor, terms whose POI lists the walk reads)``; ``None``
+        when no anchor is built.
+
+        Under ``ALL`` every answer holds the rarest keyword, so its list
+        alone is read; under ``ANY`` every keyword's list is.  Every
+        anchor's store holds every posting, so the first built one
+        serves.
+        """
+        anchor = next(filter(None, self.index.anchors), None)
         if anchor is None:
             return None
-        return anchor, terms
+        if conjunctive:
+            frequency = self._collection.vocabulary.doc_frequency
+            return anchor, (min(term_ids, key=frequency),)
+        return anchor, term_ids
 
     def _walk_postings(self, query: DirectionalQuery,
                        term_ids: Collection[int],
@@ -486,13 +545,7 @@ class DesksSearcher:
                 pois_fetched=0, pois_verified=0, pages_read=0)
         views = map(anchor.store.term_postings, terms)
         lists = [view.pois() for view in views if view is not None]
-        candidates = (lists[0] if len(lists) == 1
-                      else list(set().union(*lists)))
-        if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
-            required = frozenset(term_ids)
-            held = self._collection.term_id_sets
-            candidates = [poi_id for poi_id in candidates
-                          if required <= held[poi_id]]
+        candidates = self._keyword_holders(query, term_ids, terms, lists)
         completed = True
         # The region search looks at the clock between sub-regions; so
         # does the walk, a sub-region being ~POIS_PER_SUBREGION POIs.
@@ -510,6 +563,28 @@ class DesksSearcher:
             for key in _POSTING_SUMS:
                 root.add(key, span.attrs[key])
         return completed
+
+    def _keyword_holders(self, query: DirectionalQuery,
+                         term_ids: Collection[int], terms: Collection[int],
+                         lists: List[List[int]]) -> List[int]:
+        """The POIs on ``lists`` (the walk's reads of ``terms``) that
+        satisfy the keyword predicate, each once.
+
+        Under ``ALL`` with several keywords ``lists`` is the rarest
+        keyword's alone; it is probed against every other keyword's
+        holder set (:meth:`DesksIndex.holders`), so the filter runs as
+        set intersections in C rather than a subset test per posting.
+        Each intersection walks the smaller side, the survivors after the
+        first, so the sets' order does not matter.
+        """
+        if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
+            survivors = lists[0] if lists else ()
+            holders = self.index.holders
+            for term_id in term_ids:
+                if term_id not in terms:
+                    survivors = holders(term_id).intersection(survivors)
+            return list(survivors)
+        return lists[0] if len(lists) == 1 else list(set().union(*lists))
 
     # -- Algorithm 2 ------------------------------------------------------------
 

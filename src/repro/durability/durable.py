@@ -120,7 +120,7 @@ class DurableMutableIndex(MutableDesksIndex):
             raise PersistenceError(
                 f"{directory} already holds a durable index; use recover()")
         os.makedirs(directory, exist_ok=True)
-        index = DesksIndex(collection, num_bands, num_wedges)
+        index = DesksIndex._rebuildable(collection, num_bands, num_wedges)
         instance = cls._adopt(index, rebuild_threshold)
         instance._attach(directory, sync, sync_interval, failpoint)
         instance._save_snapshot()

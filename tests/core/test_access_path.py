@@ -9,9 +9,12 @@ exhaustive scan — on every searcher and store, and the span tree must say
 which one ran and account for its cost exactly.
 """
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DesksIndex,
@@ -42,13 +45,15 @@ STORES = {
 
 
 def make_collection():
-    """240 scattered POIs plus a ring of exact ties around ``CENTRE``.
+    """240 scattered POIs plus a ring of exact ties around ``CENTRE``,
+    then 600 more that hold ``bulk`` alone.
 
     ``popular`` fills the sub-regions, ``edge`` has exactly ``N x M``
     holders, ``over`` one more; ``rare`` and ``pair`` are small and
     disjoint.  The ring POIs sit at distance exactly 5 from ``CENTRE``
     (3-4-5 triangles), their ids interleaved with the POI *on* it and a
-    coincident pair.
+    coincident pair.  ``bulk`` has holders enough for the region search
+    to be the cheaper path in one or two quadrants, not in four.
     """
     pois = []
 
@@ -80,6 +85,9 @@ def make_collection():
         if i in (11, 59, 97, 150, 233):
             keywords.append("pair")
         add(x, y, keywords)
+    for i in range(600):
+        add((i * 75.487766625 + 13.0) % 100.0,
+            (i * 56.984029100 + 41.0) % 100.0, ["bulk"])
     return POICollection(pois)
 
 
@@ -124,11 +132,11 @@ def queries(match_mode):
         keyword_sets = [["rare"], ["edge"], ["over"], ["popular"], ["ring"],
                         ["twin"], ["rare", "popular"], ["edge", "common"],
                         ["over", "popular"], ["popular", "common"],
-                        ["rare", "pair"]]
+                        ["rare", "pair"], ["bulk"]]
     else:
         keyword_sets = [["rare", "pair"], ["rare", "nosuchword"],
                         ["edge", "rare"], ["popular", "rare"],
-                        ["ring", "twin"]]
+                        ["ring", "twin"], ["bulk", "rare"]]
     return [DirectionalQuery.make(x, y, alpha, beta, keywords, k, match_mode)
             for x, y in stances
             for alpha, beta in intervals
@@ -291,7 +299,7 @@ def test_explain_reconciles_and_names_the_posting_path(index):
 
 
 def test_explain_names_the_region_path(index):
-    query = DirectionalQuery.make(*CENTRE, 5.5, 7.0, ["popular"], k=4)
+    query = DirectionalQuery.make(*CENTRE, 5.5, 7.0, ["bulk"], k=4)
     report = explain(DesksSearcher(index), query)
     assert report.reconciled
     assert report.actuals["access_path"] == "regions"
@@ -393,3 +401,106 @@ def test_mutable_index_with_rare_keyword_equals_brute_force_over_live_pois():
                         for entry in result.entries] == truth
     assert explain(mutable, DirectionalQuery.undirected(
         *CENTRE, ["rare"], k=3)).reconciled
+
+
+# -- the ALL walk's filter: holder sets against the subset test ----------------
+
+
+class SubsetTestWalk(DesksSearcher):
+    """The reference filter: every posting of the rarest list
+    subset-tested against its POI's term set, one by one."""
+
+    def _keyword_holders(self, query, term_ids, terms, lists):
+        candidates = (lists[0] if len(lists) == 1
+                      else list(set().union(*lists)))
+        if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
+            required = frozenset(term_ids)
+            held = self._collection.term_id_sets
+            candidates = [poi_id for poi_id in candidates
+                          if required <= held[poi_id]]
+        return candidates
+
+
+def make_tie_collection():
+    """``beta`` and ``gamma`` tie for rarest (40 holders, 20 shared);
+    ``alpha``, ``delta`` and ``omega`` overlap both and each other."""
+    pois = []
+    for i in range(200):
+        keywords = [name for name, holds in (
+            ("alpha", i % 4 == 0),
+            ("beta", i % 5 == 0),
+            ("gamma", i % 5 == (0 if i < 100 else 2)),
+            ("delta", i % 3 == 0),
+            ("omega", i % 2 == 0)) if holds] or ["filler"]
+        pois.append(POI.make(i, (i * 61.803398875) % 100.0,
+                             (i * 38.196601125 + 3.0) % 100.0, keywords))
+    return POICollection(pois)
+
+
+TIE_COLLECTION = make_tie_collection()
+TIE_INDEXES = {}
+WALK_ATTRS = ("lists", "postings", "pages_read", "pois_fetched",
+              "pois_verified")
+
+
+def tie_index(store):
+    if store not in TIE_INDEXES:
+        TIE_INDEXES[store] = DesksIndex(TIE_COLLECTION, BANDS, WEDGES,
+                                        **STORES[store])
+    return TIE_INDEXES[store]
+
+
+def walk_everything(searcher, query):
+    """``searcher.search(query)`` made to walk above the floor too:
+    ``(survivors, answers, SearchStats, desks.postings attributes)``."""
+    searcher._access_costs = lambda *args: (0.0, math.inf)
+    survivors = []
+    verify = searcher._verify_pois
+
+    def recording(query, poi_ids, *rest):
+        survivors.extend(poi_ids)
+        verify(query, poi_ids, *rest)
+
+    searcher._verify_pois = recording
+    searcher.index.drop_caches()
+    stats, tracer = SearchStats(), Tracer()
+    with tracer.activate():
+        result = searcher.search(query, stats=stats)
+    span = tracer.find("desks.postings")
+    attrs = None if span is None else {key: span.attrs[key]
+                                       for key in WALK_ATTRS}
+    return (sorted(survivors), len(survivors), pairs(result),
+            dataclasses.asdict(stats), attrs)
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@settings(max_examples=40, deadline=None)
+@given(keywords=st.lists(st.sampled_from(["alpha", "beta", "gamma",
+                                          "delta", "omega", "absent"]),
+                         min_size=2, max_size=5),
+       match_mode=st.sampled_from(list(MatchMode)),
+       x=st.sampled_from([50.0, 12.5, -30.0]),
+       alpha=st.sampled_from([0.2, 1.0, 5.5]),
+       width=st.sampled_from([0.9, 3.5, 2 * math.pi]),
+       k=st.sampled_from([1, 7, 60]))
+@example(keywords=["beta", "gamma", "omega"], match_mode=MatchMode.ALL,
+         x=50.0, alpha=0.2, width=2 * math.pi, k=60)      # a tie for rarest
+@example(keywords=["alpha", "alpha", "delta"], match_mode=MatchMode.ALL,
+         x=50.0, alpha=1.0, width=3.5, k=7)               # a repeat
+@example(keywords=["alpha", "absent"], match_mode=MatchMode.ALL,
+         x=12.5, alpha=0.2, width=0.9, k=1)               # nothing matches
+@example(keywords=["alpha", "absent", "beta"], match_mode=MatchMode.ANY,
+         x=12.5, alpha=5.5, width=3.5, k=7)
+def test_holder_sets_filter_as_the_subset_test_did(store, keywords,
+                                                   match_mode, x, alpha,
+                                                   width, k):
+    index = tie_index(store)
+    query = DirectionalQuery.make(x, 40.0, alpha, alpha + width, keywords,
+                                  k, match_mode)
+    ours = walk_everything(DesksSearcher(index), query)
+    reference = walk_everything(SubsetTestWalk(index), query)
+    assert ours == reference
+    assert ours[2] == pairs(brute_force_search(TIE_COLLECTION, query))
+    resolved = TIE_COLLECTION.query_term_ids(
+        query.keywords, require_all=match_mode is MatchMode.ALL)
+    assert (ours[4] is None) == (resolved is None)

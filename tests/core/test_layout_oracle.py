@@ -299,7 +299,10 @@ def saved_bytes(index):
 
 
 def assert_rebuilt_as_fresh(index, num_bands, num_wedges):
-    fresh = DesksIndex(index.collection, num_bands, num_wedges)
+    # A mutable index's snapshot keeps its distance orders for the next
+    # rebuild; a plain build drops them once laid out, and is otherwise
+    # the same build (test_only_a_mutable_index_keeps_its_distance_orders).
+    fresh = DesksIndex._rebuildable(index.collection, num_bands, num_wedges)
     assert_same_index(index.static_index, fresh)
     return fresh
 
@@ -428,6 +431,24 @@ class TestRebuildPaths:
         assert index.compact()
         fresh = assert_rebuilt_as_fresh(index, 3, 4)
         assert saved_bytes(index.static_index) == saved_bytes(fresh)
+
+
+def test_only_a_mutable_index_keeps_its_distance_orders(monkeypatch):
+    collection = make_collection(n=300, seed=4)
+    plain = DesksIndex(collection, 2, 3)
+    assert all(plain.anchors[quadrant].regions.by_distance is None
+               for quadrant in plain.built_anchors())
+    kept = DesksIndex._rebuildable(collection, 2, 3)
+    for quadrant in plain.built_anchors():
+        assert (plain.anchors[quadrant].regions.order_array.tobytes()
+                == kept.anchors[quadrant].regions.order_array.tobytes())
+    assert saved_bytes(plain) == saved_bytes(kept)
+    index = MutableDesksIndex(collection, 2, 3)
+    index.insert(10.5, 20.25, ["cafe"])
+    builds = Builds(monkeypatch)
+    assert index.compact()
+    assert (builds.fresh, builds.following) == (0, 4)
+    assert_rebuilt_as_fresh(index, 2, 3)
 
 
 #: Coordinates of a 0..8 grid, with a rare step outside it (an insert

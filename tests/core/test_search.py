@@ -11,6 +11,7 @@ from repro.core import (
     DesksIndex,
     DesksSearcher,
     DirectionalQuery,
+    MatchMode,
     PruningMode,
     brute_force_search,
 )
@@ -19,7 +20,7 @@ from repro.core.query import ResultEntry
 from repro.datasets import POI, POICollection
 from repro.storage import SearchStats
 
-from .conftest import make_collection, random_query_params
+from .conftest import KEYWORD_POOL, make_collection, random_query_params
 
 
 def assert_same_answers(got, expect):
@@ -119,7 +120,9 @@ class TestSearchBasics:
 
     def test_stats_populated(self, searcher):
         stats = SearchStats()
-        q = DirectionalQuery.make(50, 50, 0.0, 1.0, ["cafe"], 5)
+        # Every keyword under ANY: the cost model picks the region search.
+        q = DirectionalQuery.make(50, 50, 0.0, 1.0, KEYWORD_POOL, 5,
+                                  MatchMode.ANY)
         searcher.search(q, stats=stats)
         assert stats.regions_examined > 0
         assert stats.pois_examined > 0

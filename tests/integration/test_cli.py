@@ -340,9 +340,12 @@ class TestExplain:
 
 class TestTrace:
     def test_prints_span_tree(self, csv_path, capsys):
+        # The five commonest keywords under ANY: more postings than the
+        # walk can verify as cheaply as the region search scans a band.
         code = main(["trace", str(csv_path), "-x", "5000", "-y", "5000",
                      "--alpha", "0", "--beta", "90",
-                     "--keywords", "restaurant", "-k", "3"])
+                     "--keywords", "restaurant", "food", "chinese",
+                     "italian", "mexican", "--match-any", "-k", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert "desks.search" in out

@@ -30,6 +30,8 @@ from repro.service import Deadline
 from repro.storage import SearchStats
 from repro.trace import Tracer, explain
 
+from .conftest import KEYWORD_POOL
+
 MODES = [PruningMode.RD, PruningMode.R, PruningMode.D]
 
 
@@ -65,9 +67,12 @@ def _path(searcher, query):
 def test_both_searchers_take_the_same_path(object_searcher,
                                            columnar_searcher, corpus):
     # The cost model reads the query and the source index only, so the
-    # path is the same by construction; the corpus takes both.
+    # path is the same by construction.  The corpus walks; every keyword
+    # under ANY in one quadrant takes the regions.
+    everything = DirectionalQuery.make(50.0, 50.0, 0.3, 1.2, KEYWORD_POOL,
+                                       5, MatchMode.ANY)
     taken = set()
-    for query in corpus:
+    for query in corpus + [everything]:
         costs = object_searcher.access_costs(query)
         assert columnar_searcher.access_costs(query) == costs
         path = _path(object_searcher, query)

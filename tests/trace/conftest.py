@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core import DirectionalQuery
+from repro.core import DirectionalQuery, MatchMode
 from repro.datasets import POI, POICollection
 
 KEYWORD_POOL = ["cafe", "food", "gas", "atm", "pizza", "bank", "hotel",
@@ -24,9 +24,15 @@ def make_collection(n=400, seed=42):
 
 
 def make_query(alpha=0.3, width=math.pi / 3, x=40.0, y=55.0,
-               keywords=("cafe",), k=5):
+               keywords=("cafe",), k=5, match_mode=MatchMode.ALL):
     return DirectionalQuery.make(x, y, alpha, alpha + width,
-                                 list(keywords), k)
+                                 list(keywords), k, match_mode)
+
+
+def region_query(k=5):
+    """Every keyword of the pool under ANY in one quadrant: the walk
+    would verify every POI, so the cost model picks the region search."""
+    return make_query(keywords=KEYWORD_POOL, k=k, match_mode=MatchMode.ANY)
 
 
 def make_queries(count, seed=0, k=5):

@@ -19,7 +19,7 @@ from repro.storage import SearchStats
 from repro.trace import ExplainReport, Tracer, explain
 from repro.trace.explain import RECONCILED_COUNTERS
 
-from .conftest import make_collection, make_query
+from .conftest import make_collection, make_query, region_query
 
 #: The acceptance criterion's >= 3 sector shapes, wraparound included.
 SECTORS = [
@@ -76,7 +76,7 @@ class TestReconciliation:
 
     def test_pages_actually_flow_through_spans(self, disk_index):
         # k=1 stops the region scan early: the model keeps it off the walk.
-        report = explain(disk_index, make_query(width=math.pi, k=1))
+        report = explain(disk_index, region_query(k=1))
         actuals = report.actuals
         assert actuals["region_cost"] < actuals["walk_cost"]
         assert actuals["access_path"] == "regions"

@@ -10,13 +10,14 @@ from repro.service import QueryEngine
 from repro.trace import Tracer
 import repro.trace.spans as spans_mod
 
-from .conftest import make_collection, make_queries, make_query
+from .conftest import (make_collection, make_queries, make_query,
+                       region_query)
 
 
 class TestEnginePropagation:
     def test_submit_runs_under_submitters_trace(self, collection):
         index = DesksIndex(collection, num_bands=4, num_wedges=6)
-        query = make_query()
+        query = region_query()
         tracer = Tracer()
         with QueryEngine(index, num_workers=2) as engine:
             with tracer.activate():
