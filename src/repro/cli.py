@@ -10,24 +10,17 @@ Commands
 ``build``
     Build a DESKS index over a POI CSV and save it to a directory.
 ``query``
-    Answer one direction-aware query, building the index on the fly from
-    a CSV or loading a saved one with ``--index``.  Queries come either
-    from flags (``-x -y --keywords ...``) or from DQL statements
-    (:mod:`repro.lang`): ``-e "SELECT 5 NEAR (10.0, 20.0) MATCHING
-    'cafe'"`` executes statements, ``--repl`` reads them from stdin, and
-    ``--transport socket`` runs them against an in-process
-    :class:`~repro.net.ShardServer` across a real loopback socket.
-    ``--json`` emits the uniform result envelope; ``--metrics-json``
-    snapshots the backend's ``SHOW METRICS`` table.
-``explain``
-    ``EXPLAIN ANALYZE`` one query: the plan (quadrant decomposition,
-    armed pruning lemmas), the span tree of what actually ran, and a
-    reconciliation of span counters against the search's independent
-    ``SearchStats``/``IOStats`` (exit 1 on any mismatch).
-``trace``
-    Run one query with :mod:`repro.trace` active and print the span
-    tree; ``--json`` exports it, ``--engine`` routes through the
-    serving layer so engine-level spans (cache, queue wait) appear too.
+    Answer direction-aware queries, building the index on the fly from
+    a CSV or loading a saved one with ``--index``.  Every query is a DQL
+    statement (:mod:`repro.lang`) run by one executor: ``-e "SELECT 5
+    NEAR (10.0, 20.0) MATCHING 'cafe'"`` executes statements, ``--repl``
+    reads them from stdin, and the flags (``-x -y --keywords ...``)
+    build the same ``SELECT``.  ``EXPLAIN SELECT ... [MODE m]`` prints
+    the plan, span tree, actuals and counter reconciliation (exit 1 on
+    a mismatch); ``SHOW METRICS`` tabulates the backend's metrics.
+    ``--transport socket`` runs the statements against an in-process
+    :class:`~repro.net.ShardServer` across a real loopback socket, and
+    ``--json`` emits the uniform result envelope.
 ``shard-server``
     Serve one saved (or durable) shard's search/health/stats RPCs on a
     TCP socket (:mod:`repro.net`); prints ``SHARD-SERVER READY host
@@ -60,10 +53,8 @@ from typing import List, Optional
 
 from .core import (
     DesksIndex,
-    DesksSearcher,
     DirectionalQuery,
     MatchMode,
-    PruningMode,
     load_index,
     save_index,
 )
@@ -76,7 +67,6 @@ from .datasets import (
     load_preset,
     save_csv,
 )
-from .storage import SearchStats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,8 +98,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--wedges", type=int, default=None)
 
     p_query = sub.add_parser(
-        "query", help="answer one query over a CSV or saved index")
-    _add_query_args(p_query)
+        "query", help="run DQL statements (or one flag-built SELECT) "
+                      "over a CSV or saved index")
+    p_query.add_argument("input", help="POI CSV path or (with --index) "
+                                       "a saved index directory")
+    p_query.add_argument("--index", action="store_true",
+                         help="treat input as a saved index directory")
+    p_query.add_argument("-x", type=float, default=None)
+    p_query.add_argument("-y", type=float, default=None)
+    p_query.add_argument("--alpha", type=float, default=0.0,
+                         help="lower direction bound in degrees")
+    p_query.add_argument("--beta", type=float, default=360.0,
+                         help="upper direction bound in degrees")
+    p_query.add_argument("--keywords", nargs="+", default=None)
+    p_query.add_argument("-k", type=int, default=10)
+    p_query.add_argument("--match-any", action="store_true",
+                         help="match POIs containing ANY keyword "
+                              "(default: ALL)")
+    p_query.add_argument("--bands", type=int, default=None)
+    p_query.add_argument("--wedges", type=int, default=None)
     p_query.add_argument("-e", "--statement", action="append",
                          metavar="DQL", default=None,
                          help="execute a DQL statement (repeatable; "
@@ -124,28 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "loopback socket")
     p_query.add_argument("--json", action="store_true",
                          help="emit results as JSON instead of text")
-    p_query.add_argument("--metrics-json", metavar="PATH", default=None,
-                         help="write the backend's SHOW METRICS table "
-                              "to PATH as JSON")
     p_query.add_argument("--timeout-ms", type=float, default=None,
                          help="deadline applied to every statement "
                               "(flag-built queries included)")
-
-    p_explain = sub.add_parser(
-        "explain", help="EXPLAIN ANALYZE one query: plan, span tree, "
-                        "and counter reconciliation")
-    _add_query_args(p_explain)
-    p_explain.add_argument("--json", metavar="PATH", default=None,
-                           help="write the full report to PATH as JSON")
-
-    p_trace = sub.add_parser(
-        "trace", help="run one query traced and print/export the span tree")
-    _add_query_args(p_trace)
-    p_trace.add_argument("--engine", action="store_true",
-                         help="route through the serving layer "
-                              "(adds engine.* spans: cache, queue wait)")
-    p_trace.add_argument("--json", metavar="PATH", default=None,
-                         help="write the trace to PATH as JSON")
 
     p_shard = sub.add_parser(
         "shard-server",
@@ -230,33 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_query_args(p: argparse.ArgumentParser) -> None:
-    """The single-query argument set shared by query/explain/trace."""
-    p.add_argument("input", help="POI CSV path or (with --index) "
-                                 "a saved index directory")
-    p.add_argument("--index", action="store_true",
-                   help="treat input as a saved index directory")
-    p.add_argument("-x", type=float, default=None)
-    p.add_argument("-y", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="lower direction bound in degrees")
-    p.add_argument("--beta", type=float, default=360.0,
-                   help="upper direction bound in degrees")
-    p.add_argument("--keywords", nargs="+", default=None)
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--mode", choices=["R", "D", "RD"], default="RD",
-                   help="pruning mode of a direct search or EXPLAIN; "
-                        "it changes effort, never answers, so the "
-                        "engine and DQL SELECTs always run RD")
-    p.add_argument("--match-any", action="store_true",
-                   help="match POIs containing ANY keyword "
-                        "(default: ALL)")
-    p.add_argument("--bands", type=int, default=None)
-    p.add_argument("--wedges", type=int, default=None)
-
-
 def _load_query_target(args: argparse.Namespace) -> DesksIndex:
-    """The index named by a query-style command's ``input`` argument."""
+    """The index named by ``repro query``'s ``input`` argument."""
     if args.index:
         return load_index(args.input)
     return DesksIndex(load_csv(args.input), num_bands=args.bands,
@@ -264,7 +227,7 @@ def _load_query_target(args: argparse.Namespace) -> DesksIndex:
 
 
 def _parse_query(args: argparse.Namespace) -> DirectionalQuery:
-    """Build the DirectionalQuery a query-style command describes."""
+    """The DirectionalQuery ``repro query``'s flags describe."""
     missing = [name for name, value in (("-x", args.x), ("-y", args.y),
                                         ("--keywords", args.keywords))
                if value is None]
@@ -310,38 +273,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    if args.statement or args.repl or args.json or args.metrics_json:
-        return _cmd_query_dql(args)
-    started = time.perf_counter()
-    index = _load_query_target(args)
-    collection = index.collection
-    build_ms = (time.perf_counter() - started) * 1000.0
-    searcher = DesksSearcher(index)
-    query = _parse_query(args)
-    stats = SearchStats()
-    started = time.perf_counter()
-    result = searcher.search(query, PruningMode[args.mode], stats)
-    query_ms = (time.perf_counter() - started) * 1000.0
-    print(f"index: N={index.num_bands} M={index.num_wedges} "
-          f"({build_ms:.0f} ms build); query: {query_ms:.2f} ms, "
-          f"{stats.pois_examined} POIs examined")
-    from .core import CardinalityEstimator
-
-    print(CardinalityEstimator(collection).summary(query))
-    if not result.entries:
-        print("no answers in the given direction with those keywords")
-    for rank, entry in enumerate(result, start=1):
-        poi = collection[entry.poi_id]
-        bearing = (math.degrees(
-            query.location.direction_to(poi.location))
-            if not poi.location.coincides(query.location) else 0.0)
-        print(f"{rank:3}. poi#{entry.poi_id:<8} dist={entry.distance:10.2f}"
-              f"  bearing={bearing:6.1f} deg  "
-              f"{' '.join(sorted(poi.keywords)[:6])}")
-    return 0
-
-
 def _query_backend(args: argparse.Namespace, index):
     """The DQL backend named by ``--transport``, plus its closer.
 
@@ -370,8 +301,9 @@ def _query_backend(args: argparse.Namespace, index):
     return EngineBackend(engine), engine.close
 
 
-def _cmd_query_dql(args: argparse.Namespace) -> int:
-    """The DQL side of ``repro query``: ``-e``, ``--repl``, ``--json``."""
+def _cmd_query(args: argparse.Namespace) -> int:
+    """Execute ``-e`` statements, then ``--repl`` ones; without either,
+    the ``SELECT`` the flags describe."""
     import json
 
     from .lang import DqlError, DqlExecutor, DqlSyntaxError, plan_from_query
@@ -380,13 +312,10 @@ def _cmd_query_dql(args: argparse.Namespace) -> int:
                if args.timeout_ms is not None else None)
     statements: List[object] = list(args.statement or [])
     if not statements and not args.repl:
-        # Flag-built query routed through the language layer so --json
-        # and --metrics-json get the same envelope as -e statements.
         statements = [plan_from_query(_parse_query(args))]
     index = _load_query_target(args)
     backend, close = _query_backend(args, index)
     executor = DqlExecutor(backend)
-    exit_code = 0
     outcomes = []
     try:
         for statement in statements:
@@ -399,31 +328,26 @@ def _cmd_query_dql(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
         if args.repl:
-            exit_code = _run_repl(executor, timeout)
+            _run_repl(executor, timeout)
         if args.json:
             print(json.dumps([outcome.to_dict() for outcome in outcomes],
                              indent=2, sort_keys=True))
         else:
             for outcome in outcomes:
                 print(outcome.render())
-        if args.metrics_json:
-            with open(args.metrics_json, "w", encoding="utf-8") as handle:
-                json.dump(executor.execute("SHOW METRICS").table, handle,
-                          indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote metrics to {args.metrics_json}")
     finally:
         close()
-    return exit_code
+    return 0
 
 
-def _run_repl(executor, timeout: Optional[float]) -> int:
+def _run_repl(executor, timeout: Optional[float]) -> None:
     """Read DQL statements from stdin until EOF or ``EXIT``.
 
-    Output is history-free and timing-free: each statement's outcome
-    renders deterministically (errors included, on stdout), so a CLI
-    test can pipe a script in and golden-file what comes out.  The
-    prompt is written only when stdin is a tty.
+    Output is history-free: each statement's outcome renders on its own
+    (errors included, on stdout), so a CLI test can pipe a script of
+    ``SELECT``/``SHOW`` statements in and golden-file what comes out
+    (an ``EXPLAIN`` carries span timings).  The prompt is written only
+    when stdin is a tty.
     """
     from .lang import DqlError, DqlSyntaxError
 
@@ -448,52 +372,6 @@ def _run_repl(executor, timeout: Optional[float]) -> int:
             print(exc.render())
         except DqlError as exc:
             print(f"error: {exc}")
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    from .trace import explain
-
-    index = _load_query_target(args)
-    query = _parse_query(args)
-    report = explain(index, query, mode=args.mode)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        print(f"wrote explain report to {args.json}")
-    if not report.reconciled:
-        print("error: span counters do not reconcile with SearchStats/"
-              "IOStats — the trace is misattributing cost",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .trace import Tracer
-
-    index = _load_query_target(args)
-    query = _parse_query(args)
-    tracer = Tracer()
-    if args.engine:
-        from .service import QueryEngine
-
-        with QueryEngine(index) as engine, \
-                tracer.activate():
-            engine.submit(query).result()
-    else:
-        searcher = DesksSearcher(index)
-        with tracer.activate():
-            searcher.search(query, PruningMode[args.mode])
-    print(tracer.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(tracer.to_json())
-            handle.write("\n")
-        print(f"wrote trace to {args.json}")
-    return 0
 
 
 def _cmd_shard_server(args: argparse.Namespace) -> int:
@@ -603,8 +481,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "build": _cmd_build,
     "query": _cmd_query,
-    "explain": _cmd_explain,
-    "trace": _cmd_trace,
     "shard-server": _cmd_shard_server,
     "serve": _cmd_serve,
     "scrub": _cmd_scrub,

@@ -17,12 +17,11 @@ Classic System-R style estimation adapted to the paper's query class:
 DESKS's pruning needs no statistics and no estimate ever changes an
 answer.  What the estimates do drive is cost: the searcher's access-path
 model (:meth:`repro.core.DesksSearcher.access_costs`) weighs the posting
-walk against the region search with them (``repro explain`` prints its
-two estimates), the router orders shards by them, and ``repro query``
-prints them.  Every method takes the query's
-keywords already resolved to ``term_ids`` when the caller has them, so
-nothing is looked up twice.  They are validated by correlation tests, not
-by exactness.
+walk against the region search with them (``EXPLAIN`` prints its two
+estimates), and the router orders shards by them.  Every method takes
+the query's keywords already resolved to ``term_ids`` when the caller
+has them, so nothing is looked up twice.  They are validated by
+correlation tests, not by exactness.
 """
 
 from __future__ import annotations
@@ -107,13 +106,3 @@ class CardinalityEstimator:
         width = max(query.interval.width, 1e-9)
         gap = self.collection.mbr.min_distance_to_point(query.location)
         return gap + math.sqrt(2.0 * query.k / (width * density))
-
-    def summary(self, query: DirectionalQuery) -> str:
-        """One-line human summary for CLI/debug output."""
-        matches = self.estimate_matching_pois(query)
-        kth = self.estimate_kth_distance(query)
-        kth_text = f"~{kth:.1f}" if kth is not None else "beyond dataset"
-        return (f"estimated in-direction matches: {matches:.1f} "
-                f"(keyword selectivity "
-                f"{self.keyword_selectivity(query):.4f}); "
-                f"expected {query.k}-th distance: {kth_text}")

@@ -41,8 +41,7 @@ class StatementOutcome:
     answers), ``"table"`` (a ``SHOW``: ``table`` holds a flat ``name ->
     float`` map), or ``"text"`` (an ``EXPLAIN``: ``text`` holds the
     report).  ``latency_seconds`` is informational and deliberately
-    excluded from :meth:`render`, which must be deterministic for a
-    fixed workload so CLI tests can golden-file it.
+    excluded from :meth:`render`.
     """
 
     statement: str
@@ -57,7 +56,10 @@ class StatementOutcome:
     latency_seconds: float = 0.0
 
     def render(self) -> str:
-        """Deterministic text form (no timings, no volatile fields)."""
+        """Text form without ``latency_seconds``, ``cached`` or
+        ``generation``: deterministic for a ``SELECT`` or ``SHOW SHARDS``
+        on a fixed index, so CLI tests can golden-file it.  An
+        ``EXPLAIN``'s text carries its span timings and ``seconds=``."""
         lines = [f"-- {self.statement}"]
         if self.kind == "search":
             lines.append(f"rows: {len(self.entries)}"
@@ -126,8 +128,8 @@ class EngineBackend:
     """Plans against a ``repro.service.QueryEngine`` (duck-typed).
 
     ``TIMEOUT`` becomes the engine's cooperative deadline.  ``EXPLAIN``
-    runs under its ``MODE``.  ``SHOW METRICS`` flattens the engine's
-    registry.
+    runs under its ``MODE`` and fails unless its span counters reconcile.
+    ``SHOW METRICS`` flattens the engine's registry.
     """
 
     name = "engine"
@@ -148,9 +150,22 @@ class EngineBackend:
             latency_seconds=response.latency_seconds)
 
     def explain(self, plan: ExplainPlan) -> StatementOutcome:
-        """Full ``explain()`` against the engine's underlying index."""
+        """Full ``explain()`` against the engine's underlying index.
+
+        Raises :class:`~repro.lang.DqlExecutionError` when a span total
+        disagrees with its independent counter: the trace would be
+        misattributing cost.
+        """
         report = explain(self.engine.index, plan.target.query(),
                          mode=plan.mode)
+        if not report.reconciled:
+            raise DqlExecutionError(
+                "span counters do not reconcile with SearchStats/IOStats: "
+                + ", ".join(f"{row['quantity']} span={row['span']} "
+                            f"independent={row['independent']}"
+                            for row in report.reconciliation
+                            if not row["match"]),
+                statement=plan.render())
         return StatementOutcome(
             statement=plan.render(), kind="text", backend=self.name,
             text=report.render())
@@ -158,11 +173,9 @@ class EngineBackend:
     def show(self, plan: ShowPlan) -> StatementOutcome:
         """Engine metrics, or its index as a single pseudo-shard."""
         if plan.target == "SHARDS":
-            collection = getattr(self.engine.index, "collection", None)
-            population = len(collection) if collection is not None else 0
+            collection = self.engine.index.collection
             table = {"shards.total": 1.0}
-            table.update(_shard_rows(0, population,
-                                     getattr(collection, "mbr", None)))
+            table.update(_shard_rows(0, len(collection), collection.mbr))
         else:
             table = _flatten_metrics(self.engine.metrics.to_dict())
             table["generation"] = float(self.engine.generation)

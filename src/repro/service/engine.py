@@ -319,8 +319,7 @@ class QueryEngine:
     def _io_snapshot(self) -> int:
         """Logical page reads so far (approximate per-query attribution:
         concurrent queries' pages land in whichever delta is open)."""
-        io_stats = getattr(self.index, "io_stats", None)
-        return io_stats.logical_reads if io_stats is not None else 0
+        return self.index.io_stats.logical_reads
 
     def _record(self, latency: float, *, cached: bool, partial: bool,
                 pages: int) -> None:

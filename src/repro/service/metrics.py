@@ -3,8 +3,7 @@
 The registry is deliberately Prometheus-shaped without the dependency:
 monotonic :class:`Counter`\\ s, log-bucketed :class:`Histogram`\\ s with
 percentile estimation, and one JSON-ready :meth:`MetricsRegistry.to_dict`
-snapshot — what ``SHOW METRICS``, the STATS RPC and the CLI's
-``--metrics-json`` read.
+snapshot — what ``SHOW METRICS`` and the STATS RPC read.
 
 Percentiles are estimated from the bucket counts by linear interpolation
 inside the winning bucket — the standard trade: O(num_buckets) memory

@@ -150,14 +150,6 @@ class TestCalibration:
         assert est.estimate_kth_distance(q, term_ids) == \
             est.estimate_kth_distance(q)
 
-    def test_summary_renders(self, setup):
-        _, est = setup
-        q = DirectionalQuery.make(50, 50, 0.0, 1.0, ["food"], 10)
-        text = est.summary(q)
-        assert "estimated in-direction matches" in text
-        q_dry = DirectionalQuery.make(50, 50, 0.0, 0.001, ["food"], 1000)
-        assert "beyond dataset" in est.summary(q_dry)
-
 
 class TestSyntheticCalibration:
     """The estimator on generated datasets — the satellite acceptance:

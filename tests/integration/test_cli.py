@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import csv
+import json
+import math
 import os
 import pathlib
 import random
@@ -43,37 +46,68 @@ class TestStats:
         assert "300" in out
 
 
+def answer_ids(out):
+    """The ``poi=`` ids of a rendered SELECT, in rank order."""
+    return [int(line.split("poi=")[1].split()[0])
+            for line in out.splitlines() if line.startswith("  poi=")]
+
+
 class TestQuery:
+    # Flag-built queries are SELECT statements: same executor, same output.
     def test_finds_answers(self, csv_path, capsys):
         code = main(["query", str(csv_path), "-x", "5000", "-y", "5000",
                      "--alpha", "0", "--beta", "360",
                      "--keywords", "restaurant", "-k", "3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "POIs examined" in out
+        assert out.startswith(
+            "-- SELECT 3 NEAR (5000.0, 5000.0) MATCHING 'restaurant'")
+        assert "rows: 3\n" in out
+        assert len(answer_ids(out)) == 3
 
     def test_direction_constrained(self, csv_path, capsys):
         code = main(["query", str(csv_path), "-x", "5000", "-y", "5000",
                      "--alpha", "0", "--beta", "45",
-                     "--keywords", "restaurant", "-k", "3",
-                     "--mode", "RD"])
+                     "--keywords", "restaurant", "-k", "3"])
         assert code == 0
-        out = capsys.readouterr().out
-        for line in out.splitlines():
-            if "bearing=" in line:
-                bearing = float(line.split("bearing=")[1].split()[0])
-                assert 0.0 <= bearing <= 45.0 + 1e-6
+        ids = answer_ids(capsys.readouterr().out)
+        assert ids
+        with open(csv_path, newline="") as handle:
+            rows = {int(row["id"]): row for row in csv.DictReader(handle)}
+        for poi_id in ids:
+            bearing = math.degrees(math.atan2(
+                float(rows[poi_id]["y"]) - 5000.0,
+                float(rows[poi_id]["x"]) - 5000.0)) % 360.0
+            assert 0.0 <= bearing <= 45.0 + 1e-6
 
     def test_no_answers_message(self, csv_path, capsys):
         code = main(["query", str(csv_path), "-x", "5000", "-y", "5000",
                      "--keywords", "keyword-that-does-not-exist"])
         assert code == 0
-        assert "no answers" in capsys.readouterr().out
+        assert "rows: 0\n" in capsys.readouterr().out
 
     def test_mode_flag(self, csv_path, capsys):
-        for mode in ("R", "D", "RD"):
-            assert main(["query", str(csv_path), "-x", "100", "-y", "100",
-                         "--keywords", "restaurant", "--mode", mode]) == 0
+        # A pruning mode is an EXPLAIN clause (``MODE R``); a SELECT
+        # always runs RD.
+        with pytest.raises(SystemExit) as exited:
+            main(["query", str(csv_path), "-x", "100", "-y", "100",
+                  "--keywords", "restaurant", "--mode", "R"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --mode R" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", [[], ["--json"]],
+                             ids=["text", "json"])
+    def test_timeout_applies_to_flag_query(self, csv_path, capsys, output):
+        code = main(["query", str(csv_path), "-x", "5000", "-y", "5000",
+                     "--keywords", "restaurant", "-k", "3",
+                     "--timeout-ms", "0.000001", *output])
+        assert code == 0
+        out = capsys.readouterr().out
+        if output:
+            data = json.loads(out)
+            assert data[0]["partial"] is True and data[0]["rows"] == []
+        else:
+            assert "rows: 0 (partial)" in out
 
 
 def assert_removed_command(argv, capsys):
@@ -113,15 +147,14 @@ class TestBuildAndLoad:
                      "-x", "5000", "-y", "5000",
                      "--keywords", "restaurant", "-k", "3"])
         assert code == 0
-        assert "POIs examined" in capsys.readouterr().out
+        assert len(answer_ids(capsys.readouterr().out)) == 3
 
     def test_query_match_any(self, csv_path, capsys):
         code = main(["query", str(csv_path), "-x", "5000", "-y", "5000",
                      "--keywords", "restaurant", "nosuchword",
                      "--match-any", "-k", "3"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "no answers" not in out
+        assert len(answer_ids(capsys.readouterr().out)) == 3
 
 
 class TestErrorHandling:
@@ -304,84 +337,99 @@ class TestScrub:
         assert "not a directory" in capsys.readouterr().err
 
 
+def explain_argv(csv_path, select, *extra):
+    return ["query", str(csv_path), "-e", f"EXPLAIN {select}", *extra]
+
+
+def actuals_of(text):
+    """The ``actuals:`` section of an EXPLAIN report, as strings."""
+    lines = text.splitlines()
+    start = lines.index("actuals:") + 1
+    end = next(i for i, line in enumerate(lines)
+               if line.startswith("reconciliation ("))
+    return dict(line.strip().split("=", 1) for line in lines[start:end])
+
+
 class TestExplain:
+    # EXPLAIN ANALYZE is the DQL statement; the subcommand is gone.
+    SELECT = ("SELECT 3 NEAR (5000, 5000) HEADING [0 DEG, 90 DEG] "
+              "MATCHING 'restaurant'")
+
+    def test_explain_command_removed(self, capsys):
+        assert_removed_command(["explain", "pois.csv", "-x", "0", "-y",
+                                "0", "--keywords", "cafe"], capsys)
+
     def test_reconciles_and_renders(self, csv_path, capsys):
-        code = main(["explain", str(csv_path), "-x", "5000", "-y", "5000",
-                     "--alpha", "0", "--beta", "90",
-                     "--keywords", "restaurant", "-k", "3"])
-        assert code == 0
+        assert main(explain_argv(csv_path, self.SELECT)) == 0
         out = capsys.readouterr().out
         assert "reconciliation (OK)" in out
         assert "desks.search" in out
 
-    def test_json_report(self, csv_path, tmp_path, capsys):
-        import json
-
-        report = tmp_path / "explain.json"
-        code = main(["explain", str(csv_path), "-x", "5000", "-y", "5000",
-                     "--keywords", "restaurant", "--mode", "D",
-                     "--json", str(report)])
-        assert code == 0
-        payload = json.loads(report.read_text())
-        assert payload["reconciled"] is True
-        assert payload["mode"] == "D"
-        assert payload["trace"]["spans"][0]["name"] == "desks.search"
+    def test_json_report(self, csv_path, capsys):
+        assert main(explain_argv(csv_path, self.SELECT + " MODE D",
+                                 "--json")) == 0
+        [outcome] = json.loads(capsys.readouterr().out)
+        assert outcome["kind"] == "text"
+        lines = outcome["text"].splitlines()
+        assert lines[0].endswith(" mode=D")
+        assert "reconciliation (OK):" in lines
+        assert lines[lines.index("spans:") + 1].startswith(
+            "  desks.search ")
 
     def test_saved_index_target(self, csv_path, tmp_path, capsys):
         index_dir = tmp_path / "idx"
         assert main(["build", str(csv_path), str(index_dir)]) == 0
         capsys.readouterr()
-        code = main(["explain", str(index_dir), "--index",
-                     "-x", "5000", "-y", "5000",
-                     "--keywords", "restaurant"])
-        assert code == 0
-        assert "pages_read" in capsys.readouterr().out
+        assert main([*explain_argv(index_dir, self.SELECT), "--index"]) == 0
+        out = capsys.readouterr().out
+        assert "pages_read: span=" in out
+        assert "reconciliation (OK)" in out
+
+    def test_mismatch_exits_1(self, csv_path, monkeypatch, capsys):
+        import repro.lang.executor as executor_mod
+
+        real = executor_mod.explain
+
+        def miscounted(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.reconciliation[0]["match"] = False
+            return report
+
+        monkeypatch.setattr(executor_mod, "explain", miscounted)
+        assert main(explain_argv(csv_path, self.SELECT)) == 1
+        assert "do not reconcile" in capsys.readouterr().err
 
 
 class TestTrace:
+    # The span tree is part of every EXPLAIN report; the engine's own
+    # spans: tests/trace/test_propagation.py.
+    def test_trace_command_removed(self, capsys):
+        assert_removed_command(["trace", "pois.csv", "-x", "0", "-y", "0",
+                                "--keywords", "cafe"], capsys)
+
     def test_prints_span_tree(self, csv_path, capsys):
         # The five commonest keywords under ANY: more postings than the
         # walk can verify as cheaply as the region search scans a band.
-        code = main(["trace", str(csv_path), "-x", "5000", "-y", "5000",
-                     "--alpha", "0", "--beta", "90",
-                     "--keywords", "restaurant", "food", "chinese",
-                     "italian", "mexican", "--match-any", "-k", "3"])
-        assert code == 0
+        assert main(explain_argv(
+            csv_path, "SELECT 3 NEAR (5000, 5000) HEADING [0 DEG, 90 DEG] "
+            "MATCHING 'restaurant food chinese italian mexican' "
+            "MATCH ANY")) == 0
         out = capsys.readouterr().out
         assert "desks.search" in out
         assert "desks.band" in out
 
-    def test_engine_mode_wraps_search(self, csv_path, capsys):
-        code = main(["trace", str(csv_path), "--engine",
-                     "-x", "5000", "-y", "5000",
-                     "--keywords", "restaurant"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "engine.worker" in out
-        assert "engine.execute" in out
-        assert "desks.search" in out
-
-    def test_json_export(self, csv_path, tmp_path, capsys):
-        import json
-
-        trace_path = tmp_path / "trace.json"
-        code = main(["trace", str(csv_path), "-x", "5000", "-y", "5000",
-                     "--keywords", "restaurant", "--json", str(trace_path)])
-        assert code == 0
-        payload = json.loads(trace_path.read_text())
-        spans = payload["spans"]
-        assert spans[0]["name"] == "desks.search"
-        names = {child["name"] for child in spans[0]["children"]}
+    def test_json_export(self, csv_path, capsys):
         # The searcher's cost model picked the stage; EXPLAIN shows the
         # two estimates it weighed ('restaurant' is far above the floor).
-        explain_path = tmp_path / "explain.json"
-        assert main(["explain", str(csv_path), "-x", "5000", "-y", "5000",
-                     "--keywords", "restaurant",
-                     "--json", str(explain_path)]) == 0
-        actuals = json.loads(explain_path.read_text())["actuals"]
-        walks = actuals["walk_cost"] <= actuals["region_cost"]
+        assert main(explain_argv(
+            csv_path, "SELECT 10 NEAR (5000, 5000) MATCHING 'restaurant'",
+            "--json")) == 0
+        text = json.loads(capsys.readouterr().out)[0]["text"]
+        actuals = actuals_of(text)
+        walks = float(actuals["walk_cost"]) <= float(actuals["region_cost"])
         assert actuals["access_path"] == ("postings" if walks else "regions")
-        assert ("desks.postings" if walks else "desks.prepare") in names
+        stage = "desks.postings" if walks else "desks.prepare"
+        assert f"\n    {stage} [" in text
 
 
 class TestChaosBench:
@@ -412,8 +460,6 @@ class TestDqlQuery:
         assert inproc == socket_out
 
     def test_json_envelope(self, csv_path, capsys):
-        import json
-
         assert main(["query", str(csv_path), "--json",
                      "-e", self.STATEMENT, "-e", "SHOW METRICS"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -426,14 +472,15 @@ class TestDqlQuery:
         assert "SELEKT 1" in err
         assert "^" in err
 
-    def test_metrics_json_written(self, csv_path, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "dql_metrics.json"
+    def test_metrics_json_written(self, csv_path, capsys):
+        # The snapshot --metrics-json wrote is the SHOW METRICS table.
         assert main(["query", str(csv_path), "-e", self.STATEMENT,
-                     "--metrics-json", str(out_path)]) == 0
-        snapshot = json.loads(out_path.read_text())
-        assert snapshot["queries_total"] >= 1.0
+                     "-e", "SHOW METRICS"]) == 0
+        assert "  queries_total = 1\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            main(["query", str(csv_path), "-e", self.STATEMENT,
+                  "--metrics-json", "metrics.json"])
+        assert exited.value.code == 2
 
     def test_explain_statement(self, csv_path, capsys):
         assert main(["query", str(csv_path),
@@ -442,8 +489,6 @@ class TestDqlQuery:
         assert "reconciliation (OK)" in out
 
     def test_flag_query_with_json_uses_envelope(self, csv_path, capsys):
-        import json
-
         assert main(["query", str(csv_path), "-x", "5000", "-y", "5000",
                      "--alpha", "0", "--beta", "360",
                      "--keywords", "restaurant", "-k", "3", "--json"]) == 0

@@ -198,6 +198,44 @@ class TestShowAndExplain:
         assert plan_section(local.text) == plan_section(remote.text)
 
 
+class TestUnreconciledExplain:
+    """An EXPLAIN whose span counters disagree with the search's own is
+    an error on every surface, never a report that prints ``MISMATCH``."""
+
+    STATEMENT = "EXPLAIN " + CORPUS[1]
+
+    @pytest.fixture()
+    def miscounted(self, monkeypatch):
+        import repro.lang.executor as executor_mod
+
+        real = executor_mod.explain
+
+        def explain(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.reconciliation[0]["match"] = False
+            return report
+
+        monkeypatch.setattr(executor_mod, "explain", explain)
+
+    def test_executor_raises(self, engine, miscounted):
+        with pytest.raises(DqlExecutionError, match="do not reconcile"):
+            DqlExecutor(EngineBackend(engine)).execute(self.STATEMENT)
+
+    def test_statement_frame_is_internal(self, index, miscounted):
+        from repro.net import ErrorCode, RemoteShardClient, RpcError, \
+            ShardServer
+
+        server = ShardServer(index, num_workers=2).start()
+        try:
+            with RemoteShardClient(server.address) as client:
+                with pytest.raises(RpcError) as info:
+                    client.execute_statement(self.STATEMENT)
+        finally:
+            server.stop()
+        assert info.value.code is ErrorCode.INTERNAL
+        assert "do not reconcile" in str(info.value)
+
+
 def plan_section(text):
     lines = text.splitlines()
     return lines[:next(i for i, line in enumerate(lines)
