@@ -20,7 +20,7 @@ Commands
     a mismatch); ``SHOW METRICS`` tabulates the backend's metrics.
     ``--transport socket`` runs the statements against an in-process
     :class:`~repro.net.ShardServer` across a real loopback socket, and
-    ``--json`` emits the uniform result envelope.
+    ``--json`` emits the uniform result envelope (not with ``--repl``).
 ``shard-server``
     Serve one saved (or durable) shard's search/health/stats RPCs on a
     TCP socket (:mod:`repro.net`); prints ``SHARD-SERVER READY host
@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "in-process ShardServer over a real "
                               "loopback socket")
     p_query.add_argument("--json", action="store_true",
-                         help="emit results as JSON instead of text")
+                         help="emit results as one JSON document instead "
+                              "of text (not with --repl)")
     p_query.add_argument("--timeout-ms", type=float, default=None,
                          help="deadline applied to every statement "
                               "(flag-built queries included)")
@@ -302,12 +303,15 @@ def _query_backend(args: argparse.Namespace, index):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    """Execute ``-e`` statements, then ``--repl`` ones; without either,
-    the ``SELECT`` the flags describe."""
+    """Execute ``-e`` statements and print their outcomes, then read
+    ``--repl`` ones; without either, the ``SELECT`` the flags describe."""
     import json
 
     from .lang import DqlError, DqlExecutor, DqlSyntaxError, plan_from_query
 
+    if args.json and args.repl:
+        raise ValueError("--json writes one JSON document and cannot be "
+                         "combined with --repl")
     timeout = (args.timeout_ms / 1000.0
                if args.timeout_ms is not None else None)
     statements: List[object] = list(args.statement or [])
@@ -327,14 +331,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
             except DqlError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-        if args.repl:
-            _run_repl(executor, timeout)
         if args.json:
             print(json.dumps([outcome.to_dict() for outcome in outcomes],
                              indent=2, sort_keys=True))
         else:
             for outcome in outcomes:
                 print(outcome.render())
+        if args.repl:
+            _run_repl(executor, timeout)
     finally:
         close()
     return 0

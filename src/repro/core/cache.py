@@ -1,9 +1,9 @@
 """The answer cache: a bounded LRU map from a query's canonical key to its
 complete answer.
 
-A :class:`~repro.service.QueryEngine` over a static index owns one; a
-:class:`~repro.core.MutableDesksIndex` gives each static snapshot its own
-and hands the next snapshot an empty :meth:`AnswerCache.successor`.  A
+A :class:`~repro.core.MutableDesksIndex` gives each static snapshot one
+and hands the next snapshot an empty :meth:`AnswerCache.successor`; a
+:class:`~repro.service.QueryEngine` serves from its index's.  A
 cache lives exactly as long as the data its answers came from, so nothing
 is ever invalidated in place.  Partial (deadline-cut) answers are never
 admitted.

@@ -73,6 +73,10 @@ _KTH_SLACK = 1e-9
 #: Bound on the per-searcher plan caches (cleared wholesale when full).
 _PLAN_CACHE_LIMIT = 512
 
+#: What a plan-cache lookup returns for an absent key (``None`` is a
+#: cached "no plan").
+_MISSING = object()
+
 
 class _TermPlan:
     """Cached columnar access plan for one (anchor, keyword set) pair.
@@ -142,10 +146,11 @@ class ColumnarSearcher(DesksSearcher):
     same contract, same answers, same access-path choice; only the region
     search's scanner seam below is overridden.  Accepts
     either a frozen :class:`~repro.core.index.DesksIndex` (a snapshot is
-    compiled on the spot) or a prebuilt snapshot — engine worker pools
-    share one snapshot across searchers.  The per-instance plan caches
-    are not thread-safe; give each concurrent worker its own searcher,
-    as :class:`~repro.service.QueryEngine` does.
+    compiled on the spot) or a prebuilt snapshot.  One searcher may serve
+    many threads, as it does behind a columnar
+    :class:`~repro.service.QueryEngine`: each plan-cache read is one
+    lookup, so a cache cleared at its bound by another thread costs a
+    re-plan, never a miss between a test and a read.
     """
 
     def __init__(self, source) -> None:
@@ -195,14 +200,15 @@ class ColumnarSearcher(DesksSearcher):
                        conjunctive: bool) -> Optional[Tuple[int, ...]]:
         """Cached term ids, sorted: the plan cache's key."""
         key = (keywords, conjunctive)
-        if key not in self._term_cache:
+        resolved = self._term_cache.get(key, _MISSING)
+        if resolved is _MISSING:
             if len(self._term_cache) >= _PLAN_CACHE_LIMIT:
                 self._term_cache.clear()
             term_ids = self._collection.query_term_ids(
                 keywords, require_all=conjunctive)
-            self._term_cache[key] = (None if term_ids is None
-                                     else tuple(sorted(term_ids)))
-        return self._term_cache[key]
+            resolved = self._term_cache[key] = (
+                None if term_ids is None else tuple(sorted(term_ids)))
+        return resolved
 
     def _anchor(self, quadrant: int) -> AnchorColumns:
         return self.snapshot.anchor_columns(quadrant)
@@ -215,8 +221,9 @@ class ColumnarSearcher(DesksSearcher):
     def _plan_for(self, columns: AnchorColumns, term_key: Tuple[int, ...],
                   conjunctive: bool) -> Optional[_TermPlan]:
         key = (columns.quadrant, term_key, conjunctive)
-        if key in self._plan_cache:
-            return self._plan_cache[key]
+        cached = self._plan_cache.get(key, _MISSING)
+        if cached is not _MISSING:
+            return cached
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
         term_positions: Optional[List["np.ndarray"]] = []

@@ -36,8 +36,9 @@ also feeds the object path's posting lists), and the cheap geometry
 from ``AnchorRegions`` as before — shared, not copied.
 
 The snapshot is frozen: it images the index at compile time and never
-observes later mutations, which is why the service layer refuses to
-pair it with a ``MutableDesksIndex``.
+observes later mutations.  A columnar ``QueryEngine`` compiles one per
+static index its private mutable wrapper adopts, so a rebuild
+recompiles.
 """
 
 from __future__ import annotations

@@ -150,7 +150,9 @@ class EngineBackend:
             latency_seconds=response.latency_seconds)
 
     def explain(self, plan: ExplainPlan) -> StatementOutcome:
-        """Full ``explain()`` against the engine's underlying index.
+        """Full ``explain()`` through the engine's index: what the engine
+        does for the statement right now (``access_path=memo`` once its
+        snapshot cache holds the answer).
 
         Raises :class:`~repro.lang.DqlExecutionError` when a span total
         disagrees with its independent counter: the trace would be

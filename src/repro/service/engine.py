@@ -1,10 +1,14 @@
 """The concurrent query engine: answer cache + deadlines + metrics + a pool.
 
-:class:`QueryEngine` is the serving layer's front door.  It wraps either a
-static :class:`~repro.core.DesksIndex` (behind a queue of ``num_workers``
-:class:`~repro.core.DesksSearcher`\\ s, which bounds concurrent index
-scans) or a :class:`~repro.core.MutableDesksIndex` (which manages its own
-searcher and mutation lock).  Each entry point has exactly one route:
+:class:`QueryEngine` is the serving layer's front door.  It serves a
+:class:`~repro.core.MutableDesksIndex`; a static
+:class:`~repro.core.DesksIndex` is wrapped into one with nothing pending
+(:meth:`~repro.core.MutableDesksIndex.from_static`, no sort), so there is
+one serving path: one searcher shared by every thread, the current
+snapshot's :class:`~repro.core.AnswerCache` (``cache_capacity`` bounds
+it), :meth:`~repro.core.MutableDesksIndex.cached` first and
+:meth:`~repro.core.MutableDesksIndex.read` on a miss.  Each entry point
+has exactly one route:
 
 * ``execute(query)`` — synchronous, runs on the calling thread; this is
   what the cluster's replica endpoints and a shard server's statement
@@ -15,24 +19,18 @@ searcher and mutation lock).  Each entry point has exactly one route:
   queries (same canonical key) collapsed onto a single execution and the
   unique ones spread over at most ``num_workers`` chunk tasks.
 
-One :class:`~repro.core.AnswerCache`, keyed by the canonical key a request
-computes once, serves the engine: its own over a static index, the current
-snapshot's over a mutable one (whose :meth:`~repro.core.MutableDesksIndex.read`
-merges what is pending).  ``cache_capacity`` bounds it either way.  Every
-execution runs under a :class:`~repro.service.deadline.Deadline`, in
-pruning mode ``RD`` (a mode changes effort, never answers), and records
-counters and histograms into a :class:`~repro.service.metrics.MetricsRegistry`.
+``num_workers`` sizes the pool and nothing else.  Every execution runs
+under a :class:`~repro.service.deadline.Deadline`, in pruning mode ``RD``
+(a mode changes effort, never answers), and records counters and
+histograms into a :class:`~repro.service.metrics.MetricsRegistry`.
 
 Pure-Python searches hold the GIL, so the pool does not speed up a single
-CPU-bound query stream; what it buys is (a) overlap of many *clients'*
-think time (a closed-loop load), (b) one hand-off per chunk of a batch,
-and (c) the architecture seam where a C/GIL-releasing or multi-process
-searcher drops in later.
+CPU-bound query stream; what it buys is overlap of many *clients'*
+think time (a closed-loop load) and one hand-off per chunk of a batch.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -42,13 +40,12 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from ..core import (
     AnswerCache,
     DesksIndex,
-    DesksSearcher,
     DirectionalQuery,
     MutableDesksIndex,
     PruningMode,
     QueryResult,
 )
-from ..kernel import ColumnarSearcher, ColumnarSnapshot
+from ..kernel import ColumnarSearcher
 from ..storage import SearchStats
 from ..trace import current_tracer, traced
 from .deadline import Deadline
@@ -77,6 +74,15 @@ class ServiceResponse:
         return self.result.partial
 
 
+class _ColumnarIndex(MutableDesksIndex):
+    """A mutable index whose static snapshots the columnar kernel searches:
+    each one is compiled once, as it is adopted (a rebuild recompiles)."""
+
+    def _adopt_static(self, index: DesksIndex) -> None:
+        self._index = index
+        self._searcher = ColumnarSearcher(index)
+
+
 class QueryEngine:
     """Concurrent, cached, deadline-aware execution of DESKS queries."""
 
@@ -92,40 +98,19 @@ class QueryEngine:
         if kernel not in ("object", "columnar"):
             raise ValueError(
                 f"kernel must be 'object' or 'columnar': {kernel!r}")
-        if kernel == "columnar" and isinstance(index, MutableDesksIndex):
+        if not isinstance(index, MutableDesksIndex):
+            index = (_ColumnarIndex if kernel == "columnar"
+                     else MutableDesksIndex).from_static(index)
+        elif kernel == "columnar":
             raise ValueError(
                 "kernel='columnar' requires a static DesksIndex: the "
-                "columnar snapshot is frozen at compile time and cannot "
-                "follow mutations")
-        self.index = index
-        self.kernel = kernel
+                "engine cannot change the searcher of an index it did "
+                "not build")
+        # The snapshot's cache is the index's; this engine bounds it.
+        index.cache.capacity = cache_capacity
+        self.index: MutableDesksIndex = index
         self.metrics = MetricsRegistry()
         self.num_workers = num_workers
-        self._mutable = isinstance(index, MutableDesksIndex)
-        if self._mutable:
-            # The snapshot's cache is the index's; this engine bounds it.
-            index.cache.capacity = cache_capacity
-            self._cache = None
-            self._searchers = None
-            self.snapshot: Optional[ColumnarSnapshot] = None
-        else:
-            # A searcher is cheap (two references), but pooling them keeps
-            # per-worker state possible later (e.g. per-searcher buffers)
-            # and bounds concurrent index scans to the pool size.  The
-            # columnar kernel compiles ONE snapshot of the engine's index
-            # (the arrays are read-only) and gives each worker its own
-            # searcher over it, so the per-searcher plan caches are
-            # uncontended.
-            self.snapshot = (ColumnarSnapshot(index) if kernel == "columnar"
-                             else None)
-            pool: "queue.Queue" = queue.Queue()
-            for _ in range(num_workers):
-                if self.snapshot is not None:
-                    pool.put(ColumnarSearcher(self.snapshot))
-                else:
-                    pool.put(DesksSearcher(index))
-            self._searchers = pool
-            self._cache = AnswerCache(cache_capacity)
         # Only submit() and submit_batch() use the pool; it spawns no
         # thread until the first of them is called.
         self._executor = ThreadPoolExecutor(
@@ -138,17 +123,16 @@ class QueryEngine:
 
     @property
     def cache(self) -> AnswerCache:
-        """The answer cache that serves this engine."""
-        return self.index.cache if self._mutable else self._cache
+        """The answer cache that serves this engine: the index's current
+        snapshot's."""
+        return self.index.cache
 
     # -- generation ---------------------------------------------------------
 
     @property
     def generation(self) -> int:
-        """The index's current data generation (0 forever when static)."""
-        if self._mutable:
-            return self.index.generation
-        return 0
+        """The index's current data generation."""
+        return self.index.generation
 
     # -- execution ----------------------------------------------------------
 
@@ -172,12 +156,9 @@ class QueryEngine:
                       span) -> ServiceResponse:
         """The untraced serve body (``execute`` wraps it in a span)."""
         started = time.monotonic()
-        generation = self.generation
-        if self._mutable:
-            cached = self.index.cached(query)
-        else:
-            key = query.cache_key
-            cached = self._cache.get(key)
+        index = self.index
+        generation = index.generation
+        cached = index.cached(query)
         if cached is not None:
             latency = time.monotonic() - started
             self._record(latency, cached=True, partial=False, pages=0)
@@ -188,10 +169,8 @@ class QueryEngine:
         deadline = Deadline.from_timeout(timeout)
         stats = SearchStats()
         io_before = self._io_snapshot()
-        result, hit = self._search(query, stats, deadline)
+        result, hit = index.read(query, PruningMode.RD, stats, deadline)
         pages = self._io_snapshot() - io_before
-        if not self._mutable:
-            self._cache.put(key, result)
         latency = time.monotonic() - started
         self._record(latency, cached=hit, partial=result.partial,
                      pages=pages)
@@ -235,8 +214,8 @@ class QueryEngine:
         The unique queries are chunked into at most ``num_workers``
         contiguous groups and each group runs as ONE pool task instead of
         one task per query: the batch pays the executor hand-off once per
-        chunk, and a chunk's searcher keeps its term-plan cache warm from
-        one query of the batch to the next.  Under an active tracer each
+        chunk.  Every chunk searches through the index's one searcher, so
+        a plan one chunk caches serves the others too.  Under an active tracer each
         chunk is an ``engine.worker`` span (with ``queue_wait_seconds``)
         parenting one ``engine.execute`` span per query.
         """
@@ -303,18 +282,6 @@ class QueryEngine:
         self.close()
 
     # -- internals ----------------------------------------------------------
-
-    def _search(self, query: DirectionalQuery, stats: SearchStats,
-                deadline: Deadline) -> Tuple[QueryResult, bool]:
-        """The answer, and whether a mutable index's cache gave it alone."""
-        if self._mutable:
-            return self.index.read(query, PruningMode.RD, stats, deadline)
-        searcher = self._searchers.get()
-        try:
-            return searcher.search(query, PruningMode.RD, stats,
-                                   deadline=deadline), False
-        finally:
-            self._searchers.put(searcher)
 
     def _io_snapshot(self) -> int:
         """Logical page reads so far (approximate per-query attribution:

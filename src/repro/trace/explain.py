@@ -237,8 +237,9 @@ def _query_summary(query) -> Dict[str, Any]:
 
 
 def _plan(index, query, mode) -> Dict[str, Any]:
-    inner = index if hasattr(index, "num_bands") else getattr(
-        index, "index", index)
+    # A mutable index names its grid through its static index, a
+    # searcher through the index it searches.
+    inner = getattr(index, "static_index", getattr(index, "index", index))
     return {
         "pruning": {"region": mode.region, "direction": mode.direction},
         "index": {

@@ -541,3 +541,23 @@ class TestDqlRepl:
         socket_out = self.run_repl(csv_path, monkeypatch, capsys,
                                    "--transport", "socket")
         assert inproc == socket_out
+
+    def test_statement_outcomes_print_before_the_repl(self, csv_path,
+                                                      monkeypatch, capsys):
+        out = self.run_repl(csv_path, monkeypatch, capsys,
+                            "-e", TestDqlQuery.STATEMENT)
+        lines = out.splitlines()
+        assert lines[0].startswith("-- SELECT 3 NEAR (5000.0, 5000.0)")
+        assert lines[1] == "rows: 3"
+        assert out.index("rows: 3") < out.index("rows: 2")
+
+    def test_json_with_repl_is_a_usage_error(self, csv_path, monkeypatch,
+                                             capsys):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.SCRIPT))
+        assert main(["query", str(csv_path), "-e", TestDqlQuery.STATEMENT,
+                     "--repl", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--repl" in captured.err

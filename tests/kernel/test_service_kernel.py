@@ -7,6 +7,8 @@ sets, routers, the CLI) carries the axis, so ``ShardRouter(kernel=...)``
 is a ``TypeError``.
 """
 
+import threading
+
 import pytest
 
 from repro.core import MutableDesksIndex
@@ -44,19 +46,28 @@ def test_engine_rejects_mutable_index(collection):
         QueryEngine(MutableDesksIndex(collection), kernel="columnar")
 
 
-def test_engine_rejects_foreign_snapshot(index, snapshot):
-    with pytest.raises(TypeError):
-        QueryEngine(index, kernel="columnar", snapshot=snapshot)
+def test_engine_answers_through_one_columnar_searcher(index, corpus,
+                                                     monkeypatch):
+    # Every worker thread searches through the same searcher, over the
+    # one snapshot compiled from the engine's index.
+    used = []
+    real_search = ColumnarSearcher.search
 
+    def search(self, *args, **kwargs):
+        used.append(self)
+        return real_search(self, *args, **kwargs)
 
-def test_engine_shares_supplied_snapshot(index):
+    monkeypatch.setattr(ColumnarSearcher, "search", search)
     with QueryEngine(index, num_workers=3, kernel="columnar") as engine:
-        assert engine.snapshot.index is index
-        searchers = list(engine._searchers.queue)
-        assert len(searchers) == 3
-        for searcher in searchers:
-            assert isinstance(searcher, ColumnarSearcher)
-            assert searcher.snapshot is engine.snapshot
+        futures = engine.submit_batch(corpus[:12])
+        for future in futures:
+            future.result()
+        engine.execute(corpus[12])
+    assert len(used) == 13
+    searcher = used[0]
+    assert all(other is searcher for other in used)
+    assert searcher.snapshot.index is index
+    assert engine.index.static_index is index
 
 
 def test_submit_batch_chunks_and_dedupes(engines, corpus):
@@ -96,3 +107,36 @@ def test_router_kernel_axis_equivalence(collection):
 
     with pytest.raises(TypeError):
         ShardRouter(collection, num_shards=3, kernel="columnar")
+
+
+def test_one_searcher_is_safe_across_threads(index, object_searcher, corpus,
+                                             monkeypatch):
+    # At a bound of one entry every plan-cache miss clears the cache, so
+    # threads a query apart keep clearing what the others just looked up.
+    # A guard, not a proof: a race need not show in any one run.
+    from repro.kernel import search as kernel_search
+
+    from ..analysis.hang_guard import join_all
+
+    monkeypatch.setattr(kernel_search, "_PLAN_CACHE_LIMIT", 1)
+    shared = ColumnarSearcher(index)
+    expected = [entries_of(object_searcher.search_regions(query))
+                for query in corpus]
+    failures = []
+
+    def run(offset):
+        try:
+            for position in range(len(corpus)):
+                at = (position + offset) % len(corpus)
+                got = entries_of(shared.search_regions(corpus[at]))
+                if got != expected[at]:
+                    failures.append((at, got))
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(offset,))
+               for offset in range(4)]
+    for thread in threads:
+        thread.start()
+    join_all(threads, 60.0)
+    assert failures == []

@@ -236,6 +236,34 @@ class TestUnreconciledExplain:
         assert "do not reconcile" in str(info.value)
 
 
+class TestExplainThroughEngine:
+    """``EXPLAIN`` through an engine reports what that engine does for the
+    statement right now, over the grid its index was built with."""
+
+    def test_mutable_index_names_its_grid(self, collection):
+        from repro.core import DesksIndex, MutableDesksIndex
+        from repro.service import QueryEngine
+
+        index = DesksIndex(collection, num_bands=3, num_wedges=5,
+                           disk_based=True)
+        with QueryEngine(MutableDesksIndex.from_static(index)) as engine:
+            text = DqlExecutor(EngineBackend(engine)).execute(
+                "EXPLAIN " + CORPUS[0]).text
+        assert "index: 3 bands x 5 wedges per anchor (disk-based)" in text
+
+    def test_explain_after_select_reads_the_memo(self, index):
+        from repro.service import QueryEngine
+
+        with QueryEngine(index) as engine:
+            executor = DqlExecutor(EngineBackend(engine))
+            executor.execute(CORPUS[0])
+            selected = executor.execute("EXPLAIN " + CORPUS[0]).text
+            unseen = executor.execute("EXPLAIN " + CORPUS[2]).text
+        assert "access_path=memo" in selected
+        assert "reconciliation (OK)" in selected
+        assert "access_path=memo" not in unseen
+
+
 def plan_section(text):
     lines = text.splitlines()
     return lines[:next(i for i, line in enumerate(lines)

@@ -96,13 +96,13 @@ class TestClosedLoop:
     def test_latency_is_per_run_not_cumulative(self, engine, monkeypatch):
         # Every cold search costs >= 50 ms; the second run is all cache
         # hits.  Each report must describe its own requests only.
-        real_search = engine._search
+        real_read = engine.index.read
 
-        def slow_search(*args, **kwargs):
+        def slow_read(*args, **kwargs):
             time.sleep(0.05)
-            return real_search(*args, **kwargs)
+            return real_read(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_search", slow_search)
+        monkeypatch.setattr(engine.index, "read", slow_read)
         queries = make_queries(6, seed=36)
         cold = run_closed_loop(pooled(engine), queries, num_clients=1,
                                requests_per_client=6)
