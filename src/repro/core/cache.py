@@ -5,8 +5,10 @@ A :class:`~repro.core.MutableDesksIndex` gives each static snapshot one
 and hands the next snapshot an empty :meth:`AnswerCache.successor`; a
 :class:`~repro.service.QueryEngine` serves from its index's.  A
 cache lives exactly as long as the data its answers came from, so nothing
-is ever invalidated in place.  Partial (deadline-cut) answers are never
-admitted.
+is ever invalidated in place.  The index copies the retiring entries out
+before the successor empties them, and admits one into the next cache
+only once its merge with the retired delta has made it the next
+snapshot's answer.  Partial (deadline-cut) answers are never admitted.
 """
 
 from __future__ import annotations

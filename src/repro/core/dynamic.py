@@ -40,18 +40,28 @@ of its complete answers, keyed by the canonical key and the count of
 tombstones on static POIs (what the static ``k`` is inflated by).  A
 cached static answer skips the indexed search; the tombstone filter,
 the delta walk and the merge still run.  A rebuild hands the next
-snapshot an empty successor, so nothing ever has to invalidate it.
+snapshot an empty successor, so nothing ever has to invalidate it, and
+keeps a one-level *carry* beside it: the retiring cache's answers at its
+tombstone count, with the postings, tombstones and id bound they were
+merged against.  That merge is the exact top-k over the POIs the rebuild
+keeps, and renumbering its ids the way the rebuild does (minus the
+tombstones below) is the next static index's answer bit for bit.  So the
+next snapshot's first read of a carried query with no static tombstone
+yet runs the merge instead of the indexed search and caches the result;
+the rebuild after drops the carry.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, \
+    Set, Tuple
 
 from ..datasets import POI, POICollection, check_finite
 from ..storage import SearchStats
-from ..trace.spans import current_tracer
+from ..trace.spans import Tracer, current_tracer
 from .cache import AnswerCache
 from .index import DesksIndex
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
@@ -94,6 +104,8 @@ class MutableDesksIndex:
         self.rebuild_count = 0
         self._generation = 0
         self._cache = AnswerCache(SNAPSHOT_MEMO_CAPACITY)
+        # The retired snapshot's answers, until the next rebuild.
+        self._carry: Optional[_Carry] = None
         self._lock = threading.RLock()
 
     def _adopt_static(self, index: DesksIndex) -> None:
@@ -224,6 +236,8 @@ class MutableDesksIndex:
         # ``rebuild_count`` (documented contract of the delta design).
         keep = self.collection.kept_prefix(self._deleted)
         collection = self.collection.derive(self._deleted, self._delta)
+        self._carry = _Carry.of(self._cache, self._buried, self._postings,
+                                self._deleted, self._next_id())
         self._delta = []
         self._postings = {}
         self._deleted = set()
@@ -267,10 +281,15 @@ class MutableDesksIndex:
         Safe from many threads: an answer computed on one static index can
         never land in the next one's cache.  ``deadline`` reaches only the
         indexed search (a cut one is ``partial`` and never cached; a cached
-        one is complete whatever the deadline).  Traced, the static part is
-        a ``desks.search`` tree or, when cached, a counter-free
-        ``desks.memo`` span, and the delta walk a ``desks.delta`` span;
-        ``stats`` counts only the work done.
+        one is complete whatever the deadline).  A miss the carry of the
+        last rebuild answers is a miss all the same (``cached`` False):
+        it pays the retired snapshot's delta walk, not a search.  Traced,
+        the static part is a ``desks.search`` tree or, when cached, a
+        counter-free ``desks.memo`` span; when carried, a ``desks.memo``
+        span and a childless ``desks.search`` span that counts the
+        carried walk (it computed this index's static answer).  The walk
+        of this snapshot's delta is a ``desks.delta`` span; ``stats``
+        counts only the work done.
         """
         with self._lock:
             searcher = self._searcher
@@ -279,6 +298,7 @@ class MutableDesksIndex:
             bound = self._next_id()
             deleted = self._deleted
             buried = self._buried
+            carry = self._carry
             alone = not self._delta and not deleted
         tracer = current_tracer()
         # Tombstones may knock answers out of the static top-k; ask the
@@ -288,6 +308,12 @@ class MutableDesksIndex:
         # as they land (``_buried``), so a read need not count them.
         key = (query.cache_key, buried)
         static = cache.get(key, alone)
+        hit = static is not None
+        if not hit and not buried and carry is not None:
+            static = carry.answers.get(query.cache_key)
+        if static is not None and tracer is not None:
+            tracer.record("desks.memo", mode=mode.name,
+                          k=query.k + buried, results=len(static))
         if static is None:
             query_static = query if not buried else DirectionalQuery(
                 query.location, query.interval, query.keywords,
@@ -295,38 +321,14 @@ class MutableDesksIndex:
             static = searcher.search(query_static, mode, stats,
                                      deadline=deadline)
             cache.put(key, static)
-            hit = False
-        else:
-            hit = True
-            if tracer is not None:
-                tracer.record("desks.memo", mode=mode.name,
-                              k=query.k + buried, results=len(static))
+        elif not hit:
+            static = carry.follow(query, static, stats, tracer)
+            cache.put(key, static)
         if alone and tracer is None:
             return static, hit
-        merged = [e for e in static.entries if e.poi_id not in deleted]
-        if tracer is not None:
-            tick = time.perf_counter()
-        examined = skipped = 0
-        for poi in _delta_candidates(query, postings):
-            poi_id = poi.poi_id
-            if poi_id >= bound:
-                continue        # inserted after this read's snapshot
-            if poi_id in deleted:
-                skipped += 1
-                continue
-            examined += 1
-            if query.matches(poi.location, poi.keywords):
-                merged.append(ResultEntry(
-                    poi_id, query.location.distance_to(poi.location)))
-        if stats is not None:
-            stats.pois_examined += examined
-        if tracer is not None:
-            # The delta walk's share of SearchStats, so span totals still
-            # reconcile while inserts are pending.
-            tracer.record("desks.delta", seconds=time.perf_counter() - tick,
-                          pois_fetched=examined, tombstones_skipped=skipped)
-        merged.sort()
-        return (QueryResult(merged[:query.k], partial=static.partial),
+        return (QueryResult(_merge(query, static, deleted, postings, bound,
+                                   stats, tracer),
+                            partial=static.partial),
                 hit and alone)
 
     def live_pois(self) -> List[POI]:
@@ -349,6 +351,77 @@ class MutableDesksIndex:
             if 0 <= delta_pos < len(self._delta):
                 return self._delta[delta_pos]
             raise KeyError(f"unknown poi id {poi_id}")
+
+
+class _Carry(NamedTuple):
+    """What a rebuild keeps of the retiring snapshot: its complete answers
+    at its tombstone count (canonical key -> static answer) and the state
+    they were merged against.  No reference to the retired index."""
+
+    answers: Dict[Hashable, QueryResult]
+    postings: Dict[str, List[POI]]
+    deleted: Set[int]
+    bound: int
+    #: ``deleted`` in order: a kept POI's new id is its old id minus the
+    #: tombstones below it, as :meth:`POICollection.derive` numbers them.
+    tombstones: List[int]
+
+    @classmethod
+    def of(cls, cache: AnswerCache, buried: int,
+           postings: Dict[str, List[POI]], deleted: Set[int],
+           bound: int) -> "_Carry":
+        """The carry of a snapshot whose cache is ``cache``, taken before
+        :meth:`AnswerCache.successor` empties it."""
+        with cache._lock:
+            answers = {key: result for (key, inflation), result
+                       in cache._entries.items() if inflation == buried}
+        return cls(answers, postings, deleted, bound, sorted(deleted))
+
+    def follow(self, query: DirectionalQuery, static: QueryResult,
+               stats: Optional[SearchStats],
+               tracer: Optional[Tracer]) -> QueryResult:
+        """The retired snapshot's exact answer to ``query``, from its
+        cached ``static`` one, numbered as the rebuild numbered the POIs:
+        the next static index's answer."""
+        tombstones = self.tombstones
+        return QueryResult([
+            ResultEntry(entry.poi_id - bisect_left(tombstones, entry.poi_id),
+                        entry.distance)
+            for entry in _merge(query, static, self.deleted, self.postings,
+                                self.bound, stats, tracer, "desks.search")])
+
+
+def _merge(query: DirectionalQuery, static: QueryResult, deleted: Set[int],
+           postings: Dict[str, List[POI]], bound: int,
+           stats: Optional[SearchStats], tracer: Optional[Tracer],
+           span: str = "desks.delta") -> List[ResultEntry]:
+    """The top ``query.k`` of ``static``'s entries minus tombstones and the
+    pending POIs below ``bound`` that match, in (distance, id) order.
+
+    The walk adds its POIs to ``stats.pois_examined`` and, traced,
+    records them on a ``span`` span, so span totals reconcile."""
+    merged = [e for e in static.entries if e.poi_id not in deleted]
+    if tracer is not None:
+        tick = time.perf_counter()
+    examined = skipped = 0
+    for poi in _delta_candidates(query, postings):
+        poi_id = poi.poi_id
+        if poi_id >= bound:
+            continue        # inserted after the snapshot being read
+        if poi_id in deleted:
+            skipped += 1
+            continue
+        examined += 1
+        if query.matches(poi.location, poi.keywords):
+            merged.append(ResultEntry(
+                poi_id, query.location.distance_to(poi.location)))
+    if stats is not None:
+        stats.pois_examined += examined
+    if tracer is not None:
+        tracer.record(span, seconds=time.perf_counter() - tick,
+                      pois_fetched=examined, tombstones_skipped=skipped)
+    merged.sort()
+    return merged[:query.k]
 
 
 def _delta_candidates(query: DirectionalQuery,

@@ -9,7 +9,8 @@ and packages three views of it into an :class:`ExplainReport`:
 * **actuals** — what it did: which access path answered (``postings``:
   the keywords' POI lists were verified whole; ``regions``: Algorithms
   1-2; ``memo``: a mutable index's static index had answered the same
-  static query before and no indexed search ran) next to the two cost
+  static query before, or the last rebuild carried its answer, and no
+  indexed search ran) next to the two cost
   estimates it was chosen by (``walk_cost``, ``region_cost``, in
   estimated microseconds; the walk is also taken
   without asking when the lists hold at most ``N x M`` postings; see

@@ -281,15 +281,28 @@ class TestSnapshotMemo:
         assert report.actuals["pois_fetched"] == 1
         assert report.reconciled
 
-    def test_compaction_starts_an_empty_memo(self):
+    def test_compaction_carries_the_memo(self):
         idx = self.mutable()
-        idx.search(self.QUERY)
+        nearest = idx.search(self.QUERY).entries[0].poi_id
         idx.insert(50.5, 51.0, ["cafe"])
+        assert idx.delete(nearest)
+        idx.search(self.QUERY)      # memoized at one static tombstone
         assert idx.compact()
-        result, spans = traced_search(idx, self.QUERY)
-        assert "desks.search" in spans and "desks.memo" not in spans
+        stats = SearchStats()
+        tracer = Tracer()
+        with tracer.activate():
+            result = idx.search(self.QUERY, stats=stats)
+        # The memo, then the carried walk over the retired delta (its one
+        # `cafe` insert) in place of the indexed search's tree.
+        names = [span.name for span in tracer.roots]
+        assert names == ["desks.memo", "desks.search", "desks.delta"]
+        walk = tracer.find("desks.search")
+        assert walk.children == [] and walk.attrs["pois_fetched"] == 1
+        assert stats.pois_examined == 1
         assert result.entries == brute_force_search(
             idx.live_pois(), self.QUERY).entries
+        assert result.entries == DesksSearcher(idx.static_index).search(
+            self.QUERY).entries
         _, spans = traced_search(idx, self.QUERY)
         assert "desks.memo" in spans
 

@@ -263,6 +263,21 @@ class TestExplainThroughEngine:
         assert "reconciliation (OK)" in selected
         assert "access_path=memo" not in unseen
 
+    def test_explain_after_compaction_reads_the_carried_memo(self,
+                                                              collection):
+        from repro.core import MutableDesksIndex
+        from repro.service import QueryEngine
+
+        index = MutableDesksIndex(collection, num_bands=4, num_wedges=6)
+        with QueryEngine(index) as engine:
+            executor = DqlExecutor(EngineBackend(engine))
+            executor.execute(CORPUS[0])
+            index.insert(510.0, 505.0, ["cafe"])
+            assert index.compact()
+            text = executor.execute("EXPLAIN " + CORPUS[0]).text
+        assert "access_path=memo" in text
+        assert "reconciliation (OK)" in text
+
 
 def plan_section(text):
     lines = text.splitlines()
