@@ -15,25 +15,34 @@ main-plus-delta design databases reach for in this situation:
 Queries remain exact at every moment; amortised insert cost is O(1) plus
 the periodic rebuild, the classic LSM-style trade.
 
-A rebuild does not redo the work it already has.  The survivors'
-collection is derived from the old one (:meth:`POICollection.derive`),
-sharing every POI, term-id set and vocabulary entry before the first
-deleted static POI.  The next static index is built from the old one
-(``DesksIndex._rebuildable``): the kept POIs' polar coordinates and
-(POI, term) pairs are reused, and the distance and direction sorts start
-from the old orders, which timsort takes as presorted runs.  A rebuild
-then costs the changed suffix plus the delta, a few linear passes and
-the per-anchor keyword layout, not the four global sorts; a moved MBR
-(new frames) or a loaded previous index (no distance order) sorts
+A rebuild does not redo the work it already has, and does no layout work
+until something needs it.  The survivors' collection is derived from the
+old one (:meth:`POICollection.derive`), sharing every POI, term-id set
+and vocabulary entry before the first deleted static POI; that, the
+carry below and resetting the delta are all a rebuild pays.  The next
+static index is laid out by the first read that misses both caches (or
+the first call of :attr:`~MutableDesksIndex.static_index`: a save, a
+checkpoint, EXPLAIN), once per snapshot, from the *last built*
+snapshot's orders (``DesksIndex._rebuildable``): the kept POIs' polar
+coordinates and (POI, term) pairs are reused, and the distance and
+direction sorts start from the old orders, which timsort takes as
+presorted runs.  A chain of rebuilds with no build between them builds
+once, keeping the shortest of their kept prefixes, and holds one
+:class:`~repro.core.index.Seed` of orders, never a retired index.  A
+build then costs the changed suffix plus the delta, a few linear passes
+and the per-anchor keyword layout, not the four global sorts; a moved
+MBR (new frames) or a loaded previous index (no distance order) sorts
 afresh, and the result is the fresh build's either way.
 
 Updates are serialised by an internal lock and bump a **generation**
 counter (data on responses and on the wire).  A read snapshots the
-searcher, the answer cache, the postings, the next id and the
+static snapshot, the answer cache, the postings, the next id and the
 tombstones under the lock and then runs lock-free: tombstones are copied
 on write, posting lists only grow and a read skips ids past its bound,
 and a rebuild mid-read leaves it answering the pre-rebuild (still exact)
-state.  ``get()``, ``live_pois()`` and ``len()`` read under the lock too.
+state.  A read that builds its snapshot's index holds that snapshot's
+own lock, never the update lock, so writers go on meanwhile.
+``get()``, ``live_pois()`` and ``len()`` read under the lock too.
 
 Each static snapshot carries an :class:`~repro.core.cache.AnswerCache`
 of its complete answers, keyed by the canonical key and the count of
@@ -60,10 +69,10 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, \
     Set, Tuple
 
 from ..datasets import POI, POICollection, check_finite
-from ..storage import SearchStats
+from ..storage import IOStats, SearchStats
 from ..trace.spans import Tracer, current_tracer
 from .cache import AnswerCache
-from .index import DesksIndex
+from .index import DesksIndex, Seed
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
 from .search import DesksSearcher, PruningMode, SupportsExpired
 
@@ -75,23 +84,24 @@ SNAPSHOT_MEMO_CAPACITY = 1024
 class MutableDesksIndex:
     """A DESKS index that supports insert/delete with exact answers."""
 
+    #: What searches each static snapshot, made once per snapshot as its
+    #: index is built or adopted.
+    _searcher_class = DesksSearcher
+
     def __init__(self, collection: POICollection,
                  num_bands: Optional[int] = None,
                  num_wedges: Optional[int] = None,
                  rebuild_threshold: float = 0.25) -> None:
-        self._init_state(num_bands, num_wedges, rebuild_threshold)
-        self._adopt_static(DesksIndex._rebuildable(collection, num_bands,
-                                                   num_wedges))
+        self._init_state(rebuild_threshold)
+        self._snapshot = _Snapshot.of(
+            DesksIndex._rebuildable(collection, num_bands, num_wedges),
+            self._searcher_class, (num_bands, num_wedges))
 
-    def _init_state(self, num_bands: Optional[int],
-                    num_wedges: Optional[int],
-                    rebuild_threshold: float) -> None:
+    def _init_state(self, rebuild_threshold: float) -> None:
         """Everything both constructors set before the static index."""
         if not 0.0 < rebuild_threshold <= 1.0:
             raise ValueError(
                 f"rebuild_threshold must be in (0, 1]: {rebuild_threshold}")
-        self._num_bands = num_bands
-        self._num_wedges = num_wedges
         self.rebuild_threshold = rebuild_threshold
         self._delta: List[POI] = []
         # keyword -> pending POIs carrying it, in id order.
@@ -108,20 +118,15 @@ class MutableDesksIndex:
         self._carry: Optional[_Carry] = None
         self._lock = threading.RLock()
 
-    def _adopt_static(self, index: DesksIndex) -> None:
-        """Install ``index`` as the static index."""
-        self._index = index
-        self._searcher = DesksSearcher(index)
-
     @classmethod
     def from_static(cls, index: DesksIndex,
                     rebuild_threshold: float = 0.25) -> "MutableDesksIndex":
         """Adopt an already-built static index (e.g. one loaded from disk)
         without paying the four global sorts a fresh build costs."""
         instance = cls.__new__(cls)
-        instance._init_state(index.num_bands, index.num_wedges,
-                             rebuild_threshold)
-        instance._adopt_static(index)
+        instance._init_state(rebuild_threshold)
+        instance._snapshot = _Snapshot.of(
+            index, cls._searcher_class, (index.num_bands, index.num_wedges))
         return instance
 
     # -- state -----------------------------------------------------------
@@ -129,7 +134,7 @@ class MutableDesksIndex:
     @property
     def collection(self) -> POICollection:
         """The currently indexed (static) collection."""
-        return self._index.collection
+        return self._snapshot.collection
 
     @property
     def num_pending(self) -> int:
@@ -137,15 +142,19 @@ class MutableDesksIndex:
         return len(self._delta)
 
     @property
-    def io_stats(self):
-        """The current static index's I/O counters (resets on rebuild)."""
-        return self._index.io_stats
+    def io_stats(self) -> IOStats:
+        """The current static snapshot's I/O counters: one object from
+        the rebuild that makes the snapshot (fresh counters) to the next,
+        whether or not its index is built yet; reading them builds
+        nothing."""
+        return self._snapshot.io_stats
 
     @property
     def static_index(self) -> DesksIndex:
         """The current static index (what :func:`~repro.core.save_index`
-        persists after :meth:`compact`)."""
-        return self._index
+        persists after :meth:`compact`), built now if no read has needed
+        it since the last rebuild."""
+        return self._snapshot.searcher().index
 
     @property
     def cache(self) -> AnswerCache:
@@ -225,7 +234,8 @@ class MutableDesksIndex:
             return True
 
     def _rebuild(self) -> None:
-        """Merge delta and tombstones into a fresh static index."""
+        """Merge delta and tombstones into the next static snapshot, whose
+        index is laid out when something first needs it."""
         # Caller holds self._lock.  The survivors' collection is derived
         # from the old one: everything before the first static tombstone
         # is shared, and only the suffix after it plus the live delta is
@@ -234,8 +244,9 @@ class MutableDesksIndex:
         # Rebuilding re-densifies ids: previously returned ids become
         # invalid after a rebuild, which callers can detect via
         # ``rebuild_count`` (documented contract of the delta design).
-        keep = self.collection.kept_prefix(self._deleted)
-        collection = self.collection.derive(self._deleted, self._delta)
+        snapshot = self._snapshot
+        keep = snapshot.collection.kept_prefix(self._deleted)
+        collection = snapshot.collection.derive(self._deleted, self._delta)
         self._carry = _Carry.of(self._cache, self._buried, self._postings,
                                 self._deleted, self._next_id())
         self._delta = []
@@ -243,11 +254,7 @@ class MutableDesksIndex:
         self._deleted = set()
         self._buried = 0
         self.rebuild_count += 1
-        # The next index sorts from this one's orders: what it pays for is
-        # the renumbered suffix, not the collection.
-        self._adopt_static(DesksIndex._rebuildable(
-            collection, self._num_bands, self._num_wedges, self._index,
-            keep))
+        self._snapshot = snapshot.successor(collection, keep)
         self._cache = self._cache.successor()
 
     # -- queries ------------------------------------------------------------------
@@ -283,16 +290,19 @@ class MutableDesksIndex:
         indexed search (a cut one is ``partial`` and never cached; a cached
         one is complete whatever the deadline).  A miss the carry of the
         last rebuild answers is a miss all the same (``cached`` False):
-        it pays the retired snapshot's delta walk, not a search.  Traced,
-        the static part is a ``desks.search`` tree or, when cached, a
-        counter-free ``desks.memo`` span; when carried, a ``desks.memo``
-        span and a childless ``desks.search`` span that counts the
-        carried walk (it computed this index's static answer).  The walk
-        of this snapshot's delta is a ``desks.delta`` span; ``stats``
-        counts only the work done.
+        it pays the retired snapshot's delta walk, not a search.  A miss
+        of both on a snapshot whose index is not built yet builds it
+        first, under the snapshot's lock, not the update lock.  Traced,
+        that build is a counter-free ``desks.build`` span, and the static
+        part is a ``desks.search`` tree or, when cached, a counter-free
+        ``desks.memo`` span; when carried, a ``desks.memo`` span and a
+        childless ``desks.search`` span that counts the carried walk (it
+        computed this index's static answer).  The walk of this
+        snapshot's delta is a ``desks.delta`` span; ``stats`` counts only
+        the work done.
         """
         with self._lock:
-            searcher = self._searcher
+            snapshot = self._snapshot
             cache = self._cache
             postings = self._postings
             bound = self._next_id()
@@ -318,8 +328,8 @@ class MutableDesksIndex:
             query_static = query if not buried else DirectionalQuery(
                 query.location, query.interval, query.keywords,
                 query.k + buried, query.match_mode)
-            static = searcher.search(query_static, mode, stats,
-                                     deadline=deadline)
+            static = snapshot.searcher().search(query_static, mode, stats,
+                                                deadline=deadline)
             cache.put(key, static)
         elif not hit:
             static = carry.follow(query, static, stats, tracer)
@@ -351,6 +361,89 @@ class MutableDesksIndex:
             if 0 <= delta_pos < len(self._delta):
                 return self._delta[delta_pos]
             raise KeyError(f"unknown poi id {poi_id}")
+
+
+class _Snapshot:
+    """One static snapshot: its collection from the rebuild that makes
+    it, its index and searcher from the first thing that needs them.
+    ``shape`` is the ``(num_bands, num_wedges)`` every build is asked
+    for (``None`` follows the collection's size).
+
+    A snapshot made by a rebuild holds the :class:`~repro.core.index.
+    Seed` of the last *built* snapshot and the shortest kept prefix of
+    the chain of rebuilds since (a chain of ``derive`` keeps the minimum
+    of their kept prefixes), never an index; its build drops the seed.
+    The index is built once, under this snapshot's own lock."""
+
+    def __init__(self, collection: POICollection, searcher_class: type,
+                 shape: Tuple[Optional[int], Optional[int]],
+                 io_stats: IOStats, seed: Optional[Seed] = None,
+                 keep: int = 0, compactions: int = 0) -> None:
+        self.collection = collection
+        self.io_stats = io_stats
+        self._searcher_class = searcher_class
+        self._searcher: Optional[DesksSearcher] = None
+        self._shape = shape
+        self._seed = seed
+        self._keep = keep
+        #: Rebuilds since the last built snapshot: what one build absorbs.
+        self._compactions = compactions
+        self._lock = threading.Lock()
+
+    @classmethod
+    def of(cls, index: DesksIndex, searcher_class: type,
+           shape: Tuple[Optional[int], Optional[int]]) -> "_Snapshot":
+        """A snapshot of an index built already."""
+        snapshot = cls(index.collection, searcher_class, shape,
+                       index.io_stats)
+        snapshot._searcher = searcher_class(index)
+        return snapshot
+
+    def successor(self, collection: POICollection,
+                  keep: int) -> "_Snapshot":
+        """The snapshot of ``collection``, derived from this one's with
+        its first ``keep`` POIs shared: to be built from this snapshot's
+        index if it has one, else from the seed this one holds."""
+        # The seed before the searcher: a build publishes its searcher
+        # before it drops the seed, so a searcher still missing here
+        # means the seed read was this snapshot's own.
+        seed = self._seed
+        searcher = self._searcher
+        if searcher is not None:
+            seed, compactions = searcher.index._seed(), 1
+        else:
+            compactions = self._compactions + 1
+            keep = min(keep, self._keep)
+        # Nothing kept, nothing to sort from: hold no seed.
+        return _Snapshot(collection, self._searcher_class, self._shape,
+                         IOStats(), seed if keep else None, keep,
+                         compactions)
+
+    def searcher(self) -> DesksSearcher:
+        """The searcher of this snapshot's index, built on first call."""
+        searcher = self._searcher
+        if searcher is None:
+            with self._lock:
+                searcher = self._searcher
+                if searcher is None:
+                    searcher = self._searcher = self._build()
+                    self._seed = None
+        return searcher
+
+    def _build(self) -> DesksSearcher:
+        """Lay the index out (caller holds ``self._lock``)."""
+        started = time.perf_counter()
+        index = DesksIndex._rebuildable(self.collection, *self._shape,
+                                        self._seed, self._keep)
+        # The counters the snapshot has handed out since its rebuild.
+        index.io_stats = self.io_stats
+        searcher = self._searcher_class(index)
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.record("desks.build",
+                          seconds=time.perf_counter() - started,
+                          keep=self._keep, compactions=self._compactions)
+        return searcher
 
 
 class _Carry(NamedTuple):

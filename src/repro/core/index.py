@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, \
+    Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from ..storage import (
     InMemoryPageStore,
     PageStore,
 )
-from .regions import AnchorRegions
+from .regions import AnchorRegions, Orders
 from .stores import (
     CompressedDiskKeywordStore,
     DiskKeywordStore,
@@ -55,6 +56,16 @@ class AnchorIndex:
     frame: CanonicalFrame
     regions: AnchorRegions
     store: object  # MemoryKeywordStore | DiskKeywordStore
+
+
+class Seed(NamedTuple):
+    """What the next build of a mutable index's snapshot reads of the last
+    built one (:meth:`DesksIndex._rebuildable`): its term pairs and each
+    anchor's :class:`~repro.core.regions.Orders` (``None`` where that
+    anchor kept no distance order).  No reference to the index."""
+
+    term_pairs: TermPairs
+    orders: List[Optional[Orders]]
 
 
 class DesksIndex:
@@ -122,27 +133,35 @@ class DesksIndex:
     @classmethod
     def _rebuildable(cls, collection: POICollection,
                      num_bands: Optional[int], num_wedges: Optional[int],
-                     previous: "Optional[DesksIndex]" = None,
+                     seed: Optional[Seed] = None,
                      keep: int = 0) -> "DesksIndex":
         """``DesksIndex(collection, num_bands, num_wedges)``, bit for bit,
         that keeps each anchor's distance order for the next such build:
         a :class:`~repro.core.MutableDesksIndex`'s static snapshot.
 
-        Built from ``previous`` when ``collection`` shares its first
-        ``keep`` POIs (:meth:`~repro.datasets.POICollection.derive`), the
-        sorts and the term walk pay for the POIs after ``keep``, not for
-        the collection: see :meth:`AnchorRegions.following` and
+        Built from ``seed`` (:meth:`_seed` of an index whose collection
+        shares its first ``keep`` POIs with ``collection``, as
+        :meth:`~repro.datasets.POICollection.derive` keeps them), the sorts
+        and the term walk pay for the POIs after ``keep``, not for the
+        collection: see :meth:`AnchorRegions.following` and
         :class:`~repro.core.stores.TermPairs`.  An anchor whose frame
-        moved (the MBR changed) or that kept no distance order (a loaded
-        or a plain index) is built as a fresh one is.
+        moved (the MBR changed) or whose seed kept no distance order (a
+        loaded or a plain index) is built as a fresh one is.
         """
         index = cls.__new__(cls)
         index._set_up(collection, num_bands, num_wedges, False)
         index._lay_out(list(Anchor),
                        lambda anchor, regions: MemoryKeywordStore(
                            regions, index.term_pairs),
-                       previous if keep else None, keep)
+                       seed if keep else None, keep)
         return index
+
+    def _seed(self) -> Seed:
+        """What :meth:`_rebuildable` needs of this index to build the next
+        snapshot after it."""
+        return Seed(self.term_pairs,
+                    [None if anchor is None else anchor.regions.orders()
+                     for anchor in self.anchors])
 
     def _set_up(self, collection: POICollection, num_bands: Optional[int],
                 num_wedges: Optional[int], disk_based: bool) -> None:
@@ -160,23 +179,22 @@ class DesksIndex:
 
     def _lay_out(self, build_anchors: Sequence[Anchor],
                  make_store: Callable[[Anchor, AnchorRegions], object],
-                 previous: "Optional[DesksIndex]", keep: int) -> None:
-        """Flatten the term pairs and build each anchor; from
-        ``previous``'s orders where it can (see :meth:`_rebuildable`)."""
+                 seed: Optional[Seed], keep: int) -> None:
+        """Flatten the term pairs and build each anchor; from ``seed``'s
+        orders where it can (see :meth:`_rebuildable`)."""
         collection = self.collection
         #: Every (POI, term) pair, flattened once for all four anchors.
         self.term_pairs = TermPairs(
             collection.term_id_sets,
-            previous.term_pairs if previous is not None else None, keep)
+            seed.term_pairs if seed is not None else None, keep)
         xs = ys = None
         started = time.perf_counter()
         for anchor in build_anchors:
             frame = CanonicalFrame(anchor, collection.mbr)
-            before = (previous.anchors[anchor.value]
-                      if previous is not None else None)
-            if before is not None and before.regions.can_precede(frame):
+            before = seed.orders[anchor.value] if seed is not None else None
+            if before is not None and before.can_precede(frame):
                 regions = AnchorRegions.following(
-                    before.regions, frame, keep, collection.xs[keep:],
+                    before, frame, keep, collection.xs[keep:],
                     collection.ys[keep:], self.num_bands, self.num_wedges)
             else:
                 if xs is None:

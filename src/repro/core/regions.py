@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,16 +85,17 @@ class AnchorRegions:
                       np.argsort(distances, kind="stable"), None)
 
     @classmethod
-    def following(cls, previous: "AnchorRegions", frame: CanonicalFrame,
+    def following(cls, previous: "Orders", frame: CanonicalFrame,
                   keep: int, xs: Sequence[float], ys: Sequence[float],
                   num_bands: int, num_wedges: int) -> "AnchorRegions":
-        """What ``AnchorRegions(frame, ...)`` builds over ``previous``'s
-        first ``keep`` POIs followed by POIs at ``xs``/``ys`` (ids
-        ``keep`` on), sorted from ``previous``'s orders.
+        """What ``AnchorRegions(frame, ...)`` builds over the first
+        ``keep`` POIs of the structure ``previous`` was taken from
+        (:meth:`orders`) followed by POIs at ``xs``/``ys`` (ids ``keep``
+        on), sorted from ``previous``.
 
         ``frame`` must be ``previous``'s to the bit
-        (:meth:`can_precede`): the kept POIs' polar coordinates are then
-        ``previous``'s, and only the appended ones are computed.  The
+        (:meth:`Orders.can_precede`): the kept POIs' polar coordinates are
+        then ``previous``'s, and only the appended ones are computed.  The
         distance sort starts from the kept POIs in their old stable order,
         which timsort takes as one run; equal distances come out in id
         order as in a fresh sort, since every appended id is above every
@@ -130,14 +131,14 @@ class AnchorRegions:
                      by_distance, by_theta)
         return obj
 
-    def can_precede(self, frame: CanonicalFrame) -> bool:
-        """Whether :meth:`following` may start from this structure: it
-        kept its distance order (only a mutable index's snapshot does:
-        :meth:`~repro.core.DesksIndex._rebuildable`) and ``frame`` is
-        its own, sign of zero included."""
-        return (self.by_distance is not None
-                and frame.anchor is self.frame.anchor
-                and _bits(frame.mbr) == _bits(self.frame.mbr))
+    def orders(self) -> "Optional[Orders]":
+        """What :meth:`following` reads of this structure, or ``None``
+        when it kept no distance order (only a mutable index's snapshot
+        keeps one: :meth:`~repro.core.DesksIndex._rebuildable`)."""
+        if self.by_distance is None:
+            return None
+        return Orders(self.frame, self.distances, self.thetas,
+                      self.by_distance, self.order_array)
 
     def _lay_out(self, frame: CanonicalFrame, distances: "np.ndarray",
                  thetas: "np.ndarray", num_bands: int, num_wedges: int,
@@ -381,6 +382,28 @@ class AnchorRegions:
             obj.bands.append(band)
         obj._index_positions(order)
         return obj
+
+
+class Orders(NamedTuple):
+    """One anchor's orders, without the rest of its structure: what
+    :meth:`AnchorRegions.following` reads, and what a mutable index's
+    unbuilt snapshot holds of the last built one in place of its index
+    (:class:`~repro.core.index.Seed`)."""
+
+    frame: CanonicalFrame
+    #: Polar coordinates by POI id.
+    distances: "np.ndarray"
+    thetas: "np.ndarray"
+    #: Every id in stable distance order.
+    by_distance: "np.ndarray"
+    #: The band-major, direction-minor ``poi_order``.
+    order_array: "np.ndarray"
+
+    def can_precede(self, frame: CanonicalFrame) -> bool:
+        """Whether :meth:`AnchorRegions.following` may start from these
+        orders: ``frame`` is theirs, sign of zero included."""
+        return (frame.anchor is self.frame.anchor
+                and _bits(frame.mbr) == _bits(self.frame.mbr))
 
 
 def _polar_coordinates(frame: CanonicalFrame, xs: Sequence[float],

@@ -339,7 +339,7 @@ class DurableMutableIndex(MutableDesksIndex):
         # The failpoint rides into the directory swap itself, so chaos
         # trials crash between its two renames — the window
         # repair_interrupted_swap() exists for.
-        save_index(self._index, os.path.join(self.directory, SNAPSHOT_DIR),
+        save_index(self.static_index, os.path.join(self.directory, SNAPSHOT_DIR),
                    extra_files={SNAPSHOT_MARKER: marker},
                    failpoint=self._failpoint)
         self._snapshot_op_seq = self._op_seq

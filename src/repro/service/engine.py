@@ -76,11 +76,9 @@ class ServiceResponse:
 
 class _ColumnarIndex(MutableDesksIndex):
     """A mutable index whose static snapshots the columnar kernel searches:
-    each one is compiled once, as it is adopted (a rebuild recompiles)."""
+    each one is compiled once, as its index is adopted or built."""
 
-    def _adopt_static(self, index: DesksIndex) -> None:
-        self._index = index
-        self._searcher = ColumnarSearcher(index)
+    _searcher_class = ColumnarSearcher
 
 
 class QueryEngine:

@@ -38,6 +38,7 @@ def lock_sites():
         ("storage/buffer.py:BufferPool",
          BufferPool(InMemoryPageStore()), "_lock", True),
         ("core/dynamic.py:MutableDesksIndex", index, "_lock", True),
+        ("core/dynamic.py:_Snapshot", index._snapshot, "_lock", False),
         ("service/engine.py:QueryEngine", engine, "_lifecycle_lock", False),
         ("core/cache.py:AnswerCache", engine.cache, "_lock", False),
         ("service/metrics.py:Counter", Counter("c"), "_lock", False),

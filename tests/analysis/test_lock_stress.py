@@ -14,10 +14,12 @@ Marked ``race`` so CI's analysis job can run it in isolation
 
 import random
 import threading
+import time
+from collections import Counter
 
 import pytest
 
-from repro.core import DesksIndex, MutableDesksIndex
+from repro.core import DesksIndex, MutableDesksIndex, brute_force_search
 from repro.service import QueryEngine
 
 from ..service.conftest import KEYWORD_POOL, make_collection, make_queries
@@ -178,6 +180,95 @@ def test_hang_and_reconcile_on_a_remote_replica_set():
     assert errors == []
     failures = metrics.counter("cluster_replica_failures_total").value
     assert sum(c.calls for c in clients.values()) == 240 + failures
+
+
+def test_readers_missing_on_one_pending_snapshot_build_it_once(
+        monkeypatch):
+    """Two readers miss on the same pending (compacted, unbuilt) snapshot
+    while the writer inserts and compacts on: one of them lays the index
+    out and the other waits for it, so each built snapshot costs one
+    ``_rebuildable`` call; a compaction that chains from the snapshot
+    being built starts from the right seed; every answer is the
+    exhaustive scan's at a generation the read overlapped."""
+    collection = make_collection(n=300, seed=15)
+    index = MutableDesksIndex(collection, num_bands=4, num_wedges=6,
+                              rebuild_threshold=1.0)
+    engine = QueryEngine(index, num_workers=1, cache_capacity=64)
+    built = []          # the collection of every build, kept alive
+    rebuildable = DesksIndex._rebuildable.__func__
+
+    def slow_rebuildable(cls, collection, *args):
+        built.append(collection)
+        time.sleep(0.005)   # long enough for the other reader to arrive
+        return rebuildable(cls, collection, *args)
+
+    monkeypatch.setattr(DesksIndex, "_rebuildable",
+                        classmethod(slow_rebuildable))
+    rounds = 20
+    queries = make_queries(2 * rounds, seed=8)
+    # generation -> what was live then (the writer is the only mutator).
+    live = {index.generation: index.live_pois()}
+    compacted = threading.Barrier(3)
+    reads = [[] for _ in range(2)]
+    errors = []
+
+    def reader(offset):
+        try:
+            for turn in range(rounds):
+                compacted.wait(DEADLINE)
+                query = queries[2 * turn + offset]   # new: misses both
+                start = index.generation
+                got = engine.execute(query).result.entries
+                reads[offset].append((query, start, index.generation, got))
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    def write(rng):
+        index.insert(rng.uniform(0, 100.0), rng.uniform(0, 100.0),
+                     rng.sample(KEYWORD_POOL, 2))
+        live[index.generation] = index.live_pois()
+
+    def writer():
+        rng = random.Random(16)
+        try:
+            for turn in range(rounds):
+                write(rng)
+                assert index.delete(turn)       # a static tombstone
+                live[index.generation] = index.live_pois()
+                assert index.compact()
+                live[index.generation] = index.live_pois()
+                compacted.wait(DEADLINE)
+                # On while the readers build: chains from the snapshot
+                # being built.
+                write(rng)
+                if turn % 2:
+                    assert index.compact()
+                    live[index.generation] = index.live_pois()
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(offset,),
+                                name=f"reader-{offset}")
+               for offset in range(2)]
+    threads.append(threading.Thread(target=writer, name="writer"))
+    for thread in threads:
+        thread.start()
+    join_all(threads, DEADLINE)
+    engine.close()
+
+    assert errors == []
+    assert_reconciled(engine, 2 * rounds)
+    # One build per built snapshot, and fewer builds than missing reads:
+    # readers shared snapshots.
+    assert set(Counter(map(id, built)).values()) == {1}
+    assert 0 < len(built) < 2 * rounds
+    assert sorted(live) == list(range(index.generation + 1))
+    failures = [
+        (query, start, end) for done in reads
+        for query, start, end, got in done
+        if not any(brute_force_search(live[g], query).entries == got
+                   for g in range(start, end + 1))]
+    assert not failures, failures[:3]
 
 
 def test_deadlock_guard_catches_a_lock_order_inversion():

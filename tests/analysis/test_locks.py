@@ -181,7 +181,7 @@ class TestFactorySwitch:
     def test_off_by_default_returns_raw_locks(self, lock_sites):
         # Every former make_lock site holds exactly the object the
         # factory returned with tracking off: same type, same reentrancy.
-        assert len(lock_sites) == 17
+        assert len(lock_sites) == 18
         for site, obj, attr, reentrant in lock_sites:
             assert type(getattr(obj, attr)) is (
                 RLOCK if reentrant else LOCK), site

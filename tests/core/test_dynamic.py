@@ -155,17 +155,18 @@ class TestMutableIndexQueries:
     def test_static_k_grows_only_by_static_tombstones(self, monkeypatch):
         """A tombstone on a delta POI buries nothing the static search can
         return, so it must not inflate the static search's k."""
+        asked = []
+
+        class Recording(DesksSearcher):
+            def search(self, query, *args, **kwargs):
+                asked.append(query.k)
+                return super().search(query, *args, **kwargs)
+
+        # The seam that makes each snapshot's searcher.
+        monkeypatch.setattr(MutableDesksIndex, "_searcher_class", Recording)
         col = make_collection(50, seed=8)
         idx = MutableDesksIndex(col, num_bands=3, num_wedges=3,
                                 rebuild_threshold=1.0)
-        asked = []
-        real = idx._searcher.search
-
-        def recording(query, *args, **kwargs):
-            asked.append(query.k)
-            return real(query, *args, **kwargs)
-
-        monkeypatch.setattr(idx._searcher, "search", recording)
         q = DirectionalQuery.undirected(50.0, 50.0, ["cafe"], 4)
         first = idx.insert(50.0, 50.5, ["cafe"])
         second = idx.insert(50.5, 50.0, ["cafe"])

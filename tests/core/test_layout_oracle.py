@@ -14,21 +14,26 @@ A :class:`MutableDesksIndex` rebuild sorts from the previous static
 index's orders; after every rebuild of a generated insert / delete /
 compact history its static index must equal
 ``DesksIndex(index.collection, N, M)`` field by field, down to the
-bytes :func:`save_index` writes.
+bytes :func:`save_index` writes.  A rebuild lays nothing out until a
+read needs the index, so a chain of rebuilds builds once, from the last
+built snapshot's orders: every such build must be the fresh one too.
 """
 
 import os
 import tempfile
 import zlib
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     DesksIndex,
     DesksSearcher,
+    DirectionalQuery,
     MutableDesksIndex,
+    brute_force_search,
     build_term_layout,
     load_index,
     save_index,
@@ -43,6 +48,7 @@ from repro.datasets import (
     virginia_like,
 )
 from repro.geometry import Anchor
+from repro.trace import Tracer
 
 from ..kernel.conftest import make_collection as corpus_collection
 from ..kernel.conftest import make_corpus
@@ -282,7 +288,10 @@ def assert_same_index(built, fresh):
 
 
 def mbr_bits(frame):
-    mbr = frame.mbr
+    return bounds_bits(frame.mbr)
+
+
+def bounds_bits(mbr):
     return bits((mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y))
 
 
@@ -353,6 +362,7 @@ class TestRebuildPaths:
             index.insert(10.5 + step, 20.25 + 3 * step, ["cafe", "new"])
         builds = Builds(monkeypatch)
         assert index.compact()
+        index.static_index      # builds the compacted snapshot
         assert (builds.fresh, builds.following, builds.seeded) == (0, 4, 4)
         assert_rebuilt_as_fresh(index, 2, 3)
 
@@ -362,6 +372,7 @@ class TestRebuildPaths:
         index.insert(2.0, 2.0, ["a"])      # on the diagonal of anchor 0
         builds = Builds(monkeypatch)
         assert index.compact()
+        index.static_index      # builds the compacted snapshot
         assert builds.following == 4 and builds.seeded < 4
         assert_rebuilt_as_fresh(index, 2, 2)
 
@@ -370,6 +381,7 @@ class TestRebuildPaths:
         index.insert(9.0, 1.0, ["b"])
         builds = Builds(monkeypatch)
         assert index.compact()
+        index.static_index      # builds the compacted snapshot
         assert (builds.fresh, builds.following) == (4, 0)
         assert_rebuilt_as_fresh(index, 2, 2)
 
@@ -381,6 +393,7 @@ class TestRebuildPaths:
             index.insert(2.5, 1.5, ["c", "d"])
             builds = Builds(monkeypatch)
             assert index.compact()
+            index.static_index      # builds the compacted snapshot
             # A tombstone at id 0 keeps nothing: every sort starts afresh.
             assert builds.following == (4 if first else 0)
             assert_rebuilt_as_fresh(index, 2, 3)
@@ -394,6 +407,7 @@ class TestRebuildPaths:
             index.insert(3.5, 2.5 + rebuild, ["a"])
             builds = Builds(monkeypatch)
             assert index.compact()
+            index.static_index      # builds the compacted snapshot
             counts.append((builds.fresh, builds.following))
             monkeypatch.undo()
             assert_rebuilt_as_fresh(index, 2, 3)
@@ -447,6 +461,7 @@ def test_only_a_mutable_index_keeps_its_distance_orders(monkeypatch):
     index.insert(10.5, 20.25, ["cafe"])
     builds = Builds(monkeypatch)
     assert index.compact()
+    index.static_index      # builds the compacted snapshot
     assert (builds.fresh, builds.following) == (0, 4)
     assert_rebuilt_as_fresh(index, 2, 3)
 
@@ -510,3 +525,128 @@ def test_generated_histories(rows, operations, shape, threshold, loaded):
     if rebuilds:
         fresh = DesksIndex(index.collection, num_bands, num_wedges)
         assert saved_bytes(index.static_index) == saved_bytes(fresh)
+
+
+# -- deferred builds: a chain of rebuilds, then the read that builds -------
+
+
+READ_OPERATION = st.tuples(st.just("read"), st.integers(0, 8),
+                           st.integers(0, 8), st.sampled_from("abcde"),
+                           st.integers(1, 4))
+CHAINED_OPERATION = st.one_of(OPERATION, st.tuples(st.just("compact")),
+                               READ_OPERATION)
+
+
+class ChainedHistory:
+    """One generated history whose reads are the only thing that builds
+    a static index; each build is checked against the fresh one."""
+
+    def __init__(self, index, shape, loaded, seen):
+        self.index = index
+        self.shape = shape
+        self.seen = seen
+        self.loaded = loaded
+        self.deleted = set()    # tombstones since the last rebuild
+        # One (kept prefix, threshold?, moved the MBR?) per rebuild since
+        # the last build.
+        self.chain = []
+        self.builds = 0
+
+    def run(self, operation):
+        index = self.index
+        kind = operation[0]
+        if kind == "read":
+            self.read(*operation[1:])
+            return
+        before, collection = index.rebuild_count, index.collection
+        if kind == "insert":
+            _, x, y, keywords = operation
+            index.insert(float(x), float(y), sorted(keywords))
+        elif kind == "delete":
+            poi_id = operation[1] % (len(collection) + index.num_pending)
+            if index.delete(poi_id):
+                self.deleted.add(poi_id)
+        else:
+            index.compact()
+        if index.rebuild_count != before:
+            self.chain.append((
+                collection.kept_prefix(self.deleted), kind != "compact",
+                bounds_bits(index.collection.mbr)
+                != bounds_bits(collection.mbr)))
+            self.deleted = set()
+
+    def read(self, x, y, keyword, k):
+        index = self.index
+        query = DirectionalQuery.undirected(float(x), float(y), [keyword], k)
+        tracer = Tracer()
+        with tracer.activate():
+            result = index.search(query)
+        assert result.entries == brute_force_search(
+            index.live_pois(), query).entries
+        build = tracer.find("desks.build")
+        if build is None:
+            self.seen["reads without a build"] += 1
+            return
+        chain, self.chain = self.chain, []
+        keeps = [keep for keep, _, _ in chain]
+        assert build.attrs == {"keep": min(keeps),
+                               "compactions": len(chain)}
+        assert_rebuilt_as_fresh(index, *self.shape)
+        assert saved_bytes(index.static_index) == saved_bytes(
+            DesksIndex(index.collection, *self.shape))
+        self.tally(chain, keeps)
+        self.builds += 1
+
+    def tally(self, chain, keeps):
+        seen = self.seen
+        seen["chain of %s" % (len(chain) if len(chain) < 4 else "4+")] += 1
+        seen["threshold rebuild in a chain"] += any(t for _, t, _ in chain)
+        seen["tombstone mid-chain"] += min(keeps[:-1], default=keeps[-1]) \
+            < keeps[-1]
+        seen["MBR moved mid-chain"] += any(m for _, _, m in chain[:-1])
+        seen["loaded seed"] += self.loaded and not self.builds
+
+
+def test_generated_chains_build_once_as_fresh():
+    """A read that misses both caches is the only thing that builds here:
+    each build follows a chain of 1-4+ rebuilds (compactions and threshold
+    rebuilds), sorts from the last built snapshot with the chain's
+    shortest kept prefix, and is the fresh build's index."""
+    seen = Counter()
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                           st.sets(st.sampled_from("abcd"), max_size=3)),
+                 min_size=1, max_size=30),
+        st.lists(CHAINED_OPERATION, min_size=5, max_size=60),
+        st.sampled_from([(None, None), (1, 1), (2, 3), (4, 5)]),
+        st.sampled_from([0.1, 0.3, 1.0]),
+        st.booleans())
+    def run(rows, operations, shape, threshold, loaded):
+        collection = collection_of(
+            [(x, y) for x, y, _ in rows],
+            [tuple(sorted(kws)) for _, _, kws in rows])
+        if loaded:
+            with tempfile.TemporaryDirectory() as directory:
+                save_index(DesksIndex(collection, *shape),
+                           directory + "/index")
+                index = MutableDesksIndex.from_static(
+                    load_index(directory + "/index"), threshold)
+            shape = (index.static_index.num_bands,
+                     index.static_index.num_wedges)
+        else:
+            index = MutableDesksIndex(collection, *shape,
+                                      rebuild_threshold=threshold)
+        history = ChainedHistory(index, shape, loaded, seen)
+        for operation in operations:
+            history.run(operation)
+
+    run()
+    for needed in ("reads without a build", "chain of 1", "chain of 2",
+                   "chain of 3", "chain of 4+",
+                   "threshold rebuild in a chain",
+                   "tombstone mid-chain", "MBR moved mid-chain",
+                   "loaded seed"):
+        assert seen[needed] >= 1, seen
