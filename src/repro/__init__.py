@@ -22,7 +22,6 @@ Quickstart::
 
 from .core import (
     AnswerCache,
-    CardinalityEstimator,
     DesksIndex,
     DesksSearcher,
     DirectionalQuery,
@@ -51,7 +50,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AnswerCache",
-    "CardinalityEstimator",
     "Deadline",
     "DesksIndex",
     "DesksSearcher",

@@ -4,7 +4,7 @@ A partitioner splits a :class:`~repro.datasets.POICollection` into ``S``
 disjoint, covering id sets and summarizes each with the two statistics the
 router prunes and ranks by: the shard's MBR (for the sector-intersection
 test and ``MINDIST`` ordering) and its per-keyword document frequencies
-(for keyword pruning and cardinality estimation).  Three strategies:
+(for keyword pruning and the ``MINDIST`` tie-break).  Three strategies:
 
 ``grid``
     Equi-depth spatial tiling (sort-tile-recursive): POIs are sorted by x

@@ -9,11 +9,13 @@ collection into ``S`` independent :class:`~repro.core.DesksIndex` shards
    (:func:`~repro.geometry.sector_intersects_mbr`).  Both tests are exact
    as negative tests, so pruning never changes answers — the cluster-level
    analogue of the paper's Lemmas 2-4.
-2. **Order** — rank survivors by ``MINDIST(q, shard_mbr)`` ascending with
-   estimated result cardinality (per-shard
-   :class:`~repro.core.CardinalityEstimator`) as the tie-break: nearer
-   shards bound the k-th distance sooner, and denser shards tighten it
-   faster.
+2. **Order** — rank survivors by ``MINDIST(q, shard_mbr)`` ascending:
+   nearer shards bound the k-th distance sooner.  Ties (under ``hash``
+   every shard's MBR spans the extent, so all of them) go to the shard
+   with more keyword holders by its own document frequencies
+   (``ShardSpec.keyword_df``, carried by remote shards too) — the rarest
+   keyword's under ``ALL``, their sum under ``ANY`` — which tightens the
+   bound faster, then to the lower shard id.
 3. **Scatter** — ask survivors in waves, nearest first, and never ask a
    farther shard before a bound exists: the first wave is the leading
    ``MINDIST`` tie group — normally the one shard whose MBR holds ``q``;
@@ -51,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import (
-    CardinalityEstimator,
     DesksIndex,
     DirectionalQuery,
     MatchMode,
@@ -74,7 +75,7 @@ SHARD_BUCKETS: Tuple[float, ...] = (
 
 
 class Shard:
-    """One shard: spec, data, estimator, and its serving transport.
+    """One shard: spec, data, and its serving transport.
 
     ``transport`` is the shard's
     :class:`~repro.cluster.replica.FailoverSet` — a
@@ -92,7 +93,6 @@ class Shard:
         self.collection = collection
         self.index = index
         self.transport = transport
-        self.estimator = CardinalityEstimator(collection)
 
     def globalize(self, result: QueryResult) -> List[ResultEntry]:
         """Map a shard-local result's POI ids back to global ids."""
@@ -211,8 +211,7 @@ class ShardRouter:
         """A router over pre-existing transports (e.g. remote servers).
 
         ``shards`` pairs each :class:`~repro.cluster.partition.ShardSpec`
-        and its collection (for routing statistics — MBR pruning and
-        cardinality estimation need the data's *shape*, not its index)
+        and its collection (the data's *shape*, not its index)
         with the transport that executes queries against it.  Scatter-
         gather, pruning, ordering, and merge behave identically to a
         locally-built router; only the per-shard call crosses the
@@ -234,12 +233,13 @@ class ShardRouter:
         """Prune and order shards for one query.
 
         Returns ``(survivors, keyword_pruned, sector_pruned)`` where
-        ``survivors`` is ``(MINDIST, shard)`` sorted by (MINDIST,
-        -estimated cardinality, shard id).
+        ``survivors`` is ``(MINDIST, shard)`` sorted by (MINDIST, -keyword
+        holders by document frequency, shard id).
         """
         require_all = query.match_mode is MatchMode.ALL
+        count = min if require_all else sum
         keyword_pruned = sector_pruned = 0
-        ranked: List[Tuple[float, float, int, Shard]] = []
+        ranked: List[Tuple[float, int, int, Shard]] = []
         for shard in self.shards:
             spec = shard.spec
             if not spec.may_match_keywords(query.keywords, require_all):
@@ -250,8 +250,9 @@ class ShardRouter:
                 sector_pruned += 1
                 continue
             mindist = spec.mbr.min_distance_to_point(query.location)
-            estimate = shard.estimator.estimate_matching_pois(query)
-            ranked.append((mindist, -estimate, spec.shard_id, shard))
+            holders = count(spec.keyword_df.get(keyword, 0)
+                            for keyword in query.keywords)
+            ranked.append((mindist, -holders, spec.shard_id, shard))
         ranked.sort(key=lambda item: item[:3])
         return ([(mindist, shard) for mindist, _, _, shard in ranked],
                 keyword_pruned, sector_pruned)

@@ -3,7 +3,6 @@
 from .bruteforce import brute_force_search
 from .cache import AnswerCache, CacheStats
 from .dynamic import MutableDesksIndex
-from .estimate import CardinalityEstimator
 from .incremental import CachedAnswer, IncrementalSearcher
 from .index import (
     AnchorIndex,
@@ -50,7 +49,6 @@ __all__ = [
     "BasicQueryGeometry",
     "CacheStats",
     "CachedAnswer",
-    "CardinalityEstimator",
     "CompressedDiskKeywordStore",
     "DesksIndex",
     "DesksSearcher",

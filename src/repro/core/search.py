@@ -61,7 +61,6 @@ from ..geometry import TWO_PI, in_direction
 from ..storage import SearchStats
 from ..text import intersect_sorted, union_sorted
 from ..trace.spans import Span, Tracer, current_tracer
-from .estimate import CardinalityEstimator
 from .index import POIS_PER_SUBREGION, AnchorIndex, DesksIndex
 from .mindist import (
     BasicQueryGeometry,
@@ -90,44 +89,45 @@ _POSTING_SUMS = ("pages_read", "pois_fetched", "pois_verified")
 #: microseconds, shared by both scanners: the output of
 #: ``python benchmarks/fit_cost_model.py`` on CN/800 (20.6k POIs; N=2,
 #: M=103 for the paper mix, 3x4 for the scan mix), least squares over
-#: both paths' best-of-5 times on seed 11, 2 shared CPUs.  Its regret
-#: (the paths taken against the faster ones):
+#: both paths' best-of-5 times on seed 11, 2 shared CPUs, then refined by
+#: a seeded search for the lowest regret (the paths taken against the
+#: faster ones).  On two later timing runs at these constants:
 #:
-#:   fit seed 11 paper: 400 queries, ... after 0.3%
-#:   fit seed 11 scan: 300 queries, ... after 0.3%
-#:   held-out seed 12 paper: 400 queries, ... after 0.2%
-#:   held-out seed 12 scan: 300 queries, ... after 0.3%
+#:   fit seed 11 paper: 400 queries, regret 0.6-0.7%
+#:   fit seed 11 scan: 300 queries, regret 0.3%
+#:   held-out seed 12 paper: 400 queries, regret 0.5-0.7%
+#:   held-out seed 12 scan: 300 queries, regret 0.2%
 #:   path disagreements: 0
 #:
-#: On the same timings the model it replaced (no per-piece term, the
-#: share of the data's area within ``d_k``) had 3.3 % and 10.7 %.
 #: Rerun the tool after any change to either path's loops.  Holders the
 #: walk direction- and distance-tests:
-VERIFY_US = 0.354
-#: Postings of the rarest list the walk probes under ``ALL``:
-FILTER_US = 0.064
+VERIFY_US = 0.341
+#: Postings of the rarest list the walk reads under ``ALL``:
+FILTER_US = 0.005
 #: Basic sub-queries the region search prepares and drives — most of its
 #: cost at these sizes, whatever it then examines:
-PIECE_US = 93.76
-#: Sub-regions it examines (the fit prices them at nothing beside
-#: the pieces):
-SUBREGION_US = 0.0
+PIECE_US = 63.619
+#: Sub-regions it examines:
+SUBREGION_US = 0.9
 #: Postings it reads inside them:
-POSTING_US = 0.012
+POSTING_US = 0.033
 #: How many times the estimated ``d_k``, as a share of the data's extent,
 #: the share of its bands the best-first scan crosses before ``d_k``
 #: stops it (bands are rings about an anchor, so the share grows with
-#: ``d_k``; wedges are long and thin, so far more than the disc's):
-SCAN_REACH = 53.5
+#: ``d_k``; wedges are long and thin, so far more than the disc's).  At
+#: the fitted value any finite ``d_k`` inside the MBR prices the whole
+#: window: the paths' timings gave the early stop no weight.
+SCAN_REACH = 2858.311
 
 
 class CostTerms(NamedTuple):
     """The counts :func:`price` weighs (:meth:`DesksSearcher._cost_terms`)."""
 
-    #: POIs the posting walk direction- and distance-tests.
-    holders: float
-    #: Postings of the rarest list the walk probes against the other
-    #: keywords' holder sets (``ALL`` with two or more keywords, else 0).
+    #: POIs that satisfy the keyword predicate, counted exactly: the ones
+    #: the posting walk direction- and distance-tests.
+    holders: int
+    #: Postings of the rarest list the walk reads under ``ALL`` with two
+    #: or more keywords (else 0).
     probed: int
     #: Basic sub-queries (quadrant pieces) the region search drives.
     pieces: int
@@ -139,6 +139,18 @@ class CostTerms(NamedTuple):
     reach: float
     #: Postings of the keywords per sub-region.
     density: float
+
+
+class _WalkPlan(NamedTuple):
+    """What a posting walk reads and verifies
+    (:meth:`DesksSearcher._walk_plan`)."""
+
+    anchor: AnchorIndex
+    #: Terms whose POI lists it reads from ``anchor``'s store.
+    terms: Collection[int]
+    #: The keyword holders it verifies; ``None`` when there is one
+    #: keyword, whose list read is the set.
+    candidates: Optional[List[int]]
 
 
 def price(terms: CostTerms, verify_us: float = VERIFY_US,
@@ -268,7 +280,10 @@ class DesksSearcher:
     def __init__(self, index: DesksIndex) -> None:
         self.index = index
         self._collection = index.collection
-        self._estimator = CardinalityEstimator(index.collection)
+        mbr = index.collection.mbr
+        # Degenerate extents (collinear data) get a floor so the density
+        # the d_k estimate divides by stays finite.
+        self._area = max(mbr.width * mbr.height, 1e-9)
 
     # -- public API -----------------------------------------------------------
 
@@ -360,8 +375,7 @@ class DesksSearcher:
             plan = self._posting_plan(query, term_ids, conjunctive)
             if plan is not None:
                 completed = self._walk_postings(
-                    query, term_ids, plan, collector, stats, deadline,
-                    tracer, root)
+                    query, plan, collector, stats, deadline, tracer, root)
                 return QueryResult(collector.entries(),
                                    partial=not completed)
         if tracer is not None:
@@ -397,32 +411,41 @@ class DesksSearcher:
     def access_costs(self, query: DirectionalQuery,
                      ) -> Optional[Tuple[float, float]]:
         """``(walk, region)``: the estimated microseconds of the posting
-        walk and of the region search for ``query`` — what
-        :meth:`search` weighs, and what ``explain()`` reports.  ``None``
-        when no POI can hold the keywords."""
+        walk and of the region search for ``query`` — :func:`price` of
+        :meth:`cost_terms`, what :meth:`search` weighs.  ``None`` when no
+        POI can hold the keywords."""
+        terms = self.cost_terms(query)
+        return None if terms is None else price(terms)
+
+    def cost_terms(self, query: DirectionalQuery) -> Optional[CostTerms]:
+        """The counts the cost model prices for ``query``, the exact
+        number of keyword holders among them (what ``explain()`` reports
+        as ``holders``).  ``None`` when no POI can hold the keywords."""
         conjunctive = query.match_mode is MatchMode.ALL
         term_ids = self._resolve_terms(query.keywords, conjunctive)
         if term_ids is None:
             return None
-        return self._access_costs(query, term_ids, conjunctive)
+        return self._cost_terms(query, term_ids, conjunctive,
+                                self._keyword_holders(term_ids, conjunctive))
 
     def _access_costs(self, query: DirectionalQuery,
                       term_ids: Collection[int], conjunctive: bool,
+                      candidates: Optional[List[int]],
                       ) -> Tuple[float, float]:
         """The cost model: :func:`price` of :meth:`_cost_terms`."""
-        return price(self._cost_terms(query, term_ids, conjunctive))
+        return price(self._cost_terms(query, term_ids, conjunctive,
+                                      candidates))
 
     def _cost_terms(self, query: DirectionalQuery,
                     term_ids: Collection[int], conjunctive: bool,
-                    ) -> CostTerms:
+                    candidates: Optional[List[int]]) -> CostTerms:
         """The counts the cost model prices: functions of the query and
         the index alone.
 
-        **Walk.**  The holders it verifies — ``n`` times the keyword
-        selectivity under ``ALL``, the sum of the frequencies under
-        ``ANY`` — and, under ``ALL`` with two or more keywords, the
-        rarest list's postings it probes against the other keywords'
-        holder sets.
+        **Walk.**  The holders it verifies, counted, not estimated:
+        ``candidates`` (:meth:`_keyword_holders`), or the one keyword's
+        document frequency when that is ``None``; and, under ``ALL`` with
+        two or more keywords, the postings of the rarest list it reads.
 
         **Regions.**  The basic sub-queries it drives, each prepared
         (its anchor's region lists intersected) and queued, and the
@@ -434,25 +457,21 @@ class DesksSearcher:
         :data:`SCAN_REACH` times ``reach``, the estimated ``d_k`` over
         the data's extent (the square root of its area), of the window —
         the bands it crosses are rings about the anchor — or all of it
-        when fewer than ``k`` matches are expected.  Outside the
-        MBR Lemmas 1-4 and Table I do not hold and only the annulus bound
-        is left, so every wedge starts about the gap away: each piece's
-        anchor has every sub-region examined in each band whose annulus
-        comes within the estimated ``d_k``, which counts that gap.
+        when fewer than ``k`` matches are expected
+        (:meth:`_estimated_kth`).  Outside the MBR Lemmas 1-4 and Table I
+        do not hold and only the annulus bound is left, so every wedge
+        starts about the gap away: each piece's anchor has every
+        sub-region examined in each band whose annulus comes within the
+        estimated ``d_k``, which counts that gap.
         """
-        estimator = self._estimator
         index = self.index
         per_anchor = index.num_bands * index.num_wedges
         # Sorted, so the sums do not depend on the ids' iteration order.
         counts = sorted(map(self._collection.vocabulary.doc_frequency,
                             term_ids))
-        if conjunctive:
-            holders = len(self._collection) * estimator.keyword_selectivity(
-                query, term_ids)
-            probed = counts[0] if len(counts) > 1 else 0
-        else:
-            holders, probed = sum(counts), 0
-        kth = estimator.estimate_kth_distance(query, term_ids)
+        holders = counts[0] if candidates is None else len(candidates)
+        probed = counts[0] if conjunctive and len(counts) > 1 else 0
+        kth = self._estimated_kth(query, holders)
         location = query.location
         pieces = query.basic_subqueries()
         reach = INF
@@ -460,7 +479,7 @@ class DesksSearcher:
             window = (per_anchor * query.interval.width / TWO_PI
                       + index.num_bands * len(pieces))
             if kth is not None:
-                reach = kth / math.sqrt(estimator.area)
+                reach = kth / math.sqrt(self._area)
         else:
             window = 0
             for quadrant, _ in pieces:
@@ -475,9 +494,28 @@ class DesksSearcher:
         return CostTerms(holders, probed, len(pieces), window, reach,
                          sum(counts) / per_anchor)
 
+    def _estimated_kth(self, query: DirectionalQuery,
+                       holders: int) -> Optional[float]:
+        """The expected distance of the k-th answer, from the count of
+        keyword ``holders``; ``None`` when fewer than ``k`` of them are
+        expected in the interval.
+
+        ``holders x w / 2pi`` of them are expected there, at ``holders``
+        over the data's area, and a sector of angle ``w`` and radius
+        ``r`` holds ``density x w x r^2 / 2`` of them, so the k-th lies
+        ``sqrt(2k / (w x density))`` beyond ``MINDIST(q, MBR)``: a query
+        outside the data reaches no POI before it crosses that gap.
+        """
+        width = query.interval.width
+        if holders * width / TWO_PI < query.k:
+            return None
+        density = holders / self._area
+        return (self._collection.mbr.min_distance_to_point(query.location)
+                + math.sqrt(2.0 * query.k / (width * density)))
+
     def _posting_plan(self, query: DirectionalQuery,
                       term_ids: Collection[int], conjunctive: bool,
-                      ) -> Optional[Tuple[AnchorIndex, Collection[int]]]:
+                      ) -> Optional[_WalkPlan]:
         """The access-path choice: :meth:`_walk_plan` when the walk is the
         cheaper plan, else ``None`` (run the region search).
 
@@ -486,54 +524,77 @@ class DesksSearcher:
         without consulting the cost model: on CN/800 no such query of the
         paper mix was faster on the region path, so evaluating the model
         there would cost time and change nothing.  Above it
-        :meth:`_access_costs` decides.
+        :meth:`_access_costs` decides, on the plan's own candidates.
         """
         plan = self._walk_plan(term_ids, conjunctive)
         if plan is None:
             return None
         index = self.index
         postings = sum(map(self._collection.vocabulary.doc_frequency,
-                           plan[1]))
+                           plan.terms))
         if postings > index.num_bands * index.num_wedges:
-            walk, region = self._access_costs(query, term_ids, conjunctive)
+            walk, region = self._access_costs(query, term_ids, conjunctive,
+                                              plan.candidates)
             if walk > region:
                 return None
         return plan
 
     def _walk_plan(self, term_ids: Collection[int], conjunctive: bool,
-                   ) -> Optional[Tuple[AnchorIndex, Collection[int]]]:
-        """``(anchor, terms whose POI lists the walk reads)``; ``None``
-        when no anchor is built.
+                   ) -> Optional[_WalkPlan]:
+        """What the walk reads and verifies; ``None`` when no anchor is
+        built.
 
         Under ``ALL`` every answer holds the rarest keyword, so its list
         alone is read; under ``ANY`` every keyword's list is.  Every
         anchor's store holds every posting, so the first built one
-        serves.
+        serves.  The candidates are :meth:`_keyword_holders`, computed
+        here once per query: the cost model counts them and the walk
+        verifies them.
         """
         anchor = next(filter(None, self.index.anchors), None)
         if anchor is None:
             return None
+        terms = term_ids
         if conjunctive:
             frequency = self._collection.vocabulary.doc_frequency
-            return anchor, (min(term_ids, key=frequency),)
-        return anchor, term_ids
+            terms = (min(term_ids, key=frequency),)
+        return _WalkPlan(anchor, terms,
+                         self._keyword_holders(term_ids, conjunctive))
 
-    def _walk_postings(self, query: DirectionalQuery,
-                       term_ids: Collection[int],
-                       plan: Tuple[AnchorIndex, Collection[int]],
+    def _keyword_holders(self, term_ids: Collection[int], conjunctive: bool,
+                         ) -> Optional[List[int]]:
+        """The POIs that satisfy the keyword predicate, each once, from
+        the index's holder sets (:meth:`DesksIndex.holders`), so no page
+        is read: under ``ALL`` the rarest keyword's set intersected with
+        the others' — rarest first, so the survivors stay the smaller
+        side of every intersection — and under ``ANY`` their union.
+        ``None`` for one keyword: its own list is the set and its
+        document frequency the count, so no set is built.
+        """
+        if len(term_ids) == 1:
+            return None
+        sets = map(self.index.holders, term_ids)
+        if conjunctive:
+            rarest, *others = sorted(sets, key=len)
+            return list(rarest.intersection(*others))
+        return list(frozenset().union(*sets))
+
+    def _walk_postings(self, query: DirectionalQuery, plan: _WalkPlan,
                        collector: _TopK, stats: Optional[SearchStats],
                        deadline: Optional["SupportsExpired"],
                        tracer: Optional[Tracer],
                        root: Optional[Span]) -> bool:
         """Answer from whole POI lists; False when the deadline cut in.
 
-        Every holder of the keyword predicate is direction- and
-        distance-tested — there is no ``d_k`` to stop at, which is the
-        trade: a few more POIs examined than the region search would, none
-        of its region machinery.  ``SearchStats`` counts those POIs as the
-        wedge scan does, and no region or sub-region.
+        The plan's lists are read from the anchor's store (pages counted
+        as the region search counts them), and every holder of the
+        keyword predicate — the plan's candidates, or the one list read —
+        is direction- and distance-tested: there is no ``d_k`` to stop
+        at, which is the trade: a few more POIs examined than the region
+        search would, none of its region machinery.  ``SearchStats``
+        counts those POIs as the wedge scan does, and no region or
+        sub-region.
         """
-        anchor, terms = plan
         span = None
         if tracer is not None:
             io = self.index.io_stats
@@ -543,9 +604,11 @@ class DesksSearcher:
                 subregions_per_anchor=(self.index.num_bands
                                        * self.index.num_wedges),
                 pois_fetched=0, pois_verified=0, pages_read=0)
-        views = map(anchor.store.term_postings, terms)
+        views = map(plan.anchor.store.term_postings, plan.terms)
         lists = [view.pois() for view in views if view is not None]
-        candidates = self._keyword_holders(query, term_ids, terms, lists)
+        candidates = plan.candidates
+        if candidates is None:
+            candidates = lists[0] if lists else []
         completed = True
         # The region search looks at the clock between sub-regions; so
         # does the walk, a sub-region being ~POIS_PER_SUBREGION POIs.
@@ -563,28 +626,6 @@ class DesksSearcher:
             for key in _POSTING_SUMS:
                 root.add(key, span.attrs[key])
         return completed
-
-    def _keyword_holders(self, query: DirectionalQuery,
-                         term_ids: Collection[int], terms: Collection[int],
-                         lists: List[List[int]]) -> List[int]:
-        """The POIs on ``lists`` (the walk's reads of ``terms``) that
-        satisfy the keyword predicate, each once.
-
-        Under ``ALL`` with several keywords ``lists`` is the rarest
-        keyword's alone; it is probed against every other keyword's
-        holder set (:meth:`DesksIndex.holders`), so the filter runs as
-        set intersections in C rather than a subset test per posting.
-        Each intersection walks the smaller side, the survivors after the
-        first, so the sets' order does not matter.
-        """
-        if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
-            survivors = lists[0] if lists else ()
-            holders = self.index.holders
-            for term_id in term_ids:
-                if term_id not in terms:
-                    survivors = holders(term_id).intersection(survivors)
-            return list(survivors)
-        return lists[0] if len(lists) == 1 else list(set().union(*lists))
 
     # -- Algorithm 2 ------------------------------------------------------------
 

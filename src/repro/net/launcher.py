@@ -12,8 +12,8 @@ replica (``RD``, 128 cache entries) and gets :data:`STARTUP_TIMEOUT`
 seconds to announce itself.
 
 :func:`connect_router` is the other half: it rebuilds the routing
-statistics (shard MBRs, keyword document frequencies, cardinality
-estimators) from each shard's POI collection
+statistics (shard MBRs, keyword document frequencies) from each
+shard's POI collection
 (:func:`~repro.core.load_collection`) — *without* loading any index —
 and returns a :class:`~repro.cluster.ShardRouter` whose transports are
 :class:`~repro.net.RemoteReplicaSet`\\ s over the launched addresses.

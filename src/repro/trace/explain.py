@@ -16,8 +16,10 @@ and packages three views of it into an :class:`ExplainReport`:
   without asking when the lists hold at most ``N x M`` postings; see
   :meth:`repro.core.DesksSearcher.access_costs`), bands scanned vs
   skipped by Lemma 1,
-  sub-regions window-pruned (Lemmas 2-4) vs MINDIST-pruned, POIs fetched
-  and verified, logical page reads, the full span tree;
+  sub-regions window-pruned (Lemmas 2-4) vs MINDIST-pruned, the
+  planner's exact count of keyword ``holders`` beside the POIs fetched
+  (equal on the walk path) and verified, logical page reads, the full
+  span tree;
 * **reconciliation** — the span totals checked *exactly* against the
   :class:`~repro.storage.SearchStats` / :class:`~repro.storage.IOStats`
   counters of the very same search, summed over ``desks.search`` and — on
@@ -133,7 +135,7 @@ def explain(index, query, mode=None) -> ExplainReport:
     section proves the span tree accounts for exactly the pages and
     pruning work the counters saw.
     """
-    from ..core.search import DesksSearcher, PruningMode
+    from ..core.search import DesksSearcher, PruningMode, price
     from ..storage import SearchStats
 
     if mode is None:
@@ -144,7 +146,8 @@ def explain(index, query, mode=None) -> ExplainReport:
     searcher = (index if isinstance(index, DesksSearcher)
                 else DesksSearcher(getattr(index, "static_index", index)))
     search = getattr(index, "search", searcher.search)
-    costs = searcher.access_costs(query) or (None, None)
+    terms = searcher.cost_terms(query)
+    costs = (None, None) if terms is None else price(terms)
     io_stats = getattr(index, "io_stats", None)
     if io_stats is None:
         io_stats = getattr(getattr(index, "index", None), "io_stats", None)
@@ -189,6 +192,9 @@ def explain(index, query, mode=None) -> ExplainReport:
         "subregions_examined": total("subregions_examined"),
         "subregions_pruned": total("subregions_pruned"),
         "mindist_evaluations": total("mindist_evaluations"),
+        # The planner's count of keyword holders: on the walk path, the
+        # POIs fetched.
+        "holders": 0 if terms is None else terms.holders,
         "pois_fetched": total("pois_fetched"),
         "pois_verified": total("pois_verified"),
         "pages_read": total("pages_read"),

@@ -14,7 +14,13 @@ from repro.cluster import (
     ShardUnavailableError,
     build_layout,
 )
-from repro.core import DesksIndex, DesksSearcher, DirectionalQuery, PruningMode
+from repro.core import (
+    DesksIndex,
+    DesksSearcher,
+    DirectionalQuery,
+    MatchMode,
+    PruningMode,
+)
 from repro.core.bruteforce import brute_force_search
 from repro.trace import Tracer
 
@@ -258,6 +264,29 @@ def test_plan_orders_by_mindist(collection):
         survivors, _, _ = router.plan(q)
         mindists = [mindist for mindist, _ in survivors]
         assert mindists == sorted(mindists)
+
+
+@pytest.mark.parametrize("keywords,match_mode", [
+    (["cafe"], MatchMode.ALL),
+    (["cafe", "food", "gas"], MatchMode.ALL),
+    (["cafe", "food"], MatchMode.ANY),
+], ids=["one", "all", "any"])
+def test_mindist_ties_go_to_more_holders_then_the_lower_id(
+        collection, keywords, match_mode):
+    # Every ``hash`` shard spans the data, so MINDIST ties at 0 for a
+    # query inside it and the shards' own document frequencies order
+    # them: the rarest keyword's under ALL, their sum under ANY.
+    count = min if match_mode is MatchMode.ALL else sum
+    with ShardRouter(collection, num_shards=8, partitioner="hash") as router:
+        q = DirectionalQuery.make(50, 50, *FULL_CIRCLE, keywords, 5,
+                                  match_mode)
+        survivors, _, _ = router.plan(q)
+        assert [mindist for mindist, _ in survivors] == [0.0] * 8
+        ranks = [(-count(shard.spec.keyword_df.get(keyword, 0)
+                         for keyword in keywords), shard.spec.shard_id)
+                 for _, shard in survivors]
+        assert ranks == sorted(ranks)
+        assert len({holders for holders, _ in ranks}) > 1
 
 
 def test_search_returns_bare_result(collection, reference):

@@ -25,6 +25,7 @@ from repro.core import (
     PruningMode,
     brute_force_search,
 )
+from repro.core.search import price
 from repro.datasets import POI, POICollection
 from repro.kernel import ColumnarSearcher
 from repro.service import Deadline, QueryEngine
@@ -186,7 +187,7 @@ def test_the_floor_walks_without_asking_the_model(searcher, monkeypatch):
     # second is put to the model, which here always prefers the regions.
     asked = []
 
-    def regions_always(query, term_ids, conjunctive):
+    def regions_always(query, term_ids, conjunctive, candidates):
         asked.append(query)
         return math.inf, 0.0
 
@@ -290,7 +291,10 @@ def test_explain_reconciles_and_names_the_posting_path(index):
         assert f"walk_cost={walk}" in report.render()
         assert f"region_cost={region}" in report.render()
         assert "desks.postings" in report.render()
+        # The planner counted what the walk fetched.
+        assert report.actuals["holders"] == THRESHOLD
         assert report.actuals["pois_fetched"] == THRESHOLD
+        assert f"holders={THRESHOLD}" in report.render()
         assert (report.actuals["pages_read"] > 0) == index.disk_based
         assert report.actuals["bands_scanned"] == 0
         trees.append([strip_seconds(root)
@@ -307,6 +311,7 @@ def test_explain_names_the_region_path(index):
     assert report.trace.find("desks.postings") is None
     actuals = report.to_dict()["actuals"]
     assert actuals["walk_cost"] > actuals["region_cost"]
+    assert actuals["holders"] == frequency("bulk")
 
 
 # -- deadlines --------------------------------------------------------------------
@@ -407,18 +412,14 @@ def test_mutable_index_with_rare_keyword_equals_brute_force_over_live_pois():
 
 
 class SubsetTestWalk(DesksSearcher):
-    """The reference filter: every posting of the rarest list
-    subset-tested against its POI's term set, one by one."""
+    """The reference filter: every POI's term set tested against the
+    keywords, one by one."""
 
-    def _keyword_holders(self, query, term_ids, terms, lists):
-        candidates = (lists[0] if len(lists) == 1
-                      else list(set().union(*lists)))
-        if query.match_mode is MatchMode.ALL and len(term_ids) > 1:
-            required = frozenset(term_ids)
-            held = self._collection.term_id_sets
-            candidates = [poi_id for poi_id in candidates
-                          if required <= held[poi_id]]
-        return candidates
+    def _keyword_holders(self, term_ids, conjunctive):
+        wanted = frozenset(term_ids)
+        return [poi_id for poi_id, held in
+                enumerate(self._collection.term_id_sets)
+                if (wanted <= held if conjunctive else wanted & held)]
 
 
 def make_tie_collection():
@@ -504,3 +505,66 @@ def test_holder_sets_filter_as_the_subset_test_did(store, keywords,
     resolved = TIE_COLLECTION.query_term_ids(
         query.keywords, require_all=match_mode is MatchMode.ALL)
     assert (ours[4] is None) == (resolved is None)
+
+
+# -- the planner's count ----------------------------------------------------------
+
+
+def make_pair_collection():
+    """``with`` and ``and`` always co-occur; ``left`` and ``right`` never
+    do (no POI holds both); ``some`` cuts across them all."""
+    pois = []
+    for i in range(300):
+        keywords = ["filler"]
+        if i % 3 == 0:
+            keywords += ["with", "and"]
+        if i % 4 == 0:
+            keywords.append("left")
+        elif i % 4 == 1:
+            keywords.append("right")
+        if i % 7 < 3:
+            keywords.append("some")
+        pois.append(POI.make(i, (i * 61.803398875) % 100.0,
+                             (i * 38.196601125 + 11.0) % 100.0, keywords))
+    return POICollection(pois)
+
+
+PAIR_COLLECTION = make_pair_collection()
+PAIR_INDEX = DesksIndex(PAIR_COLLECTION, BANDS, WEDGES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(keywords=st.lists(st.sampled_from(["with", "and", "left", "right",
+                                          "some", "absent"]),
+                         min_size=1, max_size=5),
+       match_mode=st.sampled_from(list(MatchMode)),
+       alpha=st.sampled_from([0.2, 2.0, 5.5]),
+       width=st.sampled_from([0.4, 3.5, 2 * math.pi]),
+       k=st.sampled_from([1, 9, 400]))
+@example(keywords=["with", "and"], match_mode=MatchMode.ALL, alpha=0.2,
+         width=0.4, k=9)                          # always together
+@example(keywords=["left", "right"], match_mode=MatchMode.ALL, alpha=0.2,
+         width=0.4, k=9)                          # never together
+@example(keywords=["left", "right", "with"], match_mode=MatchMode.ANY,
+         alpha=2.0, width=3.5, k=1)               # overlapping lists
+def test_the_planner_counts_the_keyword_holders(keywords, match_mode, alpha,
+                                                width, k):
+    query = DirectionalQuery.make(*CENTRE, alpha, alpha + width, keywords,
+                                  k, match_mode)
+    # Every keyword match, whatever its direction or distance.
+    matches = len(brute_force_search(PAIR_COLLECTION, DirectionalQuery.make(
+        *CENTRE, 0.0, 2 * math.pi, keywords, len(PAIR_COLLECTION),
+        match_mode)))
+    searcher = DesksSearcher(PAIR_INDEX)
+    terms = searcher.cost_terms(query)
+    assert (0 if terms is None else terms.holders) == matches
+    assert searcher.access_costs(query) == (
+        None if terms is None else price(terms))
+    # An uncut walk verifies exactly what the planner counted.
+    searcher._access_costs = lambda *args: (0.0, math.inf)
+    stats, tracer = SearchStats(), Tracer()
+    with tracer.activate():
+        result = searcher.search(query, stats=stats)
+    assert not result.partial
+    assert stats.pois_examined == matches
+    assert (tracer.find("desks.postings") is None) == (terms is None)

@@ -65,7 +65,8 @@ def _path(searcher, query):
 
 
 def test_both_searchers_take_the_same_path(object_searcher,
-                                           columnar_searcher, corpus):
+                                           columnar_searcher, collection,
+                                           corpus):
     # The cost model reads the query and the source index only, so the
     # path is the same by construction.  The corpus walks; every keyword
     # under ANY in one quadrant takes the regions.
@@ -75,7 +76,19 @@ def test_both_searchers_take_the_same_path(object_searcher,
     for query in corpus + [everything]:
         costs = object_searcher.access_costs(query)
         assert columnar_searcher.access_costs(query) == costs
+        # Both count the keyword holders exactly, whatever their
+        # direction, and a walk verifies exactly those.
+        terms = columnar_searcher.cost_terms(query)
+        assert terms == object_searcher.cost_terms(query)
+        matches = len(brute_force_search(collection, DirectionalQuery.make(
+            query.location.x, query.location.y, 0.0, TWO_PI,
+            query.keywords, len(collection), query.match_mode)))
+        assert (0 if terms is None else terms.holders) == matches, query
         path = _path(object_searcher, query)
+        stats = SearchStats()
+        columnar_searcher.search(query, stats=stats)
+        if path == "postings":
+            assert stats.pois_examined == matches, query
         assert _path(columnar_searcher, query) == path, query
         taken.add(path)
     assert taken == {"postings", "regions"}
